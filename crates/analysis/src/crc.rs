@@ -6,15 +6,19 @@
 //! (the fault-injection layer flips bits mid-frame) and by accident (a torn
 //! checkpoint append). A 4-byte CRC trailer turns both from "parse garbage
 //! and hope" into a detected [`FrameCorrupt`-style] condition the recovery
-//! machinery can act on. The table is computed at compile time (`const fn`),
-//! so this stays std-only with zero startup cost.
+//! machinery can act on. The tables (one byte-indexed, eight for
+//! slicing-by-8) are computed at compile time (`const fn`), so this stays
+//! std-only with zero startup cost.
 
 /// The reflected IEEE CRC-32 polynomial.
 const POLYNOMIAL: u32 = 0xEDB8_8320;
 
-/// Builds the byte-indexed CRC table at compile time.
-const fn build_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Builds the slicing-by-8 tables at compile time. `TABLES[0]` is the classic
+/// byte-indexed table; `TABLES[k][b]` is the CRC of byte `b` followed by `k`
+/// zero bytes, so eight input bytes fold into the state with eight
+/// independent lookups instead of eight dependent ones.
+const fn build_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut index = 0;
     while index < 256 {
         let mut crc = index as u32;
@@ -27,14 +31,26 @@ const fn build_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[index] = crc;
+        tables[0][index] = crc;
         index += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut index = 0;
+        while index < 256 {
+            let prev = tables[k - 1][index];
+            tables[k][index] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            index += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-/// The 256-entry lookup table for [`crc32`], baked in at compile time.
-pub const CRC32_TABLE: [u32; 256] = build_table();
+static TABLES: [[u32; 256]; 8] = build_tables();
+
+/// The 256-entry byte-indexed lookup table, baked in at compile time.
+pub const CRC32_TABLE: [u32; 256] = build_tables()[0];
 
 /// Computes the CRC-32 (IEEE) checksum of `bytes`.
 ///
@@ -77,12 +93,24 @@ impl Crc32 {
         Crc32 { state: 0xFFFF_FFFF }
     }
 
-    /// Feeds `bytes` into the checksum.
+    /// Feeds `bytes` into the checksum, eight at a time (slicing-by-8) with
+    /// a byte-wise tail.
     pub fn update(&mut self, bytes: &[u8]) {
         let mut crc = self.state;
-        for &byte in bytes {
-            let index = ((crc ^ u32::from(byte)) & 0xFF) as usize;
-            crc = (crc >> 8) ^ CRC32_TABLE[index];
+        let mut chunks = bytes.chunks_exact(8);
+        for chunk in &mut chunks {
+            let low = crc ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+            crc = TABLES[7][(low & 0xFF) as usize]
+                ^ TABLES[6][(low >> 8 & 0xFF) as usize]
+                ^ TABLES[5][(low >> 16 & 0xFF) as usize]
+                ^ TABLES[4][(low >> 24) as usize]
+                ^ TABLES[3][usize::from(chunk[4])]
+                ^ TABLES[2][usize::from(chunk[5])]
+                ^ TABLES[1][usize::from(chunk[6])]
+                ^ TABLES[0][usize::from(chunk[7])];
+        }
+        for &byte in chunks.remainder() {
+            crc = (crc >> 8) ^ TABLES[0][((crc ^ u32::from(byte)) & 0xFF) as usize];
         }
         self.state = crc;
     }
@@ -115,14 +143,34 @@ mod tests {
         );
     }
 
+    /// The byte-at-a-time loop the sliced tables must agree with.
+    fn bytewise(bytes: &[u8]) -> u32 {
+        let crc = bytes.iter().fold(0xFFFF_FFFF_u32, |crc, &byte| {
+            (crc >> 8) ^ CRC32_TABLE[((crc ^ u32::from(byte)) & 0xFF) as usize]
+        });
+        crc ^ 0xFFFF_FFFF
+    }
+
     #[test]
-    fn streaming_matches_one_shot_at_every_split() {
-        let data = b"deterministic fault injection";
+    fn sliced_update_equals_the_bytewise_loop_at_every_length_and_split() {
+        let mut state = 0x9E37_79B9_7F4A_7C15_u64;
+        let data: Vec<u8> = (0..1024)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1);
+                (state >> 56) as u8
+            })
+            .collect();
+        for len in 0..=data.len() {
+            assert_eq!(crc32(&data[..len]), bytewise(&data[..len]), "length {len}");
+        }
+        let whole = bytewise(&data);
         for split in 0..=data.len() {
             let mut crc = Crc32::new();
             crc.update(&data[..split]);
             crc.update(&data[split..]);
-            assert_eq!(crc.finish(), crc32(data), "split at {split}");
+            assert_eq!(crc.finish(), whole, "split at {split}");
         }
     }
 

@@ -1,9 +1,13 @@
-//! A small, std-only JSON value type: writer and parser.
+//! Small, std-only JSON: one lexer, one writer, and a value tree on top.
 //!
 //! The build environment is offline, so the workspace cannot depend on
 //! `serde`; the machine-readable result pipeline (per-trial records, scenario
-//! reports, `--json` output of the binaries) is built on this module instead.
-//! It supports exactly standard JSON with two deliberate choices:
+//! reports, `--json` output of the binaries, checkpoint lines) is built on
+//! this module instead. [`JsonReader`] is the grammar (a linear-time pull
+//! lexer, bounded in depth) and [`JsonWriter`] the formatting; [`JsonValue`]
+//! is a tree that parses through the one and prints through the other, and
+//! hot typed codecs skip the tree and use the two directly. It supports
+//! exactly standard JSON with two deliberate choices:
 //!
 //! * **Integers are exact.** Numbers without a fraction or exponent are kept
 //!   as [`JsonValue::Int`] (`i128`, covering every `u64` seed bit-exactly);
@@ -17,6 +21,7 @@
 //! them (the statistics layer never produces NaN — see
 //! [`Summary`](crate::Summary)).
 
+use std::borrow::Cow;
 use std::fmt;
 
 /// A JSON document tree.
@@ -112,19 +117,16 @@ impl JsonValue {
     }
 
     /// Parses a complete JSON document (trailing whitespace allowed, trailing
-    /// garbage rejected).
+    /// garbage rejected) by driving a [`JsonReader`] over `text`.
     ///
     /// # Errors
     ///
-    /// Returns a description of the first syntax error with its byte offset.
+    /// Returns a description of the first syntax error with its byte offset;
+    /// nesting beyond [`MAX_JSON_DEPTH`] is an error, not a stack overflow.
     pub fn parse(text: &str) -> Result<JsonValue, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing garbage at byte {pos}"));
-        }
+        let mut reader = JsonReader::new(text);
+        let value = reader.value()?;
+        reader.finish()?;
         Ok(value)
     }
 }
@@ -173,234 +175,602 @@ impl From<Option<u64>> for JsonValue {
 
 impl fmt::Display for JsonValue {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            JsonValue::Null => write!(f, "null"),
-            JsonValue::Bool(b) => write!(f, "{b}"),
-            JsonValue::Int(i) => write!(f, "{i}"),
-            JsonValue::Float(v) if !v.is_finite() => write!(f, "null"),
+        let mut writer = JsonWriter::new(f);
+        writer.value(self);
+        writer.result
+    }
+}
+
+/// Writes JSON text straight into its sink: the one place escaping and
+/// number formatting live, driven by [`JsonValue`]'s `Display` from a tree
+/// (into the formatter) and by typed encoders from their fields (into a
+/// `String`). Commas are placed here; the caller pairs `begin_*`/`end_*` and
+/// puts a [`JsonWriter::key`] before every member.
+#[derive(Debug)]
+pub struct JsonWriter<'a, W: fmt::Write = String> {
+    out: &'a mut W,
+    /// The next item is first in its container (or follows its key): no comma.
+    fresh: bool,
+    /// The sink's first error, after which nothing more is written (a
+    /// `String` never returns one).
+    result: fmt::Result,
+}
+
+impl<'a, W: fmt::Write> JsonWriter<'a, W> {
+    /// A writer appending one document to `out`.
+    pub fn new(out: &'a mut W) -> Self {
+        JsonWriter {
+            out,
+            fresh: true,
+            result: Ok(()),
+        }
+    }
+
+    #[inline]
+    fn put(&mut self, text: &str) {
+        if self.result.is_ok() {
+            self.result = self.out.write_str(text);
+        }
+    }
+
+    #[inline]
+    fn separate(&mut self) {
+        if !self.fresh {
+            self.put(",");
+        }
+        self.fresh = false;
+    }
+
+    fn bracket(&mut self, bracket: &str, opens: bool) -> &mut Self {
+        if opens {
+            self.separate();
+        }
+        self.put(bracket);
+        self.fresh = opens;
+        self
+    }
+
+    /// Opens an object.
+    pub fn begin_object(&mut self) -> &mut Self {
+        self.bracket("{", true)
+    }
+
+    /// Closes the innermost object.
+    pub fn end_object(&mut self) -> &mut Self {
+        self.bracket("}", false)
+    }
+
+    /// Opens an array.
+    pub fn begin_array(&mut self) -> &mut Self {
+        self.bracket("[", true)
+    }
+
+    /// Closes the innermost array.
+    pub fn end_array(&mut self) -> &mut Self {
+        self.bracket("]", false)
+    }
+
+    /// Writes an object member's key; its value must follow.
+    pub fn key(&mut self, key: &str) -> &mut Self {
+        self.str(key);
+        self.put(":");
+        self.fresh = true;
+        self
+    }
+
+    /// Writes a string: unescaped runs copied in bulk, `"`/`\`/controls escaped.
+    #[inline]
+    pub fn str(&mut self, text: &str) -> &mut Self {
+        self.separate();
+        self.put("\"");
+        let mut run = 0;
+        for (i, &byte) in text.as_bytes().iter().enumerate() {
+            let escape = match byte {
+                b'"' => "\\\"",
+                b'\\' => "\\\\",
+                b'\n' => "\\n",
+                b'\r' => "\\r",
+                b'\t' => "\\t",
+                0..=0x1F => "",
+                _ => continue,
+            };
+            self.put(&text[run..i]);
+            if escape.is_empty() {
+                self.put_fmt(format_args!("\\u{byte:04x}"));
+            } else {
+                self.put(escape);
+            }
+            run = i + 1;
+        }
+        self.put(&text[run..]);
+        self.put("\"");
+        self
+    }
+
+    /// Writes an unsigned integer, digits produced directly (no `fmt`).
+    #[inline]
+    pub fn u64(&mut self, mut value: u64) -> &mut Self {
+        self.separate();
+        let mut digits = [0u8; 20];
+        let mut at = digits.len();
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (value % 10) as u8;
+            value /= 10;
+            if value == 0 {
+                break;
+            }
+        }
+        self.put(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+        self
+    }
+
+    /// Writes an integer, or `null` for `None`.
+    pub fn opt_u64(&mut self, value: Option<u64>) -> &mut Self {
+        match value {
+            Some(value) => self.u64(value),
+            None => self.null(),
+        }
+    }
+
+    /// Writes `true` / `false`.
+    pub fn bool(&mut self, value: bool) -> &mut Self {
+        self.separate();
+        self.put(if value { "true" } else { "false" });
+        self
+    }
+
+    /// Writes `null`.
+    pub fn null(&mut self) -> &mut Self {
+        self.separate();
+        self.put("null");
+        self
+    }
+
+    /// Writes a whole document tree.
+    pub fn value(&mut self, value: &JsonValue) -> &mut Self {
+        match value {
+            JsonValue::Null => self.null(),
+            JsonValue::Bool(b) => self.bool(*b),
+            JsonValue::Int(i) => match u64::try_from(*i) {
+                Ok(v) => self.u64(v),
+                Err(_) => self.display(format_args!("{i}")),
+            },
+            JsonValue::Float(v) if !v.is_finite() => self.null(),
             // `{}` on f64 is Rust's shortest representation that parses back
             // to the same bits, but it omits the decimal point for integral
             // values; force one so the round trip stays a Float.
-            JsonValue::Float(v) if v.fract() == 0.0 && v.abs() < 1e15 => write!(f, "{v:.1}"),
+            JsonValue::Float(v) if v.fract() == 0.0 && v.abs() < 1e15 => {
+                self.display(format_args!("{v:.1}"))
+            }
             // Huge integral floats: exponent notation keeps them floats on
             // re-parse (a bare digit string would come back as an Int).
-            JsonValue::Float(v) if v.fract() == 0.0 => write!(f, "{v:e}"),
-            JsonValue::Float(v) => write!(f, "{v}"),
-            JsonValue::String(s) => write_escaped(f, s),
+            JsonValue::Float(v) if v.fract() == 0.0 => self.display(format_args!("{v:e}")),
+            JsonValue::Float(v) => self.display(format_args!("{v}")),
+            JsonValue::String(s) => self.str(s),
             JsonValue::Array(items) => {
-                write!(f, "[")?;
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ",")?;
-                    }
-                    write!(f, "{item}")?;
+                self.begin_array();
+                for item in items {
+                    self.value(item);
                 }
-                write!(f, "]")
+                self.end_array()
             }
             JsonValue::Object(pairs) => {
-                write!(f, "{{")?;
-                for (i, (key, value)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ",")?;
-                    }
-                    write_escaped(f, key)?;
-                    write!(f, ":{value}")?;
+                self.begin_object();
+                for (key, value) in pairs {
+                    self.key(key).value(value);
                 }
-                write!(f, "}}")
+                self.end_object()
             }
         }
     }
-}
 
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    write!(f, "\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => write!(f, "\\\"")?,
-            '\\' => write!(f, "\\\\")?,
-            '\n' => write!(f, "\\n")?,
-            '\r' => write!(f, "\\r")?,
-            '\t' => write!(f, "\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
+    /// A number whose text `fmt` produces (floats, integers beyond `u64`).
+    fn display(&mut self, number: fmt::Arguments<'_>) -> &mut Self {
+        self.separate();
+        self.put_fmt(number);
+        self
+    }
+
+    fn put_fmt(&mut self, text: fmt::Arguments<'_>) {
+        if self.result.is_ok() {
+            self.result = self.out.write_fmt(text);
         }
     }
-    write!(f, "\"")
 }
 
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
+/// Deepest container nesting a [`JsonReader`] follows (documents this
+/// workspace writes nest four levels): a hostile `[[[[…` is an error, not a
+/// stack overflow in the recursive consumers.
+pub const MAX_JSON_DEPTH: usize = 128;
+const TOO_DEEP: &str = "at most 128 levels of nesting";
+
+/// Where a [`JsonReader`] stopped, and what it would have accepted there.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct JsonError {
+    /// What the grammar (or the typed consumer) needed at this point.
+    pub expected: &'static str,
+    /// Byte offset into the input.
+    pub at: usize,
+}
+
+impl fmt::Display for JsonError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "expected {} at byte {}", self.expected, self.at)
     }
 }
 
-fn expect(bytes: &[u8], pos: &mut usize, byte: u8) -> Result<(), String> {
-    if bytes.get(*pos) == Some(&byte) {
-        *pos += 1;
+impl std::error::Error for JsonError {}
+
+impl From<JsonError> for String {
+    fn from(err: JsonError) -> Self {
+        err.to_string()
+    }
+}
+
+/// A number as lexed: a `u64` accumulated on the way, or its checked text.
+enum Number<'a> {
+    Unsigned(u64),
+    Text { text: &'a str, float: bool },
+}
+
+/// A linear-time pull lexer over JSON text: the one place the grammar lives.
+/// [`JsonValue::parse`] builds a tree from it; typed decoders pull their
+/// fields from it directly. The input is already `&str`, so string contents
+/// are never re-validated: unescaped runs are found by byte scan and borrowed
+/// or copied in bulk. The caller walks containers with `begin_object` +
+/// `next_key` and `begin_array` + `next_element`, reading one value after
+/// every key / `true`; commas, colons and closing brackets are checked here.
+#[derive(Debug)]
+pub struct JsonReader<'a> {
+    text: &'a str,
+    pos: usize,
+    depth: usize,
+    /// The last token opened a container, so its first item takes no comma.
+    fresh: bool,
+}
+
+impl<'a> JsonReader<'a> {
+    /// A reader at the start of `text`.
+    pub fn new(text: &'a str) -> Self {
+        JsonReader {
+            text,
+            pos: 0,
+            depth: 0,
+            fresh: false,
+        }
+    }
+
+    fn unexpected(&self, expected: &'static str) -> JsonError {
+        let at = self.pos;
+        JsonError { expected, at }
+    }
+
+    /// Skips whitespace and returns the next byte without consuming it.
+    #[inline]
+    fn peek(&mut self) -> Option<u8> {
+        let bytes = self.text.as_bytes();
+        while matches!(bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
+        bytes.get(self.pos).copied()
+    }
+
+    #[inline]
+    fn expect(&mut self, byte: u8, expected: &'static str) -> Result<(), JsonError> {
+        if self.peek() != Some(byte) {
+            return Err(self.unexpected(expected));
+        }
+        self.pos += 1;
         Ok(())
-    } else {
-        Err(format!("expected '{}' at byte {}", char::from(byte), *pos))
     }
-}
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        None => Err("unexpected end of input".to_string()),
-        Some(b'n') => parse_literal(bytes, pos, "null", JsonValue::Null),
-        Some(b't') => parse_literal(bytes, pos, "true", JsonValue::Bool(true)),
-        Some(b'f') => parse_literal(bytes, pos, "false", JsonValue::Bool(false)),
-        Some(b'"') => parse_string(bytes, pos).map(JsonValue::String),
-        Some(b'[') => parse_array(bytes, pos),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'-' | b'0'..=b'9') => parse_number(bytes, pos),
-        Some(other) => Err(format!(
-            "unexpected byte '{}' at {}",
-            char::from(*other),
-            *pos
-        )),
+    fn literal(&mut self, word: &'static str) -> Result<(), JsonError> {
+        if !self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
+            return Err(self.unexpected(word));
+        }
+        self.pos += word.len();
+        self.fresh = false;
+        Ok(())
     }
-}
 
-fn parse_literal(
-    bytes: &[u8],
-    pos: &mut usize,
-    literal: &str,
-    value: JsonValue,
-) -> Result<JsonValue, String> {
-    if bytes[*pos..].starts_with(literal.as_bytes()) {
-        *pos += literal.len();
-        Ok(value)
-    } else {
-        Err(format!("expected '{literal}' at byte {}", *pos))
+    fn open(&mut self, bracket: u8, expected: &'static str) -> Result<(), JsonError> {
+        if self.depth == MAX_JSON_DEPTH && self.peek() == Some(bracket) {
+            return Err(self.unexpected(TOO_DEEP));
+        }
+        self.expect(bracket, expected)?;
+        self.depth += 1;
+        self.fresh = true;
+        Ok(())
     }
-}
 
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
-    let start = *pos;
-    let mut is_float = false;
-    if bytes.get(*pos) == Some(&b'-') {
-        *pos += 1;
+    /// Consumes `bracket` if it is next, leaving its container.
+    #[inline]
+    fn close(&mut self, bracket: u8) -> bool {
+        let closes = self.peek() == Some(bracket);
+        if closes {
+            self.pos += 1;
+            self.depth = self.depth.saturating_sub(1);
+            self.fresh = false;
+        }
+        closes
     }
-    while let Some(b) = bytes.get(*pos) {
-        match b {
-            b'0'..=b'9' => *pos += 1,
-            b'.' | b'e' | b'E' | b'+' | b'-' => {
-                is_float = true;
-                *pos += 1;
-            }
-            _ => break,
+
+    /// Enters an object.
+    pub fn begin_object(&mut self) -> Result<(), JsonError> {
+        self.open(b'{', "'{'")
+    }
+
+    /// The next member's key (borrowed when it holds no escape), or `None`
+    /// once the object closes.
+    pub fn next_key(&mut self) -> Result<Option<Cow<'a, str>>, JsonError> {
+        if self.close(b'}') {
+            return Ok(None);
+        }
+        if !self.fresh {
+            self.expect(b',', "',' or '}'")?;
+        }
+        let key = self.string()?;
+        self.expect(b':', "':'")?;
+        Ok(Some(key))
+    }
+
+    /// Enters an array.
+    pub fn begin_array(&mut self) -> Result<(), JsonError> {
+        self.open(b'[', "'['")
+    }
+
+    /// `true` when another element follows (read it next), `false` once the
+    /// array closes.
+    pub fn next_element(&mut self) -> Result<bool, JsonError> {
+        if self.close(b']') {
+            return Ok(false);
+        }
+        if !self.fresh {
+            self.expect(b',', "',' or ']'")?;
+        }
+        Ok(true)
+    }
+
+    /// Requires that only whitespace remains.
+    pub fn finish(&mut self) -> Result<(), JsonError> {
+        match self.peek() {
+            None => Ok(()),
+            Some(_) => Err(self.unexpected("end of input")),
         }
     }
-    let text = std::str::from_utf8(&bytes[start..*pos]).expect("ASCII digits");
-    if !is_float {
-        if let Ok(i) = text.parse::<i128>() {
-            return Ok(JsonValue::Int(i));
-        }
-    }
-    text.parse::<f64>()
-        .map(JsonValue::Float)
-        .map_err(|_| format!("malformed number {text:?} at byte {start}"))
-}
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    expect(bytes, pos, b'"')?;
-    let mut out = String::new();
-    loop {
-        match bytes.get(*pos) {
-            None => return Err("unterminated string".to_string()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or_else(|| "truncated \\u escape".to_string())?;
-                        let hex = std::str::from_utf8(hex)
-                            .map_err(|_| "non-ASCII \\u escape".to_string())?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| format!("malformed \\u escape {hex:?}"))?;
-                        out.push(
-                            char::from_u32(code)
-                                .ok_or_else(|| format!("invalid code point \\u{hex}"))?,
-                        );
-                        *pos += 4;
+    /// Reads a string, borrowing it from the input when it holds no escape.
+    #[inline]
+    pub fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
+        self.expect(b'"', "a string")?;
+        let text = self.text;
+        let bytes = text.as_bytes();
+        let start = self.pos;
+        let mut unescaped = String::new();
+        // `run` moves only past an escape, and like every stop it sits next
+        // to an ASCII byte, so the slices below are on char boundaries.
+        let mut run = start;
+        loop {
+            let stop = bytes[run..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20);
+            self.pos = stop.map_or(bytes.len(), |offset| run + offset);
+            match bytes.get(self.pos) {
+                Some(b'"') => {
+                    let tail = &text[run..self.pos];
+                    self.pos += 1;
+                    self.fresh = false;
+                    if run == start {
+                        return Ok(Cow::Borrowed(tail));
                     }
-                    other => return Err(format!("invalid escape {other:?}")),
+                    unescaped.push_str(tail);
+                    return Ok(Cow::Owned(unescaped));
                 }
-                *pos += 1;
+                Some(b'\\') => {
+                    unescaped.push_str(&text[run..self.pos]);
+                    self.pos += 1;
+                    unescaped.push(self.escape()?);
+                    run = self.pos;
+                }
+                Some(_) => return Err(self.unexpected("no raw control byte inside a string")),
+                None => return Err(self.unexpected("a closing '\"'")),
             }
-            Some(_) => {
-                // Consume one UTF-8 scalar (multi-byte sequences included).
-                let rest = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| "invalid UTF-8 in string".to_string())?;
-                let c = rest.chars().next().expect("non-empty by the match above");
-                out.push(c);
-                *pos += c.len_utf8();
+        }
+    }
+
+    /// Decodes the escape whose backslash was just consumed.
+    fn escape(&mut self) -> Result<char, JsonError> {
+        let bytes = self.text.as_bytes();
+        let simple = match bytes.get(self.pos) {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(b'u') => {
+                self.pos += 1;
+                let at = self.pos;
+                let mut code = self.hex4()?;
+                if (0xD800..0xDC00).contains(&code) {
+                    // A high surrogate is only half a character: its low
+                    // half must follow as a second \u escape.
+                    if bytes.get(self.pos..self.pos + 2) != Some(b"\\u") {
+                        return Err(self.unexpected("a low surrogate after a high one"));
+                    }
+                    self.pos += 2;
+                    let low = self.hex4()?;
+                    if !(0xDC00..0xE000).contains(&low) {
+                        return Err(self.unexpected("a low surrogate after a high one"));
+                    }
+                    code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                }
+                // What is left to fail here is a lone low surrogate.
+                let expected = "a Unicode scalar value, not a lone surrogate";
+                return char::from_u32(code).ok_or(JsonError { expected, at });
             }
+            _ => return Err(self.unexpected("a valid escape character")),
+        };
+        self.pos += 1;
+        Ok(simple)
+    }
+
+    fn hex4(&mut self) -> Result<u32, JsonError> {
+        let hex = self.text.get(self.pos..self.pos + 4);
+        let hex = hex.filter(|hex| hex.bytes().all(|b| b.is_ascii_hexdigit()));
+        let code = hex.and_then(|hex| u32::from_str_radix(hex, 16).ok());
+        let code = code.ok_or_else(|| self.unexpected("four hex digits"))?;
+        self.pos += 4;
+        Ok(code)
+    }
+
+    /// Lexes one number by the JSON grammar
+    /// (`-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`).
+    fn number(&mut self) -> Result<Number<'a>, JsonError> {
+        let bytes = self.text.as_bytes();
+        let digit_run = |mut at: usize| {
+            while bytes.get(at).is_some_and(u8::is_ascii_digit) {
+                at += 1;
+            }
+            at
+        };
+        let start = self.pos;
+        let negative = bytes.get(start) == Some(&b'-');
+        let int_start = start + usize::from(negative);
+        let mut end = digit_run(int_start);
+        if end == int_start || (bytes[int_start] == b'0' && end > int_start + 1) {
+            self.pos = int_start;
+            return Err(self.unexpected("a number without leading zeros"));
+        }
+        // `None` once the digits overflow a u64.
+        let exact = bytes[int_start..end].iter().try_fold(0u64, |value, digit| {
+            value.checked_mul(10)?.checked_add(u64::from(digit - b'0'))
+        });
+        let mut float = false;
+        if bytes.get(end) == Some(&b'.') {
+            float = true;
+            self.pos = end + 1;
+            end = digit_run(self.pos);
+            if end == self.pos {
+                return Err(self.unexpected("a digit after the decimal point"));
+            }
+        }
+        if matches!(bytes.get(end), Some(b'e' | b'E')) {
+            float = true;
+            self.pos = end + 1 + usize::from(matches!(bytes.get(end + 1), Some(b'+' | b'-')));
+            end = digit_run(self.pos);
+            if end == self.pos {
+                return Err(self.unexpected("a digit in the exponent"));
+            }
+        }
+        self.pos = end;
+        self.fresh = false;
+        Ok(match exact {
+            Some(value) if !negative && !float => Number::Unsigned(value),
+            _ => Number::Text {
+                text: &self.text[start..end],
+                float,
+            },
+        })
+    }
+
+    /// Reads an integer in `0..=u64::MAX`; a negative, a fraction, an exponent
+    /// or digits past 64 bits are errors.
+    #[inline]
+    pub fn u64(&mut self) -> Result<u64, JsonError> {
+        self.peek();
+        let at = self.pos;
+        match self.number() {
+            Ok(Number::Unsigned(value)) => Ok(value),
+            _ => Err(JsonError {
+                expected: "an unsigned 64-bit integer",
+                at,
+            }),
+        }
+    }
+
+    /// Reads `null` as `None`, else an integer as [`JsonReader::u64`] does.
+    pub fn opt_u64(&mut self) -> Result<Option<u64>, JsonError> {
+        if self.peek() == Some(b'n') {
+            return self.literal("null").map(|()| None);
+        }
+        self.u64().map(Some)
+    }
+
+    /// Reads `true` / `false`.
+    pub fn bool(&mut self) -> Result<bool, JsonError> {
+        match self.peek() {
+            Some(b't') => self.literal("true").map(|()| true),
+            Some(b'f') => self.literal("false").map(|()| false),
+            _ => Err(self.unexpected("a bool")),
+        }
+    }
+
+    /// Reads any value as a tree.
+    pub fn value(&mut self) -> Result<JsonValue, JsonError> {
+        match self.peek() {
+            Some(b'n') => self.literal("null").map(|()| JsonValue::Null),
+            Some(b't' | b'f') => self.bool().map(JsonValue::Bool),
+            Some(b'"') => self.string().map(|s| JsonValue::String(s.into_owned())),
+            Some(b'[') => {
+                self.begin_array()?;
+                let mut items = Vec::new();
+                while self.next_element()? {
+                    items.push(self.value()?);
+                }
+                Ok(JsonValue::Array(items))
+            }
+            Some(b'{') => {
+                self.begin_object()?;
+                let mut pairs = Vec::new();
+                while let Some(key) = self.next_key()? {
+                    pairs.push((key.into_owned(), self.value()?));
+                }
+                Ok(JsonValue::Object(pairs))
+            }
+            Some(b'-' | b'0'..=b'9') => {
+                let at = self.pos;
+                match self.number()? {
+                    Number::Unsigned(value) => Ok(JsonValue::Int(value.into())),
+                    Number::Text { text, float } => {
+                        // Integers beyond i128 degrade to floats, as before.
+                        let int = if float { None } else { text.parse().ok() };
+                        let expected = "a number";
+                        int.map(JsonValue::Int)
+                            .or_else(|| text.parse().ok().map(JsonValue::Float))
+                            .ok_or(JsonError { expected, at })
+                    }
+                }
+            }
+            _ => Err(self.unexpected("a value")),
         }
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
-    expect(bytes, pos, b'[')?;
-    let mut items = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(JsonValue::Array(items));
-    }
-    loop {
-        items.push(parse_value(bytes, pos)?);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(JsonValue::Array(items));
+/// Decodes one JSON object into local variables, one per listed member
+/// (`"name" => variable: read expression`): members may arrive in any order,
+/// unknown ones are skipped (grammar-checked), a listed one that never
+/// arrives is an error naming it, and a failed read is reported under its
+/// member's name. Expands to statements for a function returning
+/// `Result<_, String>`.
+#[macro_export]
+macro_rules! read_json_object {
+    ($reader:expr, { $($key:literal => $slot:ident: $read:expr),+ $(,)? }) => {
+        $(let mut $slot = None;)+
+        $reader.begin_object()?;
+        while let Some(key) = $reader.next_key()? {
+            match &*key {
+                $($key => {
+                    $slot = Some($read.map_err(|err| format!("field '{}': {err}", $key))?);
+                })+
+                _ => drop($reader.value()?),
             }
-            _ => return Err(format!("expected ',' or ']' at byte {}", *pos)),
         }
-    }
-}
-
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
-    expect(bytes, pos, b'{')?;
-    let mut pairs = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(JsonValue::Object(pairs));
-    }
-    loop {
-        skip_ws(bytes, pos);
-        let key = parse_string(bytes, pos)?;
-        skip_ws(bytes, pos);
-        expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
-        pairs.push((key, value));
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(JsonValue::Object(pairs));
-            }
-            _ => return Err(format!("expected ',' or '}}' at byte {}", *pos)),
-        }
-    }
+        $(let $slot = $slot.ok_or_else(|| format!("missing field '{}'", $key))?;)+
+    };
 }
 
 #[cfg(test)]
@@ -481,16 +851,62 @@ mod tests {
             "",
             "{",
             "[1,",
+            "[1,]",
             "{\"a\" 1}",
+            "{\"a\":1,}",
+            "{,\"a\":1}",
             "tru",
             "\"unterminated",
             "1 2",
             "{\"a\":}",
             "[1 2]",
             "nulla",
+            // Numbers outside the grammar.
+            "01",
+            "-",
+            "-01",
+            "1.",
+            ".5",
+            "1e",
+            "1e+",
+            "+1",
+            // `\u` takes exactly four hex digits, and surrogates only in pairs.
+            "\"\\u+041\"",
+            "\"\\u00g1\"",
+            "\"\\u00\"",
+            "\"\\ud83d\"",
+            "\"\\ud83d\\u0041\"",
+            "\"\\ude00\"",
+            "\"\\x41\"",
+            // Raw control bytes inside a string.
+            "\"a\nb\"",
+            "\"tab\there\"",
+            "\"nul\u{0}\"",
         ] {
             assert!(JsonValue::parse(bad).is_err(), "accepted malformed {bad:?}");
         }
+    }
+
+    #[test]
+    fn hostile_nesting_is_a_typed_error_not_a_stack_overflow() {
+        for bracket in ["[", "{\"a\":"] {
+            let hostile = bracket.repeat(2_000_000);
+            assert!(JsonValue::parse(&hostile).is_err());
+            let err = JsonReader::new(&hostile).value().unwrap_err();
+            assert_eq!(err.expected, TOO_DEEP);
+            assert!(
+                err.to_string().contains(&MAX_JSON_DEPTH.to_string()),
+                "depth not named: {err}"
+            );
+        }
+        // Exactly at the bound still parses (and drops) fine.
+        let deepest = format!(
+            "{}{}",
+            "[".repeat(MAX_JSON_DEPTH),
+            "]".repeat(MAX_JSON_DEPTH)
+        );
+        assert!(JsonValue::parse(&deepest).is_ok());
+        assert!(JsonValue::parse(&format!("[{deepest}]")).is_err());
     }
 
     #[test]
@@ -498,6 +914,108 @@ mod tests {
         let doc = JsonValue::parse(" { \"a\" : [ 1 , \"\\u0041\\n\" ] } ").unwrap();
         let items = doc.get("a").and_then(JsonValue::as_array).unwrap();
         assert_eq!(items[1].as_str(), Some("A\n"));
+        // Every escape, a surrogate pair, and multi-byte text between them.
+        let doc =
+            JsonValue::parse(r#""é\"\\\/\b\f\n\r\t\u00e9\ud83d\ude00∆\uD83D\uDE00""#).unwrap();
+        assert_eq!(
+            doc.as_str(),
+            Some("é\"\\/\u{8}\u{c}\n\r\t\u{e9}\u{1F600}∆\u{1F600}")
+        );
+        for (text, value) in [
+            ("0", JsonValue::Int(0)),
+            ("-0", JsonValue::Int(0)),
+            ("18446744073709551615", JsonValue::Int(u64::MAX.into())),
+            ("18446744073709551616", JsonValue::Int(1 << 64)),
+            ("-5", JsonValue::Int(-5)),
+            ("0.5", JsonValue::Float(0.5)),
+            ("-1.25e2", JsonValue::Float(-125.0)),
+            ("1E-2", JsonValue::Float(0.01)),
+        ] {
+            assert_eq!(JsonValue::parse(text), Ok(value), "{text}");
+        }
+    }
+
+    #[test]
+    fn reader_pulls_typed_fields_and_borrows_plain_strings() {
+        let text = r#" {"id": "e1/x", "esc\n": "a\tb", "n": 18446744073709551615, "none": null,
+            "ok": true, "list": [1, 2, 3]} "#;
+        let mut r = JsonReader::new(text);
+        r.begin_object().unwrap();
+        assert!(matches!(r.next_key(), Ok(Some(Cow::Borrowed("id")))));
+        assert!(matches!(r.string(), Ok(Cow::Borrowed("e1/x"))));
+        assert!(matches!(r.next_key(), Ok(Some(Cow::Owned(key))) if key == "esc\n"));
+        assert!(matches!(r.string(), Ok(Cow::Owned(s)) if s == "a\tb"));
+        assert_eq!(r.next_key().unwrap().as_deref(), Some("n"));
+        assert_eq!(r.u64(), Ok(u64::MAX));
+        assert_eq!(r.next_key().unwrap().as_deref(), Some("none"));
+        assert_eq!(r.opt_u64(), Ok(None));
+        assert_eq!(r.next_key().unwrap().as_deref(), Some("ok"));
+        assert_eq!(r.bool(), Ok(true));
+        assert_eq!(r.next_key().unwrap().as_deref(), Some("list"));
+        r.begin_array().unwrap();
+        let mut sum = 0;
+        while r.next_element().unwrap() {
+            sum += r.opt_u64().unwrap().unwrap();
+        }
+        assert_eq!(sum, 6);
+        assert_eq!(r.next_key(), Ok(None));
+        assert_eq!(r.finish(), Ok(()));
+
+        // What `u64` must refuse, each with the offset of the offending token.
+        for bad in [
+            "-1",
+            "1.0",
+            "1e3",
+            "18446744073709551616",
+            "\"1\"",
+            "null",
+            "true",
+        ] {
+            let err = JsonReader::new(bad).u64().unwrap_err();
+            assert_eq!(err.at, 0, "{bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn object_macro_reads_members_in_any_order_and_names_what_failed() {
+        fn range(text: &str) -> Result<(u64, u64), String> {
+            let r = &mut JsonReader::new(text);
+            read_json_object!(r, { "lo" => lo: r.u64(), "hi" => hi: r.u64() });
+            Ok((lo, hi))
+        }
+        assert_eq!(range(r#"{"hi": 9, "note": [{}], "lo": 4}"#), Ok((4, 9)));
+        assert!(range(r#"{"lo": 4}"#).unwrap_err().contains("'hi'"));
+        assert!(range(r#"{"lo": 4, "hi": 1.5}"#)
+            .unwrap_err()
+            .contains("'hi'"));
+        assert!(range(r#"{"lo": 4, "note": [01], "hi": 5}"#).is_err());
+    }
+
+    #[test]
+    fn writer_matches_the_tree_on_typed_calls() {
+        let mut out = String::new();
+        let mut w = JsonWriter::new(&mut out);
+        w.begin_object();
+        w.key("s").str("q\" b\\ n\n r\r t\t c\u{1} é∆");
+        w.key("n").u64(u64::MAX);
+        w.key("z").u64(0);
+        w.key("o").opt_u64(None);
+        w.key("b").bool(false);
+        w.key("a")
+            .begin_array()
+            .u64(1)
+            .null()
+            .begin_object()
+            .end_object();
+        w.end_array().end_object();
+        assert_eq!(
+            out,
+            r#"{"s":"q\" b\\ n\n r\r t\t c\u0001 é∆","n":18446744073709551615,"z":0,"o":null,"b":false,"a":[1,null,{}]}"#
+        );
+        let tree = JsonValue::parse(&out).unwrap();
+        assert_eq!(tree.to_string(), out);
+        assert_eq!(JsonValue::Int(i128::MIN).to_string(), i128::MIN.to_string());
+        assert_eq!(JsonValue::Int(-7).to_string(), "-7");
     }
 
     #[test]

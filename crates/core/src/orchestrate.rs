@@ -84,14 +84,19 @@
 //! JSONL file *with its records embedded*, each line wrapped with a CRC32 of
 //! its body. Appends are coalesced: the session holds one open
 //! [`CheckpointWriter`] and each completed range costs a single preformatted
-//! `write` — not an open/format/flush cycle per line. A restarted
+//! `write` — not an open/format/flush cycle per line. Lines go straight
+//! between the structs and text ([`TrialRecord::write_json`] /
+//! [`TrialRecord::read_json`], no JSON tree, reused buffers), and the CRC is
+//! verified before a byte of a line reaches the JSON reader. A restarted
 //! coordinator loads the file, skips (and logs) damaged lines instead of
 //! trusting or dying on them, compacts the file via an atomic tmp+rename
-//! when damage was found, dispatches only the missing sub-ranges, and merges
-//! checkpointed and fresh ranges into the same byte-identical stream.
+//! when damage or a torn tail was found (a line counts once its newline is
+//! on disk; appending onto an unterminated tail would lose the next range),
+//! dispatches only the missing sub-ranges, and merges checkpointed and fresh
+//! ranges into the same byte-identical stream.
 
 use std::collections::{BTreeSet, VecDeque};
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::io::{self, BufRead, Write as _};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -99,7 +104,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use agreement_analysis::{crc32, JsonValue};
+use agreement_analysis::{crc32, read_json_object, JsonReader, JsonValue, JsonWriter};
 use agreement_model::{derive_seed, ProcessorRng};
 pub use agreement_net::fault::FaultPlan;
 use agreement_net::fault::FAULT_ENV;
@@ -250,84 +255,141 @@ pub struct CheckpointEntry {
 }
 
 impl CheckpointEntry {
-    fn to_json(&self) -> JsonValue {
-        let mut obj = JsonValue::object();
-        obj.push("scenario", self.scenario.as_str())
-            .push("base_seed", self.base_seed)
-            .push("trials", self.trials)
-            .push("lo", self.lo)
-            .push("hi", self.hi)
-            .push(
-                "records",
-                JsonValue::Array(self.records.iter().map(TrialRecord::to_json).collect()),
-            );
-        obj
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.begin_object();
+        w.key("scenario").str(&self.scenario);
+        w.key("base_seed").u64(self.base_seed);
+        w.key("trials").u64(self.trials);
+        w.key("lo").u64(self.lo);
+        w.key("hi").u64(self.hi);
+        w.key("records").begin_array();
+        for record in &self.records {
+            record.write_json(w);
+        }
+        w.end_array().end_object();
     }
 
-    fn from_json(value: &JsonValue) -> Result<Self, String> {
-        let records = value
-            .get("records")
-            .and_then(JsonValue::as_array)
-            .ok_or_else(|| "missing 'records' array".to_string())?
-            .iter()
-            .map(TrialRecord::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, String> {
+        fn read_records(r: &mut JsonReader<'_>) -> Result<Vec<TrialRecord>, String> {
+            let mut records = Vec::new();
+            r.begin_array()?;
+            while r.next_element()? {
+                records.push(TrialRecord::read_json(r)?);
+            }
+            Ok(records)
+        }
+        read_json_object!(r, {
+            "scenario" => scenario: r.string().map(String::from),
+            "base_seed" => base_seed: r.u64(),
+            "trials" => trials: r.u64(),
+            "lo" => lo: r.u64(),
+            "hi" => hi: r.u64(),
+            "records" => records: read_records(r),
+        });
         Ok(CheckpointEntry {
-            scenario: str_field(value, "scenario")?.to_string(),
-            base_seed: int_field(value, "base_seed")?,
-            trials: int_field(value, "trials")?,
-            lo: int_field(value, "lo")?,
-            hi: int_field(value, "hi")?,
+            scenario,
+            base_seed,
+            trials,
+            lo,
+            hi,
             records,
         })
     }
 }
 
-/// Formats one checkpoint line: the entry's JSON wrapped with a CRC32 of
-/// exactly the bytes between `"entry":` and the closing brace. The wrapper
-/// is parsed textually on read, so verification never depends on JSON
-/// re-serialization being stable.
-fn checkpoint_line(entry: &CheckpointEntry) -> String {
-    let body = entry.to_json().to_string();
-    format!("{{\"crc\":{},\"entry\":{body}}}", crc32(body.as_bytes()))
+/// Appends one newline-terminated checkpoint line to `out`: the entry's JSON
+/// (formatted into the scratch buffer `body`) wrapped with a CRC32 of exactly
+/// the bytes between `"entry":` and the closing brace. The wrapper is parsed
+/// textually on read, so verification never depends on re-serialization.
+fn push_checkpoint_line(entry: &CheckpointEntry, body: &mut String, out: &mut String) {
+    body.clear();
+    entry.write_json(&mut JsonWriter::new(body));
+    let crc = crc32(body.as_bytes());
+    writeln!(out, "{{\"crc\":{crc},\"entry\":{body}}}").expect("writing to a String cannot fail");
 }
 
-/// Parses one complete checkpoint line: either the CRC-wrapped form written
-/// by [`append_checkpoint`] or a legacy bare-entry line from a pre-CRC file.
+/// Parses one complete checkpoint line, the CRC-wrapped form written by
+/// [`append_checkpoint`]. The CRC is verified before a byte of the body
+/// reaches the JSON reader.
 fn parse_checkpoint_line(line: &str) -> Result<CheckpointEntry, String> {
-    let entry_body = if let Some(rest) = line.strip_prefix("{\"crc\":") {
-        let (crc_text, tail) = rest
-            .split_once(",\"entry\":")
-            .ok_or_else(|| "CRC wrapper without an 'entry' field".to_string())?;
-        let expected: u32 = crc_text
-            .trim()
-            .parse()
-            .map_err(|_| format!("unparseable checkpoint CRC '{crc_text}'"))?;
-        let body = tail
-            .strip_suffix('}')
-            .ok_or_else(|| "CRC wrapper is not brace-terminated".to_string())?;
-        let actual = crc32(body.as_bytes());
-        if actual != expected {
-            return Err(format!(
-                "checkpoint line CRC mismatch: recorded {expected}, body checksums to {actual}"
-            ));
-        }
-        body
-    } else {
-        // Legacy line: no CRC to verify, the JSON parse is the only check.
-        line
-    };
-    JsonValue::parse(entry_body).and_then(|v| CheckpointEntry::from_json(&v))
+    let (crc_text, tail) = line
+        .strip_prefix("{\"crc\":")
+        .and_then(|rest| rest.split_once(",\"entry\":"))
+        .ok_or_else(|| "not a '{\"crc\":…,\"entry\":…}' checkpoint line".to_string())?;
+    let expected: u32 = crc_text
+        .trim()
+        .parse()
+        .map_err(|_| format!("unparseable checkpoint CRC '{crc_text}'"))?;
+    let body = tail
+        .strip_suffix('}')
+        .ok_or_else(|| "CRC wrapper is not brace-terminated".to_string())?;
+    let actual = crc32(body.as_bytes());
+    if actual != expected {
+        return Err(format!(
+            "checkpoint line CRC mismatch: recorded {expected}, body checksums to {actual}"
+        ));
+    }
+    let mut reader = JsonReader::new(body);
+    let entry = CheckpointEntry::read_json(&mut reader)?;
+    reader.finish()?;
+    Ok(entry)
 }
 
-/// Reads a checkpoint file: one CRC-wrapped [`CheckpointEntry`] per line
-/// (legacy bare-entry lines are still accepted). A torn final line (the
-/// coordinator died mid-append) is skipped silently; a damaged *interior*
-/// line — CRC mismatch, truncated middle, unparseable JSON — is **skipped
-/// and logged to stderr**, never trusted and never fatal: the ranges it held
-/// are simply re-run. Returns the surviving entries and how many lines were
-/// skipped as damaged (callers use a nonzero count to trigger
-/// [`compact_checkpoint`]).
+/// What [`load_checkpoint`] found in a checkpoint file.
+#[derive(Default)]
+struct CheckpointLoad {
+    entries: Vec<CheckpointEntry>,
+    /// Newline-terminated lines skipped as damaged.
+    damaged: usize,
+    /// The file ends mid-line: appending to it as it is would glue the next
+    /// line onto the torn one.
+    torn_tail: bool,
+}
+
+/// [`read_checkpoint_lossy`], which see, through one reused line buffer —
+/// and remembering whether the last line ended in a newline.
+fn load_checkpoint(path: &Path) -> Result<CheckpointLoad, OrchestrateError> {
+    let mut reader = io::BufReader::new(std::fs::File::open(path)?);
+    let mut load = CheckpointLoad::default();
+    let mut line = Vec::new();
+    let mut number = 0u64;
+    loop {
+        line.clear();
+        if reader.read_until(b'\n', &mut line)? == 0 {
+            return Ok(load);
+        }
+        number += 1;
+        load.torn_tail = line.last() != Some(&b'\n');
+        let parsed = std::str::from_utf8(&line)
+            .map_err(|err| err.to_string())
+            .map(str::trim)
+            .and_then(|text| match text {
+                "" => Ok(None),
+                text => parse_checkpoint_line(text).map(Some),
+            });
+        match parsed {
+            Ok(entry) => load.entries.extend(entry),
+            Err(_) if load.torn_tail => {}
+            Err(err) => {
+                eprintln!(
+                    "orchestrate: skipping damaged checkpoint line {number} in {}: {err}",
+                    path.display()
+                );
+                load.damaged += 1;
+            }
+        }
+    }
+}
+
+/// Reads a checkpoint file: one CRC-wrapped [`CheckpointEntry`] per line. A
+/// line counts as written once its newline is on disk: an unterminated final
+/// line that fails to parse is the expected shape of a crash mid-append and
+/// is skipped silently; a *terminated* line that fails — CRC mismatch,
+/// truncated middle, invalid UTF-8, unparseable JSON, a bare entry without
+/// its CRC wrapper — is **skipped and logged to stderr**, never trusted and
+/// never fatal: the ranges it held are simply re-run. Returns the surviving
+/// entries and how many lines were skipped as damaged (callers use a nonzero
+/// count to trigger [`compact_checkpoint`]).
 ///
 /// # Errors
 ///
@@ -335,33 +397,8 @@ fn parse_checkpoint_line(line: &str) -> Result<CheckpointEntry, String> {
 pub fn read_checkpoint_lossy(
     path: &Path,
 ) -> Result<(Vec<CheckpointEntry>, usize), OrchestrateError> {
-    let file = std::fs::File::open(path)?;
-    let mut entries = Vec::new();
-    let mut skipped = 0usize;
-    let mut lines = io::BufReader::new(file).lines().peekable();
-    let mut number = 0u64;
-    while let Some(line) = lines.next() {
-        let line = line?;
-        number += 1;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let last = lines.peek().is_none();
-        match parse_checkpoint_line(&line) {
-            Ok(entry) => entries.push(entry),
-            // A torn tail is the expected shape of a crash mid-append; skip
-            // it without ceremony.
-            Err(_) if last => break,
-            Err(err) => {
-                eprintln!(
-                    "orchestrate: skipping damaged checkpoint line {number} in {}: {err}",
-                    path.display()
-                );
-                skipped += 1;
-            }
-        }
-    }
-    Ok((entries, skipped))
+    let load = load_checkpoint(path)?;
+    Ok((load.entries, load.damaged))
 }
 
 /// Reads a checkpoint file, returning the surviving entries. See
@@ -382,6 +419,9 @@ pub fn read_checkpoint(path: &Path) -> Result<Vec<CheckpointEntry>, OrchestrateE
 #[derive(Debug)]
 pub struct CheckpointWriter {
     file: std::fs::File,
+    // Reused across appends: the entry's JSON, then the whole line.
+    body: String,
+    line: String,
 }
 
 impl CheckpointWriter {
@@ -395,7 +435,15 @@ impl CheckpointWriter {
             .create(true)
             .append(true)
             .open(path)?;
-        Ok(CheckpointWriter { file })
+        Ok(CheckpointWriter::over(file))
+    }
+
+    fn over(file: std::fs::File) -> Self {
+        CheckpointWriter {
+            file,
+            body: String::new(),
+            line: String::new(),
+        }
     }
 
     /// Appends one entry as a single newline-terminated write, so a crash
@@ -408,9 +456,9 @@ impl CheckpointWriter {
     ///
     /// Propagates file I/O errors.
     pub fn append(&mut self, entry: &CheckpointEntry) -> Result<(), OrchestrateError> {
-        let mut line = checkpoint_line(entry);
-        line.push('\n');
-        self.file.write_all(line.as_bytes())?;
+        self.line.clear();
+        push_checkpoint_line(entry, &mut self.body, &mut self.line);
+        self.file.write_all(self.line.as_bytes())?;
         Ok(())
     }
 }
@@ -444,15 +492,39 @@ pub fn compact_checkpoint(
     let mut tmp = path.as_os_str().to_os_string();
     tmp.push(".tmp");
     let tmp = PathBuf::from(tmp);
-    {
-        let mut file = std::fs::File::create(&tmp)?;
-        for entry in entries {
-            writeln!(file, "{}", checkpoint_line(entry))?;
-        }
-        file.sync_all()?;
+    let mut writer = CheckpointWriter::over(std::fs::File::create(&tmp)?);
+    for entry in entries {
+        writer.append(entry)?;
     }
+    writer.file.sync_all()?;
+    drop(writer);
     std::fs::rename(&tmp, path)?;
     Ok(())
+}
+
+/// What a resuming session does with its checkpoint file: loads the entries
+/// (none when the file does not exist yet) and reopens it for appending.
+/// Damaged lines are shed once via an atomic compaction, and so is a torn
+/// tail — the next append would otherwise land on the torn line, fail its
+/// CRC on the following resume and lose a freshly computed range.
+fn resume_checkpoint(
+    path: &Path,
+) -> Result<(Vec<CheckpointEntry>, CheckpointWriter), OrchestrateError> {
+    let mut entries = Vec::new();
+    if path.exists() {
+        let load = load_checkpoint(path)?;
+        if load.damaged > 0 || load.torn_tail {
+            eprintln!(
+                "orchestrate: checkpoint {} held {} damaged line(s), torn tail: {}; compacting",
+                path.display(),
+                load.damaged,
+                load.torn_tail
+            );
+            compact_checkpoint(path, &load.entries)?;
+        }
+        entries = load.entries;
+    }
+    Ok((entries, CheckpointWriter::open(path)?))
 }
 
 /// The sub-ranges of `0..total` not covered by `done` ranges — the work a
@@ -1013,31 +1085,22 @@ impl Session {
         let mut done: Vec<(u64, u64, Vec<TrialRecord>)> = Vec::new();
         let mut completed: BTreeSet<(u64, u64)> = BTreeSet::new();
         if let Some(path) = self.checkpoint.clone() {
-            if path.exists() {
-                let (entries, skipped) = read_checkpoint_lossy(&path)?;
-                if skipped > 0 {
-                    eprintln!(
-                        "orchestrate: checkpoint {} held {skipped} damaged line(s); compacting",
-                        path.display()
-                    );
-                    compact_checkpoint(&path, &entries)?;
-                }
-                for entry in entries {
-                    if entry.scenario == id
-                        && entry.base_seed == spec.base_seed
-                        && entry.trials == total
-                        && entry.hi <= total
-                        && completed.insert((entry.lo, entry.hi))
-                    {
-                        on_event(OrchestrationEvent::RangeRestored {
-                            lo: entry.lo,
-                            hi: entry.hi,
-                        });
-                        done.push((entry.lo, entry.hi, entry.records));
-                    }
+            let (entries, writer) = resume_checkpoint(&path)?;
+            for entry in entries {
+                if entry.scenario == id
+                    && entry.base_seed == spec.base_seed
+                    && entry.trials == total
+                    && entry.hi <= total
+                    && completed.insert((entry.lo, entry.hi))
+                {
+                    on_event(OrchestrationEvent::RangeRestored {
+                        lo: entry.lo,
+                        hi: entry.hi,
+                    });
+                    done.push((entry.lo, entry.hi, entry.records));
                 }
             }
-            self.checkpoint_writer = Some(CheckpointWriter::open(&path)?);
+            self.checkpoint_writer = Some(writer);
         }
 
         let restored: Vec<(u64, u64)> = done.iter().map(|&(lo, hi, _)| (lo, hi)).collect();
@@ -2040,21 +2103,111 @@ mod tests {
     }
 
     #[test]
-    fn legacy_bare_checkpoint_lines_still_load() {
-        let path = temp_path("legacy");
-        let entry = CheckpointEntry {
-            scenario: "legacy/scenario".to_string(),
+    fn a_bare_entry_without_its_crc_wrapper_is_a_damaged_line() {
+        let path = temp_path("bare");
+        let entry = |lo: u64| CheckpointEntry {
+            scenario: "bare/scenario".to_string(),
             base_seed: 4,
+            trials: 4,
+            lo,
+            hi: lo + 2,
+            records: vec![record(lo), record(lo + 1)],
+        };
+        // The pre-CRC format: the bare entry JSON, no wrapper. Nothing
+        // un-checksummed reaches the JSON reader any more.
+        let mut bare = String::new();
+        entry(0).write_json(&mut JsonWriter::new(&mut bare));
+        assert!(parse_checkpoint_line(&bare).is_err());
+        std::fs::write(&path, format!("{bare}\n")).unwrap();
+        append_checkpoint(&path, &entry(2)).unwrap();
+        let (entries, skipped) = read_checkpoint_lossy(&path).unwrap();
+        assert_eq!(entries, vec![entry(2)]);
+        assert_eq!(skipped, 1);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_terminated_last_line_that_fails_its_crc_is_damage_not_a_torn_tail() {
+        let path = temp_path("lastline");
+        let entry = CheckpointEntry {
+            scenario: "x".to_string(),
+            base_seed: 1,
             trials: 2,
             lo: 0,
-            hi: 2,
-            records: vec![record(0), record(1)],
+            hi: 1,
+            records: vec![record(0)],
         };
-        // The pre-CRC format: the bare entry JSON, no wrapper.
-        std::fs::write(&path, format!("{}\n", entry.to_json())).unwrap();
+        append_checkpoint(&path, &entry).unwrap();
+        let mut contents = std::fs::read_to_string(&path).unwrap();
+        let damaged_last = contents.replace("\"lo\":0", "\"lo\":1");
+        contents.push_str(&damaged_last);
+        // Invalid UTF-8 is damage too, not an I/O error.
+        let mut bytes = contents.into_bytes();
+        bytes.extend_from_slice(b"{\"crc\":1,\"entry\":\"\xff\"}\n");
+        std::fs::write(&path, bytes).unwrap();
+        let load = load_checkpoint(&path).unwrap();
+        assert_eq!(load.entries, vec![entry]);
+        assert_eq!(load.damaged, 2);
+        assert!(!load.torn_tail);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn an_append_after_a_torn_tail_survives_the_next_resume() {
+        let path = temp_path("torn-append");
+        let entry = |lo: u64| CheckpointEntry {
+            scenario: "x".to_string(),
+            base_seed: 3,
+            trials: 3,
+            lo,
+            hi: lo + 1,
+            records: vec![record(lo)],
+        };
+        append_checkpoint(&path, &entry(0)).unwrap();
+        let whole = std::fs::read_to_string(&path).unwrap();
+        let torn = &whole[..whole.len() / 2];
+        std::fs::write(&path, format!("{whole}{torn}")).unwrap();
+
+        // The issue's reproduction: [0, torn] on disk, the resumed session
+        // appends 1 and 2, and the next resume must see all three.
+        let (entries, mut writer) = resume_checkpoint(&path).unwrap();
+        assert_eq!(entries, vec![entry(0)]);
+        writer.append(&entry(1)).unwrap();
+        writer.append(&entry(2)).unwrap();
+        drop(writer);
+        let load = load_checkpoint(&path).unwrap();
+        assert_eq!(load.entries, vec![entry(0), entry(1), entry(2)]);
+        assert_eq!(load.damaged, 0);
+        assert!(!load.torn_tail);
+
+        // An unterminated last line that still checks out is kept, and still
+        // flagged so that nothing is appended onto it.
+        let contents = std::fs::read_to_string(&path).unwrap();
+        std::fs::write(&path, contents.trim_end()).unwrap();
+        let load = load_checkpoint(&path).unwrap();
+        assert_eq!(load.entries.len(), 3);
+        assert!(load.torn_tail);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_16_000_record_checkpoint_line_round_trips() {
+        // Hours with the quadratic string lexer; linear now, so it runs in
+        // the default profile.
+        let path = temp_path("long-line");
+        let entry = CheckpointEntry {
+            scenario: "psync/ben-or/benign-eventual/unanimous-1/n7t1".to_string(),
+            base_seed: u64::MAX - 16_000,
+            trials: 16_000,
+            lo: 0,
+            hi: 16_000,
+            records: (0..16_000).map(record).collect(),
+        };
+        append_checkpoint(&path, &entry).unwrap();
+        assert!(std::fs::metadata(&path).unwrap().len() > 4_000_000);
         let (entries, skipped) = read_checkpoint_lossy(&path).unwrap();
-        assert_eq!(entries, vec![entry]);
         assert_eq!(skipped, 0);
+        assert_eq!(entries, vec![entry]);
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -18,7 +18,7 @@
 //! sink output is deterministic for a given spec and seed — a property pinned
 //! by the workspace tests.
 
-use agreement_analysis::JsonValue;
+use agreement_analysis::{read_json_object, JsonReader, JsonValue, JsonWriter};
 use agreement_model::{Bit, InputAssignment};
 use agreement_sim::{Metrics, RunOutcome};
 
@@ -103,85 +103,105 @@ impl TrialRecord {
         }
     }
 
-    /// The record as a JSON object (field order is stable).
-    pub fn to_json(&self) -> JsonValue {
-        let mut metrics = JsonValue::object();
-        metrics
-            .push("messages_sent", self.metrics.messages_sent)
-            .push("messages_delivered", self.metrics.messages_delivered)
-            .push("messages_dropped", self.metrics.messages_dropped)
-            .push("rounds", self.metrics.rounds)
-            .push("windows", self.metrics.windows)
-            .push("steps", self.metrics.steps)
-            .push("resets_consumed", self.metrics.resets_consumed)
-            .push("crashes", self.metrics.crashes)
-            .push("coin_flips", self.metrics.coin_flips)
-            .push("max_chain", self.metrics.max_chain);
-        let mut record = JsonValue::object();
-        record
-            .push("trial", self.trial)
-            .push("seed", self.seed)
-            .push("agreement", self.agreement)
-            .push("validity", self.validity)
-            .push("terminated", self.terminated)
-            .push("violations", self.violations)
-            .push("halted", self.halted)
-            .push("decided", self.decided.map(|bit| bit.as_index() as u64))
-            .push("first_decision_at", self.first_decision_at)
-            .push("all_decided_at", self.all_decided_at)
-            .push("duration", self.duration)
-            .push("longest_chain", self.longest_chain)
-            .push("metrics", metrics);
-        record
+    /// Writes the record as a JSON object straight into `w` (field order is
+    /// stable). Together with [`TrialRecord::read_json`] this is the record's
+    /// one field table: checkpoint lines, the JSONL stream and the tree
+    /// conversions below are all produced by it.
+    pub fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.begin_object();
+        self.write_json_fields(w);
+        w.end_object();
     }
 
-    /// Rebuilds a record from the JSON shape [`TrialRecord::to_json`] emits.
+    /// The members of [`TrialRecord::write_json`]'s object without its
+    /// braces, for callers that lead the same object with members of their
+    /// own (the JSONL line's `scenario`).
+    pub fn write_json_fields(&self, w: &mut JsonWriter<'_>) {
+        let m = &self.metrics;
+        w.key("trial").u64(self.trial);
+        w.key("seed").u64(self.seed);
+        w.key("agreement").bool(self.agreement);
+        w.key("validity").bool(self.validity);
+        w.key("terminated").bool(self.terminated);
+        w.key("violations").u64(self.violations);
+        w.key("halted").bool(self.halted);
+        w.key("decided")
+            .opt_u64(self.decided.map(|bit| bit.as_index() as u64));
+        w.key("first_decision_at").opt_u64(self.first_decision_at);
+        w.key("all_decided_at").opt_u64(self.all_decided_at);
+        w.key("duration").u64(self.duration);
+        w.key("longest_chain").u64(self.longest_chain);
+        w.key("metrics").begin_object();
+        w.key("messages_sent").u64(m.messages_sent);
+        w.key("messages_delivered").u64(m.messages_delivered);
+        w.key("messages_dropped").u64(m.messages_dropped);
+        w.key("rounds").u64(m.rounds);
+        w.key("windows").u64(m.windows);
+        w.key("steps").u64(m.steps);
+        w.key("resets_consumed").u64(m.resets_consumed);
+        w.key("crashes").u64(m.crashes);
+        w.key("coin_flips").u64(m.coin_flips);
+        w.key("max_chain").u64(m.max_chain);
+        w.end_object();
+    }
+
+    /// Reads back the object [`TrialRecord::write_json`] writes, members in
+    /// any order, unknown members ignored.
     ///
     /// # Errors
     ///
-    /// Returns the first missing or mistyped field.
-    pub fn from_json(value: &JsonValue) -> Result<Self, String> {
-        let field = |name: &str| {
-            value
-                .get(name)
-                .ok_or_else(|| format!("missing field '{name}'"))
-        };
-        let int = |name: &str| {
-            field(name)?
-                .as_u64()
-                .ok_or_else(|| format!("field '{name}' must be an integer"))
-        };
-        let boolean = |name: &str| {
-            field(name)?
-                .as_bool()
-                .ok_or_else(|| format!("field '{name}' must be a bool"))
-        };
-        let optional = |name: &str| -> Result<Option<u64>, String> {
-            let v = field(name)?;
-            if v.is_null() {
-                Ok(None)
-            } else {
-                v.as_u64()
-                    .map(Some)
-                    .ok_or_else(|| format!("field '{name}' must be an integer or null"))
-            }
-        };
-        let metrics_value = field("metrics")?;
-        let metric = |name: &str| {
-            metrics_value
-                .get(name)
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| format!("missing metric '{name}'"))
-        };
+    /// Returns the first syntax error, missing or mistyped field.
+    pub fn read_json(r: &mut JsonReader<'_>) -> Result<Self, String> {
+        fn read_metrics(r: &mut JsonReader<'_>) -> Result<Metrics, String> {
+            read_json_object!(r, {
+                "messages_sent" => messages_sent: r.u64(),
+                "messages_delivered" => messages_delivered: r.u64(),
+                "messages_dropped" => messages_dropped: r.u64(),
+                "rounds" => rounds: r.u64(),
+                "windows" => windows: r.u64(),
+                "steps" => steps: r.u64(),
+                "resets_consumed" => resets_consumed: r.u64(),
+                "crashes" => crashes: r.u64(),
+                "coin_flips" => coin_flips: r.u64(),
+                "max_chain" => max_chain: r.u64(),
+            });
+            Ok(Metrics {
+                messages_sent,
+                messages_delivered,
+                messages_dropped,
+                rounds,
+                windows,
+                steps,
+                resets_consumed,
+                crashes,
+                coin_flips,
+                max_chain,
+            })
+        }
+        read_json_object!(r, {
+            "trial" => trial: r.u64(),
+            "seed" => seed: r.u64(),
+            "agreement" => agreement: r.bool(),
+            "validity" => validity: r.bool(),
+            "terminated" => terminated: r.bool(),
+            "violations" => violations: r.u64(),
+            "halted" => halted: r.bool(),
+            "decided" => decided: r.opt_u64(),
+            "first_decision_at" => first_decision_at: r.opt_u64(),
+            "all_decided_at" => all_decided_at: r.opt_u64(),
+            "duration" => duration: r.u64(),
+            "longest_chain" => longest_chain: r.u64(),
+            "metrics" => metrics: read_metrics(r),
+        });
         Ok(TrialRecord {
-            trial: int("trial")?,
-            seed: int("seed")?,
-            agreement: boolean("agreement")?,
-            validity: boolean("validity")?,
-            terminated: boolean("terminated")?,
-            violations: int("violations")?,
-            halted: boolean("halted")?,
-            decided: match optional("decided")? {
+            trial,
+            seed,
+            agreement,
+            validity,
+            terminated,
+            violations,
+            halted,
+            decided: match decided {
                 None => None,
                 Some(0) => Some(Bit::Zero),
                 Some(1) => Some(Bit::One),
@@ -189,23 +209,29 @@ impl TrialRecord {
                     return Err(format!("field 'decided' must be 0, 1 or null, got {other}"))
                 }
             },
-            first_decision_at: optional("first_decision_at")?,
-            all_decided_at: optional("all_decided_at")?,
-            duration: int("duration")?,
-            longest_chain: int("longest_chain")?,
-            metrics: Metrics {
-                messages_sent: metric("messages_sent")?,
-                messages_delivered: metric("messages_delivered")?,
-                messages_dropped: metric("messages_dropped")?,
-                rounds: metric("rounds")?,
-                windows: metric("windows")?,
-                steps: metric("steps")?,
-                resets_consumed: metric("resets_consumed")?,
-                crashes: metric("crashes")?,
-                coin_flips: metric("coin_flips")?,
-                max_chain: metric("max_chain")?,
-            },
+            first_decision_at,
+            all_decided_at,
+            duration,
+            longest_chain,
+            metrics,
         })
+    }
+
+    /// The record as a JSON tree: [`TrialRecord::write_json`]'s text, parsed.
+    pub fn to_json(&self) -> JsonValue {
+        let mut text = String::new();
+        self.write_json(&mut JsonWriter::new(&mut text));
+        JsonValue::parse(&text).expect("the record encoder writes valid JSON")
+    }
+
+    /// Rebuilds a record from the JSON shape [`TrialRecord::to_json`] emits,
+    /// by running [`TrialRecord::read_json`] over the tree's text.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first missing or mistyped field.
+    pub fn from_json(value: &JsonValue) -> Result<Self, String> {
+        Self::read_json(&mut JsonReader::new(&value.to_string()))
     }
 }
 
@@ -341,15 +367,21 @@ impl JsonlSink {
 }
 
 impl ReportSink for JsonlSink {
+    fn begin_scenario(&mut self, meta: &ScenarioMeta) {
+        // One allocation sized for the scenario's lines instead of a chain
+        // of doublings (each holding old and new buffer at once). Only pages
+        // that get written count, so a generous guess costs nothing.
+        let lines = usize::try_from(meta.trials).unwrap_or(usize::MAX);
+        let _ = self
+            .out
+            .try_reserve(lines.saturating_mul(meta.id.len() + 400));
+    }
+
     fn record_trial(&mut self, meta: &ScenarioMeta, record: &TrialRecord) {
-        let mut line = JsonValue::object();
-        line.push("scenario", meta.id.as_str());
-        if let JsonValue::Object(pairs) = record.to_json() {
-            if let JsonValue::Object(own) = &mut line {
-                own.extend(pairs);
-            }
-        }
-        self.out.push_str(&line.to_string());
+        let mut w = JsonWriter::new(&mut self.out);
+        w.begin_object().key("scenario").str(&meta.id);
+        record.write_json_fields(&mut w);
+        w.end_object();
         self.out.push('\n');
     }
 }
@@ -468,6 +500,7 @@ impl ReportSink for JsonReportSink {
 mod tests {
     use super::*;
     use agreement_analysis::Histogram;
+    use agreement_model::ProcessorRng;
     use agreement_sim::Metrics;
 
     fn record(trial: u64) -> TrialRecord {
@@ -539,6 +572,213 @@ mod tests {
         }
         let err = TrialRecord::from_json(&json).unwrap_err();
         assert!(err.contains("seed"), "unexpected error: {err}");
+    }
+
+    /// The tree a record has always printed as — the reference the text
+    /// codec is held to, byte for byte.
+    fn reference_tree(r: &TrialRecord) -> JsonValue {
+        let mut metrics = JsonValue::object();
+        metrics
+            .push("messages_sent", r.metrics.messages_sent)
+            .push("messages_delivered", r.metrics.messages_delivered)
+            .push("messages_dropped", r.metrics.messages_dropped)
+            .push("rounds", r.metrics.rounds)
+            .push("windows", r.metrics.windows)
+            .push("steps", r.metrics.steps)
+            .push("resets_consumed", r.metrics.resets_consumed)
+            .push("crashes", r.metrics.crashes)
+            .push("coin_flips", r.metrics.coin_flips)
+            .push("max_chain", r.metrics.max_chain);
+        let mut tree = JsonValue::object();
+        tree.push("trial", r.trial)
+            .push("seed", r.seed)
+            .push("agreement", r.agreement)
+            .push("validity", r.validity)
+            .push("terminated", r.terminated)
+            .push("violations", r.violations)
+            .push("halted", r.halted)
+            .push("decided", r.decided.map(|bit| bit.as_index() as u64))
+            .push("first_decision_at", r.first_decision_at)
+            .push("all_decided_at", r.all_decided_at)
+            .push("duration", r.duration)
+            .push("longest_chain", r.longest_chain)
+            .push("metrics", metrics);
+        tree
+    }
+
+    /// Draws a record whose integers lean on the extremes (`0`, `u64::MAX`).
+    fn arbitrary_record(rng: &mut ProcessorRng, mix: u64) -> TrialRecord {
+        let mut int = || match rng.range(4) {
+            0 => 0,
+            1 => u64::MAX,
+            2 => rng.range(1000),
+            _ => rng.ticket(),
+        };
+        let mut metric = [0u64; 10];
+        metric.fill_with(&mut int);
+        TrialRecord {
+            trial: int(),
+            seed: u64::MAX - mix,
+            agreement: mix & 8 != 0,
+            validity: mix & 16 != 0,
+            terminated: mix & 32 != 0,
+            violations: int(),
+            halted: mix & 64 != 0,
+            // Every None/Some mix of the three optionals, in turn.
+            decided: (mix & 1 != 0).then_some(if mix & 128 != 0 { Bit::One } else { Bit::Zero }),
+            first_decision_at: (mix & 2 != 0).then(&mut int),
+            all_decided_at: (mix & 4 != 0).then(&mut int),
+            duration: int(),
+            longest_chain: int(),
+            metrics: Metrics {
+                messages_sent: metric[0],
+                messages_delivered: metric[1],
+                messages_dropped: metric[2],
+                rounds: metric[3],
+                windows: metric[4],
+                steps: metric[5],
+                resets_consumed: metric[6],
+                crashes: metric[7],
+                coin_flips: metric[8],
+                max_chain: metric[9],
+            },
+        }
+    }
+
+    fn read_text(text: &str) -> Result<TrialRecord, String> {
+        let mut reader = JsonReader::new(text);
+        let record = TrialRecord::read_json(&mut reader)?;
+        reader.finish()?;
+        Ok(record)
+    }
+
+    /// Prints a tree with its members shuffled (recursively) and whitespace
+    /// around every token.
+    fn shuffled_and_padded(value: &JsonValue, rng: &mut ProcessorRng, out: &mut String) {
+        let pad = |rng: &mut ProcessorRng| [" ", "\n", "\t \r", ""][rng.range(4) as usize];
+        match value {
+            JsonValue::Object(pairs) => {
+                out.push('{');
+                for (i, at) in rng.permutation(pairs.len()).into_iter().enumerate() {
+                    let (key, member) = &pairs[at];
+                    out.push_str(if i > 0 { "," } else { "" });
+                    out.push_str(pad(rng));
+                    out.push_str(&JsonValue::from(key.as_str()).to_string());
+                    out.push_str(pad(rng));
+                    out.push(':');
+                    out.push_str(pad(rng));
+                    shuffled_and_padded(member, rng, out);
+                    out.push_str(pad(rng));
+                }
+                out.push('}');
+            }
+            leaf => out.push_str(&leaf.to_string()),
+        }
+    }
+
+    #[test]
+    fn text_codec_equals_the_tree_and_agrees_with_it_on_every_rejection() {
+        let rng = &mut ProcessorRng::from_seed(0xC0DEC);
+        let ids = [
+            "e1/reset-tolerant/split-vote/split/n13t2",
+            "quote\"back\\slash/ctl\u{1}\n\t\r\u{1f}/é∆😀/\u{7f}",
+            "",
+        ];
+        for mix in 0..256u64 {
+            let record = arbitrary_record(rng, mix);
+            let tree = reference_tree(&record);
+            let mut text = String::new();
+            record.write_json(&mut JsonWriter::new(&mut text));
+            assert_eq!(text, tree.to_string());
+            assert_eq!(read_text(&text), Ok(record));
+            assert_eq!(record.to_json(), tree);
+            assert_eq!(TrialRecord::from_json(&tree), Ok(record));
+
+            // The JSONL line: the same members behind a hostile scenario id.
+            let mut meta = meta(1);
+            meta.id = ids[mix as usize % ids.len()].to_string();
+            let mut sink = JsonlSink::new();
+            sink.record_trial(&meta, &record);
+            let mut line = JsonValue::object();
+            line.push("scenario", meta.id.as_str());
+            let JsonValue::Object(members) = &tree else {
+                unreachable!()
+            };
+            for (key, member) in members {
+                line.push(key.as_str(), member.clone());
+            }
+            assert_eq!(sink.as_str(), format!("{line}\n"));
+            assert_eq!(read_text(sink.as_str()), Ok(record));
+            let parsed = JsonValue::parse(sink.as_str()).expect("the line parses");
+            assert_eq!(
+                parsed.get("scenario").and_then(JsonValue::as_str),
+                Some(meta.id.as_str())
+            );
+
+            // Any member order, any whitespace.
+            let mut loose = String::new();
+            shuffled_and_padded(&line, rng, &mut loose);
+            assert_eq!(read_text(&loose), Ok(record), "{loose}");
+            let parsed = JsonValue::parse(&loose).expect("the loose form parses");
+            assert_eq!(TrialRecord::from_json(&parsed), Ok(record));
+        }
+
+        // Rejections: the text path and the tree path refuse the same inputs,
+        // and both name the offending member.
+        let tree = reference_tree(&arbitrary_record(rng, 0xFF));
+        let members = |tree: &JsonValue| match tree {
+            JsonValue::Object(members) => members.clone(),
+            _ => unreachable!(),
+        };
+        let top = members(&tree);
+        let inner = members(tree.get("metrics").expect("metrics"));
+        // `tree` with `name` (a member of `metrics` when `nested`) replaced,
+        // or removed for `None`, must be refused by both paths.
+        let rejected = |nested: bool, name: &str, put: Option<&JsonValue>| {
+            let mut list = if nested { inner.clone() } else { top.clone() };
+            let at = list.iter().position(|(key, _)| key == name).unwrap();
+            match put {
+                Some(value) => list[at].1 = value.clone(),
+                None => drop(list.remove(at)),
+            }
+            let mut edited = JsonValue::Object(list);
+            if nested {
+                let mut outer = top.clone();
+                outer.last_mut().expect("metrics is last").1 = edited;
+                edited = JsonValue::Object(outer);
+            }
+            for err in [
+                read_text(&edited.to_string()).expect_err("the text path accepted it"),
+                TrialRecord::from_json(&edited).expect_err("the tree path accepted it"),
+            ] {
+                assert!(err.contains(name), "{name}: {err}");
+            }
+        };
+        let bad_ints = [
+            JsonValue::Float(1.5),
+            JsonValue::Int(-1),
+            JsonValue::Int(1 << 64),
+            JsonValue::Bool(true),
+            JsonValue::String("1".to_string()),
+        ];
+        for (nested, list) in [(false, &top), (true, &inner)] {
+            for (name, member) in list {
+                rejected(nested, name, None);
+                match member {
+                    JsonValue::Int(_) | JsonValue::Null => {
+                        bad_ints
+                            .iter()
+                            .for_each(|bad| rejected(nested, name, Some(bad)));
+                    }
+                    JsonValue::Bool(_) => rejected(nested, name, Some(&JsonValue::Int(1))),
+                    _ => rejected(nested, name, Some(&JsonValue::Null)),
+                }
+            }
+        }
+        rejected(false, "decided", Some(&JsonValue::Int(2)));
+        for text in ["null", "[]", "{", "{\"trial\":1", ""] {
+            assert!(read_text(text).is_err(), "accepted {text:?}");
+        }
     }
 
     #[test]
