@@ -184,7 +184,7 @@ mod tests {
             5,
             RunLimits::small(),
         );
-        assert_eq!(outcome.crashes_performed, 2);
+        assert_eq!(outcome.metrics.crashes, 2);
         assert!(outcome.crashed[0] && outcome.crashed[1]);
         assert!(outcome.all_correct_decided());
         assert_eq!(outcome.decided_value(), Some(Bit::One));
@@ -278,7 +278,7 @@ mod tests {
         // hallmark failure of non-adaptively-secure designs.
         assert!(!outcome.all_correct_decided());
         assert!(!outcome.any_decided());
-        assert_eq!(outcome.crashes_performed, 3);
+        assert_eq!(outcome.metrics.crashes, 3);
     }
 
     #[test]

@@ -197,7 +197,7 @@ mod tests {
         );
         assert!(outcome.all_correct_decided());
         assert!(outcome.is_correct(&inputs));
-        assert_eq!(outcome.crashes_performed, 0, "scheduling alone is used");
+        assert_eq!(outcome.metrics.crashes, 0, "scheduling alone is used");
     }
 
     #[test]

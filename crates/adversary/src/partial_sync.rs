@@ -196,6 +196,6 @@ mod tests {
         assert!(outcome.all_correct_decided());
         assert!(outcome.is_correct(&inputs));
         // The two omitted senders' messages were never delivered.
-        assert!(outcome.messages_delivered < outcome.messages_sent);
+        assert!(outcome.metrics.messages_delivered < outcome.metrics.messages_sent);
     }
 }

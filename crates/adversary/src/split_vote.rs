@@ -223,7 +223,7 @@ mod tests {
         assert!(outcome.all_correct_decided());
         assert!(outcome.is_correct(&inputs));
         assert!(
-            outcome.resets_performed > 0,
+            outcome.metrics.resets_consumed > 0,
             "the reset variant should spend resets"
         );
     }

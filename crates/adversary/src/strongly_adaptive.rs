@@ -114,7 +114,7 @@ mod tests {
         }
         let outcome = engine.outcome();
         // t = 2 resets per window over 13 windows.
-        assert_eq!(outcome.resets_performed, 26);
+        assert_eq!(outcome.metrics.resets_consumed, 26);
         assert!(outcome.agreement_holds());
     }
 
@@ -167,7 +167,7 @@ mod tests {
             5,
             RunLimits::small(),
         );
-        assert_eq!(outcome.resets_performed, 0);
+        assert_eq!(outcome.metrics.resets_consumed, 0);
         assert!(outcome.all_correct_decided());
     }
 }

@@ -39,9 +39,8 @@
 //!   --respawn-budget <N>  with --workers: how many replacement workers the
 //!                      session may spawn after losses (default 2)
 //!   --batch-records <N>  with --workers: records per columnar block frame
-//!                      (default 256; 1 = one-record blocks, 0 = legacy
-//!                      per-trial JSON frames) — output is byte-identical
-//!                      at every setting
+//!                      (default 256, at least 1; 1 = one-record blocks) —
+//!                      output is byte-identical at every setting
 //!   --compress         with --workers: pass each block's columnar body
 //!                      through the std-only LZ codec (off by default: on a
 //!                      localhost wire the bytes are cheaper than the
@@ -145,7 +144,12 @@ fn parse_options() -> Options {
             }
             "--chaos" => options.chaos = Some(required_value(&mut args, "--chaos")),
             "--batch-records" => {
-                options.batch_records = Some(parsed_value(&mut args, "--batch-records"))
+                let batch: u64 = parsed_value(&mut args, "--batch-records");
+                if batch == 0 {
+                    eprintln!("--batch-records must be at least 1");
+                    std::process::exit(2);
+                }
+                options.batch_records = Some(batch);
             }
             "--compress" => options.compress = true,
             "--worker" => options.worker = true,

@@ -127,11 +127,6 @@ impl BenchGroup {
         );
         stats
     }
-
-    /// Prints the closing line of the group, mirroring criterion's `finish`.
-    pub fn finish(&self) {
-        println!("{}: done", self.name);
-    }
 }
 
 #[cfg(test)]
@@ -153,6 +148,5 @@ mod tests {
         assert!(stats.iters_per_sample >= 1);
         assert!(stats.min <= stats.median);
         assert!(stats.throughput() > 0.0);
-        group.finish();
     }
 }

@@ -132,13 +132,13 @@ fn untraced_campaign_records_match_the_fully_traced_run() {
             );
             assert_eq!(
                 aggregate.messages.mean,
-                outcome.messages_sent as f64,
+                outcome.metrics.messages_sent as f64,
                 "message count mismatch for {} ({choice:?})",
                 spec.id()
             );
             assert_eq!(
                 aggregate.resets.mean,
-                outcome.resets_performed as f64,
+                outcome.metrics.resets_consumed as f64,
                 "reset count mismatch for {} ({choice:?})",
                 spec.id()
             );

@@ -22,7 +22,7 @@
 //!   whole batch, flushes **once** — many small sends become one syscall) and
 //!   a reader thread (feeds a bounded inbox; a slow consumer propagates
 //!   backpressure to the peer through TCP flow control). A connection built
-//!   with [`Connection::with_faults`] consults a seeded
+//!   with [`Connection::connect_with_faults`] consults a seeded
 //!   [`FaultInjector`](crate::fault::FaultInjector) at every outgoing frame
 //!   boundary; without one the fault hook is a single branch per frame.
 //!
@@ -503,7 +503,6 @@ pub struct Connection {
     outbox: Option<BoundedSender<Vec<u8>>>,
     inbox: BoundedReceiver<Vec<u8>>,
     stream: TcpStream,
-    peer: SocketAddr,
     writer: Option<JoinHandle<()>>,
     reader: Option<JoinHandle<()>>,
     read_fault: Arc<Mutex<Option<String>>>,
@@ -562,13 +561,17 @@ impl Connection {
     }
 
     /// Connects to `addr` with outgoing frames subjected to `plan` — the
-    /// chaos-testing entry point. See [`Connection::with_faults`].
+    /// chaos-testing entry point: at every frame boundary the writer
+    /// consults the plan's deterministic injector and delivers, drops,
+    /// duplicates, bit-flips, truncates-then-closes, delays, or hangs.
+    /// Incoming frames are untouched — faults on the other direction belong
+    /// to the peer's plan.
     ///
     /// # Errors
     ///
     /// Propagates the underlying socket errors.
     pub fn connect_with_faults(addr: &str, plan: &FaultPlan) -> io::Result<Self> {
-        Connection::with_faults(TcpStream::connect(addr)?, plan)
+        Connection::build(TcpStream::connect(addr)?, Some(plan.injector(0)))
     }
 
     /// Wraps an accepted or connected stream.
@@ -580,21 +583,7 @@ impl Connection {
         Connection::build(stream, None)
     }
 
-    /// Wraps a stream with outgoing frames subjected to `plan`: at every
-    /// frame boundary the writer consults the plan's deterministic injector
-    /// and delivers, drops, duplicates, bit-flips, truncates-then-closes,
-    /// delays, or hangs. Incoming frames are untouched — faults on the
-    /// other direction belong to the peer's plan.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying socket errors.
-    pub fn with_faults(stream: TcpStream, plan: &FaultPlan) -> io::Result<Self> {
-        Connection::build(stream, Some(plan.injector(0)))
-    }
-
     fn build(stream: TcpStream, mut faults: Option<FaultInjector>) -> io::Result<Self> {
-        let peer = stream.peer_addr()?;
         stream.set_nodelay(true)?;
 
         let (outbox_tx, outbox_rx) = bounded::<Vec<u8>>(CONNECTION_QUEUE);
@@ -676,16 +665,10 @@ impl Connection {
             outbox: Some(outbox_tx),
             inbox: inbox_rx,
             stream,
-            peer,
             writer: Some(writer),
             reader: Some(reader),
             read_fault,
         })
-    }
-
-    /// The peer's socket address.
-    pub fn peer(&self) -> SocketAddr {
-        self.peer
     }
 
     /// Queues `frame` for sending, blocking when the outbox is full.
@@ -803,25 +786,6 @@ impl Listener {
     ///
     /// `TimedOut` when the deadline passes, otherwise the socket error.
     pub fn accept_deadline(&self, deadline: Instant) -> io::Result<Connection> {
-        Connection::from_stream(self.accept_stream(deadline)?)
-    }
-
-    /// Accepts the next connection like [`Listener::accept_deadline`], but
-    /// with the outgoing direction subjected to `plan` — how a chaos-testing
-    /// coordinator injects faults on the coordinator→worker leg.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Listener::accept_deadline`].
-    pub fn accept_deadline_with_faults(
-        &self,
-        deadline: Instant,
-        plan: &FaultPlan,
-    ) -> io::Result<Connection> {
-        Connection::with_faults(self.accept_stream(deadline)?, plan)
-    }
-
-    fn accept_stream(&self, deadline: Instant) -> io::Result<TcpStream> {
         self.inner.set_nonblocking(true)?;
         let result = loop {
             match self.inner.accept() {
@@ -841,7 +805,7 @@ impl Listener {
         self.inner.set_nonblocking(false)?;
         let stream = result?;
         stream.set_nonblocking(false)?;
-        Ok(stream)
+        Connection::from_stream(stream)
     }
 }
 

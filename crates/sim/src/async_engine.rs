@@ -185,7 +185,7 @@ mod tests {
         };
         let outcome = engine.run(&mut adv, RunLimits::small());
         // Only one crash may be charged; the rest are ignored (and logged).
-        assert_eq!(outcome.crashes_performed, 1);
+        assert_eq!(outcome.metrics.crashes, 1);
         assert_eq!(outcome.crashed.iter().filter(|&&c| c).count(), 1);
         // The remaining four processors still decide.
         assert!(outcome.all_correct_decided());
@@ -343,7 +343,13 @@ mod tests {
         assert_eq!(stepped.first_decision_at, run_outcome.first_decision_at);
         assert_eq!(stepped.all_decided_at, run_outcome.all_decided_at);
         assert_eq!(stepped.longest_chain, run_outcome.longest_chain);
-        assert_eq!(stepped.messages_sent, run_outcome.messages_sent);
-        assert_eq!(stepped.messages_delivered, run_outcome.messages_delivered);
+        assert_eq!(
+            stepped.metrics.messages_sent,
+            run_outcome.metrics.messages_sent
+        );
+        assert_eq!(
+            stepped.metrics.messages_delivered,
+            run_outcome.metrics.messages_delivered
+        );
     }
 }

@@ -818,7 +818,6 @@ impl<P: Probe, R: Recorder> ExecutionCore<P, R> {
             .flat_map(|h| h.violations().iter().cloned())
             .chain(self.validity_violations())
             .collect();
-        let metrics = self.metrics();
         RunOutcome {
             decisions: self.decisions().collect(),
             crashed: self.crashed().collect(),
@@ -826,13 +825,9 @@ impl<P: Probe, R: Recorder> ExecutionCore<P, R> {
             first_decision_at: self.first_decision_at,
             all_decided_at: self.all_decided_at,
             violations,
-            messages_sent: metrics.messages_sent,
-            messages_delivered: metrics.messages_delivered,
-            resets_performed: metrics.resets_consumed,
-            crashes_performed: metrics.crashes,
             longest_chain,
             halted_by_adversary: self.halted,
-            metrics,
+            metrics: self.metrics(),
             trace: self.recorder.take_trace(),
         }
     }

@@ -74,22 +74,6 @@ pub struct RunOutcome {
     pub all_decided_at: Option<u64>,
     /// Correctness violations observed (conflicting decisions, invalid values).
     pub violations: Vec<String>,
-    /// Total messages placed into the buffer.
-    ///
-    /// Mirror of [`Metrics::messages_sent`], kept for compatibility.
-    pub messages_sent: u64,
-    /// Total messages delivered.
-    ///
-    /// Mirror of [`Metrics::messages_delivered`], kept for compatibility.
-    pub messages_delivered: u64,
-    /// Total resetting steps performed.
-    ///
-    /// Mirror of [`Metrics::resets_consumed`], kept for compatibility.
-    pub resets_performed: u64,
-    /// Total crash steps performed.
-    ///
-    /// Mirror of [`Metrics::crashes`], kept for compatibility.
-    pub crashes_performed: u64,
     /// The scheduler's running-time chain metric: the causal chain preceding
     /// the first decision for asynchronous runs, the window of the first
     /// decision for windowed runs (see [`Metrics::max_chain`] for the
@@ -169,10 +153,6 @@ mod tests {
             first_decision_at: Some(3),
             all_decided_at: None,
             violations: Vec::new(),
-            messages_sent: 0,
-            messages_delivered: 0,
-            resets_performed: 0,
-            crashes_performed: 0,
             longest_chain: 0,
             halted_by_adversary: false,
             metrics: Metrics::default(),

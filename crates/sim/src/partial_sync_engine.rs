@@ -256,7 +256,7 @@ mod tests {
         assert!(outcome.is_correct(&inputs));
         // Processor 0's five messages were omitted (never delivered), and
         // only those: the other 20 initial reports all arrived.
-        assert_eq!(outcome.messages_delivered, 20);
+        assert_eq!(outcome.metrics.messages_delivered, 20);
     }
 
     #[test]
@@ -283,7 +283,13 @@ mod tests {
         assert_eq!(stepped.first_decision_at, run_outcome.first_decision_at);
         assert_eq!(stepped.all_decided_at, run_outcome.all_decided_at);
         assert_eq!(stepped.longest_chain, run_outcome.longest_chain);
-        assert_eq!(stepped.messages_sent, run_outcome.messages_sent);
-        assert_eq!(stepped.messages_delivered, run_outcome.messages_delivered);
+        assert_eq!(
+            stepped.metrics.messages_sent,
+            run_outcome.metrics.messages_sent
+        );
+        assert_eq!(
+            stepped.metrics.messages_delivered,
+            run_outcome.metrics.messages_delivered
+        );
     }
 }

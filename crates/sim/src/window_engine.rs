@@ -152,9 +152,9 @@ mod tests {
         assert_eq!(outcome.all_decided_at, Some(1));
         assert!(outcome.is_correct(&inputs));
         // Every processor broadcast to all n processors exactly once.
-        assert_eq!(outcome.messages_sent, 25);
-        assert_eq!(outcome.messages_delivered, 25);
-        assert_eq!(outcome.resets_performed, 0);
+        assert_eq!(outcome.metrics.messages_sent, 25);
+        assert_eq!(outcome.metrics.messages_delivered, 25);
+        assert_eq!(outcome.metrics.resets_consumed, 0);
     }
 
     #[test]
@@ -232,7 +232,7 @@ mod tests {
         engine.step_window(&mut ResetZero);
         engine.step_window(&mut ResetZero);
         let outcome = engine.outcome();
-        assert_eq!(outcome.resets_performed, 2);
+        assert_eq!(outcome.metrics.resets_consumed, 2);
         assert_eq!(outcome.trace.reset_count(), 2);
     }
 
@@ -284,7 +284,13 @@ mod tests {
         assert_eq!(stepped.duration, run_outcome.duration);
         assert_eq!(stepped.first_decision_at, run_outcome.first_decision_at);
         assert_eq!(stepped.all_decided_at, run_outcome.all_decided_at);
-        assert_eq!(stepped.messages_sent, run_outcome.messages_sent);
-        assert_eq!(stepped.messages_delivered, run_outcome.messages_delivered);
+        assert_eq!(
+            stepped.metrics.messages_sent,
+            run_outcome.metrics.messages_sent
+        );
+        assert_eq!(
+            stepped.metrics.messages_delivered,
+            run_outcome.metrics.messages_delivered
+        );
     }
 }

@@ -311,7 +311,7 @@ mod tests {
             );
             assert_eq!(outcome.decisions.len(), n);
             assert!(outcome.all_correct_decided());
-            assert_eq!(outcome.messages_sent, (n * n) as u64);
+            assert_eq!(outcome.metrics.messages_sent, (n * n) as u64);
         }
     }
 }

@@ -43,13 +43,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "  targeted resets  : decided {:?} after {:?} windows, {} total resets",
             targeted.decided_value(),
             targeted.all_decided_at,
-            targeted.resets_performed
+            targeted.metrics.resets_consumed
         );
         println!(
             "  split-vote+resets: decided {:?} after {:?} windows, {} total resets",
             balancing.decided_value(),
             balancing.all_decided_at,
-            balancing.resets_performed
+            balancing.metrics.resets_consumed
         );
         assert!(targeted.is_correct(&inputs));
         assert!(balancing.is_correct(&inputs));

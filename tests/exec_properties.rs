@@ -37,19 +37,7 @@ fn assert_outcomes_identical(a: &RunOutcome, b: &RunOutcome, context: &str) {
         "{context}: all_decided_at"
     );
     assert_eq!(a.violations, b.violations, "{context}: violations");
-    assert_eq!(a.messages_sent, b.messages_sent, "{context}: messages_sent");
-    assert_eq!(
-        a.messages_delivered, b.messages_delivered,
-        "{context}: messages_delivered"
-    );
-    assert_eq!(
-        a.resets_performed, b.resets_performed,
-        "{context}: resets_performed"
-    );
-    assert_eq!(
-        a.crashes_performed, b.crashes_performed,
-        "{context}: crashes_performed"
-    );
+    assert_eq!(a.metrics, b.metrics, "{context}: metrics");
     assert_eq!(a.longest_chain, b.longest_chain, "{context}: longest_chain");
     assert_eq!(
         a.halted_by_adversary, b.halted_by_adversary,
@@ -204,8 +192,8 @@ fn model_specific_counters_stay_separated() {
         1,
         RunLimits::windows(5_000),
     );
-    assert_eq!(windowed.crashes_performed, 0);
-    assert!(windowed.resets_performed > 0);
+    assert_eq!(windowed.metrics.crashes, 0);
+    assert!(windowed.metrics.resets_consumed > 0);
 
     let cfg = SystemConfig::new(7, 2).unwrap();
     let asynchronous = run_async(
@@ -216,8 +204,8 @@ fn model_specific_counters_stay_separated() {
         1,
         RunLimits::steps(500_000),
     );
-    assert_eq!(asynchronous.resets_performed, 0);
-    assert_eq!(asynchronous.crashes_performed, 1);
+    assert_eq!(asynchronous.metrics.resets_consumed, 0);
+    assert_eq!(asynchronous.metrics.crashes, 1);
 }
 
 /// The parallel campaign aggregates bit-identically to the serial path for

@@ -99,15 +99,12 @@ fn merged_registry_reports_are_byte_identical_across_worker_counts() {
 
 #[test]
 fn batch_size_and_compression_never_show_in_the_merged_reports() {
-    // The record wire has three shapes — legacy per-trial JSON frames
-    // (batch 0), degenerate one-record blocks (batch 1), and full columnar
-    // blocks with or without LZ compression — and none of them may leave a
-    // trace in the rendered output. `batch 0` doubles as the
-    // backward-compatibility check: the coordinator sends v1 run frames and
-    // consumes the v1 record stream.
+    // Degenerate one-record blocks and full columnar blocks, with or
+    // without LZ compression: no shape of the record wire may leave a trace
+    // in the rendered output.
     let specs = equivalence_specs();
     let (local_json, local_jsonl) = render_local(&specs);
-    for (batch, compress) in [(0u64, false), (1, false), (7, true), (256, true)] {
+    for (batch, compress) in [(1u64, false), (7, true), (256, true)] {
         let mut session = Orchestrator::new(Scale::Quick, worker_command())
             .workers(2)
             .batch_records(batch)

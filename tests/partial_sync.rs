@@ -160,7 +160,7 @@ fn omission_and_crash_share_one_fault_budget() {
     }
     let outcome = engine.outcome();
     assert_eq!(
-        outcome.crashes_performed, 0,
+        outcome.metrics.crashes, 0,
         "the crash beyond the shared budget must be refused"
     );
     assert!(
