@@ -4,7 +4,7 @@
 //! `TrialRecord`s per second — on the canonical workloads defined in
 //! `agreement_bench::workloads`, and compares each number against the
 //! baseline recorded in `crates/bench/baselines/campaign_throughput.json`.
-//! This is the number the trace-gating / arena / workspace / orchestration
+//! This is the number the trace-gating / send-log / workspace / orchestration
 //! optimisations move: unlike `exec_core` (which times raw scheduler steps
 //! on a fresh core), this bench pays every per-trial cost a real campaign
 //! pays — core construction or reuse, the full run, and the distillation

@@ -25,6 +25,8 @@
 //! every other processor decides on the first value announced by `f + 1`
 //! distinct committee members.
 
+use std::sync::Arc;
+
 use agreement_model::{
     Bit, CommitteeMsg, Context, Payload, ProcessorId, ProcessorRng, Protocol, ProtocolBuilder,
     StateDigest, SystemConfig,
@@ -39,7 +41,8 @@ const KEY_ANNOUNCES: u8 = 1;
 /// The committee-election agreement baseline: single-processor state machine.
 #[derive(Debug)]
 pub struct CommitteeAgreement {
-    committee: Vec<ProcessorId>,
+    /// Shared with the builder and every other instance it built.
+    committee: Arc<[ProcessorId]>,
     fault_tolerance: usize,
     is_member: bool,
     input: Bit,
@@ -52,7 +55,8 @@ pub struct CommitteeAgreement {
 impl CommitteeAgreement {
     /// Creates the state machine for processor `id` with the given input and
     /// the publicly known `committee`.
-    pub fn new(id: ProcessorId, input: Bit, committee: Vec<ProcessorId>) -> Self {
+    pub fn new(id: ProcessorId, input: Bit, committee: impl Into<Arc<[ProcessorId]>>) -> Self {
+        let committee = committee.into();
         let fault_tolerance = committee.len().saturating_sub(1) / 3;
         let is_member = committee.contains(&id);
         CommitteeAgreement {
@@ -180,7 +184,7 @@ impl Protocol for CommitteeAgreement {
 /// ```
 #[derive(Debug, Clone)]
 pub struct CommitteeBuilder {
-    committee: Vec<ProcessorId>,
+    committee: Arc<[ProcessorId]>,
 }
 
 impl CommitteeBuilder {
@@ -202,7 +206,9 @@ impl CommitteeBuilder {
             committee.len(),
             "committee must not contain duplicates"
         );
-        CommitteeBuilder { committee }
+        CommitteeBuilder {
+            committee: committee.into(),
+        }
     }
 
     /// Selects a committee of `size` distinct processors using the public
@@ -239,7 +245,11 @@ impl ProtocolBuilder for CommitteeBuilder {
     }
 
     fn build(&self, id: ProcessorId, input: Bit, _cfg: &SystemConfig) -> Box<dyn Protocol> {
-        Box::new(CommitteeAgreement::new(id, input, self.committee.clone()))
+        Box::new(CommitteeAgreement::new(
+            id,
+            input,
+            Arc::clone(&self.committee),
+        ))
     }
 }
 

@@ -24,6 +24,8 @@
 //! members at the start and the protocol never terminates. The scenario
 //! family `subquad/` charts both sides at `n ∈ {100, 1000, 10000}`.
 
+use std::sync::Arc;
+
 use agreement_model::{
     Bit, CommitteeMsg, Context, Payload, ProcessorId, ProcessorRng, Protocol, ProtocolBuilder,
     StateDigest, SystemConfig,
@@ -47,7 +49,8 @@ const SORTITION_LABEL: u64 = 0x5AB01;
 /// makes the message count per decision `o(n²)`.
 #[derive(Debug)]
 pub struct SampledCommittee {
-    committee: Vec<ProcessorId>,
+    /// Shared with the builder and every other instance it built.
+    committee: Arc<[ProcessorId]>,
     fault_tolerance: usize,
     is_member: bool,
     input: Bit,
@@ -60,7 +63,8 @@ pub struct SampledCommittee {
 impl SampledCommittee {
     /// Creates the state machine for processor `id` with the given input and
     /// the publicly known sampled `committee`.
-    pub fn new(id: ProcessorId, input: Bit, committee: Vec<ProcessorId>) -> Self {
+    pub fn new(id: ProcessorId, input: Bit, committee: impl Into<Arc<[ProcessorId]>>) -> Self {
+        let committee = committee.into();
         let fault_tolerance = committee.len().saturating_sub(1) / 3;
         let is_member = committee.contains(&id);
         SampledCommittee {
@@ -131,9 +135,8 @@ impl Protocol for SampledCommittee {
             // Proposals stay inside the committee: k² messages in total,
             // independent of n. The member's own id is in the set, so its
             // proposal reaches it over the self channel like any other.
-            let committee = self.committee.clone();
             ctx.multicast(
-                &committee,
+                &self.committee,
                 Payload::Committee(CommitteeMsg::Proposal { value: self.input }),
             );
         }
@@ -195,7 +198,7 @@ impl Protocol for SampledCommittee {
 /// ```
 #[derive(Debug, Clone)]
 pub struct SampledCommitteeBuilder {
-    committee: Vec<ProcessorId>,
+    committee: Arc<[ProcessorId]>,
 }
 
 impl SampledCommitteeBuilder {
@@ -217,7 +220,9 @@ impl SampledCommitteeBuilder {
             committee.len(),
             "committee must not contain duplicates"
         );
-        SampledCommitteeBuilder { committee }
+        SampledCommitteeBuilder {
+            committee: committee.into(),
+        }
     }
 
     /// Samples a committee of `size` distinct processors by public sortition
@@ -254,7 +259,11 @@ impl ProtocolBuilder for SampledCommitteeBuilder {
     }
 
     fn build(&self, id: ProcessorId, input: Bit, _cfg: &SystemConfig) -> Box<dyn Protocol> {
-        Box::new(SampledCommittee::new(id, input, self.committee.clone()))
+        Box::new(SampledCommittee::new(
+            id,
+            input,
+            Arc::clone(&self.committee),
+        ))
     }
 }
 

@@ -1,195 +1,87 @@
-//! The message buffer: per-channel FIFO queues of undelivered messages, with
-//! broadcast payloads shared through a per-trial arena.
+//! The message buffer: per-channel FIFO delivery over per-sender send logs.
 //!
 //! The paper's model places sent messages into a "message buffer" from which
-//! the adversary chooses what to deliver and when. We keep one FIFO queue per
-//! ordered `(sender, recipient)` pair — the dedicated channel of the model —
-//! so a recipient always correctly identifies the sender, and messages on a
-//! single channel are delivered in order (a harmless strengthening; the
-//! adversary still fully controls interleaving across channels).
+//! the adversary chooses what to deliver and when. Every ordered
+//! `(sender, recipient)` pair is a dedicated FIFO channel — so a recipient
+//! always correctly identifies the sender, and messages on a single channel
+//! are delivered in order (a harmless strengthening; the adversary still
+//! fully controls interleaving across channels).
+//!
+//! # Send once, address by cursor
+//!
+//! Every shipped protocol is fully communicative: each send is a broadcast
+//! to all `n` or a multicast to a committee, never a lone unicast. The
+//! buffer is therefore organised around the *send*, not the recipient. Each
+//! sender owns a **lane** whose **log** holds one entry per send — the
+//! payload, its chain tag and its send time, stored once however many
+//! processors it addresses — and recipients only hold positions in that log:
+//!
+//! * A **broadcast** is addressed implicitly. The lane lists the log indices
+//!   of its broadcasts, and each channel of the lane holds a *cursor* into
+//!   that list: the broadcasts at or past the cursor are the ones this
+//!   recipient has not received yet. Sending a broadcast is one log push
+//!   whatever `n` is; delivering it to one recipient advances one cursor.
+//! * A **unicast or multicast** names its recipients, so no cursor can stand
+//!   in for them: the entry's 4-byte log index is pushed onto an explicit
+//!   index queue of each listed channel — O(|recipients|), independent of
+//!   `n`. Duplicate ids in a multicast set enqueue one index per occurrence.
+//!
+//! A channel's FIFO order is log order, so its head is whichever of "front
+//! of the index queue" and "broadcast under the cursor" was logged first.
+//! Delivery hands out a `&Payload` borrowed from the log — nothing is cloned,
+//! moved or reference-counted on the way.
+//!
+//! **Recycling.** A lane whose pending count is zero has nothing left that
+//! points into its log, so the next send on it (or the next
+//! [`MessageBuffer::reset`] / [`MessageBuffer::discard_undelivered`]) clears
+//! the log and rewinds the cursors, keeping every allocation. Memory is thus
+//! bounded by the sends made since the lane last drained, as an entry per
+//! in-flight message was before.
 //!
 //! # Two channel layouts
 //!
-//! The buffer stores its channels one of two ways, selected by
-//! [`BufferChoice`]:
+//! Both layouts use the same lanes; [`BufferChoice`] only decides what is
+//! allocated up front:
 //!
-//! * **Dense** (small `n`): one flat `Vec` of `n * n` queues indexed
-//!   `sender * n + recipient` (sender-major). Channel access on the hot
-//!   enqueue/dequeue path is a single index computation — no tree walk, no
-//!   rebalancing, no per-channel allocation after construction — and
-//!   whole-buffer scans are linear passes over a contiguous array. The
-//!   layout is O(n²) in memory *up front*, which is exactly right while `n`
-//!   is a few dozen and hopeless at `n = 10_000` (10⁸ queues before the
-//!   first message is sent).
-//! * **Sparse** (large `n`): one *lane* per sender holding a sorted index of
-//!   the recipients that sender has actually messaged, with the queues
-//!   materialized lazily on first send. Memory is O(n + active channels), a
-//!   committee multicast ([`MessageBuffer::multicast`]) costs
-//!   O(|committee|) rather than O(n), and a per-sender `live` bitset lets
-//!   whole-buffer scans ([`MessageBuffer::next_pending_channel_where`])
-//!   skip idle senders sixty-four at a time. Channel access is a binary
-//!   search of the sender's lane — O(log degree), where the degree is the
-//!   number of *distinct* recipients the sender ever contacted.
+//! * **Dense** (small `n`): every lane preallocates its row of `n` cursors
+//!   and `n` index queues, addressed directly by recipient id — O(n²) memory
+//!   before the first message, which is exactly right while `n` is a few
+//!   dozen and hopeless at `n = 10_000`.
+//! * **Sparse** (large `n`): a lane allocates its cursor row on its first
+//!   broadcast and materializes index queues lazily behind a sorted index of
+//!   the recipients it has actually named. Memory is O(n + n · broadcasting
+//!   senders + named channels).
 //!
-//! Both layouts present identical observable behaviour — same FIFO order,
-//! same sender-major iteration and scan order, same counters — pinned by
-//! equivalence tests here and byte-identical scenario output at the campaign
-//! level. [`BufferChoice::Auto`] picks dense at or below
-//! [`BufferChoice::DENSE_MAX`] processors and sparse above.
+//! Both present identical observable behaviour — same FIFO order, same
+//! sender-major iteration and scan order, same counters — pinned by a
+//! differential test against a reference model here and byte-identical
+//! scenario output at the campaign level. A per-sender `live` bitset lets
+//! whole-buffer scans ([`MessageBuffer::next_pending_channel_where`]) skip
+//! idle senders sixty-four at a time. [`BufferChoice::Auto`] picks dense at
+//! or below [`BufferChoice::DENSE_MAX`] processors and sparse above.
 //!
-//! # Payload storage: inline unicasts, arena-shared broadcasts
-//!
-//! A queue entry stores its [`Payload`] one of two ways:
-//!
-//! * **Unicast messages carry their payload inline.** A message with exactly
-//!   one recipient never touches the arena: no slot allocation, no reference
-//!   counting, no free-list traffic — enqueue is a move into the queue entry
-//!   and delivery is a move (or borrow) back out. This is the
-//!   `buffer/flat_churn` hot path.
-//! * **Broadcast and multicast payloads live once in a reference-counted
-//!   arena** owned by the buffer; each recipient's entry carries a 4-byte
-//!   `Copy` handle ([`PayloadRef`]). An n-way broadcast interns its payload
-//!   **once** where an owning layout would clone it per recipient. Delivery
-//!   resolves a handle to a borrowed `&Payload` — no move, no clone — and
-//!   releases the reference afterwards; a slot whose last reference is
-//!   released goes onto a free list and is recycled by the next intern, so
-//!   arena memory is bounded by the peak number of *distinct* in-flight
-//!   shared payloads.
-//!
-//! Each buffered message additionally carries a *chain tag* — the causal
-//! depth assigned at send time (the length of the longest message chain
-//! ending in the send) — and a *send-time stamp*, the buffer clock value
-//! ([`MessageBuffer::set_now`]) at enqueue. The asynchronous scheduler uses
-//! the chain tags to measure running time as the paper's Section 5 does; the
-//! partial-synchrony scheduler uses the send-time stamps to enforce its
-//! post-GST bounded-delay guarantee. Window executions ignore both.
+//! The *chain tag* of a send is the causal depth assigned at send time (the
+//! length of the longest message chain ending in the send); its *send-time
+//! stamp* is the buffer clock value ([`MessageBuffer::set_now`]) at enqueue.
+//! The asynchronous scheduler uses the chain tags to measure running time as
+//! the paper's Section 5 does; the partial-synchrony scheduler uses the
+//! send-time stamps to enforce its post-GST bounded-delay guarantee. Window
+//! executions ignore both.
 
 use std::collections::VecDeque;
 
 use agreement_model::{Envelope, Payload, ProcessorId};
 
-/// A `Copy` handle to a broadcast payload stored in the buffer's arena.
-///
-/// Handles are only meaningful against the buffer that issued them, and only
-/// between the `intern`/`pop_message` that produced them and the `release`
-/// that retires them; the buffer recycles slots whose last reference is
-/// released.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PayloadRef(u32);
-
-/// One arena slot: a payload plus the number of queue entries (or popped,
-/// not-yet-released handles) referencing it.
+/// One send in a lane's log, shared by every recipient it addresses.
 #[derive(Debug, Clone)]
-struct Slot {
+struct Entry {
     payload: Payload,
-    refs: u32,
-}
-
-/// The per-trial broadcast payload store: a slab of reference-counted slots
-/// with a free list, so one broadcast payload serves all its recipients and
-/// retired slots are recycled instead of reallocated.
-#[derive(Debug, Clone, Default)]
-struct PayloadArena {
-    slots: Vec<Slot>,
-    free: Vec<u32>,
-}
-
-impl PayloadArena {
-    /// Stores `payload` with zero references (callers add one per enqueue).
-    fn intern(&mut self, payload: Payload) -> PayloadRef {
-        if let Some(idx) = self.free.pop() {
-            let slot = &mut self.slots[idx as usize];
-            slot.payload = payload;
-            slot.refs = 0;
-            PayloadRef(idx)
-        } else {
-            let idx = u32::try_from(self.slots.len()).expect("payload arena overflow");
-            self.slots.push(Slot { payload, refs: 0 });
-            PayloadRef(idx)
-        }
-    }
-
-    fn retain(&mut self, handle: PayloadRef) {
-        self.slots[handle.0 as usize].refs += 1;
-    }
-
-    fn get(&self, handle: PayloadRef) -> &Payload {
-        &self.slots[handle.0 as usize].payload
-    }
-
-    /// Drops one reference; the slot is recycled once the last one goes.
-    fn release(&mut self, handle: PayloadRef) {
-        let slot = &mut self.slots[handle.0 as usize];
-        debug_assert!(slot.refs > 0, "payload handle released more than once");
-        slot.refs -= 1;
-        if slot.refs == 0 {
-            self.free.push(handle.0);
-        }
-    }
-
-    /// Drops one reference and returns the payload by value: moved out when
-    /// this was the last reference, cloned while others remain.
-    ///
-    /// Kept out of line so the unicast fast path of
-    /// [`MessageBuffer::pop_with_chain`] (which never reaches the arena)
-    /// stays small enough to inline; this only runs for shared broadcast
-    /// payloads popped by value, which is not a hot path.
-    #[inline(never)]
-    fn release_take(&mut self, handle: PayloadRef) -> Payload {
-        let slot = &mut self.slots[handle.0 as usize];
-        debug_assert!(slot.refs > 0, "payload handle released more than once");
-        slot.refs -= 1;
-        if slot.refs == 0 {
-            self.free.push(handle.0);
-            std::mem::replace(&mut slot.payload, Payload::Opaque(Vec::new()))
-        } else {
-            slot.payload.clone()
-        }
-    }
-
-    /// Number of live (referenced) payloads.
-    fn live(&self) -> usize {
-        self.slots.len() - self.free.len()
-    }
-
-    /// Drops every payload but keeps the slab and free-list capacity.
-    fn clear(&mut self) {
-        self.slots.clear();
-        self.free.clear();
-    }
-}
-
-/// How a queue entry stores its payload: moved in for unicasts, shared by
-/// arena handle for broadcasts.
-#[derive(Debug, Clone)]
-enum Stored {
-    /// A unicast payload owned by the entry itself — the arena (and its
-    /// refcount bookkeeping) is skipped entirely.
-    Inline(Payload),
-    /// One reference to an arena slot shared with the other recipients of a
-    /// broadcast.
-    Shared(PayloadRef),
-}
-
-/// A payload handed out by [`MessageBuffer::pop_message`]: the inline value
-/// moved out of the queue entry, or a still-owed arena reference.
-#[derive(Debug)]
-pub enum PoppedPayload {
-    /// The unicast payload itself, moved out of the queue entry.
-    Inline(Payload),
-    /// One reference to a shared broadcast payload: resolve it with
-    /// [`MessageBuffer::payload`] and retire it with
-    /// [`MessageBuffer::release`] when done.
-    Shared(PayloadRef),
-}
-
-/// One buffered message: its payload, its causal chain tag, and the buffer
-/// clock value at which it was enqueued.
-#[derive(Debug, Clone)]
-struct Buffered {
-    payload: Stored,
     chain: u64,
     sent_at: u64,
+    /// The entry's place in the lane's FIFO order: its own log index, except
+    /// for a [`MessageBuffer::corrupt_head`] replacement, which is logged
+    /// late but takes the place of the entry it stands in for.
+    order: u32,
 }
 
 /// Which channel layout a [`MessageBuffer`] uses (see the module docs for
@@ -205,16 +97,16 @@ pub enum BufferChoice {
     /// above: the right layout without anyone having to ask.
     #[default]
     Auto,
-    /// Always the flat `n * n` grid, regardless of `n`.
+    /// Always preallocate all `n * n` channels, regardless of `n`.
     Dense,
-    /// Always the lane-indexed sparse fabric, regardless of `n`.
+    /// Always the lazily materialized fabric, regardless of `n`.
     Sparse,
 }
 
 impl BufferChoice {
     /// Largest `n` for which [`BufferChoice::Auto`] stays dense. Below this
-    /// the n² grid is at most a few thousand queues and its direct indexing
-    /// wins; above it the quadratic allocation starts to dominate.
+    /// the n² channels are at most a few thousand and direct indexing wins;
+    /// above it the quadratic allocation starts to dominate.
     pub const DENSE_MAX: usize = 64;
 
     /// Whether this choice selects the sparse layout at `n` processors.
@@ -227,44 +119,69 @@ impl BufferChoice {
     }
 }
 
-/// One sender's channels in the sparse layout: a sorted index of recipient
-/// ids, a parallel vector of their queues (materialized on first send and
-/// kept — empty queues stay warm for the next message), and the lane's total
-/// pending count.
-#[derive(Debug, Clone, Default)]
+/// Which of a channel's two sources holds a given message.
+#[derive(Debug, Clone, Copy)]
+enum Source {
+    /// The explicit index queue in this slot of the lane.
+    Queue(usize),
+    /// The lane's broadcast list, through the channel's cursor.
+    Cursor,
+}
+
+/// One sender's channels: the log of its sends plus, per recipient, a cursor
+/// into the lane's broadcasts and an index queue of the unicasts and
+/// multicasts that named it.
+#[derive(Debug, Clone)]
 struct Lane {
-    /// Recipient ids with a materialized queue, sorted ascending.
+    /// One entry per send since the lane last recycled.
+    log: Vec<Entry>,
+    /// Log indices of the broadcast entries, ascending.
+    broadcasts: Vec<u32>,
+    /// `cursors[r]` counts the broadcasts recipient `r` is past. Dense: `n`
+    /// long from the start; sparse: empty until the first broadcast.
+    cursors: Vec<u32>,
+    /// Sparse only: recipient ids with a materialized index queue, sorted
+    /// ascending. Dense lanes address `queues` by recipient id directly.
     recipients: Vec<u32>,
-    /// `queues[i]` is the channel to `recipients[i]`.
-    queues: Vec<VecDeque<Buffered>>,
-    /// Total undelivered messages across the lane's queues.
+    /// Log indices of unicast/multicast entries per named recipient, oldest
+    /// first; `queues[i]` belongs to recipient `i` (dense) or
+    /// `recipients[i]` (sparse). Kept once materialized.
+    queues: Vec<VecDeque<u32>>,
+    /// Total undelivered messages across the lane's channels.
     pending: usize,
+    sparse: bool,
 }
 
 impl Lane {
-    /// Slot index of recipient `r`, if materialized.
-    #[inline]
-    fn slot(&self, r: usize) -> Option<usize> {
-        self.recipients.binary_search(&(r as u32)).ok()
-    }
-
-    /// The queue to recipient `r`, if materialized.
-    #[inline]
-    fn queue(&self, r: usize) -> Option<&VecDeque<Buffered>> {
-        self.slot(r).map(|i| &self.queues[i])
-    }
-
-    /// The queue to recipient `r`, if materialized.
-    #[inline]
-    fn queue_mut(&mut self, r: usize) -> Option<&mut VecDeque<Buffered>> {
-        match self.recipients.binary_search(&(r as u32)) {
-            Ok(i) => Some(&mut self.queues[i]),
-            Err(_) => None,
+    fn new(n: usize, sparse: bool) -> Lane {
+        let preallocated = if sparse { 0 } else { n };
+        Lane {
+            log: Vec::new(),
+            broadcasts: Vec::new(),
+            cursors: vec![0; preallocated],
+            recipients: Vec::new(),
+            queues: vec![VecDeque::new(); preallocated],
+            pending: 0,
+            sparse,
         }
     }
 
-    /// The queue to recipient `r`, materialized on first use.
-    fn materialize(&mut self, r: usize) -> &mut VecDeque<Buffered> {
+    /// Index in `queues` of recipient `r`'s index queue, if it exists.
+    #[inline]
+    fn slot(&self, r: usize) -> Option<usize> {
+        if self.sparse {
+            self.recipients.binary_search(&(r as u32)).ok()
+        } else {
+            (r < self.queues.len()).then_some(r)
+        }
+    }
+
+    /// The index queue of recipient `r`, materialized on first use.
+    #[inline]
+    fn queue_mut(&mut self, r: usize) -> &mut VecDeque<u32> {
+        if !self.sparse {
+            return &mut self.queues[r];
+        }
         match self.recipients.binary_search(&(r as u32)) {
             Ok(i) => &mut self.queues[i],
             Err(i) => {
@@ -273,6 +190,133 @@ impl Lane {
                 &mut self.queues[i]
             }
         }
+    }
+
+    /// Position in `broadcasts` of the first one recipient `r` has not
+    /// received (past the end when the lane has no cursor row yet).
+    #[inline]
+    fn cursor(&self, r: usize) -> usize {
+        self.cursors.get(r).map_or(usize::MAX, |&c| c as usize)
+    }
+
+    /// The message at position `queued` of an index queue merged, in FIFO
+    /// order, with position `cast` of the broadcast list: where it comes
+    /// from and its log index.
+    #[inline]
+    fn pick(&self, slot: Option<usize>, queued: usize, cast: usize) -> Option<(Source, usize)> {
+        let from_queue = slot.and_then(|i| Some((i, *self.queues[i].get(queued)? as usize)));
+        let from_cast = self.broadcasts.get(cast).map(|&b| b as usize);
+        match (from_queue, from_cast) {
+            (Some((_, e)), Some(b)) if self.log[e].order as usize > b => Some((Source::Cursor, b)),
+            (Some((i, e)), _) => Some((Source::Queue(i), e)),
+            (None, Some(b)) => Some((Source::Cursor, b)),
+            (None, None) => None,
+        }
+    }
+
+    /// The oldest undelivered message to recipient `r`.
+    #[inline]
+    fn head(&self, r: usize) -> Option<(Source, usize)> {
+        self.pick(self.slot(r), 0, self.cursor(r))
+    }
+
+    /// Removes the oldest undelivered message to `r`, returning its log
+    /// index. The entry stays in the log until the lane recycles.
+    #[inline]
+    fn pop(&mut self, r: usize) -> Option<usize> {
+        let (source, idx) = self.head(r)?;
+        match source {
+            Source::Queue(i) => {
+                self.queues[i].pop_front();
+            }
+            Source::Cursor => self.cursors[r] += 1,
+        }
+        self.pending -= 1;
+        Some(idx)
+    }
+
+    /// Number of undelivered messages to recipient `r`.
+    #[inline]
+    fn pending_on(&self, r: usize) -> usize {
+        let queued = self.slot(r).map_or(0, |i| self.queues[i].len());
+        queued + self.broadcasts.len().saturating_sub(self.cursor(r))
+    }
+
+    /// Every undelivered message to `r`, oldest first.
+    fn channel(&self, r: usize) -> impl Iterator<Item = &Entry> + '_ {
+        let slot = self.slot(r);
+        let (mut queued, mut cast) = (0, self.cursor(r));
+        std::iter::from_fn(move || {
+            let (source, idx) = self.pick(slot, queued, cast)?;
+            match source {
+                Source::Queue(_) => queued += 1,
+                Source::Cursor => cast += 1,
+            }
+            Some(&self.log[idx])
+        })
+    }
+
+    /// The first recipient in `[lo, hi)` with an undelivered message.
+    fn next_pending(&self, lo: usize, hi: usize) -> Option<usize> {
+        // Without broadcasts no cursor is behind: skip the row.
+        let sent = self.broadcasts.len() as u32;
+        let end = if sent == 0 { 0 } else { self.cursors.len() };
+        let row = &self.cursors[lo.min(end)..hi.min(end)];
+        let by_cursor = row.iter().position(|&c| c < sent).map(|i| lo + i);
+        // Only a queue before the cursor hit can beat it.
+        let hi = by_cursor.unwrap_or(hi);
+        let by_queue = if self.sparse {
+            let start = self.recipients.partition_point(|&r| (r as usize) < lo);
+            self.recipients[start..]
+                .iter()
+                .zip(&self.queues[start..])
+                .take_while(|(&r, _)| (r as usize) < hi)
+                .find(|(_, queue)| !queue.is_empty())
+                .map(|(&r, _)| r as usize)
+        } else {
+            (lo..hi.min(self.queues.len())).find(|&r| !self.queues[r].is_empty())
+        };
+        by_queue.or(by_cursor)
+    }
+
+    /// Appends an entry to the log and returns its index; `order` is `None`
+    /// for a send, which takes its own index as its place in the order.
+    #[inline]
+    fn append(&mut self, payload: Payload, chain: u64, sent_at: u64, order: Option<u32>) -> u32 {
+        let idx = u32::try_from(self.log.len()).expect("lane log overflow");
+        let order = order.unwrap_or(idx);
+        // `extend(once_with(..))` rather than `push`: the entry is built
+        // after the capacity check, straight into the log. `push` builds it
+        // on the stack first and copies it over with loads wider than the
+        // stores that filled it (16.3 against 20.5 ns per unicast enqueue).
+        self.log.extend(std::iter::once_with(|| Entry {
+            payload,
+            chain,
+            sent_at,
+            order,
+        }));
+        idx
+    }
+
+    /// Forgets the log once nothing points into it (`pending == 0`), keeping
+    /// every allocation.
+    #[inline]
+    fn recycle(&mut self) {
+        debug_assert_eq!(self.pending, 0, "recycled a lane with messages pending");
+        self.log.clear();
+        if !self.broadcasts.is_empty() {
+            self.broadcasts.clear();
+            self.cursors.fill(0);
+        }
+    }
+
+    /// Drops every undelivered message of the lane.
+    fn clear(&mut self) {
+        for queue in &mut self.queues {
+            queue.clear();
+        }
+        self.pending = 0;
+        self.recycle();
     }
 }
 
@@ -288,51 +332,22 @@ fn clear_bit(words: &mut [u64], i: usize) {
     words[i / 64] &= !(1 << (i % 64));
 }
 
-/// Channel storage: the dense grid or the sparse lane fabric. Which one a
-/// buffer holds is decided by its [`BufferChoice`] and `n`; all queue access
-/// dispatches on this enum in one place per primitive.
-#[derive(Debug, Clone)]
-enum Layout {
-    /// `n * n` queues, channel `(s, r)` at index `s * n + r`.
-    Dense(Vec<VecDeque<Buffered>>),
-    /// One [`Lane`] per sender plus a bitset with bit `s` set iff lane `s`
-    /// has pending messages (`lanes[s].pending > 0`).
-    Sparse { lanes: Vec<Lane>, live: Vec<u64> },
-}
-
-impl Default for Layout {
-    fn default() -> Self {
-        Layout::Dense(Vec::new())
-    }
-}
-
-impl Layout {
-    /// An empty layout of the requested kind, shaped for `n` processors.
-    fn empty(sparse: bool, n: usize) -> Layout {
-        if sparse {
-            Layout::Sparse {
-                lanes: vec![Lane::default(); n],
-                live: vec![0; n.div_ceil(64)],
-            }
-        } else {
-            Layout::Dense(vec![VecDeque::new(); n * n])
-        }
-    }
-}
-
-/// A FIFO buffer of undelivered messages with one queue per ordered
-/// `(sender, recipient)` channel — dense grid or sparse lane fabric, see the
-/// module docs — and a shared broadcast-payload arena.
+/// A FIFO buffer of undelivered messages with one channel per ordered
+/// `(sender, recipient)` pair, stored as one send log per sender (see the
+/// module docs).
 #[derive(Debug, Clone, Default)]
 pub struct MessageBuffer {
-    /// Number of processors the current layout covers.
+    /// Number of processors the lanes cover.
     n: usize,
     /// The layout policy this buffer re-derives its storage from on every
     /// [`MessageBuffer::reset`].
     choice: BufferChoice,
-    /// The channel storage itself.
-    layout: Layout,
-    arena: PayloadArena,
+    /// Whether the lanes are currently shaped sparse.
+    sparse: bool,
+    /// One lane per sender.
+    lanes: Vec<Lane>,
+    /// Bit `s` is set iff `lanes[s].pending > 0`.
+    live: Vec<u64>,
     /// The clock value stamped onto entries as they are enqueued
     /// ([`MessageBuffer::set_now`]); schedulers that enforce delivery bounds
     /// keep it equal to the execution clock.
@@ -343,7 +358,7 @@ pub struct MessageBuffer {
 }
 
 impl MessageBuffer {
-    /// Creates an empty buffer. The channel layout grows on demand; prefer
+    /// Creates an empty buffer. The lanes grow on demand; prefer
     /// [`MessageBuffer::with_processors`] when `n` is known up front so the
     /// hot path never reallocates.
     pub fn new() -> Self {
@@ -359,21 +374,29 @@ impl MessageBuffer {
     /// Creates an empty buffer pre-sized for `n` processors with an explicit
     /// layout policy.
     pub fn with_choice(n: usize, choice: BufferChoice) -> Self {
-        MessageBuffer {
-            n,
+        let mut buffer = MessageBuffer {
             choice,
-            layout: Layout::empty(choice.sparse_for(n), n),
-            arena: PayloadArena::default(),
-            now: 0,
-            enqueued: 0,
-            delivered: 0,
-            dropped: 0,
-        }
+            ..MessageBuffer::default()
+        };
+        buffer.reshape(n);
+        buffer
+    }
+
+    /// Replaces the storage with empty lanes for `n` processors in the
+    /// layout the stored [`BufferChoice`] picks at that size.
+    fn reshape(&mut self, n: usize) {
+        let sparse = self.choice.sparse_for(n);
+        self.n = n;
+        self.sparse = sparse;
+        self.lanes.clear();
+        self.lanes.resize_with(n, || Lane::new(n, sparse));
+        self.live.clear();
+        self.live.resize(n.div_ceil(64), 0);
     }
 
     /// Whether the buffer currently holds the sparse layout.
     pub fn is_sparse(&self) -> bool {
-        matches!(self.layout, Layout::Sparse { .. })
+        self.sparse
     }
 
     /// The layout policy the buffer re-derives its storage from on reset.
@@ -387,56 +410,28 @@ impl MessageBuffer {
     /// [`MessageBuffer::reset`].
     pub fn set_choice(&mut self, choice: BufferChoice) {
         self.choice = choice;
-        let want_sparse = choice.sparse_for(self.n);
-        if want_sparse != self.is_sparse() {
+        if choice.sparse_for(self.n) != self.sparse {
             debug_assert!(self.is_empty(), "layout switched while messages pending");
-            self.layout = Layout::empty(want_sparse, self.n);
+            self.reshape(self.n);
         }
     }
 
-    /// Clears the buffer for reuse by the next trial: empties every channel
-    /// and the payload arena, zeroes the counters and the clock, and
-    /// re-shapes the layout to `n` processors (re-deriving dense vs sparse
-    /// from the stored [`BufferChoice`]) — all while keeping the channel,
-    /// queue and arena allocations warm. With an unchanged `n` this
-    /// allocates nothing; the sparse layout additionally keeps its
-    /// materialized recipient indexes, so steady-state traffic patterns stop
-    /// paying materialization after the first trial.
+    /// Clears the buffer for reuse by the next trial: empties every lane,
+    /// zeroes the counters and the clock, and re-shapes the storage to `n`
+    /// processors (re-deriving dense vs sparse from the stored
+    /// [`BufferChoice`]). With an unchanged `n` this allocates nothing and
+    /// only touches the lanes that sent: logs, cursor rows and materialized
+    /// index queues all stay warm, so steady-state traffic stops paying for
+    /// them after the first trial.
     pub fn reset(&mut self, n: usize) {
-        let want_sparse = self.choice.sparse_for(n);
-        match &mut self.layout {
-            Layout::Dense(channels) if !want_sparse => {
-                if self.n == n {
-                    for queue in channels.iter_mut() {
-                        queue.clear();
-                    }
-                } else {
-                    channels.clear();
-                    channels.resize(n * n, VecDeque::new());
-                }
+        if n == self.n && self.choice.sparse_for(n) == self.sparse {
+            for lane in self.lanes.iter_mut().filter(|lane| !lane.log.is_empty()) {
+                lane.clear();
             }
-            Layout::Sparse { lanes, live } if want_sparse => {
-                if self.n == n {
-                    for lane in lanes.iter_mut() {
-                        if lane.pending > 0 {
-                            for queue in &mut lane.queues {
-                                queue.clear();
-                            }
-                            lane.pending = 0;
-                        }
-                    }
-                    live.fill(0);
-                } else {
-                    lanes.clear();
-                    lanes.resize(n, Lane::default());
-                    live.clear();
-                    live.resize(n.div_ceil(64), 0);
-                }
-            }
-            layout => *layout = Layout::empty(want_sparse, n),
+            self.live.fill(0);
+        } else {
+            self.reshape(n);
         }
-        self.n = n;
-        self.arena.clear();
         self.now = 0;
         self.enqueued = 0;
         self.delivered = 0;
@@ -450,143 +445,54 @@ impl MessageBuffer {
         self.now = now;
     }
 
-    /// Grows the layout so processor `id` is covered. Only reachable through
-    /// `enqueue` on a buffer built with [`MessageBuffer::new`]; engine-owned
-    /// buffers are pre-sized and never take this path. Handles stay valid:
-    /// the arena is untouched, only the channel storage is re-shaped.
+    /// Grows the storage so processor `id` is covered. Only reachable
+    /// through a send on a buffer built with [`MessageBuffer::new`];
+    /// engine-owned buffers are pre-sized and never take this path.
     #[inline]
     fn ensure_covers(&mut self, id: usize) {
-        if id < self.n {
-            return;
+        if id >= self.n {
+            self.grow_to_cover(id);
         }
-        self.grow_to_cover(id);
     }
 
     /// The cold body of [`MessageBuffer::ensure_covers`], outlined so the
-    /// enqueue fast path inlines as a bounds check and nothing more. The
-    /// dense grid is remapped into the wider sender-major layout; the sparse
-    /// fabric just gains empty lanes.
+    /// send fast path inlines as a bounds check and nothing more. Processors
+    /// that join late were not addressed by the broadcasts already logged,
+    /// so their cursors start past them.
     #[cold]
     #[inline(never)]
     fn grow_to_cover(&mut self, id: usize) {
-        let new_n = id + 1;
-        match &mut self.layout {
-            Layout::Dense(channels) => {
-                let mut grown = vec![VecDeque::new(); new_n * new_n];
-                for s in 0..self.n {
-                    for r in 0..self.n {
-                        grown[s * new_n + r] = std::mem::take(&mut channels[s * self.n + r]);
-                    }
-                }
-                *channels = grown;
+        let n = id + 1;
+        let sparse = self.sparse;
+        for lane in &mut self.lanes {
+            // Dense rows always exist; a sparse lane only has one to grow
+            // once it has broadcast.
+            if !lane.cursors.is_empty() {
+                lane.cursors.resize(n, lane.broadcasts.len() as u32);
             }
-            Layout::Sparse { lanes, live } => {
-                lanes.resize(new_n, Lane::default());
-                live.resize(new_n.div_ceil(64), 0);
+            if !sparse {
+                lane.queues.resize_with(n, VecDeque::new);
             }
         }
-        self.n = new_n;
+        self.lanes.resize_with(n, || Lane::new(n, sparse));
+        self.live.resize(n.div_ceil(64), 0);
+        self.n = n;
     }
 
-    /// Appends an entry to the channel `sender -> recipient`, growing the
-    /// layout if needed and bumping the enqueue counter.
+    /// Appends one send addressing `fanout` channels to `sender`'s log —
+    /// recycling the lane first if it has drained — and returns its log
+    /// index. The caller addresses it (cursor or index queues).
     #[inline]
-    fn push_entry(&mut self, sender: ProcessorId, recipient: ProcessorId, entry: Buffered) {
-        self.ensure_covers(sender.index().max(recipient.index()));
-        self.enqueued += 1;
-        let (s, r) = (sender.index(), recipient.index());
-        let n = self.n;
-        match &mut self.layout {
-            Layout::Dense(channels) => channels[s * n + r].push_back(entry),
-            Layout::Sparse { lanes, live } => {
-                let lane = &mut lanes[s];
-                lane.materialize(r).push_back(entry);
-                lane.pending += 1;
-                set_bit(live, s);
-            }
+    fn log_send(&mut self, sender: usize, payload: Payload, chain: u64, fanout: usize) -> u32 {
+        let lane = &mut self.lanes[sender];
+        if lane.pending == 0 {
+            lane.recycle();
         }
-    }
-
-    /// Removes and returns the head entry of the channel, maintaining the
-    /// sparse pending counts and live bits. Does **not** touch the delivered
-    /// counter — callers decide whether a removal counts as a delivery.
-    #[inline]
-    fn pop_front(&mut self, sender: ProcessorId, recipient: ProcessorId) -> Option<Buffered> {
-        let (s, r) = (sender.index(), recipient.index());
-        if s >= self.n || r >= self.n {
-            return None;
-        }
-        let n = self.n;
-        match &mut self.layout {
-            Layout::Dense(channels) => channels[s * n + r].pop_front(),
-            Layout::Sparse { lanes, live } => {
-                let lane = &mut lanes[s];
-                let entry = lane.queue_mut(r)?.pop_front()?;
-                lane.pending -= 1;
-                if lane.pending == 0 {
-                    clear_bit(live, s);
-                }
-                Some(entry)
-            }
-        }
-    }
-
-    /// The head entry of the channel, if any.
-    #[inline]
-    fn front(&self, sender: ProcessorId, recipient: ProcessorId) -> Option<&Buffered> {
-        let (s, r) = (sender.index(), recipient.index());
-        if s >= self.n || r >= self.n {
-            return None;
-        }
-        match &self.layout {
-            Layout::Dense(channels) => channels[s * self.n + r].front(),
-            Layout::Sparse { lanes, .. } => lanes[s].queue(r).and_then(VecDeque::front),
-        }
-    }
-
-    /// The head entry of the channel, if any, mutably.
-    #[inline]
-    fn front_mut(&mut self, sender: ProcessorId, recipient: ProcessorId) -> Option<&mut Buffered> {
-        let (s, r) = (sender.index(), recipient.index());
-        if s >= self.n || r >= self.n {
-            return None;
-        }
-        let n = self.n;
-        match &mut self.layout {
-            Layout::Dense(channels) => channels[s * n + r].front_mut(),
-            Layout::Sparse { lanes, .. } => lanes[s].queue_mut(r).and_then(VecDeque::front_mut),
-        }
-    }
-
-    /// Stores a broadcast payload in the arena without enqueueing it anywhere
-    /// yet.
-    ///
-    /// This is the broadcast primitive: intern once, then
-    /// [`MessageBuffer::enqueue_ref`] the returned handle per recipient. A
-    /// handle that is never enqueued occupies its slot until the next
-    /// [`MessageBuffer::reset`]. Unicast messages should use
-    /// [`MessageBuffer::enqueue_unicast`] instead, which skips the arena.
-    pub fn intern(&mut self, payload: Payload) -> PayloadRef {
-        self.arena.intern(payload)
-    }
-
-    /// Resolves a shared handle to its payload.
-    pub fn payload(&self, handle: PayloadRef) -> &Payload {
-        self.arena.get(handle)
-    }
-
-    /// Drops one reference to `handle` (the counterpart of a
-    /// [`PoppedPayload::Shared`]); the payload's slot is recycled when the
-    /// last reference goes.
-    pub fn release(&mut self, handle: PayloadRef) {
-        self.arena.release(handle);
-    }
-
-    /// Number of distinct broadcast payloads currently alive in the arena. An
-    /// n-way broadcast contributes **one**; unicasts contribute none (their
-    /// payloads live inline in the queue entries).
-    pub fn distinct_payloads(&self) -> usize {
-        self.arena.live()
+        let idx = lane.append(payload, chain, self.now, None);
+        lane.pending += fanout;
+        self.enqueued += fanout as u64;
+        set_bit(&mut self.live, sender);
+        idx
     }
 
     /// Places an envelope into the buffer with a zero chain tag.
@@ -595,15 +501,14 @@ impl MessageBuffer {
     }
 
     /// Places an envelope into the buffer, tagging it with the causal depth of
-    /// its sending step. Unicast path: the payload is moved into the queue
-    /// entry, never interned.
+    /// its sending step.
     #[inline]
     pub fn enqueue_with_chain(&mut self, envelope: Envelope, chain: u64) {
         self.enqueue_unicast(envelope.sender, envelope.recipient, envelope.payload, chain);
     }
 
-    /// Enqueues a single-recipient message with its payload stored inline in
-    /// the queue entry — no arena slot, no reference counting.
+    /// Enqueues a single-recipient message: one log entry, one index on the
+    /// recipient's queue.
     #[inline]
     pub fn enqueue_unicast(
         &mut self,
@@ -612,43 +517,36 @@ impl MessageBuffer {
         payload: Payload,
         chain: u64,
     ) {
-        let entry = Buffered {
-            payload: Stored::Inline(payload),
-            chain,
-            sent_at: self.now,
-        };
-        self.push_entry(sender, recipient, entry);
+        self.multicast(sender, &[recipient], payload, chain);
     }
 
-    /// Enqueues one more reference to an interned broadcast payload on the
-    /// channel `sender -> recipient`.
-    pub fn enqueue_ref(
-        &mut self,
-        sender: ProcessorId,
-        recipient: ProcessorId,
-        payload: PayloadRef,
-        chain: u64,
-    ) {
-        self.arena.retain(payload);
-        let entry = Buffered {
-            payload: Stored::Shared(payload),
-            chain,
-            sent_at: self.now,
-        };
-        self.push_entry(sender, recipient, entry);
+    /// Sends one payload to every processor the buffer covers, the sender
+    /// included: one log entry and nothing per recipient — each channel of
+    /// the lane finds it through its cursor.
+    #[inline]
+    pub fn broadcast(&mut self, sender: ProcessorId, payload: Payload, chain: u64) {
+        let s = sender.index();
+        self.ensure_covers(s);
+        let n = self.n;
+        let idx = self.log_send(s, payload, chain, n);
+        let lane = &mut self.lanes[s];
+        lane.broadcasts.push(idx);
+        if lane.cursors.is_empty() {
+            lane.cursors.resize(n, 0);
+        }
     }
 
     /// Sends one payload to a *set* of recipients: the multicast-to-set
     /// primitive committees are built on.
     ///
-    /// The payload is interned **once** and each recipient's queue gets one
-    /// 4-byte reference, so the cost is O(|recipients|) queue work plus one
-    /// arena slot — independent of `n`. On the sparse layout only the
-    /// addressed recipients' queues are ever materialized, so a committee of
-    /// `k` among 10 000 processors touches `k` queues, not 10 000. An empty
-    /// set is a no-op; a single-recipient set degenerates to the inline
-    /// unicast path and skips the arena entirely. Duplicate ids in
-    /// `recipients` enqueue one message per occurrence, in slice order.
+    /// The payload is logged **once** and each listed recipient's queue gets
+    /// its 4-byte log index, so the cost is O(|recipients|) — independent of
+    /// `n`. On the sparse layout only the addressed recipients' queues are
+    /// ever materialized, so a committee of `k` among 10 000 processors
+    /// touches `k` queues, not 10 000. An empty set is a no-op. Duplicate
+    /// ids in `recipients` enqueue one message per occurrence, in slice
+    /// order.
+    #[inline]
     pub fn multicast(
         &mut self,
         sender: ProcessorId,
@@ -656,72 +554,66 @@ impl MessageBuffer {
         payload: Payload,
         chain: u64,
     ) {
-        match recipients {
-            [] => {}
-            [only] => self.enqueue_unicast(sender, *only, payload, chain),
-            _ => {
-                let handle = self.intern(payload);
-                for &to in recipients {
-                    self.enqueue_ref(sender, to, handle, chain);
-                }
-            }
+        let Some(top) = recipients.iter().map(|to| to.index()).max() else {
+            return;
+        };
+        let s = sender.index();
+        self.ensure_covers(s.max(top));
+        let idx = self.log_send(s, payload, chain, recipients.len());
+        let lane = &mut self.lanes[s];
+        for to in recipients {
+            lane.queue_mut(to.index()).push_back(idx);
         }
+    }
+
+    /// Removes the oldest undelivered message on the channel, maintaining
+    /// the live bits and the delivered counter, and returns its log entry —
+    /// which stays in the lane's log until the lane recycles.
+    #[inline]
+    fn pop_entry(&mut self, sender: ProcessorId, recipient: ProcessorId) -> Option<&Entry> {
+        let s = sender.index();
+        let lane = self.lanes.get_mut(s)?;
+        let idx = lane.pop(recipient.index())?;
+        if lane.pending == 0 {
+            clear_bit(&mut self.live, s);
+        }
+        self.delivered += 1;
+        Some(&lane.log[idx])
     }
 
     /// Removes and returns the oldest undelivered message from `sender` to
     /// `recipient`, if any.
-    #[inline(always)]
+    #[inline]
     pub fn pop(&mut self, sender: ProcessorId, recipient: ProcessorId) -> Option<Payload> {
         self.pop_with_chain(sender, recipient)
             .map(|(payload, _)| payload)
     }
 
     /// Removes and returns the oldest undelivered message on the channel
-    /// together with its chain tag.
+    /// together with its chain tag. The payload is cloned out of the shared
+    /// log entry; the engines deliver through
+    /// [`MessageBuffer::pop_message`], which borrows it instead.
     #[inline]
     pub fn pop_with_chain(
         &mut self,
         sender: ProcessorId,
         recipient: ProcessorId,
     ) -> Option<(Payload, u64)> {
-        let entry = self.pop_front(sender, recipient)?;
-        self.delivered += 1;
-        match entry.payload {
-            Stored::Inline(payload) => Some((payload, entry.chain)),
-            Stored::Shared(handle) => self.pop_shared_by_value(handle, entry.chain),
-        }
+        self.pop_message(sender, recipient)
+            .map(|(payload, chain)| (payload.clone(), chain))
     }
 
-    /// The shared-payload arm of [`MessageBuffer::pop_with_chain`], outlined
-    /// so the inline-unicast fast path keeps a single payload source the
-    /// optimizer can move straight through to the caller.
-    #[cold]
-    #[inline(never)]
-    fn pop_shared_by_value(&mut self, handle: PayloadRef, chain: u64) -> Option<(Payload, u64)> {
-        Some((self.arena.release_take(handle), chain))
-    }
-
-    /// Removes the oldest undelivered message on the channel, handing the
-    /// caller its payload and chain tag.
-    ///
-    /// Unicast payloads arrive by value ([`PoppedPayload::Inline`]); shared
-    /// broadcast payloads arrive as one owed arena reference
-    /// ([`PoppedPayload::Shared`]) — resolve with [`MessageBuffer::payload`]
-    /// and retire with [`MessageBuffer::release`] when done. Either way the
-    /// payload is never cloned.
+    /// Removes the oldest undelivered message on the channel, lending the
+    /// caller its payload — borrowed from the sender's log, never cloned —
+    /// and its chain tag.
     #[inline]
     pub fn pop_message(
         &mut self,
         sender: ProcessorId,
         recipient: ProcessorId,
-    ) -> Option<(PoppedPayload, u64)> {
-        let entry = self.pop_front(sender, recipient)?;
-        self.delivered += 1;
-        let popped = match entry.payload {
-            Stored::Inline(payload) => PoppedPayload::Inline(payload),
-            Stored::Shared(handle) => PoppedPayload::Shared(handle),
-        };
-        Some((popped, entry.chain))
+    ) -> Option<(&Payload, u64)> {
+        self.pop_entry(sender, recipient)
+            .map(|entry| (&entry.payload, entry.chain))
     }
 
     /// Removes *all* undelivered messages from `sender` to `recipient` into
@@ -733,7 +625,7 @@ impl MessageBuffer {
         recipient: ProcessorId,
         out: &mut Vec<Payload>,
     ) {
-        while let Some((payload, _)) = self.pop_with_chain(sender, recipient) {
+        while let Some(payload) = self.pop(sender, recipient) {
             out.push(payload);
         }
     }
@@ -754,48 +646,24 @@ impl MessageBuffer {
     /// processors that take infinitely many steps.
     pub fn drop_to(&mut self, recipient: ProcessorId) {
         let r = recipient.index();
-        if r >= self.n {
-            return;
-        }
-        let MessageBuffer {
-            n,
-            layout,
-            arena,
-            dropped,
-            ..
-        } = self;
-        match layout {
-            Layout::Dense(channels) => {
-                for s in 0..*n {
-                    for entry in channels[s * *n + r].drain(..) {
-                        if let Stored::Shared(handle) = entry.payload {
-                            arena.release(handle);
-                        }
-                        *dropped += 1;
-                    }
-                }
+        for (s, lane) in self.lanes.iter_mut().enumerate() {
+            if lane.pending == 0 {
+                continue;
             }
-            Layout::Sparse { lanes, live } => {
-                for (s, lane) in lanes.iter_mut().enumerate() {
-                    if lane.pending == 0 {
-                        continue;
-                    }
-                    let Some(i) = lane.slot(r) else { continue };
-                    let removed = lane.queues[i].len();
-                    if removed == 0 {
-                        continue;
-                    }
-                    for entry in lane.queues[i].drain(..) {
-                        if let Stored::Shared(handle) = entry.payload {
-                            arena.release(handle);
-                        }
-                    }
-                    lane.pending -= removed;
-                    *dropped += removed as u64;
-                    if lane.pending == 0 {
-                        clear_bit(live, s);
-                    }
-                }
+            let removed = lane.pending_on(r);
+            if removed == 0 {
+                continue;
+            }
+            if let Some(i) = lane.slot(r) {
+                lane.queues[i].clear();
+            }
+            if let Some(cursor) = lane.cursors.get_mut(r) {
+                *cursor = lane.broadcasts.len() as u32;
+            }
+            lane.pending -= removed;
+            self.dropped += removed as u64;
+            if lane.pending == 0 {
+                clear_bit(&mut self.live, s);
             }
         }
     }
@@ -805,21 +673,34 @@ impl MessageBuffer {
     /// preserved). Used to model Byzantine corruption of a message in flight
     /// (the adversary may corrupt messages *sent by* corrupted processors).
     ///
-    /// Corruption is per-entry: when the head shares its payload with other
-    /// queue entries (a broadcast), only this entry is re-pointed at the
-    /// (inline) replacement — the other recipients still see the original.
+    /// Corruption is per-channel: the replacement is logged as an entry of
+    /// its own, taking the original's place in this channel's order only, so
+    /// the other recipients of a broadcast or multicast still see the
+    /// original.
     pub fn corrupt_head(
         &mut self,
         sender: ProcessorId,
         recipient: ProcessorId,
         replacement: Payload,
-    ) -> Option<Payload> {
-        let head = self.front_mut(sender, recipient)?;
-        let old = std::mem::replace(&mut head.payload, Stored::Inline(replacement));
-        Some(match old {
-            Stored::Inline(payload) => payload,
-            Stored::Shared(handle) => self.arena.release_take(handle),
-        })
+    ) -> Option<&Payload> {
+        let r = recipient.index();
+        let lane = self.lanes.get_mut(sender.index())?;
+        let (source, original) = lane.head(r)?;
+        let Entry {
+            chain,
+            sent_at,
+            order,
+            ..
+        } = lane.log[original];
+        let replaced = lane.append(replacement, chain, sent_at, Some(order));
+        match source {
+            Source::Queue(i) => lane.queues[i][0] = replaced,
+            Source::Cursor => {
+                lane.cursors[r] += 1;
+                lane.queue_mut(r).push_front(replaced);
+            }
+        }
+        Some(&lane.log[original].payload)
     }
 
     /// Discards every undelivered message in the buffer, returning how many
@@ -827,66 +708,38 @@ impl MessageBuffer {
     ///
     /// The window scheduler calls this at the start of every sending phase: an
     /// acceptable window only delivers messages "just sent" within it, so
-    /// anything left over from the previous window is never delivered. On the
-    /// sparse layout only lanes with pending messages are visited.
+    /// anything left over from the previous window is never delivered. Only
+    /// lanes with pending messages are touched.
     pub fn discard_undelivered(&mut self) -> usize {
-        let MessageBuffer {
-            layout,
-            arena,
-            dropped,
-            ..
-        } = self;
         let mut count = 0;
-        match layout {
-            Layout::Dense(channels) => {
-                for queue in channels {
-                    count += queue.len();
-                    for entry in queue.drain(..) {
-                        if let Stored::Shared(handle) = entry.payload {
-                            arena.release(handle);
-                        }
-                    }
-                }
-            }
-            Layout::Sparse { lanes, live } => {
-                for lane in lanes.iter_mut() {
-                    if lane.pending == 0 {
-                        continue;
-                    }
-                    count += lane.pending;
-                    for queue in &mut lane.queues {
-                        for entry in queue.drain(..) {
-                            if let Stored::Shared(handle) = entry.payload {
-                                arena.release(handle);
-                            }
-                        }
-                    }
-                    lane.pending = 0;
-                }
-                live.fill(0);
-            }
+        for lane in self.lanes.iter_mut().filter(|lane| lane.pending > 0) {
+            count += lane.pending;
+            lane.clear();
         }
-        *dropped += count as u64;
+        self.live.fill(0);
+        self.dropped += count as u64;
         count
     }
 
     /// Returns the number of undelivered messages from `sender` to `recipient`.
     #[inline]
     pub fn pending_on(&self, sender: ProcessorId, recipient: ProcessorId) -> usize {
-        let (s, r) = (sender.index(), recipient.index());
-        if s >= self.n || r >= self.n {
-            return 0;
-        }
-        match &self.layout {
-            Layout::Dense(channels) => channels[s * self.n + r].len(),
-            Layout::Sparse { lanes, .. } => lanes[s].queue(r).map_or(0, VecDeque::len),
-        }
+        self.lanes
+            .get(sender.index())
+            .map_or(0, |lane| lane.pending_on(recipient.index()))
+    }
+
+    /// The log entry at the head of the channel, if any.
+    #[inline]
+    fn front(&self, sender: ProcessorId, recipient: ProcessorId) -> Option<&Entry> {
+        let lane = self.lanes.get(sender.index())?;
+        let (_, idx) = lane.head(recipient.index())?;
+        Some(&lane.log[idx])
     }
 
     /// Returns the oldest undelivered payload on the channel without removing it.
     pub fn peek(&self, sender: ProcessorId, recipient: ProcessorId) -> Option<&Payload> {
-        self.front(sender, recipient)
-            .map(|entry| self.resolve(entry))
+        self.front(sender, recipient).map(|entry| &entry.payload)
     }
 
     /// The send-time stamp of the oldest undelivered message on the channel
@@ -897,25 +750,26 @@ impl MessageBuffer {
         self.front(sender, recipient).map(|entry| entry.sent_at)
     }
 
-    #[inline]
-    fn resolve<'a>(&'a self, entry: &'a Buffered) -> &'a Payload {
-        match &entry.payload {
-            Stored::Inline(payload) => payload,
-            Stored::Shared(handle) => self.arena.get(*handle),
-        }
-    }
-
     /// Iterates over all `(sender, recipient, payload)` triples currently buffered,
     /// sender-major and oldest-first within each channel. The order is
     /// identical on both layouts (and to the `(sender, recipient)`-keyed
     /// ordering of the original `BTreeMap` layout).
     pub fn iter(&self) -> impl Iterator<Item = (ProcessorId, ProcessorId, &Payload)> + '_ {
-        PendingIter {
-            buf: self,
-            sender: 0,
-            slot: 0,
-            entry: 0,
-        }
+        let n = self.n;
+        let pending = self
+            .lanes
+            .iter()
+            .enumerate()
+            .filter(|(_, lane)| lane.pending > 0);
+        pending.flat_map(move |(s, lane)| {
+            std::iter::successors(lane.next_pending(0, n), move |&r| {
+                lane.next_pending(r + 1, n)
+            })
+            .flat_map(move |r| {
+                lane.channel(r)
+                    .map(move |entry| (ProcessorId::new(s), ProcessorId::new(r), &entry.payload))
+            })
+        })
     }
 
     /// The senders with at least one undelivered message to `recipient`, in
@@ -924,18 +778,7 @@ impl MessageBuffer {
         &self,
         recipient: ProcessorId,
     ) -> impl Iterator<Item = ProcessorId> + '_ {
-        let covered = if recipient.index() < self.n {
-            self.n
-        } else {
-            0
-        };
-        (0..covered).filter_map(move |s| {
-            if self.pending_on(ProcessorId::new(s), recipient) > 0 {
-                Some(ProcessorId::new(s))
-            } else {
-                None
-            }
-        })
+        ProcessorId::all(self.n).filter(move |&sender| self.pending_on(sender, recipient) > 0)
     }
 
     /// Finds the first channel with a pending message at or after `cursor`
@@ -947,13 +790,12 @@ impl MessageBuffer {
     /// `n` is the *caller's* channel space (the system size), which may
     /// exceed the buffer's own coverage when the buffer was grown lazily;
     /// cursor arithmetic always uses `n * n` so round-robin fairness is over
-    /// the system, not the traffic pattern. On the dense layout this is a
-    /// flat wrapping scan; on the sparse layout idle senders are skipped
-    /// sixty-four at a time through the live bitset and only materialized
-    /// recipients are visited, making the common adversary pattern —
-    /// resume-where-you-left-off round-robin — amortized O(1) per delivery
-    /// instead of O(n²). Both layouts return identical results for identical
-    /// contents.
+    /// the system, not the traffic pattern. Idle senders are skipped
+    /// sixty-four at a time through the live bitset, and within a lane only
+    /// its cursor row and materialized queues are visited, making the common
+    /// adversary pattern — resume-where-you-left-off round-robin — amortized
+    /// O(1) per delivery instead of O(n²). Both layouts return identical
+    /// results for identical contents.
     pub fn next_pending_channel_where(
         &self,
         n: usize,
@@ -964,48 +806,17 @@ impl MessageBuffer {
         if channels == 0 || self.is_empty() {
             return None;
         }
-        match &self.layout {
-            Layout::Dense(_) => (0..channels)
-                .map(|offset| (cursor + offset) % channels)
-                .find_map(|idx| {
-                    let from = ProcessorId::new(idx / n);
-                    let to = ProcessorId::new(idx % n);
-                    if !admit(from, to) || self.pending_on(from, to) == 0 {
-                        return None;
-                    }
-                    Some(((idx + 1) % channels, from, to))
-                }),
-            Layout::Sparse { lanes, live } => {
-                let start = cursor % channels;
-                let (s0, r0) = (start / n, start % n);
-                let lane_hi = lanes.len().min(n);
-                // Phase A: the cursor lane's recipients at or after the
-                // cursor.
-                if s0 < lane_hi {
-                    if let Some(hit) = scan_lane(lanes, s0, r0, n, n, &admit) {
-                        return Some(hit);
-                    }
-                }
-                // Phase B: every other lane in cursor order — senders after
-                // the cursor, then senders before it — skipping idle senders
-                // by the word through the live bitset.
-                if let Some(hit) =
-                    scan_live_range(lanes, live, (s0 + 1).min(lane_hi), lane_hi, n, &admit)
-                {
-                    return Some(hit);
-                }
-                if let Some(hit) = scan_live_range(lanes, live, 0, s0.min(lane_hi), n, &admit) {
-                    return Some(hit);
-                }
-                // Phase C: the cursor lane's recipients before the cursor.
-                if s0 < lane_hi {
-                    if let Some(hit) = scan_lane(lanes, s0, 0, r0, n, &admit) {
-                        return Some(hit);
-                    }
-                }
-                None
-            }
-        }
+        let start = cursor % channels;
+        let (s0, r0) = (start / n, start % n);
+        let lanes = &self.lanes[..self.lanes.len().min(n)];
+        // The cursor lane's recipients at or after the cursor; then every
+        // other lane in cursor order — senders after the cursor, then
+        // senders before it — skipping idle senders by the word through the
+        // live bitset; last the cursor lane's recipients before the cursor.
+        scan_lane(lanes, s0, r0, n, n, &admit)
+            .or_else(|| scan_live_range(lanes, &self.live, s0 + 1, n, n, &admit))
+            .or_else(|| scan_live_range(lanes, &self.live, 0, s0, n, &admit))
+            .or_else(|| scan_lane(lanes, s0, 0, r0, n, &admit))
     }
 
     /// [`MessageBuffer::next_pending_channel_where`] with every channel
@@ -1057,32 +868,22 @@ fn scan_lane(
     n: usize,
     admit: &impl Fn(ProcessorId, ProcessorId) -> bool,
 ) -> Option<(usize, ProcessorId, ProcessorId)> {
-    let lane = lanes.get(s)?;
-    if lane.pending == 0 {
-        return None;
-    }
+    let lane = lanes.get(s).filter(|lane| lane.pending > 0)?;
     let from = ProcessorId::new(s);
-    let start = lane.recipients.partition_point(|&r| (r as usize) < lo_r);
-    for (&r, queue) in lane.recipients[start..].iter().zip(&lane.queues[start..]) {
-        let r = r as usize;
-        if r >= hi_r {
-            break;
-        }
-        if queue.is_empty() {
-            continue;
-        }
+    let mut lo = lo_r;
+    while let Some(r) = lane.next_pending(lo, hi_r) {
         let to = ProcessorId::new(r);
-        if !admit(from, to) {
-            continue;
+        if admit(from, to) {
+            return Some(((s * n + r + 1) % (n * n), from, to));
         }
-        let idx = s * n + r;
-        return Some(((idx + 1) % (n * n), from, to));
+        lo = r + 1;
     }
     None
 }
 
-/// Scans the lanes of senders in `[lo, hi)` (ascending) that the `live`
-/// bitset marks as having pending messages, word by word.
+/// Scans the lanes of senders in `[lo, hi)` (ascending, clamped to the lanes
+/// that exist) that the `live` bitset marks as having pending messages, word
+/// by word.
 fn scan_live_range(
     lanes: &[Lane],
     live: &[u64],
@@ -1091,6 +892,7 @@ fn scan_live_range(
     n: usize,
     admit: &impl Fn(ProcessorId, ProcessorId) -> bool,
 ) -> Option<(usize, ProcessorId, ProcessorId)> {
+    let hi = hi.min(lanes.len());
     if lo >= hi {
         return None;
     }
@@ -1118,83 +920,49 @@ fn scan_live_range(
     None
 }
 
-/// The iterator behind [`MessageBuffer::iter`]: a sender-major walk over
-/// whichever layout the buffer holds.
-struct PendingIter<'a> {
-    buf: &'a MessageBuffer,
-    /// Current sender.
-    sender: usize,
-    /// Dense: current recipient. Sparse: current slot in the sender's lane.
-    slot: usize,
-    /// Position within the current queue.
-    entry: usize,
-}
-
-impl<'a> Iterator for PendingIter<'a> {
-    type Item = (ProcessorId, ProcessorId, &'a Payload);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let n = self.buf.n;
-        match &self.buf.layout {
-            Layout::Dense(channels) => loop {
-                if self.sender >= n {
-                    return None;
-                }
-                let queue = &channels[self.sender * n + self.slot];
-                if let Some(e) = queue.get(self.entry) {
-                    let item = (
-                        ProcessorId::new(self.sender),
-                        ProcessorId::new(self.slot),
-                        self.buf.resolve(e),
-                    );
-                    self.entry += 1;
-                    return Some(item);
-                }
-                self.entry = 0;
-                self.slot += 1;
-                if self.slot >= n {
-                    self.slot = 0;
-                    self.sender += 1;
-                }
-            },
-            Layout::Sparse { lanes, .. } => loop {
-                let lane = lanes.get(self.sender)?;
-                if lane.pending == 0 || self.slot >= lane.recipients.len() {
-                    self.sender += 1;
-                    self.slot = 0;
-                    self.entry = 0;
-                    continue;
-                }
-                if let Some(e) = lane.queues[self.slot].get(self.entry) {
-                    let item = (
-                        ProcessorId::new(self.sender),
-                        ProcessorId::new(lane.recipients[self.slot] as usize),
-                        self.buf.resolve(e),
-                    );
-                    self.entry += 1;
-                    return Some(item);
-                }
-                self.slot += 1;
-                self.entry = 0;
-            },
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use agreement_model::Bit;
+    use agreement_model::{Bit, ProcessorRng};
+    use std::collections::BTreeMap;
+    use std::mem::size_of;
+
+    fn id(i: usize) -> ProcessorId {
+        ProcessorId::new(i)
+    }
+
+    fn report(round: u64) -> Payload {
+        Payload::Report {
+            round,
+            value: Bit::Zero,
+        }
+    }
 
     fn env(from: usize, to: usize, round: u64) -> Envelope {
-        Envelope::new(
-            ProcessorId::new(from),
-            ProcessorId::new(to),
-            Payload::Report {
-                round,
-                value: Bit::Zero,
-            },
-        )
+        Envelope::new(id(from), id(to), report(round))
+    }
+
+    /// Bytes of heap the buffer holds on to (capacities, not lengths).
+    fn heap_bytes(buf: &MessageBuffer) -> usize {
+        let per_lane = |lane: &Lane| {
+            lane.log.capacity() * size_of::<Entry>()
+                + (lane.broadcasts.capacity() + lane.cursors.capacity()) * size_of::<u32>()
+                + lane.recipients.capacity() * size_of::<u32>()
+                + lane.queues.capacity() * size_of::<VecDeque<u32>>()
+                + lane
+                    .queues
+                    .iter()
+                    .map(|queue| queue.capacity() * size_of::<u32>())
+                    .sum::<usize>()
+        };
+        buf.lanes.capacity() * size_of::<Lane>()
+            + buf.lanes.iter().map(per_lane).sum::<usize>()
+            + buf.live.capacity() * size_of::<u64>()
+    }
+
+    /// Log entries currently held across all lanes.
+    fn logged(buf: &MessageBuffer) -> usize {
+        buf.lanes.iter().map(|lane| lane.log.len()).sum()
     }
 
     #[test]
@@ -1203,14 +971,14 @@ mod tests {
         buf.enqueue(env(0, 1, 1));
         buf.enqueue(env(0, 1, 2));
         buf.enqueue(env(2, 1, 9));
-        assert_eq!(buf.pending_on(ProcessorId::new(0), ProcessorId::new(1)), 2);
-        let first = buf.pop(ProcessorId::new(0), ProcessorId::new(1)).unwrap();
+        assert_eq!(buf.pending_on(id(0), id(1)), 2);
+        let first = buf.pop(id(0), id(1)).unwrap();
         assert_eq!(first.round(), Some(1));
-        let second = buf.pop(ProcessorId::new(0), ProcessorId::new(1)).unwrap();
+        let second = buf.pop(id(0), id(1)).unwrap();
         assert_eq!(second.round(), Some(2));
-        assert!(buf.pop(ProcessorId::new(0), ProcessorId::new(1)).is_none());
+        assert!(buf.pop(id(0), id(1)).is_none());
         // The other channel is untouched.
-        assert_eq!(buf.pending_on(ProcessorId::new(2), ProcessorId::new(1)), 1);
+        assert_eq!(buf.pending_on(id(2), id(1)), 1);
     }
 
     #[test]
@@ -1218,14 +986,10 @@ mod tests {
         let mut buf = MessageBuffer::new();
         buf.enqueue_with_chain(env(0, 1, 1), 4);
         buf.enqueue_with_chain(env(0, 1, 2), 9);
-        let (first, chain) = buf
-            .pop_with_chain(ProcessorId::new(0), ProcessorId::new(1))
-            .unwrap();
+        let (first, chain) = buf.pop_with_chain(id(0), id(1)).unwrap();
         assert_eq!(first.round(), Some(1));
         assert_eq!(chain, 4);
-        let (_, chain) = buf
-            .pop_with_chain(ProcessorId::new(0), ProcessorId::new(1))
-            .unwrap();
+        let (_, chain) = buf.pop_with_chain(id(0), id(1)).unwrap();
         assert_eq!(chain, 9);
     }
 
@@ -1235,28 +999,16 @@ mod tests {
         buf.enqueue(env(0, 1, 1));
         buf.set_now(7);
         buf.enqueue(env(0, 1, 2));
-        assert_eq!(
-            buf.head_sent_at(ProcessorId::new(0), ProcessorId::new(1)),
-            Some(0)
-        );
-        buf.pop(ProcessorId::new(0), ProcessorId::new(1));
-        assert_eq!(
-            buf.head_sent_at(ProcessorId::new(0), ProcessorId::new(1)),
-            Some(7)
-        );
-        buf.pop(ProcessorId::new(0), ProcessorId::new(1));
-        assert_eq!(
-            buf.head_sent_at(ProcessorId::new(0), ProcessorId::new(1)),
-            None
-        );
+        assert_eq!(buf.head_sent_at(id(0), id(1)), Some(0));
+        buf.pop(id(0), id(1));
+        assert_eq!(buf.head_sent_at(id(0), id(1)), Some(7));
+        buf.pop(id(0), id(1));
+        assert_eq!(buf.head_sent_at(id(0), id(1)), None);
         // Reset rewinds the clock with everything else.
         buf.set_now(9);
         buf.reset(2);
         buf.enqueue(env(0, 1, 3));
-        assert_eq!(
-            buf.head_sent_at(ProcessorId::new(0), ProcessorId::new(1)),
-            Some(0)
-        );
+        assert_eq!(buf.head_sent_at(id(0), id(1)), Some(0));
     }
 
     #[test]
@@ -1265,7 +1017,7 @@ mod tests {
         for r in 1..=3 {
             buf.enqueue(env(4, 2, r));
         }
-        let drained = buf.drain_channel(ProcessorId::new(4), ProcessorId::new(2));
+        let drained = buf.drain_channel(id(4), id(2));
         assert_eq!(drained.len(), 3);
         assert_eq!(drained[0].round(), Some(1));
         assert_eq!(drained[2].round(), Some(3));
@@ -1276,9 +1028,7 @@ mod tests {
     #[test]
     fn drain_of_missing_channel_is_empty() {
         let mut buf = MessageBuffer::new();
-        assert!(buf
-            .drain_channel(ProcessorId::new(0), ProcessorId::new(1))
-            .is_empty());
+        assert!(buf.drain_channel(id(0), id(1)).is_empty());
     }
 
     #[test]
@@ -1288,12 +1038,12 @@ mod tests {
         for r in 1..=3 {
             buf.enqueue(env(0, 1, r));
         }
-        buf.drain_channel_into(ProcessorId::new(0), ProcessorId::new(1), &mut scratch);
+        buf.drain_channel_into(id(0), id(1), &mut scratch);
         assert_eq!(scratch.len(), 3);
         assert_eq!(scratch[0].round(), Some(1));
         scratch.clear();
         buf.enqueue(env(0, 1, 9));
-        buf.drain_channel_into(ProcessorId::new(0), ProcessorId::new(1), &mut scratch);
+        buf.drain_channel_into(id(0), id(1), &mut scratch);
         assert_eq!(scratch.len(), 1);
         assert_eq!(scratch[0].round(), Some(9));
     }
@@ -1303,9 +1053,9 @@ mod tests {
         let mut buf = MessageBuffer::new();
         buf.enqueue(env(0, 1, 1));
         buf.enqueue(env(0, 2, 1));
-        buf.drop_to(ProcessorId::new(1));
-        assert_eq!(buf.pending_on(ProcessorId::new(0), ProcessorId::new(1)), 0);
-        assert_eq!(buf.pending_on(ProcessorId::new(0), ProcessorId::new(2)), 1);
+        buf.drop_to(id(1));
+        assert_eq!(buf.pending_on(id(0), id(1)), 0);
+        assert_eq!(buf.pending_on(id(0), id(2)), 1);
         assert_eq!(buf.dropped_count(), 1);
     }
 
@@ -1313,23 +1063,17 @@ mod tests {
     fn corrupt_head_replaces_payload_in_place() {
         let mut buf = MessageBuffer::new();
         buf.enqueue_with_chain(env(3, 0, 5), 7);
-        let original = buf
-            .corrupt_head(
-                ProcessorId::new(3),
-                ProcessorId::new(0),
-                Payload::Report {
-                    round: 5,
-                    value: Bit::One,
-                },
-            )
-            .unwrap();
+        let lie = Payload::Report {
+            round: 5,
+            value: Bit::One,
+        };
+        let original = buf.corrupt_head(id(3), id(0), lie).unwrap();
         assert_eq!(original.advocated_value(), Some(Bit::Zero));
-        let now = buf.peek(ProcessorId::new(3), ProcessorId::new(0)).unwrap();
+        let now = buf.peek(id(3), id(0)).unwrap();
         assert_eq!(now.advocated_value(), Some(Bit::One));
+        assert_eq!(buf.pending_on(id(3), id(0)), 1);
         // Corruption rewrites contents, not causality: the tag is preserved.
-        let (_, chain) = buf
-            .pop_with_chain(ProcessorId::new(3), ProcessorId::new(0))
-            .unwrap();
+        let (_, chain) = buf.pop_with_chain(id(3), id(0)).unwrap();
         assert_eq!(chain, 7);
     }
 
@@ -1339,8 +1083,8 @@ mod tests {
         buf.enqueue(env(0, 5, 1));
         buf.enqueue(env(3, 5, 1));
         buf.enqueue(env(3, 6, 1));
-        let senders: Vec<ProcessorId> = buf.senders_with_pending(ProcessorId::new(5)).collect();
-        assert_eq!(senders, vec![ProcessorId::new(0), ProcessorId::new(3)]);
+        let senders: Vec<ProcessorId> = buf.senders_with_pending(id(5)).collect();
+        assert_eq!(senders, vec![id(0), id(3)]);
     }
 
     #[test]
@@ -1369,15 +1113,20 @@ mod tests {
     }
 
     #[test]
-    fn presized_buffer_handles_out_of_range_queries_gracefully() {
-        let mut buf = MessageBuffer::with_processors(2);
-        buf.enqueue(env(0, 1, 1));
-        assert_eq!(buf.pending_on(ProcessorId::new(5), ProcessorId::new(0)), 0);
-        assert!(buf.peek(ProcessorId::new(0), ProcessorId::new(9)).is_none());
-        assert!(buf.pop(ProcessorId::new(9), ProcessorId::new(0)).is_none());
-        assert_eq!(buf.senders_with_pending(ProcessorId::new(7)).count(), 0);
-        buf.drop_to(ProcessorId::new(42));
-        assert_eq!(buf.pending_total(), 1);
+    fn out_of_range_queries_are_answered_gracefully_on_both_layouts() {
+        for choice in [BufferChoice::Dense, BufferChoice::Sparse] {
+            let mut buf = MessageBuffer::with_choice(2, choice);
+            buf.enqueue(env(0, 1, 1));
+            buf.broadcast(id(1), report(2), 0);
+            assert_eq!(buf.pending_on(id(5), id(0)), 0);
+            assert_eq!(buf.pending_on(id(1), id(5)), 0);
+            assert!(buf.peek(id(0), id(9)).is_none());
+            assert!(buf.pop(id(9), id(0)).is_none());
+            assert!(buf.pop(id(1), id(9)).is_none());
+            assert_eq!(buf.senders_with_pending(id(7)).count(), 0);
+            buf.drop_to(id(42));
+            assert_eq!(buf.pending_total(), 3);
+        }
     }
 
     #[test]
@@ -1395,144 +1144,128 @@ mod tests {
     }
 
     #[test]
-    fn unicasts_never_touch_the_arena() {
-        let mut buf = MessageBuffer::with_processors(3);
-        for round in 1..=5 {
-            buf.enqueue(env(0, 1, round));
-        }
-        assert_eq!(buf.pending_total(), 5);
-        assert_eq!(
-            buf.distinct_payloads(),
-            0,
-            "inline unicasts allocate no arena slots"
-        );
-        for round in 1..=5 {
-            let (popped, _) = buf
-                .pop_message(ProcessorId::new(0), ProcessorId::new(1))
-                .unwrap();
-            match popped {
-                PoppedPayload::Inline(payload) => assert_eq!(payload.round(), Some(round)),
-                PoppedPayload::Shared(_) => panic!("unicast must pop inline"),
-            }
-        }
-        assert_eq!(buf.delivered_count(), 5);
+    fn a_broadcast_addresses_the_processors_covered_when_it_was_sent() {
+        let mut buf = MessageBuffer::new();
+        buf.enqueue(env(0, 2, 1));
+        buf.broadcast(id(1), report(2), 0);
+        assert_eq!(buf.pending_total(), 1 + 3);
+        // Processor 4 joins afterwards: the logged broadcast is not for it,
+        // the next one is.
+        buf.enqueue(env(4, 0, 3));
+        assert_eq!(buf.pending_on(id(1), id(4)), 0);
+        buf.broadcast(id(1), report(4), 0);
+        assert_eq!(buf.pending_on(id(1), id(4)), 1);
+        assert_eq!(buf.pending_on(id(1), id(2)), 2);
+        assert_eq!(buf.pending_total(), 1 + 3 + 1 + 5);
+        assert_eq!(buf.iter().count(), buf.pending_total());
     }
 
     #[test]
-    fn broadcast_shares_one_arena_slot_across_recipients() {
+    fn a_broadcast_is_one_log_entry_however_many_it_addresses() {
         let mut buf = MessageBuffer::with_processors(4);
-        let handle = buf.intern(Payload::Report {
-            round: 1,
-            value: Bit::One,
-        });
-        for to in ProcessorId::all(4) {
-            buf.enqueue_ref(ProcessorId::new(0), to, handle, 1);
-        }
-        assert_eq!(buf.pending_total(), 4, "four queue entries");
-        assert_eq!(buf.distinct_payloads(), 1, "one stored payload");
+        buf.broadcast(
+            id(0),
+            Payload::Report {
+                round: 1,
+                value: Bit::One,
+            },
+            1,
+        );
+        assert_eq!(buf.pending_total(), 4, "four pending messages");
         assert_eq!(buf.enqueued_count(), 4);
+        assert_eq!(logged(&buf), 1, "one stored payload");
+        assert!(
+            buf.lanes[0].queues.iter().all(VecDeque::is_empty),
+            "addressed by cursor, not by queue entries"
+        );
         // Every recipient resolves the same contents.
         for to in ProcessorId::all(4) {
-            let (p, chain) = buf.pop_with_chain(ProcessorId::new(0), to).unwrap();
+            let (p, chain) = buf.pop_with_chain(id(0), to).unwrap();
             assert_eq!(p.round(), Some(1));
             assert_eq!(chain, 1);
         }
-        assert_eq!(buf.distinct_payloads(), 0, "slot retired with last pop");
         assert_eq!(buf.delivered_count(), 4);
+        assert!(buf.is_empty());
     }
 
     #[test]
     fn corrupting_a_shared_head_leaves_other_recipients_untouched() {
-        let mut buf = MessageBuffer::with_processors(3);
-        let handle = buf.intern(Payload::Report {
-            round: 1,
-            value: Bit::Zero,
-        });
-        for to in ProcessorId::all(3) {
-            buf.enqueue_ref(ProcessorId::new(0), to, handle, 2);
-        }
-        let original = buf
-            .corrupt_head(
-                ProcessorId::new(0),
-                ProcessorId::new(1),
-                Payload::Report {
-                    round: 1,
-                    value: Bit::One,
-                },
-            )
-            .unwrap();
-        assert_eq!(original.advocated_value(), Some(Bit::Zero));
-        // Recipient 1 sees the corruption; 0 and 2 see the original.
-        let corrupted = buf.pop(ProcessorId::new(0), ProcessorId::new(1)).unwrap();
-        assert_eq!(corrupted.advocated_value(), Some(Bit::One));
-        for to in [ProcessorId::new(0), ProcessorId::new(2)] {
-            let p = buf.pop(ProcessorId::new(0), to).unwrap();
-            assert_eq!(p.advocated_value(), Some(Bit::Zero));
-        }
-        assert_eq!(buf.distinct_payloads(), 0);
-    }
-
-    #[test]
-    fn arena_recycles_slots_through_the_free_list() {
-        let mut buf = MessageBuffer::with_processors(2);
-        for round in 1..=10 {
-            let handle = buf.intern(Payload::Report {
-                round,
-                value: Bit::Zero,
-            });
-            buf.enqueue_ref(ProcessorId::new(0), ProcessorId::new(1), handle, 1);
-            let (p, _) = buf
-                .pop_with_chain(ProcessorId::new(0), ProcessorId::new(1))
-                .unwrap();
-            assert_eq!(p.round(), Some(round));
-            assert_eq!(
-                buf.distinct_payloads(),
-                0,
-                "slot freed as soon as the only reference is popped"
-            );
+        for choice in [BufferChoice::Dense, BufferChoice::Sparse] {
+            let mut buf = MessageBuffer::with_choice(3, choice);
+            buf.broadcast(id(0), report(1), 2);
+            buf.enqueue(env(0, 1, 2));
+            let lie = Payload::Report {
+                round: 1,
+                value: Bit::One,
+            };
+            let original = buf.corrupt_head(id(0), id(1), lie).unwrap();
+            assert_eq!(original.advocated_value(), Some(Bit::Zero));
+            // Recipient 1 sees the corruption — ahead of the unicast that
+            // was sent after the broadcast — 0 and 2 see the original.
+            assert_eq!(buf.pending_on(id(0), id(1)), 2);
+            let (corrupted, chain) = buf.pop_with_chain(id(0), id(1)).unwrap();
+            assert_eq!(corrupted.advocated_value(), Some(Bit::One));
+            assert_eq!(chain, 2, "the replacement keeps the original's tag");
+            assert_eq!(buf.pop(id(0), id(1)).unwrap().round(), Some(2));
+            for to in [id(0), id(2)] {
+                let p = buf.pop(id(0), to).unwrap();
+                assert_eq!(p.advocated_value(), Some(Bit::Zero));
+            }
+            assert!(buf.is_empty());
         }
     }
 
     #[test]
-    fn shared_pop_release_round_trip_keeps_payload_borrowable() {
+    fn pop_message_lends_the_payload_from_the_log() {
         let mut buf = MessageBuffer::with_processors(2);
-        let handle = buf.intern(Payload::Report {
-            round: 7,
-            value: Bit::Zero,
-        });
-        buf.enqueue_ref(ProcessorId::new(1), ProcessorId::new(0), handle, 3);
-        let (popped, chain) = buf
-            .pop_message(ProcessorId::new(1), ProcessorId::new(0))
-            .unwrap();
+        buf.broadcast(id(1), report(7), 3);
+        let (payload, chain) = buf.pop_message(id(1), id(0)).unwrap();
         assert_eq!(chain, 3);
-        let PoppedPayload::Shared(handle) = popped else {
-            panic!("broadcast entries pop as shared handles");
-        };
-        assert_eq!(buf.payload(handle).round(), Some(7));
-        buf.release(handle);
-        assert_eq!(buf.distinct_payloads(), 0);
+        assert_eq!(payload.round(), Some(7));
         assert_eq!(buf.delivered_count(), 1);
+        // Draining the lane does not pull the payload out from under the
+        // borrower: the log is only recycled by the lane's next send.
+        let (payload, _) = buf.pop_message(id(1), id(1)).unwrap();
+        assert_eq!(payload.round(), Some(7));
+        assert!(buf.is_empty());
+        assert_eq!(logged(&buf), 1);
+        buf.enqueue(env(1, 0, 8));
+        assert_eq!(logged(&buf), 1, "the drained log was recycled");
+        assert_eq!(buf.peek(id(1), id(0)).unwrap().round(), Some(8));
     }
 
     #[test]
-    fn reset_clears_messages_arena_and_counters_but_keeps_layout() {
-        let mut buf = MessageBuffer::with_processors(3);
-        buf.enqueue(env(0, 1, 1));
-        buf.enqueue(env(2, 0, 2));
-        buf.pop(ProcessorId::new(0), ProcessorId::new(1));
-        buf.reset(3);
-        assert!(buf.is_empty());
-        assert_eq!(buf.distinct_payloads(), 0);
-        assert_eq!(buf.enqueued_count(), 0);
-        assert_eq!(buf.delivered_count(), 0);
-        assert_eq!(buf.dropped_count(), 0);
-        // Still usable for the same n without growth.
-        buf.enqueue(env(2, 2, 1));
-        assert_eq!(buf.pending_on(ProcessorId::new(2), ProcessorId::new(2)), 1);
-        // Re-shaping to a different n works too.
-        buf.reset(5);
-        buf.enqueue(env(4, 4, 1));
-        assert_eq!(buf.pending_on(ProcessorId::new(4), ProcessorId::new(4)), 1);
+    fn reset_clears_messages_logs_and_counters_but_keeps_layout() {
+        for choice in [BufferChoice::Dense, BufferChoice::Sparse] {
+            let mut buf = MessageBuffer::with_choice(3, choice);
+            buf.enqueue(env(0, 1, 1));
+            buf.enqueue(env(2, 0, 2));
+            buf.broadcast(id(1), report(3), 0);
+            buf.pop(id(0), id(1));
+            buf.pop(id(1), id(2));
+            buf.reset(3);
+            assert_eq!(buf.is_sparse(), choice == BufferChoice::Sparse);
+            assert!(buf.is_empty());
+            assert_eq!(logged(&buf), 0);
+            assert_eq!(buf.iter().count(), 0);
+            assert_eq!(buf.enqueued_count(), 0);
+            assert_eq!(buf.delivered_count(), 0);
+            assert_eq!(buf.dropped_count(), 0);
+            assert!(
+                buf.next_pending_channel(3, 0).is_none(),
+                "live bits cleared"
+            );
+            // Still usable for the same n without growth, cursors rewound.
+            buf.enqueue(env(2, 2, 1));
+            assert_eq!(buf.pending_on(id(2), id(2)), 1);
+            buf.broadcast(id(1), report(4), 0);
+            assert_eq!(buf.pending_on(id(1), id(2)), 1);
+            // Re-shaping to a different n works and keeps the choice.
+            buf.reset(9);
+            assert_eq!(buf.is_sparse(), choice == BufferChoice::Sparse);
+            buf.enqueue(env(8, 8, 1));
+            assert_eq!(buf.pending_on(id(8), id(8)), 1);
+        }
     }
 
     #[test]
@@ -1552,192 +1285,42 @@ mod tests {
     }
 
     #[test]
-    fn sparse_matches_dense_on_mixed_traffic() {
-        let n = 6;
-        let mut dense = MessageBuffer::with_choice(n, BufferChoice::Dense);
-        let mut sparse = MessageBuffer::with_choice(n, BufferChoice::Sparse);
-        for buf in [&mut dense, &mut sparse] {
-            buf.enqueue(env(2, 0, 1));
-            buf.enqueue(env(0, 2, 2));
-            buf.enqueue(env(0, 1, 3));
-            buf.enqueue_with_chain(env(1, 0, 4), 9);
-            let h = buf.intern(Payload::Report {
-                round: 5,
-                value: Bit::One,
-            });
-            for to in ProcessorId::all(n) {
-                buf.enqueue_ref(ProcessorId::new(3), to, h, 1);
-            }
-            buf.pop(ProcessorId::new(0), ProcessorId::new(2));
-            buf.drop_to(ProcessorId::new(0));
-        }
-        let d: Vec<_> = dense.iter().map(|(f, t, p)| (f, t, p.round())).collect();
-        let s: Vec<_> = sparse.iter().map(|(f, t, p)| (f, t, p.round())).collect();
-        assert_eq!(d, s, "identical sender-major iteration on both layouts");
-        assert_eq!(dense.pending_total(), sparse.pending_total());
-        assert_eq!(dense.enqueued_count(), sparse.enqueued_count());
-        assert_eq!(dense.delivered_count(), sparse.delivered_count());
-        assert_eq!(dense.dropped_count(), sparse.dropped_count());
-        assert_eq!(dense.distinct_payloads(), sparse.distinct_payloads());
-        for to in ProcessorId::all(n) {
-            let ds: Vec<_> = dense.senders_with_pending(to).collect();
-            let ss: Vec<_> = sparse.senders_with_pending(to).collect();
-            assert_eq!(ds, ss);
-            for from in ProcessorId::all(n) {
-                assert_eq!(dense.pending_on(from, to), sparse.pending_on(from, to));
-                assert_eq!(
-                    dense.peek(from, to).map(Payload::round),
-                    sparse.peek(from, to).map(Payload::round)
-                );
-                assert_eq!(dense.head_sent_at(from, to), sparse.head_sent_at(from, to));
-            }
-        }
-    }
-
-    #[test]
-    fn sparse_buffer_handles_out_of_range_queries_gracefully() {
-        let mut buf = MessageBuffer::with_choice(2, BufferChoice::Sparse);
-        buf.enqueue(env(0, 1, 1));
-        assert_eq!(buf.pending_on(ProcessorId::new(5), ProcessorId::new(0)), 0);
-        assert!(buf.peek(ProcessorId::new(0), ProcessorId::new(9)).is_none());
-        assert!(buf.pop(ProcessorId::new(9), ProcessorId::new(0)).is_none());
-        assert_eq!(buf.senders_with_pending(ProcessorId::new(7)).count(), 0);
-        buf.drop_to(ProcessorId::new(42));
-        assert_eq!(buf.pending_total(), 1);
-    }
-
-    #[test]
-    fn sparse_reset_clears_state_but_keeps_the_lanes_warm() {
-        let mut buf = MessageBuffer::with_choice(4, BufferChoice::Sparse);
-        buf.enqueue(env(0, 1, 1));
-        buf.enqueue(env(2, 3, 2));
-        buf.pop(ProcessorId::new(0), ProcessorId::new(1));
-        buf.reset(4);
-        assert!(buf.is_sparse());
-        assert!(buf.is_empty());
-        assert_eq!(buf.distinct_payloads(), 0);
-        assert_eq!(buf.enqueued_count(), 0);
-        assert_eq!(buf.delivered_count(), 0);
-        assert_eq!(buf.dropped_count(), 0);
-        assert!(
-            buf.next_pending_channel(4, 0).is_none(),
-            "live bits cleared"
-        );
-        buf.enqueue(env(2, 3, 7));
-        assert_eq!(buf.pending_on(ProcessorId::new(2), ProcessorId::new(3)), 1);
-        // Re-shaping to a different n works and keeps the choice.
-        buf.reset(9);
-        assert!(buf.is_sparse());
-        buf.enqueue(env(8, 8, 1));
-        assert_eq!(buf.pending_on(ProcessorId::new(8), ProcessorId::new(8)), 1);
-    }
-
-    #[test]
-    fn multicast_interns_once_and_costs_only_the_recipient_set() {
+    fn multicast_logs_once_and_costs_only_the_recipient_set() {
         let mut buf = MessageBuffer::with_processors(1000);
         assert!(buf.is_sparse());
-        let committee: Vec<ProcessorId> = [3usize, 71, 512]
-            .iter()
-            .map(|&i| ProcessorId::new(i))
-            .collect();
-        buf.multicast(
-            ProcessorId::new(71),
-            &committee,
-            Payload::Report {
-                round: 1,
-                value: Bit::One,
-            },
-            2,
-        );
+        let committee: Vec<ProcessorId> = [3usize, 71, 512].iter().map(|&i| id(i)).collect();
+        buf.multicast(id(71), &committee, report(1), 2);
         assert_eq!(buf.pending_total(), 3);
-        assert_eq!(
-            buf.distinct_payloads(),
-            1,
-            "one interned payload for the set"
+        assert_eq!(logged(&buf), 1, "one logged payload for the set");
+        assert_eq!(buf.lanes[71].recipients, vec![3, 71, 512]);
+        assert!(
+            buf.lanes[71].cursors.is_empty(),
+            "no cursor row without a broadcast"
         );
         let targets: Vec<usize> = buf.iter().map(|(_, to, _)| to.index()).collect();
         assert_eq!(targets, vec![3, 71, 512]);
         for &to in &committee {
-            let (p, chain) = buf.pop_with_chain(ProcessorId::new(71), to).unwrap();
+            let (p, chain) = buf.pop_with_chain(id(71), to).unwrap();
             assert_eq!(p.round(), Some(1));
             assert_eq!(chain, 2);
         }
-        assert_eq!(buf.distinct_payloads(), 0, "slot retired with the last pop");
+        assert!(buf.is_empty());
     }
 
     #[test]
-    fn multicast_to_one_or_zero_recipients_skips_the_arena() {
+    fn multicast_to_no_one_sends_nothing_and_duplicates_send_twice() {
         let mut buf = MessageBuffer::with_processors(100);
-        buf.multicast(
-            ProcessorId::new(0),
-            &[],
-            Payload::Report {
-                round: 1,
-                value: Bit::Zero,
-            },
-            0,
-        );
+        buf.multicast(id(0), &[], report(1), 0);
         assert!(buf.is_empty());
         assert_eq!(buf.enqueued_count(), 0, "empty set is a no-op");
-        buf.multicast(
-            ProcessorId::new(0),
-            &[ProcessorId::new(9)],
-            Payload::Report {
-                round: 2,
-                value: Bit::One,
-            },
-            5,
-        );
-        assert_eq!(buf.pending_total(), 1);
-        assert_eq!(
-            buf.distinct_payloads(),
-            0,
-            "singleton multicast stays inline"
-        );
-        let (p, chain) = buf
-            .pop_with_chain(ProcessorId::new(0), ProcessorId::new(9))
-            .unwrap();
+        assert_eq!(logged(&buf), 0);
+        buf.multicast(id(0), &[id(9), id(4), id(9)], report(2), 5);
+        assert_eq!(buf.enqueued_count(), 3);
+        assert_eq!(buf.pending_on(id(0), id(9)), 2);
+        assert_eq!(buf.pending_on(id(0), id(4)), 1);
+        let (p, chain) = buf.pop_with_chain(id(0), id(9)).unwrap();
         assert_eq!(p.round(), Some(2));
         assert_eq!(chain, 5);
-    }
-
-    #[test]
-    fn sparse_scan_matches_the_dense_scan_at_every_cursor() {
-        let n = 9;
-        let mut dense = MessageBuffer::with_choice(n, BufferChoice::Dense);
-        let mut sparse = MessageBuffer::with_choice(n, BufferChoice::Sparse);
-        let traffic = [
-            (0, 3),
-            (0, 3),
-            (2, 7),
-            (4, 1),
-            (4, 5),
-            (8, 0),
-            (8, 8),
-            (5, 4),
-        ];
-        for &(s, r) in &traffic {
-            dense.enqueue(env(s, r, 1));
-            sparse.enqueue(env(s, r, 1));
-        }
-        // Leave some materialized-but-empty sparse queues behind.
-        for buf in [&mut dense, &mut sparse] {
-            buf.pop(ProcessorId::new(2), ProcessorId::new(7));
-            buf.pop(ProcessorId::new(4), ProcessorId::new(1));
-        }
-        let admit = |from: ProcessorId, to: ProcessorId| from.index() != 8 && to.index() != 3;
-        for cursor in 0..n * n {
-            assert_eq!(
-                dense.next_pending_channel(n, cursor),
-                sparse.next_pending_channel(n, cursor),
-                "cursor {cursor}"
-            );
-            assert_eq!(
-                dense.next_pending_channel_where(n, cursor, admit),
-                sparse.next_pending_channel_where(n, cursor, admit),
-                "cursor {cursor} with admit"
-            );
-        }
     }
 
     #[test]
@@ -1746,11 +1329,13 @@ mod tests {
         let mut dense = MessageBuffer::with_choice(n, BufferChoice::Dense);
         let mut auto = MessageBuffer::with_processors(n);
         assert!(auto.is_sparse());
-        for s in [0usize, 13, 13, 42, 69] {
-            for r in [5usize, 5, 31, 68] {
-                dense.enqueue(env(s, r, (s + r) as u64));
-                auto.enqueue(env(s, r, (s + r) as u64));
+        for buf in [&mut dense, &mut auto] {
+            for s in [0usize, 13, 13, 42, 69] {
+                for r in [5usize, 5, 31, 68] {
+                    buf.enqueue(env(s, r, (s + r) as u64));
+                }
             }
+            buf.broadcast(id(64), report(0), 0);
         }
         let mut cursor = 0;
         loop {
@@ -1769,14 +1354,14 @@ mod tests {
     }
 
     #[test]
-    fn drop_to_keeps_the_sparse_scan_honest() {
+    fn drop_to_keeps_the_scan_honest() {
         let n = 80;
         let mut buf = MessageBuffer::with_processors(n);
         assert!(buf.is_sparse());
         buf.enqueue(env(10, 40, 1));
         buf.enqueue(env(64, 40, 2));
         buf.enqueue(env(64, 41, 3));
-        buf.drop_to(ProcessorId::new(40));
+        buf.drop_to(id(40));
         assert_eq!(buf.dropped_count(), 2);
         let hit = buf.next_pending_channel(n, 0);
         assert_eq!(
@@ -1784,23 +1369,332 @@ mod tests {
             Some((64, 41)),
             "sender 10's lane went idle with the drop; the scan skips it"
         );
-        buf.pop(ProcessorId::new(64), ProcessorId::new(41));
+        buf.pop(id(64), id(41));
         assert!(buf.next_pending_channel(n, 0).is_none());
     }
 
     #[test]
-    fn sparse_layout_allocates_no_quadratic_state_up_front() {
+    fn sparse_layout_allocates_no_quadratic_state() {
         let n = 10_000;
-        let buf = MessageBuffer::with_processors(n);
+        let mut buf = MessageBuffer::with_processors(n);
         assert!(buf.is_sparse());
-        let Layout::Sparse { lanes, live } = &buf.layout else {
-            panic!("auto layout at n = 10000 must be sparse");
-        };
-        assert_eq!(lanes.len(), n, "one lane per sender, no n * n grid");
-        assert_eq!(live.len(), n.div_ceil(64));
+        assert_eq!(buf.lanes.len(), n, "one lane per sender");
+        assert_eq!(buf.live.len(), n.div_ceil(64));
         assert!(
-            lanes.iter().all(|lane| lane.recipients.is_empty()),
-            "queues materialize lazily, on first send"
+            buf.lanes
+                .iter()
+                .all(|lane| lane.cursors.is_empty() && lane.queues.is_empty()),
+            "cursor rows and index queues materialize lazily, on first send"
         );
+        // A committee's worth of broadcasters pays for its own cursor rows
+        // and nothing else: O(27 · n) on top of the lanes, not O(n²).
+        let fixed = heap_bytes(&buf);
+        assert!(fixed <= n * (size_of::<Lane>() + 1));
+        for s in 0..27 {
+            buf.broadcast(id(s * 370), report(s as u64), 1);
+        }
+        assert_eq!(buf.pending_total(), 27 * n);
+        let rows = 27 * n * size_of::<u32>();
+        let slack = 27 * 16 * size_of::<Entry>();
+        assert!(
+            heap_bytes(&buf) <= fixed + rows + slack,
+            "{} bytes held after 27 broadcasts at n = {n}",
+            heap_bytes(&buf)
+        );
+        // Delivery allocates nothing further.
+        let before = heap_bytes(&buf);
+        for s in 0..27 {
+            for r in (0..n).step_by(7) {
+                assert!(buf.pop_message(id(s * 370), id(r)).is_some());
+            }
+        }
+        assert_eq!(heap_bytes(&buf), before);
+    }
+
+    #[test]
+    fn drained_lanes_recycle_their_logs_so_memory_stays_bounded() {
+        for choice in [BufferChoice::Dense, BufferChoice::Sparse] {
+            let n = 6;
+            let mut buf = MessageBuffer::with_choice(n, choice);
+            let committee = [id(1), id(4)];
+            let mut after_ten = 0;
+            for cycle in 0..100_000u64 {
+                buf.broadcast(id(2), report(cycle), 1);
+                buf.multicast(id(2), &committee, report(cycle), 1);
+                buf.broadcast(id(2), report(cycle), 2);
+                for to in ProcessorId::all(n) {
+                    while buf.pop_message(id(2), to).is_some() {}
+                }
+                assert!(buf.is_empty());
+                if cycle == 9 {
+                    after_ten = heap_bytes(&buf);
+                }
+            }
+            assert_eq!(
+                heap_bytes(&buf),
+                after_ten,
+                "log, cursor and queue capacity stay where the tenth cycle left them"
+            );
+            assert!(logged(&buf) <= 3, "at most the last cycle's sends are held");
+            assert_eq!(buf.delivered_count(), 100_000 * (2 * n as u64 + 2));
+        }
+    }
+
+    /// One message as the reference model holds it: payload, chain tag and
+    /// send time.
+    type Sent = (Payload, u64, u64);
+
+    /// The reference the differential test holds the buffer to: every
+    /// channel an owned FIFO of `(payload, chain, sent_at)`, the payload
+    /// cloned per recipient.
+    #[derive(Default)]
+    struct Model {
+        n: usize,
+        now: u64,
+        channels: BTreeMap<(usize, usize), VecDeque<Sent>>,
+        enqueued: u64,
+        delivered: u64,
+        dropped: u64,
+    }
+
+    impl Model {
+        fn send(&mut self, s: usize, to: impl IntoIterator<Item = usize>, p: &Payload, chain: u64) {
+            for r in to {
+                let channel = self.channels.entry((s, r)).or_default();
+                channel.push_back((p.clone(), chain, self.now));
+                self.enqueued += 1;
+            }
+        }
+
+        fn pop(&mut self, s: usize, r: usize) -> Option<(Payload, u64)> {
+            let (payload, chain, _) = self.channels.get_mut(&(s, r))?.pop_front()?;
+            self.delivered += 1;
+            Some((payload, chain))
+        }
+
+        fn drop_to(&mut self, r: usize) {
+            for (_, channel) in self.channels.iter_mut().filter(|((_, to), _)| *to == r) {
+                self.dropped += channel.len() as u64;
+                channel.clear();
+            }
+        }
+
+        fn corrupt_head(&mut self, s: usize, r: usize, replacement: Payload) -> Option<Payload> {
+            let head = self.channels.get_mut(&(s, r))?.front_mut()?;
+            Some(std::mem::replace(&mut head.0, replacement))
+        }
+
+        fn discard_undelivered(&mut self) -> usize {
+            let count = self.channels.values().map(VecDeque::len).sum();
+            self.channels.clear();
+            self.dropped += count as u64;
+            count
+        }
+
+        fn has_pending(&self, s: usize, r: usize) -> bool {
+            self.channels.get(&(s, r)).is_some_and(|c| !c.is_empty())
+        }
+
+        fn next_pending_where(
+            &self,
+            cursor: usize,
+            admit: impl Fn(usize, usize) -> bool,
+        ) -> Option<(usize, ProcessorId, ProcessorId)> {
+            let (n, channels) = (self.n, self.n * self.n);
+            (0..channels)
+                .map(|offset| (cursor + offset) % channels)
+                .find(|&idx| admit(idx / n, idx % n) && self.has_pending(idx / n, idx % n))
+                .map(|idx| ((idx + 1) % channels, id(idx / n), id(idx % n)))
+        }
+    }
+
+    /// Every read the buffer offers, against the model.
+    fn assert_matches(buf: &MessageBuffer, model: &Model, rng: &mut ProcessorRng, at: &str) {
+        let n = model.n;
+        let held: Vec<(usize, usize, Payload)> = buf
+            .iter()
+            .map(|(s, r, p)| (s.index(), r.index(), p.clone()))
+            .collect();
+        let expected: Vec<(usize, usize, Payload)> = model
+            .channels
+            .iter()
+            .flat_map(|(&(s, r), channel)| channel.iter().map(move |(p, _, _)| (s, r, p.clone())))
+            .collect();
+        assert_eq!(held, expected, "iter {at}");
+        assert_eq!(buf.enqueued_count(), model.enqueued, "enqueued {at}");
+        assert_eq!(buf.delivered_count(), model.delivered, "delivered {at}");
+        assert_eq!(buf.dropped_count(), model.dropped, "dropped {at}");
+        assert_eq!(buf.pending_total(), expected.len(), "pending_total {at}");
+        assert_eq!(buf.is_empty(), expected.is_empty(), "is_empty {at}");
+        for r in 0..n {
+            let senders: Vec<usize> = buf.senders_with_pending(id(r)).map(|s| s.index()).collect();
+            let expected: Vec<usize> = (0..n).filter(|&s| model.has_pending(s, r)).collect();
+            assert_eq!(senders, expected, "senders_with_pending({r}) {at}");
+            for s in 0..n {
+                let channel = model.channels.get(&(s, r));
+                let head = channel.and_then(VecDeque::front);
+                assert_eq!(
+                    buf.pending_on(id(s), id(r)),
+                    channel.map_or(0, VecDeque::len),
+                    "pending_on({s}, {r}) {at}"
+                );
+                assert_eq!(
+                    buf.peek(id(s), id(r)),
+                    head.map(|h| &h.0),
+                    "peek({s}, {r}) {at}"
+                );
+                assert_eq!(
+                    buf.head_sent_at(id(s), id(r)),
+                    head.map(|h| h.2),
+                    "head_sent_at({s}, {r}) {at}"
+                );
+            }
+        }
+        // Every cursor where that is cheap, a sample (with wrap-around)
+        // where it is not.
+        let channels = n * n;
+        let cursors: Vec<usize> = if channels <= 64 {
+            (0..=channels).collect()
+        } else {
+            (0..12)
+                .map(|_| rng.range(2 * channels as u64) as usize)
+                .collect()
+        };
+        let picky = |s: usize, r: usize| !(s + 2 * r).is_multiple_of(3);
+        for cursor in cursors {
+            assert_eq!(
+                buf.next_pending_channel(n, cursor),
+                model.next_pending_where(cursor, |_, _| true),
+                "scan from {cursor} {at}"
+            );
+            assert_eq!(
+                buf.next_pending_channel_where(n, cursor, |s, r| picky(s.index(), r.index())),
+                model.next_pending_where(cursor, picky),
+                "picky scan from {cursor} {at}"
+            );
+        }
+    }
+
+    /// Drives one buffer and the model through `ops` seeded random
+    /// operations, comparing every result and, after each operation, every
+    /// read.
+    fn run_differential(n: usize, choice: BufferChoice, seed: u64, ops: usize) {
+        let mut rng = ProcessorRng::labelled(seed, n as u64);
+        let mut buf = MessageBuffer::with_choice(n, choice);
+        let mut model = Model {
+            n,
+            ..Model::default()
+        };
+        let mut serial = 0;
+        let mut fresh = |value| {
+            serial += 1;
+            Payload::Report {
+                round: serial,
+                value,
+            }
+        };
+        for op in 0..ops {
+            let at = format!("after op {op} (n = {n}, {choice:?}, seed {seed})");
+            let any = |rng: &mut ProcessorRng| rng.range(n as u64) as usize;
+            // Mostly aim at a channel that has something on it.
+            let aim = |rng: &mut ProcessorRng, model: &Model| {
+                let cursor = rng.range((n * n) as u64) as usize;
+                match model.next_pending_where(cursor, |_, _| true) {
+                    Some((_, s, r)) if rng.range(4) > 0 => (s.index(), r.index()),
+                    _ => (any(rng), any(rng)),
+                }
+            };
+            let chain = rng.range(10);
+            match rng.range(100) {
+                0..=11 => {
+                    let (s, r, p) = (any(&mut rng), any(&mut rng), fresh(Bit::Zero));
+                    model.send(s, [r], &p, chain);
+                    buf.enqueue_unicast(id(s), id(r), p, chain);
+                }
+                12..=23 => {
+                    // Empty, singleton and duplicate-bearing sets included.
+                    let s = any(&mut rng);
+                    let set: Vec<usize> = (0..rng.range(5)).map(|_| any(&mut rng)).collect();
+                    let ids: Vec<ProcessorId> = set.iter().map(|&r| id(r)).collect();
+                    let p = fresh(Bit::Zero);
+                    model.send(s, set, &p, chain);
+                    buf.multicast(id(s), &ids, p, chain);
+                }
+                24..=35 => {
+                    let (s, p) = (any(&mut rng), fresh(Bit::Zero));
+                    model.send(s, 0..n, &p, chain);
+                    buf.broadcast(id(s), p, chain);
+                }
+                36..=59 => {
+                    for _ in 0..=rng.range(2 * n as u64) {
+                        let (s, r) = aim(&mut rng, &model);
+                        let expected = model.pop(s, r);
+                        if rng.bit().is_one() {
+                            assert_eq!(buf.pop_with_chain(id(s), id(r)), expected, "pop {at}");
+                        } else {
+                            let lent = buf.pop_message(id(s), id(r));
+                            assert_eq!(
+                                lent.map(|(p, c)| (p.clone(), c)),
+                                expected,
+                                "pop_message {at}"
+                            );
+                        }
+                    }
+                }
+                60..=67 => {
+                    // Drain one sender completely, so its lane recycles.
+                    let s = any(&mut rng);
+                    for r in 0..n {
+                        while let Some(expected) = model.pop(s, r) {
+                            assert_eq!(buf.pop_with_chain(id(s), id(r)), Some(expected), "{at}");
+                        }
+                        assert_eq!(buf.pop(id(s), id(r)), None, "{at}");
+                    }
+                }
+                68..=73 => {
+                    let r = any(&mut rng);
+                    model.drop_to(r);
+                    buf.drop_to(id(r));
+                }
+                74..=87 => {
+                    let (s, r) = aim(&mut rng, &model);
+                    let lie = fresh(Bit::One);
+                    let expected = model.corrupt_head(s, r, lie.clone());
+                    let original = buf.corrupt_head(id(s), id(r), lie).cloned();
+                    assert_eq!(original, expected, "corrupt_head {at}");
+                }
+                88..=90 => {
+                    assert_eq!(
+                        buf.discard_undelivered(),
+                        model.discard_undelivered(),
+                        "{at}"
+                    );
+                }
+                91 => {
+                    model = Model {
+                        n,
+                        ..Model::default()
+                    };
+                    buf.reset(n);
+                }
+                _ => {
+                    model.now += rng.range(3);
+                    buf.set_now(model.now);
+                }
+            }
+            assert_matches(&buf, &model, &mut rng, &at);
+        }
+    }
+
+    #[test]
+    fn buffer_matches_the_reference_model_on_random_traffic() {
+        for choice in [BufferChoice::Dense, BufferChoice::Sparse] {
+            for seed in 0..6 {
+                run_differential(5, choice, seed, 1_500);
+            }
+            run_differential(1, choice, 7, 200);
+            // Past one word of the live bitset.
+            run_differential(67, choice, 8, 250);
+        }
     }
 }

@@ -21,7 +21,7 @@ use agreement_model::{
 };
 
 use crate::adversary::SystemView;
-use crate::buffer::{BufferChoice, MessageBuffer, PoppedPayload};
+use crate::buffer::{BufferChoice, MessageBuffer};
 use crate::harness::{Outgoing, ProcessorHarness};
 use crate::metrics::{Metrics, NoProbe, Probe};
 use crate::outcome::{RunLimits, RunOutcome};
@@ -179,8 +179,8 @@ impl<P: Probe, R: Recorder> ExecutionCore<P, R> {
 
     /// Re-initializes this core for a fresh trial **in place**, reusing every
     /// allocation the previous trial warmed up: the harness vector (and each
-    /// harness's outbox/violation buffers), the flat channel array and
-    /// payload arena of the buffer, the causal-depth and view scratch
+    /// harness's outbox/violation buffers), the send logs, cursor rows and
+    /// index queues of the buffer, the causal-depth and view scratch
     /// vectors. Equivalent to building a new core with
     /// [`ExecutionCore::with_parts`] and the current probe/recorder — the
     /// workspace-reuse equivalence tests pin that down bit for bit.
@@ -462,10 +462,10 @@ impl<P: Probe, R: Recorder> ExecutionCore<P, R> {
     /// A *sending step* of processor `id`: moves its computed messages into
     /// the buffer, tagging each with the processor's causal depth plus one.
     ///
-    /// A staged broadcast is interned **once** and enqueued by handle per
-    /// recipient — the payload is never cloned, no matter the fan-out.
-    /// Unicast messages skip the arena entirely: their payloads move inline
-    /// into the queue entry, with no refcount bookkeeping.
+    /// Each staged send becomes **one** entry of the sender's log, whatever
+    /// its fan-out: a broadcast costs the buffer O(1), a multicast one
+    /// 4-byte index per listed recipient. The per-recipient loops below only
+    /// feed the recorder and the probe, and vanish with `NoTrace`/`NoProbe`.
     pub fn flush_outbox(&mut self, id: ProcessorId) {
         let chain = self.depth[id.index()] + 1;
         let n = self.cfg.n();
@@ -476,44 +476,24 @@ impl<P: Probe, R: Recorder> ExecutionCore<P, R> {
             probe,
             ..
         } = self;
+        let mut sent = |to: ProcessorId| {
+            recorder.record(TraceEvent::Sent { from: id, to });
+            probe.on_send(id, chain);
+        };
         for outgoing in harnesses[id.index()].drain_outbox() {
             match outgoing {
                 Outgoing::One { to, payload } => {
-                    recorder.record(TraceEvent::Sent { from: id, to });
-                    probe.on_send(id, chain);
+                    sent(to);
                     buffer.enqueue_unicast(id, to, payload, chain);
                 }
                 Outgoing::Broadcast { payload } => {
-                    let handle = buffer.intern(payload);
-                    for to in ProcessorId::all(n) {
-                        recorder.record(TraceEvent::Sent { from: id, to });
-                        probe.on_send(id, chain);
-                        buffer.enqueue_ref(id, to, handle, chain);
-                    }
+                    ProcessorId::all(n).for_each(&mut sent);
+                    buffer.broadcast(id, payload, chain);
                 }
-                Outgoing::Multicast { to, payload } => match to.as_slice() {
-                    // An empty recipient set sends nothing; a singleton takes
-                    // the inline unicast path and skips the arena. Otherwise
-                    // the payload is interned once and enqueued by handle per
-                    // listed recipient — O(|set|) regardless of n.
-                    [] => {}
-                    [only] => {
-                        recorder.record(TraceEvent::Sent {
-                            from: id,
-                            to: *only,
-                        });
-                        probe.on_send(id, chain);
-                        buffer.enqueue_unicast(id, *only, payload, chain);
-                    }
-                    recipients => {
-                        let handle = buffer.intern(payload);
-                        for &to in recipients {
-                            recorder.record(TraceEvent::Sent { from: id, to });
-                            probe.on_send(id, chain);
-                            buffer.enqueue_ref(id, to, handle, chain);
-                        }
-                    }
-                },
+                Outgoing::Multicast { to, payload } => {
+                    to.iter().copied().for_each(&mut sent);
+                    buffer.multicast(id, &to, payload, chain);
+                }
             }
         }
     }
@@ -545,24 +525,15 @@ impl<P: Probe, R: Recorder> ExecutionCore<P, R> {
         if self.harnesses[to.index()].is_crashed() {
             return;
         }
-        let Some((popped, chain)) = self.buffer.pop_message(from, to) else {
+        // The payload is processed straight out of the sender's log —
+        // borrowed, never moved or cloned.
+        let Some((payload, chain)) = self.buffer.pop_message(from, to) else {
             return;
         };
         self.recorder.record(TraceEvent::Delivered { from, to });
         self.probe.on_deliver(from, to, chain);
         let before = self.harnesses[to.index()].decision();
-        // Shared (broadcast) payloads are processed straight out of the arena
-        // — borrowed, not moved — and their reference retired afterwards;
-        // inline unicast payloads arrive by value from the queue entry.
-        match popped {
-            PoppedPayload::Inline(payload) => {
-                self.harnesses[to.index()].deliver(from, &payload);
-            }
-            PoppedPayload::Shared(handle) => {
-                self.harnesses[to.index()].deliver(from, self.buffer.payload(handle));
-                self.buffer.release(handle);
-            }
-        }
+        self.harnesses[to.index()].deliver(from, payload);
         let depth = &mut self.depth[to.index()];
         *depth = (*depth).max(chain);
         let after = self.harnesses[to.index()].decision();
@@ -594,26 +565,16 @@ impl<P: Probe, R: Recorder> ExecutionCore<P, R> {
         for &sender in senders {
             // Pop one message at a time rather than draining into a Vec: this
             // runs for every (recipient, sender) pair of every window, so the
-            // receiving phase must not allocate. Broadcast payloads are
-            // processed borrowed from the arena, unicasts by value from the
-            // entry — never cloned either way.
-            while let Some((popped, chain)) = self.buffer.pop_message(sender, recipient) {
+            // receiving phase must not allocate. Payloads are processed
+            // borrowed from the sender's log, never cloned.
+            while let Some((payload, chain)) = self.buffer.pop_message(sender, recipient) {
                 self.recorder.record(TraceEvent::Delivered {
                     from: sender,
                     to: recipient,
                 });
                 self.probe.on_deliver(sender, recipient, chain);
                 depth = depth.max(chain);
-                match popped {
-                    PoppedPayload::Inline(payload) => {
-                        self.harnesses[recipient.index()].deliver(sender, &payload);
-                    }
-                    PoppedPayload::Shared(handle) => {
-                        self.harnesses[recipient.index()]
-                            .deliver(sender, self.buffer.payload(handle));
-                        self.buffer.release(handle);
-                    }
-                }
+                self.harnesses[recipient.index()].deliver(sender, payload);
             }
         }
         self.depth[recipient.index()] = depth;

@@ -19,8 +19,8 @@ use agreement_model::{
 /// the content of the processor's next *sending step*.
 ///
 /// Broadcasts are staged as a **single** entry holding the payload once; the
-/// engine expands the recipient list only when it moves the message into the
-/// buffer (where the payload is interned once and shared by handle). The
+/// engine moves the message into the buffer as one entry of the sender's log,
+/// which every recipient reads through its cursor. The
 /// default [`Context::broadcast`] would instead clone the payload per
 /// recipient, which is exactly the per-message heap work the campaign hot
 /// path cannot afford.
@@ -39,8 +39,8 @@ pub enum Outgoing {
         payload: Payload,
     },
     /// A message addressed to an explicit set of recipients (the sender only
-    /// if it lists itself), stored once for the whole set. The engine interns
-    /// the payload once and enqueues one shared reference per listed
+    /// if it lists itself), stored once for the whole set. The engine logs
+    /// the payload once and enqueues one 4-byte log index per listed
     /// recipient, so a committee multicast costs O(|set|), not O(n).
     Multicast {
         /// The recipients, in the order the protocol listed them.
@@ -94,7 +94,7 @@ impl Context for HarnessCore {
 
     /// Stages one multicast entry instead of the default per-recipient
     /// `send` loop: the payload is kept once for the whole recipient set and
-    /// the engine interns it once in the buffer.
+    /// the engine logs it once in the buffer.
     fn multicast(&mut self, recipients: &[ProcessorId], payload: Payload) {
         self.outbox.push(Outgoing::Multicast {
             to: recipients.to_vec(),
@@ -288,7 +288,7 @@ impl ProcessorHarness {
     /// Drains the staged messages computed since the last sending step (the
     /// contents of the next *sending step*), leaving the outbox empty but its
     /// allocation in place. This is the engines' hot path: broadcasts come
-    /// out as single entries for the buffer to intern once.
+    /// out as single entries for the buffer to log once.
     pub fn drain_outbox(&mut self) -> std::vec::Drain<'_, Outgoing> {
         self.core.outbox.drain(..)
     }

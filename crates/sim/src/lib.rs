@@ -93,7 +93,7 @@ pub use adversary::{
 };
 pub use agreement_model::{FullTrace, NoTrace, Recorder};
 pub use async_engine::{run_async, AsyncEngine};
-pub use buffer::{BufferChoice, MessageBuffer, PayloadRef, PoppedPayload};
+pub use buffer::{BufferChoice, MessageBuffer};
 pub use engine::{
     find_model, model_registry, AsyncModel, BuiltAdversary, Engine, ExecutionModel,
     ModelDescriptor, PartialSyncModel, WindowModel, ASYNC, PARTIAL_SYNC, WINDOWED,

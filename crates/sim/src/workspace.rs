@@ -1,8 +1,9 @@
 //! Reusable per-worker trial state for campaign runners.
 //!
 //! A campaign runs thousands of seeded trials, each of which used to build a
-//! brand-new [`ExecutionCore`](crate::ExecutionCore): a harness vector, an
-//! `n * n` flat channel array, a payload arena and assorted scratch vectors —
+//! brand-new [`ExecutionCore`](crate::ExecutionCore): a harness vector, the
+//! buffer's send logs, cursor rows and index queues, and assorted scratch
+//! vectors —
 //! allocated, warmed up, and thrown away per trial. A [`TrialWorkspace`] is
 //! the retained version of all of that: each campaign worker thread owns one
 //! and runs every trial it claims inside it, so the allocations of trial `k`
