@@ -33,38 +33,45 @@ pub fn senders_excluding(n: usize, excluded: &[ProcessorId]) -> Vec<ProcessorId>
 /// Returns the chosen sender set together with the resulting delivered counts
 /// `(zeros, ones)`.
 pub fn balanced_senders(values: &[Option<Bit>], t: usize) -> (Vec<ProcessorId>, (usize, usize)) {
-    let n = values.len();
-    let zeros: Vec<usize> = (0..n).filter(|&i| values[i] == Some(Bit::Zero)).collect();
-    let ones: Vec<usize> = (0..n).filter(|&i| values[i] == Some(Bit::One)).collect();
-    let silent: Vec<usize> = (0..n).filter(|&i| values[i].is_none()).collect();
+    balanced_senders_by(values.len(), t, |i| values[i])
+}
+
+/// [`balanced_senders`] over senders `0..n` whose values are read through
+/// `value_of` instead of a slice, so a caller holding the values somewhere
+/// else (the split-vote adversary reads them out of the message buffer, once
+/// per window) does not have to collect them first. One pass counts the two
+/// sides, a second picks the senders; the returned set is the only
+/// allocation.
+pub(crate) fn balanced_senders_by(
+    n: usize,
+    t: usize,
+    value_of: impl Fn(usize) -> Option<Bit>,
+) -> (Vec<ProcessorId>, (usize, usize)) {
+    let (mut zeros, mut ones) = (0usize, 0usize);
+    for i in 0..n {
+        match value_of(i) {
+            Some(Bit::Zero) => zeros += 1,
+            Some(Bit::One) => ones += 1,
+            None => {}
+        }
+    }
 
     // Exclude from the majority side only, and only as much as the budget and
-    // the imbalance allow.
-    let imbalance = zeros.len().abs_diff(ones.len());
-    let exclude_count = imbalance.min(t);
-    let (majority, minority) = if zeros.len() >= ones.len() {
-        (&zeros, &ones)
-    } else {
-        (&ones, &zeros)
-    };
-    let excluded: Vec<usize> = majority.iter().copied().take(exclude_count).collect();
-
+    // the imbalance allow: its first `exclude_count` senders go, everyone
+    // else is delivered, in identity order.
+    let exclude_count = zeros.abs_diff(ones).min(t);
+    let majority = if zeros >= ones { Bit::Zero } else { Bit::One };
+    let mut to_exclude = exclude_count;
     let mut senders: Vec<ProcessorId> = Vec::with_capacity(n - exclude_count);
-    senders.extend(
-        majority
-            .iter()
-            .skip(exclude_count)
-            .map(|&i| ProcessorId::new(i)),
-    );
-    senders.extend(minority.iter().map(|&i| ProcessorId::new(i)));
-    senders.extend(silent.iter().map(|&i| ProcessorId::new(i)));
-    senders.sort_unstable();
+    senders.extend(ProcessorId::all(n).filter(|id| {
+        let excluded = to_exclude > 0 && value_of(id.index()) == Some(majority);
+        to_exclude -= usize::from(excluded);
+        !excluded
+    }));
 
-    let delivered_majority = majority.len() - excluded.len();
-    let counts = if zeros.len() >= ones.len() {
-        (delivered_majority, ones.len())
-    } else {
-        (zeros.len(), delivered_majority)
+    let counts = match majority {
+        Bit::Zero => (zeros - exclude_count, ones),
+        Bit::One => (zeros, ones - exclude_count),
     };
     (senders, counts)
 }
@@ -102,6 +109,20 @@ mod tests {
         let (senders, (z, o)) = balanced_senders(&values, 2);
         assert_eq!(senders.len(), 6);
         assert_eq!((z, o), (4, 2));
+    }
+
+    #[test]
+    fn balanced_senders_drops_the_first_majority_senders_and_keeps_identity_order() {
+        let (z, o) = (Some(Bit::Zero), Some(Bit::One));
+        let (senders, counts) = balanced_senders(&[z, o, z, None, z, z, o], 2);
+        let expected: Vec<ProcessorId> = [1, 3, 4, 5, 6].map(ProcessorId::new).into();
+        assert_eq!(senders, expected);
+        assert_eq!(counts, (2, 2));
+        // Ones in the majority, budget larger than the imbalance.
+        let (senders, counts) = balanced_senders(&[o, z, o, o, None], 3);
+        let expected: Vec<ProcessorId> = [1, 3, 4].map(ProcessorId::new).into();
+        assert_eq!(senders, expected);
+        assert_eq!(counts, (1, 1));
     }
 
     #[test]

@@ -22,7 +22,7 @@
 use agreement_model::{Bit, Payload, ProcessorId};
 use agreement_sim::{SystemView, Window, WindowAdversary};
 
-use crate::delivery::balanced_senders;
+use crate::delivery::balanced_senders_by;
 
 /// The split-vote balancing adversary for the acceptable-window model.
 #[derive(Debug, Clone, Copy)]
@@ -47,18 +47,12 @@ impl SplitVoteAdversary {
         self.use_resets
     }
 
-    /// The value advocated by each sender's fresh message this window, if any.
-    fn fresh_values(view: &SystemView<'_>) -> Vec<Option<Bit>> {
-        let n = view.n();
+    /// The value advocated by `sender`'s fresh message this window, if any.
+    fn fresh_value(view: &SystemView<'_>, sender: usize) -> Option<Bit> {
         let probe = ProcessorId::new(0);
-        (0..n)
-            .map(|s| {
-                let sender = ProcessorId::new(s);
-                view.buffer
-                    .peek(sender, probe)
-                    .and_then(Payload::advocated_value)
-            })
-            .collect()
+        view.buffer
+            .peek(ProcessorId::new(sender), probe)
+            .and_then(Payload::advocated_value)
     }
 }
 
@@ -79,8 +73,8 @@ impl WindowAdversary for SplitVoteAdversary {
 
     fn next_window(&mut self, view: &SystemView<'_>) -> Window {
         let t = view.t();
-        let values = Self::fresh_values(view);
-        let (senders, _counts) = balanced_senders(&values, t);
+        let (senders, _counts) =
+            balanced_senders_by(view.n(), t, |sender| Self::fresh_value(view, sender));
 
         let resets = if self.use_resets && t > 0 {
             // Reset processors whose *current estimate* belongs to the majority

@@ -52,7 +52,7 @@ impl BenOr {
             round: 1,
             estimate: input,
             waiting_phase: PHASE_REPORT,
-            tally: RoundTally::new(),
+            tally: RoundTally::for_processors(cfg.n()),
             decided: None,
             reset_count: 0,
             input,

@@ -67,7 +67,7 @@ impl Bracha {
             phase: 1,
             estimate: input,
             rbc: ReliableBroadcaster::new(cfg.n(), cfg.t()),
-            votes: RoundTally::new(),
+            votes: RoundTally::for_processors(cfg.n()),
             decided: None,
             reset_count: 0,
         }

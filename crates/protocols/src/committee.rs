@@ -244,12 +244,10 @@ impl ProtocolBuilder for CommitteeBuilder {
         "committee"
     }
 
-    fn build(&self, id: ProcessorId, input: Bit, _cfg: &SystemConfig) -> Box<dyn Protocol> {
-        Box::new(CommitteeAgreement::new(
-            id,
-            input,
-            Arc::clone(&self.committee),
-        ))
+    fn build(&self, id: ProcessorId, input: Bit, cfg: &SystemConfig) -> Box<dyn Protocol> {
+        let mut protocol = CommitteeAgreement::new(id, input, Arc::clone(&self.committee));
+        protocol.votes = RoundTally::for_processors(cfg.n());
+        Box::new(protocol)
     }
 }
 

@@ -129,16 +129,13 @@ impl ResetTolerant {
                         break;
                     }
                 }
-                Mode::Resync => {
-                    let ready = self.tally.rounds_with_at_least(0, t1);
-                    match ready.first() {
-                        Some(&r) => {
-                            self.round = r;
-                            self.step_three_and_four(r, ctx);
-                        }
-                        None => break,
+                Mode::Resync => match self.tally.lowest_round_with_at_least(0, t1) {
+                    Some(r) => {
+                        self.round = r;
+                        self.step_three_and_four(r, ctx);
                     }
-                }
+                    None => break,
+                },
             }
         }
     }
@@ -243,8 +240,10 @@ impl ProtocolBuilder for ResetTolerantBuilder {
         "reset-tolerant"
     }
 
-    fn build(&self, _id: ProcessorId, input: Bit, _cfg: &SystemConfig) -> Box<dyn Protocol> {
-        Box::new(ResetTolerant::new(input, self.thresholds))
+    fn build(&self, _id: ProcessorId, input: Bit, cfg: &SystemConfig) -> Box<dyn Protocol> {
+        let mut protocol = ResetTolerant::new(input, self.thresholds);
+        protocol.tally = RoundTally::for_processors(cfg.n());
+        Box::new(protocol)
     }
 }
 

@@ -31,7 +31,7 @@ use agreement_model::{
     StateDigest, SystemConfig,
 };
 
-use crate::tally::RoundTally;
+use crate::tally::{bit_is_set, RoundTally};
 
 /// Tally keys.
 const KEY_PROPOSALS: u8 = 0;
@@ -39,6 +39,41 @@ const KEY_ANNOUNCES: u8 = 1;
 
 /// Domain label for the sortition RNG stream.
 const SORTITION_LABEL: u64 = 0x5AB01;
+
+/// The publicly known committee as every instance needs it: the members in
+/// the order they were drawn (the order `multicast` addresses them in), and
+/// the membership test every delivery asks, answered from a bitset computed
+/// once per builder instead of a scan of the `k` ids per message.
+#[derive(Debug)]
+struct Roster {
+    listed: Arc<[ProcessorId]>,
+    /// Bit `i` is set iff processor `i` is listed.
+    member_bits: Box<[u64]>,
+}
+
+impl Roster {
+    fn new(listed: Arc<[ProcessorId]>) -> Self {
+        let id_bound = listed.iter().map(|id| id.index() + 1).max().unwrap_or(0);
+        let mut member_bits = vec![0u64; id_bound.div_ceil(64)].into_boxed_slice();
+        for id in listed.iter() {
+            member_bits[id.index() / 64] |= 1 << (id.index() % 64);
+        }
+        Roster {
+            listed,
+            member_bits,
+        }
+    }
+
+    fn contains(&self, id: ProcessorId) -> bool {
+        bit_is_set(&self.member_bits, id.index())
+    }
+
+    /// One past the largest identity whose bit the roster holds: every
+    /// member, and so every sender whose vote is ever tallied, lies below it.
+    fn id_bound(&self) -> usize {
+        self.member_bits.len() * 64
+    }
+}
 
 /// The committee-sampled sub-quadratic agreement protocol: single-processor
 /// state machine.
@@ -50,7 +85,7 @@ const SORTITION_LABEL: u64 = 0x5AB01;
 #[derive(Debug)]
 pub struct SampledCommittee {
     /// Shared with the builder and every other instance it built.
-    committee: Arc<[ProcessorId]>,
+    committee: Arc<Roster>,
     fault_tolerance: usize,
     is_member: bool,
     input: Bit,
@@ -64,15 +99,18 @@ impl SampledCommittee {
     /// Creates the state machine for processor `id` with the given input and
     /// the publicly known sampled `committee`.
     pub fn new(id: ProcessorId, input: Bit, committee: impl Into<Arc<[ProcessorId]>>) -> Self {
-        let committee = committee.into();
-        let fault_tolerance = committee.len().saturating_sub(1) / 3;
-        let is_member = committee.contains(&id);
+        Self::with_roster(id, input, Arc::new(Roster::new(committee.into())))
+    }
+
+    fn with_roster(id: ProcessorId, input: Bit, committee: Arc<Roster>) -> Self {
         SampledCommittee {
-            committee,
-            fault_tolerance,
-            is_member,
+            fault_tolerance: committee.listed.len().saturating_sub(1) / 3,
+            is_member: committee.contains(id),
             input,
-            votes: RoundTally::new(),
+            // Only members' messages are tallied, so their ids bound the
+            // voter sets.
+            votes: RoundTally::for_processors(committee.id_bound()),
+            committee,
             announced: false,
             decided: None,
             reset_count: 0,
@@ -81,7 +119,7 @@ impl SampledCommittee {
 
     /// The publicly known sampled committee.
     pub fn committee(&self) -> &[ProcessorId] {
-        &self.committee
+        &self.committee.listed
     }
 
     /// `f = ⌊(k-1)/3⌋`, the number of committee faults tolerated.
@@ -95,7 +133,7 @@ impl SampledCommittee {
     }
 
     fn committee_quorum(&self) -> usize {
-        self.committee.len() - self.fault_tolerance
+        self.committee.listed.len() - self.fault_tolerance
     }
 
     fn try_announce(&mut self, ctx: &mut dyn Context) {
@@ -136,7 +174,7 @@ impl Protocol for SampledCommittee {
             // independent of n. The member's own id is in the set, so its
             // proposal reaches it over the self channel like any other.
             ctx.multicast(
-                &self.committee,
+                &self.committee.listed,
                 Payload::Committee(CommitteeMsg::Proposal { value: self.input }),
             );
         }
@@ -144,7 +182,7 @@ impl Protocol for SampledCommittee {
 
     fn on_message(&mut self, from: ProcessorId, payload: &Payload, ctx: &mut dyn Context) {
         // Only committee members' messages carry any weight.
-        if !self.committee.contains(&from) {
+        if !self.committee.contains(from) {
             return;
         }
         match payload {
@@ -198,7 +236,7 @@ impl Protocol for SampledCommittee {
 /// ```
 #[derive(Debug, Clone)]
 pub struct SampledCommitteeBuilder {
-    committee: Arc<[ProcessorId]>,
+    committee: Arc<Roster>,
 }
 
 impl SampledCommitteeBuilder {
@@ -221,7 +259,7 @@ impl SampledCommitteeBuilder {
             "committee must not contain duplicates"
         );
         SampledCommitteeBuilder {
-            committee: committee.into(),
+            committee: Arc::new(Roster::new(committee.into())),
         }
     }
 
@@ -244,12 +282,14 @@ impl SampledCommitteeBuilder {
             .into_iter()
             .map(ProcessorId::new)
             .collect();
-        SampledCommitteeBuilder { committee }
+        SampledCommitteeBuilder {
+            committee: Arc::new(Roster::new(committee)),
+        }
     }
 
     /// The publicly known sampled committee used by every built instance.
     pub fn committee(&self) -> &[ProcessorId] {
-        &self.committee
+        &self.committee.listed
     }
 }
 
@@ -259,7 +299,7 @@ impl ProtocolBuilder for SampledCommitteeBuilder {
     }
 
     fn build(&self, id: ProcessorId, input: Bit, _cfg: &SystemConfig) -> Box<dyn Protocol> {
-        Box::new(SampledCommittee::new(
+        Box::new(SampledCommittee::with_roster(
             id,
             input,
             Arc::clone(&self.committee),

@@ -5,9 +5,24 @@
 //! `p`)?". [`RoundTally`] centralizes that bookkeeping: it records at most one
 //! vote per sender per key, so a faulty or retransmitting sender can never be
 //! counted twice.
+//!
+//! # Layout
+//!
+//! A protocol only ever has a handful of keys alive — the round it is in and
+//! the one or two its faster peers have moved on to — and it touches the
+//! tally on every delivered message, so the storage is flat. The live keys
+//! sit in one small `Vec` of slots sorted by `(round, phase)` and are looked
+//! up from the back, where the current round is. A slot holds its key, the
+//! three counts inline, and its voters as a bitset of `u64` words indexed by
+//! [`ProcessorId`]; the words are sized once, from the processor count the
+//! tally was built for, and grow only if a larger identity shows up. Keys are
+//! stored, not indexed, so any `round` value works. Slots retired by
+//! [`RoundTally::forget_rounds_before`] and [`RoundTally::clear`] move to a
+//! spare list and the next new key takes one back, words and all: once a
+//! processor has seen as many keys at once as it ever will, recording a vote
+//! never allocates.
 
-use std::collections::BTreeMap;
-use std::collections::BTreeSet;
+use std::cmp::Ordering;
 
 use agreement_model::{Bit, ProcessorId};
 
@@ -32,21 +47,101 @@ use agreement_model::{Bit, ProcessorId};
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct RoundTally {
-    votes: BTreeMap<(u64, u8), KeyTally>,
+    /// Keys with at least one recorded vote, sorted by `(round, phase)`.
+    live: Vec<Slot>,
+    /// Retired slots, kept for their `voters` storage.
+    spare: Vec<Slot>,
+    /// Voter words a brand-new slot starts with.
+    voter_words: usize,
 }
 
-#[derive(Debug, Clone, Default)]
-struct KeyTally {
-    voters: BTreeSet<ProcessorId>,
+/// Whether bit `index` of the bitset `words` is set; bits beyond its last
+/// word are unset.
+pub(crate) fn bit_is_set(words: &[u64], index: usize) -> bool {
+    words
+        .get(index / 64)
+        .is_some_and(|word| word & (1 << (index % 64)) != 0)
+}
+
+/// The votes recorded for one `(round, phase)` key.
+#[derive(Debug, Clone)]
+struct Slot {
+    round: u64,
+    phase: u8,
     zeros: usize,
     ones: usize,
     abstains: usize,
+    /// Bit `i` is set once processor `i` has voted for this key.
+    voters: Vec<u64>,
+}
+
+impl Slot {
+    fn empty(voter_words: usize) -> Self {
+        Slot {
+            round: 0,
+            phase: 0,
+            zeros: 0,
+            ones: 0,
+            abstains: 0,
+            voters: vec![0; voter_words],
+        }
+    }
+
+    fn key(&self) -> (u64, u8) {
+        (self.round, self.phase)
+    }
+
+    fn total(&self) -> usize {
+        self.zeros + self.ones + self.abstains
+    }
+
+    fn has_voted(&self, sender: ProcessorId) -> bool {
+        bit_is_set(&self.voters, sender.index())
+    }
+
+    /// The value `threshold` votes were cast for, as documented on
+    /// [`RoundTally::value_with_at_least`].
+    fn leading_value(&self, threshold: usize) -> Option<Bit> {
+        let leader = if self.ones >= self.zeros {
+            (Bit::One, self.ones)
+        } else {
+            (Bit::Zero, self.zeros)
+        };
+        (leader.1 >= threshold).then_some(leader.0)
+    }
 }
 
 impl RoundTally {
     /// Creates an empty tally.
     pub fn new() -> Self {
         RoundTally::default()
+    }
+
+    /// Creates an empty tally whose voter sets are sized, once, for senders
+    /// `0..n`. Votes from any other [`ProcessorId`] are still recorded; they
+    /// only cost the slot they land in a reallocation.
+    pub fn for_processors(n: usize) -> Self {
+        RoundTally {
+            voter_words: n.div_ceil(64),
+            ..RoundTally::default()
+        }
+    }
+
+    /// Where `(round, phase)` is in `live`, or where it would be inserted.
+    /// Scans from the back: protocols ask about their newest rounds.
+    fn position(&self, round: u64, phase: u8) -> Result<usize, usize> {
+        for (i, slot) in self.live.iter().enumerate().rev() {
+            match slot.key().cmp(&(round, phase)) {
+                Ordering::Equal => return Ok(i),
+                Ordering::Less => return Err(i + 1),
+                Ordering::Greater => {}
+            }
+        }
+        Err(0)
+    }
+
+    fn slot(&self, round: u64, phase: u8) -> Option<&Slot> {
+        self.position(round, phase).ok().map(|i| &self.live[i])
     }
 
     /// Records a vote from `sender` for key `(round, phase)`.
@@ -61,28 +156,44 @@ impl RoundTally {
         sender: ProcessorId,
         value: Option<Bit>,
     ) -> bool {
-        let entry = self.votes.entry((round, phase)).or_default();
-        if !entry.voters.insert(sender) {
+        let at = match self.position(round, phase) {
+            Ok(at) => at,
+            Err(at) => {
+                let mut slot = self
+                    .spare
+                    .pop()
+                    .unwrap_or_else(|| Slot::empty(self.voter_words));
+                slot.round = round;
+                slot.phase = phase;
+                self.live.insert(at, slot);
+                at
+            }
+        };
+        let slot = &mut self.live[at];
+        let (word, bit) = (sender.index() / 64, 1u64 << (sender.index() % 64));
+        if word >= slot.voters.len() {
+            slot.voters.resize(word + 1, 0);
+        }
+        if slot.voters[word] & bit != 0 {
             return false;
         }
+        slot.voters[word] |= bit;
         match value {
-            Some(Bit::Zero) => entry.zeros += 1,
-            Some(Bit::One) => entry.ones += 1,
-            None => entry.abstains += 1,
+            Some(Bit::Zero) => slot.zeros += 1,
+            Some(Bit::One) => slot.ones += 1,
+            None => slot.abstains += 1,
         }
         true
     }
 
     /// Total number of distinct voters recorded for `(round, phase)`.
     pub fn total(&self, round: u64, phase: u8) -> usize {
-        self.votes
-            .get(&(round, phase))
-            .map_or(0, |k| k.voters.len())
+        self.slot(round, phase).map_or(0, Slot::total)
     }
 
     /// Number of votes for `value` recorded for `(round, phase)`.
     pub fn count(&self, round: u64, phase: u8, value: Bit) -> usize {
-        self.votes.get(&(round, phase)).map_or(0, |k| match value {
+        self.slot(round, phase).map_or(0, |k| match value {
             Bit::Zero => k.zeros,
             Bit::One => k.ones,
         })
@@ -90,74 +201,310 @@ impl RoundTally {
 
     /// Number of abstentions (`None` votes) recorded for `(round, phase)`.
     pub fn abstentions(&self, round: u64, phase: u8) -> usize {
-        self.votes.get(&(round, phase)).map_or(0, |k| k.abstains)
+        self.slot(round, phase).map_or(0, |k| k.abstains)
     }
 
     /// Returns `true` if `sender` has already voted for `(round, phase)`.
     pub fn has_voted(&self, round: u64, phase: u8, sender: ProcessorId) -> bool {
-        self.votes
-            .get(&(round, phase))
-            .is_some_and(|k| k.voters.contains(&sender))
+        self.slot(round, phase).is_some_and(|k| k.has_voted(sender))
     }
 
     /// The value with the most votes for `(round, phase)`; ties favour
     /// [`Bit::One`] (a fixed, publicly known tie-break).
     pub fn majority_value(&self, round: u64, phase: u8) -> Option<Bit> {
-        let key = self.votes.get(&(round, phase))?;
-        if key.zeros == 0 && key.ones == 0 {
-            return None;
-        }
-        Some(if key.ones >= key.zeros {
-            Bit::One
-        } else {
-            Bit::Zero
-        })
+        self.slot(round, phase)?.leading_value(1)
     }
 
     /// Returns `Some(v)` if at least `threshold` votes were cast for `v`.
     /// If both values reach the threshold (only possible when `2 * threshold
     /// <= total votes`), the larger count wins and ties favour [`Bit::One`].
     pub fn value_with_at_least(&self, round: u64, phase: u8, threshold: usize) -> Option<Bit> {
-        let key = self.votes.get(&(round, phase))?;
-        let zero_hit = key.zeros >= threshold;
-        let one_hit = key.ones >= threshold;
-        match (zero_hit, one_hit) {
-            (false, false) => None,
-            (true, false) => Some(Bit::Zero),
-            (false, true) => Some(Bit::One),
-            (true, true) => Some(if key.ones >= key.zeros {
-                Bit::One
-            } else {
-                Bit::Zero
-            }),
-        }
+        self.slot(round, phase)?.leading_value(threshold)
     }
 
     /// Rounds for which at least `threshold` distinct voters have been
     /// recorded in phase `phase`, in increasing order.
     pub fn rounds_with_at_least(&self, phase: u8, threshold: usize) -> Vec<u64> {
-        self.votes
+        self.ready_rounds(phase, threshold).collect()
+    }
+
+    /// The lowest round for which at least `threshold` distinct voters have
+    /// been recorded in phase `phase`: the first entry of
+    /// [`RoundTally::rounds_with_at_least`], without building the list.
+    pub fn lowest_round_with_at_least(&self, phase: u8, threshold: usize) -> Option<u64> {
+        self.ready_rounds(phase, threshold).next()
+    }
+
+    fn ready_rounds(&self, phase: u8, threshold: usize) -> impl Iterator<Item = u64> + '_ {
+        self.live
             .iter()
-            .filter(|((_, p), k)| *p == phase && k.voters.len() >= threshold)
-            .map(|((r, _), _)| *r)
-            .collect()
+            .filter(move |k| k.phase == phase && k.total() >= threshold)
+            .map(|k| k.round)
     }
 
     /// Discards all recorded votes for rounds strictly before `round`.
     /// Keeps the memory footprint of long executions bounded.
     pub fn forget_rounds_before(&mut self, round: u64) {
-        self.votes.retain(|(r, _), _| *r >= round);
+        let keep_from = self.live.partition_point(|k| k.round < round);
+        self.retire(keep_from);
     }
 
     /// Discards everything (used when a processor is reset).
     pub fn clear(&mut self) {
-        self.votes.clear();
+        self.retire(self.live.len());
+    }
+
+    /// Moves the first `count` live slots, wiped, to the spare list.
+    fn retire(&mut self, count: usize) {
+        self.spare.extend(self.live.drain(..count).map(|mut slot| {
+            slot.zeros = 0;
+            slot.ones = 0;
+            slot.abstains = 0;
+            slot.voters.fill(0);
+            slot
+        }));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use agreement_model::ProcessorRng;
+    use std::collections::{BTreeMap, BTreeSet};
+
+    /// `RoundTally` as it was before the flat layout: a `BTreeMap` of keys,
+    /// a `BTreeSet` of voters per key. Kept as the reference model the
+    /// differential test below compares against.
+    #[derive(Default)]
+    struct ReferenceTally {
+        votes: BTreeMap<(u64, u8), ReferenceKey>,
+    }
+
+    #[derive(Default)]
+    struct ReferenceKey {
+        voters: BTreeSet<ProcessorId>,
+        zeros: usize,
+        ones: usize,
+        abstains: usize,
+    }
+
+    impl ReferenceTally {
+        fn record(&mut self, round: u64, phase: u8, sender: ProcessorId, v: Option<Bit>) -> bool {
+            let entry = self.votes.entry((round, phase)).or_default();
+            if !entry.voters.insert(sender) {
+                return false;
+            }
+            match v {
+                Some(Bit::Zero) => entry.zeros += 1,
+                Some(Bit::One) => entry.ones += 1,
+                None => entry.abstains += 1,
+            }
+            true
+        }
+
+        fn total(&self, round: u64, phase: u8) -> usize {
+            self.votes
+                .get(&(round, phase))
+                .map_or(0, |k| k.voters.len())
+        }
+
+        fn count(&self, round: u64, phase: u8, value: Bit) -> usize {
+            self.votes.get(&(round, phase)).map_or(0, |k| match value {
+                Bit::Zero => k.zeros,
+                Bit::One => k.ones,
+            })
+        }
+
+        fn abstentions(&self, round: u64, phase: u8) -> usize {
+            self.votes.get(&(round, phase)).map_or(0, |k| k.abstains)
+        }
+
+        fn has_voted(&self, round: u64, phase: u8, sender: ProcessorId) -> bool {
+            self.votes
+                .get(&(round, phase))
+                .is_some_and(|k| k.voters.contains(&sender))
+        }
+
+        fn majority_value(&self, round: u64, phase: u8) -> Option<Bit> {
+            let key = self.votes.get(&(round, phase))?;
+            if key.zeros == 0 && key.ones == 0 {
+                return None;
+            }
+            Some(if key.ones >= key.zeros {
+                Bit::One
+            } else {
+                Bit::Zero
+            })
+        }
+
+        fn value_with_at_least(&self, round: u64, phase: u8, threshold: usize) -> Option<Bit> {
+            let key = self.votes.get(&(round, phase))?;
+            let zero_hit = key.zeros >= threshold;
+            let one_hit = key.ones >= threshold;
+            match (zero_hit, one_hit) {
+                (false, false) => None,
+                (true, false) => Some(Bit::Zero),
+                (false, true) => Some(Bit::One),
+                (true, true) => Some(if key.ones >= key.zeros {
+                    Bit::One
+                } else {
+                    Bit::Zero
+                }),
+            }
+        }
+
+        fn rounds_with_at_least(&self, phase: u8, threshold: usize) -> Vec<u64> {
+            self.votes
+                .iter()
+                .filter(|((_, p), k)| *p == phase && k.voters.len() >= threshold)
+                .map(|((r, _), _)| *r)
+                .collect()
+        }
+
+        fn forget_rounds_before(&mut self, round: u64) {
+            self.votes.retain(|(r, _), _| *r >= round);
+        }
+
+        fn clear(&mut self) {
+            self.votes.clear();
+        }
+    }
+
+    /// Every query of the public API, over every key and sender the
+    /// generator can produce, must agree between the two tallies.
+    fn assert_same_answers(
+        flat: &RoundTally,
+        reference: &ReferenceTally,
+        rounds: &[u64],
+        senders: &[ProcessorId],
+        context: &str,
+    ) {
+        for phase in 0..3u8 {
+            for threshold in 0..6 {
+                let ready = reference.rounds_with_at_least(phase, threshold);
+                assert_eq!(
+                    flat.rounds_with_at_least(phase, threshold),
+                    ready,
+                    "{context}"
+                );
+                assert_eq!(
+                    flat.lowest_round_with_at_least(phase, threshold),
+                    ready.first().copied(),
+                    "{context}"
+                );
+            }
+            for &r in rounds {
+                assert_eq!(flat.total(r, phase), reference.total(r, phase), "{context}");
+                assert_eq!(
+                    flat.abstentions(r, phase),
+                    reference.abstentions(r, phase),
+                    "{context}"
+                );
+                assert_eq!(
+                    flat.majority_value(r, phase),
+                    reference.majority_value(r, phase),
+                    "{context}"
+                );
+                for value in [Bit::Zero, Bit::One] {
+                    assert_eq!(
+                        flat.count(r, phase, value),
+                        reference.count(r, phase, value),
+                        "{context}"
+                    );
+                }
+                for threshold in 0..6 {
+                    assert_eq!(
+                        flat.value_with_at_least(r, phase, threshold),
+                        reference.value_with_at_least(r, phase, threshold),
+                        "{context}"
+                    );
+                }
+                for &s in senders {
+                    assert_eq!(
+                        flat.has_voted(r, phase, s),
+                        reference.has_voted(r, phase, s),
+                        "{context}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn flat_tally_matches_the_tree_based_reference_on_random_operations() {
+        // Rounds cluster at both ends of the range so keys collide, sort
+        // across the whole of `u64`, and `forget_rounds_before` cuts through
+        // the middle of them.
+        let rounds: Vec<u64> = (0..4).chain(u64::MAX - 3..=u64::MAX).collect();
+        // Sized for 70 processors; 130 and 700 lie beyond the hint.
+        let senders: Vec<ProcessorId> = [0, 1, 2, 5, 63, 64, 69, 130, 700]
+            .into_iter()
+            .map(ProcessorId::new)
+            .collect();
+        for seed in 0..8u64 {
+            let mut rng = ProcessorRng::from_seed(seed);
+            let mut flat = if seed % 2 == 0 {
+                RoundTally::for_processors(70)
+            } else {
+                RoundTally::new()
+            };
+            let mut reference = ReferenceTally::default();
+            for op in 0..400 {
+                let round = rounds[rng.range(rounds.len() as u64) as usize];
+                let context = match rng.range(20) {
+                    0 => {
+                        flat.clear();
+                        reference.clear();
+                        format!("seed {seed} op {op}: clear")
+                    }
+                    1 | 2 => {
+                        flat.forget_rounds_before(round);
+                        reference.forget_rounds_before(round);
+                        format!("seed {seed} op {op}: forget_rounds_before({round})")
+                    }
+                    _ => {
+                        let phase = rng.range(3) as u8;
+                        // Few senders per key, so duplicates are common.
+                        let sender = senders[rng.range(senders.len() as u64) as usize];
+                        let value = match rng.range(3) {
+                            0 => None,
+                            1 => Some(Bit::Zero),
+                            _ => Some(Bit::One),
+                        };
+                        let context = format!(
+                            "seed {seed} op {op}: record({round}, {phase}, {sender}, {value:?})"
+                        );
+                        assert_eq!(
+                            flat.record(round, phase, sender, value),
+                            reference.record(round, phase, sender, value),
+                            "{context}"
+                        );
+                        context
+                    }
+                };
+                assert_same_answers(&flat, &reference, &rounds, &senders, &context);
+            }
+        }
+    }
+
+    #[test]
+    fn retired_slots_are_reused_with_their_storage_wiped() {
+        let mut t = RoundTally::for_processors(13);
+        for round in 1..=50u64 {
+            for i in 0..9 {
+                assert!(t.record(round, 0, p(i), Some(Bit::One)));
+            }
+            // An early vote for the next round, from someone else.
+            assert!(t.record(round + 1, 0, p(12), Some(Bit::Zero)));
+            t.forget_rounds_before(round + 1);
+            assert_eq!(t.total(round, 0), 0);
+            assert_eq!(t.total(round + 1, 0), 1);
+            assert_eq!(t.count(round + 1, 0, Bit::One), 0);
+            assert!(!t.has_voted(round + 1, 0, p(1)));
+        }
+        // Two keys were alive at once at most, so two slots exist in all.
+        assert_eq!(t.live.len() + t.spare.len(), 2);
+    }
 
     fn p(i: usize) -> ProcessorId {
         ProcessorId::new(i)
@@ -246,6 +593,8 @@ mod tests {
         assert_eq!(t.rounds_with_at_least(0, 3), vec![7]);
         assert_eq!(t.rounds_with_at_least(0, 1), vec![7, 8]);
         assert!(t.rounds_with_at_least(1, 1).is_empty());
+        assert_eq!(t.lowest_round_with_at_least(0, 1), Some(7));
+        assert_eq!(t.lowest_round_with_at_least(0, 5), None);
     }
 
     #[test]

@@ -10,8 +10,25 @@
 //! A [`Window`] is the adversary's choice of the sets `R, S_1, ..., S_n`; the
 //! window engine validates it against the configuration before applying it,
 //! so an adversary implementation cannot accidentally exceed its power.
+//!
+//! # Layout
+//!
+//! The windows of the proofs of Lemmas 13 and 14, and of every balancing
+//! adversary here, are `R, S, S, ..., S`: one sender set for everyone. Such a
+//! window ([`Window::uniform`], [`Window::full_delivery`]) stores `S` **once**
+//! together with the arity `n`, and [`Window::delivery_set`] hands the same
+//! slice to every recipient; only [`Window::new`] keeps one `Vec` per
+//! recipient. The two forms are the same window to every observer: `==`
+//! compares the sets recipient by recipient, and the order of the senders
+//! inside a set — which is the order the recipient processes their messages
+//! in — is kept exactly as the adversary gave it.
+//!
+//! [`Window::validate`] runs on every scheduled window, so it allocates
+//! nothing: duplicates are found with a scratch bitset of `n` bits that lives
+//! on the stack up to `n = 256` (beyond every `n` the windowed model is run
+//! at here; larger `n` falls back to one heap buffer per call), and a shared
+//! set is checked once instead of `n` times.
 
-use std::collections::BTreeSet;
 use std::error::Error;
 use std::fmt;
 
@@ -19,11 +36,40 @@ use agreement_model::{ProcessorId, SystemConfig};
 
 /// An adversary's choice of one acceptable window: the reset set `R` and the
 /// per-processor delivery sets `S_i`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct Window {
     resets: Vec<ProcessorId>,
-    deliveries: Vec<Vec<ProcessorId>>,
+    deliveries: Deliveries,
 }
+
+/// The delivery sets `S_1, ..., S_n` of a window.
+#[derive(Debug, Clone)]
+enum Deliveries {
+    /// `S_i = senders` for every one of the `arity` recipients.
+    Shared {
+        senders: Vec<ProcessorId>,
+        arity: usize,
+    },
+    /// `S_i = sets[i]`.
+    PerRecipient(Vec<Vec<ProcessorId>>),
+}
+
+/// Windows are equal when they reset the same processors in the same order
+/// and hand every recipient the same senders in the same order, however the
+/// sets are stored.
+impl PartialEq for Window {
+    fn eq(&self, other: &Self) -> bool {
+        self.resets == other.resets
+            && self.arity() == other.arity()
+            && (0..self.arity()).all(|i| self.delivery_set(i) == other.delivery_set(i))
+    }
+}
+
+impl Eq for Window {}
+
+/// Words of the duplicate-detection bitset [`Window::validate`] keeps on the
+/// stack: enough for `n <= 256`.
+const INLINE_SEEN_WORDS: usize = 4;
 
 impl Window {
     /// Creates a window from a reset set and per-processor delivery sets.
@@ -32,22 +78,22 @@ impl Window {
     /// `i` receives in this window. Call [`Window::validate`] (the engine does
     /// so automatically) to check it satisfies Definition 1.
     pub fn new(resets: Vec<ProcessorId>, deliveries: Vec<Vec<ProcessorId>>) -> Self {
-        Window { resets, deliveries }
+        Window {
+            resets,
+            deliveries: Deliveries::PerRecipient(deliveries),
+        }
     }
 
     /// The failure-free, full-delivery window: every processor receives from
     /// everyone and nobody is reset.
     pub fn full_delivery(cfg: &SystemConfig) -> Self {
-        let all: Vec<ProcessorId> = ProcessorId::all(cfg.n()).collect();
-        Window {
-            resets: Vec::new(),
-            deliveries: vec![all; cfg.n()],
-        }
+        Window::uniform(cfg, Vec::new(), ProcessorId::all(cfg.n()).collect())
     }
 
     /// A window applying the same sender set `S` to every processor and the
     /// reset set `R`, i.e. the `R, S, S, ..., S` windows used throughout the
-    /// proofs of Lemmas 13 and 14.
+    /// proofs of Lemmas 13 and 14. `S` is stored once and shared by all `n`
+    /// recipients.
     pub fn uniform(
         cfg: &SystemConfig,
         resets: Vec<ProcessorId>,
@@ -55,7 +101,10 @@ impl Window {
     ) -> Self {
         Window {
             resets,
-            deliveries: vec![senders; cfg.n()],
+            deliveries: Deliveries::Shared {
+                senders,
+                arity: cfg.n(),
+            },
         }
     }
 
@@ -64,18 +113,30 @@ impl Window {
         &self.resets
     }
 
-    /// The sender set `S_i` for processor `index`.
+    /// The sender set `S_i` for processor `index`, in delivery order.
     ///
     /// # Panics
     ///
     /// Panics if `index` is out of range for the window's arity.
     pub fn delivery_set(&self, index: usize) -> &[ProcessorId] {
-        &self.deliveries[index]
+        match &self.deliveries {
+            Deliveries::Shared { senders, arity } => {
+                assert!(
+                    index < *arity,
+                    "delivery set {index} requested from a window of arity {arity}"
+                );
+                senders
+            }
+            Deliveries::PerRecipient(sets) => &sets[index],
+        }
     }
 
     /// Number of per-processor delivery sets (should equal `n`).
     pub fn arity(&self) -> usize {
-        self.deliveries.len()
+        match &self.deliveries {
+            Deliveries::Shared { arity, .. } => *arity,
+            Deliveries::PerRecipient(sets) => sets.len(),
+        }
     }
 
     /// Checks this window against Definition 1 for the given configuration.
@@ -86,10 +147,10 @@ impl Window {
     pub fn validate(&self, cfg: &SystemConfig) -> Result<(), WindowError> {
         let n = cfg.n();
         let t = cfg.t();
-        if self.deliveries.len() != n {
+        if self.arity() != n {
             return Err(WindowError::WrongArity {
                 expected: n,
-                actual: self.deliveries.len(),
+                actual: self.arity(),
             });
         }
         if self.resets.len() > t {
@@ -98,31 +159,93 @@ impl Window {
                 actual: self.resets.len(),
             });
         }
-        let reset_set: BTreeSet<ProcessorId> = self.resets.iter().copied().collect();
-        if reset_set.len() != self.resets.len() {
+
+        let words = n.div_ceil(64);
+        let mut inline = [0u64; INLINE_SEEN_WORDS];
+        let mut spilled = Vec::new();
+        let seen: &mut [u64] = if words <= INLINE_SEEN_WORDS {
+            &mut inline[..words]
+        } else {
+            spilled.resize(words, 0);
+            &mut spilled
+        };
+
+        let reset_ids = scan_ids(&self.resets, n, seen);
+        if reset_ids.duplicate {
             return Err(WindowError::DuplicateReset);
         }
-        if let Some(bad) = self.resets.iter().find(|p| p.index() >= n) {
-            return Err(WindowError::UnknownProcessor { id: *bad });
+        if let Some(id) = reset_ids.first_unknown {
+            return Err(WindowError::UnknownProcessor { id });
         }
-        for (i, senders) in self.deliveries.iter().enumerate() {
-            let set: BTreeSet<ProcessorId> = senders.iter().copied().collect();
-            if set.len() != senders.len() {
-                return Err(WindowError::DuplicateSender { recipient: i });
-            }
-            if let Some(bad) = senders.iter().find(|p| p.index() >= n) {
-                return Err(WindowError::UnknownProcessor { id: *bad });
-            }
-            if senders.len() < n.saturating_sub(t) {
-                return Err(WindowError::DeliverySetTooSmall {
-                    recipient: i,
-                    minimum: n - t,
-                    actual: senders.len(),
-                });
+        match &self.deliveries {
+            // One set stands for all n >= 1 recipients, so one check does;
+            // a violation is the first recipient's as much as anyone's.
+            Deliveries::Shared { senders, .. } => check_delivery_set(0, senders, n, t, seen)?,
+            Deliveries::PerRecipient(sets) => {
+                for (recipient, senders) in sets.iter().enumerate() {
+                    check_delivery_set(recipient, senders, n, t, seen)?;
+                }
             }
         }
         Ok(())
     }
+}
+
+/// What one pass over a reset or sender set found.
+struct IdScan {
+    /// Some processor is listed twice.
+    duplicate: bool,
+    /// The first listed identity outside `0..n`.
+    first_unknown: Option<ProcessorId>,
+}
+
+/// Scans `ids` for duplicates and identities outside `0..n`, using (and
+/// first clearing) the `n`-bit scratch set `seen`.
+fn scan_ids(ids: &[ProcessorId], n: usize, seen: &mut [u64]) -> IdScan {
+    seen.fill(0);
+    let mut scan = IdScan {
+        duplicate: false,
+        first_unknown: None,
+    };
+    for (position, id) in ids.iter().enumerate() {
+        let index = id.index();
+        if index < n {
+            let bit = 1u64 << (index % 64);
+            scan.duplicate |= seen[index / 64] & bit != 0;
+            seen[index / 64] |= bit;
+        } else {
+            // Already an invalid set; only which error it is remains open, so
+            // the quadratic look-back costs legal windows nothing.
+            scan.duplicate |= ids[..position].contains(id);
+            scan.first_unknown.get_or_insert(*id);
+        }
+    }
+    scan
+}
+
+/// Requirement 2 of Definition 1 for one recipient's sender set.
+fn check_delivery_set(
+    recipient: usize,
+    senders: &[ProcessorId],
+    n: usize,
+    t: usize,
+    seen: &mut [u64],
+) -> Result<(), WindowError> {
+    let scan = scan_ids(senders, n, seen);
+    if scan.duplicate {
+        return Err(WindowError::DuplicateSender { recipient });
+    }
+    if let Some(id) = scan.first_unknown {
+        return Err(WindowError::UnknownProcessor { id });
+    }
+    if senders.len() < n.saturating_sub(t) {
+        return Err(WindowError::DeliverySetTooSmall {
+            recipient,
+            minimum: n - t,
+            actual: senders.len(),
+        });
+    }
+    Ok(())
 }
 
 /// A violation of Definition 1 detected while validating a [`Window`].
@@ -205,6 +328,174 @@ impl Error for WindowError {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use agreement_model::ProcessorRng;
+    use std::collections::BTreeSet;
+
+    /// `Window::validate` as it was before the bitset: one `BTreeSet` per
+    /// set, every recipient checked separately. Kept as the reference model
+    /// the differential test below compares against.
+    fn reference_validate(
+        resets: &[ProcessorId],
+        deliveries: &[Vec<ProcessorId>],
+        cfg: &SystemConfig,
+    ) -> Result<(), WindowError> {
+        let n = cfg.n();
+        let t = cfg.t();
+        if deliveries.len() != n {
+            return Err(WindowError::WrongArity {
+                expected: n,
+                actual: deliveries.len(),
+            });
+        }
+        if resets.len() > t {
+            return Err(WindowError::TooManyResets {
+                budget: t,
+                actual: resets.len(),
+            });
+        }
+        let reset_set: BTreeSet<ProcessorId> = resets.iter().copied().collect();
+        if reset_set.len() != resets.len() {
+            return Err(WindowError::DuplicateReset);
+        }
+        if let Some(bad) = resets.iter().find(|p| p.index() >= n) {
+            return Err(WindowError::UnknownProcessor { id: *bad });
+        }
+        for (i, senders) in deliveries.iter().enumerate() {
+            let set: BTreeSet<ProcessorId> = senders.iter().copied().collect();
+            if set.len() != senders.len() {
+                return Err(WindowError::DuplicateSender { recipient: i });
+            }
+            if let Some(bad) = senders.iter().find(|p| p.index() >= n) {
+                return Err(WindowError::UnknownProcessor { id: *bad });
+            }
+            if senders.len() < n.saturating_sub(t) {
+                return Err(WindowError::DeliverySetTooSmall {
+                    recipient: i,
+                    minimum: n - t,
+                    actual: senders.len(),
+                });
+            }
+        }
+        Ok(())
+    }
+
+    /// A random id list: `lo..=hi` distinct members of `0..n` in random
+    /// order, then sometimes an identity outside `0..n` (itself possibly
+    /// listed twice) and sometimes a repeated entry, at random positions.
+    fn random_ids(rng: &mut ProcessorRng, n: usize, lo: usize, hi: usize) -> Vec<ProcessorId> {
+        let len = lo + rng.range((hi - lo) as u64 + 1) as usize;
+        let mut ids: Vec<ProcessorId> = rng
+            .choose_distinct(n, len)
+            .into_iter()
+            .map(ProcessorId::new)
+            .collect();
+        if rng.chance(0.15) {
+            let bad = ProcessorId::new(n + rng.range(3) as usize);
+            let at = rng.range(ids.len() as u64 + 1) as usize;
+            ids.insert(at, bad);
+            if rng.chance(0.3) {
+                ids.push(bad);
+            }
+        }
+        if !ids.is_empty() && rng.chance(0.15) {
+            let repeated = ids[rng.range(ids.len() as u64) as usize];
+            let at = rng.range(ids.len() as u64 + 1) as usize;
+            ids.insert(at, repeated);
+        }
+        ids
+    }
+
+    /// A sender set that is legal in size most of the time and undersized
+    /// by up to two otherwise.
+    fn random_senders(rng: &mut ProcessorRng, n: usize, t: usize) -> Vec<ProcessorId> {
+        let lo = if rng.chance(0.2) { n - t - 2 } else { n - t };
+        random_ids(rng, n, lo, n)
+    }
+
+    #[test]
+    fn validate_matches_the_set_based_reference_on_random_windows() {
+        let mut rng = ProcessorRng::from_seed(0xDEF1);
+        let mut rejected = 0;
+        // n = 300 exercises the heap fallback of the scratch bitset.
+        for (n, t, rounds) in [
+            (4, 1, 400),
+            (7, 1, 400),
+            (13, 2, 400),
+            (70, 11, 60),
+            (300, 40, 10),
+        ] {
+            let cfg = SystemConfig::new(n, t).unwrap();
+            for _ in 0..rounds {
+                let resets = if rng.chance(0.05) {
+                    // Oversized and possibly malformed at once: the count
+                    // check must still win.
+                    random_ids(&mut rng, n, t + 1, n)
+                } else {
+                    // Half the budget, so an injected entry usually still fits.
+                    random_ids(&mut rng, n, 0, t / 2)
+                };
+                let (window, sets) = if rng.chance(0.5) {
+                    let shared = random_senders(&mut rng, n, t);
+                    (
+                        Window::uniform(&cfg, resets.clone(), shared.clone()),
+                        vec![shared; n],
+                    )
+                } else {
+                    let arity = if rng.chance(0.05) { n - 1 } else { n };
+                    // Mostly legal sets, so a violation lands on a late
+                    // recipient as often as on an early one.
+                    let sets: Vec<Vec<ProcessorId>> = (0..arity)
+                        .map(|_| {
+                            if rng.chance(0.7) {
+                                let len = n - rng.range(t as u64 + 1) as usize;
+                                rng.choose_distinct(n, len)
+                                    .into_iter()
+                                    .map(ProcessorId::new)
+                                    .collect()
+                            } else {
+                                random_senders(&mut rng, n, t)
+                            }
+                        })
+                        .collect();
+                    (Window::new(resets.clone(), sets.clone()), sets)
+                };
+                let expected = reference_validate(&resets, &sets, &cfg);
+                rejected += usize::from(expected.is_err());
+                assert_eq!(
+                    window.validate(&cfg),
+                    expected,
+                    "n={n} t={t} resets={resets:?} sets={sets:?}"
+                );
+            }
+        }
+        assert!(
+            rejected > 200,
+            "the generator must produce illegal windows ({rejected} rejected)"
+        );
+    }
+
+    #[test]
+    fn shared_and_per_recipient_forms_of_a_window_are_equal() {
+        let senders = ids(&[6, 1, 2, 3, 4, 5]);
+        let shared = Window::uniform(&cfg(), ids(&[0]), senders.clone());
+        let spelled_out = Window::new(ids(&[0]), vec![senders.clone(); 7]);
+        assert_eq!(shared, spelled_out);
+        assert_eq!(spelled_out, shared);
+        assert_eq!(shared.arity(), 7);
+
+        // Order inside a set is delivery order, so it is part of equality.
+        let mut reordered = vec![senders.clone(); 7];
+        reordered[4] = ids(&[1, 6, 2, 3, 4, 5]);
+        assert_ne!(shared, Window::new(ids(&[0]), reordered));
+        assert_ne!(shared, Window::new(ids(&[0]), vec![senders.clone(); 6]));
+        assert_ne!(shared, Window::uniform(&cfg(), vec![], senders));
+    }
+
+    #[test]
+    #[should_panic(expected = "arity 7")]
+    fn shared_delivery_set_beyond_the_arity_panics() {
+        let _ = Window::full_delivery(&cfg()).delivery_set(7);
+    }
 
     fn cfg() -> SystemConfig {
         SystemConfig::new(7, 1).unwrap()
