@@ -106,7 +106,9 @@ mod tests {
     use super::*;
     use agreement_model::{InputAssignment, SystemConfig};
     use agreement_protocols::ResetTolerantBuilder;
-    use agreement_sim::{run_windowed, FullDeliveryAdversary, RunLimits, WindowEngine};
+    use agreement_sim::{
+        run_windowed, ExecutionCore, FullDeliveryAdversary, RunLimits, WindowScheduler,
+    };
 
     fn cfg13() -> SystemConfig {
         SystemConfig::with_sixth_resilience(13).unwrap()
@@ -117,10 +119,11 @@ mod tests {
         let cfg = cfg13();
         let builder = ResetTolerantBuilder::recommended(&cfg).unwrap();
         let inputs = InputAssignment::evenly_split(13); // 7 zeros, 6 ones
-        let mut engine = WindowEngine::new(cfg, inputs, &builder, 17);
+        let mut core = ExecutionCore::new(cfg, inputs, &builder, 17);
         let mut adversary = SplitVoteAdversary::new();
-        engine.step_window(&mut adversary);
-        let outcome = engine.outcome();
+        let mut scheduler = WindowScheduler::new(&mut adversary);
+        scheduler.step_window(&mut core);
+        let outcome = core.outcome_with(&scheduler);
         assert!(
             !outcome.any_decided(),
             "a balanced first window must not reach the T2 threshold"

@@ -96,7 +96,7 @@ mod tests {
     use super::*;
     use agreement_model::{Bit, InputAssignment, SystemConfig};
     use agreement_protocols::ResetTolerantBuilder;
-    use agreement_sim::{run_windowed, RunLimits, WindowEngine};
+    use agreement_sim::{run_windowed, ExecutionCore, RunLimits, WindowScheduler};
 
     fn cfg(n: usize) -> SystemConfig {
         SystemConfig::with_sixth_resilience(n).unwrap()
@@ -107,12 +107,13 @@ mod tests {
         let cfg = cfg(13);
         let builder = ResetTolerantBuilder::recommended(&cfg).unwrap();
         let inputs = InputAssignment::unanimous(13, Bit::One);
-        let mut engine = WindowEngine::new(cfg, inputs, &builder, 1);
+        let mut core = ExecutionCore::new(cfg, inputs, &builder, 1);
         let mut adversary = RotatingResetAdversary::new();
+        let mut scheduler = WindowScheduler::new(&mut adversary);
         for _ in 0..13 {
-            engine.step_window(&mut adversary);
+            scheduler.step_window(&mut core);
         }
-        let outcome = engine.outcome();
+        let outcome = core.outcome_with(&scheduler);
         // t = 2 resets per window over 13 windows.
         assert_eq!(outcome.metrics.resets_consumed, 26);
         assert!(outcome.agreement_holds());

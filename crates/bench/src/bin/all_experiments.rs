@@ -1,16 +1,18 @@
-//! Regenerates every experiment table (E1-E9) in order, optionally emitting
+//! Regenerates the experiment tables (E1-E10) in order, optionally emitting
 //! machine-readable per-scenario records.
 //!
 //! Usage:
 //!
 //! ```text
-//! cargo run --release -p agreement-bench --bin all_experiments [-- FLAGS]
+//! cargo run --release -p agreement-bench --bin all_experiments [-- [ID...] FLAGS]
 //!
+//!   ID...          experiments to run, from e1 ... e10 (default: all ten, in
+//!                  order; an unknown id exits 2 listing the valid ones)
 //!   --full         run the full EXPERIMENTS.md parameters (default: quick)
 //!   --json <PATH>  additionally re-run every simulated experiment workload
-//!                  and write one JSON record per scenario (aggregate +
-//!                  percentile distributions) — the shape committed as
-//!                  BENCH_*.json trajectory points
+//!                  (all of them, whichever ids were listed) and write one
+//!                  JSON record per scenario (aggregate + percentile
+//!                  distributions)
 //!   --csv <PATH>   like --json, as one CSV summary row per scenario
 //! ```
 //!
@@ -22,13 +24,14 @@
 //! appear only in the printed tables, not in the machine-readable records.
 
 use agreement_bench::cli::required_value;
-use agreement_core::experiments::{experiment_specs, run_all, Scale};
+use agreement_core::experiments::{experiment_specs, Scale, EXPERIMENTS};
 use agreement_core::{CsvSink, JsonReportSink, ReportSink};
 
 fn main() {
     let mut scale = Scale::Quick;
     let mut json_path: Option<String> = None;
     let mut csv_path: Option<String> = None;
+    let mut selected = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -37,11 +40,23 @@ fn main() {
             "--csv" => csv_path = Some(required_value(&mut args, "--csv")),
             "--help" | "-h" => {
                 println!(
-                    "usage: all_experiments [--full] [--json PATH] [--csv PATH]\n\
-                     Regenerates the E1-E9 tables; --json/--csv additionally emit\n\
-                     machine-readable per-scenario records."
+                    "usage: all_experiments [ID...] [--full] [--json PATH] [--csv PATH]\n\
+                     Regenerates the E1-E10 tables (ten tables, or only the listed ids\n\
+                     e1 ... e10); --json/--csv additionally emit machine-readable\n\
+                     per-scenario records."
                 );
                 return;
+            }
+            id if !id.starts_with('-') => {
+                match EXPERIMENTS.iter().find(|(known, _)| *known == id) {
+                    Some(&(_, run)) => selected.push(run),
+                    None => {
+                        let valid: Vec<&str> =
+                            EXPERIMENTS.iter().map(|(known, _)| *known).collect();
+                        eprintln!("unknown experiment '{id}' (valid: {})", valid.join(", "));
+                        std::process::exit(2);
+                    }
+                }
             }
             other => {
                 eprintln!("unknown argument '{other}' (try --help)");
@@ -49,9 +64,12 @@ fn main() {
             }
         }
     }
+    if selected.is_empty() {
+        selected.extend(EXPERIMENTS.iter().map(|&(_, run)| run));
+    }
 
-    for table in run_all(scale) {
-        println!("{table}");
+    for run in selected {
+        println!("{}", run(scale));
     }
 
     if json_path.is_none() && csv_path.is_none() {

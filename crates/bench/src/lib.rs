@@ -1,16 +1,9 @@
-//! Benchmark support for the agreement workspace.
+//! Shared support for the `scenarios` and `all_experiments` binaries.
 //!
-//! The build environment is fully offline, so instead of criterion the
-//! workspace carries its own minimal timing harness ([`harness`]) plus a
-//! throughput-baseline guard ([`baseline`]) that compares measured
-//! window-engine throughput against numbers recorded in the repository, so a
-//! future PR that slows the unified execution core down is visible in its CI
-//! log.
+//! Measurement lives elsewhere: the repository's benchmark is the standalone
+//! `benchmark/` package declared by `BENCHMARK.json`.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod baseline;
 pub mod cli;
-pub mod harness;
-pub mod workloads;

@@ -3,7 +3,7 @@
 //! The paper is a theory paper without numeric tables or figures; each
 //! experiment here regenerates one of its *claims* as a table. Every
 //! experiment accepts a [`Scale`] so that unit tests and examples can run a
-//! reduced version quickly, while the `agreement-bench` binaries run the full
+//! reduced version quickly, while `all_experiments --full` runs the full
 //! versions reported in EXPERIMENTS.md.
 //!
 //! The simulation experiments are **declarative**: each one defines its
@@ -766,20 +766,25 @@ pub fn experiment_specs(scale: Scale) -> Vec<ScenarioSpec> {
     specs
 }
 
+/// Every experiment by id, in order: what `all_experiments` selects from by
+/// positional argument and what [`run_all`] iterates.
+#[allow(clippy::type_complexity)] // an (id, function) pair; an alias would only rename it
+pub const EXPERIMENTS: [(&str, fn(Scale) -> Table); 10] = [
+    ("e1", exp1_correctness),
+    ("e2", exp2_exponential_runtime),
+    ("e3", exp3_talagrand),
+    ("e4", exp4_zset_separation),
+    ("e5", exp5_lower_bound),
+    ("e6", exp6_crash_chains),
+    ("e7", exp7_committee_vs_adaptive),
+    ("e8", exp8_threshold_sensitivity),
+    ("e9", exp9_reset_budget),
+    ("e10", exp10_subquadratic_scaling),
+];
+
 /// Runs every experiment at the given scale, in order.
 pub fn run_all(scale: Scale) -> Vec<Table> {
-    vec![
-        exp1_correctness(scale),
-        exp2_exponential_runtime(scale),
-        exp3_talagrand(scale),
-        exp4_zset_separation(scale),
-        exp5_lower_bound(scale),
-        exp6_crash_chains(scale),
-        exp7_committee_vs_adaptive(scale),
-        exp8_threshold_sensitivity(scale),
-        exp9_reset_budget(scale),
-        exp10_subquadratic_scaling(scale),
-    ]
+    EXPERIMENTS.iter().map(|(_, run)| run(scale)).collect()
 }
 
 #[cfg(test)]

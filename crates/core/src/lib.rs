@@ -4,10 +4,10 @@
 //!
 //! This crate ties the workspace together:
 //!
-//! * [`TrialPlan`], [`Campaign`], [`run_window_trials`], [`run_async_trials`]
-//!   and [`Aggregate`] — run a protocol against an adversary over many seeded
-//!   trials, fanned out across all cores with deterministic (thread-count
-//!   independent) results.
+//! * [`TrialPlan`], [`Campaign`] and [`Aggregate`] — run a protocol against
+//!   a model-erased adversary over many seeded trials
+//!   ([`Campaign::run_records`]), fanned out across all cores with
+//!   deterministic (thread-count independent) results.
 //! * [`record`] — the structured results pipeline: every trial yields a
 //!   [`TrialRecord`] (seed, outcome flags, full
 //!   [`Metrics`](agreement_sim::Metrics)), streamed in trial order into
@@ -20,7 +20,7 @@
 //!   [`scenario_registry`] lists every registered combination (the `scenarios`
 //!   binary runs them from the command line), and running a spec returns a
 //!   [`ScenarioReport`] (aggregate plus distributions, JSON-serializable).
-//! * [`experiments`] — the per-claim experiments E1–E9 indexed in DESIGN.md
+//! * [`experiments`] — the per-claim experiments E1–E10 indexed in DESIGN.md
 //!   and recorded in EXPERIMENTS.md, each a declarative [`ScenarioSpec`] table
 //!   returning a [`Table`].
 //! * [`Table`] — plain-text result tables (what the `agreement-bench`
@@ -36,7 +36,7 @@
 //! println!("{table}");
 //! ```
 //!
-//! Run an arbitrary combination nothing in E1–E9 exercises:
+//! Run an arbitrary combination nothing in E1–E10 exercises:
 //!
 //! ```no_run
 //! use agreement_core::{InputPattern, ProtocolSpec, ScenarioSpec};
@@ -74,7 +74,7 @@ pub use record::{
     TrialRecord,
 };
 pub use report::{fmt_f64, fmt_rate, Table};
-pub use runner::{run_async_trials, run_window_trials, Aggregate, Campaign, TrialPlan};
+pub use runner::{Aggregate, Campaign, TrialPlan};
 pub use scenario::{
     extra_scenarios, partial_sync_scenarios, scenario_registry, subquad_scenarios, InputPattern,
     ProtocolInstance, ProtocolSpec, ScenarioError, ScenarioMatrix, ScenarioReport, ScenarioSpec,

@@ -38,7 +38,7 @@ pub struct ScenarioMeta {
     pub t: usize,
     /// Number of trials.
     pub trials: u64,
-    /// Base seed; trial `i` used `base_seed + i`.
+    /// Base seed; trial `i` used `base_seed + i`, wrapping past `u64::MAX`.
     pub base_seed: u64,
     /// The scheduler's time cap (windows or steps, per the model): undecided
     /// trials contribute this value to decision-time aggregation.

@@ -21,16 +21,14 @@
 //! an [`Aggregate`] is one consumer of the record stream
 //! ([`Aggregate::from_records`]), the report sinks of [`crate::record`] are
 //! the others. The workspace path is bit-identical to running every trial on
-//! a fresh, trace-keeping engine — pinned by the equivalence tests.
+//! a fresh, trace-keeping core — pinned by the equivalence tests.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use agreement_analysis::Summary;
 use agreement_model::{InputAssignment, ProtocolBuilder, SystemConfig};
-use agreement_sim::{
-    AsyncAdversary, BufferChoice, BuiltAdversary, RunLimits, TrialWorkspace, WindowAdversary,
-};
+use agreement_sim::{BufferChoice, BuiltAdversary, RunLimits, TrialWorkspace};
 
 use crate::record::TrialRecord;
 
@@ -45,7 +43,8 @@ pub struct TrialPlan {
     pub limits: RunLimits,
     /// Number of trials.
     pub trials: u64,
-    /// Base seed; trial `i` uses `base_seed + i`.
+    /// Base seed; trial `i` uses `base_seed.wrapping_add(i)`, so a base near
+    /// `u64::MAX` wraps to 0 identically in debug and release builds.
     pub base_seed: u64,
     /// Message-buffer channel layout every trial runs under.
     /// [`BufferChoice::Auto`] (the default) picks dense channels for small
@@ -132,8 +131,8 @@ impl Campaign {
         requested.clamp(1, trials.max(1) as usize)
     }
 
-    /// Executes `trials` seeded tasks and returns their results **in trial
-    /// order**, regardless of which worker ran which trial.
+    /// Executes the seeded trials `lo..hi` and returns their results **in
+    /// trial order**, regardless of which worker ran which trial.
     ///
     /// Every worker (the calling thread included, on the serial path) owns
     /// one [`TrialWorkspace`] for its whole run: `run_one` executes each
@@ -141,21 +140,11 @@ impl Campaign {
     /// seed instead of rebuilt per trial. Which worker ran a trial never
     /// affects its result (executions are seed-deterministic and the
     /// workspace leaks no state between trials), so the stream stays
-    /// bit-identical across thread counts.
-    fn run_trials<T: Send>(
-        &self,
-        trials: u64,
-        run_one: impl Fn(&mut TrialWorkspace, u64) -> T + Sync,
-    ) -> Vec<T> {
-        self.run_trials_range(0, trials, run_one)
-    }
-
-    /// Executes the trials `lo..hi` and returns their results in trial
-    /// order. The contiguous-range form of [`Campaign::run_trials`]: trial
-    /// `t` runs identically whether it is reached as part of `0..trials` or
-    /// as part of a shard `lo..hi` (its seed and workspace semantics depend
-    /// only on `t`), which is what lets a multi-process orchestrator split a
-    /// campaign into ranges and merge the streams bit-identically.
+    /// bit-identical across thread counts. Trial `t` also runs identically
+    /// whether it is reached as part of `0..trials` or as part of a shard
+    /// `lo..hi` (its seed and workspace semantics depend only on `t`), which
+    /// is what lets a multi-process orchestrator split a campaign into ranges
+    /// and merge the streams bit-identically.
     fn run_trials_range<T: Send>(
         &self,
         lo: u64,
@@ -218,9 +207,10 @@ impl Campaign {
     /// Runs only the trials `lo..hi` of `plan` and returns their records in
     /// trial order — the shard a multi-process orchestrator hands one worker.
     /// Record `t` of a range run is bit-identical to record `t` of a full
-    /// [`Campaign::run_records`] run (trial seeds are `base_seed + t`
-    /// regardless of the range), so concatenating the ranges `0..a`, `a..b`,
-    /// …, `z..trials` reproduces the single-process stream exactly.
+    /// [`Campaign::run_records`] run (trial seeds are
+    /// `base_seed.wrapping_add(t)` regardless of the range), so concatenating
+    /// the ranges `0..a`, `a..b`, …, `z..trials` reproduces the
+    /// single-process stream exactly.
     pub fn run_records_range<F>(
         &self,
         plan: &TrialPlan,
@@ -233,7 +223,10 @@ impl Campaign {
         F: Fn(u64) -> BuiltAdversary + Sync,
     {
         self.run_trials_range(lo, hi.min(plan.trials), |workspace, trial| {
-            let seed = plan.base_seed + trial;
+            // An overflow check here would panic in debug builds and wrap in
+            // release ones (worker processes are release binaries): two
+            // streams from one command.
+            let seed = plan.base_seed.wrapping_add(trial); // base_seed + trial mod 2^64
             workspace.set_buffer_choice(plan.buffer);
             let mut adversary = make_adversary(seed);
             let outcome = workspace.run_built(
@@ -247,114 +240,6 @@ impl Campaign {
             TrialRecord::from_outcome(trial, seed, &outcome, &plan.inputs)
         })
     }
-
-    /// Runs `plan.trials` window-model executions and returns one
-    /// [`TrialRecord`] per trial, **in trial order** regardless of thread
-    /// count. `make_adversary` receives each trial's seed.
-    pub fn run_windowed_records<A, F>(
-        &self,
-        plan: &TrialPlan,
-        builder: &dyn ProtocolBuilder,
-        make_adversary: F,
-    ) -> Vec<TrialRecord>
-    where
-        A: WindowAdversary,
-        F: Fn(u64) -> A + Sync,
-    {
-        self.run_trials(plan.trials, |workspace, trial| {
-            let seed = plan.base_seed + trial;
-            workspace.set_buffer_choice(plan.buffer);
-            let mut adversary = make_adversary(seed);
-            let outcome = workspace.run_windowed(
-                plan.cfg,
-                &plan.inputs,
-                builder,
-                &mut adversary,
-                seed,
-                plan.limits,
-            );
-            TrialRecord::from_outcome(trial, seed, &outcome, &plan.inputs)
-        })
-    }
-
-    /// Runs `plan.trials` asynchronous-model executions and returns one
-    /// [`TrialRecord`] per trial, **in trial order** regardless of thread
-    /// count. `make_adversary` receives each trial's seed.
-    pub fn run_async_records<A, F>(
-        &self,
-        plan: &TrialPlan,
-        builder: &dyn ProtocolBuilder,
-        make_adversary: F,
-    ) -> Vec<TrialRecord>
-    where
-        A: AsyncAdversary,
-        F: Fn(u64) -> A + Sync,
-    {
-        self.run_trials(plan.trials, |workspace, trial| {
-            let seed = plan.base_seed + trial;
-            workspace.set_buffer_choice(plan.buffer);
-            let mut adversary = make_adversary(seed);
-            let outcome = workspace.run_async(
-                plan.cfg,
-                &plan.inputs,
-                builder,
-                &mut adversary,
-                seed,
-                plan.limits,
-            );
-            TrialRecord::from_outcome(trial, seed, &outcome, &plan.inputs)
-        })
-    }
-
-    /// Runs `plan.trials` window-model executions, constructing a fresh
-    /// adversary per trial with `make_adversary`, and aggregates the records
-    /// deterministically.
-    pub fn run_windowed<A, F>(
-        &self,
-        plan: &TrialPlan,
-        builder: &dyn ProtocolBuilder,
-        make_adversary: F,
-    ) -> Aggregate
-    where
-        A: WindowAdversary,
-        F: Fn() -> A + Sync,
-    {
-        self.run_windowed_seeded(plan, builder, |_seed| make_adversary())
-    }
-
-    /// Like [`Campaign::run_windowed`], but hands each trial's seed to
-    /// `make_adversary` so seeded window adversaries (e.g. factory-built ones)
-    /// can derive private randomness from it.
-    pub fn run_windowed_seeded<A, F>(
-        &self,
-        plan: &TrialPlan,
-        builder: &dyn ProtocolBuilder,
-        make_adversary: F,
-    ) -> Aggregate
-    where
-        A: WindowAdversary,
-        F: Fn(u64) -> A + Sync,
-    {
-        let records = self.run_windowed_records(plan, builder, make_adversary);
-        Aggregate::from_records(&records, plan.limits.max_windows)
-    }
-
-    /// Runs `plan.trials` asynchronous-model executions, constructing a fresh
-    /// adversary per trial with `make_adversary` (which receives the trial's
-    /// seed), and aggregates the records deterministically.
-    pub fn run_async<A, F>(
-        &self,
-        plan: &TrialPlan,
-        builder: &dyn ProtocolBuilder,
-        make_adversary: F,
-    ) -> Aggregate
-    where
-        A: AsyncAdversary,
-        F: Fn(u64) -> A + Sync,
-    {
-        let records = self.run_async_records(plan, builder, make_adversary);
-        Aggregate::from_records(&records, plan.limits.max_steps)
-    }
 }
 
 /// Aggregated results over a batch of trials.
@@ -363,7 +248,7 @@ impl Campaign {
 /// computed from a [`TrialRecord`] stream by [`Aggregate::from_records`]
 /// (today also available packaged as a
 /// [`ScenarioReport`](crate::ScenarioReport) with distributions), and kept
-/// in this exact shape so the E1–E9 tables stay byte-identical.
+/// in this exact shape so the E1–E10 tables stay byte-identical.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Aggregate {
     /// Number of trials run.
@@ -435,34 +320,6 @@ impl Aggregate {
     }
 }
 
-/// Runs `plan.trials` window-model executions on all cores, constructing a
-/// fresh adversary per trial with `make_adversary`.
-pub fn run_window_trials<A, F>(
-    plan: &TrialPlan,
-    builder: &dyn ProtocolBuilder,
-    make_adversary: F,
-) -> Aggregate
-where
-    A: WindowAdversary,
-    F: Fn() -> A + Sync,
-{
-    Campaign::default().run_windowed(plan, builder, make_adversary)
-}
-
-/// Runs `plan.trials` asynchronous-model executions on all cores,
-/// constructing a fresh adversary per trial with `make_adversary`.
-pub fn run_async_trials<A, F>(
-    plan: &TrialPlan,
-    builder: &dyn ProtocolBuilder,
-    make_adversary: F,
-) -> Aggregate
-where
-    A: AsyncAdversary,
-    F: Fn(u64) -> A + Sync,
-{
-    Campaign::default().run_async(plan, builder, make_adversary)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -471,6 +328,18 @@ mod tests {
     use agreement_protocols::{BenOrBuilder, ResetTolerantBuilder};
     use agreement_sim::{FairAsyncAdversary, FullDeliveryAdversary};
 
+    fn full_delivery(_seed: u64) -> BuiltAdversary {
+        BuiltAdversary::windowed(Box::new(FullDeliveryAdversary))
+    }
+
+    fn split_vote(_seed: u64) -> BuiltAdversary {
+        BuiltAdversary::windowed(Box::new(SplitVoteAdversary::new()))
+    }
+
+    fn fair_async(_seed: u64) -> BuiltAdversary {
+        BuiltAdversary::asynchronous(Box::new(FairAsyncAdversary::default()))
+    }
+
     #[test]
     fn window_trials_aggregate_perfect_rates_for_unanimous_inputs() {
         let cfg = SystemConfig::with_sixth_resilience(7).unwrap();
@@ -478,7 +347,8 @@ mod tests {
         let plan = TrialPlan::new(cfg, InputAssignment::unanimous(7, Bit::One))
             .trials(5)
             .limits(RunLimits::small());
-        let aggregate = run_window_trials(&plan, &builder, || FullDeliveryAdversary);
+        let records = Campaign::default().run_records(&plan, &builder, full_delivery);
+        let aggregate = Aggregate::from_records(&records, plan.limits.max_windows);
         assert_eq!(aggregate.trials, 5);
         assert_eq!(aggregate.agreement_rate, 1.0);
         assert_eq!(aggregate.validity_rate, 1.0);
@@ -495,7 +365,8 @@ mod tests {
         let plan = TrialPlan::new(cfg, InputAssignment::evenly_split(13))
             .trials(3)
             .limits(RunLimits::windows(5_000));
-        let aggregate = run_window_trials(&plan, &builder, SplitVoteAdversary::new);
+        let records = Campaign::default().run_records(&plan, &builder, split_vote);
+        let aggregate = Aggregate::from_records(&records, plan.limits.max_windows);
         assert_eq!(aggregate.agreement_rate, 1.0);
         assert_eq!(aggregate.validity_rate, 1.0);
         assert!(aggregate.decision_time.mean > 1.0);
@@ -508,13 +379,16 @@ mod tests {
             .trials(4)
             .limits(RunLimits::small())
             .base_seed(99);
-        let aggregate = run_async_trials(&plan, &BenOrBuilder::new(), |_seed| {
-            FairAsyncAdversary::default()
-        });
+        let records = Campaign::default().run_records(&plan, &BenOrBuilder::new(), fair_async);
+        let aggregate = Aggregate::from_records(&records, plan.limits.max_steps);
         assert_eq!(aggregate.trials, 4);
         assert_eq!(aggregate.termination_rate, 1.0);
         assert_eq!(aggregate.agreement_rate, 1.0);
         assert!(aggregate.chain_length.mean >= 1.0);
+        // Records carry the async metrics: steps elapsed, no windows.
+        assert!(records.iter().all(|r| r.metrics.windows == 0));
+        assert!(records.iter().all(|r| r.metrics.steps == r.duration));
+        assert!(records.iter().all(|r| r.metrics.messages_sent > 0));
     }
 
     #[test]
@@ -524,32 +398,18 @@ mod tests {
         let plan = TrialPlan::new(cfg, InputAssignment::evenly_split(7))
             .trials(8)
             .limits(RunLimits::windows(2_000));
-        let serial = Campaign::serial().run_windowed(&plan, &builder, SplitVoteAdversary::new);
+        let aggregate = |campaign: Campaign| {
+            let records = campaign.run_records(&plan, &builder, split_vote);
+            Aggregate::from_records(&records, plan.limits.max_windows)
+        };
+        let serial = aggregate(Campaign::serial());
         for threads in [2usize, 3, 8, 0] {
-            let parallel = Campaign::with_threads(threads).run_windowed(
-                &plan,
-                &builder,
-                SplitVoteAdversary::new,
-            );
             assert_eq!(
-                serial, parallel,
+                serial,
+                aggregate(Campaign::with_threads(threads)),
                 "thread count {threads} changed the aggregate"
             );
         }
-
-        let async_plan = TrialPlan::new(
-            SystemConfig::new(5, 1).unwrap(),
-            InputAssignment::evenly_split(5),
-        )
-        .trials(8)
-        .limits(RunLimits::small());
-        let serial = Campaign::serial().run_async(&async_plan, &BenOrBuilder::new(), |_| {
-            FairAsyncAdversary::default()
-        });
-        let parallel = Campaign::parallel().run_async(&async_plan, &BenOrBuilder::new(), |_| {
-            FairAsyncAdversary::default()
-        });
-        assert_eq!(serial, parallel);
     }
 
     #[test]
@@ -559,44 +419,50 @@ mod tests {
         let plan = TrialPlan::new(cfg, InputAssignment::evenly_split(13))
             .trials(9)
             .limits(RunLimits::windows(2_000));
-        let serial =
-            Campaign::serial().run_windowed_records(&plan, &builder, |_| SplitVoteAdversary::new());
+        let serial = Campaign::serial().run_records(&plan, &builder, split_vote);
         assert_eq!(serial.len(), 9);
         for (i, record) in serial.iter().enumerate() {
             assert_eq!(record.trial, i as u64, "records arrive in trial order");
             assert_eq!(record.seed, plan.base_seed + i as u64);
         }
         for threads in [2usize, 3, 8, 0] {
-            let parallel =
-                Campaign::with_threads(threads)
-                    .run_windowed_records(&plan, &builder, |_| SplitVoteAdversary::new());
+            let parallel = Campaign::with_threads(threads).run_records(&plan, &builder, split_vote);
             assert_eq!(
                 serial, parallel,
                 "thread count {threads} changed the record stream"
             );
         }
+
+        let async_plan = TrialPlan::new(
+            SystemConfig::new(5, 1).unwrap(),
+            InputAssignment::evenly_split(5),
+        )
+        .trials(8)
+        .limits(RunLimits::small());
+        let serial = Campaign::serial().run_records(&async_plan, &BenOrBuilder::new(), fair_async);
+        let parallel =
+            Campaign::parallel().run_records(&async_plan, &BenOrBuilder::new(), fair_async);
+        assert_eq!(serial, parallel);
     }
 
     #[test]
-    fn aggregate_from_records_matches_the_run_aggregate() {
+    fn trial_seeds_wrap_past_u64_max_identically_on_every_path() {
         let cfg = SystemConfig::new(5, 1).unwrap();
         let plan = TrialPlan::new(cfg, InputAssignment::evenly_split(5))
-            .trials(6)
-            .limits(RunLimits::small());
-        let records = Campaign::serial().run_async_records(&plan, &BenOrBuilder::new(), |_| {
-            FairAsyncAdversary::default()
-        });
-        let direct = Campaign::serial().run_async(&plan, &BenOrBuilder::new(), |_| {
-            FairAsyncAdversary::default()
-        });
+            .trials(2)
+            .limits(RunLimits::small())
+            .base_seed(u64::MAX);
+        let builder = BenOrBuilder::new();
+        let serial = Campaign::serial().run_records(&plan, &builder, fair_async);
+        let seeds: Vec<u64> = serial.iter().map(|r| r.seed).collect();
+        assert_eq!(seeds, [u64::MAX, 0]);
         assert_eq!(
-            Aggregate::from_records(&records, plan.limits.max_steps),
-            direct
+            serial,
+            Campaign::with_threads(2).run_records(&plan, &builder, fair_async)
         );
-        // Records carry the async metrics: steps elapsed, no windows.
-        assert!(records.iter().all(|r| r.metrics.windows == 0));
-        assert!(records.iter().all(|r| r.metrics.steps == r.duration));
-        assert!(records.iter().all(|r| r.metrics.messages_sent > 0));
+        let mut sharded = Campaign::serial().run_records_range(&plan, &builder, fair_async, 0, 1);
+        sharded.extend(Campaign::serial().run_records_range(&plan, &builder, fair_async, 1, 2));
+        assert_eq!(serial, sharded);
     }
 
     #[test]

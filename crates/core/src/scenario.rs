@@ -12,7 +12,7 @@
 //! new workloads — Ben-Or under the equivocating Byzantine adversary,
 //! committee protocols under split inputs — are new table rows, not new code.
 //!
-//! The experiments E1–E9 in [`crate::experiments`] are declarative tables
+//! The experiments E1–E10 in [`crate::experiments`] are declarative tables
 //! over this engine, and [`scenario_registry`] collects every registered
 //! combination (experiment workloads plus extra combinations no experiment
 //! exercises) for the `scenarios` CLI and the smoke tests.
@@ -239,7 +239,7 @@ pub struct ScenarioSpec {
     pub trials: u64,
     /// Per-trial run limits.
     pub limits: RunLimits,
-    /// Base seed; trial `i` uses `base_seed + i`.
+    /// Base seed; trial `i` uses `base_seed + i`, wrapping past `u64::MAX`.
     pub base_seed: u64,
     /// Explicit adversary targets. `None` means "the protocol's committee"
     /// (empty for quorum protocols), which is what targeting adversaries
@@ -580,7 +580,7 @@ impl ScenarioSpec {
 pub struct ScenarioReport {
     /// The scenario's identity (id, model, size, trials, seed, time cap).
     pub meta: ScenarioMeta,
-    /// The classic rate/summary aggregate (what the E1–E9 tables print).
+    /// The classic rate/summary aggregate (what the E1–E10 tables print).
     pub aggregate: Aggregate,
     /// Distribution of the window/step count at which the last correct
     /// processor decided (undecided trials contribute the time cap).
@@ -811,7 +811,7 @@ pub fn extra_scenarios(scale: Scale) -> Vec<ScenarioSpec> {
             2,
         )
         .limits(RunLimits::steps(100_000)),
-        // The targeted (most-advanced-first) resetter, unused by E1-E9.
+        // The targeted (most-advanced-first) resetter, unused by E1-E10.
         ScenarioSpec::new(
             ProtocolSpec::ResetTolerant,
             "targeted-reset",
@@ -1078,7 +1078,7 @@ pub fn subquad_scenarios(scale: Scale) -> Vec<ScenarioSpec> {
     specs
 }
 
-/// Every registered scenario: the declarative E1–E9 workloads plus the extra
+/// Every registered scenario: the declarative E1–E10 workloads plus the extra
 /// combinations, the partial-synchrony family and the sub-quadratic scaling
 /// family, at the given scale.
 ///
@@ -1296,8 +1296,13 @@ mod tests {
         let plan = TrialPlan::new(cfg, InputAssignment::evenly_split(13))
             .trials(3)
             .limits(RunLimits::windows(5_000));
-        let direct = Campaign::default().run_windowed(&plan, &builder, SplitVoteAdversary::new);
-        assert_eq!(via_scenario.aggregate, direct);
+        let direct = Campaign::default().run_records(&plan, &builder, |_| {
+            BuiltAdversary::windowed(Box::new(SplitVoteAdversary::new()))
+        });
+        assert_eq!(
+            via_scenario.aggregate,
+            Aggregate::from_records(&direct, plan.limits.max_windows)
+        );
     }
 
     #[test]

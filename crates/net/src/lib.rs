@@ -1,37 +1,14 @@
-//! A threaded message-passing runtime for the agreement protocols.
+//! The byte transport under the multi-process campaign orchestration.
 //!
-//! `agreement-sim` drives the protocol state machines under a fully
-//! adversary-controlled scheduler; this crate runs the very same state
-//! machines as a real concurrent system — one OS thread per processor, one
-//! mpsc channel per processor as its incoming buffer — to demonstrate
-//! that the protocols are ordinary message-passing programs and to provide a
-//! wall-clock benchmark target (`net_cluster` in `agreement-bench`).
-//!
-//! See [`Cluster`] for the entry point and [`ClusterOutcome`] for the result.
-//! The [`transport`] module is the lower layer: bounded blocking channels,
-//! length-prefixed framing, and coalescing socket connections, reused by the
-//! multi-process campaign orchestration in `agreement-core`.
-//!
-//! # Example
-//!
-//! ```
-//! use agreement_model::{Bit, InputAssignment, SystemConfig};
-//! use agreement_net::Cluster;
-//! use agreement_protocols::BenOrBuilder;
-//!
-//! let cfg = SystemConfig::new(4, 1)?;
-//! let inputs = InputAssignment::unanimous(4, Bit::One);
-//! let outcome = Cluster::new(cfg, inputs.clone(), 42).run(&BenOrBuilder::new());
-//! assert!(outcome.agreement_holds());
-//! assert!(outcome.validity_holds(&inputs));
-//! # Ok::<(), agreement_model::ConfigError>(())
-//! ```
+//! [`transport`] is bounded blocking channels, length-prefixed CRC-checked
+//! framing, and coalescing socket connections — payloads are opaque bytes;
+//! `agreement-core`'s orchestration speaks its wire format inside the frames.
+//! [`fault`] is the seeded, replayable fault injector a connection consults
+//! at every outgoing frame boundary, which is how the chaos tests point the
+//! paper's adversarial stance at this wire stack itself.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-mod cluster;
 pub mod fault;
 pub mod transport;
-
-pub use cluster::{Cluster, ClusterOutcome};

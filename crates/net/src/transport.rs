@@ -1,14 +1,13 @@
 //! A grown-up message transport: bounded blocking channels, length-prefixed
 //! frames, and socket connections with coalescing writers.
 //!
-//! The original `net` crate was a thread-per-node mpsc toy; this module is
-//! the channel the distributed pieces of the workspace actually ship bytes
-//! through. Three layers, each usable on its own:
+//! This module is the channel the distributed pieces of the workspace ship
+//! bytes through. Three layers, each usable on its own:
 //!
 //! * [`bounded`] — a capacity-limited blocking MPSC queue. Sends **block**
 //!   when the queue is full (backpressure, not unbounded memory), receives
-//!   block until an item or a deadline arrives ([`BoundedReceiver::recv_deadline`]
-//!   is the primitive `cluster` uses instead of its old 20 ms poll loop), and
+//!   block until an item or a deadline arrives
+//!   ([`BoundedReceiver::recv_deadline`]), and
 //!   [`BoundedReceiver::recv_many`] drains every queued item in one wakeup —
 //!   the coalescing primitive the connection writer batches frames with.
 //! * [`write_frame`]/[`read_frame`] — length-prefixed (u32 little-endian)

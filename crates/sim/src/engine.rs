@@ -1,6 +1,6 @@
-//! The open execution-model axis: one generic [`Engine`] facade, a runtime
-//! [`ModelDescriptor`] per model, and model-erased [`BuiltAdversary`]
-//! instances the data-driven layers dispatch through.
+//! The open execution-model axis: a compile-time [`ExecutionModel`] marker
+//! and a runtime [`ModelDescriptor`] per model, and model-erased
+//! [`BuiltAdversary`] instances the data-driven layers dispatch through.
 //!
 //! The paper's results are parameterized by *adversary power*: the strongly
 //! adaptive window model (Section 2), full asynchrony (Section 5), and — in
@@ -14,16 +14,16 @@
 //!   simulator knows about "which model is this" flows through these
 //!   associated items; nothing matches on a model enum.
 //! * [`ModelDescriptor`] is the runtime face: a named descriptor (id,
-//!   display name, applicable [`RunLimits`] cap) that registries, scenario
-//!   specs and reports carry instead of an enum variant. Descriptors compare
-//!   by id.
-//! * [`Engine`] assembles construction, stepping, running and outcome
-//!   snapshots **once**, generically over the model; `WindowEngine`,
-//!   `AsyncEngine` and `PartialSyncEngine` are thin source-compatible
-//!   aliases over it.
+//!   applicable [`RunLimits`] cap) that registries, scenario specs and
+//!   reports carry instead of an enum variant. Descriptors compare by id.
 //! * [`BuiltAdversary`] is a model-erased adversary instance: the adversary
 //!   factories of `agreement-adversary` return one, and campaign workers run
 //!   it against a workspace core without knowing (or matching on) its model.
+//! * [`run_windowed`], [`run_async`] and [`run_partial_sync`] run one fresh,
+//!   trace-keeping execution against a concrete adversary. Step-wise driving
+//!   needs no facade: [`Scheduler::on_start`](crate::Scheduler::on_start),
+//!   [`Scheduler::step`](crate::Scheduler::step) and
+//!   [`ExecutionCore::outcome_with`] are that API.
 //!
 //! Adding a fourth model therefore touches exactly one axis: implement a
 //! `Scheduler`, declare a marker type + descriptor here (or in your own
@@ -32,10 +32,9 @@
 //! partial-synchrony model as a worked example.
 
 use std::any::Any;
-use std::marker::PhantomData;
 
 use agreement_model::{
-    Bit, FullTrace, InputAssignment, NoTrace, ProtocolBuilder, Recorder, StateDigest, SystemConfig,
+    FullTrace, InputAssignment, NoTrace, ProtocolBuilder, Recorder, SystemConfig,
 };
 
 use crate::adversary::{AsyncAdversary, PartialSyncAdversary, WindowAdversary};
@@ -47,28 +46,19 @@ use crate::outcome::{RunLimits, RunOutcome};
 /// specs and reports carry instead of a closed enum variant.
 ///
 /// Two descriptors are equal iff their [`id`](ModelDescriptor::id)s are; the
-/// canonical instances live behind [`ExecutionModel::descriptor`] and in the
-/// [`model_registry`].
+/// canonical instances ([`WINDOWED`], [`ASYNC`], [`PARTIAL_SYNC`]) live
+/// behind [`ExecutionModel::descriptor`].
 #[derive(Debug)]
 pub struct ModelDescriptor {
     id: &'static str,
-    display: &'static str,
     time_cap: fn(&RunLimits) -> u64,
 }
 
 impl ModelDescriptor {
     /// Declares a descriptor. `time_cap` selects which [`RunLimits`] field
     /// caps this model's unit of scheduled time.
-    pub const fn new(
-        id: &'static str,
-        display: &'static str,
-        time_cap: fn(&RunLimits) -> u64,
-    ) -> Self {
-        ModelDescriptor {
-            id,
-            display,
-            time_cap,
-        }
+    pub const fn new(id: &'static str, time_cap: fn(&RunLimits) -> u64) -> Self {
+        ModelDescriptor { id, time_cap }
     }
 
     /// The stable machine-readable id (`"windowed"`, `"async"`,
@@ -76,11 +66,6 @@ impl ModelDescriptor {
     /// print.
     pub fn id(&self) -> &'static str {
         self.id
-    }
-
-    /// The human-readable display name.
-    pub fn display_name(&self) -> &'static str {
-        self.display
     }
 
     /// The cap from `limits` that applies to this model's time unit.
@@ -118,59 +103,28 @@ fn cap_steps(limits: &RunLimits) -> u64 {
 }
 
 /// The strongly adaptive acceptable-window model of Section 2.
-pub static WINDOWED: ModelDescriptor = ModelDescriptor::new(
-    "windowed",
-    "strongly adaptive acceptable-window model (Section 2)",
-    cap_windows,
-);
+pub static WINDOWED: ModelDescriptor = ModelDescriptor::new("windowed", cap_windows);
 
 /// The fully asynchronous crash/Byzantine model of Section 5.
-pub static ASYNC: ModelDescriptor = ModelDescriptor::new(
-    "async",
-    "fully asynchronous crash/Byzantine model (Section 5)",
-    cap_steps,
-);
+pub static ASYNC: ModelDescriptor = ModelDescriptor::new("async", cap_steps);
 
 /// The partial-synchrony (eventual-synchrony, omission-fault) model: free
 /// scheduling before an adversary-chosen GST, bounded-delay delivery after.
-pub static PARTIAL_SYNC: ModelDescriptor = ModelDescriptor::new(
-    "partial-sync",
-    "partial synchrony with adversary-chosen GST and post-GST delivery bound Δ",
-    cap_steps,
-);
-
-/// Every execution model this crate ships, in declaration order.
-static MODEL_REGISTRY: [&ModelDescriptor; 3] = [&WINDOWED, &ASYNC, &PARTIAL_SYNC];
-
-/// The registry of shipped execution models.
-pub fn model_registry() -> &'static [&'static ModelDescriptor] {
-    &MODEL_REGISTRY
-}
-
-/// Looks a shipped model descriptor up by its id.
-pub fn find_model(id: &str) -> Option<&'static ModelDescriptor> {
-    model_registry().iter().copied().find(|m| m.id() == id)
-}
+pub static PARTIAL_SYNC: ModelDescriptor = ModelDescriptor::new("partial-sync", cap_steps);
 
 /// The compile-time face of an execution model: binds an adversary trait
 /// object to the scheduler that drives it and to the model's
 /// [`ModelDescriptor`].
 ///
 /// A model implementation composes [`ExecutionCore`] primitives through a
-/// `Scheduler`; this trait is the static glue [`Engine`] and
-/// [`BuiltAdversary`] dispatch through, so no layer above the schedulers
-/// needs to enumerate models.
+/// `Scheduler`; this trait is the static glue [`BuiltAdversary`] dispatches
+/// through, so no layer above the schedulers needs to enumerate models.
 pub trait ExecutionModel: 'static {
     /// The adversary trait object this model's scheduler consults.
     type Adversary: ?Sized + 'static;
 
     /// The model's runtime descriptor.
     fn descriptor() -> &'static ModelDescriptor;
-
-    /// Idempotent construction-time setup beyond what `Scheduler::on_start`
-    /// performs on the first run call (e.g. the asynchronous model flushes
-    /// initial sends eagerly so step-wise drivers see them immediately).
-    fn prepare<P: Probe, R: Recorder>(core: &mut ExecutionCore<P, R>);
 
     /// Runs `core` under `adversary` until every correct processor decided,
     /// the adversary halted, or the model's time cap from `limits` elapsed.
@@ -180,14 +134,20 @@ pub trait ExecutionModel: 'static {
         limits: RunLimits,
     ) -> RunOutcome;
 
-    /// The longest-chain metric this model reports in its outcome.
-    fn chain_metric<P: Probe, R: Recorder>(core: &ExecutionCore<P, R>) -> u64;
-
     /// The name of a concrete adversary of this model.
     fn adversary_name(adversary: &Self::Adversary) -> &'static str;
 }
 
 /// Marker type of the strongly adaptive acceptable-window model.
+///
+/// The adversary is constrained to executions that decompose into adjacent,
+/// disjoint *acceptable windows* (Definition 1); the
+/// [`WindowScheduler`] assembles one per unit of time: a sending step for
+/// every non-crashed processor, the adversary's choice of reset set `R` and
+/// delivery sets `S_1, ..., S_n` under full information (validated against
+/// the definition), each processor `i` receiving what the senders in `S_i`
+/// just sent (the rest is never delivered), then the resets in `R`. Running
+/// time is measured in windows.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct WindowModel;
 
@@ -198,8 +158,6 @@ impl ExecutionModel for WindowModel {
         &WINDOWED
     }
 
-    fn prepare<P: Probe, R: Recorder>(_core: &mut ExecutionCore<P, R>) {}
-
     fn run<P: Probe, R: Recorder>(
         core: &mut ExecutionCore<P, R>,
         adversary: &mut Self::Adversary,
@@ -209,16 +167,22 @@ impl ExecutionModel for WindowModel {
         core.run(&mut scheduler, limits)
     }
 
-    fn chain_metric<P: Probe, R: Recorder>(core: &ExecutionCore<P, R>) -> u64 {
-        core.windowed_chain_metric()
-    }
-
     fn adversary_name(adversary: &Self::Adversary) -> &'static str {
         adversary.name()
     }
 }
 
 /// Marker type of the fully asynchronous crash/Byzantine model.
+///
+/// The adversary chooses one step at a time — deliver a buffered message,
+/// crash a processor, corrupt an in-flight message of a corrupted processor,
+/// or halt — under one structural constraint the core enforces: at most `t`
+/// processors crashed or corrupted over the execution. Liveness is the
+/// adversary implementation's responsibility; the run limits bound the wait.
+/// Running time is the longest *message chain* preceding the first decision:
+/// `m_1, ..., m_k` with `m_i` received by the sender of `m_{i+1}` before
+/// `m_{i+1}` is sent, computed exactly from the causal depth the core tags
+/// every buffered message with.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct AsyncModel;
 
@@ -227,15 +191,6 @@ impl ExecutionModel for AsyncModel {
 
     fn descriptor() -> &'static ModelDescriptor {
         &ASYNC
-    }
-
-    /// The asynchronous model performs every processor's initial sending step
-    /// at construction: the adversary schedules deliveries from the very
-    /// first action.
-    fn prepare<P: Probe, R: Recorder>(core: &mut ExecutionCore<P, R>) {
-        core.ensure_started();
-        core.flush_all_outboxes();
-        core.record_decision_progress();
     }
 
     fn run<P: Probe, R: Recorder>(
@@ -247,16 +202,19 @@ impl ExecutionModel for AsyncModel {
         core.run(&mut scheduler, limits)
     }
 
-    fn chain_metric<P: Probe, R: Recorder>(core: &ExecutionCore<P, R>) -> u64 {
-        core.causal_chain_metric()
-    }
-
     fn adversary_name(adversary: &Self::Adversary) -> &'static str {
         adversary.name()
     }
 }
 
-/// Marker type of the partial-synchrony (eventual-synchrony) model.
+/// Marker type of the partial-synchrony (eventual-synchrony) model, the
+/// "curtailed adversary" counterpart to the paper's two strong models.
+///
+/// The adversary schedules freely before its chosen global stabilization
+/// time; from GST on the [`PartialSyncScheduler`] *enforces* delivery of
+/// every pending message within the adversary's declared bound Δ, except
+/// messages from up to `t` omission-faulty senders. Time and the chain metric
+/// are on the asynchronous model's scale, so the two compare directly.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PartialSyncModel;
 
@@ -265,15 +223,6 @@ impl ExecutionModel for PartialSyncModel {
 
     fn descriptor() -> &'static ModelDescriptor {
         &PARTIAL_SYNC
-    }
-
-    /// Like the asynchronous model, initial sends are flushed eagerly: the
-    /// adversary (and the post-GST delivery bound) applies to them from the
-    /// first step.
-    fn prepare<P: Probe, R: Recorder>(core: &mut ExecutionCore<P, R>) {
-        core.ensure_started();
-        core.flush_all_outboxes();
-        core.record_decision_progress();
     }
 
     fn run<P: Probe, R: Recorder>(
@@ -285,165 +234,54 @@ impl ExecutionModel for PartialSyncModel {
         core.run(&mut scheduler, limits)
     }
 
-    fn chain_metric<P: Probe, R: Recorder>(core: &ExecutionCore<P, R>) -> u64 {
-        core.causal_chain_metric()
-    }
-
     fn adversary_name(adversary: &Self::Adversary) -> &'static str {
         adversary.name()
     }
 }
 
-/// One execution of model `M`: the single engine facade behind
-/// `WindowEngine`, `AsyncEngine` and `PartialSyncEngine`.
-///
-/// Construction, accessors, `run` and `outcome` are assembled once here,
-/// generically over the model; the per-model aliases only add their
-/// idiomatic step methods (`step_window` / `step`).
-#[derive(Debug)]
-pub struct Engine<M: ExecutionModel, P: Probe = NoProbe, R: Recorder = FullTrace> {
-    core: ExecutionCore<P, R>,
-    _model: PhantomData<M>,
+/// Builds a fresh trace-keeping core, runs it against the window adversary
+/// `adversary` and returns the outcome.
+pub fn run_windowed(
+    cfg: SystemConfig,
+    inputs: InputAssignment,
+    builder: &dyn ProtocolBuilder,
+    adversary: &mut dyn WindowAdversary,
+    master_seed: u64,
+    limits: RunLimits,
+) -> RunOutcome {
+    let mut core = ExecutionCore::new(cfg, inputs, builder, master_seed);
+    let mut scheduler = WindowScheduler::new(adversary);
+    core.run(&mut scheduler, limits)
 }
 
-impl<M: ExecutionModel> Engine<M, NoProbe, FullTrace> {
-    /// Creates an engine for `cfg.n()` processors with the given inputs,
-    /// running the model's construction-time setup (the asynchronous and
-    /// partial-synchrony models flush initial sends here).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs` does not assign exactly `cfg.n()` bits.
-    pub fn new(
-        cfg: SystemConfig,
-        inputs: InputAssignment,
-        builder: &dyn ProtocolBuilder,
-        master_seed: u64,
-    ) -> Self {
-        Engine::with_probe(cfg, inputs, builder, master_seed, NoProbe)
-    }
+/// Builds a fresh trace-keeping core, runs it against the asynchronous
+/// adversary `adversary` and returns the outcome.
+pub fn run_async(
+    cfg: SystemConfig,
+    inputs: InputAssignment,
+    builder: &dyn ProtocolBuilder,
+    adversary: &mut dyn AsyncAdversary,
+    master_seed: u64,
+    limits: RunLimits,
+) -> RunOutcome {
+    let mut core = ExecutionCore::new(cfg, inputs, builder, master_seed);
+    let mut scheduler = AsyncScheduler::new(adversary);
+    core.run(&mut scheduler, limits)
 }
 
-impl<M: ExecutionModel, P: Probe> Engine<M, P, FullTrace> {
-    /// Creates a trace-keeping engine whose execution is observed by `probe`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs` does not assign exactly `cfg.n()` bits.
-    pub fn with_probe(
-        cfg: SystemConfig,
-        inputs: InputAssignment,
-        builder: &dyn ProtocolBuilder,
-        master_seed: u64,
-        probe: P,
-    ) -> Self {
-        Engine::with_parts(cfg, inputs, builder, master_seed, probe, FullTrace::new())
-    }
-}
-
-impl<M: ExecutionModel, P: Probe, R: Recorder> Engine<M, P, R> {
-    /// Creates an engine with an explicit probe and recorder (pass
-    /// [`NoTrace`](agreement_model::NoTrace) to compile trace emission out).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs` does not assign exactly `cfg.n()` bits.
-    pub fn with_parts(
-        cfg: SystemConfig,
-        inputs: InputAssignment,
-        builder: &dyn ProtocolBuilder,
-        master_seed: u64,
-        probe: P,
-        recorder: R,
-    ) -> Self {
-        let mut core =
-            ExecutionCore::with_parts(cfg, inputs, builder, master_seed, probe, recorder);
-        M::prepare(&mut core);
-        Engine {
-            core,
-            _model: PhantomData,
-        }
-    }
-
-    /// The system configuration.
-    pub fn config(&self) -> SystemConfig {
-        self.core.config()
-    }
-
-    /// The input assignment of this execution.
-    pub fn inputs(&self) -> &InputAssignment {
-        self.core.inputs()
-    }
-
-    /// This model's runtime descriptor.
-    pub fn model(&self) -> &'static ModelDescriptor {
-        M::descriptor()
-    }
-
-    /// Scheduler time elapsed so far (windows or steps, per the model).
-    pub fn time(&self) -> u64 {
-        self.core.time()
-    }
-
-    /// The current output bits of all processors, in identity order.
-    pub fn decisions(&self) -> impl Iterator<Item = Option<Bit>> + '_ {
-        self.core.decisions()
-    }
-
-    /// The adversary-visible digests of all processors, in identity order.
-    pub fn digests(&self) -> impl Iterator<Item = StateDigest> + '_ {
-        self.core.digests()
-    }
-
-    /// Which processors have been crashed so far, in identity order.
-    pub fn crashed(&self) -> impl Iterator<Item = bool> + '_ {
-        self.core.crashed()
-    }
-
-    /// Which processors have been declared Byzantine-corrupted so far.
-    pub fn corrupted(&self) -> &[bool] {
-        self.core.corrupted()
-    }
-
-    /// `true` once every processor has written its output bit.
-    pub fn all_decided(&self) -> bool {
-        self.core.all_decided()
-    }
-
-    /// `true` once every non-crashed processor has written its output bit.
-    pub fn all_correct_decided(&self) -> bool {
-        self.core.all_correct_decided()
-    }
-
-    /// Number of faults (crashes plus corruptions) charged so far.
-    pub fn faults_used(&self) -> usize {
-        self.core.faults_used()
-    }
-
-    /// Read access to the shared execution core driving this engine.
-    pub fn core(&self) -> &ExecutionCore<P, R> {
-        &self.core
-    }
-
-    /// Mutable access to the core, for scheduler driving within the crate.
-    pub(crate) fn core_mut(&mut self) -> &mut ExecutionCore<P, R> {
-        &mut self.core
-    }
-
-    /// Runs the model's schedule chosen by `adversary` until every correct
-    /// processor has decided, the adversary halts, or the model's time cap
-    /// from `limits` elapses, and reports the outcome.
-    pub fn run(&mut self, adversary: &mut M::Adversary, limits: RunLimits) -> RunOutcome {
-        M::run(&mut self.core, adversary, limits)
-    }
-
-    /// Produces the outcome snapshot of the execution so far, reporting the
-    /// model's chain metric. The trace is moved, not cloned: a subsequent
-    /// snapshot reports an empty trace.
-    pub fn outcome(&mut self) -> RunOutcome {
-        let chain = M::chain_metric(&self.core);
-        self.core.outcome(chain)
-    }
+/// Builds a fresh trace-keeping core, runs it against the partial-synchrony
+/// adversary `adversary` and returns the outcome.
+pub fn run_partial_sync(
+    cfg: SystemConfig,
+    inputs: InputAssignment,
+    builder: &dyn ProtocolBuilder,
+    adversary: &mut dyn PartialSyncAdversary,
+    master_seed: u64,
+    limits: RunLimits,
+) -> RunOutcome {
+    let mut core = ExecutionCore::new(cfg, inputs, builder, master_seed);
+    let mut scheduler = PartialSyncScheduler::new(adversary);
+    core.run(&mut scheduler, limits)
 }
 
 /// A model-erased adversary instance: what an
@@ -455,7 +293,7 @@ impl<M: ExecutionModel, P: Probe, R: Recorder> Engine<M, P, R> {
 /// [`BuiltAdversary::run_traced`] (diagnostic cores) drive a core through
 /// the model's scheduler. The model-specific boxes can be recovered with
 /// [`BuiltAdversary::into_model`] where a caller genuinely needs one (e.g.
-/// to drive an engine step by step).
+/// to drive a scheduler step by step).
 pub struct BuiltAdversary {
     inner: Box<dyn ErasedAdversary>,
 }
@@ -473,7 +311,7 @@ impl std::fmt::Debug for BuiltAdversary {
 /// adversary. The two `run_*` entry points cover the only probe/recorder
 /// combinations the data-driven layers use: trace-free campaign cores and
 /// trace-keeping diagnostic cores. (Probe-instrumented runs drive an
-/// [`Engine`] directly.)
+/// [`ExecutionCore`] with a scheduler directly.)
 trait ErasedAdversary: Any {
     fn model(&self) -> &'static ModelDescriptor;
     fn name(&self) -> &'static str;
@@ -616,15 +454,6 @@ mod tests {
         assert_eq!(WINDOWED.to_string(), "windowed");
         assert_eq!(ASYNC.to_string(), "async");
         assert_eq!(PARTIAL_SYNC.to_string(), "partial-sync");
-    }
-
-    #[test]
-    fn registry_resolves_all_shipped_models() {
-        assert_eq!(model_registry().len(), 3);
-        assert_eq!(find_model("windowed"), Some(&WINDOWED));
-        assert_eq!(find_model("async"), Some(&ASYNC));
-        assert_eq!(find_model("partial-sync"), Some(&PARTIAL_SYNC));
-        assert_eq!(find_model("lockstep"), None);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! The shared execution substrate both engines (and any future execution
-//! model) drive.
+//! The shared execution substrate every scheduler (and any future execution
+//! model) drives.
 //!
 //! [`ExecutionCore`] is the single owner of everything an execution of the
 //! paper's model consists of, independent of *which* adversary model schedules
@@ -342,20 +342,6 @@ impl<P: Probe, R: Recorder> ExecutionCore<P, R> {
     /// The causal depth of the first deciding processor at its decision, if any.
     pub fn chain_at_first_decision(&self) -> Option<u64> {
         self.chain_at_first_decision
-    }
-
-    /// The chain metric of windowed time models: the window of the first
-    /// decision (zero while undecided). Shared by `WindowScheduler` and the
-    /// step-wise `WindowEngine::outcome` so the two paths cannot diverge.
-    pub fn windowed_chain_metric(&self) -> u64 {
-        self.first_decision_at.unwrap_or(0)
-    }
-
-    /// The chain metric of asynchronous time models: the causal depth at the
-    /// first decision (Section 5's measure). Shared by `AsyncScheduler` and
-    /// the step-wise `AsyncEngine::outcome`.
-    pub fn causal_chain_metric(&self) -> u64 {
-        self.chain_at_first_decision.unwrap_or(0)
     }
 
     /// `true` once a scheduler or adversary has halted the execution.

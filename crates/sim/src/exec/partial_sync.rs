@@ -189,6 +189,143 @@ impl<A: PartialSyncAdversary + ?Sized, P: Probe, R: Recorder> Scheduler<P, R>
     /// metric (the causal depth at the first decision) so strong-vs-weak
     /// adversary comparisons read off the same scale.
     fn longest_chain(&self, core: &ExecutionCore<P, R>) -> u64 {
-        core.causal_chain_metric()
+        core.chain_at_first_decision().unwrap_or(0)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::adversary::{BenignEventualAdversary, SystemView};
+    use crate::engine::run_partial_sync;
+    use crate::exec::testkit::QuorumBuilder;
+    use agreement_model::{Bit, InputAssignment, SystemConfig};
+
+    /// Stalls forever with the given parameters: every delivery that happens
+    /// is the scheduler's enforcement, never the adversary's choice.
+    struct Stonewall {
+        gst: u64,
+        delta: u64,
+        omitted: Vec<ProcessorId>,
+    }
+
+    impl PartialSyncAdversary for Stonewall {
+        fn name(&self) -> &'static str {
+            "stonewall"
+        }
+        fn gst(&self) -> u64 {
+            self.gst
+        }
+        fn delta(&self) -> u64 {
+            self.delta
+        }
+        fn omitted_senders(&self) -> &[ProcessorId] {
+            &self.omitted
+        }
+        fn next_action(&mut self, _view: &SystemView<'_>) -> PartialSyncAction {
+            PartialSyncAction::Stall
+        }
+    }
+
+    #[test]
+    fn benign_eventual_schedule_reaches_decision() {
+        let cfg = SystemConfig::new(5, 1).unwrap();
+        let inputs = InputAssignment::unanimous(5, Bit::Zero);
+        let outcome = run_partial_sync(
+            cfg,
+            inputs.clone(),
+            &QuorumBuilder,
+            &mut BenignEventualAdversary::default(),
+            42,
+            RunLimits::small(),
+        );
+        assert!(outcome.all_correct_decided());
+        assert_eq!(outcome.decided_value(), Some(Bit::Zero));
+        assert!(outcome.is_correct(&inputs));
+        assert!(outcome.longest_chain >= 1);
+    }
+
+    #[test]
+    fn the_model_forces_decisions_out_of_a_stonewalling_adversary() {
+        // The adversary never delivers anything by choice. After GST the
+        // bounded-delay enforcement delivers the backlog regardless, so the
+        // quorum protocol still terminates — this is exactly the curtailment
+        // the partial-synchrony model exists to demonstrate.
+        let cfg = SystemConfig::new(5, 1).unwrap();
+        let inputs = InputAssignment::unanimous(5, Bit::One);
+        let mut adversary = Stonewall {
+            gst: 40,
+            delta: 5,
+            omitted: Vec::new(),
+        };
+        let outcome = run_partial_sync(
+            cfg,
+            inputs.clone(),
+            &QuorumBuilder,
+            &mut adversary,
+            7,
+            RunLimits::small(),
+        );
+        assert!(outcome.all_correct_decided());
+        assert!(outcome.is_correct(&inputs));
+        // Nothing can be delivered before GST, so no decision before it; the
+        // first batch of forced deliveries lands at gst + delta.
+        assert!(outcome.first_decision_at.unwrap() >= 45);
+        assert!(
+            outcome.all_decided_at.unwrap() <= 60,
+            "decided soon after GST"
+        );
+    }
+
+    #[test]
+    fn before_gst_nothing_is_forced() {
+        let cfg = SystemConfig::new(4, 1).unwrap();
+        let inputs = InputAssignment::unanimous(4, Bit::One);
+        let mut core = ExecutionCore::new(cfg, inputs, &QuorumBuilder, 3);
+        let mut adversary = Stonewall {
+            gst: 1_000,
+            delta: 1,
+            omitted: Vec::new(),
+        };
+        let mut scheduler = PartialSyncScheduler::new(&mut adversary);
+        Scheduler::on_start(&mut scheduler, &mut core);
+        for _ in 0..50 {
+            assert!(scheduler.step_partial_sync(&mut core));
+        }
+        // All 16 initial broadcasts are still pending: the adversary's
+        // pre-GST freedom to withhold is intact.
+        assert_eq!(core.buffer().pending_total(), 16);
+        assert!(!core.all_correct_decided());
+    }
+
+    #[test]
+    fn omission_faults_are_honoured_but_capped_at_t() {
+        // The adversary declares three omitted senders with t = 1: only the
+        // first is honoured, so n - 1 = 4 senders still reach everyone and
+        // the quorum of 4 is met.
+        let cfg = SystemConfig::new(5, 1).unwrap();
+        let inputs = InputAssignment::unanimous(5, Bit::Zero);
+        let mut adversary = Stonewall {
+            gst: 0,
+            delta: 3,
+            omitted: vec![
+                ProcessorId::new(0),
+                ProcessorId::new(1),
+                ProcessorId::new(2),
+            ],
+        };
+        let outcome = run_partial_sync(
+            cfg,
+            inputs.clone(),
+            &QuorumBuilder,
+            &mut adversary,
+            11,
+            RunLimits::small(),
+        );
+        assert!(outcome.all_correct_decided());
+        assert!(outcome.is_correct(&inputs));
+        // Processor 0's five messages were omitted (never delivered), and
+        // only those: the other 20 initial reports all arrived.
+        assert_eq!(outcome.metrics.messages_delivered, 20);
     }
 }

@@ -7,19 +7,19 @@
 //! and limit enforcement — while a pluggable [`Scheduler`] supplies what
 //! differs between models. The execution-model axis itself is **open**: a
 //! model is a [`Scheduler`] plus an [`ExecutionModel`] marker with a runtime
-//! [`ModelDescriptor`], and the generic [`Engine`] facade drives any of them.
-//! Three models ship, as thin aliases over [`Engine`]:
+//! [`ModelDescriptor`], and a model-erased [`BuiltAdversary`] runs any of
+//! them on a core. Three models ship:
 //!
-//! * [`WindowEngine`] — the **strongly adaptive model** of Section 2: the
+//! * [`WindowModel`] — the **strongly adaptive model** of Section 2: the
 //!   execution is a sequence of *acceptable windows* ([`Window`],
 //!   Definition 1), each consisting of sending steps for all processors,
 //!   receiving steps from at least `n - t` senders per processor, and at most
 //!   `t` resetting steps. Running time is measured in windows.
-//! * [`AsyncEngine`] — the **fully asynchronous model** of Section 5: the
+//! * [`AsyncModel`] — the **fully asynchronous model** of Section 5: the
 //!   adversary schedules individual message deliveries and may cause up to `t`
 //!   crash (or Byzantine) failures. Running time is measured as the longest
 //!   message chain preceding the first decision.
-//! * [`PartialSyncEngine`] — the **partial-synchrony model** (eventual
+//! * [`PartialSyncModel`] — the **partial-synchrony model** (eventual
 //!   synchrony with omission faults): the adversary schedules freely before
 //!   its chosen GST; afterwards every pending message is force-delivered
 //!   within its declared bound Δ, except messages from up to `t`
@@ -75,16 +75,13 @@
 #![warn(rust_2018_idioms)]
 
 mod adversary;
-mod async_engine;
 mod buffer;
 mod engine;
 pub mod exec;
 mod harness;
 mod metrics;
 mod outcome;
-mod partial_sync_engine;
 mod window;
-mod window_engine;
 mod workspace;
 
 pub use adversary::{
@@ -92,17 +89,14 @@ pub use adversary::{
     FullDeliveryAdversary, PartialSyncAction, PartialSyncAdversary, SystemView, WindowAdversary,
 };
 pub use agreement_model::{FullTrace, NoTrace, Recorder};
-pub use async_engine::{run_async, AsyncEngine};
 pub use buffer::{BufferChoice, MessageBuffer};
 pub use engine::{
-    find_model, model_registry, AsyncModel, BuiltAdversary, Engine, ExecutionModel,
+    run_async, run_partial_sync, run_windowed, AsyncModel, BuiltAdversary, ExecutionModel,
     ModelDescriptor, PartialSyncModel, WindowModel, ASYNC, PARTIAL_SYNC, WINDOWED,
 };
 pub use exec::{AsyncScheduler, ExecutionCore, PartialSyncScheduler, Scheduler, WindowScheduler};
 pub use harness::{HarnessCore, Outgoing, ProcessorHarness};
 pub use metrics::{Metrics, MetricsProbe, NoProbe, Probe};
 pub use outcome::{RunLimits, RunOutcome};
-pub use partial_sync_engine::{run_partial_sync, PartialSyncEngine};
 pub use window::{Window, WindowError};
-pub use window_engine::{run_windowed, WindowEngine};
 pub use workspace::TrialWorkspace;

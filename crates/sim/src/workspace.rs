@@ -21,10 +21,9 @@
 
 use agreement_model::{InputAssignment, NoTrace, ProtocolBuilder, SystemConfig};
 
-use crate::adversary::{AsyncAdversary, PartialSyncAdversary, WindowAdversary};
 use crate::buffer::BufferChoice;
 use crate::engine::BuiltAdversary;
-use crate::exec::{AsyncScheduler, ExecutionCore, PartialSyncScheduler, WindowScheduler};
+use crate::exec::ExecutionCore;
 use crate::metrics::NoProbe;
 use crate::outcome::{RunLimits, RunOutcome};
 
@@ -78,61 +77,13 @@ impl TrialWorkspace {
         core
     }
 
-    /// Runs one windowed (strongly adaptive) trial inside this workspace.
-    /// Same results as [`run_windowed`](crate::run_windowed), minus the
-    /// trace; no per-trial allocation of core state.
-    pub fn run_windowed(
-        &mut self,
-        cfg: SystemConfig,
-        inputs: &InputAssignment,
-        builder: &dyn ProtocolBuilder,
-        adversary: &mut dyn WindowAdversary,
-        master_seed: u64,
-        limits: RunLimits,
-    ) -> RunOutcome {
-        let core = self.core_for(cfg, inputs, builder, master_seed);
-        let mut scheduler = WindowScheduler::new(adversary);
-        core.run(&mut scheduler, limits)
-    }
-
-    /// Runs one asynchronous trial inside this workspace. Same results as
-    /// [`run_async`](crate::run_async), minus the trace; no per-trial
-    /// allocation of core state.
-    pub fn run_async(
-        &mut self,
-        cfg: SystemConfig,
-        inputs: &InputAssignment,
-        builder: &dyn ProtocolBuilder,
-        adversary: &mut dyn AsyncAdversary,
-        master_seed: u64,
-        limits: RunLimits,
-    ) -> RunOutcome {
-        let core = self.core_for(cfg, inputs, builder, master_seed);
-        let mut scheduler = AsyncScheduler::new(adversary);
-        core.run(&mut scheduler, limits)
-    }
-
-    /// Runs one partial-synchrony trial inside this workspace. Same results
-    /// as [`run_partial_sync`](crate::run_partial_sync), minus the trace; no
-    /// per-trial allocation of core state.
-    pub fn run_partial_sync(
-        &mut self,
-        cfg: SystemConfig,
-        inputs: &InputAssignment,
-        builder: &dyn ProtocolBuilder,
-        adversary: &mut dyn PartialSyncAdversary,
-        master_seed: u64,
-        limits: RunLimits,
-    ) -> RunOutcome {
-        let core = self.core_for(cfg, inputs, builder, master_seed);
-        let mut scheduler = PartialSyncScheduler::new(adversary);
-        core.run(&mut scheduler, limits)
-    }
-
     /// Runs one trial of *any* execution model inside this workspace: the
     /// model-agnostic entry point campaign workers use. The
     /// [`BuiltAdversary`] carries its own scheduler glue, so no caller ever
-    /// matches on the model.
+    /// matches on the model. Same results as the fresh-core
+    /// [`run_windowed`](crate::run_windowed) / [`run_async`](crate::run_async)
+    /// / [`run_partial_sync`](crate::run_partial_sync), minus the trace; no
+    /// per-trial allocation of core state.
     pub fn run_built(
         &mut self,
         cfg: SystemConfig,
@@ -151,66 +102,9 @@ impl TrialWorkspace {
 mod tests {
     use super::*;
     use crate::adversary::{FairAsyncAdversary, FullDeliveryAdversary};
-    use crate::async_engine::run_async;
-    use crate::window_engine::run_windowed;
-    use agreement_model::{Bit, Context, Payload, ProcessorId, Protocol, StateDigest, Trace};
-
-    /// Decides the majority value once it has heard a round-1 report from
-    /// everyone (ties -> One).
-    #[derive(Debug)]
-    struct MajorityOnce {
-        input: Bit,
-        zeros: usize,
-        ones: usize,
-        n: usize,
-    }
-
-    impl Protocol for MajorityOnce {
-        fn on_start(&mut self, ctx: &mut dyn Context) {
-            ctx.broadcast(Payload::Report {
-                round: 1,
-                value: self.input,
-            });
-        }
-
-        fn on_message(&mut self, _from: ProcessorId, payload: &Payload, ctx: &mut dyn Context) {
-            if let Payload::Report { round: 1, value } = payload {
-                match value {
-                    Bit::Zero => self.zeros += 1,
-                    Bit::One => self.ones += 1,
-                }
-                if self.zeros + self.ones == self.n {
-                    ctx.decide(if self.ones >= self.zeros {
-                        Bit::One
-                    } else {
-                        Bit::Zero
-                    });
-                }
-            }
-        }
-
-        fn digest(&self) -> StateDigest {
-            StateDigest::initial(self.input)
-        }
-    }
-
-    #[derive(Debug)]
-    struct MajorityBuilder;
-
-    impl ProtocolBuilder for MajorityBuilder {
-        fn name(&self) -> &'static str {
-            "majority-once"
-        }
-
-        fn build(&self, _id: ProcessorId, input: Bit, cfg: &SystemConfig) -> Box<dyn Protocol> {
-            Box::new(MajorityOnce {
-                input,
-                zeros: 0,
-                ones: 0,
-                n: cfg.n(),
-            })
-        }
-    }
+    use crate::engine::{run_async, run_windowed};
+    use crate::exec::testkit::MajorityBuilder;
+    use agreement_model::{Bit, Trace};
 
     fn strip_trace(mut outcome: RunOutcome) -> RunOutcome {
         outcome.trace = Trace::new();
@@ -223,11 +117,11 @@ mod tests {
         let inputs = InputAssignment::evenly_split(5);
         let mut ws = TrialWorkspace::new();
         for seed in 0..6 {
-            let reused = ws.run_windowed(
+            let reused = ws.run_built(
                 cfg,
                 &inputs,
                 &MajorityBuilder,
-                &mut FullDeliveryAdversary,
+                &mut BuiltAdversary::windowed(Box::new(FullDeliveryAdversary)),
                 seed,
                 RunLimits::small(),
             );
@@ -253,19 +147,19 @@ mod tests {
         let inputs = InputAssignment::unanimous(4, Bit::One);
         let mut ws = TrialWorkspace::new();
         for seed in [3u64, 9, 27] {
-            let windowed = ws.run_windowed(
+            let windowed = ws.run_built(
                 cfg,
                 &inputs,
                 &MajorityBuilder,
-                &mut FullDeliveryAdversary,
+                &mut BuiltAdversary::windowed(Box::new(FullDeliveryAdversary)),
                 seed,
                 RunLimits::small(),
             );
-            let asynchronous = ws.run_async(
+            let asynchronous = ws.run_built(
                 cfg,
                 &inputs,
                 &MajorityBuilder,
-                &mut FairAsyncAdversary::default(),
+                &mut BuiltAdversary::asynchronous(Box::new(FairAsyncAdversary::default())),
                 seed,
                 RunLimits::small(),
             );
@@ -302,11 +196,11 @@ mod tests {
         for n in [3usize, 7, 5] {
             let cfg = SystemConfig::new(n, 0).unwrap();
             let inputs = InputAssignment::unanimous(n, Bit::Zero);
-            let outcome = ws.run_windowed(
+            let outcome = ws.run_built(
                 cfg,
                 &inputs,
                 &MajorityBuilder,
-                &mut FullDeliveryAdversary,
+                &mut BuiltAdversary::windowed(Box::new(FullDeliveryAdversary)),
                 1,
                 RunLimits::small(),
             );

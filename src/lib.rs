@@ -7,10 +7,10 @@
 //! examples and integration tests can address the whole system:
 //!
 //! * [`model`] — processors, bits, messages, configurations, protocol traits.
-//! * [`sim`] — the generic execution engine over an open model axis: the
-//!   acceptable-window model (strongly adaptive), the fully asynchronous
-//!   model (crash/Byzantine), and the partial-synchrony model (eventual
-//!   synchrony with omission faults).
+//! * [`sim`] — the one execution core and its schedulers over an open model
+//!   axis: the acceptable-window model (strongly adaptive), the fully
+//!   asynchronous model (crash/Byzantine), and the partial-synchrony model
+//!   (eventual synchrony with omission faults).
 //! * [`protocols`] — Ben-Or, Bracha (+ reliable broadcast), the paper's
 //!   reset-tolerant protocol, and the committee baseline.
 //! * [`adversary`] — resetting, balancing, crash, committee-killer,
@@ -18,8 +18,10 @@
 //!   adversaries.
 //! * [`analysis`] — Hamming geometry, product distributions, Talagrand's
 //!   inequality, the Z-set recursion, Theorem 5 constants, statistics.
-//! * [`net`] — a threaded message-passing runtime for the same protocols.
-//! * [`core`] — the experiment harness (E1–E9) and report tables.
+//! * [`net`] — the framed socket transport (and its fault injector) under
+//!   the multi-process orchestration.
+//! * [`core`] — the campaign runner, the scenario registry, the experiment
+//!   harness (E1–E10) and report tables.
 //!
 //! See the repository README for a quickstart and DESIGN.md / EXPERIMENTS.md
 //! for the system inventory and the per-claim experiment index.

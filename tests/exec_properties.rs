@@ -1,25 +1,29 @@
 //! Properties of the unified `ExecutionCore` and the parallel campaign
 //! runner.
 //!
-//! The window and asynchronous engines are thin drivers over one shared core;
-//! these tests pin down the guarantees the refactor relies on:
+//! Every execution model is a scheduler over one shared core; these tests pin
+//! down the guarantees that rests on:
 //!
 //! 1. **Determinism** — for a fixed seed, `run_windowed` / `run_async`
-//!    produce identical outcomes on every invocation (the refactor cannot
-//!    introduce hidden state).
-//! 2. **Driver equivalence** — driving the core step by step through the
-//!    engines produces the same outcome as `ExecutionCore::run` with the
-//!    corresponding scheduler.
+//!    produce identical outcomes on every invocation (no hidden state).
+//! 2. **Driver equivalence** — the model-erased driver the campaigns use
+//!    (`BuiltAdversary`) and step-wise driving (`Scheduler::on_start`, `step`,
+//!    `ExecutionCore::outcome_with`) both produce the same outcome as
+//!    `ExecutionCore::run` with the corresponding scheduler.
 //! 3. **Campaign determinism** — parallel aggregation is bit-identical to the
 //!    serial path regardless of thread count.
 
-use agreement::adversary::{RotatingResetAdversary, ScheduledCrashAdversary, SplitVoteAdversary};
-use agreement::core::{Campaign, TrialPlan};
-use agreement::model::{Bit, InputAssignment, ProcessorId, ProcessorRng, SystemConfig};
+use agreement::adversary::{
+    GstProcrastinatorAdversary, RotatingResetAdversary, ScheduledCrashAdversary, SplitVoteAdversary,
+};
+use agreement::core::{Aggregate, Campaign, TrialPlan};
+use agreement::model::{
+    Bit, InputAssignment, ProcessorId, ProcessorRng, ProtocolBuilder, SystemConfig,
+};
 use agreement::protocols::{BenOrBuilder, BrachaBuilder, ResetTolerantBuilder};
 use agreement::sim::{
-    run_async, run_windowed, AsyncEngine, AsyncScheduler, ExecutionCore, FairAsyncAdversary,
-    FullDeliveryAdversary, RunLimits, RunOutcome, WindowEngine, WindowScheduler,
+    run_async, run_windowed, AsyncScheduler, BuiltAdversary, ExecutionCore, FairAsyncAdversary,
+    FullDeliveryAdversary, PartialSyncScheduler, RunLimits, RunOutcome, Scheduler, WindowScheduler,
 };
 
 const CASES: u64 = 12;
@@ -122,7 +126,7 @@ fn async_runs_are_deterministic_for_fixed_seeds() {
 }
 
 /// Driving the core directly with a `WindowScheduler` matches the
-/// `WindowEngine` driver exactly.
+/// model-erased window driver (`BuiltAdversary::run_traced`) exactly.
 #[test]
 fn window_engine_and_raw_core_agree() {
     let cfg = SystemConfig::with_sixth_resilience(7).unwrap();
@@ -133,8 +137,9 @@ fn window_engine_and_raw_core_agree() {
         let inputs = InputAssignment::new((0..7).map(|_| gen.bit()).collect());
         let limits = RunLimits::windows(20_000);
 
-        let mut engine = WindowEngine::new(cfg, inputs.clone(), &builder, seed);
-        let engine_outcome = engine.run(&mut RotatingResetAdversary::new(), limits);
+        let mut erased = ExecutionCore::new(cfg, inputs.clone(), &builder, seed);
+        let engine_outcome = BuiltAdversary::windowed(Box::new(RotatingResetAdversary::new()))
+            .run_traced(&mut erased, limits);
 
         let mut core = ExecutionCore::new(cfg, inputs, &builder, seed);
         let mut adversary = RotatingResetAdversary::new();
@@ -150,8 +155,7 @@ fn window_engine_and_raw_core_agree() {
 }
 
 /// Driving the core directly with an `AsyncScheduler` matches the
-/// `AsyncEngine` driver exactly (including the eager initial sends the
-/// asynchronous model performs at construction).
+/// model-erased asynchronous driver (`BuiltAdversary::run_traced`) exactly.
 #[test]
 fn async_engine_and_raw_core_agree() {
     let cfg = SystemConfig::new(7, 2).unwrap();
@@ -161,8 +165,9 @@ fn async_engine_and_raw_core_agree() {
         let inputs = InputAssignment::new((0..7).map(|_| gen.bit()).collect());
         let limits = RunLimits::steps(500_000);
 
-        let mut engine = AsyncEngine::new(cfg, inputs.clone(), &BrachaBuilder::new(), seed);
-        let engine_outcome = engine.run(&mut FairAsyncAdversary::default(), limits);
+        let mut erased = ExecutionCore::new(cfg, inputs.clone(), &BrachaBuilder::new(), seed);
+        let engine_outcome = BuiltAdversary::asynchronous(Box::new(FairAsyncAdversary::default()))
+            .run_traced(&mut erased, limits);
 
         let mut core = ExecutionCore::new(cfg, inputs, &BrachaBuilder::new(), seed);
         let mut adversary = FairAsyncAdversary::default();
@@ -174,6 +179,80 @@ fn async_engine_and_raw_core_agree() {
             &core_outcome,
             &format!("async core case {case} seed {seed}"),
         );
+    }
+}
+
+/// Driving any scheduler step by step — `on_start`, then `step` until it
+/// returns `false`, every correct processor decided or the cap elapsed, then
+/// `outcome_with` — produces the same outcome as `ExecutionCore::run`, trace
+/// and metrics included.
+#[test]
+fn stepwise_and_run_produce_identical_outcomes() {
+    /// Hands a fresh scheduler (over a fresh adversary) to `drive`.
+    type WithScheduler = fn(&mut dyn FnMut(&mut dyn Scheduler));
+    let sixth = SystemConfig::with_sixth_resilience(7).unwrap();
+    let reset_tolerant = ResetTolerantBuilder::recommended(&sixth).unwrap();
+    let rows: [(
+        &str,
+        SystemConfig,
+        &dyn ProtocolBuilder,
+        RunLimits,
+        WithScheduler,
+    ); 3] = [
+        (
+            "windowed",
+            sixth,
+            &reset_tolerant,
+            RunLimits::windows(20_000),
+            |drive| drive(&mut WindowScheduler::new(&mut RotatingResetAdversary::new())),
+        ),
+        (
+            "async",
+            SystemConfig::new(7, 2).unwrap(),
+            &BenOrBuilder::new(),
+            RunLimits::steps(500_000),
+            |drive| {
+                let mut adversary = ScheduledCrashAdversary::new(vec![ProcessorId::new(3)]);
+                drive(&mut AsyncScheduler::new(&mut adversary))
+            },
+        ),
+        (
+            "partial-sync",
+            SystemConfig::new(7, 1).unwrap(),
+            &BrachaBuilder::new(),
+            RunLimits::steps(500_000),
+            |drive| {
+                drive(&mut PartialSyncScheduler::new(
+                    &mut GstProcrastinatorAdversary::new(32, 3),
+                ))
+            },
+        ),
+    ];
+    for (model, cfg, builder, limits, with_scheduler) in rows {
+        for seed in 0..4u64 {
+            let inputs = InputAssignment::evenly_split(cfg.n());
+            let mut ran = None;
+            with_scheduler(&mut |scheduler| {
+                let mut core = ExecutionCore::new(cfg, inputs.clone(), builder, seed);
+                ran = Some((core.run(scheduler, limits), core.metrics()));
+            });
+            let mut stepped = None;
+            with_scheduler(&mut |scheduler| {
+                let mut core = ExecutionCore::new(cfg, inputs.clone(), builder, seed);
+                scheduler.on_start(&mut core);
+                while !core.all_correct_decided()
+                    && core.time() < scheduler.max_time(&limits)
+                    && scheduler.step(&mut core)
+                {}
+                stepped = Some((core.outcome_with(scheduler), core.metrics()));
+            });
+            let (ran, ran_metrics) = ran.expect("the row drove its scheduler");
+            let (stepped, stepped_metrics) = stepped.expect("the row drove its scheduler");
+            let context = format!("{model} seed {seed}");
+            assert!(ran.all_correct_decided(), "{context}: the run decides");
+            assert_outcomes_identical(&stepped, &ran, &context);
+            assert_eq!(stepped_metrics, ran_metrics, "{context}: core metrics");
+        }
     }
 }
 
@@ -219,11 +298,19 @@ fn campaign_aggregation_is_thread_count_invariant() {
         .trials(10)
         .base_seed(0xFEED)
         .limits(RunLimits::windows(3_000));
-    let serial = Campaign::serial().run_windowed(&plan, &builder, SplitVoteAdversary::new);
+    let aggregate = |campaign: Campaign| {
+        let records = campaign.run_records(&plan, &builder, |_| {
+            BuiltAdversary::windowed(Box::new(SplitVoteAdversary::new()))
+        });
+        Aggregate::from_records(&records, plan.limits.max_windows)
+    };
+    let serial = aggregate(Campaign::serial());
     for threads in [2usize, 4, 7, 16, 0] {
-        let parallel =
-            Campaign::with_threads(threads).run_windowed(&plan, &builder, SplitVoteAdversary::new);
-        assert_eq!(serial, parallel, "threads={threads}");
+        assert_eq!(
+            serial,
+            aggregate(Campaign::with_threads(threads)),
+            "threads={threads}"
+        );
     }
 
     let cfg = SystemConfig::new(6, 2).unwrap();
@@ -231,15 +318,19 @@ fn campaign_aggregation_is_thread_count_invariant() {
         .trials(10)
         .base_seed(0xF00)
         .limits(RunLimits::steps(500_000));
-    let serial = Campaign::serial().run_async(&plan, &BenOrBuilder::new(), |_| {
-        FairAsyncAdversary::default()
-    });
+    let aggregate = |campaign: Campaign| {
+        let records = campaign.run_records(&plan, &BenOrBuilder::new(), |_| {
+            BuiltAdversary::asynchronous(Box::new(FairAsyncAdversary::default()))
+        });
+        Aggregate::from_records(&records, plan.limits.max_steps)
+    };
+    let serial = aggregate(Campaign::serial());
     for threads in [3usize, 8, 0] {
-        let parallel =
-            Campaign::with_threads(threads).run_async(&plan, &BenOrBuilder::new(), |_| {
-                FairAsyncAdversary::default()
-            });
-        assert_eq!(serial, parallel, "threads={threads}");
+        assert_eq!(
+            serial,
+            aggregate(Campaign::with_threads(threads)),
+            "threads={threads}"
+        );
     }
 }
 

@@ -9,7 +9,6 @@ use agreement::adversary::{
 use agreement::analysis::{success_probability, window_bound};
 use agreement::core::experiments::{exp4_zset_separation, Scale};
 use agreement::model::{Bit, InputAssignment, ProcessorId, SystemConfig};
-use agreement::net::Cluster;
 use agreement::protocols::{BenOrBuilder, BrachaBuilder, CommitteeBuilder, ResetTolerantBuilder};
 use agreement::sim::{
     run_async, run_windowed, FairAsyncAdversary, FullDeliveryAdversary, RunLimits,
@@ -262,24 +261,4 @@ fn zset_experiment_reports_separation_beyond_t() {
     for row in table.rows() {
         assert_eq!(row[6], "true", "{row:?}");
     }
-}
-
-/// The simulator and the threaded cluster agree on the decided value for
-/// unanimous inputs (they run the same state machines).
-#[test]
-fn simulator_and_threaded_cluster_agree_on_unanimous_runs() {
-    let cfg = SystemConfig::new(5, 1).unwrap();
-    let inputs = InputAssignment::unanimous(5, Bit::One);
-    let sim = run_async(
-        cfg,
-        inputs.clone(),
-        &BenOrBuilder::new(),
-        &mut FairAsyncAdversary::default(),
-        3,
-        RunLimits::small(),
-    );
-    let net = Cluster::new(cfg, inputs.clone(), 3).run(&BenOrBuilder::new());
-    assert_eq!(sim.decided_value(), Some(Bit::One));
-    assert!(net.agreement_holds());
-    assert_eq!(net.decisions.iter().flatten().next(), Some(&Bit::One));
 }

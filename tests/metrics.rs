@@ -1,6 +1,6 @@
 //! Pins the Probe/Metrics instrumentation contract:
 //!
-//! 1. **Hook placement** — a [`MetricsProbe`] attached to an engine observes,
+//! 1. **Hook placement** — a [`MetricsProbe`] attached to a core observes,
 //!    event by event, exactly the counters the core assembles into
 //!    [`RunOutcome::metrics`] at outcome time (for the event-observable
 //!    fields; `rounds` and `coin_flips` happen inside processors and are
@@ -13,8 +13,8 @@ use agreement::adversary::RotatingResetAdversary;
 use agreement::model::{Bit, InputAssignment, SystemConfig};
 use agreement::protocols::{BenOrBuilder, ResetTolerantBuilder};
 use agreement::sim::{
-    run_async, run_windowed, AsyncEngine, FairAsyncAdversary, Metrics, MetricsProbe, RunLimits,
-    WindowEngine,
+    run_async, run_windowed, AsyncScheduler, ExecutionCore, FairAsyncAdversary, Metrics,
+    MetricsProbe, RunLimits, WindowScheduler,
 };
 
 fn assert_event_counters_match(observed: Metrics, assembled: Metrics) {
@@ -38,11 +38,10 @@ fn windowed_probe_matches_core_assembled_metrics() {
     let inputs = InputAssignment::evenly_split(13);
     let limits = RunLimits::windows(2_000);
 
-    let mut engine =
-        WindowEngine::with_probe(cfg, inputs.clone(), &builder, 7, MetricsProbe::new());
+    let mut core = ExecutionCore::with_probe(cfg, inputs.clone(), &builder, 7, MetricsProbe::new());
     let mut adversary = RotatingResetAdversary::new();
-    let probed = engine.run(&mut adversary, limits);
-    assert_event_counters_match(engine.core().probe().observed(), probed.metrics);
+    let probed = core.run(&mut WindowScheduler::new(&mut adversary), limits);
+    assert_event_counters_match(core.probe().observed(), probed.metrics);
     assert_eq!(probed.metrics.windows, probed.duration);
     assert_eq!(probed.metrics.steps, 0);
     assert!(probed.metrics.resets_consumed > 0, "the adversary resets");
@@ -70,11 +69,11 @@ fn async_probe_matches_core_assembled_metrics() {
     let inputs = InputAssignment::evenly_split(5);
     let limits = RunLimits::small();
 
-    let mut engine =
-        AsyncEngine::with_probe(cfg, inputs.clone(), &builder, 11, MetricsProbe::new());
+    let mut core =
+        ExecutionCore::with_probe(cfg, inputs.clone(), &builder, 11, MetricsProbe::new());
     let mut adversary = FairAsyncAdversary::default();
-    let probed = engine.run(&mut adversary, limits);
-    assert_event_counters_match(engine.core().probe().observed(), probed.metrics);
+    let probed = core.run(&mut AsyncScheduler::new(&mut adversary), limits);
+    assert_event_counters_match(core.probe().observed(), probed.metrics);
     assert_eq!(probed.metrics.steps, probed.duration);
     assert_eq!(probed.metrics.windows, 0);
     assert!(probed.metrics.rounds > 0, "Ben-Or digests report rounds");

@@ -21,8 +21,8 @@ use agreement::core::{partial_sync_scenarios, Campaign};
 use agreement::model::{Bit, InputAssignment, ProcessorId, SystemConfig, Trace};
 use agreement::protocols::{BenOrBuilder, BrachaBuilder};
 use agreement::sim::{
-    run_partial_sync, PartialSyncAction, PartialSyncAdversary, PartialSyncEngine, RunLimits,
-    RunOutcome, SystemView, TrialWorkspace,
+    run_partial_sync, BuiltAdversary, ExecutionCore, PartialSyncAction, PartialSyncAdversary,
+    PartialSyncScheduler, RunLimits, RunOutcome, Scheduler, SystemView, TrialWorkspace,
 };
 
 /// A worst-case adversary for delivery bounds: it never delivers anything by
@@ -59,30 +59,30 @@ impl PartialSyncAdversary for Stonewall {
     }
 }
 
-/// Asserts the bounded-delay invariant on an engine's current state: no
+/// Asserts the bounded-delay invariant on a core's current state: no
 /// pending message between correct processors (and non-omitted senders) has
 /// outlived its deadline `max(sent_at, gst) + delta`.
 fn assert_no_overdue(
-    engine: &PartialSyncEngine,
+    core: &ExecutionCore,
     gst: u64,
     delta: u64,
     omitted: &[ProcessorId],
     t: usize,
 ) {
-    let now = engine.time();
+    let now = core.time();
     if now < gst {
         return;
     }
-    let n = engine.config().n();
+    let n = core.config().n();
     for from in ProcessorId::all(n) {
         if omitted.iter().take(t).any(|&s| s == from) {
             continue;
         }
         for to in ProcessorId::all(n) {
-            if engine.core().is_crashed(to) {
+            if core.is_crashed(to) {
                 continue;
             }
-            if let Some(sent) = engine.core().buffer().head_sent_at(from, to) {
+            if let Some(sent) = core.buffer().head_sent_at(from, to) {
                 let deadline = sent.max(gst) + delta;
                 assert!(
                     deadline >= now,
@@ -114,7 +114,7 @@ fn bounded_delay_invariant_holds_after_every_step() {
         for (gst, delta, omitted, crash_victim) in cases {
             let cfg = SystemConfig::new(5, 1).unwrap();
             let inputs = InputAssignment::evenly_split(5);
-            let mut engine = PartialSyncEngine::new(cfg, inputs, &BenOrBuilder::new(), seed);
+            let mut core = ExecutionCore::new(cfg, inputs, &BenOrBuilder::new(), seed);
             let mut adversary = Stonewall {
                 gst: *gst,
                 delta: *delta,
@@ -122,16 +122,18 @@ fn bounded_delay_invariant_holds_after_every_step() {
                 crash_victim: *crash_victim,
                 step: 0,
             };
+            let mut scheduler = PartialSyncScheduler::new(&mut adversary);
+            scheduler.on_start(&mut core);
             for _ in 0..2_000 {
-                if engine.all_correct_decided() || !engine.step(&mut adversary) {
+                if core.all_correct_decided() || !scheduler.step(&mut core) {
                     break;
                 }
-                assert_no_overdue(&engine, *gst, *delta, omitted, cfg.t());
+                assert_no_overdue(&core, *gst, *delta, omitted, cfg.t());
             }
             // The run cannot be stalled forever: the model's enforcement
             // alone drives the quorum protocol to a decision.
             assert!(
-                engine.all_correct_decided(),
+                core.all_correct_decided(),
                 "gst {gst}, delta {delta}: stonewalled run never decided"
             );
         }
@@ -145,7 +147,7 @@ fn bounded_delay_invariant_holds_after_every_step() {
 fn omission_and_crash_share_one_fault_budget() {
     let cfg = SystemConfig::new(5, 1).unwrap();
     let inputs = InputAssignment::unanimous(5, Bit::One);
-    let mut engine = PartialSyncEngine::new(cfg, inputs.clone(), &BenOrBuilder::new(), 3);
+    let mut core = ExecutionCore::new(cfg, inputs.clone(), &BenOrBuilder::new(), 3);
     let mut adversary = Stonewall {
         gst: 0,
         delta: 4,
@@ -153,12 +155,14 @@ fn omission_and_crash_share_one_fault_budget() {
         crash_victim: Some(ProcessorId::new(4)),
         step: 0,
     };
-    while !engine.all_correct_decided() && engine.steps_elapsed() < 2_000 {
-        if !engine.step(&mut adversary) {
+    let mut scheduler = PartialSyncScheduler::new(&mut adversary);
+    scheduler.on_start(&mut core);
+    while !core.all_correct_decided() && core.time() < 2_000 {
+        if !scheduler.step(&mut core) {
             break;
         }
     }
-    let outcome = engine.outcome();
+    let outcome = core.outcome_with(&scheduler);
     assert_eq!(
         outcome.metrics.crashes, 0,
         "the crash beyond the shared budget must be refused"
@@ -177,7 +181,7 @@ fn omission_and_crash_share_one_fault_budget() {
 fn bounded_delay_invariant_holds_for_bracha() {
     let cfg = SystemConfig::new(7, 2).unwrap();
     let inputs = InputAssignment::unanimous(7, Bit::One);
-    let mut engine = PartialSyncEngine::new(cfg, inputs, &BrachaBuilder::new(), 11);
+    let mut core = ExecutionCore::new(cfg, inputs, &BrachaBuilder::new(), 11);
     let (gst, delta) = (23, 5);
     let mut adversary = Stonewall {
         gst,
@@ -186,13 +190,15 @@ fn bounded_delay_invariant_holds_for_bracha() {
         crash_victim: None,
         step: 0,
     };
+    let mut scheduler = PartialSyncScheduler::new(&mut adversary);
+    scheduler.on_start(&mut core);
     for _ in 0..2_000 {
-        if engine.all_correct_decided() || !engine.step(&mut adversary) {
+        if core.all_correct_decided() || !scheduler.step(&mut core) {
             break;
         }
-        assert_no_overdue(&engine, gst, delta, &[], cfg.t());
+        assert_no_overdue(&core, gst, delta, &[], cfg.t());
     }
-    assert!(engine.all_correct_decided());
+    assert!(core.all_correct_decided());
 }
 
 /// Partial-sync scenario reports (aggregate, distributions, meta) are
@@ -243,8 +249,10 @@ fn partial_sync_no_trace_runs_match_full_trace_runs() {
             fresh.trace.total_events() > 0,
             "the diagnostic path keeps its trace"
         );
-        let mut reused_adversary = agreement::adversary::GstProcrastinatorAdversary::new(32, 3);
-        let reused = workspace.run_partial_sync(
+        let mut reused_adversary = BuiltAdversary::partial_sync(Box::new(
+            agreement::adversary::GstProcrastinatorAdversary::new(32, 3),
+        ));
+        let reused = workspace.run_built(
             cfg,
             &inputs,
             &BenOrBuilder::new(),

@@ -8,8 +8,8 @@
 //!    the same seed. Scenario data plus a seed fully determines an execution.
 //! 2. **Equivalence** — the declarative experiment tables produce exactly the
 //!    bytes the pre-scenario hand-rolled trial loops produced: re-running E1's
-//!    workloads through the raw `TrialPlan`/`run_window_trials` path (the old
-//!    implementation, inlined here) yields cell-for-cell identical rows.
+//!    workloads through the raw `TrialPlan`/`Campaign::run_records` path
+//!    (hand-rolled loops, inlined here) yields cell-for-cell identical rows.
 //! 3. **Machine readability** — the per-scenario JSON records the `scenarios`
 //!    binary emits under `--json` round-trip through the in-tree parser, and
 //!    every per-trial JSONL line parses back into its [`TrialRecord`].
@@ -21,12 +21,12 @@ use agreement::adversary::{RotatingResetAdversary, SplitVoteAdversary};
 use agreement::analysis::JsonValue;
 use agreement::core::experiments::{exp1_correctness, exp1_specs, Scale};
 use agreement::core::{
-    fmt_f64, fmt_rate, run_window_trials, scenario_registry, Campaign, JsonReportSink, JsonlSink,
+    fmt_f64, fmt_rate, scenario_registry, Aggregate, Campaign, JsonReportSink, JsonlSink,
     ReportSink, TrialPlan, TrialRecord,
 };
 use agreement::model::{Bit, InputAssignment, SystemConfig};
 use agreement::protocols::ResetTolerantBuilder;
-use agreement::sim::RunLimits;
+use agreement::sim::{BuiltAdversary, RunLimits};
 
 #[test]
 fn every_registered_scenario_is_deterministic_per_seed() {
@@ -66,12 +66,14 @@ fn declarative_e1_matches_the_hand_rolled_trial_loops() {
                 let plan = TrialPlan::new(cfg, inputs.clone())
                     .trials(trials)
                     .limits(RunLimits::windows(5_000));
-                let aggregate = match adversary {
+                let make = |_seed| match adversary {
                     "rotating-reset" => {
-                        run_window_trials(&plan, &builder, RotatingResetAdversary::new)
+                        BuiltAdversary::windowed(Box::new(RotatingResetAdversary::new()))
                     }
-                    _ => run_window_trials(&plan, &builder, SplitVoteAdversary::new),
+                    _ => BuiltAdversary::windowed(Box::new(SplitVoteAdversary::new())),
                 };
+                let records = Campaign::default().run_records(&plan, &builder, make);
+                let aggregate = Aggregate::from_records(&records, plan.limits.max_windows);
                 expected_rows.push(vec![
                     n.to_string(),
                     cfg.t().to_string(),

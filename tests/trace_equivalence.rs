@@ -8,7 +8,7 @@
 //! itself —
 //!
 //! 1. per-outcome: every decision, counter and metric of a `NoTrace`
-//!    workspace run equals the `FullTrace` fresh-engine run, for both
+//!    workspace run equals the `FullTrace` fresh-core run, for both
 //!    schedulers, across seeds and adversaries;
 //! 2. per-record: campaign `TrialRecord` streams equal records distilled
 //!    from fresh trace-keeping runs, across thread counts (fresh-per-trial
@@ -21,7 +21,8 @@ use agreement::core::{Aggregate, Campaign, TrialPlan, TrialRecord};
 use agreement::model::{InputAssignment, ProcessorId, ProcessorRng, SystemConfig, Trace};
 use agreement::protocols::{BenOrBuilder, BrachaBuilder, ResetTolerantBuilder};
 use agreement::sim::{
-    run_async, run_windowed, FairAsyncAdversary, RunLimits, RunOutcome, TrialWorkspace,
+    run_async, run_windowed, BuiltAdversary, FairAsyncAdversary, RunLimits, RunOutcome,
+    TrialWorkspace,
 };
 
 const CASES: u64 = 8;
@@ -58,11 +59,11 @@ fn windowed_no_trace_runs_match_full_trace_runs() {
             traced.trace.total_events() > 0,
             "the diagnostic path keeps its trace"
         );
-        let trace_free = workspace.run_windowed(
+        let trace_free = workspace.run_built(
             cfg,
             &inputs,
             &builder,
-            &mut SplitVoteAdversary::new(),
+            &mut BuiltAdversary::windowed(Box::new(SplitVoteAdversary::new())),
             seed,
             limits,
         );
@@ -81,11 +82,11 @@ fn windowed_no_trace_runs_match_full_trace_runs() {
             seed,
             limits,
         );
-        let trace_free = workspace.run_windowed(
+        let trace_free = workspace.run_built(
             cfg,
             &inputs,
             &builder,
-            &mut RotatingResetAdversary::new(),
+            &mut BuiltAdversary::windowed(Box::new(RotatingResetAdversary::new())),
             seed,
             limits,
         );
@@ -119,11 +120,11 @@ fn async_no_trace_runs_match_full_trace_runs() {
             seed,
             limits,
         );
-        let trace_free = workspace.run_async(
+        let trace_free = workspace.run_built(
             cfg,
             &inputs,
             &BenOrBuilder::new(),
-            &mut ScheduledCrashAdversary::new(crash_list),
+            &mut BuiltAdversary::asynchronous(Box::new(ScheduledCrashAdversary::new(crash_list))),
             seed,
             limits,
         );
@@ -141,11 +142,11 @@ fn async_no_trace_runs_match_full_trace_runs() {
             seed,
             limits,
         );
-        let trace_free = workspace.run_async(
+        let trace_free = workspace.run_built(
             cfg,
             &inputs,
             &BrachaBuilder::new(),
-            &mut FairAsyncAdversary::default(),
+            &mut BuiltAdversary::asynchronous(Box::new(FairAsyncAdversary::default())),
             seed,
             limits,
         );
@@ -158,7 +159,7 @@ fn async_no_trace_runs_match_full_trace_runs() {
 }
 
 /// Campaign record streams (reused `NoTrace` workspaces, any thread count)
-/// equal records distilled from fresh trace-keeping engines, one per trial —
+/// equal records distilled from fresh trace-keeping cores, one per trial —
 /// and so do the aggregates derived from them. This is the E1 shape.
 #[test]
 fn campaign_records_match_fresh_full_trace_records_across_thread_counts() {
@@ -168,10 +169,10 @@ fn campaign_records_match_fresh_full_trace_records_across_thread_counts() {
         .trials(9)
         .limits(RunLimits::windows(2_000));
 
-    // Fresh-per-trial reference: a brand-new FullTrace engine per seed.
+    // Fresh-per-trial reference: a brand-new FullTrace core per seed.
     let reference: Vec<TrialRecord> = (0..plan.trials)
         .map(|trial| {
-            let seed = plan.base_seed + trial;
+            let seed = plan.base_seed.wrapping_add(trial);
             let outcome = run_windowed(
                 plan.cfg,
                 plan.inputs.clone(),
@@ -184,18 +185,16 @@ fn campaign_records_match_fresh_full_trace_records_across_thread_counts() {
         })
         .collect();
 
+    let split_vote = |_seed| BuiltAdversary::windowed(Box::new(SplitVoteAdversary::new()));
     for threads in [1usize, 2, 3, 8, 0] {
-        let campaign =
-            Campaign::with_threads(threads)
-                .run_windowed_records(&plan, &builder, |_| SplitVoteAdversary::new());
+        let campaign = Campaign::with_threads(threads).run_records(&plan, &builder, split_vote);
         assert_eq!(
             campaign, reference,
             "thread count {threads}: workspace reuse changed a record"
         );
     }
 
-    let campaign =
-        Campaign::parallel().run_windowed_records(&plan, &builder, |_| SplitVoteAdversary::new());
+    let campaign = Campaign::parallel().run_records(&plan, &builder, split_vote);
     assert_eq!(
         Aggregate::from_records(&campaign, plan.limits.max_windows),
         Aggregate::from_records(&reference, plan.limits.max_windows),
@@ -214,7 +213,7 @@ fn async_campaign_records_match_fresh_full_trace_records() {
 
     let reference: Vec<TrialRecord> = (0..plan.trials)
         .map(|trial| {
-            let seed = plan.base_seed + trial;
+            let seed = plan.base_seed.wrapping_add(trial);
             let outcome = run_async(
                 plan.cfg,
                 plan.inputs.clone(),
@@ -227,17 +226,15 @@ fn async_campaign_records_match_fresh_full_trace_records() {
         })
         .collect();
 
+    let fair = |_seed| BuiltAdversary::asynchronous(Box::new(FairAsyncAdversary::default()));
     for threads in [1usize, 4, 0] {
         let campaign =
-            Campaign::with_threads(threads).run_async_records(&plan, &BenOrBuilder::new(), |_| {
-                FairAsyncAdversary::default()
-            });
+            Campaign::with_threads(threads).run_records(&plan, &BenOrBuilder::new(), fair);
         assert_eq!(campaign, reference, "thread count {threads}");
     }
+    let campaign = Campaign::serial().run_records(&plan, &BenOrBuilder::new(), fair);
     assert_eq!(
         Aggregate::from_records(&reference, plan.limits.max_steps),
-        Campaign::serial().run_async(&plan, &BenOrBuilder::new(), |_| {
-            FairAsyncAdversary::default()
-        }),
+        Aggregate::from_records(&campaign, plan.limits.max_steps),
     );
 }
