@@ -14,8 +14,14 @@ use agreement_sim::{AsyncAction, AsyncAdversary, SystemView};
 /// crashed — also permitted, since the model only obliges delivery of messages
 /// from processors that take infinitely many steps. Victims beyond the fault
 /// budget are never crashed, so their messages keep flowing.
+///
+/// The committee comparison's two adversaries (experiment E7) are withholding
+/// schedules that differ only in *who chose the victims, knowing what*:
+/// [`ScheduledCrashAdversary::random`] and
+/// [`ScheduledCrashAdversary::committee_killer`].
 #[derive(Debug, Clone)]
 pub struct ScheduledCrashAdversary {
+    name: &'static str,
     victims: Vec<ProcessorId>,
     next_victim: usize,
     withhold_from_victims: bool,
@@ -27,6 +33,7 @@ impl ScheduledCrashAdversary {
     /// victims already sent may still be delivered.
     pub fn new(victims: Vec<ProcessorId>) -> Self {
         ScheduledCrashAdversary {
+            name: "scheduled-crash",
             victims,
             next_victim: 0,
             withhold_from_victims: false,
@@ -38,14 +45,52 @@ impl ScheduledCrashAdversary {
     /// message sent by a victim, so the victims are silenced entirely.
     pub fn withholding(victims: Vec<ProcessorId>) -> Self {
         ScheduledCrashAdversary {
-            victims,
-            next_victim: 0,
+            name: "withholding-crash",
             withhold_from_victims: true,
-            cursor: 0,
+            ..ScheduledCrashAdversary::new(victims)
         }
     }
 
-    /// The processors this adversary crashes.
+    /// The non-adaptive crash adversary (`"non-adaptive-crash"`): it must pick
+    /// its victims *before* the execution starts, without seeing the
+    /// protocol's random choices — in particular without knowing which
+    /// processors will end up on a committee. Picks `count` distinct victims
+    /// uniformly at random from `seed` among `n` processors and silences them
+    /// entirely (their messages are withheld), giving the adversary its best
+    /// shot without adaptivity.
+    pub fn random(n: usize, count: usize, seed: u64) -> Self {
+        let mut rng = ProcessorRng::labelled(seed, 0xAD5E);
+        let victims = rng
+            .choose_distinct(n, count.min(n))
+            .into_iter()
+            .map(ProcessorId::new)
+            .collect();
+        ScheduledCrashAdversary {
+            name: "non-adaptive-crash",
+            ..ScheduledCrashAdversary::withholding(victims)
+        }
+    }
+
+    /// The adaptive committee killer (`"adaptive-committee-killer"`): it waits
+    /// until the final committee is determined (here: it is public from the
+    /// start) and crashes committee members first — silencing them entirely —
+    /// spending the whole fault budget on them. This is the strategy the
+    /// paper's introduction uses to argue that committee-based protocols
+    /// cannot resist adaptive adversaries.
+    ///
+    /// Targets the given committee (in order). Only the first `t` will
+    /// actually be crashed — the engine enforces the budget — and only the
+    /// crashed targets have their messages withheld; non-crashed targets keep
+    /// participating normally.
+    pub fn committee_killer(committee: Vec<ProcessorId>) -> Self {
+        ScheduledCrashAdversary {
+            name: "adaptive-committee-killer",
+            ..ScheduledCrashAdversary::withholding(committee)
+        }
+    }
+
+    /// The processors this adversary crashes (or, beyond the fault budget,
+    /// tries to).
     pub fn victims(&self) -> &[ProcessorId] {
         &self.victims
     }
@@ -68,11 +113,7 @@ impl ScheduledCrashAdversary {
 
 impl AsyncAdversary for ScheduledCrashAdversary {
     fn name(&self) -> &'static str {
-        if self.withhold_from_victims {
-            "withholding-crash"
-        } else {
-            "scheduled-crash"
-        }
+        self.name
     }
 
     fn next_action(&mut self, view: &SystemView<'_>) -> AsyncAction {
@@ -82,84 +123,6 @@ impl AsyncAdversary for ScheduledCrashAdversary {
             return AsyncAction::Crash(victim);
         }
         self.deliver_fairly(view)
-    }
-}
-
-/// The non-adaptive crash adversary: it must pick its `t` victims *before*
-/// the execution starts (from a private random seed), without seeing the
-/// protocol's random choices — in particular without knowing which processors
-/// will end up on a committee.
-#[derive(Debug, Clone)]
-pub struct NonAdaptiveCrashAdversary {
-    inner: ScheduledCrashAdversary,
-}
-
-impl NonAdaptiveCrashAdversary {
-    /// Picks `count` distinct victims uniformly at random from `seed` among
-    /// `n` processors. The victims are silenced entirely (their messages are
-    /// withheld), giving the adversary its best shot without adaptivity.
-    pub fn random(n: usize, count: usize, seed: u64) -> Self {
-        let mut rng = ProcessorRng::labelled(seed, 0xAD5E);
-        let victims = rng
-            .choose_distinct(n, count.min(n))
-            .into_iter()
-            .map(ProcessorId::new)
-            .collect();
-        NonAdaptiveCrashAdversary {
-            inner: ScheduledCrashAdversary::withholding(victims),
-        }
-    }
-
-    /// The victims chosen ahead of time.
-    pub fn victims(&self) -> &[ProcessorId] {
-        self.inner.victims()
-    }
-}
-
-impl AsyncAdversary for NonAdaptiveCrashAdversary {
-    fn name(&self) -> &'static str {
-        "non-adaptive-crash"
-    }
-
-    fn next_action(&mut self, view: &SystemView<'_>) -> AsyncAction {
-        self.inner.next_action(view)
-    }
-}
-
-/// The adaptive committee killer: it waits until the final committee is
-/// determined (here: it is public from the start) and crashes committee
-/// members first — silencing them entirely — spending the whole fault budget
-/// on them. This is the strategy the paper's introduction uses to argue that
-/// committee-based protocols cannot resist adaptive adversaries.
-#[derive(Debug, Clone)]
-pub struct AdaptiveCommitteeKiller {
-    inner: ScheduledCrashAdversary,
-}
-
-impl AdaptiveCommitteeKiller {
-    /// Targets the given committee (in order). Only the first `t` will
-    /// actually be crashed — the engine enforces the budget — and only the
-    /// crashed targets have their messages withheld; non-crashed targets keep
-    /// participating normally.
-    pub fn new(committee: Vec<ProcessorId>) -> Self {
-        AdaptiveCommitteeKiller {
-            inner: ScheduledCrashAdversary::withholding(committee),
-        }
-    }
-
-    /// The committee members this adversary goes after.
-    pub fn targets(&self) -> &[ProcessorId] {
-        self.inner.victims()
-    }
-}
-
-impl AsyncAdversary for AdaptiveCommitteeKiller {
-    fn name(&self) -> &'static str {
-        "adaptive-committee-killer"
-    }
-
-    fn next_action(&mut self, view: &SystemView<'_>) -> AsyncAction {
-        self.inner.next_action(view)
     }
 }
 
@@ -220,11 +183,11 @@ mod tests {
 
     #[test]
     fn non_adaptive_adversary_is_deterministic_per_seed() {
-        let a = NonAdaptiveCrashAdversary::random(20, 5, 7);
-        let b = NonAdaptiveCrashAdversary::random(20, 5, 7);
+        let a = ScheduledCrashAdversary::random(20, 5, 7);
+        let b = ScheduledCrashAdversary::random(20, 5, 7);
         assert_eq!(a.victims(), b.victims());
         assert_eq!(a.victims().len(), 5);
-        let c = NonAdaptiveCrashAdversary::random(20, 5, 8);
+        let c = ScheduledCrashAdversary::random(20, 5, 8);
         assert_ne!(a.victims(), c.victims());
     }
 
@@ -237,7 +200,7 @@ mod tests {
         let inputs = InputAssignment::unanimous(30, Bit::Zero);
         let mut successes = 0;
         for seed in 0..10u64 {
-            let mut adversary = NonAdaptiveCrashAdversary::random(30, 3, seed);
+            let mut adversary = ScheduledCrashAdversary::random(30, 3, seed);
             let outcome = run_async(
                 cfg,
                 inputs.clone(),
@@ -263,8 +226,9 @@ mod tests {
         let cfg = SystemConfig::new(30, 3).unwrap();
         let committee_builder = CommitteeBuilder::random(&cfg, 5, 12345);
         let inputs = InputAssignment::unanimous(30, Bit::Zero);
-        let mut adversary = AdaptiveCommitteeKiller::new(committee_builder.committee().to_vec());
-        assert_eq!(adversary.targets().len(), 5);
+        let mut adversary =
+            ScheduledCrashAdversary::committee_killer(committee_builder.committee().to_vec());
+        assert_eq!(adversary.victims().len(), 5);
         let outcome = run_async(
             cfg,
             inputs.clone(),
@@ -287,7 +251,7 @@ mod tests {
         // processors changes nothing: the rest still decide.
         let cfg = SystemConfig::new(7, 3).unwrap();
         let inputs = InputAssignment::unanimous(7, Bit::One);
-        let mut adversary = AdaptiveCommitteeKiller::new(vec![
+        let mut adversary = ScheduledCrashAdversary::committee_killer(vec![
             ProcessorId::new(0),
             ProcessorId::new(1),
             ProcessorId::new(2),

@@ -1,20 +1,20 @@
-//! Data-driven adversary construction: the [`AdversaryFactory`] trait and the
-//! [`registry`] of every adversary this reproduction ships.
+//! Data-driven adversary construction: the [`AdversaryFactory`] row type and
+//! the [`registry`] table of every adversary this reproduction ships.
 //!
 //! The scenario layer (`agreement-core`) describes a workload as *data* — a
 //! protocol crossed with an adversary, an input pattern, a model and a size —
 //! and needs to turn the adversary part of that description into a live
-//! scheduler at trial time. Each adversary module therefore exposes one
-//! factory here: a named constructor from an [`AdversaryBuildCtx`] (system
-//! configuration, per-trial seed, and optional target set), tagged with the
+//! scheduler at trial time. Each adversary therefore has one row here: a
+//! named constructor from an [`AdversaryBuildCtx`] (system configuration,
+//! per-trial seed, and optional target set), tagged with the
 //! [`ModelDescriptor`] of the execution model it schedules. The [`registry`]
 //! enumerates every paper adversary plus the benign baselines of
 //! `agreement-sim`, so arbitrary combinations can be expanded from tables
 //! instead of hand-rolled loops.
 //!
-//! A factory builds a model-erased [`BuiltAdversary`]; the campaign runs it
-//! without matching on the model — the execution-model axis stays open, and
-//! adding a model means registering factories, not editing dispatch sites.
+//! A factory builds a [`BuiltAdversary`]; the campaign runs it through
+//! [`BuiltAdversary::run`] without matching on the model, so adding an
+//! adversary is adding a row.
 //!
 //! | Factory name | Model | Built adversary |
 //! |---|---|---|
@@ -28,8 +28,8 @@
 //! | `lockstep-balancing` | async | [`LockstepBalancingAdversary`] |
 //! | `scheduled-crash` | async | [`ScheduledCrashAdversary::new`] on the targets (default: first `t`) |
 //! | `withholding-crash` | async | [`ScheduledCrashAdversary::withholding`] on the targets (default: first `t`) |
-//! | `non-adaptive-crash` | async | [`NonAdaptiveCrashAdversary::random`] from the trial seed |
-//! | `adaptive-committee-killer` | async | [`AdaptiveCommitteeKiller`] on the targets (default: first `t`) |
+//! | `non-adaptive-crash` | async | [`ScheduledCrashAdversary::random`] from the trial seed |
+//! | `adaptive-committee-killer` | async | [`ScheduledCrashAdversary::committee_killer`] on the targets (default: first `t`) |
 //! | `equivocating-byzantine` | async | [`EquivocatingAdversary`] |
 //! | `benign-eventual` | partial-sync | [`BenignEventualAdversary`] |
 //! | `search-window` | windowed | [`SearchWindowAdversary`] on a seed-derived genome |
@@ -40,21 +40,18 @@
 
 use agreement_model::{ProcessorId, SystemConfig};
 use agreement_sim::{
-    AsyncAdversary, AsyncModel, BenignEventualAdversary, FairAsyncAdversary, FullDeliveryAdversary,
-    ModelDescriptor, PartialSyncModel, WindowAdversary, WindowModel,
+    BenignEventualAdversary, FairAsyncAdversary, FullDeliveryAdversary, ModelDescriptor, ASYNC,
+    PARTIAL_SYNC, WINDOWED,
 };
 
 pub use agreement_sim::BuiltAdversary;
 
 use crate::byzantine::EquivocatingAdversary;
-use crate::crash::{AdaptiveCommitteeKiller, NonAdaptiveCrashAdversary, ScheduledCrashAdversary};
+use crate::crash::ScheduledCrashAdversary;
 use crate::lockstep::LockstepBalancingAdversary;
 use crate::partial_sync::{GstProcrastinatorAdversary, PostGstOmissionAdversary};
 use crate::polarizing::PolarizingAdversary;
-use crate::search::{
-    Genome, SearchAsyncAdversary, SearchPartialSyncAdversary, SearchWindowAdversary,
-    DEFAULT_TAPE_LEN,
-};
+use crate::search::{build_from_genome, Genome, DEFAULT_TAPE_LEN};
 use crate::split_vote::SplitVoteAdversary;
 use crate::strongly_adaptive::{RotatingResetAdversary, TargetedResetAdversary};
 
@@ -102,334 +99,210 @@ impl AdversaryBuildCtx {
     }
 }
 
-/// A named, model-tagged adversary constructor, usable from data.
+/// A named, model-tagged adversary constructor, usable from data: one row of
+/// the [`registry`].
 ///
-/// Factories are stateless and shareable across the campaign worker threads;
-/// a fresh adversary instance is built per trial. The model tag is an open
-/// [`ModelDescriptor`] — new execution models register factories without any
-/// dispatch site having to enumerate them.
-pub trait AdversaryFactory: Send + Sync {
+/// Rows are stateless and shared across the campaign worker threads; a fresh
+/// adversary instance is built per trial.
+#[derive(Debug)]
+pub struct AdversaryFactory {
+    name: &'static str,
+    model: &'static ModelDescriptor,
+    build: fn(&AdversaryBuildCtx) -> BuiltAdversary,
+}
+
+impl AdversaryFactory {
     /// The registry name, equal to the built adversary's `name()`.
-    fn name(&self) -> &'static str;
+    pub fn name(&self) -> &'static str {
+        self.name
+    }
 
     /// Which execution model the built adversary schedules.
-    fn model(&self) -> &'static ModelDescriptor;
+    pub fn model(&self) -> &'static ModelDescriptor {
+        self.model
+    }
 
     /// Builds a fresh adversary instance for one trial.
-    fn build(&self, ctx: &AdversaryBuildCtx) -> BuiltAdversary;
-
-    /// Builds a windowed adversary.
-    ///
-    /// # Panics
-    ///
-    /// Panics when this factory's model is not the windowed model; callers
-    /// that need a concrete scheduler type dispatch on
-    /// [`AdversaryFactory::model`] first. (The campaign path never does —
-    /// it runs the [`BuiltAdversary`] as-is.)
-    fn build_window(&self, ctx: &AdversaryBuildCtx) -> Box<dyn WindowAdversary> {
-        self.build(ctx).into_window().unwrap_or_else(|| {
-            panic!(
-                "adversary '{}' schedules the {} model, not windows",
-                self.name(),
-                self.model()
-            )
-        })
+    pub fn build(&self, ctx: &AdversaryBuildCtx) -> BuiltAdversary {
+        (self.build)(ctx)
     }
-
-    /// Builds an asynchronous adversary.
-    ///
-    /// # Panics
-    ///
-    /// Panics when this factory's model is not the asynchronous model.
-    fn build_async(&self, ctx: &AdversaryBuildCtx) -> Box<dyn AsyncAdversary> {
-        self.build(ctx).into_async().unwrap_or_else(|| {
-            panic!(
-                "adversary '{}' schedules the {} model, not the async model",
-                self.name(),
-                self.model()
-            )
-        })
-    }
-
-    // Deliberately NO per-model builder for newer models: the campaign path
-    // runs `build()`'s model-erased result as-is, and a caller that really
-    // needs a concrete scheduler type uses `build(ctx).into_model::<M>()`.
-    // `build_window`/`build_async` survive for the pre-descriptor callers.
 }
 
-/// Declares a unit-struct factory with the least ceremony. `$model` is the
-/// [`ExecutionModel`](agreement_sim::ExecutionModel) marker whose descriptor
-/// tags the factory.
-macro_rules! declare_factory {
-    ($(#[$doc:meta])* $factory:ident, $name:literal, $model:ident, |$ctx:ident| $build:expr) => {
-        $(#[$doc])*
-        #[derive(Debug, Clone, Copy, Default)]
-        pub struct $factory;
-
-        impl AdversaryFactory for $factory {
-            fn name(&self) -> &'static str {
-                $name
-            }
-
-            fn model(&self) -> &'static ModelDescriptor {
-                <$model as agreement_sim::ExecutionModel>::descriptor()
-            }
-
-            fn build(&self, $ctx: &AdversaryBuildCtx) -> BuiltAdversary {
-                $build
-            }
-        }
-    };
+/// A genome-decoded schedule of `model` for the coverage-guided search: the
+/// per-trial seed is expanded into a random choice tape, so every trial of a
+/// campaign explores a different schedule (a seed-range sweep *is* the
+/// random-walk phase of the search).
+fn seeded_search(model: &ModelDescriptor, ctx: &AdversaryBuildCtx) -> BuiltAdversary {
+    let genome = Genome::from_seed(model.id(), ctx.seed, DEFAULT_TAPE_LEN);
+    build_from_genome(&genome, &ctx.cfg).expect("the tag is a shipped model's id")
 }
-
-declare_factory!(
-    /// Benign baseline: full delivery, no resets.
-    FullDeliveryFactory,
-    "full-delivery",
-    WindowModel,
-    |_ctx| BuiltAdversary::windowed(Box::new(FullDeliveryAdversary))
-);
-
-declare_factory!(
-    /// Resets a rotating set of `t` processors every window.
-    RotatingResetFactory,
-    "rotating-reset",
-    WindowModel,
-    |_ctx| BuiltAdversary::windowed(Box::new(RotatingResetAdversary::new()))
-);
-
-declare_factory!(
-    /// Resets the `t` most advanced processors every window.
-    TargetedResetFactory,
-    "targeted-reset",
-    WindowModel,
-    |_ctx| BuiltAdversary::windowed(Box::new(TargetedResetAdversary::new()))
-);
-
-declare_factory!(
-    /// The split-vote balancing adversary (delivery exclusion only).
-    SplitVoteFactory,
-    "split-vote",
-    WindowModel,
-    |_ctx| BuiltAdversary::windowed(Box::new(SplitVoteAdversary::new()))
-);
-
-declare_factory!(
-    /// The split-vote balancing adversary, also spending the reset budget.
-    SplitVoteResetsFactory,
-    "split-vote+resets",
-    WindowModel,
-    |_ctx| BuiltAdversary::windowed(Box::new(SplitVoteAdversary::with_resets()))
-);
-
-declare_factory!(
-    /// Shows half the processors a zero-leaning view, half a one-leaning one.
-    PolarizingFactory,
-    "polarizing",
-    WindowModel,
-    |_ctx| BuiltAdversary::windowed(Box::new(PolarizingAdversary::new()))
-);
-
-declare_factory!(
-    /// Benign baseline: fair round-robin delivery, no failures.
-    FairAsyncFactory,
-    "fair-round-robin",
-    AsyncModel,
-    |_ctx| BuiltAdversary::asynchronous(Box::new(FairAsyncAdversary::default()))
-);
-
-declare_factory!(
-    /// The Theorem 17 balancing scheduler for forgetful protocols.
-    LockstepBalancingFactory,
-    "lockstep-balancing",
-    AsyncModel,
-    |_ctx| BuiltAdversary::asynchronous(Box::new(LockstepBalancingAdversary::new()))
-);
-
-declare_factory!(
-    /// Crashes the targets (default: the first `t` processors) up front;
-    /// their earlier messages may still be delivered.
-    ScheduledCrashFactory,
-    "scheduled-crash",
-    AsyncModel,
-    |ctx| BuiltAdversary::asynchronous(Box::new(ScheduledCrashAdversary::new(
-        ctx.targets_or_first_t()
-    )))
-);
-
-declare_factory!(
-    /// Crashes the targets (default: the first `t` processors) and withholds
-    /// everything they ever sent.
-    WithholdingCrashFactory,
-    "withholding-crash",
-    AsyncModel,
-    |ctx| BuiltAdversary::asynchronous(Box::new(ScheduledCrashAdversary::withholding(
-        ctx.targets_or_first_t()
-    )))
-);
-
-declare_factory!(
-    /// Picks `t` random victims from the trial seed before the execution
-    /// starts (the committee comparison's non-adaptive adversary).
-    NonAdaptiveCrashFactory,
-    "non-adaptive-crash",
-    AsyncModel,
-    |ctx| BuiltAdversary::asynchronous(Box::new(NonAdaptiveCrashAdversary::random(
-        ctx.cfg.n(),
-        ctx.cfg.t(),
-        ctx.seed
-    )))
-);
-
-declare_factory!(
-    /// Adaptively silences the (publicly known) committee passed as targets,
-    /// falling back to the first `t` processors when no targets are given so
-    /// the adversary never silently degenerates to fair scheduling.
-    CommitteeKillerFactory,
-    "adaptive-committee-killer",
-    AsyncModel,
-    |ctx| BuiltAdversary::asynchronous(Box::new(AdaptiveCommitteeKiller::new(
-        ctx.targets_or_first_t()
-    )))
-);
-
-declare_factory!(
-    /// Declares the first `t` processors Byzantine and equivocates on their
-    /// value-carrying messages.
-    EquivocatingFactory,
-    "equivocating-byzantine",
-    AsyncModel,
-    |_ctx| BuiltAdversary::asynchronous(Box::new(EquivocatingAdversary::new()))
-);
-
-declare_factory!(
-    /// Benign partial-synchrony baseline: GST 0, eager fair delivery.
-    BenignEventualFactory,
-    "benign-eventual",
-    PartialSyncModel,
-    |_ctx| BuiltAdversary::partial_sync(Box::new(BenignEventualAdversary::default()))
-);
-
-declare_factory!(
-    /// Stalls everything until a late GST, then lets the model's enforced
-    /// Δ-paced delivery finish the run: the strongest delay attack partial
-    /// synchrony admits.
-    GstProcrastinatorFactory,
-    "gst-procrastinator",
-    PartialSyncModel,
-    |_ctx| BuiltAdversary::partial_sync(Box::new(GstProcrastinatorAdversary::default()))
-);
-
-declare_factory!(
-    /// Omits the messages of the targets (default: the first `t` processors)
-    /// under immediate synchrony — send-omission faults.
-    PostGstOmissionFactory,
-    "post-gst-omission",
-    PartialSyncModel,
-    |ctx| BuiltAdversary::partial_sync(Box::new(PostGstOmissionAdversary::new(
-        ctx.targets_or_first_t(),
-        PostGstOmissionAdversary::DEFAULT_DELTA
-    )))
-);
-
-declare_factory!(
-    /// Genome-decoded windowed schedule for the coverage-guided search: the
-    /// per-trial seed is expanded into a random choice tape, so every trial
-    /// of a campaign explores a different schedule (a seed-range sweep *is*
-    /// the random-walk phase of the search).
-    SearchWindowFactory,
-    "search-window",
-    WindowModel,
-    |ctx| {
-        let genome = Genome::from_seed(
-            <WindowModel as agreement_sim::ExecutionModel>::descriptor().id(),
-            ctx.seed,
-            DEFAULT_TAPE_LEN,
-        );
-        BuiltAdversary::windowed(Box::new(
-            SearchWindowAdversary::from_genome(&genome).expect("model tags match by construction"),
-        ))
-    }
-);
-
-declare_factory!(
-    /// Genome-decoded asynchronous schedule for the coverage-guided search.
-    SearchAsyncFactory,
-    "search-async",
-    AsyncModel,
-    |ctx| {
-        let genome = Genome::from_seed(
-            <AsyncModel as agreement_sim::ExecutionModel>::descriptor().id(),
-            ctx.seed,
-            DEFAULT_TAPE_LEN,
-        );
-        BuiltAdversary::asynchronous(Box::new(
-            SearchAsyncAdversary::from_genome(&genome).expect("model tags match by construction"),
-        ))
-    }
-);
-
-declare_factory!(
-    /// Genome-decoded partial-synchrony schedule (GST/Δ/omissions decoded
-    /// from the tape header) for the coverage-guided search.
-    SearchPartialSyncFactory,
-    "search-partial-sync",
-    PartialSyncModel,
-    |ctx| {
-        let genome = Genome::from_seed(
-            <PartialSyncModel as agreement_sim::ExecutionModel>::descriptor().id(),
-            ctx.seed,
-            DEFAULT_TAPE_LEN,
-        );
-        BuiltAdversary::partial_sync(Box::new(
-            SearchPartialSyncAdversary::from_genome(&genome, &ctx.cfg)
-                .expect("model tags match by construction"),
-        ))
-    }
-);
 
 /// Every adversary factory this crate ships, benign baselines included.
-static REGISTRY: [&dyn AdversaryFactory; 19] = [
-    &FullDeliveryFactory,
-    &RotatingResetFactory,
-    &TargetedResetFactory,
-    &SplitVoteFactory,
-    &SplitVoteResetsFactory,
-    &PolarizingFactory,
-    &FairAsyncFactory,
-    &LockstepBalancingFactory,
-    &ScheduledCrashFactory,
-    &WithholdingCrashFactory,
-    &NonAdaptiveCrashFactory,
-    &CommitteeKillerFactory,
-    &EquivocatingFactory,
-    &BenignEventualFactory,
-    &GstProcrastinatorFactory,
-    &PostGstOmissionFactory,
-    &SearchWindowFactory,
-    &SearchAsyncFactory,
-    &SearchPartialSyncFactory,
+static REGISTRY: [AdversaryFactory; 19] = [
+    // Benign baseline: full delivery, no resets.
+    AdversaryFactory {
+        name: "full-delivery",
+        model: &WINDOWED,
+        build: |_| BuiltAdversary::windowed(Box::new(FullDeliveryAdversary)),
+    },
+    // Resets a rotating set of `t` processors every window.
+    AdversaryFactory {
+        name: "rotating-reset",
+        model: &WINDOWED,
+        build: |_| BuiltAdversary::windowed(Box::new(RotatingResetAdversary::new())),
+    },
+    // Resets the `t` most advanced processors every window.
+    AdversaryFactory {
+        name: "targeted-reset",
+        model: &WINDOWED,
+        build: |_| BuiltAdversary::windowed(Box::new(TargetedResetAdversary::new())),
+    },
+    // The split-vote balancing adversary (delivery exclusion only).
+    AdversaryFactory {
+        name: "split-vote",
+        model: &WINDOWED,
+        build: |_| BuiltAdversary::windowed(Box::new(SplitVoteAdversary::new())),
+    },
+    // The split-vote balancing adversary, also spending the reset budget.
+    AdversaryFactory {
+        name: "split-vote+resets",
+        model: &WINDOWED,
+        build: |_| BuiltAdversary::windowed(Box::new(SplitVoteAdversary::with_resets())),
+    },
+    // Shows half the processors a zero-leaning view, half a one-leaning one.
+    AdversaryFactory {
+        name: "polarizing",
+        model: &WINDOWED,
+        build: |_| BuiltAdversary::windowed(Box::new(PolarizingAdversary::new())),
+    },
+    // Benign baseline: fair round-robin delivery, no failures.
+    AdversaryFactory {
+        name: "fair-round-robin",
+        model: &ASYNC,
+        build: |_| BuiltAdversary::asynchronous(Box::new(FairAsyncAdversary::default())),
+    },
+    // The Theorem 17 balancing scheduler for forgetful protocols.
+    AdversaryFactory {
+        name: "lockstep-balancing",
+        model: &ASYNC,
+        build: |_| BuiltAdversary::asynchronous(Box::new(LockstepBalancingAdversary::new())),
+    },
+    // Crashes the targets (default: the first `t` processors) up front; their
+    // earlier messages may still be delivered.
+    AdversaryFactory {
+        name: "scheduled-crash",
+        model: &ASYNC,
+        build: |ctx| {
+            let victims = ctx.targets_or_first_t();
+            BuiltAdversary::asynchronous(Box::new(ScheduledCrashAdversary::new(victims)))
+        },
+    },
+    // Crashes the targets (default: the first `t` processors) and withholds
+    // everything they ever sent.
+    AdversaryFactory {
+        name: "withholding-crash",
+        model: &ASYNC,
+        build: |ctx| {
+            let victims = ctx.targets_or_first_t();
+            BuiltAdversary::asynchronous(Box::new(ScheduledCrashAdversary::withholding(victims)))
+        },
+    },
+    // Picks `t` random victims from the trial seed before the execution
+    // starts (the committee comparison's non-adaptive adversary).
+    AdversaryFactory {
+        name: "non-adaptive-crash",
+        model: &ASYNC,
+        build: |ctx| {
+            let (n, t) = (ctx.cfg.n(), ctx.cfg.t());
+            BuiltAdversary::asynchronous(Box::new(ScheduledCrashAdversary::random(n, t, ctx.seed)))
+        },
+    },
+    // Adaptively silences the (publicly known) committee passed as targets,
+    // falling back to the first `t` processors when no targets are given so
+    // the adversary never silently degenerates to fair scheduling.
+    AdversaryFactory {
+        name: "adaptive-committee-killer",
+        model: &ASYNC,
+        build: |ctx| {
+            let committee = ctx.targets_or_first_t();
+            BuiltAdversary::asynchronous(Box::new(ScheduledCrashAdversary::committee_killer(
+                committee,
+            )))
+        },
+    },
+    // Declares the first `t` processors Byzantine and equivocates on their
+    // value-carrying messages.
+    AdversaryFactory {
+        name: "equivocating-byzantine",
+        model: &ASYNC,
+        build: |_| BuiltAdversary::asynchronous(Box::new(EquivocatingAdversary::new())),
+    },
+    // Benign partial-synchrony baseline: GST 0, eager fair delivery.
+    AdversaryFactory {
+        name: "benign-eventual",
+        model: &PARTIAL_SYNC,
+        build: |_| BuiltAdversary::partial_sync(Box::new(BenignEventualAdversary::default())),
+    },
+    // Stalls everything until a late GST, then lets the model's enforced
+    // Δ-paced delivery finish the run: the strongest delay attack partial
+    // synchrony admits.
+    AdversaryFactory {
+        name: "gst-procrastinator",
+        model: &PARTIAL_SYNC,
+        build: |_| BuiltAdversary::partial_sync(Box::new(GstProcrastinatorAdversary::default())),
+    },
+    // Omits the messages of the targets (default: the first `t` processors)
+    // under immediate synchrony — send-omission faults.
+    AdversaryFactory {
+        name: "post-gst-omission",
+        model: &PARTIAL_SYNC,
+        build: |ctx| {
+            BuiltAdversary::partial_sync(Box::new(PostGstOmissionAdversary::new(
+                ctx.targets_or_first_t(),
+                PostGstOmissionAdversary::DEFAULT_DELTA,
+            )))
+        },
+    },
+    AdversaryFactory {
+        name: "search-window",
+        model: &WINDOWED,
+        build: |ctx| seeded_search(&WINDOWED, ctx),
+    },
+    AdversaryFactory {
+        name: "search-async",
+        model: &ASYNC,
+        build: |ctx| seeded_search(&ASYNC, ctx),
+    },
+    // GST, Δ and the omissions are decoded from the tape header.
+    AdversaryFactory {
+        name: "search-partial-sync",
+        model: &PARTIAL_SYNC,
+        build: |ctx| seeded_search(&PARTIAL_SYNC, ctx),
+    },
 ];
 
 /// The full adversary registry: every paper adversary plus the benign
 /// baselines, constructible from data by name.
-pub fn registry() -> &'static [&'static dyn AdversaryFactory] {
+pub fn registry() -> &'static [AdversaryFactory] {
     &REGISTRY
 }
 
 /// Looks an adversary factory up by its registry name.
-pub fn find_adversary(name: &str) -> Option<&'static dyn AdversaryFactory> {
-    registry().iter().copied().find(|f| f.name() == name)
+pub fn find_adversary(name: &str) -> Option<&'static AdversaryFactory> {
+    registry().iter().find(|f| f.name() == name)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use agreement_sim::{ASYNC, PARTIAL_SYNC, WINDOWED};
     use std::collections::BTreeSet;
 
     fn ctx(n: usize, t: usize, seed: u64) -> AdversaryBuildCtx {
         AdversaryBuildCtx::new(SystemConfig::new(n, t).unwrap(), seed)
+    }
+
+    fn build(name: &str, ctx: &AdversaryBuildCtx) -> BuiltAdversary {
+        find_adversary(name).expect("registered").build(ctx)
     }
 
     #[test]
@@ -469,35 +342,9 @@ mod tests {
     }
 
     #[test]
-    fn model_specific_builders_unwrap_the_right_variant() {
-        let c = ctx(7, 2, 3);
-        let window = SplitVoteFactory.build_window(&c);
-        assert_eq!(window.name(), "split-vote");
-        let asynchronous = LockstepBalancingFactory.build_async(&c);
-        assert_eq!(asynchronous.name(), "lockstep-balancing");
-        let partial = GstProcrastinatorFactory
-            .build(&c)
-            .into_partial_sync()
-            .expect("gst-procrastinator schedules partial synchrony");
-        assert_eq!(partial.name(), "gst-procrastinator");
-    }
-
-    #[test]
-    #[should_panic(expected = "schedules the async model")]
-    fn window_builder_panics_for_async_factories() {
-        let _ = FairAsyncFactory.build_window(&ctx(4, 1, 0));
-    }
-
-    #[test]
-    #[should_panic(expected = "schedules the partial-sync model")]
-    fn async_builder_panics_for_partial_sync_factories() {
-        let _ = BenignEventualFactory.build_async(&ctx(4, 1, 0));
-    }
-
-    #[test]
     fn targeting_factories_respect_explicit_targets_and_defaults() {
         let default_ctx = ctx(9, 3, 5);
-        let built = ScheduledCrashFactory.build(&default_ctx);
+        let built = build("scheduled-crash", &default_ctx);
         assert_eq!(built.model(), &ASYNC);
         assert_eq!(
             default_ctx.targets_or_first_t(),
@@ -512,11 +359,11 @@ mod tests {
         // The committee killer shares the same fallback: with no targets it
         // attacks the first `t` processors rather than degenerating to a
         // benign fair scheduler.
-        let killer = CommitteeKillerFactory.build(&default_ctx);
+        let killer = build("adaptive-committee-killer", &default_ctx);
         assert_eq!(killer.model(), &ASYNC);
         assert_eq!(killer.name(), "adaptive-committee-killer");
         // The omission factory targets the same default victim set.
-        let omission = PostGstOmissionFactory.build(&default_ctx);
+        let omission = build("post-gst-omission", &default_ctx);
         assert_eq!(omission.model(), &PARTIAL_SYNC);
         let omission = omission.into_partial_sync().expect("partial-sync model");
         assert_eq!(
@@ -531,8 +378,8 @@ mod tests {
 
     #[test]
     fn non_adaptive_factory_derives_victims_from_the_trial_seed() {
-        let a = NonAdaptiveCrashFactory.build(&ctx(20, 5, 7));
-        let b = NonAdaptiveCrashFactory.build(&ctx(20, 5, 7));
+        let a = build("non-adaptive-crash", &ctx(20, 5, 7));
+        let b = build("non-adaptive-crash", &ctx(20, 5, 7));
         // Same seed, same adversary: verified indirectly through the name and
         // the deterministic constructor it delegates to (see crash.rs tests).
         assert_eq!(a.name(), b.name());

@@ -8,8 +8,8 @@
 //! | [`RotatingResetAdversary`], [`TargetedResetAdversary`] | acceptable windows | exercise the strongly adaptive adversary's resetting power (Section 2, Theorem 4) |
 //! | [`SplitVoteAdversary`] | acceptable windows | the balancing strategy that forces exponential running time on split inputs (end of Section 3, and the concrete face of Theorem 5) |
 //! | [`LockstepBalancingAdversary`] | asynchronous, crash | the scheduling strategy behind Theorem 17 against forgetful, fully communicative algorithms |
-//! | [`ScheduledCrashAdversary`], [`NonAdaptiveCrashAdversary`] | asynchronous, crash | baseline crash adversaries; the non-adaptive one is what committee protocols tolerate |
-//! | [`AdaptiveCommitteeKiller`] | asynchronous, crash | the introduction's argument that adaptive adversaries defeat committee-based protocols |
+//! | [`ScheduledCrashAdversary`], [`ScheduledCrashAdversary::random`] | asynchronous, crash | baseline crash adversaries; the non-adaptive (random-victim) one is what committee protocols tolerate |
+//! | [`ScheduledCrashAdversary::committee_killer`] | asynchronous, crash | the introduction's argument that adaptive adversaries defeat committee-based protocols |
 //! | [`EquivocatingAdversary`] | asynchronous, Byzantine | message corruption / lying about coins, which Bracha's reliable broadcast withstands |
 //! | [`PolarizingAdversary`] | acceptable windows | the unfair-but-legal delivery split that probes the Theorem 4 threshold constraints (experiment E8) |
 //! | [`GstProcrastinatorAdversary`] | partial synchrony | maximum pre-GST obstruction; shows the curtailed adversary's delay is additive, not exponential |
@@ -20,9 +20,9 @@
 //! `BenignEventualAdversary`) live in `agreement-sim` itself.
 //!
 //! Every adversary is also constructible *from data* through the
-//! [`AdversaryFactory`] registry in [`factory`]: [`registry()`] enumerates a
-//! named, model-tagged factory per adversary (benign baselines included), and
-//! [`find_adversary`] resolves a name to its factory. The scenario layer in
+//! [`AdversaryFactory`] table in [`factory`]: [`registry()`] holds one
+//! named, model-tagged row per adversary (benign baselines included), and
+//! [`find_adversary`] resolves a name to its row. The scenario layer in
 //! `agreement-core` expands protocol × adversary × input × size tables over
 //! this registry.
 
@@ -41,7 +41,7 @@ mod split_vote;
 mod strongly_adaptive;
 
 pub use byzantine::EquivocatingAdversary;
-pub use crash::{AdaptiveCommitteeKiller, NonAdaptiveCrashAdversary, ScheduledCrashAdversary};
+pub use crash::ScheduledCrashAdversary;
 pub use delivery::{balanced_senders, full_senders, senders_excluding};
 pub use factory::{find_adversary, registry, AdversaryBuildCtx, AdversaryFactory, BuiltAdversary};
 pub use lockstep::LockstepBalancingAdversary;

@@ -558,8 +558,7 @@ impl PartialSyncAdversary for SearchPartialSyncAdversary {
     }
 }
 
-/// Builds the model-erased adversary a genome encodes, dispatching on its
-/// model tag.
+/// Builds the adversary a genome encodes, dispatching on its model tag.
 ///
 /// # Errors
 ///

@@ -23,7 +23,7 @@
 //! runs each workload once. E3 and E4 are pure analysis (no simulation) and
 //! appear only in the printed tables, not in the machine-readable records.
 
-use agreement_bench::cli::required_value;
+use agreement_core::cli::required_value;
 use agreement_core::experiments::{experiment_specs, Scale, EXPERIMENTS};
 use agreement_core::{CsvSink, JsonReportSink, ReportSink};
 

@@ -64,7 +64,7 @@
 //! ```
 
 use agreement_analysis::JsonValue;
-use agreement_bench::cli::{parsed_value, required_value};
+use agreement_core::cli::{parsed_value, required_value};
 use agreement_core::experiments::Scale;
 use agreement_core::orchestrate::{worker, OrchestrateError, Orchestrator, Session};
 use agreement_core::{

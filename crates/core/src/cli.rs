@@ -1,6 +1,6 @@
-//! Tiny shared argument-parsing helpers for the `agreement-bench` binaries.
+//! Tiny shared argument-parsing helpers for the command-line binaries.
 //!
-//! Both the `scenarios` and `all_experiments` binaries parse flags by
+//! The `scenarios`, `all_experiments` and `search` binaries parse flags by
 //! consuming an argument iterator left to right; sharing the value-taking
 //! helpers keeps their semantics identical (a flag's value is the next
 //! argument, consumed — so `--json --csv out.csv` fails loudly on the

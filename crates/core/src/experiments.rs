@@ -690,9 +690,10 @@ pub fn exp10_specs(scale: Scale) -> Vec<ScenarioSpec> {
 /// baselines vs the sampled-committee protocol as `n` grows. The fitted
 /// exponent `p` (messages ≈ C·n^p) should sit at (or above) 2 for
 /// Ben-Or/Bracha and strictly below 2 for the sampled committee. Every
-/// column is seed-deterministic — wall-clock throughput at these shapes is
-/// guarded separately by the `campaign_throughput` bench
-/// (`async/sampled_committee/fair/1000`).
+/// column is seed-deterministic — wall-clock throughput at the n = 1000
+/// shape is the `async_large_n` workload of the repository's benchmark
+/// (`benchmark/`). (The printed caption still names the `campaign_throughput`
+/// bench PR 16 deleted: `all_experiments` stdout is byte-pinned.)
 pub fn exp10_subquadratic_scaling(scale: Scale) -> Table {
     let mut rows = Vec::new();
     let mut families: Vec<(&'static str, Vec<(f64, f64)>)> = Vec::new();

@@ -5,7 +5,7 @@
 //! This crate ties the workspace together:
 //!
 //! * [`TrialPlan`], [`Campaign`] and [`Aggregate`] — run a protocol against
-//!   a model-erased adversary over many seeded trials
+//!   a built adversary of any model over many seeded trials
 //!   ([`Campaign::run_records`]), fanned out across all cores with
 //!   deterministic (thread-count independent) results.
 //! * [`record`] — the structured results pipeline: every trial yields a
@@ -25,6 +25,8 @@
 //!   returning a [`Table`].
 //! * [`Table`] — plain-text result tables (what the `agreement-bench`
 //!   binaries print).
+//! * [`cli`] — the value-taking argument helpers the three command-line
+//!   binaries (`scenarios`, `all_experiments`, `search`) share.
 //!
 //! # Example
 //!
@@ -62,6 +64,7 @@
 #![warn(rust_2018_idioms)]
 
 pub mod block;
+pub mod cli;
 pub mod experiments;
 pub mod orchestrate;
 pub mod record;

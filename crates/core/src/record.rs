@@ -10,8 +10,8 @@
 //!   scenario, the `scenarios` binary's output),
 //! * [`JsonlSink`] writes one JSON object per trial (machine-readable stream),
 //! * [`CsvSink`] writes one summary row per scenario,
-//! * [`JsonReportSink`] collects full [`ScenarioReport`]s as a JSON document
-//!   suitable for committing as a `BENCH_*.json` trajectory point.
+//! * [`JsonReportSink`] collects full [`ScenarioReport`]s as one JSON
+//!   document (the `--json` output).
 //!
 //! Record streams are **bit-identical across thread counts** (the campaign
 //! fans trials out but always hands them to sinks in trial order), so every
@@ -30,7 +30,7 @@ use crate::scenario::ScenarioReport;
 pub struct ScenarioMeta {
     /// The scenario's stable id (`[tag/]protocol/adversary/inputs/n<n>t<t>`).
     pub id: String,
-    /// Execution model label (`windowed` / `async`).
+    /// Execution model label (`windowed` / `async` / `partial-sync`).
     pub model: String,
     /// Number of processors.
     pub n: usize,
@@ -454,9 +454,9 @@ impl ReportSink for CsvSink {
 
 /// Collects every scenario's [`ScenarioReport`] as one JSON document:
 /// `{"scale": ..., "scenarios": [...]}` (the `scale` header only when set).
-/// This is the `--json` output of the binaries and the shape committed as
-/// `BENCH_*.json` trajectory points — defined here, in one place, so the
-/// emitting binaries and the `--check` validator cannot drift apart.
+/// This is the `--json` output of the binaries and the shape of the committed
+/// `tests/golden/subquad-quick.json` byte pin — defined here, in one place,
+/// so the emitting binaries and the `--check` validator cannot drift apart.
 #[derive(Debug, Default)]
 pub struct JsonReportSink {
     scale: Option<String>,

@@ -189,9 +189,9 @@ impl Campaign {
     /// Runs `plan.trials` executions of *any* execution model and returns one
     /// [`TrialRecord`] per trial, **in trial order** regardless of thread
     /// count. `make_adversary` receives each trial's seed and returns a
-    /// model-erased [`BuiltAdversary`] (typically from an
-    /// `AdversaryFactory`); the campaign never inspects the model — this is
-    /// the open-axis entry point the scenario layer uses.
+    /// [`BuiltAdversary`] (typically from an `AdversaryFactory`); the
+    /// campaign never inspects the model — [`BuiltAdversary::run`] does. This
+    /// is the entry point the scenario layer uses.
     pub fn run_records<F>(
         &self,
         plan: &TrialPlan,

@@ -8,7 +8,7 @@
 //! through the existing parallel [`Campaign`] with the same bit-identical,
 //! slot-ordered aggregation the experiments use. Adversaries are resolved by
 //! name through the [`AdversaryFactory`](agreement_adversary::AdversaryFactory)
-//! registry of `agreement-adversary`, protocols through [`ProtocolSpec`], so
+//! table of `agreement-adversary`, protocols through [`ProtocolSpec`], so
 //! new workloads — Ben-Or under the equivocating Byzantine adversary,
 //! committee protocols under split inputs — are new table rows, not new code.
 //!
@@ -24,9 +24,7 @@ use agreement_analysis::{Histogram, JsonValue, Summary};
 use agreement_model::{
     Bit, ConfigError, InputAssignment, ProcessorId, ProtocolBuilder, SystemConfig, Thresholds,
 };
-use agreement_protocols::{
-    BenOrBuilder, BrachaBuilder, CommitteeBuilder, ResetTolerantBuilder, SampledCommitteeBuilder,
-};
+use agreement_protocols::{BenOrBuilder, BrachaBuilder, CommitteeBuilder, ResetTolerantBuilder};
 use agreement_sim::{
     BufferChoice, BuiltAdversary, ExecutionCore, ModelDescriptor, RunLimits, RunOutcome,
 };
@@ -186,41 +184,42 @@ impl ProtocolSpec {
                 committee: Vec::new(),
             },
             ProtocolSpec::Committee { size, seed } => {
-                if *size == 0 || *size > cfg.n() {
-                    return Err(ScenarioError::InvalidProtocol(format!(
-                        "committee size {size} must be between 1 and n = {}",
-                        cfg.n()
-                    )));
-                }
-                let builder = CommitteeBuilder::random(cfg, *size, *seed);
-                let committee = builder.committee().to_vec();
-                ProtocolInstance {
-                    builder: Box::new(builder),
-                    committee,
-                }
+                committee_instance(cfg, *size, *seed, CommitteeBuilder::random)?
             }
             ProtocolSpec::SampledCommittee { size, seed } => {
-                if *size == 0 || *size > cfg.n() {
-                    return Err(ScenarioError::InvalidProtocol(format!(
-                        "committee size {size} must be between 1 and n = {}",
-                        cfg.n()
-                    )));
-                }
-                let builder = SampledCommitteeBuilder::random(cfg, *size, *seed);
-                let committee = builder.committee().to_vec();
-                ProtocolInstance {
-                    builder: Box::new(builder),
-                    committee,
-                }
+                committee_instance(cfg, *size, *seed, CommitteeBuilder::sampled)?
             }
         })
     }
 }
 
+/// Draws a committee of `size` from `seed` with `draw` (which panics on a
+/// size outside `1..=n`, so that is rejected here first) and publishes it
+/// next to the builder.
+fn committee_instance(
+    cfg: &SystemConfig,
+    size: usize,
+    seed: u64,
+    draw: fn(&SystemConfig, usize, u64) -> CommitteeBuilder,
+) -> Result<ProtocolInstance, ScenarioError> {
+    if size == 0 || size > cfg.n() {
+        return Err(ScenarioError::InvalidProtocol(format!(
+            "committee size {size} must be between 1 and n = {}",
+            cfg.n()
+        )));
+    }
+    let builder = draw(cfg, size, seed);
+    Ok(ProtocolInstance {
+        committee: builder.committee().to_vec(),
+        builder: Box::new(builder),
+    })
+}
+
 /// One workload as data: protocol × adversary × inputs × size × limits.
 ///
-/// The execution model (windowed vs. asynchronous) is carried by the
-/// adversary's registry entry, so a spec is fully determined by these fields.
+/// The execution model (windowed, asynchronous or partial-sync) is carried by
+/// the adversary's registry entry, so a spec is fully determined by these
+/// fields.
 #[derive(Debug, Clone)]
 pub struct ScenarioSpec {
     /// Grouping tag (e.g. the experiment the spec belongs to); prefixes the id.
@@ -347,13 +346,13 @@ impl ScenarioSpec {
     ///
     /// Returns [`ScenarioError::UnknownAdversary`] when the name is not
     /// registered.
-    pub fn factory(&self) -> Result<&'static dyn AdversaryFactory, ScenarioError> {
+    pub fn factory(&self) -> Result<&'static AdversaryFactory, ScenarioError> {
         find_adversary(&self.adversary)
             .ok_or_else(|| ScenarioError::UnknownAdversary(self.adversary.clone()))
     }
 
-    /// The execution model this spec runs under, as its open-registry
-    /// descriptor (id, display name, time cap).
+    /// The execution model this spec runs under, as its descriptor (id,
+    /// time cap).
     ///
     /// # Errors
     ///
@@ -378,18 +377,21 @@ impl ScenarioSpec {
 
     fn resolved(
         &self,
-    ) -> Result<
-        (
-            SystemConfig,
-            ProtocolInstance,
-            &'static dyn AdversaryFactory,
-        ),
-        ScenarioError,
-    > {
+    ) -> Result<(SystemConfig, ProtocolInstance, &'static AdversaryFactory), ScenarioError> {
         let cfg = self.config()?;
         let factory = self.factory()?;
         let instance = self.protocol.instantiate(&cfg)?;
         Ok((cfg, instance, factory))
+    }
+
+    /// The campaign plan for `trials` trials of this spec's harness from
+    /// `base_seed` on.
+    fn plan(&self, cfg: SystemConfig, trials: u64, base_seed: u64) -> TrialPlan {
+        TrialPlan::new(cfg, self.inputs.materialize(self.n))
+            .trials(trials)
+            .limits(self.limits)
+            .base_seed(base_seed)
+            .buffer(self.buffer)
     }
 
     fn build_ctx(
@@ -457,15 +459,8 @@ impl ScenarioSpec {
     ) -> Result<ScenarioReport, ScenarioError> {
         let (cfg, instance, factory) = self.resolved()?;
         let meta = self.meta()?;
-        let plan = TrialPlan::new(cfg, self.inputs.materialize(self.n))
-            .trials(self.trials)
-            .limits(self.limits)
-            .base_seed(self.base_seed)
-            .buffer(self.buffer);
+        let plan = self.plan(cfg, self.trials, self.base_seed);
         let builder = instance.builder.as_ref();
-        // Model-agnostic dispatch: the factory's BuiltAdversary carries its
-        // own scheduler glue, so a new execution model is a new registry
-        // entry, not a new match arm here.
         let records = campaign.run_records(&plan, builder, |seed| {
             factory.build(&self.build_ctx(cfg, &instance, seed))
         });
@@ -489,11 +484,7 @@ impl ScenarioSpec {
         hi: u64,
     ) -> Result<Vec<TrialRecord>, ScenarioError> {
         let (cfg, instance, factory) = self.resolved()?;
-        let plan = TrialPlan::new(cfg, self.inputs.materialize(self.n))
-            .trials(self.trials)
-            .limits(self.limits)
-            .base_seed(self.base_seed)
-            .buffer(self.buffer);
+        let plan = self.plan(cfg, self.trials, self.base_seed);
         let builder = instance.builder.as_ref();
         Ok(campaign.run_records_range(
             &plan,
@@ -543,11 +534,7 @@ impl ScenarioSpec {
     {
         let cfg = self.config()?;
         let instance = self.protocol.instantiate(&cfg)?;
-        let plan = TrialPlan::new(cfg, self.inputs.materialize(self.n))
-            .trials(trials)
-            .limits(self.limits)
-            .base_seed(base_seed)
-            .buffer(self.buffer);
+        let plan = self.plan(cfg, trials, base_seed);
         Ok(campaign.run_records(&plan, instance.builder.as_ref(), make_adversary))
     }
 
@@ -569,7 +556,7 @@ impl ScenarioSpec {
         let inputs = self.inputs.materialize(self.n);
         let mut core = ExecutionCore::new(cfg, inputs, instance.builder.as_ref(), seed);
         core.set_buffer_choice(self.buffer);
-        Ok(adversary.run_traced(&mut core, self.limits))
+        Ok(adversary.run(&mut core, self.limits))
     }
 }
 
@@ -612,10 +599,10 @@ impl ScenarioReport {
     }
 
     /// The report as one JSON object — the per-scenario record the binaries
-    /// emit under `--json`, suitable for committing as a `BENCH_*.json`
-    /// trajectory point. Field order is stable and the document contains no
-    /// timestamps, so re-running an unchanged scenario produces an identical
-    /// record.
+    /// emit under `--json`. Field order is stable and the document contains
+    /// no timestamps, so re-running an unchanged scenario produces an
+    /// identical record (`tests/golden/subquad-quick.json` is such a
+    /// document, committed as a byte pin).
     pub fn to_json(&self) -> JsonValue {
         fn summary(s: &Summary) -> JsonValue {
             let mut obj = JsonValue::object();

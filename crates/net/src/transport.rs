@@ -165,22 +165,6 @@ impl<T> BoundedSender<T> {
             state = self.channel.not_full.wait(state).expect("channel poisoned");
         }
     }
-
-    /// Enqueues `item` if there is room, without blocking.
-    ///
-    /// # Errors
-    ///
-    /// Returns the item when the queue is full or the receiver is gone.
-    pub fn try_send(&self, item: T) -> Result<(), SendError<T>> {
-        let mut state = self.channel.state.lock().expect("channel poisoned");
-        if !state.receiver_alive || state.items.len() >= self.channel.capacity {
-            return Err(SendError(item));
-        }
-        state.items.push_back(item);
-        drop(state);
-        self.channel.not_empty.notify_one();
-        Ok(())
-    }
 }
 
 impl<T> Clone for BoundedSender<T> {
@@ -263,15 +247,6 @@ impl<T> BoundedReceiver<T> {
         }
     }
 
-    /// Dequeues the next item, waiting at most `timeout`.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`BoundedReceiver::recv_deadline`].
-    pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvError> {
-        self.recv_deadline(Instant::now() + timeout)
-    }
-
     /// Blocks for at least one item, then moves **every queued item** into
     /// `batch` in one wakeup and returns how many arrived. This is the
     /// coalescing primitive: a writer thread draining its outbox with
@@ -342,25 +317,6 @@ impl<T> BoundedReceiver<T> {
                 .wait_timeout(state, deadline - now)
                 .expect("channel poisoned");
             state = guard;
-        }
-    }
-
-    /// Dequeues an item only if one is already queued.
-    ///
-    /// # Errors
-    ///
-    /// [`RecvError::Timeout`] when the queue is momentarily empty,
-    /// [`RecvError::Disconnected`] when every sender is gone.
-    pub fn try_recv(&self) -> Result<T, RecvError> {
-        let mut state = self.channel.state.lock().expect("channel poisoned");
-        match state.items.pop_front() {
-            Some(item) => {
-                drop(state);
-                self.channel.not_full.notify_one();
-                Ok(item)
-            }
-            None if state.senders == 0 => Err(RecvError::Disconnected),
-            None => Err(RecvError::Timeout),
         }
     }
 }
@@ -832,7 +788,6 @@ mod tests {
         let (tx, rx) = bounded::<u32>(2);
         tx.send(1).unwrap();
         tx.send(2).unwrap();
-        assert!(tx.try_send(3).is_err(), "queue of 2 is full");
 
         let blocked = Arc::new(AtomicUsize::new(0));
         let observed = Arc::clone(&blocked);

@@ -1,8 +1,8 @@
 //! Randomized asynchronous agreement protocols for the reproduction of
 //! Lewko & Lewko (PODC 2013).
 //!
-//! Five protocols are provided, all as event-driven
-//! [`agreement_model::Protocol`] state machines:
+//! Four protocols — one of them in two variants — are provided, all as
+//! event-driven [`agreement_model::Protocol`] state machines:
 //!
 //! * [`ResetTolerant`] — the paper's Section 3 protocol: the Ben-Or/Bracha
 //!   variant that tolerates the strongly adaptive (resetting) adversary for
@@ -13,14 +13,13 @@
 //! * [`Bracha`] — Bracha's optimally resilient protocol (`t < n/3`), built on
 //!   the [`ReliableBroadcaster`] primitive also exported here.
 //! * [`CommitteeAgreement`] — a simplified Kapron-et-al.-style committee
-//!   baseline: fast and correct with high probability against non-adaptive
-//!   faults, defeated by an adaptive adversary that corrupts the (publicly
-//!   known) committee.
-//! * [`SampledCommittee`] — the sub-quadratic variant (Cohen–Keidar–
-//!   Spiegelman style): proposals are multicast **within** the sampled
-//!   committee only, so a decision costs `O(k² + k·n)` messages instead of
-//!   `Θ(n²)` — the protocol the `subquad/` scaling scenarios chart at
-//!   `n ∈ {100, 1000, 10000}`.
+//!   baseline ([`CommitteeBuilder::random`]): fast and correct with high
+//!   probability against non-adaptive faults, defeated by an adaptive
+//!   adversary that corrupts the (publicly known) committee. Its sub-quadratic
+//!   variant ([`CommitteeBuilder::sampled`], Cohen–Keidar–Spiegelman style)
+//!   multicasts proposals **within** the sampled committee only, so a decision
+//!   costs `O(k² + k·n)` messages instead of `Θ(n²)` — the protocol the
+//!   `subquad/` scaling scenarios chart at `n ∈ {100, 1000, 10000}`.
 //!
 //! The [`RoundTally`] helper centralizes the per-round vote bookkeeping every
 //! protocol relies on.
@@ -58,7 +57,6 @@ mod bracha;
 mod committee;
 mod reliable_broadcast;
 mod reset_tolerant;
-mod subquad;
 mod tally;
 
 pub use ben_or::{BenOr, BenOrBuilder};
@@ -66,5 +64,4 @@ pub use bracha::{Bracha, BrachaBuilder};
 pub use committee::{CommitteeAgreement, CommitteeBuilder};
 pub use reliable_broadcast::{AcceptedBroadcast, ReliableBroadcaster};
 pub use reset_tolerant::{ResetTolerant, ResetTolerantBuilder};
-pub use subquad::{SampledCommittee, SampledCommitteeBuilder};
 pub use tally::RoundTally;

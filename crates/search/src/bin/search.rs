@@ -31,8 +31,7 @@
 //! search --replay examples/slow-ben-or.schedule.json
 //! ```
 
-use std::str::FromStr;
-
+use agreement_core::cli::{parsed_value, required_value};
 use agreement_core::Campaign;
 use agreement_search::{
     compare_with_registry, find_spec, replay, replay_file, shrink, Predicate, ScheduleArtifact,
@@ -50,24 +49,6 @@ struct Options {
     baselines: bool,
     list: bool,
     replay: Option<String>,
-}
-
-fn required_value(args: &mut impl Iterator<Item = String>, flag: &str) -> String {
-    args.next().unwrap_or_else(|| {
-        eprintln!("{flag} requires a value");
-        std::process::exit(2);
-    })
-}
-
-fn parsed_value<T: FromStr>(args: &mut impl Iterator<Item = String>, flag: &str) -> T
-where
-    T::Err: std::fmt::Display,
-{
-    let raw = required_value(args, flag);
-    raw.parse().unwrap_or_else(|err| {
-        eprintln!("{flag} value '{raw}': {err}");
-        std::process::exit(2);
-    })
 }
 
 fn parse_options() -> Options {

@@ -11,8 +11,6 @@
 //! No phase reads anything a thread schedule could reorder, so the same
 //! seed and budget reproduce the corpus byte for byte at 1, 2 or 4 threads.
 
-use std::time::{Duration, Instant};
-
 use agreement_adversary::{build_from_genome, Genome, DEFAULT_TAPE_LEN};
 use agreement_core::{Campaign, ScenarioError, ScenarioSpec};
 use agreement_model::ProcessorRng;
@@ -39,11 +37,6 @@ pub struct SearchConfig {
     pub tape_len: usize,
     /// Maximum corpus entries kept (deterministic weakest-first eviction).
     pub corpus_cap: usize,
-    /// Optional wall-clock budget. Cutting a run short by time makes it
-    /// non-reproducible (a faster machine runs more generations), so
-    /// deterministic workflows (CI diffs, the determinism tests) leave this
-    /// `None` and rely on the trial budget alone.
-    pub time_budget_ms: Option<u64>,
 }
 
 impl Default for SearchConfig {
@@ -54,7 +47,6 @@ impl Default for SearchConfig {
             batch: 64,
             tape_len: DEFAULT_TAPE_LEN,
             corpus_cap: 256,
-            time_budget_ms: None,
         }
     }
 }
@@ -77,12 +69,6 @@ impl SearchConfig {
         self.batch = batch.max(1);
         self
     }
-
-    /// Sets the wall-clock budget in milliseconds.
-    pub fn time_budget_ms(mut self, ms: u64) -> Self {
-        self.time_budget_ms = Some(ms);
-        self
-    }
 }
 
 /// What a finished search hands back.
@@ -90,7 +76,7 @@ impl SearchConfig {
 pub struct SearchOutcome {
     /// The corpus of interesting genomes, one per novelty signature.
     pub corpus: Corpus,
-    /// Trials actually run (equals the budget unless a time budget cut in).
+    /// Trials actually run (the budget).
     pub trials_run: u64,
     /// Generations run.
     pub batches_run: u64,
@@ -177,9 +163,6 @@ pub fn run_search(
     let time_cap = spec.meta()?.time_cap;
     let cfg = spec.config()?;
     let max_len = config.tape_len.max(1) * 4;
-    let deadline = config
-        .time_budget_ms
-        .map(|ms| Instant::now() + Duration::from_millis(ms));
 
     let mut rng = ProcessorRng::labelled(config.seed, SEARCH_STREAM);
     let mut corpus = Corpus::new(config.corpus_cap);
@@ -188,11 +171,6 @@ pub fn run_search(
     let mut batches_run = 0u64;
 
     while trials_run < config.budget_trials {
-        if let Some(deadline) = deadline {
-            if Instant::now() >= deadline {
-                break;
-            }
-        }
         let batch = config.batch.max(1).min(config.budget_trials - trials_run);
         // Phase 1: derive the generation (RNG + corpus only, no trials).
         let mut genomes = Vec::with_capacity(batch as usize);

@@ -15,9 +15,9 @@
 //!   scheduler *enforces* the post-GST bound, so the adversary's power is
 //!   genuinely curtailed.
 //!
-//! Which model a data-described adversary drives is carried by a
-//! [`ModelDescriptor`](crate::ModelDescriptor) on its factory — an open
-//! registry of models, not a closed enum.
+//! Which model a data-described adversary drives is the
+//! [`ModelDescriptor`](crate::ModelDescriptor) on its factory — one of the
+//! three this crate ships.
 
 use agreement_model::{Bit, Payload, ProcessorId, StateDigest, SystemConfig};
 
@@ -73,7 +73,7 @@ impl<'a> SystemView<'a> {
     /// an adversary that acts on the channel persists it, one that defers
     /// (e.g. to corrupt the head first) leaves its own cursor untouched.
     /// This is the shared scan loop of every fair-scheduling adversary; it
-    /// allocates nothing and each channel probe is O(1) on the flat buffer.
+    /// allocates nothing and is amortized O(1) per delivery.
     pub fn next_pending_channel(&self, cursor: usize) -> Option<(usize, ProcessorId, ProcessorId)> {
         self.next_pending_channel_where(cursor, |_, _| true)
     }
@@ -82,9 +82,9 @@ impl<'a> SystemView<'a> {
     /// channels rejected by `admit(from, to)` (e.g. withheld senders).
     ///
     /// Delegates to
-    /// [`MessageBuffer::next_pending_channel_where`], which knows its own
-    /// layout: a flat wrapping scan on the dense grid, a live-bitset walk on
-    /// the sparse fabric (identical results either way). Crashed recipients
+    /// [`MessageBuffer::next_pending_channel_where`], which walks its live
+    /// bitset of senders and, within a lane, only the cursor row and
+    /// materialized queues (one scan for both layouts). Crashed recipients
     /// are folded into the admission predicate here, since crash state lives
     /// in the view, not the buffer.
     pub fn next_pending_channel_where(

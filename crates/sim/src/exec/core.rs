@@ -308,11 +308,6 @@ impl<P: Probe, R: Recorder> ExecutionCore<P, R> {
         &self.corrupted
     }
 
-    /// `true` once every processor (crashed or not) has written its output bit.
-    pub fn all_decided(&self) -> bool {
-        self.harnesses.iter().all(|h| h.decision().is_some())
-    }
-
     /// `true` once every non-crashed processor has written its output bit.
     ///
     /// O(1): the core tracks the undecided-correct count across decisions and

@@ -2,9 +2,10 @@
 //!
 //! The paper analyzes the *same* protocols under two execution models — the
 //! strongly adaptive acceptable-window model of Section 2 and the fully
-//! asynchronous crash/Byzantine model of Section 5. Both models share almost
-//! all of their mechanics: processor harnesses, an in-flight message buffer,
-//! decision and validity tracking, trace emission and run-limit enforcement.
+//! asynchronous crash/Byzantine model of Section 5 — with partial synchrony
+//! as the curtailed contrast. All three share almost all of their mechanics:
+//! processor harnesses, an in-flight message buffer, decision and validity
+//! tracking, trace emission and run-limit enforcement.
 //! This module owns those mechanics once, in [`ExecutionCore`], and isolates
 //! what genuinely differs — how a unit of scheduled time is assembled —
 //! behind the [`Scheduler`] trait:
@@ -22,9 +23,10 @@
 //!
 //! [`Scheduler::on_start`], [`Scheduler::step`] and
 //! [`ExecutionCore::outcome_with`] are the step-wise driving API;
-//! [`ExecutionCore::run`] is the loop over them. New execution models are
-//! added by implementing [`Scheduler`] and declaring an
-//! [`ExecutionModel`](crate::ExecutionModel) — see DESIGN.md §2 for the
+//! [`ExecutionCore::run`] is the loop over them. A new execution model is a
+//! new [`Scheduler`] plus a variant of
+//! [`BuiltAdversary`](crate::BuiltAdversary) and
+//! [`ModelDescriptor`](crate::ModelDescriptor) — see DESIGN.md §2 for the
 //! partial-synchrony model as a worked example.
 
 mod core;

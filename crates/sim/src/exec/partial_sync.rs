@@ -43,19 +43,16 @@ use super::{ExecutionCore, Scheduler};
 
 /// The partial-synchrony model's scheduler: free scheduling before the
 /// adversary's GST, enforced bounded-delay delivery after it.
-#[derive(Debug)]
-pub struct PartialSyncScheduler<A: ?Sized> {
-    adversary: A,
+pub struct PartialSyncScheduler<'a> {
+    adversary: &'a mut dyn PartialSyncAdversary,
 }
 
-impl<'a> PartialSyncScheduler<&'a mut dyn PartialSyncAdversary> {
+impl<'a> PartialSyncScheduler<'a> {
     /// Wraps a partial-synchrony adversary borrowed for the duration of a run.
     pub fn new(adversary: &'a mut dyn PartialSyncAdversary) -> Self {
         PartialSyncScheduler { adversary }
     }
-}
 
-impl<A: PartialSyncAdversary + ?Sized> PartialSyncScheduler<&mut A> {
     /// The effective omission set: the first `t` senders the adversary
     /// declared, the budget the model grants it.
     fn is_omitted(&self, sender: ProcessorId, t: usize) -> bool {
@@ -163,13 +160,7 @@ impl<A: PartialSyncAdversary + ?Sized> PartialSyncScheduler<&mut A> {
     }
 }
 
-impl<A: PartialSyncAdversary + ?Sized, P: Probe, R: Recorder> Scheduler<P, R>
-    for PartialSyncScheduler<&mut A>
-{
-    fn name(&self) -> &'static str {
-        self.adversary.name()
-    }
-
+impl<P: Probe, R: Recorder> Scheduler<P, R> for PartialSyncScheduler<'_> {
     /// Initial sends are flushed eagerly, as in the asynchronous model: the
     /// delivery bound applies to them from the first step.
     fn on_start(&mut self, core: &mut ExecutionCore<P, R>) {

@@ -29,9 +29,6 @@ use super::ExecutionCore;
 /// scheduler drives instrumented, un-instrumented, traced and trace-free
 /// executions alike.
 pub trait Scheduler<P: Probe = NoProbe, R: Recorder = FullTrace> {
-    /// A short human-readable name, used in reports and panics.
-    fn name(&self) -> &'static str;
-
     /// Called once before the first step. Implementations start the
     /// processors and, where the model calls for it, flush initial sends.
     /// Must be idempotent: driving an execution step by step and then through
@@ -53,19 +50,16 @@ pub trait Scheduler<P: Probe = NoProbe, R: Recorder = FullTrace> {
 
 /// The strongly adaptive model (Section 2): time advances one acceptable
 /// window at a time, chosen by a [`WindowAdversary`].
-#[derive(Debug)]
-pub struct WindowScheduler<A: ?Sized> {
-    adversary: A,
+pub struct WindowScheduler<'a> {
+    adversary: &'a mut dyn WindowAdversary,
 }
 
-impl<'a> WindowScheduler<&'a mut dyn WindowAdversary> {
+impl<'a> WindowScheduler<'a> {
     /// Wraps a window adversary borrowed for the duration of a run.
     pub fn new(adversary: &'a mut dyn WindowAdversary) -> Self {
         WindowScheduler { adversary }
     }
-}
 
-impl<A: WindowAdversary + ?Sized> WindowScheduler<&mut A> {
     /// Executes one acceptable window chosen by the wrapped adversary.
     ///
     /// # Panics
@@ -104,13 +98,7 @@ impl<A: WindowAdversary + ?Sized> WindowScheduler<&mut A> {
     }
 }
 
-impl<A: WindowAdversary + ?Sized, P: Probe, R: Recorder> Scheduler<P, R>
-    for WindowScheduler<&mut A>
-{
-    fn name(&self) -> &'static str {
-        self.adversary.name()
-    }
-
+impl<P: Probe, R: Recorder> Scheduler<P, R> for WindowScheduler<'_> {
     fn step(&mut self, core: &mut ExecutionCore<P, R>) -> bool {
         self.step_window(core);
         true
@@ -129,23 +117,18 @@ impl<A: WindowAdversary + ?Sized, P: Probe, R: Recorder> Scheduler<P, R>
 
 /// The fully asynchronous model (Section 5): time advances one adversary
 /// action at a time, chosen by an [`AsyncAdversary`].
-#[derive(Debug)]
-pub struct AsyncScheduler<A: ?Sized> {
-    adversary: A,
+pub struct AsyncScheduler<'a> {
+    adversary: &'a mut dyn AsyncAdversary,
 }
 
-impl<'a> AsyncScheduler<&'a mut dyn AsyncAdversary> {
+impl<'a> AsyncScheduler<'a> {
     /// Wraps an asynchronous adversary borrowed for the duration of a run.
     pub fn new(adversary: &'a mut dyn AsyncAdversary) -> Self {
         AsyncScheduler { adversary }
     }
 }
 
-impl<A: AsyncAdversary + ?Sized, P: Probe, R: Recorder> Scheduler<P, R> for AsyncScheduler<&mut A> {
-    fn name(&self) -> &'static str {
-        self.adversary.name()
-    }
-
+impl<P: Probe, R: Recorder> Scheduler<P, R> for AsyncScheduler<'_> {
     /// Starting the asynchronous model immediately performs every processor's
     /// initial sending step: the adversary schedules deliveries from the very
     /// first action.

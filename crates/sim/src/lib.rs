@@ -5,21 +5,21 @@
 //! [`ExecutionCore`] of the [`exec`] module, which owns processor harnesses,
 //! the in-flight [`MessageBuffer`], decision/validity tracking, trace emission
 //! and limit enforcement — while a pluggable [`Scheduler`] supplies what
-//! differs between models. The execution-model axis itself is **open**: a
-//! model is a [`Scheduler`] plus an [`ExecutionModel`] marker with a runtime
-//! [`ModelDescriptor`], and a model-erased [`BuiltAdversary`] runs any of
-//! them on a core. Three models ship:
+//! differs between models. The set of models is **closed** — the paper's
+//! results are stated over exactly these adversary powers — so a model is a
+//! [`Scheduler`] plus a [`ModelDescriptor`] variant, and a [`BuiltAdversary`]
+//! (one variant per model) runs its adversary on any core. The three models:
 //!
-//! * [`WindowModel`] — the **strongly adaptive model** of Section 2: the
+//! * [`WINDOWED`] — the **strongly adaptive model** of Section 2: the
 //!   execution is a sequence of *acceptable windows* ([`Window`],
 //!   Definition 1), each consisting of sending steps for all processors,
 //!   receiving steps from at least `n - t` senders per processor, and at most
 //!   `t` resetting steps. Running time is measured in windows.
-//! * [`AsyncModel`] — the **fully asynchronous model** of Section 5: the
+//! * [`ASYNC`] — the **fully asynchronous model** of Section 5: the
 //!   adversary schedules individual message deliveries and may cause up to `t`
 //!   crash (or Byzantine) failures. Running time is measured as the longest
 //!   message chain preceding the first decision.
-//! * [`PartialSyncModel`] — the **partial-synchrony model** (eventual
+//! * [`PARTIAL_SYNC`] — the **partial-synchrony model** (eventual
 //!   synchrony with omission faults): the adversary schedules freely before
 //!   its chosen GST; afterwards every pending message is force-delivered
 //!   within its declared bound Δ, except messages from up to `t`
@@ -91,8 +91,8 @@ pub use adversary::{
 pub use agreement_model::{FullTrace, NoTrace, Recorder};
 pub use buffer::{BufferChoice, MessageBuffer};
 pub use engine::{
-    run_async, run_partial_sync, run_windowed, AsyncModel, BuiltAdversary, ExecutionModel,
-    ModelDescriptor, PartialSyncModel, WindowModel, ASYNC, PARTIAL_SYNC, WINDOWED,
+    run_async, run_partial_sync, run_windowed, BuiltAdversary, ModelDescriptor, ASYNC,
+    PARTIAL_SYNC, WINDOWED,
 };
 pub use exec::{AsyncScheduler, ExecutionCore, PartialSyncScheduler, Scheduler, WindowScheduler};
 pub use harness::{HarnessCore, Outgoing, ProcessorHarness};

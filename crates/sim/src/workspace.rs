@@ -78,9 +78,9 @@ impl TrialWorkspace {
     }
 
     /// Runs one trial of *any* execution model inside this workspace: the
-    /// model-agnostic entry point campaign workers use. The
-    /// [`BuiltAdversary`] carries its own scheduler glue, so no caller ever
-    /// matches on the model. Same results as the fresh-core
+    /// entry point campaign workers use. [`BuiltAdversary::run`] picks the
+    /// model's scheduler, so no caller matches on the model. Same results as
+    /// the fresh-core
     /// [`run_windowed`](crate::run_windowed) / [`run_async`](crate::run_async)
     /// / [`run_partial_sync`](crate::run_partial_sync), minus the trace; no
     /// per-trial allocation of core state.

@@ -5,7 +5,7 @@
 //!
 //! Run with: `cargo run --example committee_vs_adaptive`
 
-use agreement::adversary::{AdaptiveCommitteeKiller, NonAdaptiveCrashAdversary};
+use agreement::adversary::ScheduledCrashAdversary;
 use agreement::model::{Bit, InputAssignment, SystemConfig};
 use agreement::protocols::{BenOrBuilder, CommitteeBuilder};
 use agreement::sim::{run_async, RunLimits};
@@ -18,7 +18,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let committee = CommitteeBuilder::random(&cfg, 5, 0xC0FFEE);
     println!("committee members: {:?}\n", committee.committee());
 
-    let mut non_adaptive = NonAdaptiveCrashAdversary::random(n, t, 99);
+    let mut non_adaptive = ScheduledCrashAdversary::random(n, t, 99);
     let fast = run_async(
         cfg,
         inputs.clone(),
@@ -34,7 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         fast.longest_chain
     );
 
-    let mut killer = AdaptiveCommitteeKiller::new(committee.committee().to_vec());
+    let mut killer = ScheduledCrashAdversary::committee_killer(committee.committee().to_vec());
     let stalled = run_async(
         cfg,
         inputs.clone(),
@@ -49,7 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         stalled.decided_value()
     );
 
-    let mut killer = AdaptiveCommitteeKiller::new(committee.committee().to_vec());
+    let mut killer = ScheduledCrashAdversary::committee_killer(committee.committee().to_vec());
     let robust = run_async(
         cfg,
         inputs.clone(),

@@ -6,8 +6,8 @@
 //!
 //! 1. **Determinism** — for a fixed seed, `run_windowed` / `run_async`
 //!    produce identical outcomes on every invocation (no hidden state).
-//! 2. **Driver equivalence** — the model-erased driver the campaigns use
-//!    (`BuiltAdversary`) and step-wise driving (`Scheduler::on_start`, `step`,
+//! 2. **Driver equivalence** — the driver the campaigns use
+//!    (`BuiltAdversary::run`) and step-wise driving (`Scheduler::on_start`, `step`,
 //!    `ExecutionCore::outcome_with`) both produce the same outcome as
 //!    `ExecutionCore::run` with the corresponding scheduler.
 //! 3. **Campaign determinism** — parallel aggregation is bit-identical to the
@@ -126,7 +126,7 @@ fn async_runs_are_deterministic_for_fixed_seeds() {
 }
 
 /// Driving the core directly with a `WindowScheduler` matches the
-/// model-erased window driver (`BuiltAdversary::run_traced`) exactly.
+/// window driver the campaigns use (`BuiltAdversary::run`) exactly.
 #[test]
 fn window_engine_and_raw_core_agree() {
     let cfg = SystemConfig::with_sixth_resilience(7).unwrap();
@@ -137,9 +137,9 @@ fn window_engine_and_raw_core_agree() {
         let inputs = InputAssignment::new((0..7).map(|_| gen.bit()).collect());
         let limits = RunLimits::windows(20_000);
 
-        let mut erased = ExecutionCore::new(cfg, inputs.clone(), &builder, seed);
+        let mut built_core = ExecutionCore::new(cfg, inputs.clone(), &builder, seed);
         let engine_outcome = BuiltAdversary::windowed(Box::new(RotatingResetAdversary::new()))
-            .run_traced(&mut erased, limits);
+            .run(&mut built_core, limits);
 
         let mut core = ExecutionCore::new(cfg, inputs, &builder, seed);
         let mut adversary = RotatingResetAdversary::new();
@@ -155,7 +155,7 @@ fn window_engine_and_raw_core_agree() {
 }
 
 /// Driving the core directly with an `AsyncScheduler` matches the
-/// model-erased asynchronous driver (`BuiltAdversary::run_traced`) exactly.
+/// asynchronous driver the campaigns use (`BuiltAdversary::run`) exactly.
 #[test]
 fn async_engine_and_raw_core_agree() {
     let cfg = SystemConfig::new(7, 2).unwrap();
@@ -165,9 +165,9 @@ fn async_engine_and_raw_core_agree() {
         let inputs = InputAssignment::new((0..7).map(|_| gen.bit()).collect());
         let limits = RunLimits::steps(500_000);
 
-        let mut erased = ExecutionCore::new(cfg, inputs.clone(), &BrachaBuilder::new(), seed);
+        let mut built_core = ExecutionCore::new(cfg, inputs.clone(), &BrachaBuilder::new(), seed);
         let engine_outcome = BuiltAdversary::asynchronous(Box::new(FairAsyncAdversary::default()))
-            .run_traced(&mut erased, limits);
+            .run(&mut built_core, limits);
 
         let mut core = ExecutionCore::new(cfg, inputs, &BrachaBuilder::new(), seed);
         let mut adversary = FairAsyncAdversary::default();

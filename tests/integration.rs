@@ -2,9 +2,8 @@
 //! public facade, checking the paper's guarantees end to end.
 
 use agreement::adversary::{
-    AdaptiveCommitteeKiller, EquivocatingAdversary, LockstepBalancingAdversary,
-    NonAdaptiveCrashAdversary, RotatingResetAdversary, ScheduledCrashAdversary, SplitVoteAdversary,
-    TargetedResetAdversary,
+    EquivocatingAdversary, LockstepBalancingAdversary, RotatingResetAdversary,
+    ScheduledCrashAdversary, SplitVoteAdversary, TargetedResetAdversary,
 };
 use agreement::analysis::{success_probability, window_bound};
 use agreement::core::experiments::{exp4_zset_separation, Scale};
@@ -150,7 +149,7 @@ fn committee_contrast_matches_the_papers_argument() {
     let inputs = InputAssignment::unanimous(n, Bit::Zero);
     let committee = CommitteeBuilder::random(&cfg, 5, 7);
 
-    let mut killer = AdaptiveCommitteeKiller::new(committee.committee().to_vec());
+    let mut killer = ScheduledCrashAdversary::committee_killer(committee.committee().to_vec());
     let stalled = run_async(
         cfg,
         inputs.clone(),
@@ -166,7 +165,7 @@ fn committee_contrast_matches_the_papers_argument() {
 
     let mut successes = 0;
     for seed in 0..5 {
-        let mut non_adaptive = NonAdaptiveCrashAdversary::random(n, t, seed);
+        let mut non_adaptive = ScheduledCrashAdversary::random(n, t, seed);
         let outcome = run_async(
             cfg,
             inputs.clone(),
@@ -184,7 +183,7 @@ fn committee_contrast_matches_the_papers_argument() {
         "non-adaptive crashes should rarely hit the committee ({successes}/5)"
     );
 
-    let mut killer = AdaptiveCommitteeKiller::new(committee.committee().to_vec());
+    let mut killer = ScheduledCrashAdversary::committee_killer(committee.committee().to_vec());
     let robust = run_async(
         cfg,
         inputs.clone(),

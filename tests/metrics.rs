@@ -9,7 +9,11 @@
 //!    a probed run produces the same `RunOutcome` as the default
 //!    [`NoProbe`] run.
 
-use agreement::adversary::RotatingResetAdversary;
+use std::collections::BTreeSet;
+
+use agreement::adversary::{find_adversary, registry, AdversaryBuildCtx, RotatingResetAdversary};
+use agreement::core::experiments::Scale;
+use agreement::core::{scenario_registry, ScenarioSpec};
 use agreement::model::{Bit, InputAssignment, SystemConfig};
 use agreement::protocols::{BenOrBuilder, ResetTolerantBuilder};
 use agreement::sim::{
@@ -29,6 +33,65 @@ fn assert_event_counters_match(observed: Metrics, assembled: Metrics) {
     // Not event-observable: only the core can assemble these.
     assert_eq!(observed.rounds, 0);
     assert_eq!(observed.coin_flips, 0);
+}
+
+/// One trial of `spec` at `seed`, assembled from the spec's public parts and
+/// run twice through `BuiltAdversary::run` — once on a `MetricsProbe` core,
+/// once on the default `NoProbe` core.
+fn assert_probed_run_is_exact_and_invisible(spec: &ScenarioSpec, seed: u64) {
+    let context = format!("{} seed {seed}", spec.id());
+    let cfg = spec.config().expect(&context);
+    let instance = spec.protocol.instantiate(&cfg).expect(&context);
+    let builder = instance.builder.as_ref();
+    let inputs = spec.inputs.materialize(spec.n);
+    let factory = spec.factory().expect(&context);
+    let targets = spec
+        .targets
+        .clone()
+        .unwrap_or_else(|| instance.committee.clone());
+    let ctx = AdversaryBuildCtx::new(cfg, seed).with_targets(targets);
+
+    let mut core =
+        ExecutionCore::with_probe(cfg, inputs.clone(), builder, seed, MetricsProbe::new());
+    let probed = factory.build(&ctx).run(&mut core, spec.limits);
+    assert_event_counters_match(core.probe().observed(), probed.metrics);
+
+    let mut core = ExecutionCore::new(cfg, inputs, builder, seed);
+    let plain = factory.build(&ctx).run(&mut core, spec.limits);
+    assert_eq!(plain, probed, "{context}: the probe changed the execution");
+}
+
+/// Every adversary factory, under every protocol and input pattern the quick
+/// registry pairs it with at n <= 32 (tier-1 runs unoptimised; the larger
+/// rows stay out), meets both halves of the contract through the one entry
+/// point campaigns use — partial synchrony and Byzantine corruption included.
+#[test]
+fn every_registry_adversary_runs_probed_through_the_built_adversary() {
+    let mut specs: Vec<ScenarioSpec> = scenario_registry(Scale::Quick)
+        .into_iter()
+        .filter(|spec| spec.n <= 32)
+        .collect();
+    // No registered scenario names a search decoder (the search drives them
+    // by genome): re-point one spec of the right model at each.
+    for name in ["search-window", "search-async", "search-partial-sync"] {
+        let model = find_adversary(name).expect("registered").model();
+        let mut spec = specs
+            .iter()
+            .find(|spec| spec.model().expect("registered") == model)
+            .expect("the quick registry spans all three models")
+            .clone();
+        spec.adversary = name.to_string();
+        specs.push(spec);
+    }
+    let covered: BTreeSet<&str> = specs.iter().map(|spec| spec.adversary.as_str()).collect();
+    let shipped: BTreeSet<&str> = registry().iter().map(|factory| factory.name()).collect();
+    assert_eq!(covered, shipped, "every factory is exercised");
+
+    for spec in &specs {
+        for seed in [spec.base_seed, spec.base_seed.wrapping_add(1)] {
+            assert_probed_run_is_exact_and_invisible(spec, seed);
+        }
+    }
 }
 
 #[test]
