@@ -152,7 +152,15 @@ impl Protocol for ResetTolerant {
             if self.mode == Mode::Normal && *round < self.round {
                 return;
             }
-            self.tally.record(*round, 0, from, Some(*value));
+            let total = self.tally.record(*round, 0, from, Some(*value));
+            // At rest the current round is below T1 — `try_progress` loops
+            // until it is — and in normal mode no other round is looked at:
+            // only a counted vote that lifts the current round to T1 can move
+            // the state machine.
+            let reached_t1 = total.is_some_and(|total| total >= self.thresholds.t1());
+            if self.mode == Mode::Normal && !(reached_t1 && *round == self.round) {
+                return;
+            }
             self.try_progress(ctx);
         }
     }

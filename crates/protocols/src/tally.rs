@@ -147,15 +147,17 @@ impl RoundTally {
     /// Records a vote from `sender` for key `(round, phase)`.
     ///
     /// `value` of `None` records an abstention (e.g. Ben-Or's `?` proposal).
-    /// Returns `true` if the vote was counted, `false` if this sender had
-    /// already voted for this key.
+    /// Returns the key's new [`total`](RoundTally::total) if the vote was
+    /// counted — so a caller waiting for a quorum need not look the key up a
+    /// second time — and `None` if this sender had already voted for this
+    /// key.
     pub fn record(
         &mut self,
         round: u64,
         phase: u8,
         sender: ProcessorId,
         value: Option<Bit>,
-    ) -> bool {
+    ) -> Option<usize> {
         let at = match self.position(round, phase) {
             Ok(at) => at,
             Err(at) => {
@@ -175,7 +177,7 @@ impl RoundTally {
             slot.voters.resize(word + 1, 0);
         }
         if slot.voters[word] & bit != 0 {
-            return false;
+            return None;
         }
         slot.voters[word] |= bit;
         match value {
@@ -183,7 +185,7 @@ impl RoundTally {
             Some(Bit::One) => slot.ones += 1,
             None => slot.abstains += 1,
         }
-        true
+        Some(slot.total())
     }
 
     /// Total number of distinct voters recorded for `(round, phase)`.
@@ -474,9 +476,10 @@ mod tests {
                         let context = format!(
                             "seed {seed} op {op}: record({round}, {phase}, {sender}, {value:?})"
                         );
+                        let counted = reference.record(round, phase, sender, value);
                         assert_eq!(
                             flat.record(round, phase, sender, value),
-                            reference.record(round, phase, sender, value),
+                            counted.then(|| reference.total(round, phase)),
                             "{context}"
                         );
                         context
@@ -492,10 +495,15 @@ mod tests {
         let mut t = RoundTally::for_processors(13);
         for round in 1..=50u64 {
             for i in 0..9 {
-                assert!(t.record(round, 0, p(i), Some(Bit::One)));
+                // From the second round on, p(12)'s early vote is in already.
+                let early = usize::from(round > 1);
+                assert_eq!(
+                    t.record(round, 0, p(i), Some(Bit::One)),
+                    Some(i + 1 + early)
+                );
             }
             // An early vote for the next round, from someone else.
-            assert!(t.record(round + 1, 0, p(12), Some(Bit::Zero)));
+            assert_eq!(t.record(round + 1, 0, p(12), Some(Bit::Zero)), Some(1));
             t.forget_rounds_before(round + 1);
             assert_eq!(t.total(round, 0), 0);
             assert_eq!(t.total(round + 1, 0), 1);
@@ -513,9 +521,9 @@ mod tests {
     #[test]
     fn duplicate_votes_are_ignored() {
         let mut t = RoundTally::new();
-        assert!(t.record(1, 0, p(0), Some(Bit::One)));
-        assert!(!t.record(1, 0, p(0), Some(Bit::One)));
-        assert!(!t.record(1, 0, p(0), Some(Bit::Zero)));
+        assert_eq!(t.record(1, 0, p(0), Some(Bit::One)), Some(1));
+        assert_eq!(t.record(1, 0, p(0), Some(Bit::One)), None);
+        assert_eq!(t.record(1, 0, p(0), Some(Bit::Zero)), None);
         assert_eq!(t.total(1, 0), 1);
         assert_eq!(t.count(1, 0, Bit::One), 1);
         assert_eq!(t.count(1, 0, Bit::Zero), 0);

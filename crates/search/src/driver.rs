@@ -196,12 +196,14 @@ pub fn run_search(
             let genome = &genomes[(seed - seed_cursor) as usize];
             build_from_genome(genome, &cfg).expect("search genomes carry the spec's model tag")
         })?;
-        // Phase 3: fold into the corpus in trial order.
-        for (genome, record) in genomes.iter().zip(&records) {
+        // Phase 3: fold into the corpus in trial order. The generation is
+        // dead after this, so each genome moves into its entry: the corpus
+        // keeps about one in a hundred, and the rest were never worth a clone.
+        for (genome, record) in genomes.into_iter().zip(&records) {
             corpus.consider(CorpusEntry {
                 signature: novelty_signature(record),
                 fitness: fitness(record, time_cap),
-                genome: genome.clone(),
+                genome,
                 record: *record,
             });
         }

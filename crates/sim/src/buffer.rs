@@ -29,7 +29,9 @@
 //! A channel's FIFO order is log order, so its head is whichever of "front
 //! of the index queue" and "broadcast under the cursor" was logged first.
 //! Delivery hands out a `&Payload` borrowed from the log — nothing is cloned,
-//! moved or reference-counted on the way.
+//! moved or reference-counted on the way — one message at a time
+//! ([`MessageBuffer::pop_message`]) or a whole channel at once
+//! ([`MessageBuffer::drain`], the receiving phase of a window).
 //!
 //! **Recycling.** A lane whose pending count is zero has nothing left that
 //! points into its log, so the next send on it (or the next
@@ -48,9 +50,12 @@
 //!   before the first message, which is exactly right while `n` is a few
 //!   dozen and hopeless at `n = 10_000`.
 //! * **Sparse** (large `n`): a lane allocates its cursor row on its first
-//!   broadcast and materializes index queues lazily behind a sorted index of
-//!   the recipients it has actually named. Memory is O(n + n · broadcasting
-//!   senders + named channels).
+//!   broadcast and materializes index queues lazily, one per recipient it
+//!   has actually named, found through a direct recipient → queue table —
+//!   O(1) per lookup, allocated once, `n` entries, when the lane first names
+//!   anyone (a sorted list of the named ids is kept beside it for scans).
+//!   Memory is O(n + n · senders that broadcast or multicast + named
+//!   channels).
 //!
 //! Both present identical observable behaviour — same FIFO order, same
 //! sender-major iteration and scan order, same counters — pinned by a
@@ -141,11 +146,18 @@ struct Lane {
     /// long from the start; sparse: empty until the first broadcast.
     cursors: Vec<u32>,
     /// Sparse only: recipient ids with a materialized index queue, sorted
-    /// ascending. Dense lanes address `queues` by recipient id directly.
+    /// ascending — the order scans visit them in. Dense lanes address
+    /// `queues` by recipient id directly.
     recipients: Vec<u32>,
+    /// Sparse only: `slots[r]` is one more than the index in `queues` of
+    /// recipient `r`'s index queue, zero while `r` has none. Empty until the
+    /// lane first names a recipient, then allocated once, one entry per
+    /// processor the buffer covers.
+    slots: Vec<u32>,
     /// Log indices of unicast/multicast entries per named recipient, oldest
-    /// first; `queues[i]` belongs to recipient `i` (dense) or
-    /// `recipients[i]` (sparse). Kept once materialized.
+    /// first; `queues[i]` belongs to recipient `i` (dense) or to the
+    /// recipient with `slots[r] == i + 1` (sparse, in the order the lane
+    /// first named them). Kept once materialized.
     queues: Vec<VecDeque<u32>>,
     /// Total undelivered messages across the lane's channels.
     pending: usize,
@@ -160,6 +172,7 @@ impl Lane {
             broadcasts: Vec::new(),
             cursors: vec![0; preallocated],
             recipients: Vec::new(),
+            slots: Vec::new(),
             queues: vec![VecDeque::new(); preallocated],
             pending: 0,
             sparse,
@@ -170,26 +183,39 @@ impl Lane {
     #[inline]
     fn slot(&self, r: usize) -> Option<usize> {
         if self.sparse {
-            self.recipients.binary_search(&(r as u32)).ok()
+            (*self.slots.get(r)? as usize).checked_sub(1)
         } else {
             (r < self.queues.len()).then_some(r)
         }
     }
 
-    /// The index queue of recipient `r`, materialized on first use.
+    /// The index queue of recipient `r`, materialized on first use; `n` is
+    /// the number of processors the buffer covers (`r < n`).
     #[inline]
-    fn queue_mut(&mut self, r: usize) -> &mut VecDeque<u32> {
-        if !self.sparse {
-            return &mut self.queues[r];
+    fn queue_mut(&mut self, r: usize, n: usize) -> &mut VecDeque<u32> {
+        match self.slot(r) {
+            Some(i) => &mut self.queues[i],
+            None => self.materialize(r, n),
         }
-        match self.recipients.binary_search(&(r as u32)) {
-            Ok(i) => &mut self.queues[i],
-            Err(i) => {
-                self.recipients.insert(i, r as u32);
-                self.queues.insert(i, VecDeque::new());
-                &mut self.queues[i]
-            }
+    }
+
+    /// The cold half of [`Lane::queue_mut`]: gives recipient `r` of a sparse
+    /// lane its index queue. The slot table is allocated here, whole, on the
+    /// lane's first named recipient — a table grown as recipients show up
+    /// would hold up to twice the capacity for the same entries.
+    #[cold]
+    fn materialize(&mut self, r: usize, n: usize) -> &mut VecDeque<u32> {
+        debug_assert!(self.sparse && r < n, "dense rows are preallocated");
+        if self.slots.is_empty() {
+            self.slots = vec![0; n];
         }
+        let at = self
+            .recipients
+            .partition_point(|&named| (named as usize) < r);
+        self.recipients.insert(at, r as u32);
+        self.queues.push(VecDeque::new());
+        self.slots[r] = self.queues.len() as u32;
+        self.queues.last_mut().expect("just pushed")
     }
 
     /// Position in `broadcasts` of the first one recipient `r` has not
@@ -235,6 +261,23 @@ impl Lane {
         Some(idx)
     }
 
+    /// Removes every undelivered message to `r`, handing each log entry to
+    /// `f` oldest first, and returns how many there were: [`Lane::pop`]
+    /// until `None`, with the channel found once rather than per message.
+    #[inline]
+    fn drain(&mut self, r: usize, f: impl FnMut(&Entry)) -> usize {
+        let count = self.channel(r).map(f).count();
+        // Everything was lent: the queue is spent, the cursor at the end.
+        if let Some(i) = self.slot(r) {
+            self.queues[i].clear();
+        }
+        if let Some(cursor) = self.cursors.get_mut(r) {
+            *cursor = self.broadcasts.len() as u32;
+        }
+        self.pending -= count;
+        count
+    }
+
     /// Number of undelivered messages to recipient `r`.
     #[inline]
     fn pending_on(&self, r: usize) -> usize {
@@ -269,10 +312,9 @@ impl Lane {
             let start = self.recipients.partition_point(|&r| (r as usize) < lo);
             self.recipients[start..]
                 .iter()
-                .zip(&self.queues[start..])
-                .take_while(|(&r, _)| (r as usize) < hi)
-                .find(|(_, queue)| !queue.is_empty())
-                .map(|(&r, _)| r as usize)
+                .map(|&r| r as usize)
+                .take_while(|&r| r < hi)
+                .find(|&r| !self.queues[self.slots[r] as usize - 1].is_empty())
         } else {
             (lo..hi.min(self.queues.len())).find(|&r| !self.queues[r].is_empty())
         };
@@ -470,6 +512,10 @@ impl MessageBuffer {
             if !lane.cursors.is_empty() {
                 lane.cursors.resize(n, lane.broadcasts.len() as u32);
             }
+            // Likewise the slot table, once the lane has named someone.
+            if !lane.slots.is_empty() {
+                lane.slots.resize(n, 0);
+            }
             if !sparse {
                 lane.queues.resize_with(n, VecDeque::new);
             }
@@ -560,9 +606,10 @@ impl MessageBuffer {
         let s = sender.index();
         self.ensure_covers(s.max(top));
         let idx = self.log_send(s, payload, chain, recipients.len());
+        let n = self.n;
         let lane = &mut self.lanes[s];
         for to in recipients {
-            lane.queue_mut(to.index()).push_back(idx);
+            lane.queue_mut(to.index(), n).push_back(idx);
         }
     }
 
@@ -616,28 +663,30 @@ impl MessageBuffer {
             .map(|entry| (&entry.payload, entry.chain))
     }
 
-    /// Removes *all* undelivered messages from `sender` to `recipient` into
-    /// `out`, oldest first. `out` is appended to, not cleared — pass a
-    /// reusable scratch vector to keep channel drains allocation-free.
-    pub fn drain_channel_into(
+    /// Removes *all* undelivered messages from `sender` to `recipient`,
+    /// lending each one's payload and chain tag to `f`, oldest first, and
+    /// returns how many there were. This is a receiving phase's bulk
+    /// operation: it leaves the buffer exactly as calling
+    /// [`MessageBuffer::pop_message`] until `None` would — counters, live
+    /// bit, the log kept until the lane's next send — but finds the channel
+    /// once instead of once per message and once more for the `None`.
+    #[inline]
+    pub fn drain(
         &mut self,
         sender: ProcessorId,
         recipient: ProcessorId,
-        out: &mut Vec<Payload>,
-    ) {
-        while let Some(payload) = self.pop(sender, recipient) {
-            out.push(payload);
+        mut f: impl FnMut(&Payload, u64),
+    ) -> usize {
+        let s = sender.index();
+        let Some(lane) = self.lanes.get_mut(s).filter(|lane| lane.pending > 0) else {
+            return 0;
+        };
+        let count = lane.drain(recipient.index(), |entry| f(&entry.payload, entry.chain));
+        if lane.pending == 0 {
+            clear_bit(&mut self.live, s);
         }
-    }
-
-    /// Removes and returns *all* undelivered messages from `sender` to
-    /// `recipient`, oldest first. Allocates a fresh `Vec` per call; hot
-    /// paths should use [`MessageBuffer::drain_channel_into`] (or pop in a
-    /// loop) instead.
-    pub fn drain_channel(&mut self, sender: ProcessorId, recipient: ProcessorId) -> Vec<Payload> {
-        let mut drained = Vec::new();
-        self.drain_channel_into(sender, recipient, &mut drained);
-        drained
+        self.delivered += count as u64;
+        count
     }
 
     /// Discards every undelivered message addressed to `recipient`.
@@ -683,7 +732,7 @@ impl MessageBuffer {
         recipient: ProcessorId,
         replacement: Payload,
     ) -> Option<&Payload> {
-        let r = recipient.index();
+        let (r, n) = (recipient.index(), self.n);
         let lane = self.lanes.get_mut(sender.index())?;
         let (source, original) = lane.head(r)?;
         let Entry {
@@ -697,7 +746,7 @@ impl MessageBuffer {
             Source::Queue(i) => lane.queues[i][0] = replaced,
             Source::Cursor => {
                 lane.cursors[r] += 1;
-                lane.queue_mut(r).push_front(replaced);
+                lane.queue_mut(r, n).push_front(replaced);
             }
         }
         Some(&lane.log[original].payload)
@@ -772,13 +821,20 @@ impl MessageBuffer {
         })
     }
 
-    /// The senders with at least one undelivered message to `recipient`, in
-    /// identity order.
-    pub fn senders_with_pending(
-        &self,
-        recipient: ProcessorId,
-    ) -> impl Iterator<Item = ProcessorId> + '_ {
-        ProcessorId::all(self.n).filter(move |&sender| self.pending_on(sender, recipient) > 0)
+    /// A lower bound on the send-time stamp of everything `sender` still has
+    /// pending, on any channel; `None` when it has nothing pending.
+    ///
+    /// The bound is the stamp of the first entry logged since the lane last
+    /// recycled: the log is appended in clock order and a
+    /// [`MessageBuffer::corrupt_head`] replacement inherits its original's
+    /// stamp, so no entry of the log — pending or not — is older. It goes
+    /// stale (stays low) while the lane never fully drains, which makes it a
+    /// reason to *skip* a sender, never a substitute for
+    /// [`MessageBuffer::head_sent_at`].
+    #[inline]
+    pub fn pending_since(&self, sender: ProcessorId) -> Option<u64> {
+        let lane = self.lanes.get(sender.index())?;
+        (lane.pending > 0).then(|| lane.log[0].sent_at)
     }
 
     /// Finds the first channel with a pending message at or after `cursor`
@@ -806,8 +862,15 @@ impl MessageBuffer {
         if channels == 0 || self.is_empty() {
             return None;
         }
-        let start = cursor % channels;
-        let (s0, r0) = (start / n, start % n);
+        // Callers resume from the cursor a previous call returned, which is
+        // already inside the channel space: one division, not three.
+        let start = if cursor < channels {
+            cursor
+        } else {
+            cursor % channels
+        };
+        let s0 = start / n;
+        let r0 = start - s0 * n;
         let lanes = &self.lanes[..self.lanes.len().min(n)];
         // The cursor lane's recipients at or after the cursor; then every
         // other lane in cursor order — senders after the cursor, then
@@ -874,7 +937,9 @@ fn scan_lane(
     while let Some(r) = lane.next_pending(lo, hi_r) {
         let to = ProcessorId::new(r);
         if admit(from, to) {
-            return Some(((s * n + r + 1) % (n * n), from, to));
+            // `s * n + r` is a channel index; one past the last wraps to 0.
+            let next = s * n + r + 1;
+            return Some((if next == n * n { 0 } else { next }, from, to));
         }
         lo = r + 1;
     }
@@ -947,7 +1012,7 @@ mod tests {
         let per_lane = |lane: &Lane| {
             lane.log.capacity() * size_of::<Entry>()
                 + (lane.broadcasts.capacity() + lane.cursors.capacity()) * size_of::<u32>()
-                + lane.recipients.capacity() * size_of::<u32>()
+                + (lane.recipients.capacity() + lane.slots.capacity()) * size_of::<u32>()
                 + lane.queues.capacity() * size_of::<VecDeque<u32>>()
                 + lane
                     .queues
@@ -1011,16 +1076,25 @@ mod tests {
         assert_eq!(buf.head_sent_at(id(0), id(1)), Some(0));
     }
 
+    /// The rounds of everything [`MessageBuffer::drain`] lends from a
+    /// channel, in the order it lends them.
+    fn drained_rounds(buf: &mut MessageBuffer, from: usize, to: usize) -> Vec<Option<u64>> {
+        let mut rounds = Vec::new();
+        let count = buf.drain(id(from), id(to), |payload, _| rounds.push(payload.round()));
+        assert_eq!(count, rounds.len());
+        rounds
+    }
+
     #[test]
-    fn drain_channel_removes_everything_in_order() {
+    fn drain_removes_everything_in_order() {
         let mut buf = MessageBuffer::new();
         for r in 1..=3 {
             buf.enqueue(env(4, 2, r));
         }
-        let drained = buf.drain_channel(id(4), id(2));
-        assert_eq!(drained.len(), 3);
-        assert_eq!(drained[0].round(), Some(1));
-        assert_eq!(drained[2].round(), Some(3));
+        assert_eq!(
+            drained_rounds(&mut buf, 4, 2),
+            vec![Some(1), Some(2), Some(3)]
+        );
         assert!(buf.is_empty());
         assert_eq!(buf.delivered_count(), 3);
     }
@@ -1028,24 +1102,53 @@ mod tests {
     #[test]
     fn drain_of_missing_channel_is_empty() {
         let mut buf = MessageBuffer::new();
-        assert!(buf.drain_channel(id(0), id(1)).is_empty());
+        assert_eq!(buf.drain(id(0), id(1), |_, _| unreachable!()), 0);
+        buf.enqueue(env(0, 2, 1));
+        assert_eq!(buf.drain(id(0), id(1), |_, _| unreachable!()), 0);
+        assert_eq!(buf.drain(id(0), id(9), |_, _| unreachable!()), 0);
+        assert_eq!(buf.drain(id(9), id(0), |_, _| unreachable!()), 0);
+        assert_eq!(buf.pending_total(), 1);
     }
 
     #[test]
-    fn drain_channel_into_reuses_a_scratch_buffer() {
+    fn drain_lends_from_the_log_and_the_next_send_recycles_it() {
         let mut buf = MessageBuffer::with_processors(3);
-        let mut scratch = Vec::new();
         for r in 1..=3 {
             buf.enqueue(env(0, 1, r));
         }
-        buf.drain_channel_into(id(0), id(1), &mut scratch);
-        assert_eq!(scratch.len(), 3);
-        assert_eq!(scratch[0].round(), Some(1));
-        scratch.clear();
+        assert_eq!(
+            drained_rounds(&mut buf, 0, 1),
+            vec![Some(1), Some(2), Some(3)]
+        );
+        assert_eq!(logged(&buf), 3, "lent entries outlive the drain");
         buf.enqueue(env(0, 1, 9));
-        buf.drain_channel_into(id(0), id(1), &mut scratch);
-        assert_eq!(scratch.len(), 1);
-        assert_eq!(scratch[0].round(), Some(9));
+        assert_eq!(logged(&buf), 1, "the drained log was recycled");
+        assert_eq!(drained_rounds(&mut buf, 0, 1), vec![Some(9)]);
+    }
+
+    #[test]
+    fn pending_since_is_the_oldest_stamp_of_an_undrained_lane() {
+        let mut buf = MessageBuffer::with_processors(3);
+        assert_eq!(buf.pending_since(id(0)), None);
+        assert_eq!(buf.pending_since(id(7)), None);
+        buf.set_now(4);
+        buf.broadcast(id(0), report(1), 0);
+        buf.set_now(9);
+        buf.enqueue(env(0, 1, 2));
+        assert_eq!(buf.pending_since(id(0)), Some(4));
+        // The stamp-4 broadcast is delivered everywhere; the bound goes
+        // stale rather than wrong: still a lower bound on what is pending.
+        for to in 0..3 {
+            buf.pop(id(0), id(to));
+        }
+        assert_eq!(buf.head_sent_at(id(0), id(1)), Some(9));
+        assert_eq!(buf.pending_since(id(0)), Some(4));
+        buf.pop(id(0), id(1));
+        assert_eq!(buf.pending_since(id(0)), None);
+        // Drained, so the next send recycles the log and the bound is exact.
+        buf.set_now(12);
+        buf.enqueue(env(0, 2, 3));
+        assert_eq!(buf.pending_since(id(0)), Some(12));
     }
 
     #[test]
@@ -1075,16 +1178,6 @@ mod tests {
         // Corruption rewrites contents, not causality: the tag is preserved.
         let (_, chain) = buf.pop_with_chain(id(3), id(0)).unwrap();
         assert_eq!(chain, 7);
-    }
-
-    #[test]
-    fn senders_with_pending_lists_only_nonempty_channels() {
-        let mut buf = MessageBuffer::new();
-        buf.enqueue(env(0, 5, 1));
-        buf.enqueue(env(3, 5, 1));
-        buf.enqueue(env(3, 6, 1));
-        let senders: Vec<ProcessorId> = buf.senders_with_pending(id(5)).collect();
-        assert_eq!(senders, vec![id(0), id(3)]);
     }
 
     #[test]
@@ -1123,7 +1216,7 @@ mod tests {
             assert!(buf.peek(id(0), id(9)).is_none());
             assert!(buf.pop(id(9), id(0)).is_none());
             assert!(buf.pop(id(1), id(9)).is_none());
-            assert_eq!(buf.senders_with_pending(id(7)).count(), 0);
+            assert_eq!(buf.pending_since(id(5)), None);
             buf.drop_to(id(42));
             assert_eq!(buf.pending_total(), 3);
         }
@@ -1526,10 +1619,16 @@ mod tests {
         assert_eq!(buf.dropped_count(), model.dropped, "dropped {at}");
         assert_eq!(buf.pending_total(), expected.len(), "pending_total {at}");
         assert_eq!(buf.is_empty(), expected.is_empty(), "is_empty {at}");
+        for s in 0..n {
+            // A lower bound on every pending stamp of the lane; `None`
+            // exactly when the lane has nothing pending.
+            let lane = model.channels.range((s, 0)..=(s, n));
+            let oldest = lane.filter_map(|(_, c)| c.front()).map(|h| h.2).min();
+            let bound = buf.pending_since(id(s));
+            assert_eq!(bound.is_some(), oldest.is_some(), "pending_since({s}) {at}");
+            assert!(bound <= oldest, "pending_since({s}) is no lower bound {at}");
+        }
         for r in 0..n {
-            let senders: Vec<usize> = buf.senders_with_pending(id(r)).map(|s| s.index()).collect();
-            let expected: Vec<usize> = (0..n).filter(|&s| model.has_pending(s, r)).collect();
-            assert_eq!(senders, expected, "senders_with_pending({r}) {at}");
             for s in 0..n {
                 let channel = model.channels.get(&(s, r));
                 let head = channel.and_then(VecDeque::front);
@@ -1684,6 +1783,234 @@ mod tests {
             }
             assert_matches(&buf, &model, &mut rng, &at);
         }
+    }
+
+    /// Everything observable about a buffer without changing it, rendered
+    /// for comparison: contents, counters, scan answers from a spread of
+    /// cursors, per-lane bounds and held heap.
+    fn observe(buf: &MessageBuffer, n: usize) -> String {
+        let counters = [
+            buf.enqueued_count(),
+            buf.delivered_count(),
+            buf.dropped_count(),
+        ];
+        let scans: Vec<_> = (0..=n * n)
+            .step_by(1 + n * n / 16)
+            .map(|cursor| buf.next_pending_channel(n, cursor))
+            .collect();
+        let bounds: Vec<_> = (0..n).map(|s| buf.pending_since(id(s))).collect();
+        format!(
+            "{:?} {counters:?} {} {scans:?} {bounds:?} {}",
+            buf.iter().collect::<Vec<_>>(),
+            buf.pending_total(),
+            heap_bytes(buf)
+        )
+    }
+
+    /// Empties the channel `s -> r` of both twins — `drained` in one
+    /// [`MessageBuffer::drain`], `popped` by [`MessageBuffer::pop_message`]
+    /// until `None` — and checks they lent the same messages.
+    fn empty_channel_both_ways(
+        drained: &mut MessageBuffer,
+        popped: &mut MessageBuffer,
+        s: usize,
+        r: usize,
+        at: &str,
+    ) {
+        let mut by_drain = Vec::new();
+        let count = drained.drain(id(s), id(r), |p, chain| by_drain.push((p.clone(), chain)));
+        let mut by_pop = Vec::new();
+        while let Some((p, chain)) = popped.pop_message(id(s), id(r)) {
+            by_pop.push((p.clone(), chain));
+        }
+        assert_eq!(by_drain, by_pop, "channel {s} -> {r} {at}");
+        assert_eq!(count, by_pop.len(), "drain count {s} -> {r} {at}");
+    }
+
+    /// Drives twin buffers through the same seeded traffic; the only
+    /// difference is how a channel is emptied.
+    fn run_drain_twins(n: usize, choice: BufferChoice, seed: u64, ops: usize) {
+        let mut rng = ProcessorRng::labelled(seed, 0xD4A1 + n as u64);
+        let mut drained = MessageBuffer::with_choice(n, choice);
+        let mut popped = MessageBuffer::with_choice(n, choice);
+        let mut n = n;
+        let mut serial = 0;
+        let mut now = 0;
+        for op in 0..ops {
+            let at = format!("after op {op} (n = {n}, {choice:?}, seed {seed})");
+            let any = |rng: &mut ProcessorRng| rng.range(n as u64) as usize;
+            let chain = rng.range(10);
+            serial += 1;
+            let p = report(serial);
+            match rng.range(100) {
+                0..=9 => {
+                    let (s, r) = (any(&mut rng), any(&mut rng));
+                    drained.enqueue_unicast(id(s), id(r), p.clone(), chain);
+                    popped.enqueue_unicast(id(s), id(r), p, chain);
+                }
+                10..=24 => {
+                    // Sets in whatever order the draws come — descending,
+                    // shuffled, with repeats — and, rarely, naming an id the
+                    // buffer does not cover yet.
+                    let s = any(&mut rng);
+                    let mut set: Vec<usize> = (0..rng.range(6)).map(|_| any(&mut rng)).collect();
+                    if rng.range(40) == 0 {
+                        set.push(n + rng.range(3) as usize);
+                    }
+                    let ids: Vec<ProcessorId> = set.iter().map(|&r| id(r)).collect();
+                    drained.multicast(id(s), &ids, p.clone(), chain);
+                    popped.multicast(id(s), &ids, p, chain);
+                    n = n.max(set.iter().max().map_or(0, |&top| top + 1));
+                }
+                25..=36 => {
+                    let s = any(&mut rng);
+                    drained.broadcast(id(s), p.clone(), chain);
+                    popped.broadcast(id(s), p, chain);
+                }
+                37..=44 => {
+                    // A few single deliveries, so drains start mid-channel.
+                    for _ in 0..=rng.range(n as u64) {
+                        let (s, r) = (any(&mut rng), any(&mut rng));
+                        let a = drained.pop_with_chain(id(s), id(r));
+                        assert_eq!(a, popped.pop_with_chain(id(s), id(r)), "pop {at}");
+                    }
+                }
+                45..=64 => {
+                    let (s, r) = (any(&mut rng), any(&mut rng));
+                    empty_channel_both_ways(&mut drained, &mut popped, s, r, &at);
+                }
+                65..=74 => {
+                    // A whole receiving phase: the lane drains and recycles.
+                    let s = any(&mut rng);
+                    for r in 0..n {
+                        empty_channel_both_ways(&mut drained, &mut popped, s, r, &at);
+                    }
+                    assert_eq!(drained.pending_since(id(s)), None, "{at}");
+                }
+                75..=84 => {
+                    let (s, r) = (any(&mut rng), any(&mut rng));
+                    let a = drained.corrupt_head(id(s), id(r), p.clone()).cloned();
+                    assert_eq!(a, popped.corrupt_head(id(s), id(r), p).cloned(), "{at}");
+                    if a.is_some() && rng.bit().is_one() {
+                        // The head is a replacement: empty it right away.
+                        empty_channel_both_ways(&mut drained, &mut popped, s, r, &at);
+                    }
+                }
+                85..=89 => {
+                    let r = any(&mut rng);
+                    drained.drop_to(id(r));
+                    popped.drop_to(id(r));
+                }
+                90..=92 => {
+                    let a = drained.discard_undelivered();
+                    assert_eq!(a, popped.discard_undelivered(), "{at}");
+                }
+                93 => {
+                    drained.reset(n);
+                    popped.reset(n);
+                    now = 0;
+                }
+                _ => {
+                    now += rng.range(3);
+                    drained.set_now(now);
+                    popped.set_now(now);
+                }
+            }
+            assert_eq!(observe(&drained, n), observe(&popped, n), "{at}");
+        }
+    }
+
+    #[test]
+    fn drain_is_pop_until_empty() {
+        for choice in [BufferChoice::Dense, BufferChoice::Sparse] {
+            // Scripted first: a multicast naming a recipient twice behind a
+            // broadcast, on a channel whose head is a corrupted replacement.
+            let mut twins = [
+                MessageBuffer::with_choice(4, choice),
+                MessageBuffer::with_choice(4, choice),
+            ];
+            for buf in &mut twins {
+                buf.broadcast(id(2), report(1), 1);
+                buf.multicast(id(2), &[id(3), id(0), id(3)], report(2), 2);
+                buf.broadcast(id(2), report(3), 3);
+                let lie = Payload::Report {
+                    round: 1,
+                    value: Bit::One,
+                };
+                assert!(buf.corrupt_head(id(2), id(3), lie).is_some());
+            }
+            let [drained, popped] = &mut twins;
+            let mut lent = Vec::new();
+            drained.drain(id(2), id(3), |p, chain| {
+                lent.push((p.round(), p.advocated_value(), chain))
+            });
+            assert_eq!(
+                lent,
+                vec![
+                    (Some(1), Some(Bit::One), 1),
+                    (Some(2), Some(Bit::Zero), 2),
+                    (Some(2), Some(Bit::Zero), 2),
+                    (Some(3), Some(Bit::Zero), 3),
+                ]
+            );
+            while popped.pop_message(id(2), id(3)).is_some() {}
+            assert_eq!(observe(drained, 4), observe(popped, 4));
+            for r in 0..4 {
+                empty_channel_both_ways(drained, popped, 2, r, "scripted");
+            }
+            assert_eq!(observe(drained, 4), observe(popped, 4));
+            for buf in [drained, popped] {
+                buf.broadcast(id(2), report(4), 0);
+                assert_eq!(logged(buf), 1, "the drained lane recycled");
+            }
+
+            for seed in 0..6 {
+                run_drain_twins(5, choice, seed, 1_200);
+            }
+            run_drain_twins(1, choice, 7, 200);
+            run_drain_twins(66, choice, 8, 300);
+        }
+    }
+
+    #[test]
+    fn sparse_slot_table_finds_recipients_named_in_any_order() {
+        let n = 100;
+        let mut buf = MessageBuffer::with_processors(n);
+        assert!(buf.is_sparse());
+        // Descending, then shuffled with a repeat, then past the coverage.
+        buf.multicast(id(5), &[id(90), id(40), id(7)], report(1), 0);
+        assert_eq!(buf.lanes[5].recipients, vec![7, 40, 90]);
+        assert_eq!(buf.lanes[5].slots.len(), n, "allocated once, for all n");
+        assert_eq!(buf.lanes[5].slots.capacity(), n, "and exactly");
+        buf.multicast(id(5), &[id(63), id(7), id(99), id(0), id(63)], report(2), 0);
+        assert_eq!(buf.lanes[5].recipients, vec![0, 7, 40, 63, 90, 99]);
+        buf.multicast(id(5), &[id(130), id(40)], report(3), 0);
+        assert_eq!(buf.lanes[5].recipients, vec![0, 7, 40, 63, 90, 99, 130]);
+        assert_eq!(buf.lanes[5].slots.len(), 131, "grown with the coverage");
+        assert!(
+            buf.lanes[6].slots.is_empty(),
+            "a lane that named no one has no table"
+        );
+        for (to, rounds) in [
+            (0, vec![2]),
+            (7, vec![1, 2]),
+            (40, vec![1, 3]),
+            (63, vec![2, 2]),
+            (90, vec![1]),
+            (99, vec![2]),
+            (130, vec![3]),
+            (8, vec![]),
+        ] {
+            assert_eq!(buf.pending_on(id(5), id(to)), rounds.len(), "to {to}");
+            let rounds: Vec<Option<u64>> = rounds.into_iter().map(Some).collect();
+            assert_eq!(drained_rounds(&mut buf, 5, to), rounds, "to {to}");
+        }
+        assert!(buf.is_empty());
+        // The table and the queues survive the recycle and a reset.
+        buf.reset(131);
+        buf.multicast(id(5), &[id(99)], report(4), 0);
+        assert_eq!(buf.lanes[5].queues.len(), 7);
+        assert_eq!(buf.pop(id(5), id(99)).unwrap().round(), Some(4));
     }
 
     #[test]

@@ -541,25 +541,33 @@ impl<P: Probe, R: Recorder> ExecutionCore<P, R> {
     /// `recipient`. Responses stay in the recipient's outbox until the next
     /// window's sending phase.
     pub fn deliver_from_senders(&mut self, recipient: ProcessorId, senders: &[ProcessorId]) {
-        let before = self.harnesses[recipient.index()].decision();
+        let ExecutionCore {
+            harnesses,
+            buffer,
+            recorder,
+            probe,
+            ..
+        } = self;
+        let harness = &mut harnesses[recipient.index()];
+        let before = harness.decision();
         let mut depth = self.depth[recipient.index()];
         for &sender in senders {
-            // Pop one message at a time rather than draining into a Vec: this
-            // runs for every (recipient, sender) pair of every window, so the
-            // receiving phase must not allocate. Payloads are processed
-            // borrowed from the sender's log, never cloned.
-            while let Some((payload, chain)) = self.buffer.pop_message(sender, recipient) {
-                self.recorder.record(TraceEvent::Delivered {
+            // This runs for every (recipient, sender) pair of every window:
+            // the channel is found once and emptied in one pass, and each
+            // payload is processed borrowed from the sender's log — nothing
+            // is cloned, collected or allocated.
+            buffer.drain(sender, recipient, |payload, chain| {
+                recorder.record(TraceEvent::Delivered {
                     from: sender,
                     to: recipient,
                 });
-                self.probe.on_deliver(sender, recipient, chain);
+                probe.on_deliver(sender, recipient, chain);
                 depth = depth.max(chain);
-                self.harnesses[recipient.index()].deliver(sender, payload);
-            }
+                harness.deliver(sender, payload);
+            });
         }
         self.depth[recipient.index()] = depth;
-        let after = self.harnesses[recipient.index()].decision();
+        let after = harness.decision();
         if before.is_none() {
             if let Some(value) = after {
                 self.recorder.record(TraceEvent::Decided {

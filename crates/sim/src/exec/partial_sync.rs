@@ -25,7 +25,10 @@
 //!    pending message sent at step `s` whose deadline `max(s, gst) + Δ` has
 //!    arrived is delivered, in deterministic sender-major channel order
 //!    (messages from omitted senders and messages to crashed recipients are
-//!    exempt);
+//!    exempt). A sender is skipped outright when the buffer's lower bound on
+//!    the send stamps it still has pending puts every such deadline in the
+//!    future — most steps force nothing, and this is what keeps them from
+//!    polling all `n²` channels to find that out;
 //! 4. the discretionary action is applied.
 //!
 //! Running time is measured in steps against `RunLimits::max_steps`, and the
@@ -53,16 +56,6 @@ impl<'a> PartialSyncScheduler<'a> {
         PartialSyncScheduler { adversary }
     }
 
-    /// The effective omission set: the first `t` senders the adversary
-    /// declared, the budget the model grants it.
-    fn is_omitted(&self, sender: ProcessorId, t: usize) -> bool {
-        self.adversary
-            .omitted_senders()
-            .iter()
-            .take(t)
-            .any(|&s| s == sender)
-    }
-
     /// How many faults the declared omission set charges against the shared
     /// budget `t`: the distinct senders among the first `t` entries.
     fn omission_faults(&self, t: usize) -> usize {
@@ -78,11 +71,21 @@ impl<'a> PartialSyncScheduler<'a> {
     /// Delivers every pending message whose post-GST deadline has arrived:
     /// a message sent at step `s` must be delivered by `max(s, gst) + Δ`.
     ///
-    /// Channels are scanned sender-major; within a channel, FIFO order and a
-    /// monotone clock mean the head is always the oldest message, so popping
-    /// while the head is overdue delivers exactly the overdue prefix.
-    /// Messages from omitted senders and to crashed recipients are exempt
-    /// (the model only promises delivery between correct processors).
+    /// Senders are visited in identity order, but only those that can have
+    /// something overdue: [`MessageBuffer::pending_since`] bounds the send
+    /// stamp of everything a sender still has pending from below, so when
+    /// even that stamp's deadline lies ahead, so does every deadline on the
+    /// sender's `n` channels, and scanning them would deliver nothing. The
+    /// bound is only ever a reason to skip; a sender that is not skipped has
+    /// every channel scanned, sender-major: within a channel, FIFO order and
+    /// a monotone clock mean the head is always the oldest message, so
+    /// popping while the head is overdue delivers exactly the overdue
+    /// prefix. Messages from omitted senders — the first `t` the adversary
+    /// declared, the budget the model grants it — and to crashed recipients
+    /// are exempt (the model only promises delivery between correct
+    /// processors).
+    ///
+    /// [`MessageBuffer::pending_since`]: crate::MessageBuffer::pending_since
     fn force_overdue<P: Probe, R: Recorder>(
         &mut self,
         core: &mut ExecutionCore<P, R>,
@@ -91,9 +94,16 @@ impl<'a> PartialSyncScheduler<'a> {
         delta: u64,
     ) {
         let n = core.config().n();
-        let t = core.config().t();
+        let omitted = self.adversary.omitted_senders();
+        let omitted = &omitted[..omitted.len().min(core.config().t())];
         for from in ProcessorId::all(n) {
-            if self.is_omitted(from, t) {
+            // Read per sender, not once up front: a forced delivery makes
+            // its recipient send, which can wake a lane that was idle.
+            match core.buffer().pending_since(from) {
+                Some(oldest) if oldest.max(gst) + delta <= now => {}
+                _ => continue,
+            }
+            if omitted.contains(&from) {
                 continue;
             }
             for to in ProcessorId::all(n) {

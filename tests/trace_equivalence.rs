@@ -99,7 +99,7 @@ fn windowed_no_trace_runs_match_full_trace_runs() {
 }
 
 /// Same equivalence for the asynchronous scheduler, including crash
-/// scheduling (which exercises `drop_to` on the shared payload arena) and
+/// scheduling (which exercises `drop_to` on the senders' shared logs) and
 /// Bracha's reliable-broadcast traffic (boxed `Rbc` payloads).
 #[test]
 fn async_no_trace_runs_match_full_trace_runs() {
