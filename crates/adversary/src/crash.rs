@@ -98,7 +98,7 @@ impl ScheduledCrashAdversary {
     fn deliver_fairly(&mut self, view: &SystemView<'_>) -> AsyncAction {
         let admit = |from: ProcessorId, _to: ProcessorId| {
             !(self.withhold_from_victims
-                && view.crashed[from.index()]
+                && view.is_crashed(from.index())
                 && self.victims.contains(&from))
         };
         match view.next_pending_channel_where(self.cursor, admit) {

@@ -37,11 +37,8 @@ impl LockstepBalancingAdversary {
 
     /// The lowest round any live processor is still working on.
     fn current_round(view: &SystemView<'_>) -> u64 {
-        view.digests
-            .iter()
-            .zip(view.crashed)
-            .filter(|(_, crashed)| !**crashed)
-            .filter_map(|(d, _)| d.round)
+        view.live()
+            .filter_map(|i| view.digest(i).round)
             .min()
             .unwrap_or(1)
     }
@@ -49,11 +46,9 @@ impl LockstepBalancingAdversary {
     /// `true` if some live processor at `round` is still waiting for phase-1
     /// reports (Ben-Or's digest labels the waiting phase).
     fn in_report_stage(view: &SystemView<'_>, round: u64) -> bool {
-        view.digests
-            .iter()
-            .zip(view.crashed)
-            .filter(|(_, crashed)| !**crashed)
-            .any(|(d, _)| d.round == Some(round) && d.phase == "report")
+        view.live()
+            .map(|i| view.digest(i))
+            .any(|d| d.round == Some(round) && d.phase == "report")
     }
 
     /// Fresh per-sender values for the current stage: `Some(Some(bit))` for a
@@ -120,7 +115,7 @@ impl LockstepBalancingAdversary {
     fn plan_stage(&mut self, view: &SystemView<'_>, excluded: &[ProcessorId]) {
         let n = view.n();
         for recipient in ProcessorId::all(n) {
-            if view.crashed[recipient.index()] {
+            if view.is_crashed(recipient.index()) {
                 continue;
             }
             for sender in ProcessorId::all(n) {
@@ -159,7 +154,7 @@ impl AsyncAdversary for LockstepBalancingAdversary {
         if let Some(action) = self.planned.pop_front() {
             return action;
         }
-        let live = view.crashed.iter().filter(|&&c| !c).count();
+        let live = view.live().count();
         let round = Self::current_round(view);
         let report_stage = Self::in_report_stage(view, round);
         let values = Self::stage_values(view, round, report_stage);

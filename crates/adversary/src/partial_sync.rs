@@ -130,7 +130,7 @@ impl PartialSyncAdversary for PostGstOmissionAdversary {
         // messages remain pending, nothing will ever change again.
         let t = view.t();
         let any_live_pending = view.buffer.iter().any(|(from, to, _)| {
-            !view.crashed[to.index()] && !self.omitted.iter().take(t).any(|&s| s == from)
+            !view.is_crashed(to.index()) && !self.omitted.iter().take(t).any(|&s| s == from)
         });
         if any_live_pending {
             PartialSyncAction::Stall

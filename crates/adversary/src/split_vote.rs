@@ -85,11 +85,9 @@ impl WindowAdversary for SplitVoteAdversary {
                 Vec::new()
             } else {
                 let majority = if zeros > ones { Bit::Zero } else { Bit::One };
-                view.digests
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, d)| !view.crashed[*i] && d.estimate == Some(majority))
-                    .map(|(i, _)| ProcessorId::new(i))
+                view.live()
+                    .filter(|&i| view.digest(i).estimate == Some(majority))
+                    .map(ProcessorId::new)
                     .take(t.min(zeros.abs_diff(ones)))
                     .collect()
             }

@@ -76,8 +76,7 @@ impl WindowAdversary for TargetedResetAdversary {
         // Rank processors by round (undecided ones first among equals), reset
         // the t most advanced ones.
         let mut ranked: Vec<(u64, usize)> = view
-            .digests
-            .iter()
+            .digests()
             .enumerate()
             .map(|(i, d)| (d.round.unwrap_or(0), i))
             .collect();

@@ -8,6 +8,7 @@
 //! threaded runtime of `agreement-net`) through a [`Context`] that provides
 //! message sending, private randomness and the write-once output bit.
 
+use std::any::Any;
 use std::fmt;
 
 use crate::config::SystemConfig;
@@ -135,7 +136,10 @@ impl StateDigest {
 ///
 /// Implementations must be deterministic given the context's random stream:
 /// all randomness must be drawn through the [`Context`].
-pub trait Protocol: fmt::Debug + Send {
+///
+/// The [`Any`] bound is what lets a [`ProtocolBuilder::rebuild`] recognize an
+/// instance it built earlier (through `<dyn Protocol>::downcast_mut`).
+pub trait Protocol: Any + fmt::Debug + Send {
     /// Called once at the beginning of the execution.
     fn on_start(&mut self, ctx: &mut dyn Context);
 
@@ -156,17 +160,45 @@ pub trait Protocol: fmt::Debug + Send {
     fn digest(&self) -> StateDigest;
 }
 
+impl dyn Protocol {
+    /// This state machine as the concrete type `T`, if that is what it is.
+    pub fn downcast_mut<T: Protocol>(&mut self) -> Option<&mut T> {
+        (self as &mut dyn Any).downcast_mut()
+    }
+}
+
 /// A factory building one [`Protocol`] instance per processor.
 ///
 /// Builders are cheap, immutable descriptions of a protocol configuration
-/// (e.g. a threshold triple); engines call [`ProtocolBuilder::build`] once per
-/// processor at the start of every run.
+/// (e.g. a threshold triple). An engine calls [`ProtocolBuilder::build`] once
+/// per processor when it first sets a system up, and
+/// [`ProtocolBuilder::rebuild`] once per processor for every further trial it
+/// runs in the same storage.
 pub trait ProtocolBuilder: fmt::Debug + Send + Sync {
     /// A short human-readable protocol name (used in reports and benches).
     fn name(&self) -> &'static str;
 
     /// Builds the state machine for processor `id` with input `input`.
     fn build(&self, id: ProcessorId, input: Bit, cfg: &SystemConfig) -> Box<dyn Protocol>;
+
+    /// Leaves in `slot` exactly the state machine
+    /// [`build`](ProtocolBuilder::build) would return for the same arguments;
+    /// `slot` holds whatever instance ran the previous trial, built by this
+    /// builder or by any other.
+    ///
+    /// The default replaces the instance. A builder may instead reset the
+    /// instance in place, keeping its allocations, when — and only when — it
+    /// is one of its own with equal parameters; nothing observable (digest,
+    /// sends, decisions, coin draws) may tell the two apart.
+    fn rebuild(
+        &self,
+        slot: &mut Box<dyn Protocol>,
+        id: ProcessorId,
+        input: Bit,
+        cfg: &SystemConfig,
+    ) {
+        *slot = self.build(id, input, cfg);
+    }
 }
 
 #[cfg(test)]

@@ -59,6 +59,18 @@ impl BenOr {
         }
     }
 
+    /// Returns this instance to the state [`BenOr::new`] builds for `input`
+    /// and the configuration it already has, keeping the tally's storage.
+    fn reinit(&mut self, input: Bit) {
+        self.round = 1;
+        self.estimate = input;
+        self.waiting_phase = PHASE_REPORT;
+        self.tally.clear();
+        self.decided = None;
+        self.reset_count = 0;
+        self.input = input;
+    }
+
     /// The current round number.
     pub fn round(&self) -> u64 {
         self.round
@@ -212,6 +224,19 @@ impl ProtocolBuilder for BenOrBuilder {
 
     fn build(&self, _id: ProcessorId, input: Bit, cfg: &SystemConfig) -> Box<dyn Protocol> {
         Box::new(BenOr::new(input, cfg))
+    }
+
+    fn rebuild(
+        &self,
+        slot: &mut Box<dyn Protocol>,
+        id: ProcessorId,
+        input: Bit,
+        cfg: &SystemConfig,
+    ) {
+        match slot.downcast_mut::<BenOr>() {
+            Some(ours) if (ours.n, ours.t) == (cfg.n(), cfg.t()) => ours.reinit(input),
+            _ => *slot = self.build(id, input, cfg),
+        }
     }
 }
 

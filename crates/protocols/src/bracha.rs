@@ -73,6 +73,19 @@ impl Bracha {
         }
     }
 
+    /// Returns this instance to the state [`Bracha::new`] builds for `input`
+    /// and the configuration it already has, keeping the tally's storage.
+    fn reinit(&mut self, input: Bit) {
+        self.input = input;
+        self.round = 1;
+        self.phase = 1;
+        self.estimate = input;
+        self.rbc.clear();
+        self.votes.clear();
+        self.decided = None;
+        self.reset_count = 0;
+    }
+
     /// The current round.
     pub fn round(&self) -> u64 {
         self.round
@@ -239,6 +252,19 @@ impl ProtocolBuilder for BrachaBuilder {
 
     fn build(&self, _id: ProcessorId, input: Bit, cfg: &SystemConfig) -> Box<dyn Protocol> {
         Box::new(Bracha::new(input, cfg))
+    }
+
+    fn rebuild(
+        &self,
+        slot: &mut Box<dyn Protocol>,
+        id: ProcessorId,
+        input: Bit,
+        cfg: &SystemConfig,
+    ) {
+        match slot.downcast_mut::<Bracha>() {
+            Some(ours) if (ours.n, ours.t) == (cfg.n(), cfg.t()) => ours.reinit(input),
+            _ => *slot = self.build(id, input, cfg),
+        }
     }
 }
 

@@ -169,6 +169,18 @@ impl CommitteeAgreement {
         }
     }
 
+    /// Returns this instance to the state [`CommitteeAgreement::with_roster`]
+    /// builds for `id`, `input` and the roster and variant it already has,
+    /// keeping the tally's storage.
+    fn reinit(&mut self, id: ProcessorId, input: Bit) {
+        self.is_member = self.committee.contains(id);
+        self.input = input;
+        self.votes.clear();
+        self.announced = false;
+        self.decided = None;
+        self.reset_count = 0;
+    }
+
     /// The publicly known final committee.
     pub fn committee(&self) -> &[ProcessorId] {
         &self.committee.listed
@@ -398,6 +410,26 @@ impl ProtocolBuilder for CommitteeBuilder {
             committee,
             self.variant,
         ))
+    }
+
+    fn rebuild(
+        &self,
+        slot: &mut Box<dyn Protocol>,
+        id: ProcessorId,
+        input: Bit,
+        cfg: &SystemConfig,
+    ) {
+        // The same roster allocation, not an equal one: what the instance
+        // keeps across trials is this builder's `Arc`. A roster is made for
+        // one builder and shared only with its clones, so the variant is the
+        // same too.
+        match slot.downcast_mut::<CommitteeAgreement>() {
+            Some(ours) if Arc::ptr_eq(&ours.committee, &self.committee) => {
+                debug_assert_eq!(ours.variant, self.variant);
+                ours.reinit(id, input);
+            }
+            _ => *slot = self.build(id, input, cfg),
+        }
     }
 }
 

@@ -55,6 +55,8 @@
 mod ben_or;
 mod bracha;
 mod committee;
+#[cfg(test)]
+mod rebuild_tests;
 mod reliable_broadcast;
 mod reset_tolerant;
 mod tally;

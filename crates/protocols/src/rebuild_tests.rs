@@ -1,0 +1,320 @@
+//! [`ProtocolBuilder::rebuild`] against [`ProtocolBuilder::build`], for every
+//! builder of this crate: an instance that has run a whole execution and is
+//! then rebuilt must be indistinguishable from a new one — in its digest and
+//! in what it sends, decides and draws over the callbacks that follow — and
+//! must be reset in place exactly when it is the builder's own with equal
+//! parameters.
+
+use agreement_model::{
+    Bit, Context, Payload, ProcessorId, ProcessorRng, Protocol, ProtocolBuilder, StateDigest,
+    SystemConfig, Thresholds,
+};
+
+use crate::{BenOrBuilder, BrachaBuilder, CommitteeBuilder, ResetTolerantBuilder};
+
+/// How many callbacks a rebuilt and a new instance are compared over.
+const REPLAYED_CALLBACKS: usize = 50;
+
+/// A recording context: what the instance sent, decided and drew.
+#[derive(Debug)]
+struct Ctx {
+    id: ProcessorId,
+    cfg: SystemConfig,
+    input: Bit,
+    rng: ProcessorRng,
+    sent: Vec<(ProcessorId, Payload)>,
+    decided: Option<Bit>,
+    draws: u64,
+}
+
+impl Ctx {
+    fn new(id: ProcessorId, input: Bit, cfg: SystemConfig) -> Self {
+        Ctx {
+            id,
+            cfg,
+            input,
+            rng: ProcessorRng::for_processor(0xC0FFEE, id),
+            sent: Vec::new(),
+            decided: None,
+            draws: 0,
+        }
+    }
+
+    /// Everything observable so far, the sends taken out.
+    fn effects(&mut self) -> (Vec<(ProcessorId, Payload)>, Option<Bit>, u64) {
+        (std::mem::take(&mut self.sent), self.decided, self.draws)
+    }
+}
+
+impl Context for Ctx {
+    fn id(&self) -> ProcessorId {
+        self.id
+    }
+    fn config(&self) -> SystemConfig {
+        self.cfg
+    }
+    fn input(&self) -> Bit {
+        self.input
+    }
+    fn send(&mut self, to: ProcessorId, payload: Payload) {
+        self.sent.push((to, payload));
+    }
+    fn random_bit(&mut self) -> Bit {
+        self.draws += 1;
+        self.rng.bit()
+    }
+    fn random_range(&mut self, bound: u64) -> u64 {
+        self.draws += 1;
+        self.rng.range(bound)
+    }
+    fn random_ticket(&mut self) -> u64 {
+        self.draws += 1;
+        self.rng.ticket()
+    }
+    fn decide(&mut self, value: Bit) {
+        self.decided.get_or_insert(value);
+    }
+    fn decision(&self) -> Option<Bit> {
+        self.decided
+    }
+}
+
+/// Where the box points: a rebuild in place keeps it, a `build` cannot (the
+/// new box exists before the old one is dropped).
+fn address(slot: &dyn Protocol) -> *const u8 {
+    std::ptr::from_ref(slot).cast()
+}
+
+/// Runs `n` instances of `builder` under full, in-order delivery until
+/// nothing is in flight (or 20 000 deliveries), then resets processor 0 and
+/// lets it hear a little more. Returns processor 0's instance — started,
+/// delivered to, decided, reset — and every message it was sent.
+fn dirtied_instance(
+    builder: &dyn ProtocolBuilder,
+    cfg: SystemConfig,
+) -> (Box<dyn Protocol>, Vec<(ProcessorId, Payload)>) {
+    let ids: Vec<ProcessorId> = ProcessorId::all(cfg.n()).collect();
+    // One dissenter: every protocol still decides in its first round.
+    let input = |id: ProcessorId| Bit::from(id.index() != 1);
+    let mut instances: Vec<Box<dyn Protocol>> = ids
+        .iter()
+        .map(|&id| builder.build(id, input(id), &cfg))
+        .collect();
+    let mut ctxs: Vec<Ctx> = ids.iter().map(|&id| Ctx::new(id, input(id), cfg)).collect();
+    let mut heard_by_zero = Vec::new();
+    let mut in_flight = std::collections::VecDeque::new();
+    for (instance, ctx) in instances.iter_mut().zip(&mut ctxs) {
+        instance.on_start(ctx);
+        in_flight.extend(
+            ctx.sent
+                .drain(..)
+                .map(|(to, payload)| (ctx.id, to, payload)),
+        );
+    }
+    for _ in 0..20_000 {
+        let Some((from, to, payload)) = in_flight.pop_front() else {
+            break;
+        };
+        let ctx = &mut ctxs[to.index()];
+        instances[to.index()].on_message(from, &payload, ctx);
+        in_flight.extend(
+            ctx.sent
+                .drain(..)
+                .map(|(to, payload)| (ctx.id, to, payload)),
+        );
+        if to.index() == 0 {
+            heard_by_zero.push((from, payload));
+        }
+    }
+    let mut zero = instances.swap_remove(0);
+    assert!(
+        zero.digest().decided.is_some(),
+        "{}: the dirtying run must get processor 0 to decide",
+        builder.name()
+    );
+    zero.on_reset(&mut ctxs[0]);
+    for (from, payload) in heard_by_zero.iter().rev().take(5) {
+        zero.on_message(*from, payload, &mut ctxs[0]);
+    }
+    assert!(!heard_by_zero.is_empty());
+    (zero, heard_by_zero)
+}
+
+/// Rebuilds `slot` with `builder` for `(id, input)` and compares it with a
+/// new instance over `on_start` and the messages of `script`, repeated as
+/// often as it takes (a committee observer hears fewer than fifty).
+fn assert_rebuild_equals_build(
+    builder: &dyn ProtocolBuilder,
+    slot: &mut Box<dyn Protocol>,
+    id: ProcessorId,
+    input: Bit,
+    cfg: SystemConfig,
+    script: &[(ProcessorId, Payload)],
+) {
+    let context = format!("{} rebuilt for {id} with input {input}", builder.name());
+    builder.rebuild(slot, id, input, &cfg);
+    let mut fresh = builder.build(id, input, &cfg);
+    assert_eq!(slot.digest(), fresh.digest(), "{context}: digest");
+    let (mut rebuilt_ctx, mut fresh_ctx) = (Ctx::new(id, input, cfg), Ctx::new(id, input, cfg));
+    slot.on_start(&mut rebuilt_ctx);
+    fresh.on_start(&mut fresh_ctx);
+    assert_eq!(
+        rebuilt_ctx.effects(),
+        fresh_ctx.effects(),
+        "{context}: start"
+    );
+    let replayed = script.iter().cycle().take(REPLAYED_CALLBACKS - 1);
+    for (step, (from, payload)) in replayed.enumerate() {
+        slot.on_message(*from, payload, &mut rebuilt_ctx);
+        fresh.on_message(*from, payload, &mut fresh_ctx);
+        assert_eq!(
+            rebuilt_ctx.effects(),
+            fresh_ctx.effects(),
+            "{context}: callback {step}"
+        );
+        assert_eq!(slot.digest(), fresh.digest(), "{context}: digest {step}");
+    }
+}
+
+/// The whole contract for one builder: its own dirtied instance is reset in
+/// place for each identity in `ids`, and an instance of each builder in
+/// `strangers` — another protocol, or this one with other parameters — is
+/// replaced; either way nothing tells the result from `build`.
+fn check_builder(
+    builder: &dyn ProtocolBuilder,
+    cfg: SystemConfig,
+    ids: &[usize],
+    strangers: &[(&dyn ProtocolBuilder, SystemConfig)],
+) {
+    let (mut slot, script) = dirtied_instance(builder, cfg);
+    let initial: StateDigest = builder.build(ProcessorId::new(0), Bit::One, &cfg).digest();
+    assert_ne!(slot.digest(), initial, "the instance must start out dirty");
+    for (&id, input) in ids.iter().zip([Bit::Zero, Bit::One].into_iter().cycle()) {
+        let before = address(slot.as_ref());
+        assert_rebuild_equals_build(
+            builder,
+            &mut slot,
+            ProcessorId::new(id),
+            input,
+            cfg,
+            &script,
+        );
+        assert_eq!(
+            address(slot.as_ref()),
+            before,
+            "{}: its own instance is reset in place",
+            builder.name()
+        );
+    }
+    for &(stranger, stranger_cfg) in strangers {
+        let (mut slot, _) = dirtied_instance(stranger, stranger_cfg);
+        let before = address(slot.as_ref());
+        assert_rebuild_equals_build(
+            builder,
+            &mut slot,
+            ProcessorId::new(2),
+            Bit::One,
+            cfg,
+            &script,
+        );
+        assert_ne!(
+            address(slot.as_ref()),
+            before,
+            "{}: an instance of {} at n={} is replaced, not adopted",
+            builder.name(),
+            stranger.name(),
+            stranger_cfg.n()
+        );
+    }
+}
+
+fn third(n: usize) -> SystemConfig {
+    SystemConfig::with_third_resilience(n).unwrap()
+}
+
+#[test]
+fn ben_or_rebuild_equals_build() {
+    let cfg = SystemConfig::new(7, 2).unwrap();
+    check_builder(
+        &BenOrBuilder::new(),
+        cfg,
+        &[0, 1, 6],
+        &[
+            (&BrachaBuilder::new(), SystemConfig::new(7, 2).unwrap()),
+            (&BenOrBuilder::new(), SystemConfig::new(7, 1).unwrap()),
+            (&BenOrBuilder::new(), SystemConfig::new(9, 2).unwrap()),
+        ],
+    );
+}
+
+#[test]
+fn bracha_rebuild_equals_build() {
+    check_builder(
+        &BrachaBuilder::new(),
+        third(7),
+        &[0, 1, 6],
+        &[
+            (&BenOrBuilder::new(), third(7)),
+            (&BrachaBuilder::new(), SystemConfig::new(7, 1).unwrap()),
+            (&BrachaBuilder::new(), third(10)),
+        ],
+    );
+}
+
+#[test]
+fn reset_tolerant_rebuild_equals_build() {
+    let cfg = SystemConfig::with_sixth_resilience(13).unwrap();
+    let recommended = ResetTolerantBuilder::recommended(&cfg).unwrap();
+    let loose = ResetTolerantBuilder::with_thresholds(Thresholds::new(8, 8, 7));
+    let wide = SystemConfig::with_sixth_resilience(70).unwrap();
+    check_builder(
+        &recommended,
+        cfg,
+        &[0, 1, 12],
+        &[
+            (&loose, cfg),
+            (&BenOrBuilder::new(), cfg),
+            // Equal thresholds, but voter sets sized for another system.
+            (&recommended, wide),
+        ],
+    );
+    check_builder(&loose, cfg, &[5], &[(&recommended, cfg)]);
+}
+
+#[test]
+fn committee_rebuild_equals_build() {
+    let cfg = third(40);
+    let sampled = CommitteeBuilder::sampled(&cfg, 7, 11);
+    let baseline = CommitteeBuilder::random(&cfg, 7, 11);
+    let member = sampled.committee()[0].index();
+    let observer = (0..40)
+        .find(|&i| !sampled.committee().contains(&ProcessorId::new(i)))
+        .unwrap();
+    check_builder(
+        &sampled,
+        cfg,
+        &[member, observer, member],
+        &[
+            (&CommitteeBuilder::sampled(&cfg, 7, 12), cfg),
+            (&CommitteeBuilder::sampled(&cfg, 10, 11), cfg),
+            // An equal roster is still another roster: the instances keep
+            // the builder's own allocation.
+            (&CommitteeBuilder::sampled(&cfg, 7, 11), cfg),
+            (&baseline, cfg),
+            (&BenOrBuilder::new(), cfg),
+        ],
+    );
+    check_builder(&baseline, cfg, &[0, 39], &[(&sampled, cfg)]);
+    // A clone shares the roster, and so the instances.
+    let (mut slot, script) = dirtied_instance(&baseline, cfg);
+    let before = address(slot.as_ref());
+    assert_rebuild_equals_build(
+        &baseline.clone(),
+        &mut slot,
+        ProcessorId::new(3),
+        Bit::One,
+        cfg,
+        &script,
+    );
+    assert_eq!(address(slot.as_ref()), before);
+}

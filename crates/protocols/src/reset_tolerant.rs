@@ -68,6 +68,19 @@ impl ResetTolerant {
         }
     }
 
+    /// Returns this instance to the state [`ResetTolerant::new`] builds for
+    /// `input` and the thresholds it already has, keeping the tally's
+    /// storage.
+    fn reinit(&mut self, input: Bit) {
+        self.mode = Mode::Normal;
+        self.round = 1;
+        self.estimate = input;
+        self.tally.clear();
+        self.last_processed_round = 0;
+        self.reset_count = 0;
+        self.decided = None;
+    }
+
     /// The thresholds this instance runs with.
     pub fn thresholds(&self) -> Thresholds {
         self.thresholds
@@ -252,6 +265,23 @@ impl ProtocolBuilder for ResetTolerantBuilder {
         let mut protocol = ResetTolerant::new(input, self.thresholds);
         protocol.tally = RoundTally::for_processors(cfg.n());
         Box::new(protocol)
+    }
+
+    fn rebuild(
+        &self,
+        slot: &mut Box<dyn Protocol>,
+        id: ProcessorId,
+        input: Bit,
+        cfg: &SystemConfig,
+    ) {
+        match slot.downcast_mut::<ResetTolerant>() {
+            Some(ours)
+                if ours.thresholds == self.thresholds && ours.tally.is_sized_for(cfg.n()) =>
+            {
+                ours.reinit(input);
+            }
+            _ => *slot = self.build(id, input, cfg),
+        }
     }
 }
 

@@ -17,10 +17,11 @@
 //! [`ProcessorId`]; the words are sized once, from the processor count the
 //! tally was built for, and grow only if a larger identity shows up. Keys are
 //! stored, not indexed, so any `round` value works. Slots retired by
-//! [`RoundTally::forget_rounds_before`] and [`RoundTally::clear`] move to a
-//! spare list and the next new key takes one back, words and all: once a
-//! processor has seen as many keys at once as it ever will, recording a vote
-//! never allocates.
+//! [`RoundTally::forget_rounds_before`] and [`RoundTally::clear`] are wiped
+//! and rotated behind the live prefix of the same `Vec`, and the next new key
+//! takes one back, words and all: once a processor has seen as many keys at
+//! once as it ever will, recording a vote never allocates, and retiring never
+//! does.
 
 use std::cmp::Ordering;
 
@@ -47,10 +48,12 @@ use agreement_model::{Bit, ProcessorId};
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct RoundTally {
-    /// Keys with at least one recorded vote, sorted by `(round, phase)`.
-    live: Vec<Slot>,
-    /// Retired slots, kept for their `voters` storage.
-    spare: Vec<Slot>,
+    /// `slots[..live]` are the keys with at least one recorded vote, sorted
+    /// by `(round, phase)`; the rest are retired slots, wiped, kept for their
+    /// `voters` storage. One list: a tally that outlives its trial would
+    /// otherwise carry a second allocation per processor.
+    slots: Vec<Slot>,
+    live: usize,
     /// Voter words a brand-new slot starts with.
     voter_words: usize,
 }
@@ -127,10 +130,23 @@ impl RoundTally {
         }
     }
 
-    /// Where `(round, phase)` is in `live`, or where it would be inserted.
-    /// Scans from the back: protocols ask about their newest rounds.
+    /// Whether the voter sets are sized as [`RoundTally::for_processors`]
+    /// sizes them for `n` — what a cleared tally must also match to stand in
+    /// for a new one.
+    pub(crate) fn is_sized_for(&self, n: usize) -> bool {
+        self.voter_words == n.div_ceil(64)
+    }
+
+    /// The keys with at least one recorded vote, sorted by `(round, phase)`.
+    fn live(&self) -> &[Slot] {
+        &self.slots[..self.live]
+    }
+
+    /// Where `(round, phase)` is among the live keys, or where it would be
+    /// inserted. Scans from the back: protocols ask about their newest
+    /// rounds.
     fn position(&self, round: u64, phase: u8) -> Result<usize, usize> {
-        for (i, slot) in self.live.iter().enumerate().rev() {
+        for (i, slot) in self.live().iter().enumerate().rev() {
             match slot.key().cmp(&(round, phase)) {
                 Ordering::Equal => return Ok(i),
                 Ordering::Less => return Err(i + 1),
@@ -141,7 +157,7 @@ impl RoundTally {
     }
 
     fn slot(&self, round: u64, phase: u8) -> Option<&Slot> {
-        self.position(round, phase).ok().map(|i| &self.live[i])
+        self.position(round, phase).ok().map(|i| &self.slots[i])
     }
 
     /// Records a vote from `sender` for key `(round, phase)`.
@@ -161,17 +177,18 @@ impl RoundTally {
         let at = match self.position(round, phase) {
             Ok(at) => at,
             Err(at) => {
-                let mut slot = self
-                    .spare
-                    .pop()
-                    .unwrap_or_else(|| Slot::empty(self.voter_words));
-                slot.round = round;
-                slot.phase = phase;
-                self.live.insert(at, slot);
+                if self.live == self.slots.len() {
+                    self.slots.push(Slot::empty(self.voter_words));
+                }
+                // The first spare takes the key and moves into sorted place.
+                self.slots[self.live].round = round;
+                self.slots[self.live].phase = phase;
+                self.slots[at..=self.live].rotate_right(1);
+                self.live += 1;
                 at
             }
         };
-        let slot = &mut self.live[at];
+        let slot = &mut self.slots[at];
         let (word, bit) = (sender.index() / 64, 1u64 << (sender.index() % 64));
         if word >= slot.voters.len() {
             slot.voters.resize(word + 1, 0);
@@ -238,7 +255,7 @@ impl RoundTally {
     }
 
     fn ready_rounds(&self, phase: u8, threshold: usize) -> impl Iterator<Item = u64> + '_ {
-        self.live
+        self.live()
             .iter()
             .filter(move |k| k.phase == phase && k.total() >= threshold)
             .map(|k| k.round)
@@ -247,24 +264,25 @@ impl RoundTally {
     /// Discards all recorded votes for rounds strictly before `round`.
     /// Keeps the memory footprint of long executions bounded.
     pub fn forget_rounds_before(&mut self, round: u64) {
-        let keep_from = self.live.partition_point(|k| k.round < round);
+        let keep_from = self.live().partition_point(|k| k.round < round);
         self.retire(keep_from);
     }
 
     /// Discards everything (used when a processor is reset).
     pub fn clear(&mut self) {
-        self.retire(self.live.len());
+        self.retire(self.live);
     }
 
-    /// Moves the first `count` live slots, wiped, to the spare list.
+    /// Wipes the first `count` live slots and moves them behind the rest.
     fn retire(&mut self, count: usize) {
-        self.spare.extend(self.live.drain(..count).map(|mut slot| {
+        for slot in &mut self.slots[..count] {
             slot.zeros = 0;
             slot.ones = 0;
             slot.abstains = 0;
             slot.voters.fill(0);
-            slot
-        }));
+        }
+        self.slots[..self.live].rotate_left(count);
+        self.live -= count;
     }
 }
 
@@ -511,7 +529,7 @@ mod tests {
             assert!(!t.has_voted(round + 1, 0, p(1)));
         }
         // Two keys were alive at once at most, so two slots exist in all.
-        assert_eq!(t.live.len() + t.spare.len(), 2);
+        assert_eq!((t.live, t.slots.len()), (1, 2));
     }
 
     fn p(i: usize) -> ProcessorId {

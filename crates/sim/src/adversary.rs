@@ -19,12 +19,22 @@
 //! [`ModelDescriptor`](crate::ModelDescriptor) on its factory — one of the
 //! three this crate ships.
 
+use std::cell::Cell;
+
 use agreement_model::{Bit, Payload, ProcessorId, StateDigest, SystemConfig};
 
 use crate::buffer::MessageBuffer;
+use crate::harness::ProcessorHarness;
 use crate::window::Window;
 
 /// The full-information view an adversary is given before each decision.
+///
+/// The view does not copy the processors, it borrows them: outputs and crash
+/// flags are read off the harnesses when asked for, and a digest is computed
+/// ([`Protocol::digest`](agreement_model::Protocol::digest)) the first time
+/// it is asked for after its processor last changed, then remembered. A
+/// decision costs what it reads — one that looks only at the buffer calls no
+/// protocol at all.
 #[derive(Debug)]
 pub struct SystemView<'a> {
     /// The static configuration (`n`, `t`).
@@ -32,17 +42,34 @@ pub struct SystemView<'a> {
     /// Index of the decision point: the window index for the window engine,
     /// the step index for the asynchronous engine.
     pub time: u64,
-    /// Adversary-visible digests of every processor's internal state.
-    pub digests: &'a [StateDigest],
-    /// The durable output bits (decisions) of every processor.
-    pub outputs: &'a [Option<Bit>],
-    /// Which processors have crashed.
-    pub crashed: &'a [bool],
     /// Every undelivered message (the adversary reads all contents).
     pub buffer: &'a MessageBuffer,
+    harnesses: &'a [ProcessorHarness],
+    /// `digest_memo[i]` is processor `i`'s digest while it is known to be
+    /// current, `None` once the processor has changed since it was computed.
+    digest_memo: &'a [Cell<Option<StateDigest>>],
 }
 
 impl<'a> SystemView<'a> {
+    /// A view of `harnesses`; `digest_memo` has one cell per harness, `None`
+    /// wherever the harness changed since the cell was filled.
+    pub(crate) fn new(
+        config: SystemConfig,
+        time: u64,
+        buffer: &'a MessageBuffer,
+        harnesses: &'a [ProcessorHarness],
+        digest_memo: &'a [Cell<Option<StateDigest>>],
+    ) -> Self {
+        debug_assert_eq!(harnesses.len(), digest_memo.len());
+        SystemView {
+            config,
+            time,
+            buffer,
+            harnesses,
+            digest_memo,
+        }
+    }
+
     /// Number of processors.
     pub fn n(&self) -> usize {
         self.config.n()
@@ -53,15 +80,49 @@ impl<'a> SystemView<'a> {
         self.config.t()
     }
 
+    /// The durable output bit (decision) of processor `i`.
+    pub fn output(&self, i: usize) -> Option<Bit> {
+        self.harnesses[i].decision()
+    }
+
+    /// The output bits of every processor, in identity order.
+    pub fn outputs(&self) -> impl Iterator<Item = Option<Bit>> + '_ {
+        self.harnesses.iter().map(ProcessorHarness::decision)
+    }
+
+    /// Whether processor `i` has crashed.
+    pub fn is_crashed(&self, i: usize) -> bool {
+        self.harnesses[i].is_crashed()
+    }
+
+    /// Indices of the processors that have not crashed, ascending.
+    pub fn live(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.harnesses.len()).filter(|&i| !self.is_crashed(i))
+    }
+
+    /// The adversary-visible digest of processor `i`'s internal state.
+    pub fn digest(&self, i: usize) -> StateDigest {
+        let memo = &self.digest_memo[i];
+        memo.get().unwrap_or_else(|| {
+            let digest = self.harnesses[i].digest();
+            memo.set(Some(digest));
+            digest
+        })
+    }
+
+    /// The digests of every processor, in identity order.
+    pub fn digests(&self) -> impl Iterator<Item = StateDigest> + '_ {
+        (0..self.harnesses.len()).map(|i| self.digest(i))
+    }
+
     /// Identities of processors that have not decided yet (and have not
     /// crashed). Returns a lazy iterator so adversary decision loops can scan
     /// without allocating a `Vec` per decision.
     pub fn undecided(&self) -> impl Iterator<Item = ProcessorId> + '_ {
-        self.outputs
+        self.harnesses
             .iter()
-            .enumerate()
-            .filter(|(i, out)| out.is_none() && !self.crashed[*i])
-            .map(|(i, _)| ProcessorId::new(i))
+            .filter(|h| h.decision().is_none() && !h.is_crashed())
+            .map(ProcessorHarness::id)
     }
 
     /// Finds the first nonempty channel at or after `cursor` in the
@@ -92,42 +153,34 @@ impl<'a> SystemView<'a> {
         cursor: usize,
         admit: impl Fn(ProcessorId, ProcessorId) -> bool,
     ) -> Option<(usize, ProcessorId, ProcessorId)> {
-        let crashed = self.crashed;
         self.buffer
             .next_pending_channel_where(self.n(), cursor, move |from, to| {
-                !crashed[to.index()] && admit(from, to)
+                !self.is_crashed(to.index()) && admit(from, to)
             })
     }
 
     /// Returns `true` if some processor has written its output bit.
     pub fn any_decided(&self) -> bool {
-        self.outputs.iter().any(Option::is_some)
+        self.outputs().any(|out| out.is_some())
     }
 
     /// Returns `true` if every non-crashed processor has written its output bit.
     pub fn all_correct_decided(&self) -> bool {
-        self.outputs
+        self.harnesses
             .iter()
-            .zip(self.crashed)
-            .all(|(out, crashed)| *crashed || out.is_some())
+            .all(|h| h.is_crashed() || h.decision().is_some())
     }
 
     /// Counts how many (non-crashed) processors currently hold estimate `value`.
     pub fn estimate_count(&self, value: Bit) -> usize {
-        self.digests
-            .iter()
-            .zip(self.crashed)
-            .filter(|(d, crashed)| !**crashed && d.estimate == Some(value))
+        self.live()
+            .filter(|&i| self.digest(i).estimate == Some(value))
             .count()
     }
 
     /// The highest protocol round any processor has reached.
     pub fn max_round(&self) -> u64 {
-        self.digests
-            .iter()
-            .filter_map(|d| d.round)
-            .max()
-            .unwrap_or(0)
+        self.digests().filter_map(|d| d.round).max().unwrap_or(0)
     }
 }
 
@@ -381,29 +434,93 @@ impl PartialSyncAdversary for BenignEventualAdversary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use agreement_model::Envelope;
+    use agreement_model::{Context, Envelope, Protocol, ProtocolBuilder};
 
-    fn digests(n: usize) -> Vec<StateDigest> {
-        (0..n).map(|_| StateDigest::initial(Bit::Zero)).collect()
+    /// Decides the value it was built with, if any, as soon as it starts.
+    #[derive(Debug)]
+    struct Preset(Option<Bit>);
+
+    impl Protocol for Preset {
+        fn on_start(&mut self, ctx: &mut dyn Context) {
+            if let Some(value) = self.0 {
+                ctx.decide(value);
+            }
+        }
+
+        fn on_message(&mut self, _from: ProcessorId, _payload: &Payload, _ctx: &mut dyn Context) {}
+
+        fn digest(&self) -> StateDigest {
+            StateDigest::initial(Bit::Zero)
+        }
+    }
+
+    #[derive(Debug)]
+    struct PresetBuilder<'a>(&'a [Option<Bit>]);
+
+    impl ProtocolBuilder for PresetBuilder<'_> {
+        fn name(&self) -> &'static str {
+            "preset"
+        }
+
+        fn build(&self, id: ProcessorId, _input: Bit, _cfg: &SystemConfig) -> Box<dyn Protocol> {
+            Box::new(Preset(self.0[id.index()]))
+        }
+    }
+
+    /// The processors a test view looks at: started harnesses with the given
+    /// output bits and crash flags, and their (empty) digest memo.
+    struct Processors {
+        cfg: SystemConfig,
+        harnesses: Vec<ProcessorHarness>,
+        digest_memo: Vec<Cell<Option<StateDigest>>>,
+    }
+
+    impl Processors {
+        fn new(cfg: SystemConfig, outputs: &[Option<Bit>], crashed: &[bool]) -> Self {
+            let builder = PresetBuilder(outputs);
+            let harnesses = ProcessorId::all(cfg.n())
+                .map(|id| {
+                    let mut harness = ProcessorHarness::new(id, Bit::Zero, cfg, &builder, 0);
+                    harness.start();
+                    if crashed[id.index()] {
+                        harness.crash();
+                    }
+                    harness
+                })
+                .collect();
+            Processors {
+                cfg,
+                harnesses,
+                digest_memo: vec![Cell::new(None); cfg.n()],
+            }
+        }
+
+        fn undecided(cfg: SystemConfig) -> Self {
+            Processors::new(cfg, &vec![None; cfg.n()], &vec![false; cfg.n()])
+        }
+
+        fn view<'a>(&'a self, time: u64, buffer: &'a MessageBuffer) -> SystemView<'a> {
+            SystemView::new(self.cfg, time, buffer, &self.harnesses, &self.digest_memo)
+        }
     }
 
     #[test]
     fn system_view_helpers() {
         let cfg = SystemConfig::new(4, 1).unwrap();
-        let digests = digests(4);
-        let outputs = vec![None, Some(Bit::One), None, None];
-        let crashed = vec![false, false, true, false];
+        let outputs = [None, Some(Bit::One), None, None];
+        let crashed = [false, false, true, false];
+        let processors = Processors::new(cfg, &outputs, &crashed);
         let buffer = MessageBuffer::new();
-        let view = SystemView {
-            config: cfg,
-            time: 3,
-            digests: &digests,
-            outputs: &outputs,
-            crashed: &crashed,
-            buffer: &buffer,
-        };
+        let view = processors.view(3, &buffer);
         assert_eq!(view.n(), 4);
         assert_eq!(view.t(), 1);
+        assert_eq!(view.outputs().collect::<Vec<_>>(), outputs);
+        assert_eq!(
+            (0..4).map(|i| view.is_crashed(i)).collect::<Vec<_>>(),
+            crashed
+        );
+        assert_eq!(view.output(1), Some(Bit::One));
+        assert_eq!(view.digest(1).decided, Some(Bit::One));
         assert!(view.any_decided());
         assert!(!view.all_correct_decided());
         assert_eq!(
@@ -418,20 +535,10 @@ mod tests {
     #[test]
     fn full_delivery_adversary_emits_valid_windows() {
         let cfg = SystemConfig::new(6, 1).unwrap();
-        let digests = digests(6);
-        let outputs = vec![None; 6];
-        let crashed = vec![false; 6];
+        let processors = Processors::undecided(cfg);
         let buffer = MessageBuffer::new();
-        let view = SystemView {
-            config: cfg,
-            time: 0,
-            digests: &digests,
-            outputs: &outputs,
-            crashed: &crashed,
-            buffer: &buffer,
-        };
         let mut adv = FullDeliveryAdversary;
-        let w = adv.next_window(&view);
+        let w = adv.next_window(&processors.view(0, &buffer));
         assert!(w.validate(&cfg).is_ok());
         assert_eq!(adv.name(), "full-delivery");
     }
@@ -439,9 +546,7 @@ mod tests {
     #[test]
     fn fair_async_adversary_serves_channels_round_robin_and_halts_when_empty() {
         let cfg = SystemConfig::new(2, 0).unwrap();
-        let digests = digests(2);
-        let outputs = vec![None; 2];
-        let crashed = vec![false; 2];
+        let processors = Processors::undecided(cfg);
         let mut buffer = MessageBuffer::new();
         buffer.enqueue(Envelope::new(
             ProcessorId::new(0),
@@ -454,15 +559,7 @@ mod tests {
             Payload::Decided { value: Bit::One },
         ));
         let mut adv = FairAsyncAdversary::default();
-        let view = SystemView {
-            config: cfg,
-            time: 0,
-            digests: &digests,
-            outputs: &outputs,
-            crashed: &crashed,
-            buffer: &buffer,
-        };
-        let first = adv.next_action(&view);
+        let first = adv.next_action(&processors.view(0, &buffer));
         assert_eq!(
             first,
             AsyncAction::Deliver {
@@ -472,15 +569,7 @@ mod tests {
         );
         // Pretend the first was delivered; the adversary should move on.
         buffer.pop(ProcessorId::new(0), ProcessorId::new(1));
-        let view = SystemView {
-            config: cfg,
-            time: 1,
-            digests: &digests,
-            outputs: &outputs,
-            crashed: &crashed,
-            buffer: &buffer,
-        };
-        let second = adv.next_action(&view);
+        let second = adv.next_action(&processors.view(1, &buffer));
         assert_eq!(
             second,
             AsyncAction::Deliver {
@@ -489,23 +578,16 @@ mod tests {
             }
         );
         buffer.pop(ProcessorId::new(1), ProcessorId::new(0));
-        let view = SystemView {
-            config: cfg,
-            time: 2,
-            digests: &digests,
-            outputs: &outputs,
-            crashed: &crashed,
-            buffer: &buffer,
-        };
-        assert_eq!(adv.next_action(&view), AsyncAction::Halt);
+        assert_eq!(
+            adv.next_action(&processors.view(2, &buffer)),
+            AsyncAction::Halt
+        );
     }
 
     #[test]
     fn fair_async_adversary_skips_crashed_recipients() {
         let cfg = SystemConfig::new(2, 1).unwrap();
-        let digests = digests(2);
-        let outputs = vec![None; 2];
-        let crashed = vec![false, true];
+        let processors = Processors::new(cfg, &[None; 2], &[false, true]);
         let mut buffer = MessageBuffer::new();
         buffer.enqueue(Envelope::new(
             ProcessorId::new(0),
@@ -513,14 +595,9 @@ mod tests {
             Payload::Decided { value: Bit::One },
         ));
         let mut adv = FairAsyncAdversary::default();
-        let view = SystemView {
-            config: cfg,
-            time: 0,
-            digests: &digests,
-            outputs: &outputs,
-            crashed: &crashed,
-            buffer: &buffer,
-        };
-        assert_eq!(adv.next_action(&view), AsyncAction::Halt);
+        assert_eq!(
+            adv.next_action(&processors.view(0, &buffer)),
+            AsyncAction::Halt
+        );
     }
 }

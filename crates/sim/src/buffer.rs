@@ -306,6 +306,10 @@ impl Lane {
         let end = if sent == 0 { 0 } else { self.cursors.len() };
         let row = &self.cursors[lo.min(end)..hi.min(end)];
         let by_cursor = row.iter().position(|&c| c < sent).map(|i| lo + i);
+        if by_cursor == Some(lo) {
+            // No queue belongs to a recipient before `lo`: nothing beats it.
+            return by_cursor;
+        }
         // Only a queue before the cursor hit can beat it.
         let hi = by_cursor.unwrap_or(hi);
         let by_queue = if self.sparse {
@@ -852,6 +856,7 @@ impl MessageBuffer {
     /// adversary pattern — resume-where-you-left-off round-robin — amortized
     /// O(1) per delivery instead of O(n²). Both layouts return identical
     /// results for identical contents.
+    #[inline]
     pub fn next_pending_channel_where(
         &self,
         n: usize,
@@ -869,6 +874,32 @@ impl MessageBuffer {
         } else {
             cursor % channels
         };
+        let hit = self.scan_from(n, start, &admit)?;
+        let (s, r) = (hit.sender(), hit.recipient());
+        // `s * n + r` is a channel index; one past the last wraps to 0.
+        let next = s * n + r + 1;
+        Some((
+            if next == channels { 0 } else { next },
+            ProcessorId::new(s),
+            ProcessorId::new(r),
+        ))
+    }
+
+    /// The scan behind [`MessageBuffer::next_pending_channel_where`], from
+    /// channel `start < n * n` on: the sender and recipient of the hit.
+    ///
+    /// Kept out of line, and its result one word ([`Hit`]), on purpose: this
+    /// is the one call of an asynchronous step the optimizer does not inline,
+    /// and the 32-byte `(cursor, from, to)` came back from it through the
+    /// stack as 8-byte stores read by a 16-byte load — a load store
+    /// forwarding cannot serve, 10 % of an n = 1 000 trial.
+    #[inline(never)]
+    fn scan_from(
+        &self,
+        n: usize,
+        start: usize,
+        admit: &impl Fn(ProcessorId, ProcessorId) -> bool,
+    ) -> Option<Hit> {
         let s0 = start / n;
         let r0 = start - s0 * n;
         let lanes = &self.lanes[..self.lanes.len().min(n)];
@@ -876,10 +907,16 @@ impl MessageBuffer {
         // other lane in cursor order — senders after the cursor, then
         // senders before it — skipping idle senders by the word through the
         // live bitset; last the cursor lane's recipients before the cursor.
-        scan_lane(lanes, s0, r0, n, n, &admit)
-            .or_else(|| scan_live_range(lanes, &self.live, s0 + 1, n, n, &admit))
-            .or_else(|| scan_live_range(lanes, &self.live, 0, s0, n, &admit))
-            .or_else(|| scan_lane(lanes, s0, 0, r0, n, &admit))
+        if let Some(hit) = scan_lane(lanes, s0, r0, n, admit) {
+            return Some(hit);
+        }
+        if let Some(hit) = scan_live_range(lanes, &self.live, s0 + 1, n, n, admit) {
+            return Some(hit);
+        }
+        if let Some(hit) = scan_live_range(lanes, &self.live, 0, s0, n, admit) {
+            return Some(hit);
+        }
+        scan_lane(lanes, s0, 0, r0, admit)
     }
 
     /// [`MessageBuffer::next_pending_channel_where`] with every channel
@@ -920,26 +957,42 @@ impl MessageBuffer {
     }
 }
 
+/// A pending channel as the scans report it: the sender's index in the high
+/// half of one word, the recipient's in the low half (lanes index recipients
+/// by `u32` throughout), so that an `Option` of it travels in two registers.
+#[derive(Debug, Clone, Copy)]
+struct Hit(u64);
+
+impl Hit {
+    fn new(sender: usize, recipient: usize) -> Hit {
+        debug_assert!(sender <= u32::MAX as usize && recipient <= u32::MAX as usize);
+        Hit((sender as u64) << 32 | recipient as u64)
+    }
+
+    fn sender(self) -> usize {
+        (self.0 >> 32) as usize
+    }
+
+    fn recipient(self) -> usize {
+        (self.0 & u64::from(u32::MAX)) as usize
+    }
+}
+
 /// Scans lane `s` for a pending, admitted channel to a recipient in
-/// `[lo_r, hi_r)`, in ascending recipient order. Returns the advanced
-/// cursor (in the caller's `n * n` channel space) and the endpoints.
+/// `[lo_r, hi_r)`, in ascending recipient order.
 fn scan_lane(
     lanes: &[Lane],
     s: usize,
     lo_r: usize,
     hi_r: usize,
-    n: usize,
     admit: &impl Fn(ProcessorId, ProcessorId) -> bool,
-) -> Option<(usize, ProcessorId, ProcessorId)> {
+) -> Option<Hit> {
     let lane = lanes.get(s).filter(|lane| lane.pending > 0)?;
     let from = ProcessorId::new(s);
     let mut lo = lo_r;
     while let Some(r) = lane.next_pending(lo, hi_r) {
-        let to = ProcessorId::new(r);
-        if admit(from, to) {
-            // `s * n + r` is a channel index; one past the last wraps to 0.
-            let next = s * n + r + 1;
-            return Some((if next == n * n { 0 } else { next }, from, to));
+        if admit(from, ProcessorId::new(r)) {
+            return Some(Hit::new(s, r));
         }
         lo = r + 1;
     }
@@ -956,7 +1009,7 @@ fn scan_live_range(
     hi: usize,
     n: usize,
     admit: &impl Fn(ProcessorId, ProcessorId) -> bool,
-) -> Option<(usize, ProcessorId, ProcessorId)> {
+) -> Option<Hit> {
     let hi = hi.min(lanes.len());
     if lo >= hi {
         return None;
@@ -977,7 +1030,7 @@ fn scan_live_range(
         while word != 0 {
             let s = w * 64 + word.trailing_zeros() as usize;
             word &= word - 1;
-            if let Some(hit) = scan_lane(lanes, s, 0, n, n, admit) {
+            if let Some(hit) = scan_lane(lanes, s, 0, n, admit) {
                 return Some(hit);
             }
         }

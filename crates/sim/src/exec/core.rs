@@ -15,6 +15,8 @@
 //! [`NoTrace`](agreement_model::NoTrace) monomorphizes every trace push (and
 //! the construction of its event) out of the campaign hot path entirely.
 
+use std::cell::Cell;
+
 use agreement_model::{
     Bit, FullTrace, InputAssignment, Payload, ProcessorId, ProtocolBuilder, Recorder, StateDigest,
     SystemConfig, TraceEvent,
@@ -63,19 +65,10 @@ pub struct ExecutionCore<P: Probe = NoProbe, R: Recorder = FullTrace> {
     resets_performed: u64,
     crashes_performed: u64,
     corrupted: Vec<bool>,
-    /// Reusable snapshot buffers for [`ExecutionCore::with_view`], refilled
-    /// before every adversary decision instead of freshly allocated.
-    view_digests: Vec<StateDigest>,
-    view_outputs: Vec<Option<Bit>>,
-    view_crashed: Vec<bool>,
-    /// `true` while the view snapshot buffers mirror the harnesses exactly,
-    /// up to the indices queued in `view_dirty`. Cleared whenever a wholesale
-    /// rebuild is cheaper or required (first view, `ensure_started`, or more
-    /// dirty marks than processors).
-    view_ready: bool,
-    /// Processors whose digest/output/crash entries must be re-read before
-    /// the next view is handed out. May contain duplicates.
-    view_dirty: Vec<usize>,
+    /// What [`SystemView::digest`] remembers between decisions: processor
+    /// `i`'s digest as last computed for a view, `None` once a transition has
+    /// touched the processor since (see `mark_view_dirty`).
+    digest_memo: Vec<Cell<Option<StateDigest>>>,
     /// Number of non-crashed processors that have not decided yet. Kept
     /// incrementally so termination checks are O(1) per adversary step
     /// instead of an O(n) scan.
@@ -151,11 +144,7 @@ impl<P: Probe, R: Recorder> ExecutionCore<P, R> {
         ExecutionCore {
             depth: vec![0; cfg.n()],
             corrupted: vec![false; cfg.n()],
-            view_digests: Vec::with_capacity(cfg.n()),
-            view_outputs: Vec::with_capacity(cfg.n()),
-            view_crashed: Vec::with_capacity(cfg.n()),
-            view_ready: false,
-            view_dirty: Vec::new(),
+            digest_memo: vec![Cell::new(None); cfg.n()],
             undecided_correct: cfg.n(),
             decided_count: 0,
             cfg,
@@ -180,8 +169,10 @@ impl<P: Probe, R: Recorder> ExecutionCore<P, R> {
     /// Re-initializes this core for a fresh trial **in place**, reusing every
     /// allocation the previous trial warmed up: the harness vector (and each
     /// harness's outbox/violation buffers), the send logs, cursor rows and
-    /// index queues of the buffer, the causal-depth and view scratch
-    /// vectors. Equivalent to building a new core with
+    /// index queues of the buffer, the causal-depth vector and the digest
+    /// memo, and — where the builder recognizes them as its own
+    /// ([`ProtocolBuilder::rebuild`]) — the protocol instances themselves.
+    /// Equivalent to building a new core with
     /// [`ExecutionCore::with_parts`] and the current probe/recorder — the
     /// workspace-reuse equivalence tests pin that down bit for bit.
     ///
@@ -227,8 +218,8 @@ impl<P: Probe, R: Recorder> ExecutionCore<P, R> {
         self.depth.resize(n, 0);
         self.corrupted.clear();
         self.corrupted.resize(n, false);
-        self.view_ready = false;
-        self.view_dirty.clear();
+        self.digest_memo.clear();
+        self.digest_memo.resize(n, Cell::new(None));
         self.undecided_correct = n;
         self.decided_count = 0;
         self.cfg = cfg;
@@ -347,63 +338,30 @@ impl<P: Probe, R: Recorder> ExecutionCore<P, R> {
     /// Gives a scheduler the full-information [`SystemView`] of the current
     /// state (digests, outputs, crash flags and the whole buffer).
     ///
-    /// Takes `&mut self` only to refresh the core's reusable snapshot
-    /// buffers; the adversary sees an immutable view. This runs once per
-    /// adversary decision, so it must not allocate — and at large `n` it must
-    /// not even rescan: the snapshot is kept incrementally, re-reading only
-    /// the processors whose state changed since the previous view (an
-    /// asynchronous step touches one recipient, so the refresh is O(1)). A
-    /// full rebuild happens only when the view was never built, after
-    /// `ensure_started` (which touches everyone), or when more marks than
-    /// processors accumulated (a window's delivery phase).
-    pub fn with_view<T>(&mut self, f: impl FnOnce(&SystemView<'_>) -> T) -> T {
-        if self.view_ready {
-            for &i in &self.view_dirty {
-                let harness = &self.harnesses[i];
-                self.view_digests[i] = harness.digest();
-                self.view_outputs[i] = harness.decision();
-                self.view_crashed[i] = harness.is_crashed();
-            }
-            self.view_dirty.clear();
-        } else {
-            self.view_digests.clear();
-            self.view_outputs.clear();
-            self.view_crashed.clear();
-            for harness in &self.harnesses {
-                self.view_digests.push(harness.digest());
-                self.view_outputs.push(harness.decision());
-                self.view_crashed.push(harness.is_crashed());
-            }
-            self.view_dirty.clear();
-            self.view_ready = true;
-        }
-        let view = SystemView {
-            config: self.cfg,
-            time: self.time,
-            digests: &self.view_digests,
-            outputs: &self.view_outputs,
-            crashed: &self.view_crashed,
-            buffer: &self.buffer,
-        };
-        f(&view)
+    /// This runs once per adversary decision and does no work of its own: the
+    /// view borrows the harnesses and the buffer, reads outputs and crash
+    /// flags off them when asked, and computes a digest only when the
+    /// adversary asks for one that is not remembered from an earlier
+    /// decision. An asynchronous step that consults no digest therefore
+    /// calls no [`Protocol::digest`](agreement_model::Protocol::digest), and
+    /// one that consults all of them calls it once per processor that
+    /// changed since they were last read.
+    pub fn with_view<T>(&self, f: impl FnOnce(&SystemView<'_>) -> T) -> T {
+        f(&SystemView::new(
+            self.cfg,
+            self.time,
+            &self.buffer,
+            &self.harnesses,
+            &self.digest_memo,
+        ))
     }
 
-    /// Queues processor `i` for a snapshot refresh before the next view.
-    ///
-    /// Once more marks than processors accumulate, a wholesale rebuild is
-    /// cheaper than replaying them, so the ready flag is dropped instead
-    /// (this is what every delivery phase of a window converges to).
+    /// Forgets the remembered digest of processor `i`; every transition that
+    /// hands the processor to its protocol, or resets or crashes it, ends
+    /// here.
     #[inline]
     fn mark_view_dirty(&mut self, i: usize) {
-        if !self.view_ready {
-            return;
-        }
-        if self.view_dirty.len() >= self.harnesses.len() {
-            self.view_ready = false;
-            self.view_dirty.clear();
-        } else {
-            self.view_dirty.push(i);
-        }
+        self.digest_memo[i].set(None);
     }
 
     /// Recomputes both decision counters from scratch (used after transitions
@@ -433,10 +391,8 @@ impl<P: Probe, R: Recorder> ExecutionCore<P, R> {
             harness.start();
         }
         // `on_start` may decide, and it is the one transition that touches
-        // every processor — rebuild the view snapshot and the decision
-        // counters wholesale rather than marking all n dirty.
-        self.view_ready = false;
-        self.view_dirty.clear();
+        // every processor.
+        self.digest_memo.fill(Cell::new(None));
         self.recount_decisions();
     }
 

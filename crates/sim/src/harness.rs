@@ -221,9 +221,12 @@ impl ProcessorHarness {
     }
 
     /// Re-initializes this harness for a fresh trial in place, reusing the
-    /// outbox and violation allocations: a brand-new protocol instance, a
-    /// fresh output register and rng stream, zeroed counters. Equivalent to
-    /// `ProcessorHarness::new` with the same arguments.
+    /// outbox and violation allocations: the protocol slot goes through
+    /// [`ProtocolBuilder::rebuild`] — which resets the previous trial's
+    /// instance where the builder recognizes it as its own and replaces it
+    /// otherwise — then a fresh output register and rng stream, zeroed
+    /// counters. Equivalent to `ProcessorHarness::new` with the same
+    /// arguments.
     pub fn reinit(
         &mut self,
         id: ProcessorId,
@@ -232,7 +235,7 @@ impl ProcessorHarness {
         builder: &dyn ProtocolBuilder,
         master_seed: u64,
     ) {
-        self.protocol = builder.build(id, input, &cfg);
+        builder.rebuild(&mut self.protocol, id, input, &cfg);
         self.started = false;
         self.core.id = id;
         self.core.cfg = cfg;

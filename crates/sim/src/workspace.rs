@@ -9,7 +9,9 @@
 //! and runs every trial it claims inside it, so the allocations of trial `k`
 //! are the warm starting point of trial `k + 1`
 //! ([`ExecutionCore::reinit`](crate::ExecutionCore::reinit) re-initializes
-//! the state in place).
+//! the state in place — the protocol instances included, wherever the
+//! trial's builder recognizes the previous trial's as its own:
+//! [`ProtocolBuilder::rebuild`]).
 //!
 //! The workspace runs its executions with
 //! [`NoTrace`](agreement_model::NoTrace): campaign trials are distilled into

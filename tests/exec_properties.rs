@@ -12,13 +12,22 @@
 //!    `ExecutionCore::run` with the corresponding scheduler.
 //! 3. **Campaign determinism** — parallel aggregation is bit-identical to the
 //!    serial path regardless of thread count.
+//! 4. **The view is the processors** — what `ExecutionCore::with_view` shows
+//!    an adversary equals what the harnesses hold after every step of every
+//!    model, and a digest is computed only when asked for and only once per
+//!    change.
+
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use agreement::adversary::{
-    GstProcrastinatorAdversary, RotatingResetAdversary, ScheduledCrashAdversary, SplitVoteAdversary,
+    Genome, GstProcrastinatorAdversary, RotatingResetAdversary, ScheduledCrashAdversary,
+    SearchAsyncAdversary, SearchPartialSyncAdversary, SearchWindowAdversary, SplitVoteAdversary,
 };
 use agreement::core::{Aggregate, Campaign, TrialPlan};
 use agreement::model::{
-    Bit, InputAssignment, ProcessorId, ProcessorRng, ProtocolBuilder, SystemConfig,
+    Bit, Context, InputAssignment, Payload, ProcessorId, ProcessorRng, Protocol, ProtocolBuilder,
+    StateDigest, SystemConfig,
 };
 use agreement::protocols::{BenOrBuilder, BrachaBuilder, ResetTolerantBuilder};
 use agreement::sim::{
@@ -352,4 +361,203 @@ fn full_delivery_baseline_outcome_is_pinned() {
     assert!(outcome.is_correct(&inputs));
     assert_eq!(outcome.decided_value(), Some(Bit::One));
     assert!(outcome.all_decided_at.is_some());
+}
+
+/// The digests, outputs and crash flags a view hands out, checked against the
+/// harnesses they are read from: the digests asked for twice in the one
+/// decision, the second time in the opposite order.
+fn assert_view_matches_the_harnesses(core: &ExecutionCore, context: &str) {
+    let n = core.config().n();
+    let (digests, again, outputs, crashed) = core.with_view(|view| {
+        let digests: Vec<StateDigest> = view.digests().collect();
+        let mut again: Vec<StateDigest> = (0..n).rev().map(|i| view.digest(i)).collect();
+        again.reverse();
+        let outputs: Vec<Option<Bit>> = view.outputs().collect();
+        assert_eq!(
+            (0..n).map(|i| view.output(i)).collect::<Vec<_>>(),
+            outputs,
+            "{context}"
+        );
+        let crashed: Vec<bool> = (0..n).map(|i| view.is_crashed(i)).collect();
+        (digests, again, outputs, crashed)
+    });
+    assert_eq!(digests, core.digests().collect::<Vec<_>>(), "{context}");
+    assert_eq!(again, digests, "{context}: second read");
+    assert_eq!(outputs, core.decisions().collect::<Vec<_>>(), "{context}");
+    assert_eq!(crashed, core.crashed().collect::<Vec<_>>(), "{context}");
+}
+
+/// Under all three schedulers, driven by seeded random schedules that reset,
+/// crash and corrupt, the view equals the harnesses before the start, after
+/// it and after every step — and again through a second trial run in the
+/// same core after `reinit`, whose first view must not remember the first
+/// trial's digests.
+#[test]
+fn the_view_equals_the_harnesses_after_every_step_of_every_model() {
+    /// Hands `drive` a fresh scheduler over a random schedule drawn from the seed.
+    type WithScheduler = fn(u64, SystemConfig, &mut dyn FnMut(&mut dyn Scheduler));
+    fn tape(model: &str, seed: u64) -> Vec<u8> {
+        Genome::from_seed(model, seed, 256).tape().to_vec()
+    }
+    let sixth = SystemConfig::with_sixth_resilience(7).unwrap();
+    let reset_tolerant = ResetTolerantBuilder::recommended(&sixth).unwrap();
+    let rows: [(&str, SystemConfig, &dyn ProtocolBuilder, WithScheduler); 3] = [
+        ("windowed", sixth, &reset_tolerant, |seed, _, drive| {
+            let mut adversary = SearchWindowAdversary::from_tape(tape("windowed", seed));
+            drive(&mut WindowScheduler::new(&mut adversary))
+        }),
+        (
+            "async",
+            SystemConfig::new(7, 2).unwrap(),
+            &BenOrBuilder::new(),
+            |seed, _, drive| {
+                let mut adversary = SearchAsyncAdversary::from_tape(tape("async", seed));
+                drive(&mut AsyncScheduler::new(&mut adversary))
+            },
+        ),
+        (
+            "partial-sync",
+            SystemConfig::new(7, 2).unwrap(),
+            &BrachaBuilder::new(),
+            |seed, cfg, drive| {
+                let tape = tape("partial-sync", seed);
+                let mut adversary = SearchPartialSyncAdversary::from_tape(tape, &cfg);
+                drive(&mut PartialSyncScheduler::new(&mut adversary))
+            },
+        ),
+    ];
+    let (mut resets, mut crashes, mut corrupted) = (0, 0, 0);
+    for (model, cfg, builder, with_scheduler) in rows {
+        for seed in 0..8u64 {
+            let n = cfg.n();
+            let mut core = ExecutionCore::new(cfg, InputAssignment::evenly_split(n), builder, seed);
+            for trial in 0..2u64 {
+                let context = format!("{model} seed {seed} trial {trial}");
+                assert_view_matches_the_harnesses(&core, &context);
+                with_scheduler(seed * 2 + trial, cfg, &mut |scheduler| {
+                    scheduler.on_start(&mut core);
+                    assert_view_matches_the_harnesses(&core, &context);
+                    for step in 0..300 {
+                        if core.all_correct_decided() || !scheduler.step(&mut core) {
+                            break;
+                        }
+                        assert_view_matches_the_harnesses(&core, &format!("{context} step {step}"));
+                    }
+                });
+                let metrics = core.metrics();
+                resets += metrics.resets_consumed;
+                crashes += metrics.crashes;
+                corrupted += core.corrupted().iter().filter(|&&c| c).count();
+                let inputs = InputAssignment::unanimous(n, Bit::from(seed % 2 == 0));
+                core.reinit(cfg, &inputs, builder, seed + 1_000);
+            }
+        }
+    }
+    assert!(
+        resets > 0 && crashes > 0 && corrupted > 0,
+        "the schedules must reset ({resets}), crash ({crashes}) and corrupt ({corrupted})"
+    );
+
+    // The two transitions a schedule above cannot isolate — a window resets
+    // and then delivers to everyone, and none of the three protocols changes
+    // its digest by starting — driven directly.
+    let mut core = ExecutionCore::new(sixth, InputAssignment::evenly_split(7), &DecidesAtStart, 0);
+    assert_view_matches_the_harnesses(&core, "before the start");
+    core.ensure_started();
+    assert_view_matches_the_harnesses(&core, "started");
+    core.reset(ProcessorId::new(3));
+    assert_view_matches_the_harnesses(&core, "reset");
+    core.crash(ProcessorId::new(4));
+    assert_view_matches_the_harnesses(&core, "crashed");
+}
+
+/// Decides its input the moment it starts, so that starting is visible in
+/// the digest.
+#[derive(Debug)]
+struct DecidesAtStart;
+
+impl Protocol for DecidesAtStart {
+    fn on_start(&mut self, ctx: &mut dyn Context) {
+        ctx.decide(ctx.input());
+    }
+    fn on_message(&mut self, _from: ProcessorId, _payload: &Payload, _ctx: &mut dyn Context) {}
+    fn digest(&self) -> StateDigest {
+        StateDigest::initial(Bit::Zero)
+    }
+}
+
+impl ProtocolBuilder for DecidesAtStart {
+    fn name(&self) -> &'static str {
+        "decides-at-start"
+    }
+    fn build(&self, _id: ProcessorId, _input: Bit, _cfg: &SystemConfig) -> Box<dyn Protocol> {
+        Box::new(DecidesAtStart)
+    }
+}
+
+/// Counts `digest` calls of the protocol it wraps.
+#[derive(Debug)]
+struct CountingDigests(Box<dyn Protocol>, Arc<AtomicU64>);
+
+impl Protocol for CountingDigests {
+    fn on_start(&mut self, ctx: &mut dyn Context) {
+        self.0.on_start(ctx);
+    }
+    fn on_message(&mut self, from: ProcessorId, payload: &Payload, ctx: &mut dyn Context) {
+        self.0.on_message(from, payload, ctx);
+    }
+    fn digest(&self) -> StateDigest {
+        self.1.fetch_add(1, Ordering::Relaxed);
+        self.0.digest()
+    }
+}
+
+#[derive(Debug)]
+struct CountingBuilder(BenOrBuilder, Arc<AtomicU64>);
+
+impl ProtocolBuilder for CountingBuilder {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+    fn build(&self, id: ProcessorId, input: Bit, cfg: &SystemConfig) -> Box<dyn Protocol> {
+        Box::new(CountingDigests(
+            self.0.build(id, input, cfg),
+            Arc::clone(&self.1),
+        ))
+    }
+}
+
+/// A decision pays for the digests it reads: none under a fair round-robin
+/// adversary, which reads none; `n` for the first decision that reads them
+/// all; and after that one per processor that took a step in between.
+#[test]
+fn a_view_computes_a_digest_only_when_asked_and_once_per_change() {
+    let cfg = SystemConfig::new(7, 2).unwrap();
+    let calls = Arc::new(AtomicU64::new(0));
+    let builder = CountingBuilder(BenOrBuilder::new(), Arc::clone(&calls));
+    let mut core = ExecutionCore::new(cfg, InputAssignment::evenly_split(7), &builder, 5);
+    let mut adversary = FairAsyncAdversary::default();
+    let mut scheduler = AsyncScheduler::new(&mut adversary);
+    let scheduler: &mut dyn Scheduler = &mut scheduler;
+    scheduler.on_start(&mut core);
+    for _ in 0..40 {
+        assert!(scheduler.step(&mut core));
+    }
+    assert_eq!(
+        calls.load(Ordering::Relaxed),
+        0,
+        "nobody asked for a digest"
+    );
+
+    let read_all = |core: &ExecutionCore| core.with_view(|view| view.digests().count());
+    assert_eq!(read_all(&core), 7);
+    assert_eq!(calls.load(Ordering::Relaxed), 7, "the first full read");
+    read_all(&core);
+    core.with_view(|view| (view.max_round(), view.estimate_count(Bit::One)));
+    assert_eq!(calls.load(Ordering::Relaxed), 7, "nothing changed since");
+
+    // One asynchronous step delivers to one processor.
+    assert!(scheduler.step(&mut core));
+    read_all(&core);
+    assert_eq!(calls.load(Ordering::Relaxed), 8, "one processor changed");
 }

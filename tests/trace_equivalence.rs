@@ -14,15 +14,23 @@
 //!    from fresh trace-keeping runs, across thread counts (fresh-per-trial
 //!    vs reused-workspace determinism);
 //! 3. per-aggregate: the E1-shaped aggregate derived from the two streams is
-//!    identical.
+//!    identical;
+//! 4. per-protocol: one workspace run through every `ProtocolSpec` variant,
+//!    and back and forth between builders whose instances must not be taken
+//!    for each other's, re-initializes its processors in place
+//!    (`ProtocolBuilder::rebuild`) and still equals fresh cores.
 
-use agreement::adversary::{RotatingResetAdversary, ScheduledCrashAdversary, SplitVoteAdversary};
-use agreement::core::{Aggregate, Campaign, TrialPlan, TrialRecord};
-use agreement::model::{InputAssignment, ProcessorId, ProcessorRng, SystemConfig, Trace};
+use agreement::adversary::{
+    GstProcrastinatorAdversary, RotatingResetAdversary, ScheduledCrashAdversary, SplitVoteAdversary,
+};
+use agreement::core::{Aggregate, Campaign, ProtocolSpec, TrialPlan, TrialRecord};
+use agreement::model::{
+    InputAssignment, ProcessorId, ProcessorRng, SystemConfig, Thresholds, Trace,
+};
 use agreement::protocols::{BenOrBuilder, BrachaBuilder, ResetTolerantBuilder};
 use agreement::sim::{
-    run_async, run_windowed, BuiltAdversary, FairAsyncAdversary, RunLimits, RunOutcome,
-    TrialWorkspace,
+    run_async, run_partial_sync, run_windowed, BuiltAdversary, FairAsyncAdversary, RunLimits,
+    RunOutcome, TrialWorkspace,
 };
 
 const CASES: u64 = 8;
@@ -237,4 +245,131 @@ fn async_campaign_records_match_fresh_full_trace_records() {
         Aggregate::from_records(&reference, plan.limits.max_steps),
         Aggregate::from_records(&campaign, plan.limits.max_steps),
     );
+}
+
+/// The model a [`one_workspace_through_every_protocol_matches_fresh_cores`]
+/// step runs under, with the adversary both sides of the comparison build.
+#[derive(Debug, Clone, Copy)]
+enum Model {
+    Windowed,
+    Async,
+    PartialSync,
+}
+
+/// Runs `spec` at `(13, t)` for three seeds inside `workspace` and in fresh
+/// trace-keeping cores, and compares the outcomes field for field.
+fn assert_workspace_matches_fresh(
+    workspace: &mut TrialWorkspace,
+    spec: ProtocolSpec,
+    t: usize,
+    model: Model,
+) {
+    let cfg = SystemConfig::new(13, t).unwrap();
+    let builder = spec.instantiate(&cfg).expect("the spec resolves").builder;
+    let builder = builder.as_ref();
+    let victims = || vec![ProcessorId::new(2)];
+    for seed in [3u64, 77, 4_001] {
+        let inputs = InputAssignment::split_at(13, (seed % 13) as usize);
+        let (limits, mut built, fresh) = match model {
+            Model::Windowed => {
+                let limits = RunLimits::windows(400);
+                let fresh = run_windowed(
+                    cfg,
+                    inputs.clone(),
+                    builder,
+                    &mut RotatingResetAdversary::new(),
+                    seed,
+                    limits,
+                );
+                let built = BuiltAdversary::windowed(Box::new(RotatingResetAdversary::new()));
+                (limits, built, fresh)
+            }
+            Model::Async => {
+                let limits = RunLimits::steps(40_000);
+                let fresh = run_async(
+                    cfg,
+                    inputs.clone(),
+                    builder,
+                    &mut ScheduledCrashAdversary::new(victims()),
+                    seed,
+                    limits,
+                );
+                let adversary = ScheduledCrashAdversary::new(victims());
+                (
+                    limits,
+                    BuiltAdversary::asynchronous(Box::new(adversary)),
+                    fresh,
+                )
+            }
+            Model::PartialSync => {
+                let limits = RunLimits::steps(40_000);
+                let fresh = run_partial_sync(
+                    cfg,
+                    inputs.clone(),
+                    builder,
+                    &mut GstProcrastinatorAdversary::new(32, 3),
+                    seed,
+                    limits,
+                );
+                let adversary = GstProcrastinatorAdversary::new(32, 3);
+                (
+                    limits,
+                    BuiltAdversary::partial_sync(Box::new(adversary)),
+                    fresh,
+                )
+            }
+        };
+        let reused = workspace.run_built(cfg, &inputs, builder, &mut built, seed, limits);
+        assert!(fresh.metrics.messages_delivered > 0, "{spec:?}: a real run");
+        assert_eq!(
+            reused,
+            strip_trace(fresh),
+            "{spec:?} under {model:?}, seed {seed}"
+        );
+    }
+}
+
+/// Every trial after a workspace's first re-initializes the processors it
+/// already has: instances of the trial's own builder are reset in place,
+/// anything else is replaced. One workspace is driven through all six
+/// `ProtocolSpec` variants and all three models, then back and forth between
+/// builders that share a type but not their parameters — two sampled
+/// committees of different seed and size, two threshold triples — and between
+/// Ben-Or and Bracha at one configuration; whatever it held before, every
+/// outcome equals the one a fresh core produces.
+#[test]
+fn one_workspace_through_every_protocol_matches_fresh_cores() {
+    let tight = Thresholds::new(9, 9, 7);
+    let loose = Thresholds::new(8, 8, 7);
+    let committee = |seed| ProtocolSpec::Committee { size: 5, seed };
+    let sampled = |size, seed| ProtocolSpec::SampledCommittee { size, seed };
+    let mut workspace = TrialWorkspace::new();
+    for (spec, t, model) in [
+        (ProtocolSpec::ResetTolerant, 2, Model::Windowed),
+        (ProtocolSpec::ResetTolerantWith(loose), 2, Model::Windowed),
+        (ProtocolSpec::BenOr, 4, Model::Async),
+        (ProtocolSpec::Bracha, 4, Model::Async),
+        (committee(11), 4, Model::Async),
+        (sampled(7, 11), 4, Model::Async),
+        (ProtocolSpec::BenOr, 4, Model::PartialSync),
+        // Same type, other parameters.
+        (sampled(7, 12), 4, Model::Async),
+        (sampled(4, 11), 4, Model::Async),
+        (sampled(7, 11), 4, Model::PartialSync),
+        (committee(11), 4, Model::Async),
+        (committee(12), 4, Model::Async),
+        (ProtocolSpec::ResetTolerantWith(tight), 2, Model::Windowed),
+        (ProtocolSpec::ResetTolerantWith(loose), 2, Model::Windowed),
+        (ProtocolSpec::ResetTolerantWith(tight), 2, Model::Windowed),
+        (ProtocolSpec::ResetTolerant, 2, Model::Windowed),
+        // Other type, same configuration; then same type, other fault budget.
+        (ProtocolSpec::BenOr, 4, Model::Async),
+        (ProtocolSpec::Bracha, 4, Model::Async),
+        (ProtocolSpec::BenOr, 4, Model::Async),
+        (ProtocolSpec::BenOr, 3, Model::Async),
+        (ProtocolSpec::Bracha, 3, Model::Async),
+        (ProtocolSpec::Bracha, 4, Model::PartialSync),
+    ] {
+        assert_workspace_matches_fresh(&mut workspace, spec, t, model);
+    }
 }
