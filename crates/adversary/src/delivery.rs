@@ -1,26 +1,16 @@
 //! Helpers for constructing delivery (sender) sets.
 //!
 //! A window adversary's main lever is the choice of the sender sets `S_i`
-//! (`|S_i| >= n - t`). These helpers build the common shapes: everyone, a
-//! fixed exclusion, and the *balanced* selection used by the split-vote
-//! adversary (exclude up to `t` senders from the majority side so that the
-//! delivered values are as close to an even split as possible).
+//! (`|S_i| >= n - t`). The helper here is the *balanced* selection used by
+//! the split-vote adversary: exclude up to `t` senders from the majority side
+//! so that the delivered values are as close to an even split as possible.
+//! (Everyone, and everyone but a few, are [`Window::push_all_senders`] and
+//! [`Window::strike_sender`].)
+//!
+//! [`Window::push_all_senders`]: agreement_sim::Window::push_all_senders
+//! [`Window::strike_sender`]: agreement_sim::Window::strike_sender
 
 use agreement_model::{Bit, ProcessorId};
-
-/// All `n` senders.
-pub fn full_senders(n: usize) -> Vec<ProcessorId> {
-    ProcessorId::all(n).collect()
-}
-
-/// All senders except those in `excluded` (which must leave at least `n - t`
-/// senders for the result to be a legal delivery set; the caller is
-/// responsible for respecting that budget).
-pub fn senders_excluding(n: usize, excluded: &[ProcessorId]) -> Vec<ProcessorId> {
-    ProcessorId::all(n)
-        .filter(|id| !excluded.contains(id))
-        .collect()
-}
 
 /// Chooses a delivery set of at least `n - t` senders that makes the
 /// delivered `Zero`/`One` values as balanced as possible.
@@ -33,20 +23,24 @@ pub fn senders_excluding(n: usize, excluded: &[ProcessorId]) -> Vec<ProcessorId>
 /// Returns the chosen sender set together with the resulting delivered counts
 /// `(zeros, ones)`.
 pub fn balanced_senders(values: &[Option<Bit>], t: usize) -> (Vec<ProcessorId>, (usize, usize)) {
-    balanced_senders_by(values.len(), t, |i| values[i])
+    let mut senders = Vec::with_capacity(values.len());
+    let counts = balanced_senders_by(values.len(), t, |i| values[i], |id| senders.push(id));
+    (senders, counts)
 }
 
 /// [`balanced_senders`] over senders `0..n` whose values are read through
-/// `value_of` instead of a slice, so a caller holding the values somewhere
-/// else (the split-vote adversary reads them out of the message buffer, once
-/// per window) does not have to collect them first. One pass counts the two
-/// sides, a second picks the senders; the returned set is the only
-/// allocation.
+/// `value_of` instead of a slice and whose chosen set goes to `push`, sender
+/// by sender in identity order, instead of into a fresh vector — the
+/// split-vote adversary reads the values out of the message buffer and
+/// pushes the senders into the window it is filling. One pass counts the two
+/// sides, a second picks the senders; nothing is allocated. Returns the
+/// delivered counts `(zeros, ones)`.
 pub(crate) fn balanced_senders_by(
     n: usize,
     t: usize,
     value_of: impl Fn(usize) -> Option<Bit>,
-) -> (Vec<ProcessorId>, (usize, usize)) {
+    mut push: impl FnMut(ProcessorId),
+) -> (usize, usize) {
     let (mut zeros, mut ones) = (0usize, 0usize);
     for i in 0..n {
         match value_of(i) {
@@ -62,43 +56,23 @@ pub(crate) fn balanced_senders_by(
     let exclude_count = zeros.abs_diff(ones).min(t);
     let majority = if zeros >= ones { Bit::Zero } else { Bit::One };
     let mut to_exclude = exclude_count;
-    let mut senders: Vec<ProcessorId> = Vec::with_capacity(n - exclude_count);
-    senders.extend(ProcessorId::all(n).filter(|id| {
-        let excluded = to_exclude > 0 && value_of(id.index()) == Some(majority);
-        to_exclude -= usize::from(excluded);
-        !excluded
-    }));
+    for id in ProcessorId::all(n) {
+        if to_exclude > 0 && value_of(id.index()) == Some(majority) {
+            to_exclude -= 1;
+        } else {
+            push(id);
+        }
+    }
 
-    let counts = match majority {
+    match majority {
         Bit::Zero => (zeros - exclude_count, ones),
         Bit::One => (zeros, ones - exclude_count),
-    };
-    (senders, counts)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn full_senders_lists_everyone() {
-        assert_eq!(full_senders(3).len(), 3);
-        assert_eq!(full_senders(0).len(), 0);
-    }
-
-    #[test]
-    fn senders_excluding_removes_exactly_the_excluded() {
-        let excluded = vec![ProcessorId::new(1), ProcessorId::new(3)];
-        let senders = senders_excluding(5, &excluded);
-        assert_eq!(
-            senders,
-            vec![
-                ProcessorId::new(0),
-                ProcessorId::new(2),
-                ProcessorId::new(4)
-            ]
-        );
-    }
 
     #[test]
     fn balanced_senders_excludes_majority_up_to_budget() {

@@ -42,7 +42,7 @@ mod strongly_adaptive;
 
 pub use byzantine::EquivocatingAdversary;
 pub use crash::ScheduledCrashAdversary;
-pub use delivery::{balanced_senders, full_senders, senders_excluding};
+pub use delivery::balanced_senders;
 pub use factory::{find_adversary, registry, AdversaryBuildCtx, AdversaryFactory, BuiltAdversary};
 pub use lockstep::LockstepBalancingAdversary;
 pub use partial_sync::{GstProcrastinatorAdversary, PostGstOmissionAdversary};

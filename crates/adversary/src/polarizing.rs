@@ -37,36 +37,34 @@ impl WindowAdversary for PolarizingAdversary {
                 .peek(ProcessorId::new(s), probe)
                 .and_then(Payload::advocated_value)
         };
-        let zeros: Vec<ProcessorId> = (0..n)
-            .filter(|&s| value_of(s) == Some(Bit::Zero))
-            .map(ProcessorId::new)
-            .collect();
-        let ones: Vec<ProcessorId> = (0..n)
-            .filter(|&s| value_of(s) == Some(Bit::One))
-            .map(ProcessorId::new)
-            .collect();
-        let rest: Vec<ProcessorId> = (0..n)
-            .filter(|&s| value_of(s).is_none())
-            .map(ProcessorId::new)
-            .collect();
-        // Zero-leaning view: drop up to t one-senders; one-leaning view: drop
-        // up to t zero-senders.
-        let mut zero_leaning: Vec<ProcessorId> = zeros.clone();
-        zero_leaning.extend(ones.iter().skip(t.min(ones.len())));
-        zero_leaning.extend(rest.iter().copied());
-        let mut one_leaning: Vec<ProcessorId> = ones;
-        one_leaning.extend(zeros.iter().skip(t.min(zeros.len())));
-        one_leaning.extend(rest);
-        let deliveries: Vec<Vec<ProcessorId>> = (0..n)
-            .map(|i| {
-                if i < n / 2 {
-                    zero_leaning.clone()
-                } else {
-                    one_leaning.clone()
-                }
-            })
-            .collect();
-        Window::new(Vec::new(), deliveries)
+        // The view leaning towards `side`: its senders, then the other
+        // side's minus the first (up to) t of them, then the silent ones.
+        let leaning = |window: &mut Window, side: Bit| {
+            let senders_of = |value: Option<Bit>| {
+                (0..n)
+                    .filter(move |&s| value_of(s) == value)
+                    .map(ProcessorId::new)
+            };
+            senders_of(Some(side)).for_each(|id| window.push_sender(id));
+            senders_of(Some(!side))
+                .skip(t)
+                .for_each(|id| window.push_sender(id));
+            senders_of(None).for_each(|id| window.push_sender(id));
+            window.end_set();
+        };
+        // The first half of the processors get the zero-leaning view, the
+        // rest the one-leaning one; each is read out of the buffer once and
+        // copied to the other recipients of its half.
+        let mut window = view.take_window();
+        for i in 0..n {
+            if i == 0 || i == n / 2 {
+                let side = if i < n / 2 { Bit::Zero } else { Bit::One };
+                leaning(&mut window, side);
+            } else {
+                window.copy_set(i - 1);
+            }
+        }
+        window
     }
 }
 

@@ -35,6 +35,7 @@
 
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 use agreement_model::{Bit, Payload, ProcessorId, ProcessorRng, SystemConfig};
 use agreement_sim::{
@@ -58,19 +59,21 @@ const GENOME_STREAM: u64 = 0x005E_A2C4_0001;
 ///
 /// The tape is pure data — hex-serializable, mutable byte-by-byte, and
 /// decodable into a valid schedule no matter its contents. Equality is
-/// structural, which is what the search corpus de-duplicates on.
+/// structural, which is what the search corpus de-duplicates on. Tag and
+/// tape are shared, not owned: a clone, and every decoder built from the
+/// genome, reads the same bytes in place.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Genome {
-    model: String,
-    tape: Vec<u8>,
+    model: Arc<str>,
+    tape: Arc<[u8]>,
 }
 
 impl Genome {
     /// A genome from an explicit model tag and tape.
-    pub fn new(model: impl Into<String>, tape: Vec<u8>) -> Self {
+    pub fn new(model: impl Into<Arc<str>>, tape: impl Into<Arc<[u8]>>) -> Self {
         Genome {
             model: model.into(),
-            tape,
+            tape: tape.into(),
         }
     }
 
@@ -78,7 +81,7 @@ impl Genome {
     /// of the search, and what the registry factories build per trial).
     pub fn from_seed(model: &str, seed: u64, len: usize) -> Self {
         let mut rng = ProcessorRng::labelled(seed, GENOME_STREAM);
-        let tape = (0..len).map(|_| rng.range(256) as u8).collect();
+        let tape: Arc<[u8]> = (0..len).map(|_| rng.range(256) as u8).collect();
         Genome::new(model, tape)
     }
 
@@ -93,14 +96,41 @@ impl Genome {
     }
 
     /// Replaces the tape, keeping the model tag (the mutation entry point).
-    pub fn with_tape(&self, tape: Vec<u8>) -> Self {
-        Genome::new(self.model.clone(), tape)
+    pub fn with_tape(&self, tape: impl Into<Arc<[u8]>>) -> Self {
+        Genome::new(Arc::clone(&self.model), tape)
+    }
+
+    /// Fails unless this genome is tagged for the model `expected`.
+    fn expect_model(&self, expected: &'static str) -> Result<(), GenomeError> {
+        if self.model() == expected {
+            Ok(())
+        } else {
+            Err(GenomeError::ModelMismatch {
+                genome: self.model().to_string(),
+                expected,
+            })
+        }
+    }
+
+    /// How many complete adversarial windows the windowed decoder reads off
+    /// this tape in a system of `n` processors with budget `t` before it
+    /// falls back to full delivery: windows `0..windows_encoded` of a run
+    /// are the tape's, every later one is benign. The decoder consults
+    /// nothing but the tape, so this is a property of `(tape, n, t)`.
+    pub fn windows_encoded(&self, n: usize, t: usize) -> u64 {
+        let mut reader = TapeReader::new(Arc::clone(&self.tape));
+        let mut window = Window::default();
+        let mut windows = 0;
+        while decode_window(&mut reader, n, t, &mut window).is_some() {
+            windows += 1;
+        }
+        windows
     }
 
     /// Serializes the tape as lowercase hex (the artifact wire format).
     pub fn to_hex(&self) -> String {
         let mut out = String::with_capacity(self.tape.len() * 2);
-        for byte in &self.tape {
+        for byte in self.tape.iter() {
             out.push_str(&format!("{byte:02x}"));
         }
         out
@@ -111,7 +141,7 @@ impl Genome {
     /// # Errors
     ///
     /// Returns [`GenomeError::BadHex`] on odd length or non-hex characters.
-    pub fn from_hex(model: impl Into<String>, hex: &str) -> Result<Self, GenomeError> {
+    pub fn from_hex(model: impl Into<Arc<str>>, hex: &str) -> Result<Self, GenomeError> {
         if !hex.len().is_multiple_of(2) {
             return Err(GenomeError::BadHex {
                 detail: format!("odd hex length {}", hex.len()),
@@ -177,14 +207,17 @@ impl Error for GenomeError {}
 /// fallback, so exhaustion is a schedule feature, not an error.
 #[derive(Debug, Clone)]
 pub struct TapeReader {
-    tape: Vec<u8>,
+    tape: Arc<[u8]>,
     pos: usize,
 }
 
 impl TapeReader {
     /// A reader at the start of `tape`.
-    pub fn new(tape: Vec<u8>) -> Self {
-        TapeReader { tape, pos: 0 }
+    pub fn new(tape: impl Into<Arc<[u8]>>) -> Self {
+        TapeReader {
+            tape: tape.into(),
+            pos: 0,
+        }
     }
 
     /// The next tape byte, or `None` at the end.
@@ -205,29 +238,53 @@ impl TapeReader {
     pub fn exhausted(&self) -> bool {
         self.pos >= self.tape.len()
     }
-}
 
-/// Decodes `k` *distinct* processor ids from the tape. Collisions are
-/// resolved by probing to the next unchosen id, so any byte sequence yields a
-/// valid distinct set (`k <= n` always holds at the call sites: `k <= t < n`).
-fn distinct_ids(reader: &mut TapeReader, n: usize, k: usize) -> Option<Vec<ProcessorId>> {
-    let mut chosen: Vec<usize> = Vec::with_capacity(k);
-    for _ in 0..k {
-        let mut index = reader.byte()? as usize % n;
-        while chosen.contains(&index) {
+    /// Decodes a processor id that `taken` does not reject: a collision is
+    /// resolved by probing to the next id, so any byte yields a fresh one as
+    /// long as fewer than `n` are taken (the call sites take at most
+    /// `t < n`).
+    fn fresh_id(&mut self, n: usize, taken: impl Fn(ProcessorId) -> bool) -> Option<ProcessorId> {
+        let mut index = self.byte()? as usize % n;
+        while taken(ProcessorId::new(index)) {
             index = (index + 1) % n;
         }
-        chosen.push(index);
+        Some(ProcessorId::new(index))
     }
-    Some(chosen.into_iter().map(ProcessorId::new).collect())
 }
 
-/// The genome decoder for the strongly adaptive windowed model.
+/// Decodes one acceptable window off the tape into `window`, in place.
 ///
-/// Each window consumes `1 + r + n * (1 + e_i)` tape bytes: a reset count
+/// A window consumes `1 + r + n * (1 + e_i)` tape bytes: a reset count
 /// `r <= t` with `r` distinct reset ids, then per processor an exclusion
-/// count `e_i <= t` with `e_i` distinct excluded senders. Windows built this
-/// way satisfy Definition 1 by construction; on tape exhaustion every further
+/// count `e_i <= t` with `e_i` distinct excluded senders — `S_i` starts as
+/// everyone and the excluded are struck from it, so the window itself is the
+/// only scratch. Windows built this way satisfy Definition 1 by
+/// construction. `None` when the tape ends first: the reader is then
+/// exhausted and `window` holds a fragment to be overwritten.
+fn decode_window(reader: &mut TapeReader, n: usize, t: usize, window: &mut Window) -> Option<()> {
+    window.clear();
+    let reset_count = reader.byte()? as usize % (t + 1);
+    for _ in 0..reset_count {
+        let id = reader.fresh_id(n, |id| window.resets().contains(&id))?;
+        window.push_reset(id);
+    }
+    for _ in 0..n {
+        let excluded_count = reader.byte()? as usize % (t + 1);
+        window.push_all_senders(n);
+        for _ in 0..excluded_count {
+            // An id is taken exactly when it has been struck already.
+            let mut index = reader.byte()? as usize % n;
+            while !window.strike_sender(ProcessorId::new(index)) {
+                index = (index + 1) % n;
+            }
+        }
+        window.end_set();
+    }
+    Some(())
+}
+
+/// The genome decoder for the strongly adaptive windowed model: every window
+/// is [decoded](decode_window) off the tape; on tape exhaustion every further
 /// window is full delivery.
 #[derive(Debug, Clone)]
 pub struct SearchWindowAdversary {
@@ -236,7 +293,7 @@ pub struct SearchWindowAdversary {
 
 impl SearchWindowAdversary {
     /// A decoder over a raw tape.
-    pub fn from_tape(tape: Vec<u8>) -> Self {
+    pub fn from_tape(tape: impl Into<Arc<[u8]>>) -> Self {
         SearchWindowAdversary {
             reader: TapeReader::new(tape),
         }
@@ -250,35 +307,8 @@ impl SearchWindowAdversary {
     /// different model — a corrupted artifact must fail loudly, not run as a
     /// benign windowed schedule.
     pub fn from_genome(genome: &Genome) -> Result<Self, GenomeError> {
-        if genome.model() != WINDOWED.id() {
-            return Err(GenomeError::ModelMismatch {
-                genome: genome.model().to_string(),
-                expected: WINDOWED.id(),
-            });
-        }
-        Ok(SearchWindowAdversary::from_tape(genome.tape().to_vec()))
-    }
-
-    fn decode_window(&mut self, view: &SystemView<'_>) -> Option<Window> {
-        let n = view.n();
-        let t = view.t();
-        let reset_count = self.reader.byte()? as usize % (t + 1);
-        let resets = distinct_ids(&mut self.reader, n, reset_count)?;
-        let all: Vec<ProcessorId> = ProcessorId::all(n).collect();
-        let mut deliveries = Vec::with_capacity(n);
-        for _ in 0..n {
-            let excluded_count = self.reader.byte()? as usize % (t + 1);
-            let excluded = distinct_ids(&mut self.reader, n, excluded_count)?;
-            let senders: Vec<ProcessorId> = all
-                .iter()
-                .copied()
-                .filter(|p| !excluded.contains(p))
-                .collect();
-            deliveries.push(senders);
-        }
-        let window = Window::new(resets, deliveries);
-        debug_assert!(window.validate(&view.config).is_ok());
-        Some(window)
+        genome.expect_model(WINDOWED.id())?;
+        Ok(SearchWindowAdversary::from_tape(Arc::clone(&genome.tape)))
     }
 }
 
@@ -288,8 +318,12 @@ impl WindowAdversary for SearchWindowAdversary {
     }
 
     fn next_window(&mut self, view: &SystemView<'_>) -> Window {
-        self.decode_window(view)
-            .unwrap_or_else(|| Window::full_delivery(&view.config))
+        let mut window = view.take_window();
+        if decode_window(&mut self.reader, view.n(), view.t(), &mut window).is_none() {
+            window.fill_full_delivery(view.n());
+        }
+        debug_assert!(window.validate(&view.config).is_ok());
+        window
     }
 }
 
@@ -320,7 +354,7 @@ pub struct SearchAsyncAdversary {
 
 impl SearchAsyncAdversary {
     /// A decoder over a raw tape.
-    pub fn from_tape(tape: Vec<u8>) -> Self {
+    pub fn from_tape(tape: impl Into<Arc<[u8]>>) -> Self {
         SearchAsyncAdversary {
             reader: TapeReader::new(tape),
             cursor: 0,
@@ -335,13 +369,8 @@ impl SearchAsyncAdversary {
     /// Returns [`GenomeError::ModelMismatch`] when the genome is tagged for a
     /// different model.
     pub fn from_genome(genome: &Genome) -> Result<Self, GenomeError> {
-        if genome.model() != ASYNC.id() {
-            return Err(GenomeError::ModelMismatch {
-                genome: genome.model().to_string(),
-                expected: ASYNC.id(),
-            });
-        }
-        Ok(SearchAsyncAdversary::from_tape(genome.tape().to_vec()))
+        genome.expect_model(ASYNC.id())?;
+        Ok(SearchAsyncAdversary::from_tape(Arc::clone(&genome.tape)))
     }
 
     /// Fair round-robin delivery from the persistent cursor; `None` when no
@@ -459,13 +488,17 @@ impl SearchPartialSyncAdversary {
     /// Decodes the constant GST/Δ/omission header from `tape` for a system
     /// of `cfg.n()` processors; a tape too short for the header yields the
     /// benign defaults (GST 0, Δ 8, no omissions).
-    pub fn from_tape(tape: Vec<u8>, cfg: &SystemConfig) -> Self {
+    pub fn from_tape(tape: impl Into<Arc<[u8]>>, cfg: &SystemConfig) -> Self {
         let mut reader = TapeReader::new(tape);
         let header = (|| {
             let gst = u64::from(reader.u16()?) % 512;
             let delta = 1 + u64::from(reader.byte()?) % 32;
             let omission_count = reader.byte()? as usize % (cfg.t() + 1);
-            let omitted = distinct_ids(&mut reader, cfg.n(), omission_count)?;
+            let mut omitted = Vec::with_capacity(omission_count);
+            for _ in 0..omission_count {
+                let id = reader.fresh_id(cfg.n(), |id| omitted.contains(&id))?;
+                omitted.push(id);
+            }
             Some((gst, delta, omitted))
         })();
         let (gst, delta, omitted) = header.unwrap_or((0, 8, Vec::new()));
@@ -485,14 +518,9 @@ impl SearchPartialSyncAdversary {
     /// Returns [`GenomeError::ModelMismatch`] when the genome is tagged for a
     /// different model.
     pub fn from_genome(genome: &Genome, cfg: &SystemConfig) -> Result<Self, GenomeError> {
-        if genome.model() != PARTIAL_SYNC.id() {
-            return Err(GenomeError::ModelMismatch {
-                genome: genome.model().to_string(),
-                expected: PARTIAL_SYNC.id(),
-            });
-        }
+        genome.expect_model(PARTIAL_SYNC.id())?;
         Ok(SearchPartialSyncAdversary::from_tape(
-            genome.tape().to_vec(),
+            Arc::clone(&genome.tape),
             cfg,
         ))
     }
@@ -669,14 +697,124 @@ mod tests {
         assert!(empty.omitted_senders().is_empty());
     }
 
+    /// `distinct_ids` as it was before the decoder filled a window in place:
+    /// `k` distinct ids, collisions probed forward, in a fresh vector.
+    fn reference_distinct_ids(
+        reader: &mut TapeReader,
+        n: usize,
+        k: usize,
+    ) -> Option<Vec<ProcessorId>> {
+        let mut chosen: Vec<usize> = Vec::with_capacity(k);
+        for _ in 0..k {
+            let mut index = reader.byte()? as usize % n;
+            while chosen.contains(&index) {
+                index = (index + 1) % n;
+            }
+            chosen.push(index);
+        }
+        Some(chosen.into_iter().map(ProcessorId::new).collect())
+    }
+
+    /// `decode_window` as it was before: 3 + 2n vectors per window, one per
+    /// exclusion list and per delivery set. Kept as the reference the
+    /// in-place decoder is compared against.
+    fn reference_decode_window(reader: &mut TapeReader, n: usize, t: usize) -> Option<Window> {
+        let reset_count = reader.byte()? as usize % (t + 1);
+        let resets = reference_distinct_ids(reader, n, reset_count)?;
+        let all: Vec<ProcessorId> = ProcessorId::all(n).collect();
+        let mut deliveries = Vec::with_capacity(n);
+        for _ in 0..n {
+            let excluded_count = reader.byte()? as usize % (t + 1);
+            let excluded = reference_distinct_ids(reader, n, excluded_count)?;
+            let senders: Vec<ProcessorId> = all
+                .iter()
+                .copied()
+                .filter(|p| !excluded.contains(p))
+                .collect();
+            deliveries.push(senders);
+        }
+        Some(Window::new(resets, deliveries))
+    }
+
     #[test]
-    fn distinct_ids_resolves_collisions() {
-        let mut reader = TapeReader::new(vec![3, 3, 3, 3]);
-        let ids = distinct_ids(&mut reader, 5, 4).unwrap();
-        let mut sorted: Vec<usize> = ids.iter().map(|p| p.index()).collect();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), 4, "ids must be distinct: {ids:?}");
+    fn in_place_decoder_matches_the_allocating_reference_on_random_tapes() {
+        let mut rng = ProcessorRng::from_seed(0x7A9E);
+        let mut cut_short = 0;
+        for (n, t) in [(4, 1), (5, 1), (7, 1), (7, 2), (13, 2)] {
+            let cfg = SystemConfig::new(n, t).unwrap();
+            for round in 0..60 {
+                // Lengths 0..=2 048, the short ones over-represented so the
+                // empty tape and tapes of under one window are hit too.
+                let len = match round % 3 {
+                    0 => rng.range(2 * n as u64 + 4) as usize,
+                    _ => rng.range(2_049) as usize,
+                };
+                let tape: Vec<u8> = (0..len).map(|_| rng.range(256) as u8).collect();
+                let mut reader = TapeReader::new(tape.clone());
+                let mut reference = TapeReader::new(tape);
+                // One window value throughout: every decode overwrites what
+                // the one before left, fragments of a cut-short one included.
+                let mut window = Window::default();
+                let mut windows = 0u64;
+                loop {
+                    let decoded = decode_window(&mut reader, n, t, &mut window);
+                    let expected = reference_decode_window(&mut reference, n, t);
+                    assert_eq!(
+                        decoded.is_some(),
+                        expected.is_some(),
+                        "n={n} t={t} len={len}"
+                    );
+                    assert_eq!(reader.pos, reference.pos, "n={n} t={t} len={len}");
+                    let Some(expected) = expected else {
+                        assert!(reader.exhausted());
+                        cut_short += u64::from(len > 0 && window != Window::default());
+                        break;
+                    };
+                    assert_eq!(window.resets(), expected.resets());
+                    for i in 0..n {
+                        assert_eq!(window.delivery_set(i), expected.delivery_set(i));
+                    }
+                    assert_eq!(window, expected);
+                    assert_eq!(window.validate(&cfg), Ok(()));
+                    windows += 1;
+                }
+                let genome = Genome::new(WINDOWED.id(), reader.tape);
+                assert_eq!(genome.windows_encoded(n, t), windows);
+            }
+        }
+        assert!(
+            cut_short > 50,
+            "the generator must end tapes mid-window ({cut_short} did)"
+        );
+    }
+
+    #[test]
+    fn colliding_tape_bytes_still_decode_distinct_ids() {
+        // n = 5, t = 4: four resets and, for recipient 0, four exclusions,
+        // every id byte the same.
+        let mut tape = vec![4, 3, 3, 3, 3, 4, 3, 3, 3, 3];
+        tape.extend([0; 4]);
+        let mut window = Window::default();
+        decode_window(&mut TapeReader::new(tape), 5, 4, &mut window).unwrap();
+        let ids = |indices: &[usize]| -> Vec<ProcessorId> {
+            indices.iter().copied().map(ProcessorId::new).collect()
+        };
+        assert_eq!(window.resets(), ids(&[3, 4, 0, 1]));
+        assert_eq!(window.delivery_set(0), ids(&[2]));
+        assert_eq!(window.delivery_set(1), ids(&[0, 1, 2, 3, 4]));
+        assert_eq!(window.arity(), 5);
+    }
+
+    #[test]
+    fn a_genome_knows_where_its_tape_ends() {
+        // n = 4, t = 1, all-zero bytes: no resets, no exclusions, 1 + 4
+        // bytes per window.
+        let genome = |len: usize| Genome::new(WINDOWED.id(), vec![0u8; len]);
+        assert_eq!(genome(0).windows_encoded(4, 1), 0);
+        assert_eq!(genome(4).windows_encoded(4, 1), 0);
+        assert_eq!(genome(5).windows_encoded(4, 1), 1);
+        assert_eq!(genome(14).windows_encoded(4, 1), 2);
+        assert_eq!(genome(15).windows_encoded(4, 1), 3);
     }
 
     #[test]

@@ -73,29 +73,29 @@ impl WindowAdversary for SplitVoteAdversary {
 
     fn next_window(&mut self, view: &SystemView<'_>) -> Window {
         let t = view.t();
-        let (senders, _counts) =
-            balanced_senders_by(view.n(), t, |sender| Self::fresh_value(view, sender));
-
-        let resets = if self.use_resets && t > 0 {
+        let mut window = view.take_window();
+        if self.use_resets && t > 0 {
             // Reset processors whose *current estimate* belongs to the majority
             // side, to thin out that side's votes in the next window.
             let zeros = view.estimate_count(Bit::Zero);
             let ones = view.estimate_count(Bit::One);
-            if zeros == ones {
-                Vec::new()
-            } else {
+            if zeros != ones {
                 let majority = if zeros > ones { Bit::Zero } else { Bit::One };
                 view.live()
                     .filter(|&i| view.digest(i).estimate == Some(majority))
                     .map(ProcessorId::new)
                     .take(t.min(zeros.abs_diff(ones)))
-                    .collect()
+                    .for_each(|id| window.push_reset(id));
             }
-        } else {
-            Vec::new()
-        };
-
-        Window::uniform(&view.config, resets, senders)
+        }
+        balanced_senders_by(
+            view.n(),
+            t,
+            |sender| Self::fresh_value(view, sender),
+            |id| window.push_sender(id),
+        );
+        window.end_shared_set(view.n());
+        window
     }
 }
 

@@ -12,8 +12,6 @@
 use agreement_model::ProcessorId;
 use agreement_sim::{SystemView, Window, WindowAdversary};
 
-use crate::delivery::full_senders;
-
 /// Resets a rotating set of `t` processors every window and delivers from
 /// everyone.
 ///
@@ -42,9 +40,14 @@ impl WindowAdversary for RotatingResetAdversary {
         let n = view.n();
         let t = view.t();
         let start = (self.window as usize).wrapping_mul(t) % n.max(1);
-        let resets: Vec<ProcessorId> = (0..t).map(|k| ProcessorId::new((start + k) % n)).collect();
         self.window += 1;
-        Window::uniform(&view.config, resets, full_senders(n))
+        let mut window = view.take_window();
+        for k in 0..t {
+            window.push_reset(ProcessorId::new((start + k) % n));
+        }
+        window.push_all_senders(n);
+        window.end_shared_set(n);
+        window
     }
 }
 
@@ -73,20 +76,21 @@ impl WindowAdversary for TargetedResetAdversary {
     fn next_window(&mut self, view: &SystemView<'_>) -> Window {
         let n = view.n();
         let t = view.t();
-        // Rank processors by round (undecided ones first among equals), reset
-        // the t most advanced ones.
-        let mut ranked: Vec<(u64, usize)> = view
-            .digests()
-            .enumerate()
-            .map(|(i, d)| (d.round.unwrap_or(0), i))
-            .collect();
-        ranked.sort_by(|a, b| b.cmp(a));
-        let resets: Vec<ProcessorId> = ranked
-            .into_iter()
-            .take(t)
-            .map(|(_, i)| ProcessorId::new(i))
-            .collect();
-        Window::uniform(&view.config, resets, full_senders(n))
+        // Reset the t most advanced processors, furthest first (the higher
+        // identity first among equals): t passes, each picking the best one
+        // not picked yet, so nothing is ranked into a scratch list.
+        let mut window = view.take_window();
+        for _ in 0..t.min(n) {
+            let next = (0..n)
+                .map(|i| (view.digest(i).round.unwrap_or(0), i))
+                .filter(|&(_, i)| !window.resets().contains(&ProcessorId::new(i)))
+                .max()
+                .expect("fewer than n processors are picked");
+            window.push_reset(ProcessorId::new(next.1));
+        }
+        window.push_all_senders(n);
+        window.end_shared_set(n);
+        window
     }
 }
 

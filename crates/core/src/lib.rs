@@ -79,6 +79,7 @@ pub use record::{
 pub use report::{fmt_f64, fmt_rate, Table};
 pub use runner::{Aggregate, Campaign, TrialPlan};
 pub use scenario::{
-    extra_scenarios, partial_sync_scenarios, scenario_registry, subquad_scenarios, InputPattern,
-    ProtocolInstance, ProtocolSpec, ScenarioError, ScenarioMatrix, ScenarioReport, ScenarioSpec,
+    extra_scenarios, partial_sync_scenarios, scenario_registry, subquad_scenarios, BatchRunner,
+    InputPattern, ProtocolInstance, ProtocolSpec, ScenarioError, ScenarioMatrix, ScenarioReport,
+    ScenarioSpec,
 };

@@ -27,6 +27,7 @@ use agreement_model::{
 use agreement_protocols::{BenOrBuilder, BrachaBuilder, CommitteeBuilder, ResetTolerantBuilder};
 use agreement_sim::{
     BufferChoice, BuiltAdversary, ExecutionCore, ModelDescriptor, RunLimits, RunOutcome,
+    TrialWorkspace,
 };
 
 use crate::experiments::Scale;
@@ -508,34 +509,24 @@ impl ScenarioSpec {
         self.run_single_with(seed, &mut adversary)
     }
 
-    /// Runs `trials` trials of this spec's harness — protocol, inputs,
-    /// limits, buffer choice — with a **caller-supplied adversary** per seed,
-    /// overriding the registered adversary name. This is the budgeted
+    /// Resolves this spec's harness — configuration, protocol instance,
+    /// inputs, limits, buffer choice — **once**, for any number of
+    /// [`BatchRunner::run`] calls on `campaign`. This is the budgeted
     /// campaign entry point of the schedule-space search
-    /// (`agreement-search`): the driver evaluates one genome batch per call,
-    /// with `base_seed` advancing by the batch size so every trial of the
-    /// budget has a unique seed. Records come back slot-ordered and
-    /// bit-identical across campaign thread counts, which is what makes the
-    /// search itself reproducible under `--threads`.
+    /// (`agreement-search`), which evaluates one genome batch per call.
     ///
     /// # Errors
     ///
     /// Returns a [`ScenarioError`] when the configuration or protocol does
     /// not resolve (the adversary name is deliberately not consulted).
-    pub fn run_batch_records_with<F>(
-        &self,
-        campaign: &Campaign,
-        trials: u64,
-        base_seed: u64,
-        make_adversary: F,
-    ) -> Result<Vec<TrialRecord>, ScenarioError>
-    where
-        F: Fn(u64) -> BuiltAdversary + Sync,
-    {
+    pub fn batch_runner(&self, campaign: &Campaign) -> Result<BatchRunner, ScenarioError> {
         let cfg = self.config()?;
-        let instance = self.protocol.instantiate(&cfg)?;
-        let plan = self.plan(cfg, trials, base_seed);
-        Ok(campaign.run_records(&plan, instance.builder.as_ref(), make_adversary))
+        Ok(BatchRunner {
+            campaign: *campaign,
+            instance: self.protocol.instantiate(&cfg)?,
+            plan: self.plan(cfg, 0, 0),
+            workspaces: Vec::new(),
+        })
     }
 
     /// Runs one traced execution of this spec's harness under a
@@ -557,6 +548,45 @@ impl ScenarioSpec {
         let mut core = ExecutionCore::new(cfg, inputs, instance.builder.as_ref(), seed);
         core.set_buffer_choice(self.buffer);
         Ok(adversary.run(&mut core, self.limits))
+    }
+}
+
+/// A [`ScenarioSpec`]'s harness resolved for running many short batches of
+/// trials with **caller-supplied adversaries** (the registered adversary
+/// name is overridden): what [`ScenarioSpec::batch_runner`] returns. It owns
+/// everything a batch needs besides its adversaries — the protocol instance,
+/// the plan with its materialized inputs, and one
+/// [`TrialWorkspace`] per campaign worker, warm from the first batch on — so
+/// a batch pays for its trials and nothing else.
+pub struct BatchRunner {
+    campaign: Campaign,
+    instance: ProtocolInstance,
+    plan: TrialPlan,
+    workspaces: Vec<TrialWorkspace>,
+}
+
+impl BatchRunner {
+    /// Runs `trials` trials, trial `i` seeded `base_seed + i` with the
+    /// adversary `make_adversary` builds for that seed — the caller advances
+    /// `base_seed` by the batch size so every trial of its budget has a
+    /// unique seed. Records come back slot-ordered and bit-identical across
+    /// campaign thread counts and across however the trials are cut into
+    /// batches, which is what makes the search itself reproducible under
+    /// `--threads`.
+    pub fn run<F>(&mut self, trials: u64, base_seed: u64, make_adversary: F) -> Vec<TrialRecord>
+    where
+        F: Fn(u64) -> BuiltAdversary + Sync,
+    {
+        self.plan.trials = trials;
+        self.plan.base_seed = base_seed;
+        self.campaign.run_records_range_in(
+            &mut self.workspaces,
+            &self.plan,
+            self.instance.builder.as_ref(),
+            make_adversary,
+            0,
+            trials,
+        )
     }
 }
 

@@ -81,7 +81,7 @@ impl ScheduleArtifact {
             .parse()?;
         let seed = field("seed")?.as_u64().ok_or("'seed' is not a number")?;
         let genome = Genome::from_hex(
-            &model,
+            model.as_str(),
             field("genome")?
                 .as_str()
                 .ok_or("'genome' is not a string")?,

@@ -31,12 +31,14 @@
 //! search --replay examples/slow-ben-or.schedule.json
 //! ```
 
+use agreement_adversary::Genome;
 use agreement_core::cli::{parsed_value, required_value};
-use agreement_core::Campaign;
+use agreement_core::{Campaign, ScenarioSpec};
 use agreement_search::{
     compare_with_registry, find_spec, replay, replay_file, shrink, Predicate, ScheduleArtifact,
     SearchConfig,
 };
+use agreement_sim::WINDOWED;
 
 struct Options {
     scenario: Option<String>,
@@ -107,6 +109,21 @@ fn list_scenarios() {
     }
 }
 
+/// Where `genome`'s tape ends on `spec`'s system, for printing after its
+/// length: the windowed decoder reads whole windows off the tape and
+/// delivers in full from the first one the tape is too short for, so a
+/// schedule's adversarial part is the windows before that one. (The other
+/// models' decoders consult the buffer as they go; where their tapes end is
+/// not a property of the tape alone.)
+fn tape_extent(genome: &Genome, spec: &ScenarioSpec) -> String {
+    if genome.model() == WINDOWED.id() {
+        let windows = genome.windows_encoded(spec.n, spec.t);
+        format!(", encodes windows 0..{windows} (full delivery from window {windows} on)")
+    } else {
+        String::new()
+    }
+}
+
 fn run_replay(path: &str) -> ! {
     let (artifact, spec, report) = replay_file(path).unwrap_or_else(|err| {
         eprintln!("replay failed: {err}");
@@ -116,7 +133,11 @@ fn run_replay(path: &str) -> ! {
     println!("model      {}", artifact.model);
     println!("predicate  {}", artifact.predicate);
     println!("seed       {}", artifact.seed);
-    println!("tape       {} bytes", artifact.genome.tape().len());
+    println!(
+        "tape       {} bytes{}",
+        artifact.genome.tape().len(),
+        tape_extent(&artifact.genome, &spec)
+    );
     println!(
         "replayed   rounds={} duration={} all_decided_at={:?}",
         report.replayed.metrics.rounds, report.replayed.duration, report.replayed.all_decided_at
@@ -180,11 +201,12 @@ fn main() {
     });
     let predicate = Predicate::classify(&best.record, outcome.time_cap);
     eprintln!(
-        "best: fitness={} predicate={} seed={} tape={}B",
+        "best: fitness={} predicate={} seed={} tape={}B{}",
         best.fitness,
         predicate,
         best.record.seed,
-        best.genome.tape().len()
+        best.genome.tape().len(),
+        tape_extent(&best.genome, &spec)
     );
 
     let report = shrink(
@@ -200,9 +222,10 @@ fn main() {
         std::process::exit(1);
     });
     eprintln!(
-        "shrunk {}B -> {}B in {} probes (predicate '{}')",
+        "shrunk {}B -> {}B{} in {} probes (predicate '{}')",
         report.original_len,
         report.genome.tape().len(),
+        tape_extent(&report.genome, &spec),
         report.attempts,
         report.predicate
     );

@@ -4,12 +4,17 @@
 //! Determinism is the load-bearing property. Each generation is built in
 //! three strictly sequential phases: (1) a genome batch is derived from the
 //! search RNG and the current corpus — pure computation, no trials; (2) the
-//! batch is evaluated through
-//! [`ScenarioSpec::run_batch_records_with`](agreement_core::ScenarioSpec::run_batch_records_with),
-//! whose record stream is slot-ordered and bit-identical across campaign
-//! thread counts; (3) the corpus is updated from the records in trial order.
-//! No phase reads anything a thread schedule could reorder, so the same
-//! seed and budget reproduce the corpus byte for byte at 1, 2 or 4 threads.
+//! batch is evaluated through a
+//! [`BatchRunner`](agreement_core::BatchRunner), whose record stream is
+//! slot-ordered and bit-identical across campaign thread counts; (3) the
+//! corpus is updated from the records in trial order. No phase reads
+//! anything a thread schedule could reorder, so the same seed and budget
+//! reproduce the corpus byte for byte at 1, 2 or 4 threads.
+//!
+//! A generation pays only for its trials: the spec is resolved and the
+//! runner built once per search, its workspaces stay warm from generation to
+//! generation, and a genome's tape is shared with — not copied into — the
+//! decoder that reads it.
 
 use agreement_adversary::{build_from_genome, Genome, DEFAULT_TAPE_LEN};
 use agreement_core::{Campaign, ScenarioError, ScenarioSpec};
@@ -98,9 +103,13 @@ impl SearchOutcome {
 /// cheap variance probing for genomes whose damage depends on the protocol's
 /// coin flips).
 fn mutate(parent: &Genome, donor: &Genome, rng: &mut ProcessorRng, max_len: usize) -> Genome {
+    let op = rng.range(5);
+    if op == 0 {
+        // Seed rerun: the same tape, shared.
+        return parent.clone();
+    }
     let mut tape = parent.tape().to_vec();
-    match rng.range(5) {
-        0 => {} // seed rerun
+    match op {
         1 => {
             if !tape.is_empty() {
                 let flips = 1 + rng.range(8) as usize;
@@ -162,6 +171,7 @@ pub fn run_search(
     let model_id = spec.model()?.id();
     let time_cap = spec.meta()?.time_cap;
     let cfg = spec.config()?;
+    let mut runner = spec.batch_runner(campaign)?;
     let max_len = config.tape_len.max(1) * 4;
 
     let mut rng = ProcessorRng::labelled(config.seed, SEARCH_STREAM);
@@ -192,10 +202,10 @@ pub fn run_search(
         }
         // Phase 2: evaluate on the NoTrace campaign path (slot-ordered,
         // thread-count independent).
-        let records = spec.run_batch_records_with(campaign, batch, seed_cursor, |seed| {
+        let records = runner.run(batch, seed_cursor, |seed| {
             let genome = &genomes[(seed - seed_cursor) as usize];
             build_from_genome(genome, &cfg).expect("search genomes carry the spec's model tag")
-        })?;
+        });
         // Phase 3: fold into the corpus in trial order. The generation is
         // dead after this, so each genome moves into its entry: the corpus
         // keeps about one in a hundred, and the rest were never worth a clone.

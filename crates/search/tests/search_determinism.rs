@@ -95,10 +95,11 @@ fn notrace_search_trial_equals_fulltrace_replay() {
     for entry in outcome.corpus.iter().take(16) {
         let seed = entry.record.seed;
         let notrace = spec
-            .run_batch_records_with(&campaign, 1, seed, |_| {
+            .batch_runner(&campaign)
+            .expect("spec resolves")
+            .run(1, seed, |_| {
                 build_from_genome(&entry.genome, &cfg).expect("genome rebuilds")
-            })
-            .expect("batch runs");
+            });
         let mut adversary = build_from_genome(&entry.genome, &cfg).expect("genome rebuilds");
         let traced = spec
             .run_single_with(seed, &mut adversary)

@@ -19,7 +19,7 @@
 //! [`ModelDescriptor`](crate::ModelDescriptor) on its factory — one of the
 //! three this crate ships.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 
 use agreement_model::{Bit, Payload, ProcessorId, StateDigest, SystemConfig};
 
@@ -48,17 +48,21 @@ pub struct SystemView<'a> {
     /// `digest_memo[i]` is processor `i`'s digest while it is known to be
     /// current, `None` once the processor has changed since it was computed.
     digest_memo: &'a [Cell<Option<StateDigest>>],
+    /// The window the scheduler applied last, lent back for refilling.
+    spare_window: &'a RefCell<Window>,
 }
 
 impl<'a> SystemView<'a> {
     /// A view of `harnesses`; `digest_memo` has one cell per harness, `None`
-    /// wherever the harness changed since the cell was filled.
+    /// wherever the harness changed since the cell was filled, and
+    /// `spare_window` is what [`SystemView::take_window`] hands out.
     pub(crate) fn new(
         config: SystemConfig,
         time: u64,
         buffer: &'a MessageBuffer,
         harnesses: &'a [ProcessorHarness],
         digest_memo: &'a [Cell<Option<StateDigest>>],
+        spare_window: &'a RefCell<Window>,
     ) -> Self {
         debug_assert_eq!(harnesses.len(), digest_memo.len());
         SystemView {
@@ -67,7 +71,20 @@ impl<'a> SystemView<'a> {
             buffer,
             harnesses,
             digest_memo,
+            spare_window,
         }
+    }
+
+    /// An empty window to fill and return from
+    /// [`WindowAdversary::next_window`]: the storage of the window the
+    /// scheduler applied last (of this trial or, in a reused workspace, of an
+    /// earlier one), so filling it allocates nothing once it has held a
+    /// window of this size. A second call within one decision gets a window
+    /// without storage.
+    pub fn take_window(&self) -> Window {
+        let mut window = self.spare_window.take();
+        window.clear();
+        window
     }
 
     /// Number of processors.
@@ -364,7 +381,9 @@ impl WindowAdversary for FullDeliveryAdversary {
     }
 
     fn next_window(&mut self, view: &SystemView<'_>) -> Window {
-        Window::full_delivery(&view.config)
+        let mut window = view.take_window();
+        window.fill_full_delivery(view.n());
+        window
     }
 }
 
@@ -473,6 +492,7 @@ mod tests {
         cfg: SystemConfig,
         harnesses: Vec<ProcessorHarness>,
         digest_memo: Vec<Cell<Option<StateDigest>>>,
+        spare_window: RefCell<Window>,
     }
 
     impl Processors {
@@ -492,6 +512,7 @@ mod tests {
                 cfg,
                 harnesses,
                 digest_memo: vec![Cell::new(None); cfg.n()],
+                spare_window: RefCell::default(),
             }
         }
 
@@ -500,7 +521,14 @@ mod tests {
         }
 
         fn view<'a>(&'a self, time: u64, buffer: &'a MessageBuffer) -> SystemView<'a> {
-            SystemView::new(self.cfg, time, buffer, &self.harnesses, &self.digest_memo)
+            SystemView::new(
+                self.cfg,
+                time,
+                buffer,
+                &self.harnesses,
+                &self.digest_memo,
+                &self.spare_window,
+            )
         }
     }
 

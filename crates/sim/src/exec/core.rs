@@ -15,7 +15,7 @@
 //! [`NoTrace`](agreement_model::NoTrace) monomorphizes every trace push (and
 //! the construction of its event) out of the campaign hot path entirely.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 
 use agreement_model::{
     Bit, FullTrace, InputAssignment, Payload, ProcessorId, ProtocolBuilder, Recorder, StateDigest,
@@ -27,6 +27,7 @@ use crate::buffer::{BufferChoice, MessageBuffer};
 use crate::harness::{Outgoing, ProcessorHarness};
 use crate::metrics::{Metrics, NoProbe, Probe};
 use crate::outcome::{RunLimits, RunOutcome};
+use crate::window::Window;
 
 use super::Scheduler;
 
@@ -69,6 +70,13 @@ pub struct ExecutionCore<P: Probe = NoProbe, R: Recorder = FullTrace> {
     /// `i`'s digest as last computed for a view, `None` once a transition has
     /// touched the processor since (see `mark_view_dirty`).
     digest_memo: Vec<Cell<Option<StateDigest>>>,
+    /// The window applied last, until the next decision takes it to refill
+    /// ([`SystemView::take_window`]). Not execution state — only its storage
+    /// is ever read — so [`ExecutionCore::reinit`] leaves it alone and the
+    /// first window of a trial is as warm as the last of the one before. (A
+    /// `RefCell` where the memo has `Cell`s: a `Cell` of a non-`Copy` value
+    /// has no `Debug`.)
+    spare_window: RefCell<Window>,
     /// Number of non-crashed processors that have not decided yet. Kept
     /// incrementally so termination checks are O(1) per adversary step
     /// instead of an O(n) scan.
@@ -145,6 +153,7 @@ impl<P: Probe, R: Recorder> ExecutionCore<P, R> {
             depth: vec![0; cfg.n()],
             corrupted: vec![false; cfg.n()],
             digest_memo: vec![Cell::new(None); cfg.n()],
+            spare_window: RefCell::default(),
             undecided_correct: cfg.n(),
             decided_count: 0,
             cfg,
@@ -169,8 +178,8 @@ impl<P: Probe, R: Recorder> ExecutionCore<P, R> {
     /// Re-initializes this core for a fresh trial **in place**, reusing every
     /// allocation the previous trial warmed up: the harness vector (and each
     /// harness's outbox/violation buffers), the send logs, cursor rows and
-    /// index queues of the buffer, the causal-depth vector and the digest
-    /// memo, and — where the builder recognizes them as its own
+    /// index queues of the buffer, the causal-depth vector, the digest memo,
+    /// the spare window and — where the builder recognizes them as its own
     /// ([`ProtocolBuilder::rebuild`]) — the protocol instances themselves.
     /// Equivalent to building a new core with
     /// [`ExecutionCore::with_parts`] and the current probe/recorder — the
@@ -353,7 +362,14 @@ impl<P: Probe, R: Recorder> ExecutionCore<P, R> {
             &self.buffer,
             &self.harnesses,
             &self.digest_memo,
+            &self.spare_window,
         ))
+    }
+
+    /// Keeps `window`, which the scheduler has finished applying, as the
+    /// storage the next decision's [`SystemView::take_window`] hands out.
+    pub fn keep_window(&mut self, window: Window) {
+        *self.spare_window.get_mut() = window;
     }
 
     /// Forgets the remembered digest of processor `i`; every transition that

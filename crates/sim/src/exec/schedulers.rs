@@ -92,6 +92,7 @@ impl<'a> WindowScheduler<'a> {
         for &id in window.resets() {
             core.reset(id);
         }
+        core.keep_window(window);
 
         core.advance_window();
         core.record_decision_progress();
@@ -282,6 +283,50 @@ mod tests {
             let outcome = core.outcome_with(&scheduler);
             assert_eq!(outcome.metrics.resets_consumed, 2);
             assert_eq!(outcome.trace.reset_count(), 2);
+        }
+
+        #[test]
+        fn the_window_applied_last_is_lent_back_empty_and_survives_reinit() {
+            /// Fills the window the view lends it and notes where its
+            /// senders are stored.
+            struct Refiller {
+                stored_at: Vec<*const ProcessorId>,
+            }
+            impl WindowAdversary for Refiller {
+                fn name(&self) -> &'static str {
+                    "refiller"
+                }
+                fn next_window(&mut self, view: &SystemView<'_>) -> Window {
+                    let mut window = view.take_window();
+                    assert_eq!(window, Window::default(), "lent back cleared");
+                    assert_eq!(view.take_window(), Window::default());
+                    window.push_reset(ProcessorId::new(view.time as usize % view.n()));
+                    window.push_all_senders(view.n());
+                    window.end_shared_set(view.n());
+                    self.stored_at.push(window.delivery_set(0).as_ptr());
+                    window
+                }
+            }
+            let cfg = SystemConfig::new(6, 1).unwrap();
+            let inputs = InputAssignment::unanimous(6, Bit::Zero);
+            let mut core = ExecutionCore::new(cfg, inputs.clone(), &MajorityBuilder, 5);
+            let mut adversary = Refiller {
+                stored_at: Vec::new(),
+            };
+            for seed in [5, 6] {
+                core.reinit(cfg, &inputs, &MajorityBuilder, seed);
+                let mut scheduler = WindowScheduler::new(&mut adversary);
+                scheduler.step_window(&mut core);
+                scheduler.step_window(&mut core);
+                assert_eq!(core.outcome_with(&scheduler).metrics.resets_consumed, 2);
+            }
+            // One allocation, by the first window; every later one — the
+            // second trial's first included — was filled into it.
+            assert_eq!(adversary.stored_at.len(), 4);
+            assert!(adversary
+                .stored_at
+                .iter()
+                .all(|&at| at == adversary.stored_at[0]));
         }
 
         #[test]

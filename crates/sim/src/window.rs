@@ -13,21 +13,34 @@
 //!
 //! # Layout
 //!
-//! The windows of the proofs of Lemmas 13 and 14, and of every balancing
-//! adversary here, are `R, S, S, ..., S`: one sender set for everyone. Such a
-//! window ([`Window::uniform`], [`Window::full_delivery`]) stores `S` **once**
-//! together with the arity `n`, and [`Window::delivery_set`] hands the same
-//! slice to every recipient; only [`Window::new`] keeps one `Vec` per
-//! recipient. The two forms are the same window to every observer: `==`
-//! compares the sets recipient by recipient, and the order of the senders
-//! inside a set — which is the order the recipient processes their messages
-//! in — is kept exactly as the adversary gave it.
+//! A window is **filled, not built**. It is one flat value: the reset set, a
+//! single `senders` vector holding every `S_i` back to back, and a row of
+//! `ends` saying where each set stops. The windows of the proofs of Lemmas 13
+//! and 14, and of every balancing adversary here, are `R, S, S, ..., S` — one
+//! sender set for everyone — and store `S` once with one end, shared by
+//! `arity` recipients; any other window has `n` ends. An adversary takes the
+//! window the scheduler applied last ([`SystemView::take_window`]), and
+//! rewrites it in place: [`Window::clear`], then [`Window::push_reset`] for
+//! `R`, then per set [`Window::push_sender`] (or
+//! [`Window::push_all_senders`] / [`Window::strike_sender`], or
+//! [`Window::copy_set`]) closed by [`Window::end_set`] — or, once, by
+//! [`Window::end_shared_set`]. The storage is warm after the first window of
+//! a workspace, so a window costs the allocator nothing.
+//! [`Window::new`], [`Window::uniform`] and [`Window::full_delivery`] build
+//! the same layout from owned vectors.
+//!
+//! The two forms are the same window to every observer: `==` compares the
+//! sets recipient by recipient, and the order of the senders inside a set —
+//! which is the order the recipient processes their messages in — is kept
+//! exactly as the adversary gave it.
 //!
 //! [`Window::validate`] runs on every scheduled window, so it allocates
 //! nothing: duplicates are found with a scratch bitset of `n` bits that lives
 //! on the stack up to `n = 256` (beyond every `n` the windowed model is run
 //! at here; larger `n` falls back to one heap buffer per call), and a shared
 //! set is checked once instead of `n` times.
+//!
+//! [`SystemView::take_window`]: crate::SystemView::take_window
 
 use std::error::Error;
 use std::fmt;
@@ -36,22 +49,20 @@ use agreement_model::{ProcessorId, SystemConfig};
 
 /// An adversary's choice of one acceptable window: the reset set `R` and the
 /// per-processor delivery sets `S_i`.
-#[derive(Debug, Clone)]
+///
+/// The default window is empty (no resets, no sets) and owns no heap memory.
+#[derive(Debug, Clone, Default)]
 pub struct Window {
     resets: Vec<ProcessorId>,
-    deliveries: Deliveries,
-}
-
-/// The delivery sets `S_1, ..., S_n` of a window.
-#[derive(Debug, Clone)]
-enum Deliveries {
-    /// `S_i = senders` for every one of the `arity` recipients.
-    Shared {
-        senders: Vec<ProcessorId>,
-        arity: usize,
-    },
-    /// `S_i = sets[i]`.
-    PerRecipient(Vec<Vec<ProcessorId>>),
+    /// Every closed `S_i` back to back, then the senders of the set being
+    /// filled.
+    senders: Vec<ProcessorId>,
+    /// `ends[i]` is where `S_i` stops in `senders` (it starts where
+    /// `S_{i-1}` stopped); a shared window has the one end of its one set.
+    ends: Vec<usize>,
+    /// `Some(arity)` when the one closed set is the `S_i` of every one of
+    /// `arity` recipients.
+    shared: Option<usize>,
 }
 
 /// Windows are equal when they reset the same processors in the same order
@@ -78,16 +89,23 @@ impl Window {
     /// `i` receives in this window. Call [`Window::validate`] (the engine does
     /// so automatically) to check it satisfies Definition 1.
     pub fn new(resets: Vec<ProcessorId>, deliveries: Vec<Vec<ProcessorId>>) -> Self {
-        Window {
+        let mut window = Window {
             resets,
-            deliveries: Deliveries::PerRecipient(deliveries),
+            ..Window::default()
+        };
+        for set in &deliveries {
+            window.senders.extend_from_slice(set);
+            window.end_set();
         }
+        window
     }
 
     /// The failure-free, full-delivery window: every processor receives from
     /// everyone and nobody is reset.
     pub fn full_delivery(cfg: &SystemConfig) -> Self {
-        Window::uniform(cfg, Vec::new(), ProcessorId::all(cfg.n()).collect())
+        let mut window = Window::default();
+        window.fill_full_delivery(cfg.n());
+        window
     }
 
     /// A window applying the same sender set `S` to every processor and the
@@ -99,14 +117,105 @@ impl Window {
         resets: Vec<ProcessorId>,
         senders: Vec<ProcessorId>,
     ) -> Self {
-        Window {
+        let mut window = Window {
             resets,
-            deliveries: Deliveries::Shared {
-                senders,
-                arity: cfg.n(),
-            },
+            senders,
+            ..Window::default()
+        };
+        window.end_shared_set(cfg.n());
+        window
+    }
+
+    // ----- filling in place ------------------------------------------------------
+
+    /// Empties the window — no resets, no sets — keeping its storage.
+    pub fn clear(&mut self) {
+        self.resets.clear();
+        self.senders.clear();
+        self.ends.clear();
+        self.shared = None;
+    }
+
+    /// Adds `id` to the reset set `R`.
+    pub fn push_reset(&mut self, id: ProcessorId) {
+        self.resets.push(id);
+    }
+
+    /// Appends `id` to the sender set being filled; the recipient will
+    /// process its senders' messages in the order they were pushed.
+    pub fn push_sender(&mut self, id: ProcessorId) {
+        self.senders.push(id);
+    }
+
+    /// Appends every processor `0..n`, ascending, to the set being filled.
+    pub fn push_all_senders(&mut self, n: usize) {
+        self.senders.extend(ProcessorId::all(n));
+    }
+
+    /// Removes `id` from the set being filled, keeping the order of the
+    /// others; `false` when the set does not list it.
+    pub fn strike_sender(&mut self, id: ProcessorId) -> bool {
+        let open = self.ends.last().copied().unwrap_or(0);
+        match self.senders[open..].iter().position(|&sender| sender == id) {
+            Some(at) => {
+                self.senders.remove(open + at);
+                true
+            }
+            None => false,
         }
     }
+
+    /// Closes the set being filled as the next recipient's `S_i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the window already holds a shared set.
+    pub fn end_set(&mut self) {
+        assert!(
+            self.shared.is_none(),
+            "a window with a shared set takes no further sets"
+        );
+        self.ends.push(self.senders.len());
+    }
+
+    /// Closes the set being filled as the `S_i` of every one of `arity`
+    /// recipients: the window is `R, S, S, ..., S`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a set has been closed already.
+    pub fn end_shared_set(&mut self, arity: usize) {
+        assert!(
+            self.ends.is_empty(),
+            "a shared set must be the window's only set"
+        );
+        self.ends.push(self.senders.len());
+        self.shared = Some(arity);
+    }
+
+    /// Closes a copy of the already closed `S_index` as the next recipient's
+    /// set (anything pushed since the last close is part of it, ahead of the
+    /// copy).
+    pub fn copy_set(&mut self, index: usize) {
+        self.senders.extend_from_within(self.set_range(index));
+        self.end_set();
+    }
+
+    /// Where the closed set number `index` lies in `senders`.
+    fn set_range(&self, index: usize) -> std::ops::Range<usize> {
+        let start = if index == 0 { 0 } else { self.ends[index - 1] };
+        start..self.ends[index]
+    }
+
+    /// Rewrites this window as the failure-free, full-delivery window of `n`
+    /// processors.
+    pub fn fill_full_delivery(&mut self, n: usize) {
+        self.clear();
+        self.push_all_senders(n);
+        self.end_shared_set(n);
+    }
+
+    // ----- reading ---------------------------------------------------------------
 
     /// The processors reset at the end of this window.
     pub fn resets(&self) -> &[ProcessorId] {
@@ -119,24 +228,21 @@ impl Window {
     ///
     /// Panics if `index` is out of range for the window's arity.
     pub fn delivery_set(&self, index: usize) -> &[ProcessorId] {
-        match &self.deliveries {
-            Deliveries::Shared { senders, arity } => {
+        match self.shared {
+            Some(arity) => {
                 assert!(
-                    index < *arity,
+                    index < arity,
                     "delivery set {index} requested from a window of arity {arity}"
                 );
-                senders
+                &self.senders[self.set_range(0)]
             }
-            Deliveries::PerRecipient(sets) => &sets[index],
+            None => &self.senders[self.set_range(index)],
         }
     }
 
     /// Number of per-processor delivery sets (should equal `n`).
     pub fn arity(&self) -> usize {
-        match &self.deliveries {
-            Deliveries::Shared { arity, .. } => *arity,
-            Deliveries::PerRecipient(sets) => sets.len(),
-        }
+        self.shared.unwrap_or(self.ends.len())
     }
 
     /// Checks this window against Definition 1 for the given configuration.
@@ -177,15 +283,12 @@ impl Window {
         if let Some(id) = reset_ids.first_unknown {
             return Err(WindowError::UnknownProcessor { id });
         }
-        match &self.deliveries {
-            // One set stands for all n >= 1 recipients, so one check does;
-            // a violation is the first recipient's as much as anyone's.
-            Deliveries::Shared { senders, .. } => check_delivery_set(0, senders, n, t, seen)?,
-            Deliveries::PerRecipient(sets) => {
-                for (recipient, senders) in sets.iter().enumerate() {
-                    check_delivery_set(recipient, senders, n, t, seen)?;
-                }
-            }
+        // One shared set stands for all n >= 1 recipients, so one check does;
+        // a violation is the first recipient's as much as anyone's.
+        let mut start = 0;
+        for (recipient, &end) in self.ends.iter().enumerate() {
+            check_delivery_set(recipient, &self.senders[start..end], n, t, seen)?;
+            start = end;
         }
         Ok(())
     }
@@ -416,13 +519,16 @@ mod tests {
     fn validate_matches_the_set_based_reference_on_random_windows() {
         let mut rng = ProcessorRng::from_seed(0xDEF1);
         let mut rejected = 0;
-        // n = 300 exercises the heap fallback of the scratch bitset.
+        let mut recycled = Window::default();
+        // n = 300 exercises the heap fallback of the scratch bitset. The
+        // sizes go down as well as up, so `recycled` is refilled in storage
+        // that last held a larger window as well as a smaller one.
         for (n, t, rounds) in [
-            (4, 1, 400),
-            (7, 1, 400),
             (13, 2, 400),
-            (70, 11, 60),
+            (4, 1, 400),
             (300, 40, 10),
+            (7, 1, 400),
+            (70, 11, 60),
         ] {
             let cfg = SystemConfig::new(n, t).unwrap();
             for _ in 0..rounds {
@@ -434,8 +540,17 @@ mod tests {
                     // Half the budget, so an injected entry usually still fits.
                     random_ids(&mut rng, n, 0, t / 2)
                 };
+                // `recycled` is filled in place, round after round, with
+                // whatever the round before left in its storage — larger
+                // windows, the other form, windows that failed validation.
                 let (window, sets) = if rng.chance(0.5) {
                     let shared = random_senders(&mut rng, n, t);
+                    fill(
+                        &mut recycled,
+                        &resets,
+                        std::slice::from_ref(&shared),
+                        Some(n),
+                    );
                     (
                         Window::uniform(&cfg, resets.clone(), shared.clone()),
                         vec![shared; n],
@@ -457,6 +572,7 @@ mod tests {
                             }
                         })
                         .collect();
+                    fill(&mut recycled, &resets, &sets, None);
                     (Window::new(resets.clone(), sets.clone()), sets)
                 };
                 let expected = reference_validate(&resets, &sets, &cfg);
@@ -466,12 +582,127 @@ mod tests {
                     expected,
                     "n={n} t={t} resets={resets:?} sets={sets:?}"
                 );
+                assert_eq!(recycled.validate(&cfg), expected, "filled in place");
+                assert_eq!(recycled, window);
+                assert_eq!(recycled.arity(), sets.len());
+                assert_eq!(recycled.resets(), resets);
+                for (i, set) in sets.iter().enumerate() {
+                    assert_eq!(recycled.delivery_set(i), set);
+                }
             }
         }
         assert!(
             rejected > 200,
             "the generator must produce illegal windows ({rejected} rejected)"
         );
+    }
+
+    /// Rewrites `window` through the fill API: `sets` as one shared set of
+    /// the given arity, or as one set per recipient.
+    fn fill(
+        window: &mut Window,
+        resets: &[ProcessorId],
+        sets: &[Vec<ProcessorId>],
+        shared_by: Option<usize>,
+    ) {
+        window.clear();
+        resets.iter().for_each(|&id| window.push_reset(id));
+        for set in sets {
+            set.iter().for_each(|&id| window.push_sender(id));
+            match shared_by {
+                Some(arity) => window.end_shared_set(arity),
+                None => window.end_set(),
+            }
+        }
+    }
+
+    #[test]
+    fn a_recycled_window_forgets_the_larger_window_it_held() {
+        let everyone = |n: usize| -> Vec<ProcessorId> { ProcessorId::all(n).collect() };
+        let mut window = Window::default();
+        // Shared at n = 13, per recipient at n = 7, shared at n = 4: each
+        // refill must read as if built from nothing.
+        fill(&mut window, &ids(&[12, 3]), &[everyone(13)], Some(13));
+        assert_eq!(
+            window,
+            Window::uniform(&cfg13(), ids(&[12, 3]), everyone(13))
+        );
+
+        let mut sets = vec![everyone(7); 7];
+        sets[2] = ids(&[6, 5, 4, 3, 2, 1]);
+        fill(&mut window, &[], &sets, None);
+        assert_eq!(window, Window::new(vec![], sets.clone()));
+        assert_eq!(window.arity(), 7);
+        assert!(window.resets().is_empty());
+        assert_eq!(window.delivery_set(2), ids(&[6, 5, 4, 3, 2, 1]));
+        assert_eq!(window.validate(&cfg()), Ok(()));
+
+        let small = SystemConfig::new(4, 1).unwrap();
+        fill(&mut window, &ids(&[1]), &[ids(&[3, 0, 2])], Some(4));
+        assert_eq!(window, Window::uniform(&small, ids(&[1]), ids(&[3, 0, 2])));
+        assert_eq!(window.arity(), 4);
+        assert_eq!(window.delivery_set(3), ids(&[3, 0, 2]));
+        assert_eq!(window.validate(&small), Ok(()));
+        assert_eq!(
+            window.validate(&cfg()),
+            Err(WindowError::WrongArity {
+                expected: 7,
+                actual: 4
+            })
+        );
+
+        window.fill_full_delivery(7);
+        assert_eq!(window, Window::full_delivery(&cfg()));
+        window.clear();
+        assert_eq!(window, Window::default());
+        assert_eq!(window.arity(), 0);
+    }
+
+    #[test]
+    fn sets_are_struck_from_and_copied_in_place() {
+        let mut window = Window::default();
+        window.push_all_senders(7);
+        assert!(window.strike_sender(ProcessorId::new(4)));
+        assert!(!window.strike_sender(ProcessorId::new(4)), "already struck");
+        assert!(!window.strike_sender(ProcessorId::new(9)), "never listed");
+        window.end_set();
+        // Striking reaches the set being filled only, never a closed one.
+        window.push_sender(ProcessorId::new(2));
+        assert!(!window.strike_sender(ProcessorId::new(0)));
+        assert!(window.strike_sender(ProcessorId::new(2)));
+        window.copy_set(0);
+        window.push_all_senders(7);
+        window.end_set();
+        window.copy_set(2);
+        let most = ids(&[0, 1, 2, 3, 5, 6]);
+        let all: Vec<ProcessorId> = ProcessorId::all(7).collect();
+        assert_eq!(
+            window,
+            Window::new(vec![], vec![most.clone(), most, all.clone(), all])
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "arity 7")]
+    fn a_shared_set_filled_in_place_still_panics_beyond_its_arity() {
+        let mut window = Window::new(vec![], vec![ids(&[0, 1, 2]); 9]);
+        window.fill_full_delivery(7);
+        let _ = window.delivery_set(7);
+    }
+
+    #[test]
+    #[should_panic(expected = "only set")]
+    fn a_shared_set_cannot_follow_another_set() {
+        let mut window = Window::default();
+        window.end_set();
+        window.end_shared_set(3);
+    }
+
+    #[test]
+    #[should_panic(expected = "no further sets")]
+    fn no_set_can_follow_a_shared_set() {
+        let mut window = Window::full_delivery(&cfg());
+        window.end_set();
     }
 
     #[test]
@@ -499,6 +730,10 @@ mod tests {
 
     fn cfg() -> SystemConfig {
         SystemConfig::new(7, 1).unwrap()
+    }
+
+    fn cfg13() -> SystemConfig {
+        SystemConfig::new(13, 2).unwrap()
     }
 
     fn ids(indices: &[usize]) -> Vec<ProcessorId> {

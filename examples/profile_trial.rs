@@ -22,6 +22,11 @@
 //! `run_range_records(&Campaign::serial(), 0, trials)`, a warm workspace from
 //! its second trial on, exactly what a campaign worker runs. Microseconds per
 //! trial and the sample count go to stderr.
+//!
+//! With `search:` before the id the repetition is one schedule search on the
+//! scenario's harness instead — `run_search` with a budget of `trials`, in
+//! generations of 32 on a serial campaign, as the benchmark's `search_fuzz`
+//! runs it (there: `search:e1/reset-tolerant/split-vote/split/n7t1 20000`).
 
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 mod sampler {
@@ -150,15 +155,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     use agreement::core::experiments::Scale;
     use agreement::core::{scenario_registry, Campaign};
+    use agreement_search::{run_search, SearchConfig};
 
     let args: Vec<String> = std::env::args().skip(1).collect();
     let [id, trials, repetitions] = args.as_slice() else {
-        return Err("usage: profile_trial <scenario id> <trials> <repetitions>".into());
+        return Err("usage: profile_trial [search:]<scenario id> <trials> <repetitions>".into());
     };
     let (trials, repetitions): (u64, u64) = (trials.parse()?, repetitions.parse()?);
+    let (searched, id) = match id.strip_prefix("search:") {
+        Some(id) => (true, id),
+        None => (false, id.as_str()),
+    };
     let spec = scenario_registry(Scale::Quick)
         .into_iter()
-        .find(|spec| spec.id() == *id)
+        .find(|spec| spec.id() == id)
         .ok_or_else(|| format!("no scenario '{id}' in the quick registry"))?
         .trials(trials);
 
@@ -166,7 +176,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     sampler::start();
     let started = Instant::now();
     for _ in 0..repetitions {
-        std::hint::black_box(spec.run_range_records(&Campaign::serial(), 0, trials)?);
+        if searched {
+            let config = SearchConfig::default().budget_trials(trials).batch(32);
+            std::hint::black_box(run_search(&spec, &Campaign::serial(), &config)?);
+        } else {
+            std::hint::black_box(spec.run_range_records(&Campaign::serial(), 0, trials)?);
+        }
     }
     let elapsed = started.elapsed();
     let samples = sampler::stop();
