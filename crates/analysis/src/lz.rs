@@ -27,6 +27,9 @@ pub const WINDOW: usize = 64 * 1024;
 /// Shortest copy worth emitting; shorter repeats ship as literals.
 pub const MIN_MATCH: usize = 4;
 
+/// The most output one input byte can decode to.
+const MAX_EXPANSION: usize = 255;
+
 /// Hash-table size for match finding (log2): 1 << 13 slots.
 const HASH_BITS: u32 = 13;
 
@@ -130,8 +133,17 @@ fn read_extended(input: &[u8], pos: &mut usize, nibble: usize) -> Result<usize, 
 /// Truncated input, an op whose copy offset reaches before the start of the
 /// output, or output diverging from `expected_len` in either direction — all
 /// reported with enough context to log. Nothing is ever read or written out
-/// of bounds.
+/// of bounds, and nothing is allocated for an `expected_len` the input could
+/// not produce.
 pub fn lz_decompress(input: &[u8], expected_len: usize) -> Result<Vec<u8>, String> {
+    // An op yields at most 255 output bytes per input byte it spans (a copy:
+    // 19 from its three fixed bytes, 255 per length-extension byte).
+    if expected_len > input.len().saturating_mul(MAX_EXPANSION) {
+        return Err(format!(
+            "a {}-byte stream cannot decompress to the declared {expected_len} bytes",
+            input.len()
+        ));
+    }
     let mut out: Vec<u8> = Vec::with_capacity(expected_len);
     let mut pos = 0usize;
     while pos < input.len() {
@@ -327,5 +339,10 @@ mod tests {
         let packed = lz_compress(&input);
         assert!(lz_decompress(&packed, input.len() - 1).is_err(), "short");
         assert!(lz_decompress(&packed, input.len() + 1).is_err(), "long");
+        // A length no stream of this size can reach is refused before it is
+        // allocated for.
+        for absurd in [1 << 40, usize::MAX] {
+            assert!(lz_decompress(&packed, absurd).is_err(), "{absurd}");
+        }
     }
 }

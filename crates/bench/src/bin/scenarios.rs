@@ -27,7 +27,8 @@
 //!                      registry path and verify its recorded metrics field
 //!                      for field (exit 1 on mismatch)
 //!   --workers <N>      shard every scenario's seed range across N local
-//!                      worker processes (spawned from this same binary);
+//!                      worker processes (spawned from this same binary),
+//!                      each range coming back as one columnar block frame;
 //!                      the merged output is byte-identical to a
 //!                      single-process run
 //!   --checkpoint <P>   with --workers: persist completed seed ranges to P
@@ -38,9 +39,6 @@
 //!                      silent twice this long is dropped and respawned
 //!   --respawn-budget <N>  with --workers: how many replacement workers the
 //!                      session may spawn after losses (default 2)
-//!   --batch-records <N>  with --workers: records per columnar block frame
-//!                      (default 256, at least 1; 1 = one-record blocks) —
-//!                      output is byte-identical at every setting
 //!   --compress         with --workers: pass each block's columnar body
 //!                      through the std-only LZ codec (off by default: on a
 //!                      localhost wire the bytes are cheaper than the
@@ -90,7 +88,6 @@ struct Options {
     recv_timeout: Option<u64>,
     respawn_budget: Option<u32>,
     chaos: Option<String>,
-    batch_records: Option<u64>,
     compress: bool,
     worker: bool,
     connect: Option<String>,
@@ -114,7 +111,6 @@ fn parse_options() -> Options {
         recv_timeout: None,
         respawn_budget: None,
         chaos: None,
-        batch_records: None,
         compress: false,
         worker: false,
         connect: None,
@@ -143,14 +139,6 @@ fn parse_options() -> Options {
                 options.respawn_budget = Some(parsed_value(&mut args, "--respawn-budget"))
             }
             "--chaos" => options.chaos = Some(required_value(&mut args, "--chaos")),
-            "--batch-records" => {
-                let batch: u64 = parsed_value(&mut args, "--batch-records");
-                if batch == 0 {
-                    eprintln!("--batch-records must be at least 1");
-                    std::process::exit(2);
-                }
-                options.batch_records = Some(batch);
-            }
             "--compress" => options.compress = true,
             "--worker" => options.worker = true,
             "--connect" => options.connect = Some(required_value(&mut args, "--connect")),
@@ -173,8 +161,7 @@ fn parse_options() -> Options {
                      \x20                [--json PATH] [--csv PATH] [--jsonl PATH] [--check PATH]\n\
                      \x20                [--replay PATH]\n\
                      \x20                [--workers N [--checkpoint PATH] [--recv-timeout S]\n\
-                     \x20                 [--respawn-budget N] [--chaos SPEC]\n\
-                     \x20                 [--batch-records N] [--compress]]\n\
+                     \x20                 [--respawn-budget N] [--chaos SPEC] [--compress]]\n\
                      Runs every registered protocol × adversary × inputs × size combination."
                 );
                 std::process::exit(0);
@@ -371,9 +358,6 @@ fn main() {
             if let Some(budget) = options.respawn_budget {
                 orchestrator = orchestrator.respawn_budget(budget);
             }
-            if let Some(batch) = options.batch_records {
-                orchestrator = orchestrator.batch_records(batch);
-            }
             orchestrator = orchestrator.compress(options.compress);
             if let Some(spec) = &options.chaos {
                 match FaultPlan::parse(spec) {
@@ -398,7 +382,6 @@ fn main() {
                 (options.recv_timeout.is_some(), "--recv-timeout"),
                 (options.respawn_budget.is_some(), "--respawn-budget"),
                 (options.chaos.is_some(), "--chaos"),
-                (options.batch_records.is_some(), "--batch-records"),
                 (options.compress, "--compress"),
             ] {
                 if set {

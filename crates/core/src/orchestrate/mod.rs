@@ -7,13 +7,13 @@
 //! coordinator ([`Orchestrator`] → [`Session`]) shards the trial range
 //! `0..trials` into contiguous slot ranges, dispatches them to worker
 //! processes over the framed TCP transport of `agreement_net::transport`,
-//! and workers stream the [`TrialRecord`](crate::record::TrialRecord)s back,
-//! batched into columnar block frames (see [`crate::block`]), for a
-//! slot-ordered merge. Because trial `t` runs
+//! and each worker answers a range with its
+//! [`TrialRecord`](crate::record::TrialRecord)s in one columnar block frame
+//! (see [`crate::block`]) for a slot-ordered merge. Because trial `t` runs
 //! identically wherever it is executed (its seed is `base_seed + t`, its
 //! workspace leaks no state), the merged record stream — and therefore every
 //! report sink's output — is **byte-identical to a single-process run** of
-//! the same spec, across worker counts, batch sizes, and compression
+//! the same spec, across worker counts, chunk sizes, and compression
 //! settings. That is the invariant the whole workspace has preserved across
 //! thread counts since PR 1, extended across process boundaries.
 //!
@@ -25,16 +25,19 @@
 //! [`BLOCK_MAGIC`](crate::block::BLOCK_MAGIC) is a binary record block:
 //!
 //! ```text
-//! worker → coordinator   {"type":"hello","pid":P,"proto":2}
+//! worker → coordinator   {"type":"hello","pid":P,"proto":3}
 //! coordinator → worker   {"type":"run","job":J,"scenario":ID,"scale":S,
 //!                         "trials":T,"base_seed":B,"max_windows":W,
-//!                         "max_steps":X,"lo":L,"hi":H,
-//!                         "batch":N,"compress":C}
-//! worker → coordinator   <block: J, ≤N records>        × ceil((H-L)/N)
-//! worker → coordinator   {"type":"range_done","job":J,"lo":L,"hi":H}
+//!                         "max_steps":X,"lo":L,"hi":H,"compress":C}
+//! worker → coordinator   <block: J, records L..H>      — or —
 //! worker → coordinator   {"type":"error","job":J,"message":M}
 //! coordinator → worker   {"type":"shutdown"}
 //! ```
+//!
+//! A run frame is answered by exactly one frame: the block settles the
+//! range when it carries exactly trials `L..H` in order. A range is at most
+//! 65 536 trials, so its block fits one transport frame; a worker answers a
+//! longer one with an error.
 //!
 //! There is one protocol version. Workers are only ever spawned from the
 //! coordinator's own build, so the hello is checked, not negotiated: a
@@ -43,9 +46,7 @@
 //!
 //! Workers resolve the scenario **by registry id** at the given scale and
 //! apply the trials/seed/limits carried on the wire, so both sides agree on
-//! the exact workload without serializing protocol objects. Frames on one
-//! connection are FIFO, so a range's records always precede its
-//! `range_done`.
+//! the exact workload without serializing protocol objects.
 //!
 //! # Fault tolerance and recovery
 //!
@@ -62,9 +63,9 @@
 //!   as garbage JSON.
 //! * **Silence** — a worker holding a range but silent past the liveness
 //!   policy's receive timeout gets its range *speculatively re-dispatched*
-//!   to an idle worker (first completion wins, duplicates are discarded by
-//!   exact-range dedupe, so the merge stays byte-identical); one silent past
-//!   **twice** the timeout is dropped outright.
+//!   to an idle worker (first completion wins, the slower copy is discarded,
+//!   so the merge stays byte-identical); one silent past **twice** the
+//!   timeout is dropped outright.
 //!
 //! Lost capacity comes back: the session respawns dead workers up to a
 //! bounded budget, with seeded exponential backoff and jitter, and only
@@ -116,15 +117,14 @@ pub use checkpoint::{
 };
 pub use session::Session;
 
-/// Default records per block frame (override with
-/// [`Orchestrator::batch_records`]). Big enough that framing and wakeups
-/// amortize away, small enough that the coordinator sees steady liveness
-/// signals from a working worker.
+/// Records per block in the benchmark's block-codec layer. The wire no
+/// longer uses it — a range travels as one block — and only
+/// `benchmark/src/layers.rs` reads it.
 pub const DEFAULT_BATCH_RECORDS: u64 = 256;
 
-/// Worker-side clamp on the batch size: a block of this many worst-case
-/// records still fits the transport's 64 MiB frame cap.
-const MAX_BATCH_RECORDS: u64 = 65_536;
+/// The most trials a range holds: a block of this many worst-case records
+/// still fits the transport's 64 MiB frame cap.
+const MAX_RANGE_TRIALS: u64 = 65_536;
 
 /// Why an orchestrated campaign failed.
 #[derive(Debug)]
@@ -236,7 +236,6 @@ pub struct Orchestrator {
     recv_timeout: Duration,
     respawn_budget: u32,
     worker_faults: Option<FaultPlan>,
-    batch: u64,
     compress: bool,
 }
 
@@ -258,17 +257,8 @@ impl Orchestrator {
             recv_timeout: Duration::from_secs(600),
             respawn_budget: 2,
             worker_faults: None,
-            batch: DEFAULT_BATCH_RECORDS,
             compress: false,
         }
-    }
-
-    /// Sets how many records workers pack per block frame (default
-    /// [`DEFAULT_BATCH_RECORDS`]; clamped to at least 1, which ships
-    /// degenerate single-record blocks — useful to isolate framing cost).
-    pub fn batch_records(mut self, batch: u64) -> Self {
-        self.batch = batch.max(1);
-        self
     }
 
     /// Passes each block's columnar body through the std-only LZ codec
@@ -288,9 +278,10 @@ impl Orchestrator {
     /// Overrides the dispatch chunk size in trials. The default is
     /// `ceil(trials / (workers · 4))` per spec: enough chunks that a lost
     /// worker forfeits little and stragglers rebalance, few enough that
-    /// framing overhead stays negligible.
+    /// framing overhead stays negligible. Either is clamped to 1..=65 536
+    /// trials, the most one block frame carries.
     pub fn chunk(mut self, chunk: u64) -> Self {
-        self.chunk = Some(chunk.max(1));
+        self.chunk = Some(chunk);
         self
     }
 

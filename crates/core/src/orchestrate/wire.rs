@@ -1,7 +1,7 @@
 //! The JSON control frames of the orchestration wire: the only file that
 //! names a frame field. Both halves speak through [`Message::encode`] and
-//! [`Message::decode`]; record batches travel beside these frames as binary
-//! blocks ([`crate::block`]), told apart by their first byte.
+//! [`Message::decode`]; a range's records travel beside these frames as one
+//! binary block ([`crate::block`]), told apart by its first byte.
 
 use std::time::Instant;
 
@@ -15,7 +15,7 @@ use crate::experiments::Scale;
 /// The one protocol version coordinator and worker speak. Workers are only
 /// ever spawned from the coordinator's own build, so a mismatch means a stale
 /// worker binary, and [`read_hello`] refuses it.
-pub(super) const PROTO_VERSION: u64 = 2;
+pub(super) const PROTO_VERSION: u64 = 3;
 
 /// One range assignment: everything a worker needs to rebuild the workload
 /// from its registry and run trials `lo..hi` of it.
@@ -29,8 +29,6 @@ pub(super) struct Run {
     pub limits: RunLimits,
     pub lo: u64,
     pub hi: u64,
-    /// Records per block frame.
-    pub batch: u64,
     /// Whether block bodies pass through the LZ codec.
     pub compress: bool,
 }
@@ -40,10 +38,8 @@ pub(super) struct Run {
 pub(super) enum Message {
     /// Worker → coordinator, first frame of a connection.
     Hello { pid: u64, proto: u64 },
-    /// Coordinator → worker.
+    /// Coordinator → worker; answered with one block or one error.
     Run(Run),
-    /// Worker → coordinator, after the last block of `job`.
-    RangeDone { job: u64, lo: u64, hi: u64 },
     /// Worker → coordinator: `job` could not be executed.
     WorkerError { job: u64, message: String },
     /// Coordinator → worker.
@@ -97,14 +93,7 @@ impl Message {
                 w.key("max_steps").u64(run.limits.max_steps);
                 w.key("lo").u64(run.lo);
                 w.key("hi").u64(run.hi);
-                w.key("batch").u64(run.batch);
                 w.key("compress").bool(run.compress);
-            }
-            Message::RangeDone { job, lo, hi } => {
-                w.str("range_done");
-                w.key("job").u64(*job);
-                w.key("lo").u64(*lo);
-                w.key("hi").u64(*hi);
             }
             Message::WorkerError { job, message } => {
                 w.str("error");
@@ -156,7 +145,6 @@ impl Message {
                     "max_steps" => max_steps: r.u64(),
                     "lo" => lo: r.u64(),
                     "hi" => hi: r.u64(),
-                    "batch" => batch: r.u64(),
                     "compress" => compress: r.bool(),
                 });
                 let scenario = scenario.into_owned();
@@ -173,17 +161,8 @@ impl Message {
                     limits,
                     lo,
                     hi,
-                    batch,
                     compress,
                 }))
-            }),
-            "range_done" => parse(text, |r| {
-                read_json_object!(r, {
-                    "job" => job: r.u64(),
-                    "lo" => lo: r.u64(),
-                    "hi" => hi: r.u64(),
-                });
-                Ok(Message::RangeDone { job, lo, hi })
             }),
             "error" => parse(text, |r| {
                 read_json_object!(r, {
@@ -232,8 +211,14 @@ pub(super) fn read_hello(
 
 #[cfg(test)]
 mod tests {
+    use super::super::checkpoint::tests::record;
     use super::*;
-    use agreement_net::transport::Listener;
+    use crate::block::{decode_block, encode_block};
+    use crate::record::TrialRecord;
+    use agreement_analysis::read_varint;
+    use agreement_model::Bit;
+    use agreement_net::transport::{encode_frame, read_frame, write_frame, Listener};
+    use std::io::Cursor;
     use std::time::Duration;
 
     fn run_frame() -> Run {
@@ -249,7 +234,6 @@ mod tests {
             },
             lo: 250,
             hi: 500,
-            batch: 256,
             compress: true,
         }
     }
@@ -261,31 +245,34 @@ mod tests {
         }
     }
 
-    #[test]
-    fn every_message_round_trips() {
-        let (job, lo, hi) = (3, 10, 20);
-        let messages = [
+    /// One of every JSON frame of the protocol.
+    fn messages() -> Vec<Message> {
+        vec![
             Message::Hello {
                 pid: 4242,
                 proto: PROTO_VERSION,
             },
             Message::Run(run_frame()),
-            Message::RangeDone { job, lo, hi },
             Message::WorkerError {
-                job,
+                job: 3,
                 message: "no scenario 'x'\nin the registry".to_string(),
             },
             Message::Shutdown,
-        ];
-        for message in messages {
+        ]
+    }
+
+    #[test]
+    fn every_message_round_trips() {
+        for message in messages() {
             assert_eq!(Message::decode(&message.encode()), Ok(message));
         }
         // Any member order, unknown members skipped.
-        let shuffled = br#"{"hi":20,"later":[1,{"x":null}],"lo":10,"type":"range_done","job":3}"#;
-        assert_eq!(
-            Message::decode(shuffled),
-            Ok(Message::RangeDone { job, lo, hi })
-        );
+        let shuffled = br#"{"message":"m","later":[1,{"x":null}],"type":"error","job":3}"#;
+        let error = Message::WorkerError {
+            job: 3,
+            message: "m".to_string(),
+        };
+        assert_eq!(Message::decode(shuffled), Ok(error));
     }
 
     #[test]
@@ -301,13 +288,13 @@ mod tests {
         let without_job = run.replace("\"job\":9,", "");
         assert_ne!(without_job, run);
         assert!(invalid(without_job.as_bytes()).contains("missing field 'job'"));
-        assert!(invalid(br#"{"type":"range_done","job":1,"lo":2}"#).contains("'hi'"));
+        assert!(invalid(br#"{"type":"error","job":1}"#).contains("'message'"));
         assert!(invalid(br#"{"type":"hello","proto":2}"#).contains("'pid'"));
         assert!(invalid(br#"{"job":1}"#).contains("'type'"));
 
         // Mistyped members, unknown scales, and bytes that are not a JSON
         // object at all.
-        assert!(invalid(br#"{"type":"range_done","job":"1","lo":2,"hi":3}"#).contains("'job'"));
+        assert!(invalid(br#"{"type":"error","job":"1","message":"m"}"#).contains("'job'"));
         assert!(invalid(run.replace("\"full\"", "\"huge\"").as_bytes()).contains("huge"));
         invalid(b"{\"type\":\"shutdown\"} trailing");
         invalid(b"[1,2]");
@@ -335,17 +322,18 @@ mod tests {
 
         let stale = [
             // The hello protocol 1 workers sent carries no version at all.
-            br#"{"type":"hello","pid":77}"#.to_vec(),
-            Message::Hello { pid, proto: 1 }.encode(),
+            (1, br#"{"type":"hello","pid":77}"#.to_vec()),
+            (1, Message::Hello { pid, proto: 1 }.encode()),
+            (2, Message::Hello { pid, proto: 2 }.encode()),
         ];
-        for hello in stale {
+        for (proto, hello) in stale {
             match greet(hello) {
                 Err(OrchestrateError::Protocol(message)) => assert!(
-                    message.contains("speaks wire protocol 1")
+                    message.contains(&format!("speaks wire protocol {proto},"))
                         && message.contains(&format!("coordinator speaks {PROTO_VERSION}")),
                     "refusal must name both versions: {message}"
                 ),
-                other => panic!("a protocol 1 hello must be refused, got {other:?}"),
+                other => panic!("a protocol {proto} hello must be refused, got {other:?}"),
             }
         }
         // Not a hello at all.
@@ -353,5 +341,147 @@ mod tests {
             greet(Message::Shutdown.encode()),
             Err(OrchestrateError::Protocol(_))
         ));
+    }
+
+    fn xorshift(state: &mut u64) -> u64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        *state
+    }
+
+    fn below(state: &mut u64, bound: usize) -> usize {
+        (xorshift(state) % bound.max(1) as u64) as usize
+    }
+
+    /// `count` seeded mutants of `frame`: bit flips, truncations at random
+    /// lengths, and splices of a random slice of a random `donor`.
+    fn mutants(frame: &[u8], donors: &[Vec<u8>], state: &mut u64, count: usize) -> Vec<Vec<u8>> {
+        (0..count)
+            .map(|_| {
+                let mut bytes = frame.to_vec();
+                match xorshift(state) % 3 {
+                    0 if !bytes.is_empty() => {
+                        for _ in 0..=below(state, 8) {
+                            let bit = below(state, bytes.len() * 8);
+                            bytes[bit / 8] ^= 1 << (bit % 8);
+                        }
+                    }
+                    1 => bytes.truncate(below(state, bytes.len())),
+                    _ => {
+                        let donor = &donors[below(state, donors.len())];
+                        let from = below(state, donor.len() + 1);
+                        let slice = &donor[from..from + below(state, donor.len() - from + 1)];
+                        let at = below(state, bytes.len() + 1);
+                        let end = at + below(state, bytes.len() - at + 1);
+                        bytes.splice(at..end, slice.iter().copied());
+                    }
+                }
+                bytes
+            })
+            .collect()
+    }
+
+    /// Copies of `frame` with the byte span `at..end` (a header field)
+    /// overwritten by runs of `0xFF`: open-ended ones, which read on into
+    /// the next field, and ones closed by a `0x01`.
+    fn saturated(frame: &[u8], at: usize, end: usize) -> Vec<Vec<u8>> {
+        (1..=11)
+            .flat_map(|run| {
+                let open = vec![0xFF; run];
+                let mut closed = vec![0xFF; run - 1];
+                closed.push(0x01);
+                [open, closed]
+            })
+            .map(|field| [&frame[..at], &field[..], &frame[end..]].concat())
+            .collect()
+    }
+
+    /// The block header's three varint fields (job, record count, raw body
+    /// length), each saturated in turn.
+    fn saturated_block_headers(block: &[u8]) -> Vec<Vec<u8>> {
+        let mut pos = 3;
+        (0..3)
+            .flat_map(|_| {
+                let at = pos;
+                read_varint(block, &mut pos).expect("a valid block header");
+                saturated(block, at, pos)
+            })
+            .collect()
+    }
+
+    /// Runs `check` on `bytes`, failing with the input if it panics.
+    fn survives(decoder: &str, bytes: &[u8], check: impl Fn(&[u8]) + std::panic::RefUnwindSafe) {
+        let outcome = std::panic::catch_unwind(|| check(bytes));
+        assert!(outcome.is_ok(), "{decoder} panicked on {bytes:02x?}");
+    }
+
+    fn check_message(bytes: &[u8]) {
+        if let Ok(message) = Message::decode(bytes) {
+            assert_eq!(Message::decode(&message.encode()), Ok(message));
+        }
+    }
+
+    fn check_block(bytes: &[u8]) {
+        if let Ok(decoded) = decode_block(bytes) {
+            for compress in [false, true] {
+                let again = encode_block(decoded.0, &decoded.1, compress);
+                assert_eq!(decode_block(&again).as_ref(), Ok(&decoded));
+            }
+        }
+    }
+
+    fn check_stream(bytes: &[u8]) {
+        let mut stream = Cursor::new(bytes);
+        // Every frame read consumes at least its length prefix, so this ends.
+        while let Ok(Some(payload)) = read_frame(&mut stream) {
+            let again = read_frame(&mut Cursor::new(encode_frame(&payload)));
+            assert_eq!(again.ok().flatten().as_ref(), Some(&payload));
+        }
+    }
+
+    #[test]
+    fn wire_decoders_fail_loudly_on_mutated_frames_and_never_panic() {
+        let records: Vec<TrialRecord> = (0..300u64)
+            .map(|trial| {
+                let mut record = record(trial);
+                record.decided = [None, Some(Bit::Zero), Some(Bit::One)][trial as usize % 3];
+                record.metrics.messages_sent = trial * trial;
+                record.metrics.rounds = trial % 7;
+                record
+            })
+            .collect();
+        let mut frames: Vec<Vec<u8>> = messages().iter().map(Message::encode).collect();
+        let mut blocks = Vec::new();
+        for count in [0, 1, 300] {
+            for compress in [false, true] {
+                blocks.push(encode_block(11, &records[..count], compress));
+            }
+        }
+        frames.extend(blocks.iter().cloned());
+        let mut stream = Vec::new();
+        for frame in &frames {
+            write_frame(&mut stream, frame).unwrap();
+        }
+
+        let mut state = 0x5EED_F0CC_u64;
+        let mut inputs = Vec::new();
+        for frame in &frames {
+            inputs.extend(mutants(frame, &frames, &mut state, 400));
+        }
+        for block in &blocks {
+            inputs.extend(saturated_block_headers(block));
+        }
+        for input in &inputs {
+            survives("Message::decode", input, check_message);
+            survives("decode_block", input, check_block);
+        }
+
+        let donors = [stream.clone()];
+        let mut streams = mutants(&stream, &donors, &mut state, 400);
+        streams.extend(saturated(&stream, 0, 4));
+        for input in &streams {
+            survives("read_frame", input, check_stream);
+        }
     }
 }

@@ -1,15 +1,16 @@
 //! The worker half: connects back to the coordinator, executes the ranges it
-//! is handed, and streams the records as block frames. This is what
-//! `scenarios --worker` and the `orchestrate_worker` binary run; it returns
-//! when the coordinator says shutdown or hangs up.
+//! is handed, and answers each with one block frame of its records. This is
+//! what `scenarios --worker` and the `orchestrate_worker` binary run; it
+//! returns when the coordinator says shutdown or hangs up.
 
 use std::io;
 
 use agreement_net::transport::Connection;
 
 use super::wire::{Message, Run, PROTO_VERSION};
-use super::{FaultPlan, MAX_BATCH_RECORDS};
+use super::{FaultPlan, MAX_RANGE_TRIALS};
 use crate::block::encode_block;
+use crate::record::TrialRecord;
 use crate::runner::Campaign;
 use crate::scenario::scenario_registry;
 
@@ -45,7 +46,7 @@ pub fn serve(addr: &str) -> io::Result<()> {
     // split never shows in the records.
     let campaign = Campaign::parallel();
     // Guard against duplicated run frames (a faulted coordinator→worker
-    // leg can re-deliver one): re-executing would re-stream records the
+    // leg can re-deliver one): re-executing would re-send a block the
     // coordinator has already consumed.
     let mut last_job: Option<u64> = None;
     while let Some(frame) = conn.recv() {
@@ -65,14 +66,32 @@ pub fn serve(addr: &str) -> io::Result<()> {
     Ok(())
 }
 
-/// Resolves one run frame into a spec (registry id + wire overrides),
-/// executes its range and streams the answer: the records in blocks of
-/// `run.batch` and a `range_done`, or an in-protocol error. `Err` means the
-/// coordinator is gone.
+/// Answers one run frame with exactly one frame: a block of all its
+/// records, or an in-protocol error. `Err` means the coordinator is gone.
 fn answer(conn: &Connection, run: &Run, campaign: &Campaign) -> Result<(), ()> {
-    let send = |frame: Vec<u8>| conn.send(frame).map_err(drop);
-    let (job, lo, hi) = (run.job, run.lo, run.hi);
-    let records = scenario_registry(run.scale)
+    let frame = match execute(run, campaign) {
+        Ok(records) => encode_block(run.job, &records, run.compress),
+        Err(message) => Message::WorkerError {
+            job: run.job,
+            message,
+        }
+        .encode(),
+    };
+    conn.send(frame).map_err(drop)
+}
+
+/// Resolves one run frame into a spec (registry id + wire overrides) and
+/// executes its range.
+fn execute(run: &Run, campaign: &Campaign) -> Result<Vec<TrialRecord>, String> {
+    // The cap holds whatever the frame said: a block past it might not fit
+    // a transport frame.
+    if run.lo > run.hi || run.hi - run.lo > MAX_RANGE_TRIALS {
+        return Err(format!(
+            "{}..{} is not a range of at most {MAX_RANGE_TRIALS} trials",
+            run.lo, run.hi
+        ));
+    }
+    let mut spec = scenario_registry(run.scale)
         .into_iter()
         .find(|spec| spec.id() == run.scenario)
         .ok_or_else(|| {
@@ -80,24 +99,36 @@ fn answer(conn: &Connection, run: &Run, campaign: &Campaign) -> Result<(), ()> {
                 "no scenario '{}' in the {:?} registry",
                 run.scenario, run.scale
             )
-        })
-        .and_then(|mut spec| {
-            spec.trials = run.trials;
-            spec.base_seed = run.base_seed;
-            spec.limits = run.limits;
-            spec.run_range_records(campaign, lo, hi)
-                .map_err(|err| err.to_string())
-        });
-    match records {
-        Ok(records) => {
-            // The bounds hold whatever the frame said: zero would not chunk,
-            // and a block past the cap would not fit a transport frame.
-            let batch = run.batch.clamp(1, MAX_BATCH_RECORDS) as usize;
-            for block in records.chunks(batch) {
-                send(encode_block(job, block, run.compress))?;
-            }
-            send(Message::RangeDone { job, lo, hi }.encode())
+        })?;
+    spec.trials = run.trials;
+    spec.base_seed = run.base_seed;
+    spec.limits = run.limits;
+    spec.run_range_records(campaign, run.lo, run.hi)
+        .map_err(|err| err.to_string())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::experiments::Scale;
+
+    #[test]
+    fn a_range_past_the_cap_is_refused_before_it_runs() {
+        let spec = scenario_registry(Scale::Quick).remove(0);
+        for (lo, hi) in [(0, MAX_RANGE_TRIALS + 1), (5, 4)] {
+            let run = Run {
+                job: 1,
+                scenario: spec.id(),
+                scale: Scale::Quick,
+                trials: 1 << 20,
+                base_seed: spec.base_seed,
+                limits: spec.limits,
+                lo,
+                hi,
+                compress: false,
+            };
+            let err = execute(&run, &Campaign::serial()).unwrap_err();
+            assert!(err.contains("at most 65536 trials"), "{err}");
         }
-        Err(message) => send(Message::WorkerError { job, message }.encode()),
     }
 }

@@ -99,16 +99,16 @@ fn merged_registry_reports_are_byte_identical_across_worker_counts() {
 }
 
 #[test]
-fn batch_size_and_compression_never_show_in_the_merged_reports() {
-    // Degenerate one-record blocks and full columnar blocks, with or
-    // without LZ compression: no shape of the record wire may leave a trace
-    // in the rendered output.
+fn chunking_and_compression_never_show_in_the_merged_reports() {
+    // One-trial ranges and whole-spec ranges, each answered by one block,
+    // with or without LZ compression: no shape of the record wire may leave
+    // a trace in the rendered output.
     let specs = equivalence_specs();
     let (local_json, local_jsonl) = render_local(&specs);
-    for (batch, compress) in [(1u64, false), (7, true), (256, true)] {
+    for (chunk, compress) in [(1u64, true), (2, false), (2, true)] {
         let mut session = Orchestrator::new(Scale::Quick, worker_command())
             .workers(2)
-            .batch_records(batch)
+            .chunk(chunk)
             .compress(compress)
             .start()
             .expect("spawn orchestration workers");
@@ -116,11 +116,11 @@ fn batch_size_and_compression_never_show_in_the_merged_reports() {
         session.shutdown().expect("worker shutdown");
         assert_eq!(
             local_json, json,
-            "JSON report diverges at batch {batch} compress {compress}"
+            "JSON report diverges at chunk {chunk} compress {compress}"
         );
         assert_eq!(
             local_jsonl, jsonl,
-            "per-trial JSONL diverges at batch {batch} compress {compress}"
+            "per-trial JSONL diverges at chunk {chunk} compress {compress}"
         );
     }
 }
@@ -335,10 +335,9 @@ fn duplicated_worker_frames_merge_byte_identically() {
         .run_range_records(&campaign, 0, spec.trials)
         .expect("local run");
 
-    // Duplicate 90% of worker frames (records and range_done alike; the
-    // hello is protected by the default grace frame). The coordinator's
-    // expected-trial cursor and completed-range set must swallow every
-    // replay without a trace in the merged stream.
+    // Duplicate 90% of worker frames (the hello is protected by the default
+    // grace frame). The coordinator's retired-job rule must swallow every
+    // replayed block without a trace in the merged stream.
     let mut plan = FaultPlan::new(0xD0D0);
     plan.duplicate = 0.9;
     let mut session = Orchestrator::new(Scale::Quick, worker_command())
@@ -456,6 +455,66 @@ fn checkpoint_resume_skips_completed_ranges_and_merges_identically() {
         .map(|e| e.hi - e.lo)
         .sum();
     assert_eq!(covered, spec.trials, "checkpoint does not cover all trials");
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn malformed_checkpoint_entries_are_skipped_and_their_trials_re_run() {
+    let spec = fault_spec();
+    let campaign = Campaign::parallel();
+    let expected = spec
+        .run_range_records(&campaign, 0, spec.trials)
+        .expect("local run");
+
+    // Every line below passes its CRC and names this exact workload; only
+    // the first two are ranges a session could have written.
+    let path = std::env::temp_dir().join(format!(
+        "agreement-orchestration-malformed-{}.jsonl",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&path);
+    let mut reversed = expected[3..5].to_vec();
+    reversed.reverse();
+    let entries = [
+        (0u64, 3u64, expected[0..3].to_vec()),
+        (5, 7, expected[5..7].to_vec()),
+        // lo > hi: once an underflowing subtraction in the covered count.
+        (4, 2, Vec::new()),
+        (4, 4, Vec::new()),
+        (3, 5, reversed),
+        (7, 8, expected[6..8].to_vec()),
+        // Well-formed, but overlapping the restored 0..3.
+        (2, 4, expected[2..4].to_vec()),
+        (7, 9, expected[7..8].to_vec()),
+    ];
+    for (lo, hi, records) in entries {
+        let entry = CheckpointEntry {
+            scenario: spec.id(),
+            base_seed: spec.base_seed,
+            trials: spec.trials,
+            lo,
+            hi,
+            records,
+        };
+        append_checkpoint(&path, &entry).expect("seed checkpoint");
+    }
+
+    let mut session = Orchestrator::new(Scale::Quick, worker_command())
+        .workers(2)
+        .checkpoint(&path)
+        .start()
+        .expect("spawn orchestration workers");
+    let mut restored = Vec::new();
+    let records = session
+        .run_spec_records_with(&spec, |event| {
+            if let OrchestrationEvent::RangeRestored { lo, hi } = event {
+                restored.push((lo, hi));
+            }
+        })
+        .expect("malformed entries are skipped, never fatal");
+    session.shutdown().expect("worker shutdown");
+    assert_eq!(restored, vec![(0, 3), (5, 7)]);
+    assert_eq!(records, expected, "resumed merge diverges");
     let _ = std::fs::remove_file(&path);
 }
 
