@@ -38,7 +38,7 @@ mod zsets;
 pub use crc::{crc32, Crc32, CRC32_TABLE};
 pub use fnv::{fnv1a_64, Fnv64, FNV64_OFFSET, FNV64_PRIME};
 pub use hamming::{distance_between_sets, distance_to_set, hamming_distance, in_ball};
-pub use json::{JsonError, JsonReader, JsonValue, JsonWriter, MAX_JSON_DEPTH};
+pub use json::{JsonError, JsonMembers, JsonReader, JsonValue, JsonWriter, MAX_JSON_DEPTH};
 pub use lower_bound::{
     alpha, inequality_three_rhs, paper_constant, per_window_failure, success_probability,
     window_bound,

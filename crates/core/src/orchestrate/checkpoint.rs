@@ -2,7 +2,6 @@
 //! reader, the coalescing writer, and atomic compaction. This file is the
 //! only one that knows the line format; the session sees entries.
 
-use std::fmt::Write as _;
 use std::io::{self, BufRead, Write as _};
 use std::path::{Path, PathBuf};
 
@@ -78,8 +77,11 @@ impl CheckpointEntry {
 fn push_checkpoint_line(entry: &CheckpointEntry, body: &mut String, out: &mut String) {
     body.clear();
     entry.write_json(&mut JsonWriter::new(body));
-    let crc = crc32(body.as_bytes());
-    writeln!(out, "{{\"crc\":{crc},\"entry\":{body}}}").expect("writing to a String cannot fail");
+    out.push_str("{\"crc\":");
+    JsonWriter::new(out).u64(crc32(body.as_bytes()).into());
+    out.push_str(",\"entry\":");
+    out.push_str(body);
+    out.push_str("}\n");
 }
 
 /// Parses one complete checkpoint line, the CRC-wrapped form written by
@@ -566,5 +568,403 @@ pub(super) mod tests {
         tmp.push(".tmp");
         assert!(!PathBuf::from(tmp).exists());
         std::fs::remove_file(&path).unwrap();
+    }
+
+    // The text decoders on bytes they did not write: every input decodes to
+    // what `JsonValue::parse` of the same text describes, or is refused.
+
+    use super::super::wire::tests::{below, mutants};
+    use crate::record::{JsonlSink, ReportSink, ScenarioMeta};
+    use agreement_analysis::JsonValue;
+    use agreement_model::Bit;
+    use agreement_sim::Metrics;
+
+    /// `value`'s member `key`; the last one when it repeats.
+    fn last<'v>(value: &'v JsonValue, key: &str) -> Option<&'v JsonValue> {
+        match value {
+            JsonValue::Object(pairs) => pairs.iter().rev().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// The record a parsed tree describes, read from the tree alone: the
+    /// oracle the text decoder is held to.
+    fn record_of_tree(tree: &JsonValue) -> Option<TrialRecord> {
+        let int = |value: &JsonValue, key: &str| last(value, key)?.as_u64();
+        let flag = |key: &str| last(tree, key)?.as_bool();
+        let opt = |key: &str| match last(tree, key)? {
+            JsonValue::Null => Some(None),
+            value => value.as_u64().map(Some),
+        };
+        let m = last(tree, "metrics")?;
+        Some(TrialRecord {
+            trial: int(tree, "trial")?,
+            seed: int(tree, "seed")?,
+            agreement: flag("agreement")?,
+            validity: flag("validity")?,
+            terminated: flag("terminated")?,
+            violations: int(tree, "violations")?,
+            halted: flag("halted")?,
+            decided: match opt("decided")? {
+                None => None,
+                Some(0) => Some(Bit::Zero),
+                Some(1) => Some(Bit::One),
+                Some(_) => return None,
+            },
+            first_decision_at: opt("first_decision_at")?,
+            all_decided_at: opt("all_decided_at")?,
+            duration: int(tree, "duration")?,
+            longest_chain: int(tree, "longest_chain")?,
+            metrics: Metrics {
+                messages_sent: int(m, "messages_sent")?,
+                messages_delivered: int(m, "messages_delivered")?,
+                messages_dropped: int(m, "messages_dropped")?,
+                rounds: int(m, "rounds")?,
+                windows: int(m, "windows")?,
+                steps: int(m, "steps")?,
+                resets_consumed: int(m, "resets_consumed")?,
+                crashes: int(m, "crashes")?,
+                coin_flips: int(m, "coin_flips")?,
+                max_chain: int(m, "max_chain")?,
+            },
+        })
+    }
+
+    fn entry_of_tree(tree: &JsonValue) -> Option<CheckpointEntry> {
+        let int = |key: &str| last(tree, key)?.as_u64();
+        let records = last(tree, "records")?.as_array()?;
+        Some(CheckpointEntry {
+            scenario: last(tree, "scenario")?.as_str()?.to_string(),
+            base_seed: int("base_seed")?,
+            trials: int("trials")?,
+            lo: int("lo")?,
+            hi: int("hi")?,
+            records: records.iter().map(record_of_tree).collect::<Option<_>>()?,
+        })
+    }
+
+    /// Whether some object in `tree` names a member twice.
+    fn repeats_a_key(tree: &JsonValue) -> bool {
+        match tree {
+            JsonValue::Object(pairs) => pairs.iter().enumerate().any(|(i, (key, value))| {
+                pairs[..i].iter().any(|(k, _)| k == key) || repeats_a_key(value)
+            }),
+            JsonValue::Array(items) => items.iter().any(repeats_a_key),
+            _ => false,
+        }
+    }
+
+    /// Runs `decode` on `text`, failing with the input if it panics.
+    fn decode_unwinding<T>(text: &str, decode: fn(&str) -> Result<T, String>) -> Result<T, String> {
+        std::panic::catch_unwind(|| decode(text))
+            .unwrap_or_else(|_| panic!("a decoder panicked on {text:?}"))
+    }
+
+    fn decode_record(text: &str) -> Result<TrialRecord, String> {
+        let mut reader = JsonReader::new(text);
+        let record = TrialRecord::read_json(&mut reader)?;
+        reader.finish()?;
+        Ok(record)
+    }
+
+    /// Holds a decoder's answer on `text` to the tree's. A decoded value is
+    /// the one the tree describes. A refusal must be excused: the tree
+    /// describes nothing, or the text holds what the reader may refuse while
+    /// a last-wins reading of the tree accepts it (an earlier duplicate of
+    /// the wrong type, or a `-0`, which the tree reads as 0). Returns whether
+    /// it decoded.
+    fn agrees_with_tree<T: PartialEq + std::fmt::Debug>(
+        text: &str,
+        decoded: Result<T, String>,
+        oracle: fn(&JsonValue) -> Option<T>,
+    ) -> bool {
+        let tree = JsonValue::parse(text);
+        let described = tree.as_ref().ok().and_then(oracle);
+        match decoded {
+            Ok(value) => {
+                assert_eq!(Some(&value), described.as_ref(), "decoded {text:?}");
+                true
+            }
+            Err(err) => {
+                let excused = described.is_none()
+                    || tree.as_ref().is_ok_and(repeats_a_key)
+                    || text.contains("-0");
+                assert!(excused, "refused {text:?}: {err}");
+                false
+            }
+        }
+    }
+
+    fn wrap(body: &str) -> String {
+        format!("{{\"crc\":{},\"entry\":{body}}}", crc32(body.as_bytes()))
+    }
+
+    /// A checkpoint line around `body` with its CRC right, so the bytes reach
+    /// the JSON reader.
+    fn check_wrapped(body: &str) -> bool {
+        let decoded = decode_unwinding(&wrap(body), parse_checkpoint_line);
+        agrees_with_tree(body, decoded, entry_of_tree)
+    }
+
+    /// A damaged whole line: if it still decodes, then to what the body its
+    /// wrapper names describes.
+    fn check_line(line: &str) {
+        if let Ok(entry) = decode_unwinding(line, parse_checkpoint_line) {
+            let body = line
+                .strip_prefix("{\"crc\":")
+                .and_then(|rest| rest.split_once(",\"entry\":"))
+                .and_then(|(_, tail)| tail.strip_suffix('}'))
+                .expect("a decoded line has its wrapper");
+            agrees_with_tree(body, Ok(entry), entry_of_tree);
+        }
+    }
+
+    /// `count` seeded mutants of `text` (the wire test's bit flips, cuts and
+    /// splices of a donor's slice), read back as UTF-8, lossily.
+    fn text_mutants(text: &str, donors: &[String], state: &mut u64, count: usize) -> Vec<String> {
+        let donors: Vec<Vec<u8>> = donors
+            .iter()
+            .map(|donor| donor.clone().into_bytes())
+            .collect();
+        mutants(text.as_bytes(), &donors, state, count)
+            .iter()
+            .map(|bytes| String::from_utf8_lossy(bytes).into_owned())
+            .collect()
+    }
+
+    /// An object as its members' spelled keys and value texts.
+    type Members = Vec<(String, String)>;
+
+    fn members_of(text: &str) -> Members {
+        match JsonValue::parse(text).expect("a written object parses") {
+            JsonValue::Object(pairs) => pairs
+                .into_iter()
+                .map(|(key, value)| (JsonValue::from(key).to_string(), value.to_string()))
+                .collect(),
+            _ => unreachable!(),
+        }
+    }
+
+    fn render(members: &Members) -> String {
+        let spelled: Vec<String> = members.iter().map(|(k, v)| format!("{k}:{v}")).collect();
+        format!("{{{}}}", spelled.join(","))
+    }
+
+    /// Variants of `members` whose first `at` members keep the written order
+    /// and spelling, and that leave it at member `at`: swapped with the next
+    /// one, an unknown member, the previous member repeated, the key escaped,
+    /// whitespace before the key. Each describes the same value as `members`.
+    fn leaving_at(members: &Members, at: usize) -> Vec<Members> {
+        let mut variants = Vec::new();
+        let mut edit = |change: &dyn Fn(&mut Members)| {
+            let mut variant = members.clone();
+            change(&mut variant);
+            variants.push(variant);
+        };
+        if at + 1 < members.len() {
+            edit(&|m: &mut Members| m.swap(at, at + 1));
+        }
+        // An unknown member whose key extends the expected one.
+        let key = &members[at].0;
+        let unknown = (
+            format!("{}_\"", &key[..key.len() - 1]),
+            r#"[1,{"a":null},"s",-2.5e3]"#.to_string(),
+        );
+        edit(&|m: &mut Members| m.insert(at, unknown.clone()));
+        if at > 0 {
+            edit(&|m: &mut Members| m.insert(at, m[at - 1].clone()));
+        }
+        edit(&|m: &mut Members| {
+            let key = &mut m[at].0;
+            *key = format!("\"\\u{:04x}{}", key.as_bytes()[1], &key[2..]);
+        });
+        edit(&|m: &mut Members| m[at].0.insert(0, ' '));
+        variants
+    }
+
+    /// Member `at` repeated ahead of itself with `value`, then as written:
+    /// the last one wins, or the reader refuses the first.
+    fn shadowed(members: &Members, at: usize, value: &str) -> Members {
+        let mut variant = members.clone();
+        variant.insert(at, (members[at].0.clone(), value.to_string()));
+        variant
+    }
+
+    /// `text` with the value of one of its numbers replaced by a run of 18 to
+    /// 21 digits, sometimes behind leading zeros.
+    fn digit_run(text: &str, state: &mut u64) -> String {
+        let numbers: Vec<usize> = text
+            .match_indices(':')
+            .map(|(at, _)| at + 1)
+            .filter(|&at| text.as_bytes().get(at).is_some_and(u8::is_ascii_digit))
+            .collect();
+        let at = numbers[below(state, numbers.len())];
+        let end = at + text[at..].bytes().take_while(u8::is_ascii_digit).count();
+        let zeros = ["", "", "0", "00"][below(state, 4)];
+        let mut run: String = (0..18 + below(state, 4))
+            .map(|_| char::from(b'0' + below(state, 10) as u8))
+            .collect();
+        if zeros.is_empty() && run.starts_with('0') {
+            run.replace_range(..1, "1");
+        }
+        format!("{}{zeros}{run}{}", &text[..at], &text[end..])
+    }
+
+    #[test]
+    fn record_and_checkpoint_decoders_fail_loudly_on_bytes_they_did_not_write() {
+        use crate::experiments::Scale;
+        use crate::scenario::scenario_registry;
+        use crate::Campaign;
+
+        // Real records of all three models: decided and undecided, halted
+        // and crashed.
+        let registry = scenario_registry(Scale::Quick);
+        let mut records = Vec::new();
+        for id in [
+            "psync/ben-or/benign-eventual/unanimous-1/n7t1",
+            "e7/committee5/non-adaptive-crash/unanimous-1/n18t2",
+            "e1/reset-tolerant/split-vote/split/n7t1",
+        ] {
+            let spec = registry.iter().find(|spec| spec.id() == id).expect(id);
+            records.extend(spec.run_range_records(&Campaign::serial(), 0, 5).unwrap());
+        }
+        let texts: Vec<String> = records
+            .iter()
+            .map(|record| {
+                let mut text = String::new();
+                record.write_json(&mut JsonWriter::new(&mut text));
+                text
+            })
+            .collect();
+        let meta = ScenarioMeta {
+            id: "psync/ben-or/benign-eventual/unanimous-1/n7t1".to_string(),
+            model: "partial-sync".to_string(),
+            n: 7,
+            t: 1,
+            trials: records.len() as u64,
+            base_seed: 0,
+            time_cap: 100,
+        };
+        let mut jsonl = JsonlSink::new();
+        records
+            .iter()
+            .for_each(|record| jsonl.record_trial(&meta, record));
+        let lines: Vec<String> = jsonl.as_str().lines().map(String::from).collect();
+
+        // Declared order throughout: the written texts, and the same with a
+        // number's digits replaced (the reader decides on values alone).
+        let mut state = 0x0DEC_0DE5_u64;
+        for (text, record) in texts.iter().zip(&records) {
+            assert_eq!(decode_record(text), Ok(*record));
+            for _ in 0..24 {
+                let run = digit_run(text, &mut state);
+                agrees_with_tree(&run, decode_unwinding(&run, decode_record), record_of_tree);
+            }
+        }
+
+        // Leaving the declared order at every member of both objects: each
+        // variant still decodes, to the same record.
+        for text in &texts {
+            let top = members_of(text);
+            let metrics_at = top.len() - 1;
+            let metrics = members_of(&top[metrics_at].1);
+            let mut variants: Vec<String> = (0..top.len())
+                .flat_map(|at| leaving_at(&top, at))
+                .map(|variant| render(&variant))
+                .collect();
+            for at in 0..metrics.len() {
+                for variant in leaving_at(&metrics, at) {
+                    let mut outer = top.clone();
+                    outer[metrics_at].1 = render(&variant);
+                    variants.push(render(&outer));
+                }
+            }
+            for variant in &variants {
+                let decoded = decode_unwinding(variant, decode_record);
+                assert!(
+                    agrees_with_tree(variant, decoded, record_of_tree),
+                    "{variant}"
+                );
+            }
+            // A repeated member: the last one wins, or a first one of the
+            // wrong type is refused.
+            for at in 0..top.len() {
+                for value in ["0", "null", "true", "\"x\"", "{}"] {
+                    let variant = render(&shadowed(&top, at, value));
+                    agrees_with_tree(
+                        &variant,
+                        decode_unwinding(&variant, decode_record),
+                        record_of_tree,
+                    );
+                }
+            }
+        }
+
+        // Damaged bytes: records alone and behind a JSONL line's scenario id.
+        let donors: Vec<String> = texts.iter().chain(&lines).cloned().collect();
+        let (mut tried, mut decoded) = (0, 0);
+        for text in texts.iter().chain(&lines) {
+            for mutant in text_mutants(text, &donors, &mut state, 120) {
+                let outcome = decode_unwinding(&mutant, decode_record);
+                decoded += usize::from(agrees_with_tree(&mutant, outcome, record_of_tree));
+                tried += 1;
+            }
+        }
+        assert!(
+            decoded > 0 && decoded < tried,
+            "{decoded} of {tried} mutants decoded"
+        );
+
+        // Checkpoint lines: an entry of real records, in order and left at
+        // every member, its records varied in place, then damaged bytes with
+        // the CRC made right (they reach the reader) and left wrong.
+        let entry = CheckpointEntry {
+            scenario: meta.id.clone(),
+            base_seed: 0x5EED,
+            trials: 100,
+            lo: 40,
+            hi: 40 + records.len() as u64,
+            records: records.clone(),
+        };
+        let mut body = String::new();
+        entry.write_json(&mut JsonWriter::new(&mut body));
+        let mut line = String::new();
+        push_checkpoint_line(&entry, &mut String::new(), &mut line);
+        assert_eq!(line, format!("{}\n", wrap(&body)));
+        assert_eq!(parse_checkpoint_line(line.trim_end()), Ok(entry.clone()));
+        let members = members_of(&body);
+        for at in 0..members.len() {
+            for variant in leaving_at(&members, at) {
+                assert!(check_wrapped(&render(&variant)));
+            }
+        }
+        let records_at = members.len() - 1;
+        for (at, text) in texts.iter().enumerate().step_by(4) {
+            let record_members = members_of(text);
+            for variant in leaving_at(&record_members, below(&mut state, record_members.len())) {
+                let mut varied = texts.clone();
+                varied[at] = render(&variant);
+                let mut outer = members.clone();
+                outer[records_at].1 = format!("[{}]", varied.join(","));
+                assert!(check_wrapped(&render(&outer)));
+            }
+        }
+        let (mut tried, mut decoded) = (0, 0);
+        for mutant in text_mutants(&body, &donors, &mut state, 300) {
+            decoded += usize::from(check_wrapped(&mutant));
+            tried += 1;
+        }
+        for _ in 0..40 {
+            decoded += usize::from(check_wrapped(&digit_run(&body, &mut state)));
+            tried += 1;
+        }
+        assert!(
+            decoded > 0 && decoded < tried,
+            "{decoded} of {tried} bodies decoded"
+        );
+        let whole = [line.trim_end().to_string()];
+        for mutant in text_mutants(&whole[0], &whole, &mut state, 300) {
+            check_line(&mutant);
+        }
     }
 }

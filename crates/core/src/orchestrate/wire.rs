@@ -210,7 +210,7 @@ pub(super) fn read_hello(
 }
 
 #[cfg(test)]
-mod tests {
+pub(super) mod tests {
     use super::super::checkpoint::tests::record;
     use super::*;
     use crate::block::{decode_block, encode_block};
@@ -350,13 +350,18 @@ mod tests {
         *state
     }
 
-    fn below(state: &mut u64, bound: usize) -> usize {
+    pub(in crate::orchestrate) fn below(state: &mut u64, bound: usize) -> usize {
         (xorshift(state) % bound.max(1) as u64) as usize
     }
 
     /// `count` seeded mutants of `frame`: bit flips, truncations at random
     /// lengths, and splices of a random slice of a random `donor`.
-    fn mutants(frame: &[u8], donors: &[Vec<u8>], state: &mut u64, count: usize) -> Vec<Vec<u8>> {
+    pub(in crate::orchestrate) fn mutants(
+        frame: &[u8],
+        donors: &[Vec<u8>],
+        state: &mut u64,
+        count: usize,
+    ) -> Vec<Vec<u8>> {
         (0..count)
             .map(|_| {
                 let mut bytes = frame.to_vec();

@@ -18,7 +18,7 @@
 //! sink output is deterministic for a given spec and seed — a property pinned
 //! by the workspace tests.
 
-use agreement_analysis::{read_json_object, JsonReader, JsonValue, JsonWriter};
+use agreement_analysis::{read_json_object, JsonMembers, JsonReader, JsonValue, JsonWriter};
 use agreement_model::{Bit, InputAssignment};
 use agreement_sim::{Metrics, RunOutcome};
 
@@ -44,6 +44,11 @@ pub struct ScenarioMeta {
     /// trials contribute this value to decision-time aggregation.
     pub time_cap: u64,
 }
+
+/// Bytes of the longest [`TrialRecord::write_json_fields`] rendering: every
+/// integer at `u64::MAX`, every bool `false`, `decided` `null` (a test pins
+/// it).
+const RECORD_MEMBERS_MAX: usize = 680;
 
 /// The structured result of one seeded trial.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -115,34 +120,40 @@ impl TrialRecord {
 
     /// The members of [`TrialRecord::write_json`]'s object without its
     /// braces, for callers that lead the same object with members of their
-    /// own (the JSONL line's `scenario`).
+    /// own (the JSONL line's `scenario`). They are rendered in one pass on
+    /// the stack and reach `w` as one write.
     pub fn write_json_fields(&self, w: &mut JsonWriter<'_>) {
         let m = &self.metrics;
-        w.key("trial").u64(self.trial);
-        w.key("seed").u64(self.seed);
-        w.key("agreement").bool(self.agreement);
-        w.key("validity").bool(self.validity);
-        w.key("terminated").bool(self.terminated);
-        w.key("violations").u64(self.violations);
-        w.key("halted").bool(self.halted);
-        w.key("decided")
+        let mut out = JsonMembers::<RECORD_MEMBERS_MAX>::new();
+        out.raw(b"\"trial\":").u64(self.trial);
+        out.raw(b",\"seed\":").u64(self.seed);
+        out.raw(b",\"agreement\":").bool(self.agreement);
+        out.raw(b",\"validity\":").bool(self.validity);
+        out.raw(b",\"terminated\":").bool(self.terminated);
+        out.raw(b",\"violations\":").u64(self.violations);
+        out.raw(b",\"halted\":").bool(self.halted);
+        out.raw(b",\"decided\":")
             .opt_u64(self.decided.map(|bit| bit.as_index() as u64));
-        w.key("first_decision_at").opt_u64(self.first_decision_at);
-        w.key("all_decided_at").opt_u64(self.all_decided_at);
-        w.key("duration").u64(self.duration);
-        w.key("longest_chain").u64(self.longest_chain);
-        w.key("metrics").begin_object();
-        w.key("messages_sent").u64(m.messages_sent);
-        w.key("messages_delivered").u64(m.messages_delivered);
-        w.key("messages_dropped").u64(m.messages_dropped);
-        w.key("rounds").u64(m.rounds);
-        w.key("windows").u64(m.windows);
-        w.key("steps").u64(m.steps);
-        w.key("resets_consumed").u64(m.resets_consumed);
-        w.key("crashes").u64(m.crashes);
-        w.key("coin_flips").u64(m.coin_flips);
-        w.key("max_chain").u64(m.max_chain);
-        w.end_object();
+        out.raw(b",\"first_decision_at\":")
+            .opt_u64(self.first_decision_at);
+        out.raw(b",\"all_decided_at\":")
+            .opt_u64(self.all_decided_at);
+        out.raw(b",\"duration\":").u64(self.duration);
+        out.raw(b",\"longest_chain\":").u64(self.longest_chain);
+        out.raw(b",\"metrics\":{");
+        out.raw(b"\"messages_sent\":").u64(m.messages_sent);
+        out.raw(b",\"messages_delivered\":")
+            .u64(m.messages_delivered);
+        out.raw(b",\"messages_dropped\":").u64(m.messages_dropped);
+        out.raw(b",\"rounds\":").u64(m.rounds);
+        out.raw(b",\"windows\":").u64(m.windows);
+        out.raw(b",\"steps\":").u64(m.steps);
+        out.raw(b",\"resets_consumed\":").u64(m.resets_consumed);
+        out.raw(b",\"crashes\":").u64(m.crashes);
+        out.raw(b",\"coin_flips\":").u64(m.coin_flips);
+        out.raw(b",\"max_chain\":").u64(m.max_chain);
+        out.raw(b"}");
+        w.members(&out);
     }
 
     /// Reads back the object [`TrialRecord::write_json`] writes, members in
@@ -779,6 +790,43 @@ mod tests {
         for text in ["null", "[]", "{", "{\"trial\":1", ""] {
             assert!(read_text(text).is_err(), "accepted {text:?}");
         }
+    }
+
+    #[test]
+    fn the_longest_record_fills_the_members_buffer_exactly() {
+        // Each member at its longest: integers at u64::MAX, `false` over
+        // `true`, `null` over the one digit of `decided`, and u64::MAX over
+        // `null` for the other optionals.
+        let longest = TrialRecord {
+            trial: u64::MAX,
+            seed: u64::MAX,
+            agreement: false,
+            validity: false,
+            terminated: false,
+            violations: u64::MAX,
+            halted: false,
+            decided: None,
+            first_decision_at: Some(u64::MAX),
+            all_decided_at: Some(u64::MAX),
+            duration: u64::MAX,
+            longest_chain: u64::MAX,
+            metrics: Metrics {
+                messages_sent: u64::MAX,
+                messages_delivered: u64::MAX,
+                messages_dropped: u64::MAX,
+                rounds: u64::MAX,
+                windows: u64::MAX,
+                steps: u64::MAX,
+                resets_consumed: u64::MAX,
+                crashes: u64::MAX,
+                coin_flips: u64::MAX,
+                max_chain: u64::MAX,
+            },
+        };
+        let mut text = String::new();
+        longest.write_json_fields(&mut JsonWriter::new(&mut text));
+        assert_eq!(text.len(), RECORD_MEMBERS_MAX);
+        assert_eq!(read_text(&format!("{{{text}}}")), Ok(longest));
     }
 
     #[test]

@@ -47,6 +47,9 @@ pub const MAX_FRAME_LEN: usize = 64 << 20;
 /// The CRC32 trailer appended after every frame payload.
 const FRAME_TRAILER: usize = 4;
 
+/// The most [`read_frame`] reserves for a payload before its bytes arrive.
+pub const FRAME_RESERVE: usize = 64 << 10;
+
 /// A frame whose CRC32 trailer does not match its payload: the bytes were
 /// damaged in flight (or deliberately, by the fault injector). Carried as
 /// the inner error of an [`io::ErrorKind::InvalidData`] error from
@@ -190,14 +193,15 @@ pub fn read_frame(reader: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
             format!("declared frame length {len} exceeds MAX_FRAME_LEN"),
         ));
     }
-    let mut payload = vec![0u8; len];
-    reader.read_exact(&mut payload).map_err(|err| {
-        if err.kind() == io::ErrorKind::UnexpectedEof {
-            io::Error::new(io::ErrorKind::UnexpectedEof, "EOF inside a frame payload")
-        } else {
-            err
-        }
-    })?;
+    // The buffer grows with the bytes that arrive: a prefix alone (a bit flip,
+    // a hostile peer) commits at most `FRAME_RESERVE`, not its declared length.
+    let mut payload = Vec::with_capacity(len.min(FRAME_RESERVE));
+    if reader.take(len as u64).read_to_end(&mut payload)? < len {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "EOF inside a frame payload",
+        ));
+    }
     let mut trailer = [0u8; FRAME_TRAILER];
     reader.read_exact(&mut trailer).map_err(|err| {
         if err.kind() == io::ErrorKind::UnexpectedEof {
