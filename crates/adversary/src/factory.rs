@@ -32,9 +32,9 @@
 //! | `adaptive-committee-killer` | async | [`ScheduledCrashAdversary::committee_killer`] on the targets (default: first `t`) |
 //! | `equivocating-byzantine` | async | [`EquivocatingAdversary`] |
 //! | `benign-eventual` | partial-sync | [`BenignEventualAdversary`] |
-//! | `search-window` | windowed | [`SearchWindowAdversary`] on a seed-derived genome |
-//! | `search-async` | async | [`SearchAsyncAdversary`] on a seed-derived genome |
-//! | `search-partial-sync` | partial-sync | [`SearchPartialSyncAdversary`] on a seed-derived genome |
+//! | `search-window` | windowed | [`SearchWindowAdversary`](crate::search::SearchWindowAdversary) on a seed-derived genome |
+//! | `search-async` | async | [`SearchAsyncAdversary`](crate::search::SearchAsyncAdversary) on a seed-derived genome |
+//! | `search-partial-sync` | partial-sync | [`SearchPartialSyncAdversary`](crate::search::SearchPartialSyncAdversary) on a seed-derived genome |
 //! | `gst-procrastinator` | partial-sync | [`GstProcrastinatorAdversary`] at the documented defaults |
 //! | `post-gst-omission` | partial-sync | [`PostGstOmissionAdversary`] on the targets (default: first `t`) |
 

@@ -1,7 +1,7 @@
 //! Partial-synchrony adversaries: the *curtailed* strategies of the model's
 //! family, contrasting with the unbounded window/async schedulers.
 //!
-//! The partial-synchrony model (see `agreement_sim::PartialSyncScheduler`)
+//! The partial-synchrony model (see `agreement_sim::Scheduler::PartialSync`)
 //! lets an adversary pick a global stabilization time and a delivery bound Δ,
 //! schedule with full asynchronous freedom before GST, and omit up to `t`
 //! senders afterwards — but nothing more: once GST passes, every other

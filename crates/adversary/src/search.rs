@@ -140,20 +140,30 @@ impl Genome {
     ///
     /// # Errors
     ///
-    /// Returns [`GenomeError::BadHex`] on odd length or non-hex characters.
+    /// Returns [`GenomeError::BadHex`] on odd length or on any byte pair that
+    /// is not two ASCII hex digits (a non-ASCII character included: the
+    /// text is read as bytes, never sliced as a `str`).
     pub fn from_hex(model: impl Into<Arc<str>>, hex: &str) -> Result<Self, GenomeError> {
         if !hex.len().is_multiple_of(2) {
             return Err(GenomeError::BadHex {
                 detail: format!("odd hex length {}", hex.len()),
             });
         }
+        // `to_digit` accepts ASCII hex digits only, whatever `char` a
+        // non-ASCII byte widens to.
+        let digit = |byte: u8| char::from(byte).to_digit(16);
         let mut tape = Vec::with_capacity(hex.len() / 2);
-        for i in (0..hex.len()).step_by(2) {
-            let pair = &hex[i..i + 2];
-            let byte = u8::from_str_radix(pair, 16).map_err(|_| GenomeError::BadHex {
-                detail: format!("invalid hex pair '{pair}' at offset {i}"),
-            })?;
-            tape.push(byte);
+        for (i, pair) in hex.as_bytes().chunks(2).enumerate() {
+            let (Some(hi), Some(lo)) = (digit(pair[0]), digit(pair[1])) else {
+                return Err(GenomeError::BadHex {
+                    detail: format!(
+                        "invalid hex pair '{}' at offset {}",
+                        String::from_utf8_lossy(pair),
+                        2 * i
+                    ),
+                });
+            };
+            tape.push((hi << 4 | lo) as u8);
         }
         Ok(Genome::new(model, tape))
     }
@@ -284,8 +294,8 @@ fn decode_window(reader: &mut TapeReader, n: usize, t: usize, window: &mut Windo
 }
 
 /// The genome decoder for the strongly adaptive windowed model: every window
-/// is [decoded](decode_window) off the tape; on tape exhaustion every further
-/// window is full delivery.
+/// is decoded off the tape; on tape exhaustion every further window is full
+/// delivery.
 #[derive(Debug, Clone)]
 pub struct SearchWindowAdversary {
     reader: TapeReader,
@@ -645,6 +655,24 @@ mod tests {
             Genome::from_hex("async", "zz"),
             Err(GenomeError::BadHex { .. })
         ));
+    }
+
+    #[test]
+    fn non_ascii_hex_is_an_error_not_a_panic() {
+        // Even byte lengths whose pairs straddle a two-byte character, a
+        // pair that is one character, a sign `from_str_radix` would take,
+        // and a hex digit outside ASCII's.
+        for hex in ["0é0", "é", "00é0", "+f", "00٣"] {
+            assert!(
+                matches!(
+                    Genome::from_hex("windowed", hex),
+                    Err(GenomeError::BadHex { .. })
+                ),
+                "{hex:?}"
+            );
+        }
+        let genome = Genome::from_hex("windowed", "0aFf").unwrap();
+        assert_eq!(genome.tape(), [0x0a, 0xff]);
     }
 
     #[test]

@@ -104,9 +104,7 @@ mod tests {
     use super::*;
     use agreement_model::{InputAssignment, SystemConfig};
     use agreement_protocols::ResetTolerantBuilder;
-    use agreement_sim::{
-        run_windowed, ExecutionCore, FullDeliveryAdversary, RunLimits, WindowScheduler,
-    };
+    use agreement_sim::{run_windowed, ExecutionCore, FullDeliveryAdversary, RunLimits, Scheduler};
 
     fn cfg13() -> SystemConfig {
         SystemConfig::with_sixth_resilience(13).unwrap()
@@ -119,9 +117,9 @@ mod tests {
         let inputs = InputAssignment::evenly_split(13); // 7 zeros, 6 ones
         let mut core = ExecutionCore::new(cfg, inputs, &builder, 17);
         let mut adversary = SplitVoteAdversary::new();
-        let mut scheduler = WindowScheduler::new(&mut adversary);
-        scheduler.step_window(&mut core);
-        let outcome = core.outcome_with(&scheduler);
+        let mut scheduler = Scheduler::Windowed(&mut adversary);
+        scheduler.step(&mut core);
+        let outcome = scheduler.outcome(&mut core);
         assert!(
             !outcome.any_decided(),
             "a balanced first window must not reach the T2 threshold"

@@ -99,7 +99,7 @@ mod tests {
     use super::*;
     use agreement_model::{Bit, InputAssignment, SystemConfig};
     use agreement_protocols::ResetTolerantBuilder;
-    use agreement_sim::{run_windowed, ExecutionCore, RunLimits, WindowScheduler};
+    use agreement_sim::{run_windowed, ExecutionCore, RunLimits, Scheduler};
 
     fn cfg(n: usize) -> SystemConfig {
         SystemConfig::with_sixth_resilience(n).unwrap()
@@ -112,11 +112,11 @@ mod tests {
         let inputs = InputAssignment::unanimous(13, Bit::One);
         let mut core = ExecutionCore::new(cfg, inputs, &builder, 1);
         let mut adversary = RotatingResetAdversary::new();
-        let mut scheduler = WindowScheduler::new(&mut adversary);
+        let mut scheduler = Scheduler::Windowed(&mut adversary);
         for _ in 0..13 {
-            scheduler.step_window(&mut core);
+            scheduler.step(&mut core);
         }
-        let outcome = core.outcome_with(&scheduler);
+        let outcome = scheduler.outcome(&mut core);
         // t = 2 resets per window over 13 windows.
         assert_eq!(outcome.metrics.resets_consumed, 26);
         assert!(outcome.agreement_holds());

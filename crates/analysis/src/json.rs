@@ -616,7 +616,8 @@ impl<'a> JsonReader<'a> {
     /// writer spells it — `"name":`, with the `,` before it unless it opens
     /// the object, no whitespace, no escape — and otherwise consumes nothing,
     /// leaving [`JsonReader::next_key`] to read whatever is there. The fast
-    /// lane of [`read_json_object!`]; `name` must need no escaping.
+    /// lane of [`read_json_object!`](crate::read_json_object); `name` must
+    /// need no escaping.
     #[inline]
     pub fn next_key_is(&mut self, name: &str) -> bool {
         let rest = &self.text.as_bytes()[self.pos..];

@@ -163,6 +163,53 @@ mod tests {
         assert_eq!(read_varint(&max, &mut 0), Ok(u64::MAX));
     }
 
+    /// On arbitrary bytes, from any starting offset, a read either spells a
+    /// value out of 1..=10 consumed bytes — the last without a continuation
+    /// bit, the value exactly what the groups spell, unwrapped — or errors.
+    #[test]
+    fn random_bytes_decode_within_ten_bytes_or_error() {
+        let mut state = 0xB17E_5EED_u64;
+        let (mut decoded, mut refused) = (0, 0);
+        for _ in 0..20_000 {
+            let len = (xorshift(&mut state) % 15) as usize;
+            // Mostly continuation bytes, so that runs past ten are common.
+            let bytes: Vec<u8> = (0..len)
+                .map(|_| {
+                    let byte = xorshift(&mut state) as u8;
+                    if xorshift(&mut state).is_multiple_of(5) {
+                        byte & 0x7F
+                    } else {
+                        byte | 0x80
+                    }
+                })
+                .collect();
+            let start = (xorshift(&mut state) % (len as u64 + 1)) as usize;
+            let mut pos = start;
+            match read_varint(&bytes, &mut pos) {
+                Ok(value) => {
+                    let consumed = &bytes[start..pos];
+                    assert!(
+                        (1..=MAX_VARINT_LEN).contains(&consumed.len()),
+                        "{bytes:02x?} from {start}: {} bytes",
+                        consumed.len()
+                    );
+                    assert_eq!(consumed.last().map(|b| b & 0x80), Some(0));
+                    let spelled = consumed
+                        .iter()
+                        .enumerate()
+                        .fold(0u128, |v, (k, b)| v | u128::from(b & 0x7F) << (7 * k));
+                    assert_eq!(spelled, u128::from(value), "{bytes:02x?} from {start}");
+                    decoded += 1;
+                }
+                Err(err) => {
+                    assert!(!err.is_empty());
+                    refused += 1;
+                }
+            }
+        }
+        assert!(decoded > 2_000 && refused > 2_000, "{decoded} / {refused}");
+    }
+
     #[test]
     fn zigzag_is_a_small_preserving_bijection() {
         let cases: &[(i64, u64)] = &[(0, 0), (-1, 1), (1, 2), (-2, 3), (2, 4)];

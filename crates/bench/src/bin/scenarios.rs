@@ -22,10 +22,6 @@
 //!   --jsonl <PATH>     write one JSON line per *trial* to PATH
 //!   --check <PATH>     validate a --json file: parse with the in-tree JSON
 //!                      parser, verify the schema, and round-trip it
-//!   --replay <PATH>    replay a schedule artifact discovered by the
-//!                      `search` binary (agreement-search) through the same
-//!                      registry path and verify its recorded metrics field
-//!                      for field (exit 1 on mismatch)
 //!   --workers <N>      shard every scenario's seed range across N local
 //!                      worker processes (spawned from this same binary),
 //!                      each range coming back as one columnar block frame;
@@ -82,7 +78,6 @@ struct Options {
     csv: Option<String>,
     jsonl: Option<String>,
     check: Option<String>,
-    replay: Option<String>,
     workers: Option<usize>,
     checkpoint: Option<String>,
     recv_timeout: Option<u64>,
@@ -105,7 +100,6 @@ fn parse_options() -> Options {
         csv: None,
         jsonl: None,
         check: None,
-        replay: None,
         workers: None,
         checkpoint: None,
         recv_timeout: None,
@@ -129,7 +123,6 @@ fn parse_options() -> Options {
             "--csv" => options.csv = Some(required_value(&mut args, "--csv")),
             "--jsonl" => options.jsonl = Some(required_value(&mut args, "--jsonl")),
             "--check" => options.check = Some(required_value(&mut args, "--check")),
-            "--replay" => options.replay = Some(required_value(&mut args, "--replay")),
             "--workers" => options.workers = Some(parsed_value(&mut args, "--workers")),
             "--checkpoint" => options.checkpoint = Some(required_value(&mut args, "--checkpoint")),
             "--recv-timeout" => {
@@ -159,7 +152,6 @@ fn parse_options() -> Options {
                      \x20                [--scale quick|full]\n\
                      \x20                [--trials N] [--base-seed S]\n\
                      \x20                [--json PATH] [--csv PATH] [--jsonl PATH] [--check PATH]\n\
-                     \x20                [--replay PATH]\n\
                      \x20                [--workers N [--checkpoint PATH] [--recv-timeout S]\n\
                      \x20                 [--respawn-budget N] [--chaos SPEC] [--compress]]\n\
                      Runs every registered protocol × adversary × inputs × size combination."
@@ -259,34 +251,6 @@ fn main() {
             std::process::exit(1);
         }
         return;
-    }
-
-    if let Some(path) = &options.replay {
-        match agreement_search::replay_file(path) {
-            Ok((artifact, spec, report)) if report.matches && report.predicate_holds => {
-                eprintln!(
-                    "{path}: replay OK on {} — record matches, predicate '{}' holds",
-                    spec.id(),
-                    artifact.predicate
-                );
-                return;
-            }
-            Ok((artifact, spec, report)) => {
-                eprintln!("{path}: replay MISMATCH on {}", spec.id());
-                if !report.matches {
-                    eprintln!("  stored:   {}", artifact.record.to_json());
-                    eprintln!("  replayed: {}", report.replayed.to_json());
-                }
-                if !report.predicate_holds {
-                    eprintln!("  predicate '{}' no longer holds", artifact.predicate);
-                }
-                std::process::exit(1);
-            }
-            Err(err) => {
-                eprintln!("{path}: replay failed: {err}");
-                std::process::exit(1);
-            }
-        }
     }
 
     if let Some(path) = &options.check {

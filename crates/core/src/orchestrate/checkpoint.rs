@@ -190,8 +190,9 @@ pub fn read_checkpoint(path: &Path) -> Result<Vec<CheckpointEntry>, OrchestrateE
 /// An open checkpoint file accepting coalesced appends: one CRC'd line per
 /// completed range, written with a **single** `write` syscall each. The
 /// one-shot [`append_checkpoint`] pays an open + format + write per call;
-/// a [`Session`] instead keeps one of these for the whole run, which is what
-/// makes per-range checkpointing cheap on large campaigns.
+/// a [`Session`](super::Session) instead keeps one of these for the whole
+/// run, which is what makes per-range checkpointing cheap on large
+/// campaigns.
 #[derive(Debug)]
 pub struct CheckpointWriter {
     file: std::fs::File,

@@ -7,7 +7,7 @@
 //! data; a [`ScenarioMatrix`] expands cross-products of them; and both run
 //! through the existing parallel [`Campaign`] with the same bit-identical,
 //! slot-ordered aggregation the experiments use. Adversaries are resolved by
-//! name through the [`AdversaryFactory`](agreement_adversary::AdversaryFactory)
+//! name through the [`agreement_adversary::AdversaryFactory`]
 //! table of `agreement-adversary`, protocols through [`ProtocolSpec`], so
 //! new workloads — Ben-Or under the equivocating Byzantine adversary,
 //! committee protocols under split inputs — are new table rows, not new code.
@@ -531,7 +531,7 @@ impl ScenarioSpec {
 
     /// Runs one traced execution of this spec's harness under a
     /// caller-supplied adversary — the replay path for stored schedule
-    /// artifacts (`search --replay`, `scenarios --replay`).
+    /// artifacts (`search --replay`).
     ///
     /// # Errors
     ///

@@ -21,7 +21,7 @@
 //!   thread (feeds a bounded inbox; a slow consumer propagates
 //!   backpressure to the peer through TCP flow control). A connection built
 //!   with [`Connection::connect_with_faults`] consults a seeded
-//!   [`FaultInjector`](crate::fault::FaultInjector) at every outgoing frame
+//!   [`crate::fault::FaultInjector`] at every outgoing frame
 //!   boundary; without one the fault hook is a single branch per frame.
 //!
 //! The orchestration layer in `agreement-core` speaks JSON inside these
@@ -452,7 +452,7 @@ impl Connection {
     /// Flushes queued frames and closes the sending side, so the peer's
     /// reader observes a clean EOF once everything queued has arrived. If the
     /// peer has stopped reading and the drain makes no progress within
-    /// [`DRAIN_DEADLINE`], the socket is forced shut instead — finishing a
+    /// `DRAIN_DEADLINE`, the socket is forced shut instead — finishing a
     /// connection never blocks forever on a wedged peer.
     pub fn finish(&mut self) {
         // Dropping the outbox sender lets the writer thread drain the queue,

@@ -168,8 +168,8 @@ pub fn replay(spec: &ScenarioSpec, artifact: &ScheduleArtifact) -> Result<Replay
     })
 }
 
-/// Reads, parses, resolves and replays an artifact file in one step — the
-/// shared implementation behind `search --replay` and `scenarios --replay`.
+/// Reads, parses, resolves and replays an artifact file in one step — what
+/// `search --replay` runs.
 ///
 /// # Errors
 ///
@@ -269,4 +269,126 @@ pub fn compare_with_registry(
         artifact_forces_failure,
         time_cap,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::HashMap;
+
+    use agreement_model::ProcessorRng;
+
+    use super::*;
+    use crate::driver::mutate;
+
+    /// The two committed artifact texts.
+    const TEXTS: [&str; 2] = [
+        include_str!("../../../examples/search-slow-reset-tolerant-n7t1.schedule.json"),
+        include_str!("../../../tests/golden/search-n7t1-seed7-2000.artifact.json"),
+    ];
+
+    /// Every variant of `text` the load must survive that the search's own
+    /// mutation engine does not aim at: a non-ASCII character at the start
+    /// of every string, or in place of one or two of its bytes; the genome
+    /// cut to odd lengths; and the genome repeated far past any tape the
+    /// search writes.
+    fn aimed_mutants(text: &str) -> Vec<String> {
+        let mut mutants = Vec::new();
+        for (q, _) in text.match_indices('"') {
+            let (head, tail) = text.split_at(q + 1);
+            mutants.push(format!("{head}é{tail}"));
+            for cut in [1, 2] {
+                if tail.len() >= cut {
+                    mutants.push(format!("{head}é{}", &tail[cut..]));
+                }
+            }
+        }
+        let start = text.find("\"genome\":\"").expect("a genome") + "\"genome\":\"".len();
+        let len = text[start..].find('"').expect("a closed genome");
+        let genome = &text[start..start + len];
+        for odd in [1, len / 2 + 1, len - 1] {
+            let cut = text.replacen(genome, &genome[..odd], 1);
+            mutants.push(cut);
+        }
+        for pair in [0, 1, len / 2, len - 2] {
+            let hex = format!("{}é{}", &genome[..pair], &genome[pair + 2..]);
+            mutants.push(text.replacen(genome, &hex, 1));
+        }
+        mutants.push(text.replacen(genome, &genome.repeat(512), 1));
+        mutants
+    }
+
+    /// The artifact load holds the decoder contract on text it did not
+    /// write: whatever the bytes, it returns an artifact or an error message
+    /// — never a panic — and a genome it accepts is at most half the text.
+    /// Mutants come from the search's own engine (byte flips, donor splices
+    /// from the other artifact, truncations, appended noise, up to four
+    /// compounded) over both committed artifacts, plus the aimed ones above.
+    /// Every mutant that loads is also replayed, where the same holds.
+    #[test]
+    fn artifact_load_fails_loudly_on_bytes_it_did_not_write() {
+        let mut mutants: Vec<(String, String)> = Vec::new();
+        let mut rng = ProcessorRng::from_seed(0xA271_FAC7);
+        for (i, text) in TEXTS.iter().enumerate() {
+            let tape = Genome::new("text", text.as_bytes());
+            let donor = Genome::new("text", TEXTS[1 - i].as_bytes());
+            for round in 0..300 {
+                let mut mutant = tape.clone();
+                for _ in 0..=rng.range(4) {
+                    mutant = mutate(&mutant, &donor, &mut rng, 2 * text.len());
+                }
+                let text = String::from_utf8_lossy(mutant.tape()).into_owned();
+                mutants.push((format!("artifact {i} engine mutant {round}"), text));
+            }
+            for (k, text) in aimed_mutants(text).into_iter().enumerate() {
+                mutants.push((format!("artifact {i} aimed mutant {k}"), text));
+            }
+            // Well-formed artifacts whose genome the engine mutated: these
+            // load, so they reach the replay with tapes no search stored.
+            let artifact = ScheduleArtifact::parse(text).expect("a committed artifact loads");
+            let hex = artifact.genome.to_hex();
+            for round in 0..100 {
+                let genome = mutate(&artifact.genome, &artifact.genome, &mut rng, 4 * hex.len());
+                let text = text.replacen(&hex, &genome.to_hex(), 1);
+                mutants.push((format!("artifact {i} genome mutant {round}"), text));
+            }
+        }
+
+        let mut specs: HashMap<String, Option<ScenarioSpec>> = HashMap::new();
+        let (mut loaded, mut refused, mut replayed) = (0, 0, 0);
+        for (what, text) in &mutants {
+            let parsed = std::panic::catch_unwind(|| ScheduleArtifact::parse(text))
+                .unwrap_or_else(|_| panic!("{what} panicked the load: {text}"));
+            let artifact = match parsed {
+                Ok(artifact) => artifact,
+                Err(err) => {
+                    assert!(!err.is_empty(), "{what}: an error without a message");
+                    refused += 1;
+                    continue;
+                }
+            };
+            loaded += 1;
+            assert!(
+                2 * artifact.genome.tape().len() <= text.len(),
+                "{what}: a {}-byte tape out of {} bytes of text",
+                artifact.genome.tape().len(),
+                text.len()
+            );
+            let spec = specs
+                .entry(artifact.scenario.clone())
+                .or_insert_with(|| find_spec(&artifact.scenario));
+            if let Some(spec) = spec {
+                let report = std::panic::catch_unwind(|| replay(spec, &artifact))
+                    .unwrap_or_else(|_| panic!("{what} panicked the replay: {text}"));
+                if let Err(err) = report {
+                    assert!(!err.is_empty(), "{what}: a replay error without a message");
+                }
+                replayed += 1;
+            }
+        }
+        assert!(
+            refused > 500 && loaded > 200 && replayed > 200,
+            "{refused} refused, {loaded} loaded, {replayed} replayed: the mutants must \
+             reach both sides of the load and the replay behind it"
+        );
+    }
 }

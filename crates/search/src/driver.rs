@@ -102,7 +102,12 @@ impl SearchOutcome {
 /// verbatim *seed rerun* (the same tape re-evaluated at a fresh trial seed —
 /// cheap variance probing for genomes whose damage depends on the protocol's
 /// coin flips).
-fn mutate(parent: &Genome, donor: &Genome, rng: &mut ProcessorRng, max_len: usize) -> Genome {
+pub(crate) fn mutate(
+    parent: &Genome,
+    donor: &Genome,
+    rng: &mut ProcessorRng,
+    max_len: usize,
+) -> Genome {
     let op = rng.range(5);
     if op == 0 {
         // Seed rerun: the same tape, shared.

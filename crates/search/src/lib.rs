@@ -26,13 +26,14 @@
 //!    `FullTrace` and written as a JSON [`ScheduleArtifact`] — a committed,
 //!    replayable counterexample (see `examples/`).
 //! 5. **Replay** ([`replay_file`]) re-executes a stored artifact through the
-//!    scenario registry and verifies the recorded [`TrialRecord`] field for
-//!    field; [`compare_with_registry`] pits the artifact against every
-//!    hand-coded adversary of the same model on the same harness.
+//!    scenario registry and verifies the recorded
+//!    [`TrialRecord`](agreement_core::TrialRecord) field for field;
+//!    [`compare_with_registry`] pits the artifact against every hand-coded
+//!    adversary of the same model on the same harness.
 //!
-//! The `search` binary wires all five together; `scenarios --replay` reuses
-//! the same replay path so discovered schedules are first-class scenario
-//! inputs.
+//! The `search` binary wires all five together; `search --replay` runs a
+//! stored artifact through the scenario registry's own single-trial path,
+//! so a discovered schedule is a first-class scenario input.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -312,8 +312,8 @@ pub enum PartialSyncAction {
 /// ([`delta`](PartialSyncAdversary::delta)) and up to `t` omission-faulty
 /// senders ([`omitted_senders`](PartialSyncAdversary::omitted_senders)) —
 /// and then schedules one discretionary [`PartialSyncAction`] per step with
-/// full information. The parameters are *binding*: the
-/// [`PartialSyncScheduler`](crate::exec::PartialSyncScheduler) consults them
+/// full information. The parameters are *binding*:
+/// [`Scheduler::PartialSync`](crate::Scheduler::PartialSync) consults them
 /// every step and force-delivers any pending message older than Δ once GST
 /// has passed, so implementations must return constant values throughout a
 /// run.

@@ -5,31 +5,30 @@
 //! The paper's results are stated over a *closed* set of adversary powers:
 //! the strongly adaptive window model (Section 2), full asynchrony
 //! (Section 5), and — as the curtailed contrast — eventual synchrony. Each is
-//! a [`Scheduler`](crate::Scheduler) over the shared [`ExecutionCore`]; this
-//! module is the one place that enumerates them:
+//! one arm of the [`Scheduler`] enum over the shared [`ExecutionCore`]; this
+//! module names them and owns their adversaries:
 //!
 //! * [`ModelDescriptor`] names a model (id, applicable [`RunLimits`] cap):
 //!   what registries, scenario specs and reports carry. The canonical
 //!   instances are [`WINDOWED`], [`ASYNC`] and [`PARTIAL_SYNC`].
 //! * [`BuiltAdversary`] is a boxed adversary of one of the three models: the
 //!   adversary factories of `agreement-adversary` return one, and
-//!   [`BuiltAdversary::run`] — generic over the core's probe and recorder —
-//!   is the only place a model meets its scheduler.
+//!   [`BuiltAdversary::scheduler`] lends it as the [`Scheduler`] that drives
+//!   a core, so no layer above this file matches on the model.
 //! * [`run_windowed`], [`run_async`] and [`run_partial_sync`] run one fresh,
 //!   trace-keeping execution against a concrete adversary. Step-wise driving
-//!   needs no facade: [`Scheduler::on_start`](crate::Scheduler::on_start),
-//!   [`Scheduler::step`](crate::Scheduler::step) and
-//!   [`ExecutionCore::outcome_with`] are that API.
+//!   needs no facade: [`Scheduler::start`], [`Scheduler::step`] and
+//!   [`Scheduler::outcome`] are that API.
 //!
-//! Adding a fourth model means implementing a `Scheduler`, adding a variant
-//! to both enums here with its arms, and adding rows to the adversary table
-//! of `agreement-adversary`. See DESIGN.md §2 for the partial-synchrony model
-//! as a worked example.
+//! Adding a fourth model means a variant of [`ModelDescriptor`],
+//! [`BuiltAdversary`] and [`Scheduler`] with their arms, one step function,
+//! and rows in the adversary table of `agreement-adversary`. See DESIGN.md
+//! §2 for the partial-synchrony model as a worked example.
 
 use agreement_model::{InputAssignment, ProtocolBuilder, Recorder, SystemConfig};
 
 use crate::adversary::{AsyncAdversary, PartialSyncAdversary, WindowAdversary};
-use crate::exec::{AsyncScheduler, ExecutionCore, PartialSyncScheduler, WindowScheduler};
+use crate::exec::{ExecutionCore, Scheduler};
 use crate::metrics::Probe;
 use crate::outcome::{RunLimits, RunOutcome};
 
@@ -76,13 +75,13 @@ impl std::fmt::Display for ModelDescriptor {
 /// The strongly adaptive acceptable-window model of Section 2.
 ///
 /// The adversary is constrained to executions that decompose into adjacent,
-/// disjoint *acceptable windows* (Definition 1); the
-/// [`WindowScheduler`] assembles one per unit of time: a sending step for
-/// every non-crashed processor, the adversary's choice of reset set `R` and
-/// delivery sets `S_1, ..., S_n` under full information (validated against
-/// the definition), each processor `i` receiving what the senders in `S_i`
-/// just sent (the rest is never delivered), then the resets in `R`. Running
-/// time is measured in windows.
+/// disjoint *acceptable windows* (Definition 1); the [`Scheduler::Windowed`]
+/// arm assembles one per unit of time: a sending step for every non-crashed
+/// processor, the adversary's choice of reset set `R` and delivery sets
+/// `S_1, ..., S_n` under full information (validated against the
+/// definition), each processor `i` receiving what the senders in `S_i` just
+/// sent (the rest is never delivered), then the resets in `R`. Running time
+/// is measured in windows.
 pub static WINDOWED: ModelDescriptor = ModelDescriptor::Windowed;
 
 /// The fully asynchronous crash/Byzantine model of Section 5.
@@ -102,10 +101,11 @@ pub static ASYNC: ModelDescriptor = ModelDescriptor::Asynchronous;
 /// "curtailed adversary" counterpart to the paper's two strong models.
 ///
 /// The adversary schedules freely before its chosen global stabilization
-/// time; from GST on the [`PartialSyncScheduler`] *enforces* delivery of
-/// every pending message within the adversary's declared bound Δ, except
-/// messages from up to `t` omission-faulty senders. Time and the chain metric
-/// are on the asynchronous model's scale, so the two compare directly.
+/// time; from GST on the [`Scheduler::PartialSync`] arm *enforces* delivery
+/// of every pending message within the adversary's declared bound Δ, except
+/// messages from up to `t` omission-faulty senders. Time and the chain
+/// metric are on the asynchronous model's scale, so the two compare
+/// directly.
 pub static PARTIAL_SYNC: ModelDescriptor = ModelDescriptor::PartialSync;
 
 /// Builds a fresh trace-keeping core, runs it against the window adversary
@@ -119,8 +119,7 @@ pub fn run_windowed(
     limits: RunLimits,
 ) -> RunOutcome {
     let mut core = ExecutionCore::new(cfg, inputs, builder, master_seed);
-    let mut scheduler = WindowScheduler::new(adversary);
-    core.run(&mut scheduler, limits)
+    Scheduler::Windowed(adversary).run(&mut core, limits)
 }
 
 /// Builds a fresh trace-keeping core, runs it against the asynchronous
@@ -134,8 +133,7 @@ pub fn run_async(
     limits: RunLimits,
 ) -> RunOutcome {
     let mut core = ExecutionCore::new(cfg, inputs, builder, master_seed);
-    let mut scheduler = AsyncScheduler::new(adversary);
-    core.run(&mut scheduler, limits)
+    Scheduler::Asynchronous(adversary).run(&mut core, limits)
 }
 
 /// Builds a fresh trace-keeping core, runs it against the partial-synchrony
@@ -149,19 +147,18 @@ pub fn run_partial_sync(
     limits: RunLimits,
 ) -> RunOutcome {
     let mut core = ExecutionCore::new(cfg, inputs, builder, master_seed);
-    let mut scheduler = PartialSyncScheduler::new(adversary);
-    core.run(&mut scheduler, limits)
+    Scheduler::PartialSync(adversary).run(&mut core, limits)
 }
 
 /// A boxed adversary of one of the three execution models: what an
 /// `AdversaryFactory` builds and what campaign workers run.
 ///
 /// [`BuiltAdversary::run`] drives any core — whatever its probe and recorder
-/// — through the model's scheduler, so no layer above this file matches on
-/// the model. The model-specific boxes can be recovered with
+/// — through the model's [`Scheduler`], so no layer above this file matches
+/// on the model; [`BuiltAdversary::scheduler`] lends that scheduler for
+/// step-by-step driving. The model-specific boxes can be recovered with
 /// [`BuiltAdversary::into_window`] and its siblings where a caller genuinely
-/// needs one (e.g. to wrap the adversary, or to drive a scheduler step by
-/// step).
+/// needs one (e.g. to wrap the adversary).
 pub enum BuiltAdversary {
     /// A strongly adaptive acceptable-window adversary ([`WINDOWED`]).
     Windowed(Box<dyn WindowAdversary>),
@@ -214,6 +211,15 @@ impl BuiltAdversary {
         }
     }
 
+    /// This adversary, lent as the [`Scheduler`] of its model.
+    pub fn scheduler(&mut self) -> Scheduler<'_> {
+        match self {
+            BuiltAdversary::Windowed(adversary) => Scheduler::Windowed(adversary.as_mut()),
+            BuiltAdversary::Asynchronous(adversary) => Scheduler::Asynchronous(adversary.as_mut()),
+            BuiltAdversary::PartialSync(adversary) => Scheduler::PartialSync(adversary.as_mut()),
+        }
+    }
+
     /// Runs `core` under this adversary until every correct processor
     /// decided, the adversary halted, or the model's time cap from `limits`
     /// elapsed.
@@ -222,17 +228,7 @@ impl BuiltAdversary {
         core: &mut ExecutionCore<P, R>,
         limits: RunLimits,
     ) -> RunOutcome {
-        match self {
-            BuiltAdversary::Windowed(adversary) => {
-                core.run(&mut WindowScheduler::new(adversary.as_mut()), limits)
-            }
-            BuiltAdversary::Asynchronous(adversary) => {
-                core.run(&mut AsyncScheduler::new(adversary.as_mut()), limits)
-            }
-            BuiltAdversary::PartialSync(adversary) => {
-                core.run(&mut PartialSyncScheduler::new(adversary.as_mut()), limits)
-            }
-        }
+        self.scheduler().run(core, limits)
     }
 
     /// Unwraps a windowed scheduler; `None` for other models.

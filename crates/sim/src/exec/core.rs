@@ -1,12 +1,11 @@
-//! The shared execution substrate every scheduler (and any future execution
-//! model) drives.
+//! The shared execution substrate every execution model drives.
 //!
 //! [`ExecutionCore`] is the single owner of everything an execution of the
 //! paper's model consists of, independent of *which* adversary model schedules
 //! it: the per-processor harnesses, the in-flight [`MessageBuffer`], causal
 //! chain depths, decision/validity tracking, trace emission and the outcome
 //! snapshot. What differs between models — how a unit of scheduled time is
-//! assembled — lives behind the [`Scheduler`](super::Scheduler) trait.
+//! assembled — is one arm of the [`Scheduler`](super::Scheduler) enum.
 //! Observation is compile-time gated twice over: primitive-transition hooks
 //! live behind the [`Probe`](crate::Probe) trait (default
 //! [`NoProbe`](crate::NoProbe) compiles every hook away), and trace emission
@@ -26,10 +25,8 @@ use crate::adversary::SystemView;
 use crate::buffer::{BufferChoice, MessageBuffer};
 use crate::harness::{Outgoing, ProcessorHarness};
 use crate::metrics::{Metrics, NoProbe, Probe};
-use crate::outcome::{RunLimits, RunOutcome};
+use crate::outcome::RunOutcome;
 use crate::window::Window;
-
-use super::Scheduler;
 
 /// The shared state of one execution: harnesses, buffer, recorder and
 /// counters.
@@ -38,12 +35,15 @@ use super::Scheduler;
 /// paper's model (sending steps, receiving steps, resetting steps, crashes,
 /// Byzantine corruption) and records their effects; a
 /// [`Scheduler`](super::Scheduler) composes them into the execution shape of a
-/// concrete adversary model. Every transition additionally fires a hook on
-/// the core's [`Probe`] and an event on its [`Recorder`]; with the default
-/// [`NoProbe`] the hooks are empty inlined bodies, and with
-/// [`NoTrace`](agreement_model::NoTrace) the event pushes vanish the same
-/// way — a `NoProbe`/`NoTrace` core is byte-for-byte the un-instrumented,
-/// un-traced core the campaign workers run.
+/// concrete adversary model. Every transition that hands a processor to its
+/// protocol ends in one decision transition, which books a newly written
+/// output bit once: the counters, the first-decision chain, the
+/// [`TraceEvent::Decided`] event and [`Probe::on_decide`]. Every transition
+/// additionally fires a hook on the core's [`Probe`] and an event on its
+/// [`Recorder`]; with the default [`NoProbe`] the hooks are empty inlined
+/// bodies, and with [`NoTrace`](agreement_model::NoTrace) the event pushes
+/// vanish the same way — a `NoProbe`/`NoTrace` core is byte-for-byte the
+/// un-instrumented, un-traced core the campaign workers run.
 #[derive(Debug)]
 pub struct ExecutionCore<P: Probe = NoProbe, R: Recorder = FullTrace> {
     cfg: SystemConfig,
@@ -380,19 +380,28 @@ impl<P: Probe, R: Recorder> ExecutionCore<P, R> {
         self.digest_memo[i].set(None);
     }
 
-    /// Recomputes both decision counters from scratch (used after transitions
-    /// that may touch every processor at once).
-    fn recount_decisions(&mut self) {
-        self.decided_count = self
-            .harnesses
-            .iter()
-            .filter(|h| h.decision().is_some())
-            .count();
-        self.undecided_correct = self
-            .harnesses
-            .iter()
-            .filter(|h| !h.is_crashed() && h.decision().is_none())
-            .count();
+    /// The one ⊥ → v transition: books processor `i`'s output bit if it was
+    /// unset (`before`) and its protocol has just written it. Every
+    /// transition that hands a processor to its protocol — starting,
+    /// delivering, draining a window's senders, resetting — ends here, and
+    /// nothing else changes the decision counters upward. Crashed processors
+    /// never reach their protocol, so a decision is always a correct one.
+    #[inline]
+    fn note_decision(&mut self, i: usize, before: Option<Bit>) {
+        if before.is_some() {
+            return;
+        }
+        let Some(value) = self.harnesses[i].decision() else {
+            return;
+        };
+        self.decided_count += 1;
+        self.undecided_correct -= 1;
+        if self.chain_at_first_decision.is_none() {
+            self.chain_at_first_decision = Some(self.depth[i]);
+        }
+        let (id, at) = (ProcessorId::new(i), self.time);
+        self.recorder.record(TraceEvent::Decided { id, value, at });
+        self.probe.on_decide(id, value, at);
     }
 
     // ----- primitive transitions ---------------------------------------------------
@@ -403,13 +412,13 @@ impl<P: Probe, R: Recorder> ExecutionCore<P, R> {
             return;
         }
         self.started = true;
-        for harness in &mut self.harnesses {
-            harness.start();
+        for i in 0..self.harnesses.len() {
+            let before = self.harnesses[i].decision();
+            self.harnesses[i].start();
+            self.note_decision(i, before);
         }
-        // `on_start` may decide, and it is the one transition that touches
-        // every processor.
+        // The one transition that touches every processor.
         self.digest_memo.fill(Cell::new(None));
-        self.recount_decisions();
     }
 
     /// A *sending step* of processor `id`: moves its computed messages into
@@ -489,21 +498,7 @@ impl<P: Probe, R: Recorder> ExecutionCore<P, R> {
         self.harnesses[to.index()].deliver(from, payload);
         let depth = &mut self.depth[to.index()];
         *depth = (*depth).max(chain);
-        let after = self.harnesses[to.index()].decision();
-        if before.is_none() {
-            if let Some(value) = after {
-                self.recorder.record(TraceEvent::Decided {
-                    id: to,
-                    value,
-                    at: self.time,
-                });
-                self.decided_count += 1;
-                self.undecided_correct -= 1;
-                if self.chain_at_first_decision.is_none() {
-                    self.chain_at_first_decision = Some(self.depth[to.index()]);
-                }
-            }
-        }
+        self.note_decision(to.index(), before);
         self.mark_view_dirty(to.index());
         self.flush_outbox(to);
     }
@@ -539,35 +534,21 @@ impl<P: Probe, R: Recorder> ExecutionCore<P, R> {
             });
         }
         self.depth[recipient.index()] = depth;
-        let after = harness.decision();
-        if before.is_none() {
-            if let Some(value) = after {
-                self.recorder.record(TraceEvent::Decided {
-                    id: recipient,
-                    value,
-                    at: self.time,
-                });
-                self.decided_count += 1;
-                self.undecided_correct -= 1;
-            }
-        }
+        self.note_decision(recipient.index(), before);
         self.mark_view_dirty(recipient.index());
     }
 
     /// A *resetting step*: erases the processor's memory and counts the reset.
     pub fn reset(&mut self, id: ProcessorId) {
         // `on_reset` runs with a full context, so a protocol's rejoin logic
-        // could in principle decide — keep the counters exact.
+        // may decide.
         let before = self.harnesses[id.index()].decision();
         self.harnesses[id.index()].reset();
-        if before.is_none() && self.harnesses[id.index()].decision().is_some() {
-            self.decided_count += 1;
-            self.undecided_correct -= 1;
-        }
         self.mark_view_dirty(id.index());
         self.resets_performed += 1;
         self.probe.on_reset(id);
         self.recorder.record(TraceEvent::Reset { id });
+        self.note_decision(id.index(), before);
     }
 
     /// Crashes a processor, enforcing the fault budget `t`: an attempt beyond
@@ -681,28 +662,7 @@ impl<P: Probe, R: Recorder> ExecutionCore<P, R> {
         }
     }
 
-    // ----- driving & outcomes ------------------------------------------------------
-
-    /// Runs `scheduler` until every correct processor has decided, the
-    /// execution halts, or the scheduler's time cap from `limits` elapses.
-    pub fn run(&mut self, scheduler: &mut dyn Scheduler<P, R>, limits: RunLimits) -> RunOutcome {
-        scheduler.on_start(self);
-        self.record_decision_progress();
-        let cap = scheduler.max_time(&limits);
-        while !self.all_correct_decided() && !self.halted && self.time < cap {
-            if !scheduler.step(self) {
-                break;
-            }
-        }
-        self.outcome_with(scheduler)
-    }
-
-    /// Produces the outcome snapshot, reporting the chain metric `scheduler`
-    /// defines for its time model.
-    pub fn outcome_with(&mut self, scheduler: &dyn Scheduler<P, R>) -> RunOutcome {
-        let longest_chain = scheduler.longest_chain(self);
-        self.outcome(longest_chain)
-    }
+    // ----- outcomes ----------------------------------------------------------------
 
     /// The structured metrics snapshot of the execution so far, assembled
     /// from counters the core maintains anyway — no probe required.

@@ -1,4 +1,4 @@
-//! The unified execution core and its pluggable schedulers.
+//! The unified execution core and the one driver of its three models.
 //!
 //! The paper analyzes the *same* protocols under two execution models — the
 //! strongly adaptive acceptable-window model of Section 2 and the fully
@@ -6,36 +6,34 @@
 //! as the curtailed contrast. All three share almost all of their mechanics:
 //! processor harnesses, an in-flight message buffer, decision and validity
 //! tracking, trace emission and run-limit enforcement.
-//! This module owns those mechanics once, in [`ExecutionCore`], and isolates
-//! what genuinely differs — how a unit of scheduled time is assembled —
-//! behind the [`Scheduler`] trait:
+//! This module owns those mechanics once, in [`ExecutionCore`], and puts what
+//! genuinely differs — how a unit of scheduled time is assembled — in one
+//! arm each of the closed [`Scheduler`] enum:
 //!
-//! * [`WindowScheduler`] assembles acceptable windows (sending phase,
+//! * [`Scheduler::Windowed`] assembles acceptable windows (sending phase,
 //!   validated adversary window, receiving phases, resets) from a
 //!   [`WindowAdversary`](crate::WindowAdversary).
-//! * [`AsyncScheduler`] executes per-message adversarial deliveries, crashes
-//!   and Byzantine corruptions from an
+//! * [`Scheduler::Asynchronous`] executes per-message adversarial
+//!   deliveries, crashes and Byzantine corruptions from an
 //!   [`AsyncAdversary`](crate::AsyncAdversary).
-//! * [`PartialSyncScheduler`] implements eventual synchrony with omission
+//! * [`Scheduler::PartialSync`] implements eventual synchrony with omission
 //!   faults from a [`PartialSyncAdversary`](crate::PartialSyncAdversary):
 //!   free scheduling before the adversary's GST, *enforced* bounded-delay
 //!   delivery after it.
 //!
-//! [`Scheduler::on_start`], [`Scheduler::step`] and
-//! [`ExecutionCore::outcome_with`] are the step-wise driving API;
-//! [`ExecutionCore::run`] is the loop over them. A new execution model is a
-//! new [`Scheduler`] plus a variant of
+//! [`Scheduler::run`] is the one loop; [`Scheduler::start`],
+//! [`Scheduler::step`] and [`Scheduler::outcome`] are the step-wise driving
+//! API. A new execution model is a variant of [`Scheduler`],
 //! [`BuiltAdversary`](crate::BuiltAdversary) and
-//! [`ModelDescriptor`](crate::ModelDescriptor) — see DESIGN.md §2 for the
-//! partial-synchrony model as a worked example.
+//! [`ModelDescriptor`](crate::ModelDescriptor), plus one step function — see
+//! DESIGN.md §2 for the partial-synchrony model as a worked example.
 
 mod core;
 mod partial_sync;
 mod schedulers;
 
 pub use self::core::ExecutionCore;
-pub use self::partial_sync::PartialSyncScheduler;
-pub use self::schedulers::{AsyncScheduler, Scheduler, WindowScheduler};
+pub use self::schedulers::Scheduler;
 
 /// Toy protocols the scheduler and workspace unit tests share.
 #[cfg(test)]

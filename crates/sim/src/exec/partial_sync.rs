@@ -1,5 +1,6 @@
-//! The partial-synchrony scheduler: eventual synchrony with omission faults,
-//! expressed over [`ExecutionCore`].
+//! The partial-synchrony step: eventual synchrony with omission faults,
+//! expressed over [`ExecutionCore`] and driven by
+//! [`Scheduler::PartialSync`](super::Scheduler::PartialSync).
 //!
 //! This is the "curtailed adversary" side of the paper's dichotomy. Before an
 //! adversary-chosen global stabilization time (GST) the adversary schedules
@@ -40,158 +41,119 @@ use agreement_model::{ProcessorId, Recorder};
 
 use crate::adversary::{PartialSyncAction, PartialSyncAdversary};
 use crate::metrics::Probe;
-use crate::outcome::RunLimits;
 
-use super::{ExecutionCore, Scheduler};
+use super::ExecutionCore;
 
-/// The partial-synchrony model's scheduler: free scheduling before the
-/// adversary's GST, enforced bounded-delay delivery after it.
-pub struct PartialSyncScheduler<'a> {
-    adversary: &'a mut dyn PartialSyncAdversary,
+/// How many faults the declared omission set charges against the shared
+/// budget `t`: the distinct senders among the first `t` entries.
+fn omission_faults(adversary: &dyn PartialSyncAdversary, t: usize) -> usize {
+    let honoured = &adversary.omitted_senders()[..adversary.omitted_senders().len().min(t)];
+    honoured
+        .iter()
+        .enumerate()
+        .filter(|(i, s)| !honoured[..*i].contains(s))
+        .count()
 }
 
-impl<'a> PartialSyncScheduler<'a> {
-    /// Wraps a partial-synchrony adversary borrowed for the duration of a run.
-    pub fn new(adversary: &'a mut dyn PartialSyncAdversary) -> Self {
-        PartialSyncScheduler { adversary }
-    }
-
-    /// How many faults the declared omission set charges against the shared
-    /// budget `t`: the distinct senders among the first `t` entries.
-    fn omission_faults(&self, t: usize) -> usize {
-        let honoured =
-            &self.adversary.omitted_senders()[..self.adversary.omitted_senders().len().min(t)];
-        honoured
-            .iter()
-            .enumerate()
-            .filter(|(i, s)| !honoured[..*i].contains(s))
-            .count()
-    }
-
-    /// Delivers every pending message whose post-GST deadline has arrived:
-    /// a message sent at step `s` must be delivered by `max(s, gst) + Δ`.
-    ///
-    /// Senders are visited in identity order, but only those that can have
-    /// something overdue: [`MessageBuffer::pending_since`] bounds the send
-    /// stamp of everything a sender still has pending from below, so when
-    /// even that stamp's deadline lies ahead, so does every deadline on the
-    /// sender's `n` channels, and scanning them would deliver nothing. The
-    /// bound is only ever a reason to skip; a sender that is not skipped has
-    /// every channel scanned, sender-major: within a channel, FIFO order and
-    /// a monotone clock mean the head is always the oldest message, so
-    /// popping while the head is overdue delivers exactly the overdue
-    /// prefix. Messages from omitted senders — the first `t` the adversary
-    /// declared, the budget the model grants it — and to crashed recipients
-    /// are exempt (the model only promises delivery between correct
-    /// processors).
-    ///
-    /// [`MessageBuffer::pending_since`]: crate::MessageBuffer::pending_since
-    fn force_overdue<P: Probe, R: Recorder>(
-        &mut self,
-        core: &mut ExecutionCore<P, R>,
-        now: u64,
-        gst: u64,
-        delta: u64,
-    ) {
-        let n = core.config().n();
-        let omitted = self.adversary.omitted_senders();
-        let omitted = &omitted[..omitted.len().min(core.config().t())];
-        for from in ProcessorId::all(n) {
-            // Read per sender, not once up front: a forced delivery makes
-            // its recipient send, which can wake a lane that was idle.
-            match core.buffer().pending_since(from) {
-                Some(oldest) if oldest.max(gst) + delta <= now => {}
-                _ => continue,
-            }
-            if omitted.contains(&from) {
+/// Delivers every pending message whose post-GST deadline has arrived:
+/// a message sent at step `s` must be delivered by `max(s, gst) + Δ`.
+///
+/// Senders are visited in identity order, but only those that can have
+/// something overdue: [`MessageBuffer::pending_since`] bounds the send
+/// stamp of everything a sender still has pending from below, so when
+/// even that stamp's deadline lies ahead, so does every deadline on the
+/// sender's `n` channels, and scanning them would deliver nothing. The
+/// bound is only ever a reason to skip; a sender that is not skipped has
+/// every channel scanned, sender-major: within a channel, FIFO order and
+/// a monotone clock mean the head is always the oldest message, so
+/// popping while the head is overdue delivers exactly the overdue
+/// prefix. Messages from omitted senders — the first `t` the adversary
+/// declared, the budget the model grants it — and to crashed recipients
+/// are exempt (the model only promises delivery between correct
+/// processors).
+///
+/// [`MessageBuffer::pending_since`]: crate::MessageBuffer::pending_since
+fn force_overdue<P: Probe, R: Recorder>(
+    adversary: &dyn PartialSyncAdversary,
+    core: &mut ExecutionCore<P, R>,
+    now: u64,
+    gst: u64,
+    delta: u64,
+) {
+    let n = core.config().n();
+    let omitted = adversary.omitted_senders();
+    let omitted = &omitted[..omitted.len().min(core.config().t())];
+    for from in ProcessorId::all(n) {
+        // Read per sender, not once up front: a forced delivery makes
+        // its recipient send, which can wake a lane that was idle.
+        match core.buffer().pending_since(from) {
+            Some(oldest) if oldest.max(gst) + delta <= now => {}
+            _ => continue,
+        }
+        if omitted.contains(&from) {
+            continue;
+        }
+        for to in ProcessorId::all(n) {
+            if core.is_crashed(to) {
                 continue;
             }
-            for to in ProcessorId::all(n) {
-                if core.is_crashed(to) {
-                    continue;
+            while let Some(sent) = core.buffer().head_sent_at(from, to) {
+                if sent.max(gst) + delta > now {
+                    break;
                 }
-                while let Some(sent) = core.buffer().head_sent_at(from, to) {
-                    if sent.max(gst) + delta > now {
-                        break;
-                    }
-                    core.deliver_one(from, to);
-                }
+                core.deliver_one(from, to);
             }
         }
-    }
-
-    /// Executes one partial-synchrony step (see the module docs for the
-    /// phase order). Returns `false` once the execution has halted.
-    pub fn step_partial_sync<P: Probe, R: Recorder>(
-        &mut self,
-        core: &mut ExecutionCore<P, R>,
-    ) -> bool {
-        if core.is_halted() {
-            return false;
-        }
-        let action = core.with_view(|view| self.adversary.next_action(view));
-        core.advance_step();
-        let now = core.time();
-        let gst = self.adversary.gst();
-        let delta = self.adversary.delta().max(1);
-        if now >= gst {
-            self.force_overdue(core, now, gst, delta);
-        }
-        match action {
-            PartialSyncAction::Deliver { from, to } => core.deliver_one(from, to),
-            PartialSyncAction::Crash(id) => {
-                // Omissions and crashes draw from ONE budget of `t` faults:
-                // a crash that would push the combined total past `t` is
-                // refused (and logged), exactly like the core's own
-                // over-budget crash handling — otherwise an adversary could
-                // silence 2t processors and defeat the model's
-                // forced-termination guarantee. Re-crashing an already
-                // crashed processor stays the same free no-op it is in the
-                // core, never a logged budget violation.
-                let t = core.config().t();
-                if core.is_crashed(id) {
-                    // no-op
-                } else if self.omission_faults(t) + core.faults_used() >= t {
-                    core.push_trace(agreement_model::TraceEvent::Violation {
-                        description: format!(
-                            "partial-sync adversary attempted to crash {id} beyond the \
-                             shared omission+crash budget t={t}; ignored"
-                        ),
-                    });
-                } else {
-                    core.crash(id);
-                }
-            }
-            PartialSyncAction::Stall => {}
-            PartialSyncAction::Halt => core.halt(),
-        }
-        core.record_decision_progress();
-        !core.is_halted()
     }
 }
 
-impl<P: Probe, R: Recorder> Scheduler<P, R> for PartialSyncScheduler<'_> {
-    /// Initial sends are flushed eagerly, as in the asynchronous model: the
-    /// delivery bound applies to them from the first step.
-    fn on_start(&mut self, core: &mut ExecutionCore<P, R>) {
-        core.ensure_started();
-        core.flush_all_outboxes();
+/// Executes one partial-synchrony step (see the module docs for the phase
+/// order). Returns `false` once the execution has halted.
+pub(super) fn step<P: Probe, R: Recorder>(
+    adversary: &mut dyn PartialSyncAdversary,
+    core: &mut ExecutionCore<P, R>,
+) -> bool {
+    if core.is_halted() {
+        return false;
     }
-
-    fn step(&mut self, core: &mut ExecutionCore<P, R>) -> bool {
-        self.step_partial_sync(core)
+    let action = core.with_view(|view| adversary.next_action(view));
+    core.advance_step();
+    let now = core.time();
+    let gst = adversary.gst();
+    let delta = adversary.delta().max(1);
+    if now >= gst {
+        force_overdue(adversary, core, now, gst, delta);
     }
-
-    fn max_time(&self, limits: &RunLimits) -> u64 {
-        limits.max_steps
+    match action {
+        PartialSyncAction::Deliver { from, to } => core.deliver_one(from, to),
+        PartialSyncAction::Crash(id) => {
+            // Omissions and crashes draw from ONE budget of `t` faults:
+            // a crash that would push the combined total past `t` is
+            // refused (and logged), exactly like the core's own
+            // over-budget crash handling — otherwise an adversary could
+            // silence 2t processors and defeat the model's
+            // forced-termination guarantee. Re-crashing an already
+            // crashed processor stays the same free no-op it is in the
+            // core, never a logged budget violation.
+            let t = core.config().t();
+            if core.is_crashed(id) {
+                // no-op
+            } else if omission_faults(adversary, t) + core.faults_used() >= t {
+                core.push_trace(agreement_model::TraceEvent::Violation {
+                    description: format!(
+                        "partial-sync adversary attempted to crash {id} beyond the \
+                         shared omission+crash budget t={t}; ignored"
+                    ),
+                });
+            } else {
+                core.crash(id);
+            }
+        }
+        PartialSyncAction::Stall => {}
+        PartialSyncAction::Halt => core.halt(),
     }
-
-    /// Partial-synchrony running time shares the asynchronous model's chain
-    /// metric (the causal depth at the first decision) so strong-vs-weak
-    /// adversary comparisons read off the same scale.
-    fn longest_chain(&self, core: &ExecutionCore<P, R>) -> u64 {
-        core.chain_at_first_decision().unwrap_or(0)
-    }
+    core.record_decision_progress();
+    !core.is_halted()
 }
 
 #[cfg(test)]
@@ -200,6 +162,8 @@ mod tests {
     use crate::adversary::{BenignEventualAdversary, SystemView};
     use crate::engine::run_partial_sync;
     use crate::exec::testkit::QuorumBuilder;
+    use crate::exec::Scheduler;
+    use crate::outcome::RunLimits;
     use agreement_model::{Bit, InputAssignment, SystemConfig};
 
     /// Stalls forever with the given parameters: every delivery that happens
@@ -288,10 +252,10 @@ mod tests {
             delta: 1,
             omitted: Vec::new(),
         };
-        let mut scheduler = PartialSyncScheduler::new(&mut adversary);
-        Scheduler::on_start(&mut scheduler, &mut core);
+        let mut scheduler = Scheduler::PartialSync(&mut adversary);
+        scheduler.start(&mut core);
         for _ in 0..50 {
-            assert!(scheduler.step_partial_sync(&mut core));
+            assert!(scheduler.step(&mut core));
         }
         // All 16 initial broadcasts are still pending: the adversary's
         // pre-GST freedom to withhold is intact.

@@ -1,169 +1,187 @@
-//! The two schedulers of the paper, expressed over [`ExecutionCore`].
+//! The one driver of the paper's three execution models.
 //!
-//! * [`WindowScheduler`] assembles one *acceptable window* (Definition 1) per
-//!   unit of time: a sending phase for everyone, an adversary-chosen window
-//!   validated against the definition, per-processor receiving phases, and at
-//!   most `t` resetting steps.
-//! * [`AsyncScheduler`] executes one adversary-chosen action per unit of time:
-//!   a single message delivery, a crash, a Byzantine corruption, or a halt.
+//! A [`Scheduler`] borrows one model's adversary and composes the
+//! [`ExecutionCore`]'s primitive transitions into that model's unit of
+//! scheduled time, by `match`:
 //!
-//! Adding a new execution model (partial synchrony, message-omission
-//! adversaries, …) means writing one more implementation of [`Scheduler`] in
-//! this shape; the core supplies every primitive both of these are built from.
+//! * [`Scheduler::Windowed`] assembles one *acceptable window* (Definition 1)
+//!   per unit of time: a sending phase for everyone, an adversary-chosen
+//!   window validated against the definition, per-processor receiving
+//!   phases, and at most `t` resetting steps.
+//! * [`Scheduler::Asynchronous`] executes one adversary-chosen action per
+//!   unit of time: a single message delivery, a crash, a Byzantine
+//!   corruption, or a halt.
+//! * [`Scheduler::PartialSync`] executes one adversary-chosen action per
+//!   step too, after force-delivering whatever the post-GST bound Δ makes
+//!   overdue (see the `partial_sync` module).
+//!
+//! [`Scheduler::run`] is the one loop every execution goes through;
+//! [`Scheduler::start`], [`Scheduler::step`] and [`Scheduler::outcome`] are
+//! its parts, for callers that drive an execution step by step. Adding a
+//! model means a variant here, in [`ModelDescriptor`] and in
+//! [`BuiltAdversary`](crate::BuiltAdversary), plus one step function.
 
-use agreement_model::{FullTrace, Recorder, TraceEvent};
+use agreement_model::{ProcessorId, Recorder, TraceEvent};
 
-use crate::adversary::{AsyncAction, AsyncAdversary, WindowAdversary};
-use crate::metrics::{NoProbe, Probe};
-use crate::outcome::RunLimits;
+use crate::adversary::{AsyncAction, AsyncAdversary, PartialSyncAdversary, WindowAdversary};
+use crate::engine::{ModelDescriptor, ASYNC, PARTIAL_SYNC, WINDOWED};
+use crate::metrics::Probe;
+use crate::outcome::{RunLimits, RunOutcome};
 
-use super::ExecutionCore;
+use super::{partial_sync, ExecutionCore};
 
-/// One adversary model's notion of a unit of scheduled time.
+/// One execution model's adversary, borrowed for the duration of a run, and
+/// the driver that schedules a core under it.
 ///
-/// The [`ExecutionCore`] owns all execution state; a scheduler only decides
-/// how to compose the core's primitive transitions (sending, receiving,
-/// resetting, crashing, corrupting) into steps, which [`RunLimits`] cap
-/// applies, and which chain metric the outcome reports. Schedulers are
-/// parametric in the core's [`Probe`] *and* [`Recorder`] so the same
-/// scheduler drives instrumented, un-instrumented, traced and trace-free
-/// executions alike.
-pub trait Scheduler<P: Probe = NoProbe, R: Recorder = FullTrace> {
-    /// Called once before the first step. Implementations start the
-    /// processors and, where the model calls for it, flush initial sends.
-    /// Must be idempotent: driving an execution step by step and then through
-    /// [`ExecutionCore::run`] may invoke it more than once.
-    fn on_start(&mut self, core: &mut ExecutionCore<P, R>) {
+/// The set is closed — the paper's results are stated over exactly these
+/// adversary powers — so every method is one `match`. Every method is
+/// generic over the core's [`Probe`] and [`Recorder`], so the same driver
+/// runs instrumented, un-instrumented, traced and trace-free executions.
+pub enum Scheduler<'a> {
+    /// The strongly adaptive model (Section 2, [`WINDOWED`]): time advances
+    /// one acceptable window at a time.
+    Windowed(&'a mut dyn WindowAdversary),
+    /// The fully asynchronous model (Section 5, [`ASYNC`]): time advances one
+    /// adversary action at a time.
+    Asynchronous(&'a mut dyn AsyncAdversary),
+    /// Eventual synchrony with omission faults ([`PARTIAL_SYNC`]): free
+    /// scheduling before the adversary's GST, enforced bounded-delay
+    /// delivery after it.
+    PartialSync(&'a mut dyn PartialSyncAdversary),
+}
+
+impl Scheduler<'_> {
+    /// The model this scheduler drives.
+    pub fn model(&self) -> &'static ModelDescriptor {
+        match self {
+            Scheduler::Windowed(_) => &WINDOWED,
+            Scheduler::Asynchronous(_) => &ASYNC,
+            Scheduler::PartialSync(_) => &PARTIAL_SYNC,
+        }
+    }
+
+    /// Starts the processors and latches any decision their `on_start`
+    /// wrote. The two step models also perform every processor's initial
+    /// sending step, so the adversary schedules deliveries (and the
+    /// partial-synchrony bound applies) from the very first step. Idempotent.
+    pub fn start<P: Probe, R: Recorder>(&self, core: &mut ExecutionCore<P, R>) {
         core.ensure_started();
+        if !matches!(self, Scheduler::Windowed(_)) {
+            core.flush_all_outboxes();
+        }
+        core.record_decision_progress();
     }
 
     /// Executes one unit of scheduled time. Returns `false` once the
-    /// execution has halted; further calls must be no-ops.
-    fn step(&mut self, core: &mut ExecutionCore<P, R>) -> bool;
-
-    /// The cap from `limits` that applies to this scheduler's time unit.
-    fn max_time(&self, limits: &RunLimits) -> u64;
-
-    /// The longest-chain metric this model reports in its outcome.
-    fn longest_chain(&self, core: &ExecutionCore<P, R>) -> u64;
-}
-
-/// The strongly adaptive model (Section 2): time advances one acceptable
-/// window at a time, chosen by a [`WindowAdversary`].
-pub struct WindowScheduler<'a> {
-    adversary: &'a mut dyn WindowAdversary,
-}
-
-impl<'a> WindowScheduler<'a> {
-    /// Wraps a window adversary borrowed for the duration of a run.
-    pub fn new(adversary: &'a mut dyn WindowAdversary) -> Self {
-        WindowScheduler { adversary }
-    }
-
-    /// Executes one acceptable window chosen by the wrapped adversary.
+    /// execution has halted; further calls are then no-ops.
     ///
     /// # Panics
     ///
-    /// Panics if the adversary returns a window violating Definition 1 — that
-    /// is a bug in the adversary implementation, not a legitimate execution.
-    pub fn step_window<P: Probe, R: Recorder>(&mut self, core: &mut ExecutionCore<P, R>) {
-        core.ensure_started();
-        // Anything not delivered in the previous window is never delivered.
-        core.discard_undelivered();
-
-        // Sending phase.
-        core.flush_all_outboxes();
-
-        // Adversary chooses the window with full information.
-        let window = core.with_view(|view| self.adversary.next_window(view));
-        if let Err(err) = window.validate(&core.config()) {
-            panic!(
-                "adversary {:?} produced an invalid window at index {}: {err}",
-                self.adversary.name(),
-                core.time()
-            );
+    /// Panics if a window adversary returns a window violating Definition 1 —
+    /// that is a bug in the adversary implementation, not a legitimate
+    /// execution.
+    pub fn step<P: Probe, R: Recorder>(&mut self, core: &mut ExecutionCore<P, R>) -> bool {
+        match self {
+            Scheduler::Windowed(adversary) => {
+                step_window(*adversary, core);
+                true
+            }
+            Scheduler::Asynchronous(adversary) => step_async(*adversary, core),
+            Scheduler::PartialSync(adversary) => partial_sync::step(*adversary, core),
         }
-        core.push_trace(TraceEvent::WindowStarted { index: core.time() });
+    }
 
-        // Receiving phase, then resetting phase.
-        for recipient in agreement_model::ProcessorId::all(core.config().n()) {
-            core.deliver_from_senders(recipient, window.delivery_set(recipient.index()));
+    /// Runs `core` until every correct processor has decided, the execution
+    /// halts, or the model's time cap from `limits` elapses, and returns the
+    /// outcome.
+    pub fn run<P: Probe, R: Recorder>(
+        &mut self,
+        core: &mut ExecutionCore<P, R>,
+        limits: RunLimits,
+    ) -> RunOutcome {
+        self.start(core);
+        let cap = self.model().time_cap(&limits);
+        while !core.all_correct_decided() && !core.is_halted() && core.time() < cap {
+            if !self.step(core) {
+                break;
+            }
         }
-        for &id in window.resets() {
-            core.reset(id);
-        }
-        core.keep_window(window);
+        self.outcome(core)
+    }
 
-        core.advance_window();
-        core.record_decision_progress();
+    /// The outcome snapshot of `core`, with this model's chain metric:
+    /// windowed running time is measured in windows, so the windowed model
+    /// reports the window of the first decision; the two step models report
+    /// the longest message chain preceding the first decision (Section 5's
+    /// metric, tracked causally by the core), so their expected times read
+    /// off one scale. Zero while undecided.
+    pub fn outcome<P: Probe, R: Recorder>(&self, core: &mut ExecutionCore<P, R>) -> RunOutcome {
+        let longest_chain = match self {
+            Scheduler::Windowed(_) => core.first_decision_at(),
+            Scheduler::Asynchronous(_) | Scheduler::PartialSync(_) => {
+                core.chain_at_first_decision()
+            }
+        };
+        core.outcome(longest_chain.unwrap_or(0))
     }
 }
 
-impl<P: Probe, R: Recorder> Scheduler<P, R> for WindowScheduler<'_> {
-    fn step(&mut self, core: &mut ExecutionCore<P, R>) -> bool {
-        self.step_window(core);
-        true
-    }
+/// Executes one acceptable window chosen by `adversary`.
+fn step_window<P: Probe, R: Recorder>(
+    adversary: &mut dyn WindowAdversary,
+    core: &mut ExecutionCore<P, R>,
+) {
+    core.ensure_started();
+    // Anything not delivered in the previous window is never delivered.
+    core.discard_undelivered();
 
-    fn max_time(&self, limits: &RunLimits) -> u64 {
-        limits.max_windows
-    }
+    // Sending phase.
+    core.flush_all_outboxes();
 
-    /// Windowed running time is measured in windows; the chain metric reports
-    /// the window of the first decision (zero while undecided).
-    fn longest_chain(&self, core: &ExecutionCore<P, R>) -> u64 {
-        core.first_decision_at().unwrap_or(0)
+    // Adversary chooses the window with full information.
+    let window = core.with_view(|view| adversary.next_window(view));
+    if let Err(err) = window.validate(&core.config()) {
+        panic!(
+            "adversary {:?} produced an invalid window at index {}: {err}",
+            adversary.name(),
+            core.time()
+        );
     }
+    core.push_trace(TraceEvent::WindowStarted { index: core.time() });
+
+    // Receiving phase, then resetting phase.
+    for recipient in ProcessorId::all(core.config().n()) {
+        core.deliver_from_senders(recipient, window.delivery_set(recipient.index()));
+    }
+    for &id in window.resets() {
+        core.reset(id);
+    }
+    core.keep_window(window);
+
+    core.advance_window();
+    core.record_decision_progress();
 }
 
-/// The fully asynchronous model (Section 5): time advances one adversary
-/// action at a time, chosen by an [`AsyncAdversary`].
-pub struct AsyncScheduler<'a> {
-    adversary: &'a mut dyn AsyncAdversary,
-}
-
-impl<'a> AsyncScheduler<'a> {
-    /// Wraps an asynchronous adversary borrowed for the duration of a run.
-    pub fn new(adversary: &'a mut dyn AsyncAdversary) -> Self {
-        AsyncScheduler { adversary }
+/// Executes one asynchronous action chosen by `adversary`. Returns `false`
+/// once the execution has halted.
+fn step_async<P: Probe, R: Recorder>(
+    adversary: &mut dyn AsyncAdversary,
+    core: &mut ExecutionCore<P, R>,
+) -> bool {
+    if core.is_halted() {
+        return false;
     }
-}
-
-impl<P: Probe, R: Recorder> Scheduler<P, R> for AsyncScheduler<'_> {
-    /// Starting the asynchronous model immediately performs every processor's
-    /// initial sending step: the adversary schedules deliveries from the very
-    /// first action.
-    fn on_start(&mut self, core: &mut ExecutionCore<P, R>) {
-        core.ensure_started();
-        core.flush_all_outboxes();
+    let action = core.with_view(|view| adversary.next_action(view));
+    core.advance_step();
+    match action {
+        AsyncAction::Deliver { from, to } => core.deliver_one(from, to),
+        AsyncAction::Crash(id) => core.crash(id),
+        AsyncAction::CorruptProcessor(id) => core.corrupt_processor(id),
+        AsyncAction::Corrupt { from, to, payload } => core.corrupt_message(from, to, payload),
+        AsyncAction::Halt => core.halt(),
     }
-
-    fn step(&mut self, core: &mut ExecutionCore<P, R>) -> bool {
-        if core.is_halted() {
-            return false;
-        }
-        let action = core.with_view(|view| self.adversary.next_action(view));
-        core.advance_step();
-        match action {
-            AsyncAction::Deliver { from, to } => core.deliver_one(from, to),
-            AsyncAction::Crash(id) => core.crash(id),
-            AsyncAction::CorruptProcessor(id) => core.corrupt_processor(id),
-            AsyncAction::Corrupt { from, to, payload } => core.corrupt_message(from, to, payload),
-            AsyncAction::Halt => core.halt(),
-        }
-        core.record_decision_progress();
-        !core.is_halted()
-    }
-
-    fn max_time(&self, limits: &RunLimits) -> u64 {
-        limits.max_steps
-    }
-
-    /// Asynchronous running time is the longest message chain preceding the
-    /// first decision (Section 5's metric), tracked causally by the core.
-    fn longest_chain(&self, core: &ExecutionCore<P, R>) -> u64 {
-        core.chain_at_first_decision().unwrap_or(0)
-    }
+    core.record_decision_progress();
+    !core.is_halted()
 }
 
 #[cfg(test)]
@@ -277,10 +295,10 @@ mod tests {
             let inputs = InputAssignment::unanimous(6, Bit::Zero);
             let mut core = ExecutionCore::new(cfg, inputs, &MajorityBuilder, 5);
             let mut adversary = ResetZero;
-            let mut scheduler = WindowScheduler::new(&mut adversary);
-            scheduler.step_window(&mut core);
-            scheduler.step_window(&mut core);
-            let outcome = core.outcome_with(&scheduler);
+            let mut scheduler = Scheduler::Windowed(&mut adversary);
+            scheduler.step(&mut core);
+            scheduler.step(&mut core);
+            let outcome = scheduler.outcome(&mut core);
             assert_eq!(outcome.metrics.resets_consumed, 2);
             assert_eq!(outcome.trace.reset_count(), 2);
         }
@@ -315,10 +333,10 @@ mod tests {
             };
             for seed in [5, 6] {
                 core.reinit(cfg, &inputs, &MajorityBuilder, seed);
-                let mut scheduler = WindowScheduler::new(&mut adversary);
-                scheduler.step_window(&mut core);
-                scheduler.step_window(&mut core);
-                assert_eq!(core.outcome_with(&scheduler).metrics.resets_consumed, 2);
+                let mut scheduler = Scheduler::Windowed(&mut adversary);
+                scheduler.step(&mut core);
+                scheduler.step(&mut core);
+                assert_eq!(scheduler.outcome(&mut core).metrics.resets_consumed, 2);
             }
             // One allocation, by the first window; every later one — the
             // second trial's first included — was filled into it.
@@ -345,7 +363,7 @@ mod tests {
             let cfg = SystemConfig::new(4, 1).unwrap();
             let inputs = InputAssignment::unanimous(4, Bit::One);
             let mut core = ExecutionCore::new(cfg, inputs, &MajorityBuilder, 5);
-            WindowScheduler::new(&mut Broken).step_window(&mut core);
+            Scheduler::Windowed(&mut Broken).step(&mut core);
         }
 
         #[test]

@@ -4,11 +4,12 @@
 //! (PODC 2013). Every execution model shares one substrate — the
 //! [`ExecutionCore`] of the [`exec`] module, which owns processor harnesses,
 //! the in-flight [`MessageBuffer`], decision/validity tracking, trace emission
-//! and limit enforcement — while a pluggable [`Scheduler`] supplies what
-//! differs between models. The set of models is **closed** — the paper's
-//! results are stated over exactly these adversary powers — so a model is a
-//! [`Scheduler`] plus a [`ModelDescriptor`] variant, and a [`BuiltAdversary`]
-//! (one variant per model) runs its adversary on any core. The three models:
+//! and limit enforcement — while one arm of the [`Scheduler`] enum supplies
+//! what differs between models. The set of models is **closed** — the
+//! paper's results are stated over exactly these adversary powers — so a
+//! model is a variant of [`Scheduler`], [`ModelDescriptor`] and
+//! [`BuiltAdversary`], and [`Scheduler::run`] is the one loop every
+//! execution, on any core, goes through. The three models:
 //!
 //! * [`WINDOWED`] — the **strongly adaptive model** of Section 2: the
 //!   execution is a sequence of *acceptable windows* ([`Window`],
@@ -94,7 +95,7 @@ pub use engine::{
     run_async, run_partial_sync, run_windowed, BuiltAdversary, ModelDescriptor, ASYNC,
     PARTIAL_SYNC, WINDOWED,
 };
-pub use exec::{AsyncScheduler, ExecutionCore, PartialSyncScheduler, Scheduler, WindowScheduler};
+pub use exec::{ExecutionCore, Scheduler};
 pub use harness::{HarnessCore, Outgoing, ProcessorHarness};
 pub use metrics::{Metrics, MetricsProbe, NoProbe, Probe};
 pub use outcome::{RunLimits, RunOutcome};

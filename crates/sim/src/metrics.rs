@@ -9,16 +9,17 @@
 //!
 //! The [`Probe`] trait is the *extension point* for observers that want to
 //! see the primitive transitions as they happen: every send, delivery, drop,
-//! reset, crash and clock advance fires a hook. The core is generic over its
-//! probe with [`NoProbe`] as the default, so the un-instrumented path
-//! monomorphizes to exactly the code that existed before probes — every hook
-//! is an empty inlined body, no allocation, no branch (guarded by the
-//! `exec_core` bench baseline). [`MetricsProbe`] is the reference
+//! reset, crash, decision and clock advance fires a hook. The core is
+//! generic over its probe with [`NoProbe`] as the default, so the
+//! un-instrumented path monomorphizes to exactly the code that existed
+//! before probes — every hook is an empty inlined body, no allocation, no
+//! branch (guarded by `tests/alloc_budget.rs` and the benchmark's bounds).
+//! [`MetricsProbe`] is the reference
 //! implementation: it accumulates the event-observable subset of [`Metrics`]
 //! and is cross-checked in tests against the core-assembled snapshot, pinning
 //! the hook placement.
 
-use agreement_model::ProcessorId;
+use agreement_model::{Bit, ProcessorId};
 
 /// Structured counters describing one execution.
 ///
@@ -89,6 +90,14 @@ pub trait Probe {
     #[inline]
     fn on_crash(&mut self, id: ProcessorId) {
         let _ = id;
+    }
+
+    /// Processor `id` wrote its output bit `value` at scheduler time `at`.
+    /// Fired once per processor, by the core's one decision transition,
+    /// whichever transition handed the processor to its protocol.
+    #[inline]
+    fn on_decide(&mut self, id: ProcessorId, value: Bit, at: u64) {
+        let _ = (id, value, at);
     }
 
     /// One acceptable window completed.

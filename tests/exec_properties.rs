@@ -6,16 +6,18 @@
 //!
 //! 1. **Determinism** — for a fixed seed, `run_windowed` / `run_async`
 //!    produce identical outcomes on every invocation (no hidden state).
-//! 2. **Driver equivalence** — the driver the campaigns use
-//!    (`BuiltAdversary::run`) and step-wise driving (`Scheduler::on_start`, `step`,
-//!    `ExecutionCore::outcome_with`) both produce the same outcome as
-//!    `ExecutionCore::run` with the corresponding scheduler.
+//! 2. **Driver equivalence** — step-wise driving (`Scheduler::start`,
+//!    `step`, `outcome`) produces the same outcome as `Scheduler::run`, the
+//!    one loop every execution goes through.
 //! 3. **Campaign determinism** — parallel aggregation is bit-identical to the
 //!    serial path regardless of thread count.
 //! 4. **The view is the processors** — what `ExecutionCore::with_view` shows
 //!    an adversary equals what the harnesses hold after every step of every
 //!    model, and a digest is computed only when asked for and only once per
 //!    change.
+//! 5. **Every decision is booked once** — whichever transition hands a
+//!    processor to its protocol (start, delivery, reset), the output bit it
+//!    writes reaches the trace as one `Decided` event.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -27,12 +29,12 @@ use agreement::adversary::{
 use agreement::core::{Aggregate, Campaign, TrialPlan};
 use agreement::model::{
     Bit, Context, InputAssignment, Payload, ProcessorId, ProcessorRng, Protocol, ProtocolBuilder,
-    StateDigest, SystemConfig,
+    StateDigest, SystemConfig, TraceEvent,
 };
 use agreement::protocols::{BenOrBuilder, BrachaBuilder, ResetTolerantBuilder};
 use agreement::sim::{
-    run_async, run_windowed, AsyncScheduler, BuiltAdversary, ExecutionCore, FairAsyncAdversary,
-    FullDeliveryAdversary, PartialSyncScheduler, RunLimits, RunOutcome, Scheduler, WindowScheduler,
+    run_async, run_windowed, BuiltAdversary, ExecutionCore, FairAsyncAdversary,
+    FullDeliveryAdversary, RunLimits, RunOutcome, Scheduler, SystemView, Window, WindowAdversary,
 };
 
 const CASES: u64 = 12;
@@ -134,71 +136,14 @@ fn async_runs_are_deterministic_for_fixed_seeds() {
     }
 }
 
-/// Driving the core directly with a `WindowScheduler` matches the
-/// window driver the campaigns use (`BuiltAdversary::run`) exactly.
-#[test]
-fn window_engine_and_raw_core_agree() {
-    let cfg = SystemConfig::with_sixth_resilience(7).unwrap();
-    let builder = ResetTolerantBuilder::recommended(&cfg).unwrap();
-    for case in 0..CASES {
-        let mut gen = ProcessorRng::labelled(0xCAFE, case);
-        let seed = gen.range(10_000);
-        let inputs = InputAssignment::new((0..7).map(|_| gen.bit()).collect());
-        let limits = RunLimits::windows(20_000);
-
-        let mut built_core = ExecutionCore::new(cfg, inputs.clone(), &builder, seed);
-        let engine_outcome = BuiltAdversary::windowed(Box::new(RotatingResetAdversary::new()))
-            .run(&mut built_core, limits);
-
-        let mut core = ExecutionCore::new(cfg, inputs, &builder, seed);
-        let mut adversary = RotatingResetAdversary::new();
-        let mut scheduler = WindowScheduler::new(&mut adversary);
-        let core_outcome = core.run(&mut scheduler, limits);
-
-        assert_outcomes_identical(
-            &engine_outcome,
-            &core_outcome,
-            &format!("window core case {case} seed {seed}"),
-        );
-    }
-}
-
-/// Driving the core directly with an `AsyncScheduler` matches the
-/// asynchronous driver the campaigns use (`BuiltAdversary::run`) exactly.
-#[test]
-fn async_engine_and_raw_core_agree() {
-    let cfg = SystemConfig::new(7, 2).unwrap();
-    for case in 0..CASES {
-        let mut gen = ProcessorRng::labelled(0xBEEF, case);
-        let seed = gen.range(10_000);
-        let inputs = InputAssignment::new((0..7).map(|_| gen.bit()).collect());
-        let limits = RunLimits::steps(500_000);
-
-        let mut built_core = ExecutionCore::new(cfg, inputs.clone(), &BrachaBuilder::new(), seed);
-        let engine_outcome = BuiltAdversary::asynchronous(Box::new(FairAsyncAdversary::default()))
-            .run(&mut built_core, limits);
-
-        let mut core = ExecutionCore::new(cfg, inputs, &BrachaBuilder::new(), seed);
-        let mut adversary = FairAsyncAdversary::default();
-        let mut scheduler = AsyncScheduler::new(&mut adversary);
-        let core_outcome = core.run(&mut scheduler, limits);
-
-        assert_outcomes_identical(
-            &engine_outcome,
-            &core_outcome,
-            &format!("async core case {case} seed {seed}"),
-        );
-    }
-}
-
-/// Driving any scheduler step by step — `on_start`, then `step` until it
+/// Driving any scheduler step by step — `start`, then `step` until it
 /// returns `false`, every correct processor decided or the cap elapsed, then
-/// `outcome_with` — produces the same outcome as `ExecutionCore::run`, trace
-/// and metrics included.
+/// `outcome` — produces the same outcome as `Scheduler::run`, trace and
+/// metrics included.
 #[test]
 fn stepwise_and_run_produce_identical_outcomes() {
     /// Hands a fresh scheduler (over a fresh adversary) to `drive`.
-    type WithScheduler = fn(&mut dyn FnMut(&mut dyn Scheduler));
+    type WithScheduler = fn(&mut dyn FnMut(&mut Scheduler<'_>));
     let sixth = SystemConfig::with_sixth_resilience(7).unwrap();
     let reset_tolerant = ResetTolerantBuilder::recommended(&sixth).unwrap();
     let rows: [(
@@ -213,7 +158,7 @@ fn stepwise_and_run_produce_identical_outcomes() {
             sixth,
             &reset_tolerant,
             RunLimits::windows(20_000),
-            |drive| drive(&mut WindowScheduler::new(&mut RotatingResetAdversary::new())),
+            |drive| drive(&mut Scheduler::Windowed(&mut RotatingResetAdversary::new())),
         ),
         (
             "async",
@@ -222,7 +167,7 @@ fn stepwise_and_run_produce_identical_outcomes() {
             RunLimits::steps(500_000),
             |drive| {
                 let mut adversary = ScheduledCrashAdversary::new(vec![ProcessorId::new(3)]);
-                drive(&mut AsyncScheduler::new(&mut adversary))
+                drive(&mut Scheduler::Asynchronous(&mut adversary))
             },
         ),
         (
@@ -231,7 +176,7 @@ fn stepwise_and_run_produce_identical_outcomes() {
             &BrachaBuilder::new(),
             RunLimits::steps(500_000),
             |drive| {
-                drive(&mut PartialSyncScheduler::new(
+                drive(&mut Scheduler::PartialSync(
                     &mut GstProcrastinatorAdversary::new(32, 3),
                 ))
             },
@@ -243,17 +188,17 @@ fn stepwise_and_run_produce_identical_outcomes() {
             let mut ran = None;
             with_scheduler(&mut |scheduler| {
                 let mut core = ExecutionCore::new(cfg, inputs.clone(), builder, seed);
-                ran = Some((core.run(scheduler, limits), core.metrics()));
+                ran = Some((scheduler.run(&mut core, limits), core.metrics()));
             });
             let mut stepped = None;
             with_scheduler(&mut |scheduler| {
                 let mut core = ExecutionCore::new(cfg, inputs.clone(), builder, seed);
-                scheduler.on_start(&mut core);
+                scheduler.start(&mut core);
                 while !core.all_correct_decided()
-                    && core.time() < scheduler.max_time(&limits)
+                    && core.time() < scheduler.model().time_cap(&limits)
                     && scheduler.step(&mut core)
                 {}
-                stepped = Some((core.outcome_with(scheduler), core.metrics()));
+                stepped = Some((scheduler.outcome(&mut core), core.metrics()));
             });
             let (ran, ran_metrics) = ran.expect("the row drove its scheduler");
             let (stepped, stepped_metrics) = stepped.expect("the row drove its scheduler");
@@ -395,7 +340,7 @@ fn assert_view_matches_the_harnesses(core: &ExecutionCore, context: &str) {
 #[test]
 fn the_view_equals_the_harnesses_after_every_step_of_every_model() {
     /// Hands `drive` a fresh scheduler over a random schedule drawn from the seed.
-    type WithScheduler = fn(u64, SystemConfig, &mut dyn FnMut(&mut dyn Scheduler));
+    type WithScheduler = fn(u64, SystemConfig, &mut dyn FnMut(&mut Scheduler<'_>));
     fn tape(model: &str, seed: u64) -> Vec<u8> {
         Genome::from_seed(model, seed, 256).tape().to_vec()
     }
@@ -404,7 +349,7 @@ fn the_view_equals_the_harnesses_after_every_step_of_every_model() {
     let rows: [(&str, SystemConfig, &dyn ProtocolBuilder, WithScheduler); 3] = [
         ("windowed", sixth, &reset_tolerant, |seed, _, drive| {
             let mut adversary = SearchWindowAdversary::from_tape(tape("windowed", seed));
-            drive(&mut WindowScheduler::new(&mut adversary))
+            drive(&mut Scheduler::Windowed(&mut adversary))
         }),
         (
             "async",
@@ -412,7 +357,7 @@ fn the_view_equals_the_harnesses_after_every_step_of_every_model() {
             &BenOrBuilder::new(),
             |seed, _, drive| {
                 let mut adversary = SearchAsyncAdversary::from_tape(tape("async", seed));
-                drive(&mut AsyncScheduler::new(&mut adversary))
+                drive(&mut Scheduler::Asynchronous(&mut adversary))
             },
         ),
         (
@@ -422,7 +367,7 @@ fn the_view_equals_the_harnesses_after_every_step_of_every_model() {
             |seed, cfg, drive| {
                 let tape = tape("partial-sync", seed);
                 let mut adversary = SearchPartialSyncAdversary::from_tape(tape, &cfg);
-                drive(&mut PartialSyncScheduler::new(&mut adversary))
+                drive(&mut Scheduler::PartialSync(&mut adversary))
             },
         ),
     ];
@@ -435,7 +380,7 @@ fn the_view_equals_the_harnesses_after_every_step_of_every_model() {
                 let context = format!("{model} seed {seed} trial {trial}");
                 assert_view_matches_the_harnesses(&core, &context);
                 with_scheduler(seed * 2 + trial, cfg, &mut |scheduler| {
-                    scheduler.on_start(&mut core);
+                    scheduler.start(&mut core);
                     assert_view_matches_the_harnesses(&core, &context);
                     for step in 0..300 {
                         if core.all_correct_decided() || !scheduler.step(&mut core) {
@@ -495,6 +440,125 @@ impl ProtocolBuilder for DecidesAtStart {
     }
 }
 
+/// A decision written by `on_start` is booked like one written by a
+/// delivery: under both models that start from `on_start` alone, the trace
+/// lists every processor deciding its input at time 0.
+#[test]
+fn a_decision_written_at_start_reaches_the_trace() {
+    let cfg = SystemConfig::new(5, 1).unwrap();
+    let inputs = InputAssignment::evenly_split(5);
+    let expected: Vec<(ProcessorId, Bit, u64)> = ProcessorId::all(5)
+        .map(|id| (id, inputs.bit(id.index()), 0))
+        .collect();
+    let windowed = run_windowed(
+        cfg,
+        inputs.clone(),
+        &DecidesAtStart,
+        &mut FullDeliveryAdversary,
+        1,
+        RunLimits::small(),
+    );
+    let asynchronous = run_async(
+        cfg,
+        inputs.clone(),
+        &DecidesAtStart,
+        &mut FairAsyncAdversary::default(),
+        1,
+        RunLimits::small(),
+    );
+    for (model, outcome) in [("windowed", windowed), ("async", asynchronous)] {
+        assert_eq!(
+            outcome.trace.decisions().collect::<Vec<_>>(),
+            expected,
+            "{model}"
+        );
+        assert!(outcome.all_correct_decided(), "{model}");
+        assert_eq!(outcome.first_decision_at, Some(0), "{model}");
+        assert_eq!(outcome.all_decided_at, Some(0), "{model}");
+        assert_eq!(outcome.duration, 0, "{model}");
+    }
+}
+
+/// Decides its input in `on_reset` and nowhere else: a rejoin rule that
+/// reads the decision off durable state.
+#[derive(Debug)]
+struct DecidesOnReset;
+
+impl Protocol for DecidesOnReset {
+    fn on_start(&mut self, _ctx: &mut dyn Context) {}
+    fn on_message(&mut self, _from: ProcessorId, _payload: &Payload, _ctx: &mut dyn Context) {}
+    fn on_reset(&mut self, ctx: &mut dyn Context) {
+        ctx.decide(ctx.input());
+    }
+    fn digest(&self) -> StateDigest {
+        StateDigest::initial(Bit::Zero)
+    }
+}
+
+impl ProtocolBuilder for DecidesOnReset {
+    fn name(&self) -> &'static str {
+        "decides-on-reset"
+    }
+    fn build(&self, _id: ProcessorId, _input: Bit, _cfg: &SystemConfig) -> Box<dyn Protocol> {
+        Box::new(DecidesOnReset)
+    }
+}
+
+/// Resets processor `k mod n` in window `k` and delivers from everyone.
+struct ResetsInTurn;
+
+impl WindowAdversary for ResetsInTurn {
+    fn name(&self) -> &'static str {
+        "resets-in-turn"
+    }
+    fn next_window(&mut self, view: &SystemView<'_>) -> Window {
+        let reset = ProcessorId::new(view.time as usize % view.n());
+        Window::uniform(
+            &view.config,
+            vec![reset],
+            ProcessorId::all(view.n()).collect(),
+        )
+    }
+}
+
+/// A decision written by `on_reset` reaches the trace in the window of its
+/// reset, after the `Reset` event: processor `k`, reset in window `k`,
+/// decides there and nowhere else.
+#[test]
+fn a_decision_written_by_a_reset_reaches_the_trace_at_its_window() {
+    let cfg = SystemConfig::with_sixth_resilience(7).unwrap();
+    let inputs = InputAssignment::evenly_split(7);
+    let outcome = run_windowed(
+        cfg,
+        inputs.clone(),
+        &DecidesOnReset,
+        &mut ResetsInTurn,
+        1,
+        RunLimits::windows(20),
+    );
+    let expected: Vec<(ProcessorId, Bit, u64)> = ProcessorId::all(7)
+        .map(|id| (id, inputs.bit(id.index()), id.index() as u64))
+        .collect();
+    assert_eq!(outcome.trace.decisions().collect::<Vec<_>>(), expected);
+    let mut window = None;
+    let mut last_reset = None;
+    for event in outcome.trace.stored() {
+        match *event {
+            TraceEvent::WindowStarted { index } => window = Some(index),
+            TraceEvent::Reset { id } => last_reset = Some(id),
+            TraceEvent::Decided { id, at, .. } => {
+                assert_eq!(window, Some(at), "{id} decided in the window of its reset");
+                assert_eq!(last_reset, Some(id), "{id} decided right after its reset");
+            }
+            _ => {}
+        }
+    }
+    assert_eq!(outcome.first_decision_at, Some(1));
+    assert_eq!(outcome.all_decided_at, Some(7));
+    assert_eq!(outcome.duration, 7);
+    assert_eq!(outcome.metrics.resets_consumed, 7);
+}
+
 /// Counts `digest` calls of the protocol it wraps.
 #[derive(Debug)]
 struct CountingDigests(Box<dyn Protocol>, Arc<AtomicU64>);
@@ -537,9 +601,8 @@ fn a_view_computes_a_digest_only_when_asked_and_once_per_change() {
     let builder = CountingBuilder(BenOrBuilder::new(), Arc::clone(&calls));
     let mut core = ExecutionCore::new(cfg, InputAssignment::evenly_split(7), &builder, 5);
     let mut adversary = FairAsyncAdversary::default();
-    let mut scheduler = AsyncScheduler::new(&mut adversary);
-    let scheduler: &mut dyn Scheduler = &mut scheduler;
-    scheduler.on_start(&mut core);
+    let mut scheduler = Scheduler::Asynchronous(&mut adversary);
+    scheduler.start(&mut core);
     for _ in 0..40 {
         assert!(scheduler.step(&mut core));
     }

@@ -8,17 +8,20 @@
 //! 2. **Probe transparency** — instrumenting an execution does not change it:
 //!    a probed run produces the same `RunOutcome` as the default
 //!    [`NoProbe`] run.
+//! 3. **One decision hook** — `Probe::on_decide` hears every processor whose
+//!    output register the outcome reports set, once, with its value, and
+//!    agreement and validity as heard equal the outcome's.
 
 use std::collections::BTreeSet;
 
 use agreement::adversary::{find_adversary, registry, AdversaryBuildCtx, RotatingResetAdversary};
 use agreement::core::experiments::Scale;
 use agreement::core::{scenario_registry, ScenarioSpec};
-use agreement::model::{Bit, InputAssignment, SystemConfig};
+use agreement::model::{Bit, InputAssignment, ProcessorId, SystemConfig};
 use agreement::protocols::{BenOrBuilder, ResetTolerantBuilder};
 use agreement::sim::{
-    run_async, run_windowed, AsyncScheduler, ExecutionCore, FairAsyncAdversary, Metrics,
-    MetricsProbe, RunLimits, WindowScheduler,
+    run_async, run_windowed, ExecutionCore, FairAsyncAdversary, Metrics, MetricsProbe, Probe,
+    RunLimits, RunOutcome, Scheduler,
 };
 
 fn assert_event_counters_match(observed: Metrics, assembled: Metrics) {
@@ -35,9 +38,76 @@ fn assert_event_counters_match(observed: Metrics, assembled: Metrics) {
     assert_eq!(observed.coin_flips, 0);
 }
 
+/// A [`MetricsProbe`] beside a log of every decision `on_decide` hears.
+#[derive(Debug, Default)]
+struct HearingProbe {
+    metrics: MetricsProbe,
+    heard: Vec<(ProcessorId, Bit, u64)>,
+}
+
+impl Probe for HearingProbe {
+    fn on_send(&mut self, from: ProcessorId, chain: u64) {
+        self.metrics.on_send(from, chain);
+    }
+    fn on_deliver(&mut self, from: ProcessorId, to: ProcessorId, chain: u64) {
+        self.metrics.on_deliver(from, to, chain);
+    }
+    fn on_drop(&mut self, count: u64) {
+        self.metrics.on_drop(count);
+    }
+    fn on_reset(&mut self, id: ProcessorId) {
+        self.metrics.on_reset(id);
+    }
+    fn on_crash(&mut self, id: ProcessorId) {
+        self.metrics.on_crash(id);
+    }
+    fn on_decide(&mut self, id: ProcessorId, value: Bit, at: u64) {
+        self.heard.push((id, value, at));
+    }
+    fn on_window(&mut self) {
+        self.metrics.on_window();
+    }
+    fn on_step(&mut self) {
+        self.metrics.on_step();
+    }
+}
+
+/// What `on_decide` heard is what the outcome reports: each processor whose
+/// register is set, once, with the same value, no later than the end of the
+/// run — so agreement and validity as heard are the outcome's.
+fn assert_heard_decisions_match(
+    heard: &[(ProcessorId, Bit, u64)],
+    outcome: &RunOutcome,
+    inputs: &InputAssignment,
+    context: &str,
+) {
+    let mut registers = vec![None; outcome.decisions.len()];
+    for &(id, value, at) in heard {
+        assert!(
+            registers[id.index()].replace(value).is_none(),
+            "{context}: {id} heard twice"
+        );
+        assert!(
+            at <= outcome.duration,
+            "{context}: {id} decided at {at} after the run ended"
+        );
+    }
+    assert_eq!(registers, outcome.decisions, "{context}: heard decisions");
+    let agreement = heard.windows(2).all(|pair| pair[0].1 == pair[1].1);
+    assert_eq!(agreement, outcome.agreement_holds(), "{context}: agreement");
+    let validity = heard
+        .iter()
+        .all(|&(_, value, _)| inputs.iter().any(|input| input == value));
+    assert_eq!(
+        validity,
+        outcome.validity_holds(inputs),
+        "{context}: validity"
+    );
+}
+
 /// One trial of `spec` at `seed`, assembled from the spec's public parts and
-/// run twice through `BuiltAdversary::run` — once on a `MetricsProbe` core,
-/// once on the default `NoProbe` core.
+/// run twice through `BuiltAdversary::run` — once on a core probed by
+/// `MetricsProbe` and a decision log, once on the default `NoProbe` core.
 fn assert_probed_run_is_exact_and_invisible(spec: &ScenarioSpec, seed: u64) {
     let context = format!("{} seed {seed}", spec.id());
     let cfg = spec.config().expect(&context);
@@ -52,9 +122,10 @@ fn assert_probed_run_is_exact_and_invisible(spec: &ScenarioSpec, seed: u64) {
     let ctx = AdversaryBuildCtx::new(cfg, seed).with_targets(targets);
 
     let mut core =
-        ExecutionCore::with_probe(cfg, inputs.clone(), builder, seed, MetricsProbe::new());
+        ExecutionCore::with_probe(cfg, inputs.clone(), builder, seed, HearingProbe::default());
     let probed = factory.build(&ctx).run(&mut core, spec.limits);
-    assert_event_counters_match(core.probe().observed(), probed.metrics);
+    assert_event_counters_match(core.probe().metrics.observed(), probed.metrics);
+    assert_heard_decisions_match(&core.probe().heard, &probed, &inputs, &context);
 
     let mut core = ExecutionCore::new(cfg, inputs, builder, seed);
     let plain = factory.build(&ctx).run(&mut core, spec.limits);
@@ -63,8 +134,9 @@ fn assert_probed_run_is_exact_and_invisible(spec: &ScenarioSpec, seed: u64) {
 
 /// Every adversary factory, under every protocol and input pattern the quick
 /// registry pairs it with at n <= 32 (tier-1 runs unoptimised; the larger
-/// rows stay out), meets both halves of the contract through the one entry
-/// point campaigns use — partial synchrony and Byzantine corruption included.
+/// rows stay out), meets all three parts of the contract through the one
+/// entry point campaigns use — partial synchrony and Byzantine corruption
+/// included.
 #[test]
 fn every_registry_adversary_runs_probed_through_the_built_adversary() {
     let mut specs: Vec<ScenarioSpec> = scenario_registry(Scale::Quick)
@@ -103,7 +175,7 @@ fn windowed_probe_matches_core_assembled_metrics() {
 
     let mut core = ExecutionCore::with_probe(cfg, inputs.clone(), &builder, 7, MetricsProbe::new());
     let mut adversary = RotatingResetAdversary::new();
-    let probed = core.run(&mut WindowScheduler::new(&mut adversary), limits);
+    let probed = Scheduler::Windowed(&mut adversary).run(&mut core, limits);
     assert_event_counters_match(core.probe().observed(), probed.metrics);
     assert_eq!(probed.metrics.windows, probed.duration);
     assert_eq!(probed.metrics.steps, 0);
@@ -135,7 +207,7 @@ fn async_probe_matches_core_assembled_metrics() {
     let mut core =
         ExecutionCore::with_probe(cfg, inputs.clone(), &builder, 11, MetricsProbe::new());
     let mut adversary = FairAsyncAdversary::default();
-    let probed = core.run(&mut AsyncScheduler::new(&mut adversary), limits);
+    let probed = Scheduler::Asynchronous(&mut adversary).run(&mut core, limits);
     assert_event_counters_match(core.probe().observed(), probed.metrics);
     assert_eq!(probed.metrics.steps, probed.duration);
     assert_eq!(probed.metrics.windows, 0);

@@ -31,7 +31,7 @@ use agreement::model::{
 use agreement::protocols::{BenOrBuilder, BrachaBuilder};
 use agreement::sim::{
     run_partial_sync, BuiltAdversary, ExecutionCore, PartialSyncAction, PartialSyncAdversary,
-    PartialSyncScheduler, RunLimits, RunOutcome, Scheduler, SystemView, TrialWorkspace,
+    RunLimits, RunOutcome, Scheduler, SystemView, TrialWorkspace,
 };
 
 /// A worst-case adversary for delivery bounds: it never delivers anything by
@@ -131,8 +131,8 @@ fn bounded_delay_invariant_holds_after_every_step() {
                 crash_victim: *crash_victim,
                 step: 0,
             };
-            let mut scheduler = PartialSyncScheduler::new(&mut adversary);
-            scheduler.on_start(&mut core);
+            let mut scheduler = Scheduler::PartialSync(&mut adversary);
+            scheduler.start(&mut core);
             for _ in 0..2_000 {
                 if core.all_correct_decided() || !scheduler.step(&mut core) {
                     break;
@@ -164,14 +164,14 @@ fn omission_and_crash_share_one_fault_budget() {
         crash_victim: Some(ProcessorId::new(4)),
         step: 0,
     };
-    let mut scheduler = PartialSyncScheduler::new(&mut adversary);
-    scheduler.on_start(&mut core);
+    let mut scheduler = Scheduler::PartialSync(&mut adversary);
+    scheduler.start(&mut core);
     while !core.all_correct_decided() && core.time() < 2_000 {
         if !scheduler.step(&mut core) {
             break;
         }
     }
-    let outcome = core.outcome_with(&scheduler);
+    let outcome = scheduler.outcome(&mut core);
     assert_eq!(
         outcome.metrics.crashes, 0,
         "the crash beyond the shared budget must be refused"
@@ -200,8 +200,8 @@ fn bounded_delay_invariant_holds_for_bracha() {
         crash_victim: None,
         step: 0,
     };
-    let mut scheduler = PartialSyncScheduler::new(&mut adversary);
-    scheduler.on_start(&mut core);
+    let mut scheduler = Scheduler::PartialSync(&mut adversary);
+    scheduler.start(&mut core);
     for _ in 0..2_000 {
         if core.all_correct_decided() || !scheduler.step(&mut core) {
             break;
@@ -213,17 +213,12 @@ fn bounded_delay_invariant_holds_for_bracha() {
 
 /// The partial-synchrony step with the bounded-delay enforcement as it was
 /// before the per-lane bound: every step past GST polls the head of all `n²`
-/// channels. Kept as the oracle [`PartialSyncScheduler`] is compared with.
+/// channels. Kept as the oracle [`Scheduler::PartialSync`] is compared with.
 struct PollingOracle<'a> {
     adversary: &'a mut dyn PartialSyncAdversary,
 }
 
-impl Scheduler for PollingOracle<'_> {
-    fn on_start(&mut self, core: &mut ExecutionCore) {
-        core.ensure_started();
-        core.flush_all_outboxes();
-    }
-
+impl PollingOracle<'_> {
     fn step(&mut self, core: &mut ExecutionCore) -> bool {
         if core.is_halted() {
             return false;
@@ -263,14 +258,6 @@ impl Scheduler for PollingOracle<'_> {
         }
         core.record_decision_progress();
         !core.is_halted()
-    }
-
-    fn max_time(&self, limits: &RunLimits) -> u64 {
-        limits.max_steps
-    }
-
-    fn longest_chain(&self, core: &ExecutionCore) -> u64 {
-        core.chain_at_first_decision().unwrap_or(0)
     }
 }
 
@@ -318,19 +305,22 @@ impl PartialSyncAdversary for RandomAdversary {
     }
 }
 
-/// Drives `scheduler` step by step to a decision, a halt or `max_steps`,
-/// calling `after_step` on the core after every step.
+/// Starts `core` the way the partial-synchrony model does and drives it with
+/// `step` to a decision, a halt or `max_steps`, calling `after_step` on the
+/// core after every step; reports the model's chain metric.
 fn run_stepwise(
     core: &mut ExecutionCore,
-    scheduler: &mut dyn Scheduler,
+    mut step: impl FnMut(&mut ExecutionCore) -> bool,
     max_steps: u64,
     mut after_step: impl FnMut(&ExecutionCore),
 ) -> RunOutcome {
-    scheduler.on_start(core);
-    while !core.all_correct_decided() && core.time() < max_steps && scheduler.step(core) {
+    core.ensure_started();
+    core.flush_all_outboxes();
+    core.record_decision_progress();
+    while !core.all_correct_decided() && core.time() < max_steps && step(core) {
         after_step(core);
     }
-    let outcome = core.outcome_with(scheduler);
+    let outcome = core.outcome(core.chain_at_first_decision().unwrap_or(0));
     assert_eq!(outcome.trace.dropped(), 0, "the whole trace is compared");
     outcome
 }
@@ -372,15 +362,18 @@ fn bounded_delay_enforcement_matches_the_polling_oracle() {
                     );
 
                     let mut real_adversary = adversary();
-                    let mut scheduler = PartialSyncScheduler::new(&mut real_adversary);
-                    let real = run_stepwise(&mut fresh(), &mut scheduler, 400, |core| {
-                        assert_no_overdue(core, gst, delta, omitted, t);
-                    });
+                    let mut scheduler = Scheduler::PartialSync(&mut real_adversary);
+                    let real = run_stepwise(
+                        &mut fresh(),
+                        |core| scheduler.step(core),
+                        400,
+                        |core| assert_no_overdue(core, gst, delta, omitted, t),
+                    );
                     let mut oracle_adversary = adversary();
                     let mut oracle = PollingOracle {
                         adversary: &mut oracle_adversary,
                     };
-                    let polled = run_stepwise(&mut fresh(), &mut oracle, 400, |_| {});
+                    let polled = run_stepwise(&mut fresh(), |core| oracle.step(core), 400, |_| {});
 
                     assert_eq!(real.trace.stored(), polled.trace.stored(), "{what}");
                     assert_eq!(real, polled, "{what}");
@@ -461,21 +454,26 @@ fn a_lane_that_never_drains_only_costs_the_enforcement_a_scan() {
         };
         let mut stale_steps = 0;
         let mut real_adversary = adversary();
-        let mut scheduler = PartialSyncScheduler::new(&mut real_adversary);
-        let real = run_stepwise(&mut fresh(), &mut scheduler, 2_000, |core| {
-            assert_no_overdue(core, gst, delta, &[], cfg.t());
-            // The bound says "maybe overdue" although (by the assertion
-            // above) nothing of the lane is: it has gone stale.
-            let bound = core.buffer().pending_since(lane);
-            if bound.is_some_and(|oldest| oldest.max(gst) + delta < core.time()) {
-                stale_steps += 1;
-            }
-        });
+        let mut scheduler = Scheduler::PartialSync(&mut real_adversary);
+        let real = run_stepwise(
+            &mut fresh(),
+            |core| scheduler.step(core),
+            2_000,
+            |core| {
+                assert_no_overdue(core, gst, delta, &[], cfg.t());
+                // The bound says "maybe overdue" although (by the assertion
+                // above) nothing of the lane is: it has gone stale.
+                let bound = core.buffer().pending_since(lane);
+                if bound.is_some_and(|oldest| oldest.max(gst) + delta < core.time()) {
+                    stale_steps += 1;
+                }
+            },
+        );
         let mut oracle_adversary = adversary();
         let mut oracle = PollingOracle {
             adversary: &mut oracle_adversary,
         };
-        let polled = run_stepwise(&mut fresh(), &mut oracle, 2_000, |_| {});
+        let polled = run_stepwise(&mut fresh(), |core| oracle.step(core), 2_000, |_| {});
         assert_eq!(real.trace.stored(), polled.trace.stored(), "seed {seed}");
         assert_eq!(real, polled, "seed {seed}");
         assert!(real.all_correct_decided(), "seed {seed}");
