@@ -692,8 +692,7 @@ pub fn exp10_specs(scale: Scale) -> Vec<ScenarioSpec> {
 /// Ben-Or/Bracha and strictly below 2 for the sampled committee. Every
 /// column is seed-deterministic — wall-clock throughput at the n = 1000
 /// shape is the `async_large_n` workload of the repository's benchmark
-/// (`benchmark/`). (The printed caption still names the `campaign_throughput`
-/// bench PR 16 deleted: `all_experiments` stdout is byte-pinned.)
+/// (`benchmark/`).
 pub fn exp10_subquadratic_scaling(scale: Scale) -> Table {
     let mut rows = Vec::new();
     let mut families: Vec<(&'static str, Vec<(f64, f64)>)> = Vec::new();
@@ -731,7 +730,7 @@ pub fn exp10_subquadratic_scaling(scale: Scale) -> Table {
             "Fair round-robin scheduling, unanimous inputs; mean messages sent per trial. \
              Quadratic protocols hold messages/n² roughly constant while the sampled \
              committee's ratio collapses. Fitted growth messages ≈ C·n^p: {}. Wall-clock \
-             trials/sec at the n = 1000 shape is guarded by the campaign_throughput bench.",
+             trials/sec at the n = 1000 shape is the benchmark's async_large_n workload.",
             fits.join(", ")
         ),
         vec![

@@ -6,8 +6,6 @@
 //! produced the stream (records arrive slot-ordered; the corpus is updated
 //! sequentially in trial order).
 
-use std::collections::BTreeMap;
-
 use agreement_adversary::Genome;
 use agreement_analysis::JsonValue;
 use agreement_core::TrialRecord;
@@ -31,7 +29,9 @@ pub struct CorpusEntry {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Corpus {
     cap: usize,
-    entries: BTreeMap<u64, CorpusEntry>,
+    /// Sorted by signature, one entry per signature: found by binary search,
+    /// picked by index in O(1).
+    entries: Vec<CorpusEntry>,
 }
 
 impl Corpus {
@@ -39,7 +39,7 @@ impl Corpus {
     pub fn new(cap: usize) -> Self {
         Corpus {
             cap: cap.max(1),
-            entries: BTreeMap::new(),
+            entries: Vec::new(),
         }
     }
 
@@ -57,18 +57,25 @@ impl Corpus {
     /// weakest entry when over capacity); a known signature only if strictly
     /// fitter than the incumbent. Returns `true` when the corpus changed.
     pub fn consider(&mut self, entry: CorpusEntry) -> bool {
-        match self.entries.get(&entry.signature) {
-            Some(incumbent) if incumbent.fitness >= entry.fitness => false,
-            _ => {
-                self.entries.insert(entry.signature, entry);
+        match self
+            .entries
+            .binary_search_by_key(&entry.signature, |e| e.signature)
+        {
+            Ok(at) if self.entries[at].fitness >= entry.fitness => false,
+            Ok(at) => {
+                self.entries[at] = entry;
+                true
+            }
+            Err(at) => {
+                self.entries.insert(at, entry);
                 if self.entries.len() > self.cap {
-                    let weakest = self
+                    let (weakest, _) = self
                         .entries
-                        .values()
-                        .map(|e| (e.fitness, e.signature))
-                        .min()
+                        .iter()
+                        .enumerate()
+                        .min_by_key(|(_, e)| (e.fitness, e.signature))
                         .expect("non-empty corpus has a weakest entry");
-                    self.entries.remove(&weakest.1);
+                    self.entries.remove(weakest);
                 }
                 true
             }
@@ -78,20 +85,20 @@ impl Corpus {
     /// The `index`-th entry in signature order (the driver's deterministic
     /// mutation pick).
     pub fn nth(&self, index: usize) -> Option<&CorpusEntry> {
-        self.entries.values().nth(index)
+        self.entries.get(index)
     }
 
     /// The fittest entry; ties break toward the smaller signature, so the
     /// answer is deterministic.
     pub fn best(&self) -> Option<&CorpusEntry> {
         self.entries
-            .values()
+            .iter()
             .max_by_key(|e| (e.fitness, std::cmp::Reverse(e.signature)))
     }
 
     /// Iterates entries in signature order.
     pub fn iter(&self) -> impl Iterator<Item = &CorpusEntry> {
-        self.entries.values()
+        self.entries.iter()
     }
 
     /// Serializes the corpus — signature order, stable field order — for the
@@ -100,7 +107,7 @@ impl Corpus {
     /// 2⁵³).
     pub fn to_json(&self) -> JsonValue {
         let mut entries = Vec::with_capacity(self.entries.len());
-        for entry in self.entries.values() {
+        for entry in &self.entries {
             let mut object = JsonValue::object();
             object
                 .push("signature", format!("{:016x}", entry.signature))
@@ -165,6 +172,43 @@ mod tests {
         assert!(corpus.nth(0).is_some());
         let signatures: Vec<u64> = corpus.iter().map(|e| e.signature).collect();
         assert_eq!(signatures, vec![2, 3], "the fitness-10 entry was evicted");
+    }
+
+    /// The sorted vector admits, replaces, evicts and indexes exactly like a
+    /// map from signature to entry, over a seeded stream of offers that
+    /// revisits signatures and overflows the cap.
+    #[test]
+    fn behaves_like_a_signature_map() {
+        use agreement_model::ProcessorRng;
+        use std::collections::BTreeMap;
+        let mut rng = ProcessorRng::labelled(0xC0_4905, 1);
+        let cap = 16;
+        let mut corpus = Corpus::new(cap);
+        let mut model: BTreeMap<u64, u64> = BTreeMap::new();
+        for _ in 0..2_000 {
+            let (signature, fitness) = (rng.range(40), rng.range(50));
+            let admitted = match model.get(&signature) {
+                Some(&incumbent) if incumbent >= fitness => false,
+                _ => {
+                    model.insert(signature, fitness);
+                    if model.len() > cap {
+                        let weakest = model.iter().map(|(&s, &f)| (f, s)).min().unwrap();
+                        model.remove(&weakest.1);
+                    }
+                    true
+                }
+            };
+            assert_eq!(corpus.consider(entry(signature, fitness)), admitted);
+            let kept: Vec<(u64, u64)> = corpus.iter().map(|e| (e.signature, e.fitness)).collect();
+            assert_eq!(
+                kept,
+                model.iter().map(|(&s, &f)| (s, f)).collect::<Vec<_>>()
+            );
+            for (index, (signature, _)) in model.iter().enumerate() {
+                assert_eq!(corpus.nth(index).map(|e| e.signature), Some(*signature));
+            }
+            assert!(corpus.nth(model.len()).is_none());
+        }
     }
 
     #[test]

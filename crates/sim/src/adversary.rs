@@ -24,17 +24,19 @@ use std::cell::{Cell, RefCell};
 use agreement_model::{Bit, Payload, ProcessorId, StateDigest, SystemConfig};
 
 use crate::buffer::MessageBuffer;
-use crate::harness::ProcessorHarness;
+use crate::harness::{ProcessorHarness, Status};
 use crate::window::Window;
 
 /// The full-information view an adversary is given before each decision.
 ///
 /// The view does not copy the processors, it borrows them: outputs and crash
-/// flags are read off the harnesses when asked for, and a digest is computed
+/// flags are read off the core's dense status array when asked for, and a
+/// digest is computed
 /// ([`Protocol::digest`](agreement_model::Protocol::digest)) the first time
-/// it is asked for after its processor last changed, then remembered. A
-/// decision costs what it reads — one that looks only at the buffer calls no
-/// protocol at all.
+/// it is asked for after its processor last changed, then remembered — a
+/// digest is the only thing the view reads a harness for. A decision costs
+/// what it reads — one that looks only at the buffer and crash flags calls no
+/// protocol and touches no harness at all.
 #[derive(Debug)]
 pub struct SystemView<'a> {
     /// The static configuration (`n`, `t`).
@@ -44,6 +46,9 @@ pub struct SystemView<'a> {
     pub time: u64,
     /// Every undelivered message (the adversary reads all contents).
     pub buffer: &'a MessageBuffer,
+    /// Every processor's crash flag and output register.
+    status: &'a [Status],
+    /// Read only to compute a digest the memo does not hold.
     harnesses: &'a [ProcessorHarness],
     /// `digest_memo[i]` is processor `i`'s digest while it is known to be
     /// current, `None` once the processor has changed since it was computed.
@@ -53,22 +58,27 @@ pub struct SystemView<'a> {
 }
 
 impl<'a> SystemView<'a> {
-    /// A view of `harnesses`; `digest_memo` has one cell per harness, `None`
-    /// wherever the harness changed since the cell was filled, and
-    /// `spare_window` is what [`SystemView::take_window`] hands out.
+    /// A view of the processors whose crash flags and outputs are `status`
+    /// and whose harnesses are `harnesses`; `digest_memo` has one cell per
+    /// processor, `None` wherever the processor changed since the cell was
+    /// filled, and `spare_window` is what [`SystemView::take_window`] hands
+    /// out.
     pub(crate) fn new(
         config: SystemConfig,
         time: u64,
         buffer: &'a MessageBuffer,
+        status: &'a [Status],
         harnesses: &'a [ProcessorHarness],
         digest_memo: &'a [Cell<Option<StateDigest>>],
         spare_window: &'a RefCell<Window>,
     ) -> Self {
-        debug_assert_eq!(harnesses.len(), digest_memo.len());
+        debug_assert_eq!(status.len(), harnesses.len());
+        debug_assert_eq!(status.len(), digest_memo.len());
         SystemView {
             config,
             time,
             buffer,
+            status,
             harnesses,
             digest_memo,
             spare_window,
@@ -99,29 +109,29 @@ impl<'a> SystemView<'a> {
 
     /// The durable output bit (decision) of processor `i`.
     pub fn output(&self, i: usize) -> Option<Bit> {
-        self.harnesses[i].decision()
+        self.status[i].output.get()
     }
 
     /// The output bits of every processor, in identity order.
     pub fn outputs(&self) -> impl Iterator<Item = Option<Bit>> + '_ {
-        self.harnesses.iter().map(ProcessorHarness::decision)
+        self.status.iter().map(|s| s.output.get())
     }
 
     /// Whether processor `i` has crashed.
     pub fn is_crashed(&self, i: usize) -> bool {
-        self.harnesses[i].is_crashed()
+        self.status[i].crashed
     }
 
     /// Indices of the processors that have not crashed, ascending.
     pub fn live(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.harnesses.len()).filter(|&i| !self.is_crashed(i))
+        (0..self.status.len()).filter(|&i| !self.is_crashed(i))
     }
 
     /// The adversary-visible digest of processor `i`'s internal state.
     pub fn digest(&self, i: usize) -> StateDigest {
         let memo = &self.digest_memo[i];
         memo.get().unwrap_or_else(|| {
-            let digest = self.harnesses[i].digest();
+            let digest = self.harnesses[i].digest(&self.status[i].output);
             memo.set(Some(digest));
             digest
         })
@@ -129,17 +139,17 @@ impl<'a> SystemView<'a> {
 
     /// The digests of every processor, in identity order.
     pub fn digests(&self) -> impl Iterator<Item = StateDigest> + '_ {
-        (0..self.harnesses.len()).map(|i| self.digest(i))
+        (0..self.status.len()).map(|i| self.digest(i))
     }
 
     /// Identities of processors that have not decided yet (and have not
     /// crashed). Returns a lazy iterator so adversary decision loops can scan
     /// without allocating a `Vec` per decision.
     pub fn undecided(&self) -> impl Iterator<Item = ProcessorId> + '_ {
-        self.harnesses
-            .iter()
-            .filter(|h| h.decision().is_none() && !h.is_crashed())
-            .map(ProcessorHarness::id)
+        ProcessorId::all(self.status.len())
+            .zip(self.status)
+            .filter(|(_, s)| !s.output.is_written() && !s.crashed)
+            .map(|(id, _)| id)
     }
 
     /// Finds the first nonempty channel at or after `cursor` in the
@@ -164,28 +174,30 @@ impl<'a> SystemView<'a> {
     /// bitset of senders and, within a lane, only the cursor row and
     /// materialized queues (one scan for both layouts). Crashed recipients
     /// are folded into the admission predicate here, since crash state lives
-    /// in the view, not the buffer.
+    /// in the view, not the buffer: one byte of the dense status array per
+    /// candidate channel, never a harness.
     pub fn next_pending_channel_where(
         &self,
         cursor: usize,
         admit: impl Fn(ProcessorId, ProcessorId) -> bool,
     ) -> Option<(usize, ProcessorId, ProcessorId)> {
+        let status = self.status;
         self.buffer
             .next_pending_channel_where(self.n(), cursor, move |from, to| {
-                !self.is_crashed(to.index()) && admit(from, to)
+                !status[to.index()].crashed && admit(from, to)
             })
     }
 
     /// Returns `true` if some processor has written its output bit.
     pub fn any_decided(&self) -> bool {
-        self.outputs().any(|out| out.is_some())
+        self.status.iter().any(|s| s.output.is_written())
     }
 
     /// Returns `true` if every non-crashed processor has written its output bit.
     pub fn all_correct_decided(&self) -> bool {
-        self.harnesses
+        self.status
             .iter()
-            .all(|h| h.is_crashed() || h.decision().is_some())
+            .all(|s| s.crashed || s.output.is_written())
     }
 
     /// Counts how many (non-crashed) processors currently hold estimate `value`.
@@ -490,6 +502,7 @@ mod tests {
     /// output bits and crash flags, and their (empty) digest memo.
     struct Processors {
         cfg: SystemConfig,
+        status: Vec<Status>,
         harnesses: Vec<ProcessorHarness>,
         digest_memo: Vec<Cell<Option<StateDigest>>>,
         spare_window: RefCell<Window>,
@@ -498,18 +511,19 @@ mod tests {
     impl Processors {
         fn new(cfg: SystemConfig, outputs: &[Option<Bit>], crashed: &[bool]) -> Self {
             let builder = PresetBuilder(outputs);
+            let mut status = vec![Status::default(); cfg.n()];
             let harnesses = ProcessorId::all(cfg.n())
                 .map(|id| {
                     let mut harness = ProcessorHarness::new(id, Bit::Zero, cfg, &builder, 0);
-                    harness.start();
-                    if crashed[id.index()] {
-                        harness.crash();
-                    }
+                    let status = &mut status[id.index()];
+                    harness.start(&mut status.output);
+                    status.crashed = crashed[id.index()];
                     harness
                 })
                 .collect();
             Processors {
                 cfg,
+                status,
                 harnesses,
                 digest_memo: vec![Cell::new(None); cfg.n()],
                 spare_window: RefCell::default(),
@@ -525,6 +539,7 @@ mod tests {
                 self.cfg,
                 time,
                 buffer,
+                &self.status,
                 &self.harnesses,
                 &self.digest_memo,
                 &self.spare_window,

@@ -1,10 +1,15 @@
 //! The per-processor harness: durable state plus the protocol state machine.
 //!
-//! A [`ProcessorHarness`] owns everything the paper attributes to a single
-//! processor: its identity, its immutable input bit, its write-once output
-//! bit, its reset counter, its private randomness, the protocol state machine
-//! (the erasable "memory"), and the set of messages it has computed but not
-//! yet placed into the buffer (its next *sending step*).
+//! A [`ProcessorHarness`] owns what the paper attributes to a single
+//! processor, apart from the two bits every step of an execution reads: its
+//! identity, its immutable input bit, its reset counter, its private
+//! randomness, the protocol state machine (the erasable "memory"), and the
+//! set of messages it has computed but not yet placed into the buffer (its
+//! next *sending step*). The processor's crash flag and its write-once
+//! output bit are a `Status` in the [`ExecutionCore`](crate::ExecutionCore)'s
+//! dense per-processor array, and nowhere else: a callback's [`Context`]
+//! borrows the output register from there, and the core never hands a
+//! crashed processor to its protocol.
 //!
 //! Resetting a harness erases the protocol state and the pending outgoing
 //! messages but keeps the input, output, identity and reset counter — exactly
@@ -50,76 +55,91 @@ pub enum Outgoing {
     },
 }
 
+/// A processor's crash flag and write-once output register: the two bits of
+/// it that an execution reads on every step. The core keeps one per
+/// processor in a dense array, which holds the only copy of each.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Status {
+    /// Whether the processor has crashed (takes no further steps).
+    pub(crate) crashed: bool,
+    /// The processor's output bit.
+    pub(crate) output: OutputRegister,
+}
+
 /// Durable (non-erasable) processor state plus engine-facing plumbing.
-///
-/// `HarnessCore` implements [`Context`]; protocol callbacks receive it as
-/// `&mut dyn Context`.
 #[derive(Debug)]
-pub struct HarnessCore {
+struct HarnessCore {
     id: ProcessorId,
     cfg: SystemConfig,
     input: Bit,
-    output: OutputRegister,
     reset_count: u64,
-    crashed: bool,
     rng: ProcessorRng,
     coin_flips: u64,
     outbox: Vec<Outgoing>,
     violations: Vec<String>,
 }
 
-impl Context for HarnessCore {
+/// What a protocol callback receives as `&mut dyn Context`: the processor's
+/// harness state, and its output register borrowed from the core's slot.
+pub(crate) struct HarnessContext<'a> {
+    core: &'a mut HarnessCore,
+    output: &'a mut OutputRegister,
+}
+
+impl Context for HarnessContext<'_> {
     fn id(&self) -> ProcessorId {
-        self.id
+        self.core.id
     }
 
     fn config(&self) -> SystemConfig {
-        self.cfg
+        self.core.cfg
     }
 
     fn input(&self) -> Bit {
-        self.input
+        self.core.input
     }
 
     fn send(&mut self, to: ProcessorId, payload: Payload) {
-        self.outbox.push(Outgoing::One { to, payload });
+        self.core.outbox.push(Outgoing::One { to, payload });
     }
 
     /// Stages one broadcast entry instead of the default per-recipient
     /// `send` loop: the payload is kept once and never cloned, no matter how
     /// many processors it addresses.
     fn broadcast(&mut self, payload: Payload) {
-        self.outbox.push(Outgoing::Broadcast { payload });
+        self.core.outbox.push(Outgoing::Broadcast { payload });
     }
 
     /// Stages one multicast entry instead of the default per-recipient
     /// `send` loop: the payload is kept once for the whole recipient set and
     /// the engine logs it once in the buffer.
     fn multicast(&mut self, recipients: &[ProcessorId], payload: Payload) {
-        self.outbox.push(Outgoing::Multicast {
+        self.core.outbox.push(Outgoing::Multicast {
             to: recipients.to_vec(),
             payload,
         });
     }
 
     fn random_bit(&mut self) -> Bit {
-        self.coin_flips += 1;
-        self.rng.bit()
+        self.core.coin_flips += 1;
+        self.core.rng.bit()
     }
 
     fn random_range(&mut self, bound: u64) -> u64 {
-        self.coin_flips += 1;
-        self.rng.range(bound)
+        self.core.coin_flips += 1;
+        self.core.rng.range(bound)
     }
 
     fn random_ticket(&mut self) -> u64 {
-        self.coin_flips += 1;
-        self.rng.ticket()
+        self.core.coin_flips += 1;
+        self.core.rng.ticket()
     }
 
     fn decide(&mut self, value: Bit) {
         if let Err(err) = self.output.write(value) {
-            self.violations.push(format!("{}: {err}", self.id));
+            self.core
+                .violations
+                .push(format!("{}: {err}", self.core.id));
         }
     }
 
@@ -129,6 +149,10 @@ impl Context for HarnessCore {
 }
 
 /// A processor: durable state, private randomness and the protocol "memory".
+///
+/// The processor's output register is not in here: every method that hands
+/// the processor to its protocol borrows it from the caller, and
+/// [`ProcessorHarness::digest`] reads it from there too.
 #[derive(Debug)]
 pub struct ProcessorHarness {
     core: HarnessCore,
@@ -155,9 +179,7 @@ impl ProcessorHarness {
                 id,
                 cfg,
                 input,
-                output: OutputRegister::new(),
                 reset_count: 0,
-                crashed: false,
                 rng: ProcessorRng::for_processor(master_seed, id),
                 coin_flips: 0,
                 outbox: Vec::new(),
@@ -176,16 +198,6 @@ impl ProcessorHarness {
     /// The processor's immutable input bit.
     pub fn input(&self) -> Bit {
         self.core.input
-    }
-
-    /// The value of the write-once output bit, if written.
-    pub fn decision(&self) -> Option<Bit> {
-        self.core.output.get()
-    }
-
-    /// Whether the processor has crashed (takes no further steps).
-    pub fn is_crashed(&self) -> bool {
-        self.core.crashed
     }
 
     /// How many times the processor has been reset.
@@ -220,13 +232,18 @@ impl ProcessorHarness {
             .sum()
     }
 
+    /// Whether the outbox holds anything for the next sending step.
+    #[inline]
+    pub fn has_staged(&self) -> bool {
+        !self.core.outbox.is_empty()
+    }
+
     /// Re-initializes this harness for a fresh trial in place, reusing the
     /// outbox and violation allocations: the protocol slot goes through
     /// [`ProtocolBuilder::rebuild`] — which resets the previous trial's
     /// instance where the builder recognizes it as its own and replaces it
-    /// otherwise — then a fresh output register and rng stream, zeroed
-    /// counters. Equivalent to `ProcessorHarness::new` with the same
-    /// arguments.
+    /// otherwise — then a fresh rng stream, zeroed counters. Equivalent to
+    /// `ProcessorHarness::new` with the same arguments.
     pub fn reinit(
         &mut self,
         id: ProcessorId,
@@ -240,9 +257,7 @@ impl ProcessorHarness {
         self.core.id = id;
         self.core.cfg = cfg;
         self.core.input = input;
-        self.core.output = OutputRegister::new();
         self.core.reset_count = 0;
-        self.core.crashed = false;
         self.core.rng = ProcessorRng::for_processor(master_seed, id);
         self.core.coin_flips = 0;
         self.core.outbox.clear();
@@ -250,41 +265,61 @@ impl ProcessorHarness {
     }
 
     /// Runs the protocol's `on_start` callback (idempotent: only the first
-    /// call has any effect).
-    pub fn start(&mut self) {
-        if self.started || self.core.crashed {
+    /// call has any effect), with `output` as the processor's output
+    /// register.
+    pub fn start(&mut self, output: &mut OutputRegister) {
+        if self.started {
             return;
         }
         self.started = true;
-        self.protocol.on_start(&mut self.core);
+        let ctx = &mut HarnessContext {
+            core: &mut self.core,
+            output,
+        };
+        self.protocol.on_start(ctx);
     }
 
     /// Delivers a message to the processor (a *receiving step*): the protocol
     /// performs its local computation and may queue outgoing messages and/or
-    /// write the output bit. Crashed processors ignore deliveries.
-    pub fn deliver(&mut self, from: ProcessorId, payload: &Payload) {
-        if self.core.crashed {
-            return;
-        }
-        self.protocol.on_message(from, payload, &mut self.core);
+    /// write `output`, the processor's output register.
+    pub fn deliver(&mut self, from: ProcessorId, payload: &Payload, output: &mut OutputRegister) {
+        let (protocol, mut ctx) = self.receiver(output);
+        protocol.on_message(from, payload, &mut ctx);
+    }
+
+    /// The protocol and the context its callbacks receive, with `output` as
+    /// the processor's output register: what a caller holds to hand the
+    /// processor many messages in a row, building the context once instead
+    /// of once per message (a window's receiving phase).
+    #[inline]
+    pub(crate) fn receiver<'a>(
+        &'a mut self,
+        output: &'a mut OutputRegister,
+    ) -> (&'a mut dyn Protocol, HarnessContext<'a>) {
+        let ctx = HarnessContext {
+            core: &mut self.core,
+            output,
+        };
+        (&mut *self.protocol, ctx)
     }
 
     /// Erases the processor's memory (a *resetting step*): clears the pending
     /// outbox and tells the protocol to discard its volatile state. The input
     /// bit, output bit, identity and reset counter are retained.
-    pub fn reset(&mut self) {
-        if self.core.crashed {
-            return;
-        }
+    pub fn reset(&mut self, output: &mut OutputRegister) {
         self.core.reset_count += 1;
         self.core.outbox.clear();
-        self.protocol.on_reset(&mut self.core);
+        let ctx = &mut HarnessContext {
+            core: &mut self.core,
+            output,
+        };
+        self.protocol.on_reset(ctx);
     }
 
-    /// Permanently crashes the processor. Pending outgoing messages that have
-    /// not yet been placed in the buffer are lost.
-    pub fn crash(&mut self) {
-        self.core.crashed = true;
+    /// Discards the messages staged for the next sending step: what a crash
+    /// does to the harness. They were never placed in the buffer and are
+    /// lost.
+    pub fn discard_outbox(&mut self) {
         self.core.outbox.clear();
     }
 
@@ -325,10 +360,11 @@ impl ProcessorHarness {
     }
 
     /// The adversary-visible digest: the protocol's own digest with the
-    /// durable output register and reset counter merged in.
-    pub fn digest(&self) -> StateDigest {
+    /// durable output register (`output`, the processor's) and reset counter
+    /// merged in.
+    pub fn digest(&self, output: &OutputRegister) -> StateDigest {
         let mut digest = self.protocol.digest();
-        digest.decided = self.core.output.get();
+        digest.decided = output.get();
         digest.reset_count = self.core.reset_count;
         digest
     }
@@ -411,12 +447,24 @@ mod tests {
         ProcessorHarness::new(ProcessorId::new(0), Bit::One, cfg, &EchoBuilder, 7)
     }
 
+    /// The context a callback of `h` would receive, over `output`.
+    fn context<'a>(
+        h: &'a mut ProcessorHarness,
+        output: &'a mut OutputRegister,
+    ) -> HarnessContext<'a> {
+        HarnessContext {
+            core: &mut h.core,
+            output,
+        }
+    }
+
     #[test]
     fn start_broadcasts_and_is_idempotent() {
         let mut h = harness(4);
-        h.start();
+        let mut out = OutputRegister::new();
+        h.start(&mut out);
         assert_eq!(h.outbox_len(), 4);
-        h.start();
+        h.start(&mut out);
         assert_eq!(
             h.outbox_len(),
             4,
@@ -430,7 +478,8 @@ mod tests {
     #[test]
     fn deliver_runs_protocol_and_can_decide() {
         let mut h = harness(4);
-        h.start();
+        let mut out = OutputRegister::new();
+        h.start(&mut out);
         h.take_outbox();
         h.deliver(
             ProcessorId::new(2),
@@ -438,8 +487,9 @@ mod tests {
                 round: 5,
                 value: Bit::Zero,
             },
+            &mut out,
         );
-        assert_eq!(h.decision(), Some(Bit::Zero));
+        assert_eq!(out.get(), Some(Bit::Zero));
         // The echo reply is waiting in the outbox.
         assert_eq!(h.outbox_len(), 1);
         let out = h.take_outbox();
@@ -450,45 +500,24 @@ mod tests {
     #[test]
     fn reset_clears_outbox_and_bumps_counter_but_keeps_decision() {
         let mut h = harness(4);
-        h.start();
+        let mut out = OutputRegister::new();
+        h.start(&mut out);
         h.deliver(
             ProcessorId::new(1),
             &Payload::Report {
                 round: 3,
                 value: Bit::One,
             },
+            &mut out,
         );
-        assert_eq!(h.decision(), Some(Bit::One));
+        assert_eq!(out.get(), Some(Bit::One));
         assert!(h.outbox_len() > 0);
-        h.reset();
+        h.reset(&mut out);
         assert_eq!(h.outbox_len(), 0);
         assert_eq!(h.reset_count(), 1);
         // Output bit survives the reset, as in the paper's model.
-        assert_eq!(h.decision(), Some(Bit::One));
-        assert_eq!(h.digest().reset_count, 1);
-    }
-
-    #[test]
-    fn crashed_processor_ignores_everything() {
-        let mut h = harness(4);
-        h.start();
-        h.crash();
-        assert!(h.is_crashed());
-        assert_eq!(h.outbox_len(), 0);
-        h.deliver(
-            ProcessorId::new(1),
-            &Payload::Report {
-                round: 9,
-                value: Bit::One,
-            },
-        );
-        assert_eq!(h.decision(), None);
-        h.reset();
-        assert_eq!(
-            h.reset_count(),
-            0,
-            "resets do not apply to crashed processors"
-        );
+        assert_eq!(out.get(), Some(Bit::One));
+        assert_eq!(h.digest(&out).reset_count, 1);
     }
 
     #[test]
@@ -517,8 +546,9 @@ mod tests {
         }
         let cfg = SystemConfig::new(3, 0).unwrap();
         let mut h = ProcessorHarness::new(ProcessorId::new(1), Bit::Zero, cfg, &DoubleBuilder, 1);
-        h.start();
-        assert_eq!(h.decision(), Some(Bit::Zero));
+        let mut out = OutputRegister::new();
+        h.start(&mut out);
+        assert_eq!(out.get(), Some(Bit::Zero));
         assert_eq!(h.violations().len(), 1);
         assert!(h.violations()[0].contains("conflicting decision"));
     }
@@ -526,7 +556,7 @@ mod tests {
     #[test]
     fn broadcast_is_staged_once_but_counts_per_recipient() {
         let mut h = harness(4);
-        h.start();
+        h.start(&mut OutputRegister::new());
         // One staged entry for a 4-way broadcast, reported as 4 messages.
         assert_eq!(h.core.outbox.len(), 1);
         assert!(matches!(h.core.outbox[0], Outgoing::Broadcast { .. }));
@@ -544,7 +574,7 @@ mod tests {
             ProcessorId::new(5),
             ProcessorId::new(0),
         ];
-        h.core.multicast(
+        context(&mut h, &mut OutputRegister::new()).multicast(
             &set,
             Payload::Report {
                 round: 1,
@@ -566,46 +596,52 @@ mod tests {
         let cfg = SystemConfig::new(4, 0).unwrap();
         let mut reused = ProcessorHarness::new(ProcessorId::new(0), Bit::One, cfg, &EchoBuilder, 7);
         // Dirty every piece of state the reinit must clear.
-        reused.start();
+        let mut out = OutputRegister::new();
+        reused.start(&mut out);
         reused.deliver(
             ProcessorId::new(1),
             &Payload::Report {
                 round: 3,
                 value: Bit::Zero,
             },
+            &mut out,
         );
-        reused.reset();
+        reused.reset(&mut out);
         assert!(reused.reset_count() > 0);
 
         reused.reinit(ProcessorId::new(2), Bit::Zero, cfg, &EchoBuilder, 99);
         let mut fresh =
             ProcessorHarness::new(ProcessorId::new(2), Bit::Zero, cfg, &EchoBuilder, 99);
+        let unset = OutputRegister::new();
         assert_eq!(reused.id(), fresh.id());
         assert_eq!(reused.input(), fresh.input());
-        assert_eq!(reused.decision(), None);
         assert_eq!(reused.reset_count(), 0);
         assert_eq!(reused.coin_flips(), 0);
         assert_eq!(reused.outbox_len(), 0);
         assert!(reused.violations().is_empty());
-        assert_eq!(reused.digest(), fresh.digest());
+        assert_eq!(reused.digest(&unset), fresh.digest(&unset));
         // The private random stream restarts exactly where a fresh one does.
-        assert_eq!(reused.core.random_ticket(), fresh.core.random_ticket());
-        assert_eq!(reused.core.random_bit(), fresh.core.random_bit());
+        let (mut a, mut b) = (OutputRegister::new(), OutputRegister::new());
+        let (mut reused, mut fresh) = (context(&mut reused, &mut a), context(&mut fresh, &mut b));
+        assert_eq!(reused.random_ticket(), fresh.random_ticket());
+        assert_eq!(reused.random_bit(), fresh.random_bit());
     }
 
     #[test]
     fn digest_merges_durable_output() {
         let mut h = harness(4);
-        h.start();
-        assert_eq!(h.digest().decided, None);
+        let mut out = OutputRegister::new();
+        h.start(&mut out);
+        assert_eq!(h.digest(&out).decided, None);
         h.deliver(
             ProcessorId::new(1),
             &Payload::Report {
                 round: 4,
                 value: Bit::One,
             },
+            &mut out,
         );
-        assert_eq!(h.digest().decided, Some(Bit::One));
+        assert_eq!(h.digest(&out).decided, Some(Bit::One));
     }
 
     #[test]
@@ -613,7 +649,9 @@ mod tests {
         let cfg = SystemConfig::new(4, 0).unwrap();
         let mut a = ProcessorHarness::new(ProcessorId::new(2), Bit::Zero, cfg, &EchoBuilder, 99);
         let mut b = ProcessorHarness::new(ProcessorId::new(2), Bit::Zero, cfg, &EchoBuilder, 99);
-        assert_eq!(a.core.random_ticket(), b.core.random_ticket());
-        assert_eq!(a.core.random_bit(), b.core.random_bit());
+        let (mut out_a, mut out_b) = (OutputRegister::new(), OutputRegister::new());
+        let (mut a, mut b) = (context(&mut a, &mut out_a), context(&mut b, &mut out_b));
+        assert_eq!(a.random_ticket(), b.random_ticket());
+        assert_eq!(a.random_bit(), b.random_bit());
     }
 }

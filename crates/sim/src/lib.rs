@@ -96,7 +96,7 @@ pub use engine::{
     PARTIAL_SYNC, WINDOWED,
 };
 pub use exec::{ExecutionCore, Scheduler};
-pub use harness::{HarnessCore, Outgoing, ProcessorHarness};
+pub use harness::{Outgoing, ProcessorHarness};
 pub use metrics::{Metrics, MetricsProbe, NoProbe, Probe};
 pub use outcome::{RunLimits, RunOutcome};
 pub use window::{Window, WindowError};

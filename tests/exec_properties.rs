@@ -12,15 +12,16 @@
 //! 3. **Campaign determinism** — parallel aggregation is bit-identical to the
 //!    serial path regardless of thread count.
 //! 4. **The view is the processors** — what `ExecutionCore::with_view` shows
-//!    an adversary equals what the harnesses hold after every step of every
-//!    model, and a digest is computed only when asked for and only once per
-//!    change.
+//!    an adversary equals what the execution did after every step of every
+//!    model (its digests the harnesses', its outputs and crash flags the
+//!    trace's and the protocols' own), and a digest is computed only when
+//!    asked for and only once per change.
 //! 5. **Every decision is booked once** — whichever transition hands a
 //!    processor to its protocol (start, delivery, reset), the output bit it
 //!    writes reaches the trace as one `Decided` event.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use agreement::adversary::{
     Genome, GstProcrastinatorAdversary, RotatingResetAdversary, ScheduledCrashAdversary,
@@ -308,10 +309,82 @@ fn full_delivery_baseline_outcome_is_pinned() {
     assert!(outcome.all_decided_at.is_some());
 }
 
-/// The digests, outputs and crash flags a view hands out, checked against the
-/// harnesses they are read from: the digests asked for twice in the one
-/// decision, the second time in the opposite order.
-fn assert_view_matches_the_harnesses(core: &ExecutionCore, context: &str) {
+/// What each processor's protocol reports as decided in its own digest: every
+/// instance a [`Reporting`] builder makes writes its slot after each callback.
+#[derive(Debug, Clone, Default)]
+struct OwnDecisions(Arc<Mutex<Vec<Option<Bit>>>>);
+
+impl OwnDecisions {
+    fn set(&self, id: ProcessorId, decided: Option<Bit>) {
+        let mut slots = self.0.lock().unwrap();
+        if slots.len() <= id.index() {
+            slots.resize(id.index() + 1, None);
+        }
+        slots[id.index()] = decided;
+    }
+
+    fn get(&self) -> Vec<Option<Bit>> {
+        self.0.lock().unwrap().clone()
+    }
+}
+
+/// Wraps a protocol instance, reporting its own `digest().decided` after
+/// every callback.
+#[derive(Debug)]
+struct ReportingInstance(Box<dyn Protocol>, ProcessorId, OwnDecisions);
+
+impl ReportingInstance {
+    fn report(&self) {
+        self.2.set(self.1, self.0.digest().decided);
+    }
+}
+
+impl Protocol for ReportingInstance {
+    fn on_start(&mut self, ctx: &mut dyn Context) {
+        self.0.on_start(ctx);
+        self.report();
+    }
+    fn on_message(&mut self, from: ProcessorId, payload: &Payload, ctx: &mut dyn Context) {
+        self.0.on_message(from, payload, ctx);
+        self.report();
+    }
+    fn on_reset(&mut self, ctx: &mut dyn Context) {
+        self.0.on_reset(ctx);
+        self.report();
+    }
+    fn digest(&self) -> StateDigest {
+        self.0.digest()
+    }
+}
+
+/// Builds `.0`'s protocol, wrapped in a [`ReportingInstance`] writing to `.1`.
+#[derive(Debug)]
+struct Reporting<'a>(&'a dyn ProtocolBuilder, OwnDecisions);
+
+impl ProtocolBuilder for Reporting<'_> {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+    fn build(&self, id: ProcessorId, input: Bit, cfg: &SystemConfig) -> Box<dyn Protocol> {
+        let instance = ReportingInstance(self.0.build(id, input, cfg), id, self.1.clone());
+        instance.report();
+        Box::new(instance)
+    }
+}
+
+/// The digests, outputs and crash flags a view hands out, checked against
+/// what the execution did: the digests against the harnesses' (asked for
+/// twice in the one decision, the second time in the opposite order), the
+/// outputs and crash flags against the `Decided` and `Crashed` events of the
+/// core's trace and — where `own` collects them — against what each
+/// protocol's own digest says it decided. (The core's `decisions()` and
+/// `crashed()` read the very storage the view does, so they would prove
+/// nothing.)
+fn assert_view_matches_the_execution(
+    core: &ExecutionCore,
+    own: Option<&OwnDecisions>,
+    context: &str,
+) {
     let n = core.config().n();
     let (digests, again, outputs, crashed) = core.with_view(|view| {
         let digests: Vec<StateDigest> = view.digests().collect();
@@ -328,15 +401,42 @@ fn assert_view_matches_the_harnesses(core: &ExecutionCore, context: &str) {
     });
     assert_eq!(digests, core.digests().collect::<Vec<_>>(), "{context}");
     assert_eq!(again, digests, "{context}: second read");
-    assert_eq!(outputs, core.decisions().collect::<Vec<_>>(), "{context}");
-    assert_eq!(crashed, core.crashed().collect::<Vec<_>>(), "{context}");
+
+    let trace = core.recorder().trace();
+    assert_eq!(trace.dropped(), 0, "{context}: the whole trace is stored");
+    let (mut traced_outputs, mut traced_crashed) = (vec![None; n], vec![false; n]);
+    for event in trace.stored() {
+        match *event {
+            TraceEvent::Decided { id, value, .. } => {
+                let earlier = traced_outputs[id.index()].replace(value);
+                assert_eq!(earlier, None, "{context}: {id} decided twice");
+            }
+            TraceEvent::Crashed { id } => traced_crashed[id.index()] = true,
+            _ => {}
+        }
+    }
+    assert_eq!(
+        outputs, traced_outputs,
+        "{context}: outputs against the trace"
+    );
+    assert_eq!(
+        crashed, traced_crashed,
+        "{context}: crashes against the trace"
+    );
+    if let Some(own) = own {
+        assert_eq!(
+            outputs,
+            own.get(),
+            "{context}: outputs against the protocols"
+        );
+    }
 }
 
 /// Under all three schedulers, driven by seeded random schedules that reset,
-/// crash and corrupt, the view equals the harnesses before the start, after
+/// crash and corrupt, the view equals the execution before the start, after
 /// it and after every step — and again through a second trial run in the
 /// same core after `reinit`, whose first view must not remember the first
-/// trial's digests.
+/// trial's digests, outputs or crashes.
 #[test]
 fn the_view_equals_the_harnesses_after_every_step_of_every_model() {
     /// Hands `drive` a fresh scheduler over a random schedule drawn from the seed.
@@ -371,49 +471,57 @@ fn the_view_equals_the_harnesses_after_every_step_of_every_model() {
             },
         ),
     ];
-    let (mut resets, mut crashes, mut corrupted) = (0, 0, 0);
+    let (mut resets, mut crashes, mut corrupted, mut decided) = (0, 0, 0, 0);
     for (model, cfg, builder, with_scheduler) in rows {
         for seed in 0..8u64 {
             let n = cfg.n();
-            let mut core = ExecutionCore::new(cfg, InputAssignment::evenly_split(n), builder, seed);
+            let own = OwnDecisions::default();
+            let builder = Reporting(builder, own.clone());
+            let mut core =
+                ExecutionCore::new(cfg, InputAssignment::evenly_split(n), &builder, seed);
             for trial in 0..2u64 {
                 let context = format!("{model} seed {seed} trial {trial}");
-                assert_view_matches_the_harnesses(&core, &context);
+                let check = |core: &ExecutionCore, context: &str| {
+                    assert_view_matches_the_execution(core, Some(&own), context)
+                };
+                check(&core, &context);
                 with_scheduler(seed * 2 + trial, cfg, &mut |scheduler| {
                     scheduler.start(&mut core);
-                    assert_view_matches_the_harnesses(&core, &context);
+                    check(&core, &context);
                     for step in 0..300 {
                         if core.all_correct_decided() || !scheduler.step(&mut core) {
                             break;
                         }
-                        assert_view_matches_the_harnesses(&core, &format!("{context} step {step}"));
+                        check(&core, &format!("{context} step {step}"));
                     }
                 });
+                decided += core.decisions().flatten().count();
                 let metrics = core.metrics();
                 resets += metrics.resets_consumed;
                 crashes += metrics.crashes;
                 corrupted += core.corrupted().iter().filter(|&&c| c).count();
                 let inputs = InputAssignment::unanimous(n, Bit::from(seed % 2 == 0));
-                core.reinit(cfg, &inputs, builder, seed + 1_000);
+                core.reinit(cfg, &inputs, &builder, seed + 1_000);
             }
         }
     }
     assert!(
-        resets > 0 && crashes > 0 && corrupted > 0,
-        "the schedules must reset ({resets}), crash ({crashes}) and corrupt ({corrupted})"
+        resets > 0 && crashes > 0 && corrupted > 0 && decided > 0,
+        "the schedules must reset ({resets}), crash ({crashes}), corrupt ({corrupted}) \
+         and decide ({decided})"
     );
 
     // The two transitions a schedule above cannot isolate — a window resets
     // and then delivers to everyone, and none of the three protocols changes
     // its digest by starting — driven directly.
     let mut core = ExecutionCore::new(sixth, InputAssignment::evenly_split(7), &DecidesAtStart, 0);
-    assert_view_matches_the_harnesses(&core, "before the start");
+    assert_view_matches_the_execution(&core, None, "before the start");
     core.ensure_started();
-    assert_view_matches_the_harnesses(&core, "started");
+    assert_view_matches_the_execution(&core, None, "started");
     core.reset(ProcessorId::new(3));
-    assert_view_matches_the_harnesses(&core, "reset");
+    assert_view_matches_the_execution(&core, None, "reset");
     core.crash(ProcessorId::new(4));
-    assert_view_matches_the_harnesses(&core, "crashed");
+    assert_view_matches_the_execution(&core, None, "crashed");
 }
 
 /// Decides its input the moment it starts, so that starting is visible in
