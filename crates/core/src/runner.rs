@@ -28,7 +28,7 @@ use std::sync::Mutex;
 
 use agreement_analysis::Summary;
 use agreement_model::{InputAssignment, ProtocolBuilder, SystemConfig};
-use agreement_sim::{BufferChoice, BuiltAdversary, RunLimits, TrialWorkspace};
+use agreement_sim::{BuiltAdversary, RunLimits, TrialWorkspace};
 
 use crate::record::TrialRecord;
 
@@ -46,10 +46,6 @@ pub struct TrialPlan {
     /// Base seed; trial `i` uses `base_seed.wrapping_add(i)`, so a base near
     /// `u64::MAX` wraps to 0 identically in debug and release builds.
     pub base_seed: u64,
-    /// Message-buffer channel layout every trial runs under.
-    /// [`BufferChoice::Auto`] (the default) picks dense channels for small
-    /// systems and the lazily materialized sparse fabric for large ones.
-    pub buffer: BufferChoice,
 }
 
 impl TrialPlan {
@@ -62,7 +58,6 @@ impl TrialPlan {
             limits: RunLimits::standard(),
             trials: 20,
             base_seed: 0x5EED,
-            buffer: BufferChoice::Auto,
         }
     }
 
@@ -81,12 +76,6 @@ impl TrialPlan {
     /// Sets the base seed.
     pub fn base_seed(mut self, base_seed: u64) -> Self {
         self.base_seed = base_seed;
-        self
-    }
-
-    /// Sets the message-buffer channel layout.
-    pub fn buffer(mut self, buffer: BufferChoice) -> Self {
-        self.buffer = buffer;
         self
     }
 }
@@ -285,7 +274,6 @@ impl Campaign {
             // release ones (worker processes are release binaries): two
             // streams from one command.
             let seed = plan.base_seed.wrapping_add(trial); // base_seed + trial mod 2^64
-            workspace.set_buffer_choice(plan.buffer);
             let mut adversary = make_adversary(seed);
             let outcome = workspace.run_built(
                 plan.cfg,

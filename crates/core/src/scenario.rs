@@ -245,11 +245,9 @@ pub struct ScenarioSpec {
     /// (empty for quorum protocols), which is what targeting adversaries
     /// default to.
     pub targets: Option<Vec<ProcessorId>>,
-    /// Message-buffer channel layout the trials run under.
-    /// [`BufferChoice::Auto`] (the default) picks dense channels for small
-    /// systems and the sparse fabric for large ones; the layout never changes
-    /// results (the equivalence tests pin byte-identical reports), only the
-    /// memory/time profile, so it is deliberately **not** part of the id.
+    /// The message buffer's channel layout, which has one value (see
+    /// [`BufferChoice`]): read only by the benchmark harness, and not part of
+    /// the id.
     pub buffer: BufferChoice,
 }
 
@@ -274,7 +272,7 @@ impl ScenarioSpec {
             limits: RunLimits::standard(),
             base_seed: 0x5EED,
             targets: None,
-            buffer: BufferChoice::Auto,
+            buffer: BufferChoice::Lazy,
         }
     }
 
@@ -305,12 +303,6 @@ impl ScenarioSpec {
     /// Sets explicit adversary targets (overriding the protocol's committee).
     pub fn targets(mut self, targets: Vec<ProcessorId>) -> Self {
         self.targets = Some(targets);
-        self
-    }
-
-    /// Sets the message-buffer channel layout.
-    pub fn buffer(mut self, buffer: BufferChoice) -> Self {
-        self.buffer = buffer;
         self
     }
 
@@ -392,7 +384,6 @@ impl ScenarioSpec {
             .trials(trials)
             .limits(self.limits)
             .base_seed(base_seed)
-            .buffer(self.buffer)
     }
 
     fn build_ctx(
@@ -546,7 +537,6 @@ impl ScenarioSpec {
         let instance = self.protocol.instantiate(&cfg)?;
         let inputs = self.inputs.materialize(self.n);
         let mut core = ExecutionCore::new(cfg, inputs, instance.builder.as_ref(), seed);
-        core.set_buffer_choice(self.buffer);
         Ok(adversary.run(&mut core, self.limits))
     }
 }
@@ -993,9 +983,9 @@ const SUBQUAD_SORTITION_SEED: u64 = 0x5AB5EED;
 /// `n ∈ {100, 1000, 10000}`, with quadratic comparators where they are still
 /// feasible to run.
 ///
-/// Every spec here uses [`BufferChoice::Auto`], so the execution core picks
-/// the lazily materialized sparse channel fabric at these sizes — a dense
-/// `n²` channel grid at `n = 10000` would be 100 million queues. Committee
+/// The message buffer allocates a lane's channels only as its traffic names
+/// them, so these sizes need no layout of their own — a preallocated `n²`
+/// channel grid at `n = 10000` would be 100 million queues. Committee
 /// sizes grow like `~4·log₂ n` (13, 20, 27) and the fault budget is always
 /// `f + 1` where `f = ⌊(k-1)/3⌋`: just enough for the adaptive committee
 /// killer to destroy the announce quorum, while the *non-adaptive* crash

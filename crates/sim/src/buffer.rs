@@ -40,30 +40,30 @@
 //! bounded by the sends made since the lane last drained, as an entry per
 //! in-flight message was before.
 //!
-//! # Two channel layouts
+//! # One channel layout
 //!
-//! Both layouts use the same lanes; [`BufferChoice`] only decides what is
-//! allocated up front:
+//! A lane allocates what its traffic names and nothing else: its cursor row
+//! (one `u32` per processor) on its first broadcast, its recipient → queue
+//! table (`slots`, one `u32` per processor, zero for "none") on its first
+//! unicast or multicast, and an index queue on the first message that names
+//! a recipient. The table makes the lookup O(1); a sorted list of the named
+//! ids beside it gives scans their identity order. Memory is
+//! O(n + n · senders that broadcast or multicast + named channels): nothing
+//! is quadratic in `n`, so the same buffer serves a committee at
+//! `n = 10 000`.
 //!
-//! * **Dense** (small `n`): every lane preallocates its row of `n` cursors
-//!   and `n` index queues, addressed directly by recipient id — O(n²) memory
-//!   before the first message, which is exactly right while `n` is a few
-//!   dozen and hopeless at `n = 10_000`.
-//! * **Sparse** (large `n`): a lane allocates its cursor row on its first
-//!   broadcast and materializes index queues lazily, one per recipient it
-//!   has actually named, found through a direct recipient → queue table —
-//!   O(1) per lookup, allocated once, `n` entries, when the lane first names
-//!   anyone (a sorted list of the named ids is kept beside it for scans).
-//!   Memory is O(n + n · senders that broadcast or multicast + named
-//!   channels).
+//! It is also the fast layout at the E-series sizes. Every protocol the
+//! paper studies is fully communicative — each send a broadcast — so in a
+//! windowed run no index queue ever holds a message. A grid preallocating
+//! `n` queues per lane only made every channel drain load and clear an empty
+//! queue header; without it, the window's `n · |S|` drains touch the cursor
+//! row and the log alone.
 //!
-//! Both present identical observable behaviour — same FIFO order, same
-//! sender-major iteration and scan order, same counters — pinned by a
-//! differential test against a reference model here and byte-identical
-//! scenario output at the campaign level. A per-sender `live` bitset lets
+//! The layout is pinned against a `BTreeMap` reference model operation by
+//! operation ([`MessageBuffer::check_lanes`] holding the lanes' own
+//! bookkeeping after each one), and a per-sender `live` bitset lets
 //! whole-buffer scans ([`MessageBuffer::next_pending_channel_where`]) skip
-//! idle senders sixty-four at a time. [`BufferChoice::Auto`] picks dense at
-//! or below [`BufferChoice::DENSE_MAX`] processors and sparse above.
+//! idle senders sixty-four at a time.
 //!
 //! The *chain tag* of a send is the causal depth assigned at send time (the
 //! length of the longest message chain ending in the send); its *send-time
@@ -89,39 +89,21 @@ struct Entry {
     order: u32,
 }
 
-/// Which channel layout a [`MessageBuffer`] uses (see the module docs for
-/// the trade-off).
+/// The channel layout of a [`MessageBuffer`]: there is one (see the module
+/// docs), so this type chooses nothing.
 ///
-/// Threaded from
-/// [`ScenarioSpec`](../agreement_core/struct.ScenarioSpec.html)-level
-/// configuration down through campaign plans and trial workspaces; every
-/// layer defaults to [`BufferChoice::Auto`].
+/// It survives only for the benchmark harness, which still passes
+/// `ScenarioSpec::buffer` to [`MessageBuffer::with_choice`] (from
+/// `benchmark/src/layers.rs`) and to
+/// [`TrialWorkspace::set_buffer_choice`](crate::TrialWorkspace::set_buffer_choice)
+/// (from `benchmark/src/workloads.rs`). Once those two calls go, so does the
+/// type.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum BufferChoice {
-    /// Dense at or below [`BufferChoice::DENSE_MAX`] processors, sparse
-    /// above: the right layout without anyone having to ask.
+    /// Cursor rows, slot tables and index queues allocated as traffic names
+    /// them.
     #[default]
-    Auto,
-    /// Always preallocate all `n * n` channels, regardless of `n`.
-    Dense,
-    /// Always the lazily materialized fabric, regardless of `n`.
-    Sparse,
-}
-
-impl BufferChoice {
-    /// Largest `n` for which [`BufferChoice::Auto`] stays dense. Below this
-    /// the n² channels are at most a few thousand and direct indexing wins;
-    /// above it the quadratic allocation starts to dominate.
-    pub const DENSE_MAX: usize = 64;
-
-    /// Whether this choice selects the sparse layout at `n` processors.
-    pub fn sparse_for(self, n: usize) -> bool {
-        match self {
-            BufferChoice::Auto => n > Self::DENSE_MAX,
-            BufferChoice::Dense => false,
-            BufferChoice::Sparse => true,
-        }
-    }
+    Lazy,
 }
 
 /// Which of a channel's two sources holds a given message.
@@ -136,57 +118,37 @@ enum Source {
 /// One sender's channels: the log of its sends plus, per recipient, a cursor
 /// into the lane's broadcasts and an index queue of the unicasts and
 /// multicasts that named it.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct Lane {
     /// One entry per send since the lane last recycled.
     log: Vec<Entry>,
     /// Log indices of the broadcast entries, ascending.
     broadcasts: Vec<u32>,
-    /// `cursors[r]` counts the broadcasts recipient `r` is past. Dense: `n`
-    /// long from the start; sparse: empty until the first broadcast.
+    /// `cursors[r]` counts the broadcasts recipient `r` is past. Empty until
+    /// the lane's first broadcast, then one entry per processor the buffer
+    /// covers.
     cursors: Vec<u32>,
-    /// Sparse only: recipient ids with a materialized index queue, sorted
-    /// ascending — the order scans visit them in. Dense lanes address
-    /// `queues` by recipient id directly.
+    /// Recipient ids with a materialized index queue, sorted ascending — the
+    /// order scans visit them in.
     recipients: Vec<u32>,
-    /// Sparse only: `slots[r]` is one more than the index in `queues` of
-    /// recipient `r`'s index queue, zero while `r` has none. Empty until the
-    /// lane first names a recipient, then allocated once, one entry per
-    /// processor the buffer covers.
+    /// `slots[r]` is one more than the index in `queues` of recipient `r`'s
+    /// index queue, zero while `r` has none. Empty until the lane first
+    /// names a recipient, then allocated once, one entry per processor the
+    /// buffer covers.
     slots: Vec<u32>,
     /// Log indices of unicast/multicast entries per named recipient, oldest
-    /// first; `queues[i]` belongs to recipient `i` (dense) or to the
-    /// recipient with `slots[r] == i + 1` (sparse, in the order the lane
-    /// first named them). Kept once materialized.
+    /// first; `queues[i]` belongs to the recipient with `slots[r] == i + 1`,
+    /// in the order the lane first named them. Kept once materialized.
     queues: Vec<VecDeque<u32>>,
     /// Total undelivered messages across the lane's channels.
     pending: usize,
-    sparse: bool,
 }
 
 impl Lane {
-    fn new(n: usize, sparse: bool) -> Lane {
-        let preallocated = if sparse { 0 } else { n };
-        Lane {
-            log: Vec::new(),
-            broadcasts: Vec::new(),
-            cursors: vec![0; preallocated],
-            recipients: Vec::new(),
-            slots: Vec::new(),
-            queues: vec![VecDeque::new(); preallocated],
-            pending: 0,
-            sparse,
-        }
-    }
-
     /// Index in `queues` of recipient `r`'s index queue, if it exists.
     #[inline]
     fn slot(&self, r: usize) -> Option<usize> {
-        if self.sparse {
-            (*self.slots.get(r)? as usize).checked_sub(1)
-        } else {
-            (r < self.queues.len()).then_some(r)
-        }
+        (*self.slots.get(r)? as usize).checked_sub(1)
     }
 
     /// The index queue of recipient `r`, materialized on first use; `n` is
@@ -199,13 +161,13 @@ impl Lane {
         }
     }
 
-    /// The cold half of [`Lane::queue_mut`]: gives recipient `r` of a sparse
-    /// lane its index queue. The slot table is allocated here, whole, on the
+    /// The cold half of [`Lane::queue_mut`]: gives recipient `r` its index
+    /// queue. The slot table is allocated here, whole, on the
     /// lane's first named recipient — a table grown as recipients show up
     /// would hold up to twice the capacity for the same entries.
     #[cold]
     fn materialize(&mut self, r: usize, n: usize) -> &mut VecDeque<u32> {
-        debug_assert!(self.sparse && r < n, "dense rows are preallocated");
+        debug_assert!(r < n, "recipient {r} outside the {n} processors covered");
         if self.slots.is_empty() {
             self.slots = vec![0; n];
         }
@@ -312,16 +274,12 @@ impl Lane {
         }
         // Only a queue before the cursor hit can beat it.
         let hi = by_cursor.unwrap_or(hi);
-        let by_queue = if self.sparse {
-            let start = self.recipients.partition_point(|&r| (r as usize) < lo);
-            self.recipients[start..]
-                .iter()
-                .map(|&r| r as usize)
-                .take_while(|&r| r < hi)
-                .find(|&r| !self.queues[self.slots[r] as usize - 1].is_empty())
-        } else {
-            (lo..hi.min(self.queues.len())).find(|&r| !self.queues[r].is_empty())
-        };
+        let start = self.recipients.partition_point(|&r| (r as usize) < lo);
+        let by_queue = self.recipients[start..]
+            .iter()
+            .map(|&r| r as usize)
+            .take_while(|&r| r < hi)
+            .find(|&r| !self.queues[self.slots[r] as usize - 1].is_empty());
         by_queue.or(by_cursor)
     }
 
@@ -385,11 +343,6 @@ fn clear_bit(words: &mut [u64], i: usize) {
 pub struct MessageBuffer {
     /// Number of processors the lanes cover.
     n: usize,
-    /// The layout policy this buffer re-derives its storage from on every
-    /// [`MessageBuffer::reset`].
-    choice: BufferChoice,
-    /// Whether the lanes are currently shaped sparse.
-    sparse: bool,
     /// One lane per sender.
     lanes: Vec<Lane>,
     /// Bit `s` is set iff `lanes[s].pending > 0`.
@@ -411,66 +364,37 @@ impl MessageBuffer {
         MessageBuffer::default()
     }
 
-    /// Creates an empty buffer pre-sized for `n` processors, with the layout
-    /// picked automatically ([`BufferChoice::Auto`]).
+    /// Creates an empty buffer pre-sized for `n` processors: `n` empty lanes,
+    /// each allocating only as its traffic names recipients.
     pub fn with_processors(n: usize) -> Self {
-        MessageBuffer::with_choice(n, BufferChoice::Auto)
-    }
-
-    /// Creates an empty buffer pre-sized for `n` processors with an explicit
-    /// layout policy.
-    pub fn with_choice(n: usize, choice: BufferChoice) -> Self {
-        let mut buffer = MessageBuffer {
-            choice,
-            ..MessageBuffer::default()
-        };
+        let mut buffer = MessageBuffer::default();
         buffer.reshape(n);
         buffer
     }
 
-    /// Replaces the storage with empty lanes for `n` processors in the
-    /// layout the stored [`BufferChoice`] picks at that size.
+    /// [`MessageBuffer::with_processors`]; the choice has one value (see
+    /// [`BufferChoice`]).
+    pub fn with_choice(n: usize, _choice: BufferChoice) -> Self {
+        MessageBuffer::with_processors(n)
+    }
+
+    /// Replaces the storage with empty lanes for `n` processors.
     fn reshape(&mut self, n: usize) {
-        let sparse = self.choice.sparse_for(n);
         self.n = n;
-        self.sparse = sparse;
         self.lanes.clear();
-        self.lanes.resize_with(n, || Lane::new(n, sparse));
+        self.lanes.resize_with(n, Lane::default);
         self.live.clear();
         self.live.resize(n.div_ceil(64), 0);
     }
 
-    /// Whether the buffer currently holds the sparse layout.
-    pub fn is_sparse(&self) -> bool {
-        self.sparse
-    }
-
-    /// The layout policy the buffer re-derives its storage from on reset.
-    pub fn choice(&self) -> BufferChoice {
-        self.choice
-    }
-
-    /// Sets the layout policy, rebuilding the (empty) storage if the policy
-    /// picks the other layout at the current `n`. Must only be called on an
-    /// empty buffer — the engines call it between trials, right after
-    /// [`MessageBuffer::reset`].
-    pub fn set_choice(&mut self, choice: BufferChoice) {
-        self.choice = choice;
-        if choice.sparse_for(self.n) != self.sparse {
-            debug_assert!(self.is_empty(), "layout switched while messages pending");
-            self.reshape(self.n);
-        }
-    }
-
     /// Clears the buffer for reuse by the next trial: empties every lane,
     /// zeroes the counters and the clock, and re-shapes the storage to `n`
-    /// processors (re-deriving dense vs sparse from the stored
-    /// [`BufferChoice`]). With an unchanged `n` this allocates nothing and
-    /// only touches the lanes that sent: logs, cursor rows and materialized
-    /// index queues all stay warm, so steady-state traffic stops paying for
-    /// them after the first trial.
+    /// processors. With an unchanged `n` this allocates nothing and only
+    /// touches the lanes that sent: logs, cursor rows and materialized index
+    /// queues all stay warm, so steady-state traffic stops paying for them
+    /// after the first trial.
     pub fn reset(&mut self, n: usize) {
-        if n == self.n && self.choice.sparse_for(n) == self.sparse {
+        if n == self.n {
             for lane in self.lanes.iter_mut().filter(|lane| !lane.log.is_empty()) {
                 lane.clear();
             }
@@ -509,10 +433,8 @@ impl MessageBuffer {
     #[inline(never)]
     fn grow_to_cover(&mut self, id: usize) {
         let n = id + 1;
-        let sparse = self.sparse;
         for lane in &mut self.lanes {
-            // Dense rows always exist; a sparse lane only has one to grow
-            // once it has broadcast.
+            // A lane only has a cursor row to grow once it has broadcast.
             if !lane.cursors.is_empty() {
                 lane.cursors.resize(n, lane.broadcasts.len() as u32);
             }
@@ -520,11 +442,8 @@ impl MessageBuffer {
             if !lane.slots.is_empty() {
                 lane.slots.resize(n, 0);
             }
-            if !sparse {
-                lane.queues.resize_with(n, VecDeque::new);
-            }
         }
-        self.lanes.resize_with(n, || Lane::new(n, sparse));
+        self.lanes.resize_with(n, Lane::default);
         self.live.resize(n.div_ceil(64), 0);
         self.n = n;
     }
@@ -591,9 +510,9 @@ impl MessageBuffer {
     ///
     /// The payload is logged **once** and each listed recipient's queue gets
     /// its 4-byte log index, so the cost is O(|recipients|) — independent of
-    /// `n`. On the sparse layout only the addressed recipients' queues are
-    /// ever materialized, so a committee of `k` among 10 000 processors
-    /// touches `k` queues, not 10 000. An empty set is a no-op. Duplicate
+    /// `n`. Only the addressed recipients' queues are ever materialized, so
+    /// a committee of `k` among 10 000 processors touches `k` queues, not
+    /// 10 000. An empty set is a no-op. Duplicate
     /// ids in `recipients` enqueue one message per occurrence, in slice
     /// order.
     #[inline]
@@ -804,9 +723,8 @@ impl MessageBuffer {
     }
 
     /// Iterates over all `(sender, recipient, payload)` triples currently buffered,
-    /// sender-major and oldest-first within each channel. The order is
-    /// identical on both layouts (and to the `(sender, recipient)`-keyed
-    /// ordering of the original `BTreeMap` layout).
+    /// sender-major and oldest-first within each channel: the
+    /// `(sender, recipient)`-keyed order of the original `BTreeMap` layout.
     pub fn iter(&self) -> impl Iterator<Item = (ProcessorId, ProcessorId, &Payload)> + '_ {
         let n = self.n;
         let pending = self
@@ -854,8 +772,7 @@ impl MessageBuffer {
     /// sixty-four at a time through the live bitset, and within a lane only
     /// its cursor row and materialized queues are visited, making the common
     /// adversary pattern — resume-where-you-left-off round-robin — amortized
-    /// O(1) per delivery instead of O(n²). Both layouts return identical
-    /// results for identical contents.
+    /// O(1) per delivery instead of O(n²).
     #[inline]
     pub fn next_pending_channel_where(
         &self,
@@ -954,6 +871,81 @@ impl MessageBuffer {
     /// Number of messages dropped because their recipient crashed.
     pub fn dropped_count(&self) -> u64 {
         self.dropped
+    }
+
+    /// Checks the lanes' bookkeeping, returning the first broken condition.
+    ///
+    /// Per lane: `pending` is what the cursor row and the index queues still
+    /// address; every cursor is at most the broadcast count; the broadcast
+    /// list ascends and every broadcast and queued index is inside the log;
+    /// the named recipients ascend strictly, and `r` is among them exactly
+    /// when `slots[r]` is nonzero, each naming a queue of its own. Across
+    /// the buffer: a sender's live bit is set exactly when its lane has
+    /// something pending, and the lanes' pending counts add up to
+    /// `enqueued − delivered − dropped`. O(n · lanes that sent); a test and
+    /// debugging aid, not something the engines call.
+    pub fn check_lanes(&self) -> Result<(), String> {
+        let mut total = 0;
+        for (s, lane) in self.lanes.iter().enumerate() {
+            lane.check()
+                .map_err(|broken| format!("lane {s}: {broken}"))?;
+            let live = self
+                .live
+                .get(s / 64)
+                .is_some_and(|w| (w >> (s % 64)) & 1 == 1);
+            if live != (lane.pending > 0) {
+                let pending = lane.pending;
+                return Err(format!("lane {s}: live bit {live} with {pending} pending"));
+            }
+            total += lane.pending as u64;
+        }
+        let outstanding = self.enqueued - self.delivered - self.dropped;
+        if total != outstanding {
+            return Err(format!(
+                "lanes hold {total} pending, counters say {outstanding}"
+            ));
+        }
+        Ok(())
+    }
+}
+
+impl Lane {
+    /// [`MessageBuffer::check_lanes`] for one lane.
+    fn check(&self) -> Result<(), String> {
+        let (logged, sent) = (self.log.len(), self.broadcasts.len());
+        let ascending = |list: &[u32]| list.windows(2).all(|w| w[0] < w[1]);
+        if let Some(c) = self.cursors.iter().find(|&&c| c as usize > sent) {
+            return Err(format!("cursor at {c} past {sent} broadcasts"));
+        }
+        if !ascending(&self.broadcasts) || !ascending(&self.recipients) {
+            return Err("broadcasts or recipients out of order".to_string());
+        }
+        let mut indices = self.broadcasts.iter().chain(self.queues.iter().flatten());
+        if let Some(idx) = indices.find(|&&idx| idx as usize >= logged) {
+            return Err(format!("index {idx} outside a log of {logged}"));
+        }
+        // Every named recipient owns a queue of its own, and nobody else has
+        // a slot.
+        let mut owned = vec![false; self.queues.len()];
+        for &r in &self.recipients {
+            match self.slot(r as usize).and_then(|i| owned.get_mut(i)) {
+                Some(taken) if !*taken => *taken = true,
+                _ => return Err(format!("recipient {r} has no queue of its own")),
+            }
+        }
+        let named = self.slots.iter().filter(|&&slot| slot != 0).count();
+        if named != self.recipients.len() || owned.contains(&false) {
+            return Err(format!("{named} slots for {} queues", self.queues.len()));
+        }
+        let behind: usize = self.cursors.iter().map(|&c| sent - c as usize).sum();
+        let queued: usize = self.queues.iter().map(VecDeque::len).sum();
+        if self.pending != behind + queued {
+            let pending = self.pending;
+            return Err(format!(
+                "pending {pending}, cursors {behind}, queues {queued}"
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -1259,20 +1251,18 @@ mod tests {
     }
 
     #[test]
-    fn out_of_range_queries_are_answered_gracefully_on_both_layouts() {
-        for choice in [BufferChoice::Dense, BufferChoice::Sparse] {
-            let mut buf = MessageBuffer::with_choice(2, choice);
-            buf.enqueue(env(0, 1, 1));
-            buf.broadcast(id(1), report(2), 0);
-            assert_eq!(buf.pending_on(id(5), id(0)), 0);
-            assert_eq!(buf.pending_on(id(1), id(5)), 0);
-            assert!(buf.peek(id(0), id(9)).is_none());
-            assert!(buf.pop(id(9), id(0)).is_none());
-            assert!(buf.pop(id(1), id(9)).is_none());
-            assert_eq!(buf.pending_since(id(5)), None);
-            buf.drop_to(id(42));
-            assert_eq!(buf.pending_total(), 3);
-        }
+    fn out_of_range_queries_are_answered_gracefully() {
+        let mut buf = MessageBuffer::with_processors(2);
+        buf.enqueue(env(0, 1, 1));
+        buf.broadcast(id(1), report(2), 0);
+        assert_eq!(buf.pending_on(id(5), id(0)), 0);
+        assert_eq!(buf.pending_on(id(1), id(5)), 0);
+        assert!(buf.peek(id(0), id(9)).is_none());
+        assert!(buf.pop(id(9), id(0)).is_none());
+        assert!(buf.pop(id(1), id(9)).is_none());
+        assert_eq!(buf.pending_since(id(5)), None);
+        buf.drop_to(id(42));
+        assert_eq!(buf.pending_total(), 3);
     }
 
     #[test]
@@ -1321,8 +1311,8 @@ mod tests {
         assert_eq!(buf.enqueued_count(), 4);
         assert_eq!(logged(&buf), 1, "one stored payload");
         assert!(
-            buf.lanes[0].queues.iter().all(VecDeque::is_empty),
-            "addressed by cursor, not by queue entries"
+            buf.lanes[0].queues.is_empty(),
+            "addressed by cursor: no index queue materialized"
         );
         // Every recipient resolves the same contents.
         for to in ProcessorId::all(4) {
@@ -1336,29 +1326,27 @@ mod tests {
 
     #[test]
     fn corrupting_a_shared_head_leaves_other_recipients_untouched() {
-        for choice in [BufferChoice::Dense, BufferChoice::Sparse] {
-            let mut buf = MessageBuffer::with_choice(3, choice);
-            buf.broadcast(id(0), report(1), 2);
-            buf.enqueue(env(0, 1, 2));
-            let lie = Payload::Report {
-                round: 1,
-                value: Bit::One,
-            };
-            let original = buf.corrupt_head(id(0), id(1), lie).unwrap();
-            assert_eq!(original.advocated_value(), Some(Bit::Zero));
-            // Recipient 1 sees the corruption — ahead of the unicast that
-            // was sent after the broadcast — 0 and 2 see the original.
-            assert_eq!(buf.pending_on(id(0), id(1)), 2);
-            let (corrupted, chain) = buf.pop_with_chain(id(0), id(1)).unwrap();
-            assert_eq!(corrupted.advocated_value(), Some(Bit::One));
-            assert_eq!(chain, 2, "the replacement keeps the original's tag");
-            assert_eq!(buf.pop(id(0), id(1)).unwrap().round(), Some(2));
-            for to in [id(0), id(2)] {
-                let p = buf.pop(id(0), to).unwrap();
-                assert_eq!(p.advocated_value(), Some(Bit::Zero));
-            }
-            assert!(buf.is_empty());
+        let mut buf = MessageBuffer::with_processors(3);
+        buf.broadcast(id(0), report(1), 2);
+        buf.enqueue(env(0, 1, 2));
+        let lie = Payload::Report {
+            round: 1,
+            value: Bit::One,
+        };
+        let original = buf.corrupt_head(id(0), id(1), lie).unwrap();
+        assert_eq!(original.advocated_value(), Some(Bit::Zero));
+        // Recipient 1 sees the corruption — ahead of the unicast that was
+        // sent after the broadcast — 0 and 2 see the original.
+        assert_eq!(buf.pending_on(id(0), id(1)), 2);
+        let (corrupted, chain) = buf.pop_with_chain(id(0), id(1)).unwrap();
+        assert_eq!(corrupted.advocated_value(), Some(Bit::One));
+        assert_eq!(chain, 2, "the replacement keeps the original's tag");
+        assert_eq!(buf.pop(id(0), id(1)).unwrap().round(), Some(2));
+        for to in [id(0), id(2)] {
+            let p = buf.pop(id(0), to).unwrap();
+            assert_eq!(p.advocated_value(), Some(Bit::Zero));
         }
+        assert!(buf.is_empty());
     }
 
     #[test]
@@ -1381,59 +1369,40 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_messages_logs_and_counters_but_keeps_layout() {
-        for choice in [BufferChoice::Dense, BufferChoice::Sparse] {
-            let mut buf = MessageBuffer::with_choice(3, choice);
-            buf.enqueue(env(0, 1, 1));
-            buf.enqueue(env(2, 0, 2));
-            buf.broadcast(id(1), report(3), 0);
-            buf.pop(id(0), id(1));
-            buf.pop(id(1), id(2));
-            buf.reset(3);
-            assert_eq!(buf.is_sparse(), choice == BufferChoice::Sparse);
-            assert!(buf.is_empty());
-            assert_eq!(logged(&buf), 0);
-            assert_eq!(buf.iter().count(), 0);
-            assert_eq!(buf.enqueued_count(), 0);
-            assert_eq!(buf.delivered_count(), 0);
-            assert_eq!(buf.dropped_count(), 0);
-            assert!(
-                buf.next_pending_channel(3, 0).is_none(),
-                "live bits cleared"
-            );
-            // Still usable for the same n without growth, cursors rewound.
-            buf.enqueue(env(2, 2, 1));
-            assert_eq!(buf.pending_on(id(2), id(2)), 1);
-            buf.broadcast(id(1), report(4), 0);
-            assert_eq!(buf.pending_on(id(1), id(2)), 1);
-            // Re-shaping to a different n works and keeps the choice.
-            buf.reset(9);
-            assert_eq!(buf.is_sparse(), choice == BufferChoice::Sparse);
-            buf.enqueue(env(8, 8, 1));
-            assert_eq!(buf.pending_on(id(8), id(8)), 1);
-        }
-    }
-
-    #[test]
-    fn auto_choice_switches_layout_at_the_threshold() {
-        assert!(!MessageBuffer::with_processors(BufferChoice::DENSE_MAX).is_sparse());
-        assert!(MessageBuffer::with_processors(BufferChoice::DENSE_MAX + 1).is_sparse());
-        let mut buf = MessageBuffer::with_processors(8);
-        assert!(!buf.is_sparse());
-        buf.set_choice(BufferChoice::Sparse);
-        assert!(buf.is_sparse());
-        assert_eq!(buf.choice(), BufferChoice::Sparse);
+    fn reset_clears_messages_logs_and_counters() {
+        let mut buf = MessageBuffer::with_processors(3);
         buf.enqueue(env(0, 1, 1));
-        buf.reset(8);
-        assert!(buf.is_sparse(), "reset keeps the explicit choice");
-        buf.set_choice(BufferChoice::Auto);
-        assert!(!buf.is_sparse(), "auto at n = 8 is dense again");
+        buf.enqueue(env(2, 0, 2));
+        buf.broadcast(id(1), report(3), 0);
+        buf.pop(id(0), id(1));
+        buf.pop(id(1), id(2));
+        buf.reset(3);
+        assert!(buf.is_empty());
+        assert_eq!(logged(&buf), 0);
+        assert_eq!(buf.iter().count(), 0);
+        assert_eq!(buf.enqueued_count(), 0);
+        assert_eq!(buf.delivered_count(), 0);
+        assert_eq!(buf.dropped_count(), 0);
+        assert!(
+            buf.next_pending_channel(3, 0).is_none(),
+            "live bits cleared"
+        );
+        assert_eq!(buf.check_lanes(), Ok(()));
+        // Still usable for the same n without growth, cursors rewound.
+        buf.enqueue(env(2, 2, 1));
+        assert_eq!(buf.pending_on(id(2), id(2)), 1);
+        buf.broadcast(id(1), report(4), 0);
+        assert_eq!(buf.pending_on(id(1), id(2)), 1);
+        // Re-shaping to a different n works.
+        buf.reset(9);
+        buf.enqueue(env(8, 8, 1));
+        assert_eq!(buf.pending_on(id(8), id(8)), 1);
+        assert_eq!(buf.check_lanes(), Ok(()));
     }
 
     #[test]
     fn multicast_logs_once_and_costs_only_the_recipient_set() {
         let mut buf = MessageBuffer::with_processors(1000);
-        assert!(buf.is_sparse());
         let committee: Vec<ProcessorId> = [3usize, 71, 512].iter().map(|&i| id(i)).collect();
         buf.multicast(id(71), &committee, report(1), 2);
         assert_eq!(buf.pending_total(), 3);
@@ -1470,40 +1439,9 @@ mod tests {
     }
 
     #[test]
-    fn scan_pop_round_robin_drains_both_layouts_identically() {
-        let n = 70; // sparse is the Auto choice out here
-        let mut dense = MessageBuffer::with_choice(n, BufferChoice::Dense);
-        let mut auto = MessageBuffer::with_processors(n);
-        assert!(auto.is_sparse());
-        for buf in [&mut dense, &mut auto] {
-            for s in [0usize, 13, 13, 42, 69] {
-                for r in [5usize, 5, 31, 68] {
-                    buf.enqueue(env(s, r, (s + r) as u64));
-                }
-            }
-            buf.broadcast(id(64), report(0), 0);
-        }
-        let mut cursor = 0;
-        loop {
-            let d = dense.next_pending_channel(n, cursor);
-            let s = auto.next_pending_channel(n, cursor);
-            assert_eq!(d, s);
-            match d {
-                None => break,
-                Some((next, from, to)) => {
-                    cursor = next;
-                    assert_eq!(dense.pop(from, to), auto.pop(from, to));
-                }
-            }
-        }
-        assert!(dense.is_empty() && auto.is_empty());
-    }
-
-    #[test]
     fn drop_to_keeps_the_scan_honest() {
         let n = 80;
         let mut buf = MessageBuffer::with_processors(n);
-        assert!(buf.is_sparse());
         buf.enqueue(env(10, 40, 1));
         buf.enqueue(env(64, 40, 2));
         buf.enqueue(env(64, 41, 3));
@@ -1520,10 +1458,9 @@ mod tests {
     }
 
     #[test]
-    fn sparse_layout_allocates_no_quadratic_state() {
+    fn lanes_allocate_no_quadratic_state() {
         let n = 10_000;
         let mut buf = MessageBuffer::with_processors(n);
-        assert!(buf.is_sparse());
         assert_eq!(buf.lanes.len(), n, "one lane per sender");
         assert_eq!(buf.live.len(), n.div_ceil(64));
         assert!(
@@ -1559,31 +1496,29 @@ mod tests {
 
     #[test]
     fn drained_lanes_recycle_their_logs_so_memory_stays_bounded() {
-        for choice in [BufferChoice::Dense, BufferChoice::Sparse] {
-            let n = 6;
-            let mut buf = MessageBuffer::with_choice(n, choice);
-            let committee = [id(1), id(4)];
-            let mut after_ten = 0;
-            for cycle in 0..100_000u64 {
-                buf.broadcast(id(2), report(cycle), 1);
-                buf.multicast(id(2), &committee, report(cycle), 1);
-                buf.broadcast(id(2), report(cycle), 2);
-                for to in ProcessorId::all(n) {
-                    while buf.pop_message(id(2), to).is_some() {}
-                }
-                assert!(buf.is_empty());
-                if cycle == 9 {
-                    after_ten = heap_bytes(&buf);
-                }
+        let n = 6;
+        let mut buf = MessageBuffer::with_processors(n);
+        let committee = [id(1), id(4)];
+        let mut after_ten = 0;
+        for cycle in 0..100_000u64 {
+            buf.broadcast(id(2), report(cycle), 1);
+            buf.multicast(id(2), &committee, report(cycle), 1);
+            buf.broadcast(id(2), report(cycle), 2);
+            for to in ProcessorId::all(n) {
+                while buf.pop_message(id(2), to).is_some() {}
             }
-            assert_eq!(
-                heap_bytes(&buf),
-                after_ten,
-                "log, cursor and queue capacity stay where the tenth cycle left them"
-            );
-            assert!(logged(&buf) <= 3, "at most the last cycle's sends are held");
-            assert_eq!(buf.delivered_count(), 100_000 * (2 * n as u64 + 2));
+            assert!(buf.is_empty());
+            if cycle == 9 {
+                after_ten = heap_bytes(&buf);
+            }
         }
+        assert_eq!(
+            heap_bytes(&buf),
+            after_ten,
+            "log, cursor and queue capacity stay where the tenth cycle left them"
+        );
+        assert!(logged(&buf) <= 3, "at most the last cycle's sends are held");
+        assert_eq!(buf.delivered_count(), 100_000 * (2 * n as u64 + 2));
     }
 
     /// One message as the reference model holds it: payload, chain tag and
@@ -1730,9 +1665,9 @@ mod tests {
     /// Drives one buffer and the model through `ops` seeded random
     /// operations, comparing every result and, after each operation, every
     /// read.
-    fn run_differential(n: usize, choice: BufferChoice, seed: u64, ops: usize) {
+    fn run_differential(n: usize, seed: u64, ops: usize) {
         let mut rng = ProcessorRng::labelled(seed, n as u64);
-        let mut buf = MessageBuffer::with_choice(n, choice);
+        let mut buf = MessageBuffer::with_processors(n);
         let mut model = Model {
             n,
             ..Model::default()
@@ -1746,7 +1681,7 @@ mod tests {
             }
         };
         for op in 0..ops {
-            let at = format!("after op {op} (n = {n}, {choice:?}, seed {seed})");
+            let at = format!("after op {op} (n = {n}, seed {seed})");
             let any = |rng: &mut ProcessorRng| rng.range(n as u64) as usize;
             // Mostly aim at a channel that has something on it.
             let aim = |rng: &mut ProcessorRng, model: &Model| {
@@ -1834,6 +1769,7 @@ mod tests {
                     buf.set_now(model.now);
                 }
             }
+            assert_eq!(buf.check_lanes(), Ok(()), "{at}");
             assert_matches(&buf, &model, &mut rng, &at);
         }
     }
@@ -1882,15 +1818,15 @@ mod tests {
 
     /// Drives twin buffers through the same seeded traffic; the only
     /// difference is how a channel is emptied.
-    fn run_drain_twins(n: usize, choice: BufferChoice, seed: u64, ops: usize) {
+    fn run_drain_twins(n: usize, seed: u64, ops: usize) {
         let mut rng = ProcessorRng::labelled(seed, 0xD4A1 + n as u64);
-        let mut drained = MessageBuffer::with_choice(n, choice);
-        let mut popped = MessageBuffer::with_choice(n, choice);
+        let mut drained = MessageBuffer::with_processors(n);
+        let mut popped = MessageBuffer::with_processors(n);
         let mut n = n;
         let mut serial = 0;
         let mut now = 0;
         for op in 0..ops {
-            let at = format!("after op {op} (n = {n}, {choice:?}, seed {seed})");
+            let at = format!("after op {op} (n = {n}, seed {seed})");
             let any = |rng: &mut ProcessorRng| rng.range(n as u64) as usize;
             let chain = rng.range(10);
             serial += 1;
@@ -1969,67 +1905,67 @@ mod tests {
                     popped.set_now(now);
                 }
             }
+            assert_eq!(drained.check_lanes(), Ok(()), "drained {at}");
+            assert_eq!(popped.check_lanes(), Ok(()), "popped {at}");
             assert_eq!(observe(&drained, n), observe(&popped, n), "{at}");
         }
     }
 
     #[test]
     fn drain_is_pop_until_empty() {
-        for choice in [BufferChoice::Dense, BufferChoice::Sparse] {
-            // Scripted first: a multicast naming a recipient twice behind a
-            // broadcast, on a channel whose head is a corrupted replacement.
-            let mut twins = [
-                MessageBuffer::with_choice(4, choice),
-                MessageBuffer::with_choice(4, choice),
-            ];
-            for buf in &mut twins {
-                buf.broadcast(id(2), report(1), 1);
-                buf.multicast(id(2), &[id(3), id(0), id(3)], report(2), 2);
-                buf.broadcast(id(2), report(3), 3);
-                let lie = Payload::Report {
-                    round: 1,
-                    value: Bit::One,
-                };
-                assert!(buf.corrupt_head(id(2), id(3), lie).is_some());
-            }
-            let [drained, popped] = &mut twins;
-            let mut lent = Vec::new();
-            drained.drain(id(2), id(3), |p, chain| {
-                lent.push((p.round(), p.advocated_value(), chain))
-            });
-            assert_eq!(
-                lent,
-                vec![
-                    (Some(1), Some(Bit::One), 1),
-                    (Some(2), Some(Bit::Zero), 2),
-                    (Some(2), Some(Bit::Zero), 2),
-                    (Some(3), Some(Bit::Zero), 3),
-                ]
-            );
-            while popped.pop_message(id(2), id(3)).is_some() {}
-            assert_eq!(observe(drained, 4), observe(popped, 4));
-            for r in 0..4 {
-                empty_channel_both_ways(drained, popped, 2, r, "scripted");
-            }
-            assert_eq!(observe(drained, 4), observe(popped, 4));
-            for buf in [drained, popped] {
-                buf.broadcast(id(2), report(4), 0);
-                assert_eq!(logged(buf), 1, "the drained lane recycled");
-            }
-
-            for seed in 0..6 {
-                run_drain_twins(5, choice, seed, 1_200);
-            }
-            run_drain_twins(1, choice, 7, 200);
-            run_drain_twins(66, choice, 8, 300);
+        // Scripted first: a multicast naming a recipient twice behind a
+        // broadcast, on a channel whose head is a corrupted replacement.
+        let mut twins = [
+            MessageBuffer::with_processors(4),
+            MessageBuffer::with_processors(4),
+        ];
+        for buf in &mut twins {
+            buf.broadcast(id(2), report(1), 1);
+            buf.multicast(id(2), &[id(3), id(0), id(3)], report(2), 2);
+            buf.broadcast(id(2), report(3), 3);
+            let lie = Payload::Report {
+                round: 1,
+                value: Bit::One,
+            };
+            assert!(buf.corrupt_head(id(2), id(3), lie).is_some());
         }
+        let [drained, popped] = &mut twins;
+        let mut lent = Vec::new();
+        drained.drain(id(2), id(3), |p, chain| {
+            lent.push((p.round(), p.advocated_value(), chain))
+        });
+        assert_eq!(
+            lent,
+            vec![
+                (Some(1), Some(Bit::One), 1),
+                (Some(2), Some(Bit::Zero), 2),
+                (Some(2), Some(Bit::Zero), 2),
+                (Some(3), Some(Bit::Zero), 3),
+            ]
+        );
+        while popped.pop_message(id(2), id(3)).is_some() {}
+        assert_eq!(drained.check_lanes(), Ok(()));
+        assert_eq!(observe(drained, 4), observe(popped, 4));
+        for r in 0..4 {
+            empty_channel_both_ways(drained, popped, 2, r, "scripted");
+        }
+        assert_eq!(observe(drained, 4), observe(popped, 4));
+        for buf in [drained, popped] {
+            buf.broadcast(id(2), report(4), 0);
+            assert_eq!(logged(buf), 1, "the drained lane recycled");
+        }
+
+        for seed in 0..6 {
+            run_drain_twins(5, seed, 1_200);
+        }
+        run_drain_twins(1, 7, 200);
+        run_drain_twins(66, 8, 300);
     }
 
     #[test]
-    fn sparse_slot_table_finds_recipients_named_in_any_order() {
+    fn slot_table_finds_recipients_named_in_any_order() {
         let n = 100;
         let mut buf = MessageBuffer::with_processors(n);
-        assert!(buf.is_sparse());
         // Descending, then shuffled with a repeat, then past the coverage.
         buf.multicast(id(5), &[id(90), id(40), id(7)], report(1), 0);
         assert_eq!(buf.lanes[5].recipients, vec![7, 40, 90]);
@@ -2067,14 +2003,42 @@ mod tests {
     }
 
     #[test]
-    fn buffer_matches_the_reference_model_on_random_traffic() {
-        for choice in [BufferChoice::Dense, BufferChoice::Sparse] {
-            for seed in 0..6 {
-                run_differential(5, choice, seed, 1_500);
-            }
-            run_differential(1, choice, 7, 200);
-            // Past one word of the live bitset.
-            run_differential(67, choice, 8, 250);
+    fn check_lanes_names_the_first_broken_condition() {
+        let fresh = || {
+            let mut buf = MessageBuffer::with_processors(4);
+            buf.broadcast(id(1), report(1), 0);
+            buf.multicast(id(1), &[id(3), id(0)], report(2), 0);
+            buf.pop(id(1), id(2));
+            assert_eq!(buf.check_lanes(), Ok(()));
+            buf
+        };
+        type Tamper = fn(&mut MessageBuffer);
+        let tampered: [(&str, Tamper); 7] = [
+            ("pending", |buf| buf.lanes[1].pending += 1),
+            ("cursor", |buf| buf.lanes[1].cursors[0] = 2),
+            ("outside a log", |buf| buf.lanes[1].queues[0][0] = 9),
+            ("out of order", |buf| buf.lanes[1].recipients.swap(0, 1)),
+            ("of its own", |buf| {
+                buf.lanes[1].slots[3] = buf.lanes[1].slots[0]
+            }),
+            ("live bit", |buf| clear_bit(&mut buf.live, 1)),
+            ("counters say", |buf| buf.delivered -= 1),
+        ];
+        for (what, tamper) in tampered {
+            let mut buf = fresh();
+            tamper(&mut buf);
+            let broken = buf.check_lanes().expect_err(what);
+            assert!(broken.contains(what), "{what}: {broken}");
         }
+    }
+
+    #[test]
+    fn buffer_matches_the_reference_model_on_random_traffic() {
+        for seed in 0..6 {
+            run_differential(5, seed, 1_500);
+        }
+        run_differential(1, 7, 200);
+        // Past one word of the live bitset.
+        run_differential(67, 8, 250);
     }
 }

@@ -23,7 +23,7 @@ use agreement_model::{
 };
 
 use crate::adversary::SystemView;
-use crate::buffer::{BufferChoice, MessageBuffer};
+use crate::buffer::MessageBuffer;
 use crate::harness::{Outgoing, ProcessorHarness, Status};
 use crate::metrics::{Metrics, NoProbe, Probe};
 use crate::outcome::RunOutcome;
@@ -255,16 +255,6 @@ impl<P: Probe, R: Recorder> ExecutionCore<P, R> {
         self.started = false;
     }
 
-    /// Selects the channel layout policy of the message buffer.
-    ///
-    /// Must be called while the buffer is empty (between trials); campaign
-    /// workers apply a plan's choice right after [`ExecutionCore::reinit`].
-    /// With [`BufferChoice::Auto`] the buffer itself picks dense channels for
-    /// small systems and the sparse fabric for large ones.
-    pub fn set_buffer_choice(&mut self, choice: BufferChoice) {
-        self.buffer.set_choice(choice);
-    }
-
     // ----- static state & snapshots ------------------------------------------------
 
     /// The system configuration.
@@ -480,22 +470,21 @@ impl<P: Probe, R: Recorder> ExecutionCore<P, R> {
             recorder.record(TraceEvent::Sent { from: id, to });
             probe.on_send(id, chain);
         };
-        for outgoing in harnesses[id.index()].drain_outbox() {
-            match outgoing {
-                Outgoing::One { to, payload } => {
-                    sent(to);
-                    buffer.enqueue_unicast(id, to, payload, chain);
-                }
-                Outgoing::Broadcast { payload } => {
-                    ProcessorId::all(n).for_each(&mut sent);
-                    buffer.broadcast(id, payload, chain);
-                }
-                Outgoing::Multicast { to, payload } => {
-                    to.iter().copied().for_each(&mut sent);
-                    buffer.multicast(id, &to, payload, chain);
-                }
+        harnesses[id.index()].drain_outbox(|outgoing, staged| match outgoing {
+            Outgoing::One { to, payload } => {
+                sent(to);
+                buffer.enqueue_unicast(id, to, payload, chain);
             }
-        }
+            Outgoing::Broadcast { payload } => {
+                ProcessorId::all(n).for_each(&mut sent);
+                buffer.broadcast(id, payload, chain);
+            }
+            Outgoing::Multicast { to, payload } => {
+                let to = &staged[to];
+                to.iter().copied().for_each(&mut sent);
+                buffer.multicast(id, to, payload, chain);
+            }
+        });
     }
 
     /// Sending steps for every non-crashed processor (the sending phase of an

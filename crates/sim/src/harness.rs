@@ -15,6 +15,8 @@
 //! messages but keeps the input, output, identity and reset counter — exactly
 //! the semantics of the paper's resetting failures.
 
+use std::ops::Range;
+
 use agreement_model::{
     Bit, Context, Envelope, OutputRegister, Payload, ProcessorId, ProcessorRng, Protocol,
     ProtocolBuilder, StateDigest, SystemConfig,
@@ -48,8 +50,12 @@ pub enum Outgoing {
     /// the payload once and enqueues one 4-byte log index per listed
     /// recipient, so a committee multicast costs O(|set|), not O(n).
     Multicast {
-        /// The recipients, in the order the protocol listed them.
-        to: Vec<ProcessorId>,
+        /// Where the recipients are among the harness's staged recipients,
+        /// in the order the protocol listed them: the slice
+        /// [`ProcessorHarness::drain_outbox`] hands over beside the entry.
+        /// They are staged there, not in a vector of their own, so that a
+        /// warm harness allocates nothing per multicast.
+        to: Range<usize>,
         /// The message contents, stored once for the whole recipient set.
         payload: Payload,
     },
@@ -76,7 +82,18 @@ struct HarnessCore {
     rng: ProcessorRng,
     coin_flips: u64,
     outbox: Vec<Outgoing>,
+    /// The recipients of the staged multicasts, back to back; emptied with
+    /// the outbox.
+    recipients: Vec<ProcessorId>,
     violations: Vec<String>,
+}
+
+impl HarnessCore {
+    /// Forgets every staged message, keeping the allocations.
+    fn clear_outbox(&mut self) {
+        self.outbox.clear();
+        self.recipients.clear();
+    }
 }
 
 /// What a protocol callback receives as `&mut dyn Context`: the processor's
@@ -114,10 +131,11 @@ impl Context for HarnessContext<'_> {
     /// `send` loop: the payload is kept once for the whole recipient set and
     /// the engine logs it once in the buffer.
     fn multicast(&mut self, recipients: &[ProcessorId], payload: Payload) {
-        self.core.outbox.push(Outgoing::Multicast {
-            to: recipients.to_vec(),
-            payload,
-        });
+        let staged = &mut self.core.recipients;
+        let start = staged.len();
+        staged.extend_from_slice(recipients);
+        let to = start..staged.len();
+        self.core.outbox.push(Outgoing::Multicast { to, payload });
     }
 
     fn random_bit(&mut self) -> Bit {
@@ -183,6 +201,7 @@ impl ProcessorHarness {
                 rng: ProcessorRng::for_processor(master_seed, id),
                 coin_flips: 0,
                 outbox: Vec::new(),
+                recipients: Vec::new(),
                 violations: Vec::new(),
             },
             protocol,
@@ -260,7 +279,7 @@ impl ProcessorHarness {
         self.core.reset_count = 0;
         self.core.rng = ProcessorRng::for_processor(master_seed, id);
         self.core.coin_flips = 0;
-        self.core.outbox.clear();
+        self.core.clear_outbox();
         self.core.violations.clear();
     }
 
@@ -308,7 +327,7 @@ impl ProcessorHarness {
     /// bit, output bit, identity and reset counter are retained.
     pub fn reset(&mut self, output: &mut OutputRegister) {
         self.core.reset_count += 1;
-        self.core.outbox.clear();
+        self.core.clear_outbox();
         let ctx = &mut HarnessContext {
             core: &mut self.core,
             output,
@@ -320,15 +339,23 @@ impl ProcessorHarness {
     /// does to the harness. They were never placed in the buffer and are
     /// lost.
     pub fn discard_outbox(&mut self) {
-        self.core.outbox.clear();
+        self.core.clear_outbox();
     }
 
-    /// Drains the staged messages computed since the last sending step (the
-    /// contents of the next *sending step*), leaving the outbox empty but its
-    /// allocation in place. This is the engines' hot path: broadcasts come
-    /// out as single entries for the buffer to log once.
-    pub fn drain_outbox(&mut self) -> std::vec::Drain<'_, Outgoing> {
-        self.core.outbox.drain(..)
+    /// Hands the staged messages computed since the last sending step (the
+    /// contents of the next *sending step*) to `send`, oldest first, each
+    /// beside the staged recipients a multicast's `to` range indexes; leaves
+    /// the outbox and the staged recipients empty but their allocations in
+    /// place. This is the engines' hot path: broadcasts come out as single
+    /// entries for the buffer to log once.
+    pub fn drain_outbox(&mut self, mut send: impl FnMut(Outgoing, &[ProcessorId])) {
+        let HarnessCore {
+            outbox, recipients, ..
+        } = &mut self.core;
+        for out in outbox.drain(..) {
+            send(out, recipients);
+        }
+        recipients.clear();
     }
 
     /// Takes the messages of the next *sending step* as concrete envelopes,
@@ -339,23 +366,21 @@ impl ProcessorHarness {
         let n = self.core.cfg.n();
         let sender = self.core.id;
         let mut envelopes = Vec::with_capacity(self.outbox_len());
-        for out in self.core.outbox.drain(..) {
-            match out {
-                Outgoing::One { to, payload } => {
-                    envelopes.push(Envelope::new(sender, to, payload));
-                }
-                Outgoing::Broadcast { payload } => {
-                    for to in ProcessorId::all(n) {
-                        envelopes.push(Envelope::new(sender, to, payload.clone()));
-                    }
-                }
-                Outgoing::Multicast { to, payload } => {
-                    for to in to {
-                        envelopes.push(Envelope::new(sender, to, payload.clone()));
-                    }
+        self.drain_outbox(|out, staged| match out {
+            Outgoing::One { to, payload } => {
+                envelopes.push(Envelope::new(sender, to, payload));
+            }
+            Outgoing::Broadcast { payload } => {
+                for to in ProcessorId::all(n) {
+                    envelopes.push(Envelope::new(sender, to, payload.clone()));
                 }
             }
-        }
+            Outgoing::Multicast { to, payload } => {
+                for &to in &staged[to] {
+                    envelopes.push(Envelope::new(sender, to, payload.clone()));
+                }
+            }
+        });
         envelopes
     }
 
@@ -561,7 +586,8 @@ mod tests {
         assert_eq!(h.core.outbox.len(), 1);
         assert!(matches!(h.core.outbox[0], Outgoing::Broadcast { .. }));
         assert_eq!(h.outbox_len(), 4);
-        let drained: Vec<Outgoing> = h.drain_outbox().collect();
+        let mut drained = Vec::new();
+        h.drain_outbox(|out, _| drained.push(out));
         assert_eq!(drained.len(), 1);
         assert_eq!(h.outbox_len(), 0);
     }
@@ -589,6 +615,23 @@ mod tests {
         let recipients: Vec<usize> = out.iter().map(|e| e.recipient.index()).collect();
         assert_eq!(recipients, vec![2, 5, 0], "slice order preserved");
         assert!(out.iter().all(|e| e.sender == ProcessorId::new(0)));
+        assert!(
+            h.core.recipients.is_empty(),
+            "staged recipients go with the outbox"
+        );
+        // Two sets staged back to back come out as their own slices.
+        let mut output = OutputRegister::new();
+        let mut ctx = context(&mut h, &mut output);
+        ctx.multicast(&set[1..], Payload::Decided { value: Bit::One });
+        ctx.multicast(&set[..1], Payload::Decided { value: Bit::Zero });
+        let mut sets = Vec::new();
+        h.drain_outbox(|out, staged| {
+            if let Outgoing::Multicast { to, .. } = out {
+                sets.push(staged[to].to_vec());
+            }
+        });
+        assert_eq!(sets, vec![set[1..].to_vec(), set[..1].to_vec()]);
+        assert!(h.core.recipients.is_empty() && h.core.recipients.capacity() >= 3);
     }
 
     #[test]

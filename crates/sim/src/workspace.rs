@@ -36,8 +36,6 @@ pub struct TrialWorkspace {
     /// Created lazily by the first trial, re-initialized in place by every
     /// trial after it.
     core: Option<ExecutionCore<NoProbe, NoTrace>>,
-    /// The channel layout applied to the core before every trial.
-    buffer_choice: BufferChoice,
 }
 
 impl TrialWorkspace {
@@ -46,12 +44,9 @@ impl TrialWorkspace {
         TrialWorkspace::default()
     }
 
-    /// Sets the channel layout policy every subsequent trial runs under.
-    /// The default, [`BufferChoice::Auto`], picks dense channels for small
-    /// systems and the sparse fabric for large ones.
-    pub fn set_buffer_choice(&mut self, choice: BufferChoice) {
-        self.buffer_choice = choice;
-    }
+    /// Does nothing: the message buffer has one channel layout (see
+    /// [`BufferChoice`]).
+    pub fn set_buffer_choice(&mut self, _choice: BufferChoice) {}
 
     /// The core, re-initialized for a fresh trial with the given parameters.
     fn core_for(
@@ -74,9 +69,7 @@ impl TrialWorkspace {
                 ));
             }
         }
-        let core = self.core.as_mut().expect("workspace core just initialized");
-        core.set_buffer_choice(self.buffer_choice);
-        core
+        self.core.as_mut().expect("workspace core just initialized")
     }
 
     /// Runs one trial of *any* execution model inside this workspace: the

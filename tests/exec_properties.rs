@@ -433,8 +433,9 @@ fn assert_view_matches_the_execution(
 }
 
 /// Under all three schedulers, driven by seeded random schedules that reset,
-/// crash and corrupt, the view equals the execution before the start, after
-/// it and after every step — and again through a second trial run in the
+/// crash and corrupt, the view equals the execution and the message buffer's
+/// lane bookkeeping holds ([`check_lanes`](agreement::sim::MessageBuffer::check_lanes)) before the start,
+/// after it and after every step — and again through a second trial run in the
 /// same core after `reinit`, whose first view must not remember the first
 /// trial's digests, outputs or crashes.
 #[test]
@@ -482,7 +483,10 @@ fn the_view_equals_the_harnesses_after_every_step_of_every_model() {
             for trial in 0..2u64 {
                 let context = format!("{model} seed {seed} trial {trial}");
                 let check = |core: &ExecutionCore, context: &str| {
-                    assert_view_matches_the_execution(core, Some(&own), context)
+                    assert_view_matches_the_execution(core, Some(&own), context);
+                    if let Err(broken) = core.buffer().check_lanes() {
+                        panic!("{context}: message buffer {broken}");
+                    }
                 };
                 check(&core, &context);
                 with_scheduler(seed * 2 + trial, cfg, &mut |scheduler| {
