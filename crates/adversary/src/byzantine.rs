@@ -14,7 +14,7 @@
 use std::collections::BTreeSet;
 
 use agreement_model::{Bit, Payload, ProcessorId};
-use agreement_sim::{AsyncAction, AsyncAdversary, SystemView};
+use agreement_sim::{AsyncAction, AsyncAdversary, ChannelCursor, SystemView};
 
 /// Declares the first `t` processors Byzantine and equivocates on their
 /// value-carrying messages.
@@ -22,7 +22,7 @@ use agreement_sim::{AsyncAction, AsyncAdversary, SystemView};
 pub struct EquivocatingAdversary {
     corrupted_declared: usize,
     corrupted_heads: BTreeSet<(ProcessorId, ProcessorId)>,
-    cursor: usize,
+    cursor: ChannelCursor,
 }
 
 impl EquivocatingAdversary {

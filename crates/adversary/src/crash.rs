@@ -3,7 +3,7 @@
 //! the adaptive "committee killer" the paper's introduction describes.
 
 use agreement_model::{ProcessorId, ProcessorRng};
-use agreement_sim::{AsyncAction, AsyncAdversary, SystemView};
+use agreement_sim::{AsyncAction, AsyncAdversary, ChannelCursor, SystemView};
 
 /// Crashes an explicit set of processors at the start of the execution and
 /// schedules (round-robin) fairly afterwards.
@@ -25,7 +25,7 @@ pub struct ScheduledCrashAdversary {
     victims: Vec<ProcessorId>,
     next_victim: usize,
     withhold_from_victims: bool,
-    cursor: usize,
+    cursor: ChannelCursor,
 }
 
 impl ScheduledCrashAdversary {
@@ -37,7 +37,7 @@ impl ScheduledCrashAdversary {
             victims,
             next_victim: 0,
             withhold_from_victims: false,
-            cursor: 0,
+            cursor: ChannelCursor::default(),
         }
     }
 

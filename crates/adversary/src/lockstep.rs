@@ -20,13 +20,13 @@ use std::collections::BTreeMap;
 use std::collections::VecDeque;
 
 use agreement_model::{Bit, Payload, ProcessorId};
-use agreement_sim::{AsyncAction, AsyncAdversary, SystemView};
+use agreement_sim::{AsyncAction, AsyncAdversary, ChannelCursor, SystemView};
 
 /// The balancing (split-vote) scheduler for Ben-Or under the crash model.
 #[derive(Debug, Clone, Default)]
 pub struct LockstepBalancingAdversary {
     planned: VecDeque<AsyncAction>,
-    fallback_cursor: usize,
+    fallback_cursor: ChannelCursor,
 }
 
 impl LockstepBalancingAdversary {

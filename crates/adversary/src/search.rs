@@ -39,8 +39,8 @@ use std::sync::Arc;
 
 use agreement_model::{Bit, Payload, ProcessorId, ProcessorRng, SystemConfig};
 use agreement_sim::{
-    AsyncAction, AsyncAdversary, BuiltAdversary, PartialSyncAction, PartialSyncAdversary,
-    SystemView, Window, WindowAdversary, ASYNC, PARTIAL_SYNC, WINDOWED,
+    AsyncAction, AsyncAdversary, BuiltAdversary, ChannelCursor, PartialSyncAction,
+    PartialSyncAdversary, SystemView, Window, WindowAdversary, ASYNC, PARTIAL_SYNC, WINDOWED,
 };
 
 /// Tape length of the seed-derived genomes built by the factory entries: long
@@ -358,7 +358,7 @@ impl WindowAdversary for SearchWindowAdversary {
 #[derive(Debug, Clone)]
 pub struct SearchAsyncAdversary {
     reader: TapeReader,
-    cursor: usize,
+    cursor: ChannelCursor,
     corrupted: Vec<ProcessorId>,
 }
 
@@ -367,7 +367,7 @@ impl SearchAsyncAdversary {
     pub fn from_tape(tape: impl Into<Arc<[u8]>>) -> Self {
         SearchAsyncAdversary {
             reader: TapeReader::new(tape),
-            cursor: 0,
+            cursor: ChannelCursor::default(),
             corrupted: Vec::new(),
         }
     }
@@ -491,7 +491,7 @@ pub struct SearchPartialSyncAdversary {
     gst: u64,
     delta: u64,
     omitted: Vec<ProcessorId>,
-    cursor: usize,
+    cursor: ChannelCursor,
 }
 
 impl SearchPartialSyncAdversary {
@@ -517,7 +517,7 @@ impl SearchPartialSyncAdversary {
             gst,
             delta,
             omitted,
-            cursor: 0,
+            cursor: ChannelCursor::default(),
         }
     }
 

@@ -62,7 +62,7 @@ use agreement_model::{
     StateDigest, SystemConfig,
 };
 
-use crate::tally::{bit_is_set, RoundTally};
+use crate::tally::{bit_is_set, RoundTally, VoteCounts};
 
 /// Tally keys.
 const KEY_PROPOSALS: u8 = 0;
@@ -200,17 +200,13 @@ impl CommitteeAgreement {
         self.committee.listed.len() - self.fault_tolerance
     }
 
-    fn try_announce(&mut self, ctx: &mut dyn Context) {
-        if self.announced || !self.is_member {
+    /// A member's step once its tally of proposals reads `proposals`:
+    /// with a quorum in, decide the majority and announce it, once.
+    fn try_announce(&mut self, proposals: VoteCounts, ctx: &mut dyn Context) {
+        if self.announced || proposals.total() < self.committee_quorum() {
             return;
         }
-        if self.votes.total(0, KEY_PROPOSALS) < self.committee_quorum() {
-            return;
-        }
-        let value = self
-            .votes
-            .majority_value(0, KEY_PROPOSALS)
-            .unwrap_or(self.input);
+        let value = proposals.majority_value().unwrap_or(self.input);
         self.announced = true;
         self.decided = Some(value);
         ctx.decide(value);
@@ -219,12 +215,13 @@ impl CommitteeAgreement {
         ctx.broadcast(Payload::Committee(CommitteeMsg::Announce { value }));
     }
 
-    fn try_decide_from_announcements(&mut self, ctx: &mut dyn Context) {
+    /// Any processor's step once its tally of announcements reads
+    /// `announces`: decide the first value `f + 1` members announced.
+    fn try_decide_from_announcements(&mut self, announces: VoteCounts, ctx: &mut dyn Context) {
         if self.decided.is_some() {
             return;
         }
-        let needed = self.fault_tolerance + 1;
-        if let Some(value) = self.votes.value_with_at_least(0, KEY_ANNOUNCES, needed) {
+        if let Some(value) = announces.value_with_at_least(self.fault_tolerance + 1) {
             self.decided = Some(value);
             ctx.decide(value);
         }
@@ -251,14 +248,18 @@ impl Protocol for CommitteeAgreement {
         if !self.committee.contains(from) {
             return;
         }
+        // A duplicate vote changes no count, so it cannot move either step:
+        // both already ran on the counts it would show them.
         match payload {
             Payload::Committee(CommitteeMsg::Proposal { value }) if self.is_member => {
-                self.votes.record(0, KEY_PROPOSALS, from, Some(*value));
-                self.try_announce(ctx);
+                if let Some(proposals) = self.votes.record(0, KEY_PROPOSALS, from, Some(*value)) {
+                    self.try_announce(proposals, ctx);
+                }
             }
             Payload::Committee(CommitteeMsg::Announce { value }) => {
-                self.votes.record(0, KEY_ANNOUNCES, from, Some(*value));
-                self.try_decide_from_announcements(ctx);
+                if let Some(announces) = self.votes.record(0, KEY_ANNOUNCES, from, Some(*value)) {
+                    self.try_decide_from_announcements(announces, ctx);
+                }
             }
             _ => {}
         }

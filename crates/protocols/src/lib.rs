@@ -66,4 +66,4 @@ pub use bracha::{Bracha, BrachaBuilder};
 pub use committee::{CommitteeAgreement, CommitteeBuilder};
 pub use reliable_broadcast::{AcceptedBroadcast, ReliableBroadcaster};
 pub use reset_tolerant::{ResetTolerant, ResetTolerantBuilder};
-pub use tally::RoundTally;
+pub use tally::{RoundTally, VoteCounts};

@@ -29,7 +29,7 @@ use agreement_model::{
     SystemConfig, Thresholds,
 };
 
-use crate::tally::RoundTally;
+use crate::tally::{RoundTally, VoteCounts};
 
 /// Which part of the protocol the processor is currently executing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -108,15 +108,14 @@ impl ResetTolerant {
         });
     }
 
-    /// Executes step 3 for round `r` using the recorded tally, then step 4.
-    fn step_three_and_four(&mut self, r: u64, ctx: &mut dyn Context) {
-        let t2 = self.thresholds.t2();
-        let t3 = self.thresholds.t3();
-        if let Some(v) = self.tally.value_with_at_least(r, 0, t2) {
+    /// Executes step 3 for round `r`, whose recorded votes are `votes`,
+    /// then step 4.
+    fn step_three_and_four(&mut self, r: u64, votes: VoteCounts, ctx: &mut dyn Context) {
+        if let Some(v) = votes.value_with_at_least(self.thresholds.t2()) {
             self.decided = Some(v);
             ctx.decide(v);
         }
-        if let Some(v) = self.tally.value_with_at_least(r, 0, t3) {
+        if let Some(v) = votes.value_with_at_least(self.thresholds.t3()) {
             self.estimate = v;
         } else {
             self.estimate = ctx.random_bit();
@@ -133,23 +132,22 @@ impl ResetTolerant {
     fn try_progress(&mut self, ctx: &mut dyn Context) {
         loop {
             let t1 = self.thresholds.t1();
-            match self.mode {
-                Mode::Normal => {
-                    let r = self.round;
-                    if r > self.last_processed_round && self.tally.total(r, 0) >= t1 {
-                        self.step_three_and_four(r, ctx);
-                    } else {
-                        break;
-                    }
-                }
+            let r = match self.mode {
+                Mode::Normal if self.round > self.last_processed_round => self.round,
+                Mode::Normal => break,
                 Mode::Resync => match self.tally.lowest_round_with_at_least(0, t1) {
                     Some(r) => {
                         self.round = r;
-                        self.step_three_and_four(r, ctx);
+                        r
                     }
                     None => break,
                 },
+            };
+            let votes = self.tally.counts(r, 0);
+            if votes.total() < t1 {
+                break;
             }
+            self.step_three_and_four(r, votes, ctx);
         }
     }
 }
@@ -165,14 +163,24 @@ impl Protocol for ResetTolerant {
             if self.mode == Mode::Normal && *round < self.round {
                 return;
             }
-            let total = self.tally.record(*round, 0, from, Some(*value));
-            // At rest the current round is below T1 — `try_progress` loops
-            // until it is — and in normal mode no other round is looked at:
-            // only a counted vote that lifts the current round to T1 can move
-            // the state machine.
-            let reached_t1 = total.is_some_and(|total| total >= self.thresholds.t1());
-            if self.mode == Mode::Normal && !(reached_t1 && *round == self.round) {
-                return;
+            let counted = self.tally.record(*round, 0, from, Some(*value));
+            if self.mode == Mode::Normal {
+                // At rest the current round is below T1 — `try_progress`
+                // loops until it is — and in normal mode no other round is
+                // looked at: only a counted vote that lifts the current round
+                // to T1 can move the state machine, and its counts are the
+                // ones step 3 reads.
+                match counted {
+                    Some(votes)
+                        if *round == self.round && votes.total() >= self.thresholds.t1() =>
+                    {
+                        // Normal mode is only ever entered one round past
+                        // the last processed one.
+                        debug_assert!(self.round > self.last_processed_round);
+                        self.step_three_and_four(*round, votes, ctx);
+                    }
+                    _ => return,
+                }
             }
             self.try_progress(ctx);
         }

@@ -23,8 +23,6 @@
 //! once as it ever will, recording a vote never allocates, and retiring never
 //! does.
 
-use std::cmp::Ordering;
-
 use agreement_model::{Bit, ProcessorId};
 
 /// A per-key tally of binary (or abstaining) votes with one vote per sender.
@@ -66,14 +64,73 @@ pub(crate) fn bit_is_set(words: &[u64], index: usize) -> bool {
         .is_some_and(|word| word & (1 << (index % 64)) != 0)
 }
 
+/// The votes recorded for one `(round, phase)` key, as
+/// [`RoundTally::record`] hands them back: per value, how many distinct
+/// senders cast it.
+///
+/// # Examples
+///
+/// ```
+/// use agreement_model::{Bit, ProcessorId};
+/// use agreement_protocols::RoundTally;
+///
+/// let mut tally = RoundTally::new();
+/// tally.record(1, 0, ProcessorId::new(0), Some(Bit::One));
+/// let counts = tally.record(1, 0, ProcessorId::new(1), None).unwrap();
+/// assert_eq!((counts.total(), counts.count(Bit::One)), (2, 1));
+/// assert_eq!(counts.value_with_at_least(2), None);
+/// ```
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct VoteCounts {
+    zeros: u32,
+    ones: u32,
+    abstains: u32,
+}
+
+impl VoteCounts {
+    /// Number of distinct voters.
+    pub fn total(self) -> usize {
+        (self.zeros + self.ones + self.abstains) as usize
+    }
+
+    /// Number of votes for `value`.
+    pub fn count(self, value: Bit) -> usize {
+        match value {
+            Bit::Zero => self.zeros as usize,
+            Bit::One => self.ones as usize,
+        }
+    }
+
+    /// Number of abstentions (`None` votes).
+    pub fn abstentions(self) -> usize {
+        self.abstains as usize
+    }
+
+    /// The value with the most votes; ties favour [`Bit::One`], and only
+    /// abstentions (or no votes) give `None`.
+    pub fn majority_value(self) -> Option<Bit> {
+        self.value_with_at_least(1)
+    }
+
+    /// Returns `Some(v)` if at least `threshold` votes were cast for `v`. If
+    /// both values reach the threshold (only possible when `2 * threshold
+    /// <= total votes`), the larger count wins and ties favour [`Bit::One`].
+    pub fn value_with_at_least(self, threshold: usize) -> Option<Bit> {
+        let leader = if self.ones >= self.zeros {
+            (Bit::One, self.ones)
+        } else {
+            (Bit::Zero, self.zeros)
+        };
+        (leader.1 as usize >= threshold).then_some(leader.0)
+    }
+}
+
 /// The votes recorded for one `(round, phase)` key.
 #[derive(Debug, Clone)]
 struct Slot {
     round: u64,
     phase: u8,
-    zeros: usize,
-    ones: usize,
-    abstains: usize,
+    counts: VoteCounts,
     /// Bit `i` is set once processor `i` has voted for this key.
     voters: Vec<u64>,
 }
@@ -83,9 +140,7 @@ impl Slot {
         Slot {
             round: 0,
             phase: 0,
-            zeros: 0,
-            ones: 0,
-            abstains: 0,
+            counts: VoteCounts::default(),
             voters: vec![0; voter_words],
         }
     }
@@ -94,23 +149,17 @@ impl Slot {
         (self.round, self.phase)
     }
 
-    fn total(&self) -> usize {
-        self.zeros + self.ones + self.abstains
-    }
-
     fn has_voted(&self, sender: ProcessorId) -> bool {
         bit_is_set(&self.voters, sender.index())
     }
 
-    /// The value `threshold` votes were cast for, as documented on
-    /// [`RoundTally::value_with_at_least`].
-    fn leading_value(&self, threshold: usize) -> Option<Bit> {
-        let leader = if self.ones >= self.zeros {
-            (Bit::One, self.ones)
-        } else {
-            (Bit::Zero, self.zeros)
-        };
-        (leader.1 >= threshold).then_some(leader.0)
+    /// Grows the voter set to hold word `word`, for a sender beyond the
+    /// identities the tally was sized for, and returns that word.
+    #[cold]
+    #[inline(never)]
+    fn grow_voters(&mut self, word: usize) -> &mut u64 {
+        self.voters.resize(word + 1, 0);
+        &mut self.voters[word]
     }
 }
 
@@ -145,13 +194,19 @@ impl RoundTally {
     /// Where `(round, phase)` is among the live keys, or where it would be
     /// inserted. Scans from the back: protocols ask about their newest
     /// rounds.
+    #[inline]
     fn position(&self, round: u64, phase: u8) -> Result<usize, usize> {
-        for (i, slot) in self.live().iter().enumerate().rev() {
-            match slot.key().cmp(&(round, phase)) {
-                Ordering::Equal => return Ok(i),
-                Ordering::Less => return Err(i + 1),
-                Ordering::Greater => {}
+        let key = (round, phase);
+        let live = self.live();
+        // One past the candidate: the loop counts down to the first key not
+        // above `key`.
+        let mut end = live.len();
+        while end > 0 {
+            let at = live[end - 1].key();
+            if at <= key {
+                return if at == key { Ok(end - 1) } else { Err(end) };
             }
+            end -= 1;
         }
         Err(0)
     }
@@ -160,67 +215,81 @@ impl RoundTally {
         self.position(round, phase).ok().map(|i| &self.slots[i])
     }
 
+    /// The counts of `(round, phase)`: all zero for a key nobody voted for.
+    pub(crate) fn counts(&self, round: u64, phase: u8) -> VoteCounts {
+        self.slot(round, phase)
+            .map_or_else(VoteCounts::default, |k| k.counts)
+    }
+
     /// Records a vote from `sender` for key `(round, phase)`.
     ///
     /// `value` of `None` records an abstention (e.g. Ben-Or's `?` proposal).
-    /// Returns the key's new [`total`](RoundTally::total) if the vote was
-    /// counted — so a caller waiting for a quorum need not look the key up a
+    /// Returns the key's counts with the vote in if it was counted — so a
+    /// caller waiting for a quorum or a threshold need not look the key up a
     /// second time — and `None` if this sender had already voted for this
     /// key.
+    #[inline]
     pub fn record(
         &mut self,
         round: u64,
         phase: u8,
         sender: ProcessorId,
         value: Option<Bit>,
-    ) -> Option<usize> {
+    ) -> Option<VoteCounts> {
         let at = match self.position(round, phase) {
             Ok(at) => at,
-            Err(at) => {
-                if self.live == self.slots.len() {
-                    self.slots.push(Slot::empty(self.voter_words));
-                }
-                // The first spare takes the key and moves into sorted place.
-                self.slots[self.live].round = round;
-                self.slots[self.live].phase = phase;
-                self.slots[at..=self.live].rotate_right(1);
-                self.live += 1;
-                at
-            }
+            Err(at) => self.open(at, round, phase),
         };
         let slot = &mut self.slots[at];
         let (word, bit) = (sender.index() / 64, 1u64 << (sender.index() % 64));
-        if word >= slot.voters.len() {
-            slot.voters.resize(word + 1, 0);
-        }
-        if slot.voters[word] & bit != 0 {
+        let voters = match slot.voters.get_mut(word) {
+            Some(voters) => voters,
+            None => slot.grow_voters(word),
+        };
+        if *voters & bit != 0 {
             return None;
         }
-        slot.voters[word] |= bit;
+        *voters |= bit;
+        let counts = &mut slot.counts;
         match value {
-            Some(Bit::Zero) => slot.zeros += 1,
-            Some(Bit::One) => slot.ones += 1,
-            None => slot.abstains += 1,
+            Some(Bit::Zero) => counts.zeros += 1,
+            Some(Bit::One) => counts.ones += 1,
+            None => counts.abstains += 1,
         }
-        Some(slot.total())
+        Some(*counts)
+    }
+
+    /// The cold half of [`RoundTally::record`]: opens key `(round, phase)`
+    /// at live position `at`, in the first spare slot (a new one if none is
+    /// left), and returns `at`. A protocol opens a handful of keys per round
+    /// and records a vote on every delivered message.
+    #[cold]
+    #[inline(never)]
+    fn open(&mut self, at: usize, round: u64, phase: u8) -> usize {
+        if self.live == self.slots.len() {
+            self.slots.push(Slot::empty(self.voter_words));
+        }
+        // The first spare takes the key and moves into sorted place.
+        self.slots[self.live].round = round;
+        self.slots[self.live].phase = phase;
+        self.slots[at..=self.live].rotate_right(1);
+        self.live += 1;
+        at
     }
 
     /// Total number of distinct voters recorded for `(round, phase)`.
     pub fn total(&self, round: u64, phase: u8) -> usize {
-        self.slot(round, phase).map_or(0, Slot::total)
+        self.counts(round, phase).total()
     }
 
     /// Number of votes for `value` recorded for `(round, phase)`.
     pub fn count(&self, round: u64, phase: u8, value: Bit) -> usize {
-        self.slot(round, phase).map_or(0, |k| match value {
-            Bit::Zero => k.zeros,
-            Bit::One => k.ones,
-        })
+        self.counts(round, phase).count(value)
     }
 
     /// Number of abstentions (`None` votes) recorded for `(round, phase)`.
     pub fn abstentions(&self, round: u64, phase: u8) -> usize {
-        self.slot(round, phase).map_or(0, |k| k.abstains)
+        self.counts(round, phase).abstentions()
     }
 
     /// Returns `true` if `sender` has already voted for `(round, phase)`.
@@ -231,14 +300,16 @@ impl RoundTally {
     /// The value with the most votes for `(round, phase)`; ties favour
     /// [`Bit::One`] (a fixed, publicly known tie-break).
     pub fn majority_value(&self, round: u64, phase: u8) -> Option<Bit> {
-        self.slot(round, phase)?.leading_value(1)
+        self.counts(round, phase).majority_value()
     }
 
-    /// Returns `Some(v)` if at least `threshold` votes were cast for `v`.
-    /// If both values reach the threshold (only possible when `2 * threshold
-    /// <= total votes`), the larger count wins and ties favour [`Bit::One`].
+    /// Returns `Some(v)` if at least `threshold` votes were cast for `v`,
+    /// as [`VoteCounts::value_with_at_least`] decides it; `None` for a key
+    /// nobody voted for.
     pub fn value_with_at_least(&self, round: u64, phase: u8, threshold: usize) -> Option<Bit> {
-        self.slot(round, phase)?.leading_value(threshold)
+        self.slot(round, phase)?
+            .counts
+            .value_with_at_least(threshold)
     }
 
     /// Rounds for which at least `threshold` distinct voters have been
@@ -257,7 +328,7 @@ impl RoundTally {
     fn ready_rounds(&self, phase: u8, threshold: usize) -> impl Iterator<Item = u64> + '_ {
         self.live()
             .iter()
-            .filter(move |k| k.phase == phase && k.total() >= threshold)
+            .filter(move |k| k.phase == phase && k.counts.total() >= threshold)
             .map(|k| k.round)
     }
 
@@ -276,9 +347,7 @@ impl RoundTally {
     /// Wipes the first `count` live slots and moves them behind the rest.
     fn retire(&mut self, count: usize) {
         for slot in &mut self.slots[..count] {
-            slot.zeros = 0;
-            slot.ones = 0;
-            slot.abstains = 0;
+            slot.counts = VoteCounts::default();
             slot.voters.fill(0);
         }
         self.slots[..self.live].rotate_left(count);
@@ -326,6 +395,16 @@ mod tests {
             self.votes
                 .get(&(round, phase))
                 .map_or(0, |k| k.voters.len())
+        }
+
+        fn counts(&self, round: u64, phase: u8) -> VoteCounts {
+            self.votes
+                .get(&(round, phase))
+                .map_or_else(VoteCounts::default, |k| VoteCounts {
+                    zeros: k.zeros as u32,
+                    ones: k.ones as u32,
+                    abstains: k.abstains as u32,
+                })
         }
 
         fn count(&self, round: u64, phase: u8, value: Bit) -> usize {
@@ -494,10 +573,12 @@ mod tests {
                         let context = format!(
                             "seed {seed} op {op}: record({round}, {phase}, {sender}, {value:?})"
                         );
+                        // The key's counts with the vote in, `None` for a
+                        // duplicate.
                         let counted = reference.record(round, phase, sender, value);
                         assert_eq!(
                             flat.record(round, phase, sender, value),
-                            counted.then(|| reference.total(round, phase)),
+                            counted.then(|| reference.counts(round, phase)),
                             "{context}"
                         );
                         context
@@ -515,13 +596,12 @@ mod tests {
             for i in 0..9 {
                 // From the second round on, p(12)'s early vote is in already.
                 let early = usize::from(round > 1);
-                assert_eq!(
-                    t.record(round, 0, p(i), Some(Bit::One)),
-                    Some(i + 1 + early)
-                );
+                let counted = t.record(round, 0, p(i), Some(Bit::One));
+                assert_eq!(counted.map(VoteCounts::total), Some(i + 1 + early));
             }
             // An early vote for the next round, from someone else.
-            assert_eq!(t.record(round + 1, 0, p(12), Some(Bit::Zero)), Some(1));
+            let counted = t.record(round + 1, 0, p(12), Some(Bit::Zero));
+            assert_eq!(counted.map(VoteCounts::total), Some(1));
             t.forget_rounds_before(round + 1);
             assert_eq!(t.total(round, 0), 0);
             assert_eq!(t.total(round + 1, 0), 1);
@@ -539,7 +619,8 @@ mod tests {
     #[test]
     fn duplicate_votes_are_ignored() {
         let mut t = RoundTally::new();
-        assert_eq!(t.record(1, 0, p(0), Some(Bit::One)), Some(1));
+        let counted = t.record(1, 0, p(0), Some(Bit::One));
+        assert_eq!(counted.map(VoteCounts::total), Some(1));
         assert_eq!(t.record(1, 0, p(0), Some(Bit::One)), None);
         assert_eq!(t.record(1, 0, p(0), Some(Bit::Zero)), None);
         assert_eq!(t.total(1, 0), 1);

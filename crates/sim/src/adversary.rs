@@ -23,7 +23,7 @@ use std::cell::{Cell, RefCell};
 
 use agreement_model::{Bit, Payload, ProcessorId, StateDigest, SystemConfig};
 
-use crate::buffer::MessageBuffer;
+use crate::buffer::{ChannelCursor, MessageBuffer};
 use crate::harness::{ProcessorHarness, Status};
 use crate::window::Window;
 
@@ -153,34 +153,38 @@ impl<'a> SystemView<'a> {
     }
 
     /// Finds the first nonempty channel at or after `cursor` in the
-    /// sender-major round-robin order (channel `(from, to)` has index
-    /// `from * n + to`), skipping channels whose recipient has crashed.
+    /// sender-major round robin over the `n × n` channels, skipping channels
+    /// whose recipient has crashed.
     ///
-    /// Returns the cursor to resume the round-robin from (the slot *after*
-    /// the found channel, already wrapped) alongside the channel's endpoints;
-    /// an adversary that acts on the channel persists it, one that defers
-    /// (e.g. to corrupt the head first) leaves its own cursor untouched.
-    /// This is the shared scan loop of every fair-scheduling adversary; it
-    /// allocates nothing and is amortized O(1) per delivery.
-    pub fn next_pending_channel(&self, cursor: usize) -> Option<(usize, ProcessorId, ProcessorId)> {
+    /// Returns the cursor to resume the round robin from (the channel
+    /// *after* the found one, already wrapped) alongside the channel's
+    /// endpoints; an adversary that acts on the channel persists it, one that
+    /// defers (e.g. to corrupt the head first) leaves its own cursor
+    /// untouched. This is the shared scan loop of every fair-scheduling
+    /// adversary; it allocates nothing and is amortized O(1) per delivery.
+    #[inline]
+    pub fn next_pending_channel(
+        &self,
+        cursor: ChannelCursor,
+    ) -> Option<(ChannelCursor, ProcessorId, ProcessorId)> {
         self.next_pending_channel_where(cursor, |_, _| true)
     }
 
     /// Like [`SystemView::next_pending_channel`], but additionally skips
     /// channels rejected by `admit(from, to)` (e.g. withheld senders).
     ///
-    /// Delegates to
-    /// [`MessageBuffer::next_pending_channel_where`], which walks its live
-    /// bitset of senders and, within a lane, only the cursor row and
-    /// materialized queues (one scan for both layouts). Crashed recipients
-    /// are folded into the admission predicate here, since crash state lives
-    /// in the view, not the buffer: one byte of the dense status array per
-    /// candidate channel, never a harness.
+    /// Delegates to [`MessageBuffer::next_pending_channel_where`], which
+    /// tries the cursor's own channel first and only then scans its live
+    /// bitset of senders and, within a lane, the cursor row and materialized
+    /// queues. Crashed recipients are folded into the admission predicate
+    /// here, since crash state lives in the view, not the buffer: one byte of
+    /// the dense status array per candidate channel, never a harness.
+    #[inline]
     pub fn next_pending_channel_where(
         &self,
-        cursor: usize,
+        cursor: ChannelCursor,
         admit: impl Fn(ProcessorId, ProcessorId) -> bool,
-    ) -> Option<(usize, ProcessorId, ProcessorId)> {
+    ) -> Option<(ChannelCursor, ProcessorId, ProcessorId)> {
         let status = self.status;
         self.buffer
             .next_pending_channel_where(self.n(), cursor, move |from, to| {
@@ -399,12 +403,14 @@ impl WindowAdversary for FullDeliveryAdversary {
     }
 }
 
-/// The benign asynchronous adversary: delivers the oldest message of the
-/// least-recently-served nonempty channel, never crashes anybody. This yields
-/// a fair, round-robin schedule.
+/// The benign asynchronous adversary: a sender-major round robin over the
+/// channels from a cursor — each step delivers the oldest message of the
+/// first nonempty channel at or after it, then moves the cursor past that
+/// channel — and never crashes anybody. Every pending message is delivered
+/// within one pass over the channels: a fair schedule.
 #[derive(Debug, Clone, Default)]
 pub struct FairAsyncAdversary {
-    cursor: usize,
+    cursor: ChannelCursor,
 }
 
 impl AsyncAdversary for FairAsyncAdversary {
@@ -428,7 +434,7 @@ impl AsyncAdversary for FairAsyncAdversary {
 /// buffer is quiescent (nothing pending means nothing can ever change).
 #[derive(Debug, Clone, Default)]
 pub struct BenignEventualAdversary {
-    cursor: usize,
+    cursor: ChannelCursor,
 }
 
 impl BenignEventualAdversary {

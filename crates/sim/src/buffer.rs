@@ -760,50 +760,55 @@ impl MessageBuffer {
     }
 
     /// Finds the first channel with a pending message at or after `cursor`
-    /// (wrapping round-robin over the `n * n` sender-major channel space)
-    /// whose endpoints the `admit` predicate accepts. Returns the advanced
-    /// cursor — one past the hit — plus the channel's endpoints, or `None`
-    /// when no admitted channel has pending messages.
+    /// in the sender-major round robin over the `n × n` channels — wrapping
+    /// after `(n − 1, n − 1)` — whose endpoints the `admit` predicate
+    /// accepts. Returns the cursor to resume from — the channel after the
+    /// hit — plus the hit's endpoints, or `None` when no admitted channel has
+    /// pending messages.
     ///
     /// `n` is the *caller's* channel space (the system size), which may
-    /// exceed the buffer's own coverage when the buffer was grown lazily;
-    /// cursor arithmetic always uses `n * n` so round-robin fairness is over
-    /// the system, not the traffic pattern. Idle senders are skipped
-    /// sixty-four at a time through the live bitset, and within a lane only
-    /// its cursor row and materialized queues are visited, making the common
-    /// adversary pattern — resume-where-you-left-off round-robin — amortized
-    /// O(1) per delivery instead of O(n²).
+    /// exceed the buffer's own coverage when the buffer was grown lazily, so
+    /// that round-robin fairness is over the system, not the traffic pattern;
+    /// a cursor outside it starts from `(0, 0)`.
+    ///
+    /// The cursor's own channel is tried first, inline: a resumed round
+    /// robin over broadcasts mostly finds the next recipient of the same
+    /// broadcast pending behind the cursor it left. Only a miss — the
+    /// channel empty, addressed by index queues alone, or not admitted —
+    /// goes to the out-of-line scan, which skips idle senders sixty-four at
+    /// a time through the live bitset and within a lane visits only its
+    /// cursor row and materialized queues: amortized O(1) per delivery
+    /// instead of O(n²).
     #[inline]
     pub fn next_pending_channel_where(
         &self,
         n: usize,
-        cursor: usize,
+        cursor: ChannelCursor,
         admit: impl Fn(ProcessorId, ProcessorId) -> bool,
-    ) -> Option<(usize, ProcessorId, ProcessorId)> {
-        let channels = n * n;
-        if channels == 0 || self.is_empty() {
+    ) -> Option<(ChannelCursor, ProcessorId, ProcessorId)> {
+        let (s, r) = cursor.within(n)?;
+        let own = self.lanes.get(s).is_some_and(|lane| {
+            lane.cursor(r) < lane.broadcasts.len()
+                && admit(ProcessorId::new(s), ProcessorId::new(r))
+        });
+        let hit = if own {
+            Hit::new(s, r)
+        } else if self.is_empty() {
             return None;
-        }
-        // Callers resume from the cursor a previous call returned, which is
-        // already inside the channel space: one division, not three.
-        let start = if cursor < channels {
-            cursor
         } else {
-            cursor % channels
+            self.scan_from(n, s, r, &admit)?
         };
-        let hit = self.scan_from(n, start, &admit)?;
         let (s, r) = (hit.sender(), hit.recipient());
-        // `s * n + r` is a channel index; one past the last wraps to 0.
-        let next = s * n + r + 1;
         Some((
-            if next == channels { 0 } else { next },
+            ChannelCursor::after(s, r, n),
             ProcessorId::new(s),
             ProcessorId::new(r),
         ))
     }
 
     /// The scan behind [`MessageBuffer::next_pending_channel_where`], from
-    /// channel `start < n * n` on: the sender and recipient of the hit.
+    /// channel `(s0, r0)` on (both below `n`): the sender and recipient of
+    /// the hit.
     ///
     /// Kept out of line, and its result one word ([`Hit`]), on purpose: this
     /// is the one call of an asynchronous step the optimizer does not inline,
@@ -814,11 +819,10 @@ impl MessageBuffer {
     fn scan_from(
         &self,
         n: usize,
-        start: usize,
+        s0: usize,
+        r0: usize,
         admit: &impl Fn(ProcessorId, ProcessorId) -> bool,
     ) -> Option<Hit> {
-        let s0 = start / n;
-        let r0 = start - s0 * n;
         let lanes = &self.lanes[..self.lanes.len().min(n)];
         // The cursor lane's recipients at or after the cursor; then every
         // other lane in cursor order — senders after the cursor, then
@@ -841,8 +845,8 @@ impl MessageBuffer {
     pub fn next_pending_channel(
         &self,
         n: usize,
-        cursor: usize,
-    ) -> Option<(usize, ProcessorId, ProcessorId)> {
+        cursor: ChannelCursor,
+    ) -> Option<(ChannelCursor, ProcessorId, ProcessorId)> {
         self.next_pending_channel_where(n, cursor, |_, _| true)
     }
 
@@ -946,6 +950,59 @@ impl Lane {
             ));
         }
         Ok(())
+    }
+}
+
+/// A position in the sender-major round robin over the `n × n` channels:
+/// the channel `(sender, recipient)` a scan
+/// ([`MessageBuffer::next_pending_channel_where`]) tries first. The default
+/// is channel `(0, 0)`; every scan hands back the channel after its hit.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ChannelCursor {
+    sender: u32,
+    recipient: u32,
+}
+
+impl ChannelCursor {
+    /// The cursor at channel `from -> to`.
+    pub fn at(from: ProcessorId, to: ProcessorId) -> Self {
+        let id = |p: ProcessorId| u32::try_from(p.index()).unwrap_or(u32::MAX);
+        ChannelCursor {
+            sender: id(from),
+            recipient: id(to),
+        }
+    }
+
+    /// The channel after `(s, r)` in an `n × n` round robin: `(s, r + 1)`,
+    /// the next sender's first channel past the last recipient, `(0, 0)`
+    /// past the last channel.
+    #[inline]
+    fn after(s: usize, r: usize, n: usize) -> Self {
+        let (s, r) = if r + 1 < n {
+            (s, r + 1)
+        } else if s + 1 < n {
+            (s + 1, 0)
+        } else {
+            (0, 0)
+        };
+        // Both are below `n`, and a hit's endpoints fit a `u32` (see `Hit`).
+        ChannelCursor {
+            sender: s as u32,
+            recipient: r as u32,
+        }
+    }
+
+    /// The cursor's sender and recipient in an `n × n` round robin: as they
+    /// are when both lie below `n`, `(0, 0)` otherwise, and `None` when
+    /// there are no channels (`n == 0`).
+    #[inline]
+    fn within(self, n: usize) -> Option<(usize, usize)> {
+        let (s, r) = (self.sender as usize, self.recipient as usize);
+        if s < n && r < n {
+            Some((s, r))
+        } else {
+            (n > 0).then_some((0, 0))
+        }
     }
 }
 
@@ -1384,7 +1441,8 @@ mod tests {
         assert_eq!(buf.delivered_count(), 0);
         assert_eq!(buf.dropped_count(), 0);
         assert!(
-            buf.next_pending_channel(3, 0).is_none(),
+            buf.next_pending_channel(3, ChannelCursor::default())
+                .is_none(),
             "live bits cleared"
         );
         assert_eq!(buf.check_lanes(), Ok(()));
@@ -1447,14 +1505,16 @@ mod tests {
         buf.enqueue(env(64, 41, 3));
         buf.drop_to(id(40));
         assert_eq!(buf.dropped_count(), 2);
-        let hit = buf.next_pending_channel(n, 0);
+        let hit = buf.next_pending_channel(n, ChannelCursor::default());
         assert_eq!(
             hit.map(|(_, f, t)| (f.index(), t.index())),
             Some((64, 41)),
             "sender 10's lane went idle with the drop; the scan skips it"
         );
         buf.pop(id(64), id(41));
-        assert!(buf.next_pending_channel(n, 0).is_none());
+        assert!(buf
+            .next_pending_channel(n, ChannelCursor::default())
+            .is_none());
     }
 
     #[test]
@@ -1576,21 +1636,100 @@ mod tests {
             self.channels.get(&(s, r)).is_some_and(|c| !c.is_empty())
         }
 
+        /// The first pending, admitted channel from channel index `start`
+        /// on (`s * n + r` numbers channel `(s, r)`), wrapping: its index.
         fn next_pending_where(
             &self,
-            cursor: usize,
+            start: usize,
             admit: impl Fn(usize, usize) -> bool,
-        ) -> Option<(usize, ProcessorId, ProcessorId)> {
+        ) -> Option<usize> {
             let (n, channels) = (self.n, self.n * self.n);
             (0..channels)
-                .map(|offset| (cursor + offset) % channels)
+                .map(|offset| (start + offset) % channels)
                 .find(|&idx| admit(idx / n, idx % n) && self.has_pending(idx / n, idx % n))
-                .map(|idx| ((idx + 1) % channels, id(idx / n), id(idx % n)))
+        }
+    }
+
+    /// The paths through [`MessageBuffer::next_pending_channel_where`] a
+    /// differential run's scans took, counted so that the test can insist
+    /// every one of them was compared against the model.
+    #[derive(Debug, Default)]
+    struct ScanPaths {
+        /// The cursor's own channel held a broadcast behind its cursor, and
+        /// the scan admitted it: the inline hit.
+        own_hit: usize,
+        /// The own channel held such a broadcast, but `admit` turned it
+        /// away, as for a crashed recipient.
+        own_rejected: usize,
+        /// The own channel was pending on its index queue alone.
+        queue_only: usize,
+        /// The hit lay before the cursor, or was channel `(n − 1, n − 1)`:
+        /// the round robin wrapped.
+        wrapped: usize,
+    }
+
+    /// Every scan [`MessageBuffer::next_pending_channel_where`] can make
+    /// from channel index `start` — all admitted, a picky predicate, and one
+    /// that turns a `down` recipient away as the view does a crashed one —
+    /// against the model, counting the paths taken into `paths`.
+    fn assert_scans_from(
+        buf: &MessageBuffer,
+        model: &Model,
+        start: usize,
+        down: usize,
+        paths: &mut ScanPaths,
+        at: &str,
+    ) {
+        let n = model.n;
+        let (s, r) = (start / n, start % n);
+        let cursor = ChannelCursor::at(id(s), id(r));
+        let by_cast = buf
+            .lanes
+            .get(s)
+            .is_some_and(|lane| lane.cursor(r) < lane.broadcasts.len());
+        let picky = |s: usize, r: usize| !(s + 2 * r).is_multiple_of(3);
+        let up = |_: usize, r: usize| r != down;
+        let admitters: [&dyn Fn(usize, usize) -> bool; 3] = [&|_, _| true, &picky, &up];
+        for (which, admit) in admitters.into_iter().enumerate() {
+            let expected = model.next_pending_where(start, admit).map(|hit| {
+                let (hs, hr) = (hit / n, hit % n);
+                if hit < start || hit == n * n - 1 {
+                    paths.wrapped += 1;
+                }
+                (ChannelCursor::after(hs, hr, n), id(hs), id(hr))
+            });
+            let found =
+                buf.next_pending_channel_where(n, cursor, |s, r| admit(s.index(), r.index()));
+            assert_eq!(found, expected, "scan {which} from ({s}, {r}) {at}");
+            if by_cast && admit(s, r) {
+                paths.own_hit += 1;
+            } else if by_cast {
+                paths.own_rejected += 1;
+            } else if model.has_pending(s, r) {
+                paths.queue_only += 1;
+            }
+        }
+        // Past the channel space the round robin starts over at (0, 0).
+        for outside in [
+            ChannelCursor::at(id(n), id(0)),
+            ChannelCursor::at(id(0), id(n)),
+        ] {
+            let expected = model.next_pending_where(0, |_, _| true);
+            let found = buf
+                .next_pending_channel(n, outside)
+                .map(|(_, f, t)| f.index() * n + t.index());
+            assert_eq!(found, expected, "scan from {outside:?} {at}");
         }
     }
 
     /// Every read the buffer offers, against the model.
-    fn assert_matches(buf: &MessageBuffer, model: &Model, rng: &mut ProcessorRng, at: &str) {
+    fn assert_matches(
+        buf: &MessageBuffer,
+        model: &Model,
+        rng: &mut ProcessorRng,
+        paths: &mut ScanPaths,
+        at: &str,
+    ) {
         let n = model.n;
         let held: Vec<(usize, usize, Payload)> = buf
             .iter()
@@ -1637,35 +1776,27 @@ mod tests {
                 );
             }
         }
-        // Every cursor where that is cheap, a sample (with wrap-around)
-        // where it is not.
+        // Every channel as the cursor for n ≤ 8; a sample, plus the last
+        // channel, above.
         let channels = n * n;
-        let cursors: Vec<usize> = if channels <= 64 {
-            (0..=channels).collect()
+        let starts: Vec<usize> = if n <= 8 {
+            (0..channels).collect()
         } else {
             (0..12)
-                .map(|_| rng.range(2 * channels as u64) as usize)
+                .map(|_| rng.range(channels as u64) as usize)
+                .chain([channels - 1])
                 .collect()
         };
-        let picky = |s: usize, r: usize| !(s + 2 * r).is_multiple_of(3);
-        for cursor in cursors {
-            assert_eq!(
-                buf.next_pending_channel(n, cursor),
-                model.next_pending_where(cursor, |_, _| true),
-                "scan from {cursor} {at}"
-            );
-            assert_eq!(
-                buf.next_pending_channel_where(n, cursor, |s, r| picky(s.index(), r.index())),
-                model.next_pending_where(cursor, picky),
-                "picky scan from {cursor} {at}"
-            );
+        let down = rng.range(n as u64) as usize;
+        for start in starts {
+            assert_scans_from(buf, model, start, down, paths, at);
         }
     }
 
     /// Drives one buffer and the model through `ops` seeded random
     /// operations, comparing every result and, after each operation, every
     /// read.
-    fn run_differential(n: usize, seed: u64, ops: usize) {
+    fn run_differential(n: usize, seed: u64, ops: usize, paths: &mut ScanPaths) {
         let mut rng = ProcessorRng::labelled(seed, n as u64);
         let mut buf = MessageBuffer::with_processors(n);
         let mut model = Model {
@@ -1685,9 +1816,9 @@ mod tests {
             let any = |rng: &mut ProcessorRng| rng.range(n as u64) as usize;
             // Mostly aim at a channel that has something on it.
             let aim = |rng: &mut ProcessorRng, model: &Model| {
-                let cursor = rng.range((n * n) as u64) as usize;
-                match model.next_pending_where(cursor, |_, _| true) {
-                    Some((_, s, r)) if rng.range(4) > 0 => (s.index(), r.index()),
+                let start = rng.range((n * n) as u64) as usize;
+                match model.next_pending_where(start, |_, _| true) {
+                    Some(hit) if rng.range(4) > 0 => (hit / n, hit % n),
                     _ => (any(rng), any(rng)),
                 }
             };
@@ -1770,7 +1901,7 @@ mod tests {
                 }
             }
             assert_eq!(buf.check_lanes(), Ok(()), "{at}");
-            assert_matches(&buf, &model, &mut rng, &at);
+            assert_matches(&buf, &model, &mut rng, paths, &at);
         }
     }
 
@@ -1783,9 +1914,11 @@ mod tests {
             buf.delivered_count(),
             buf.dropped_count(),
         ];
-        let scans: Vec<_> = (0..=n * n)
+        let scans: Vec<_> = (0..n * n)
             .step_by(1 + n * n / 16)
-            .map(|cursor| buf.next_pending_channel(n, cursor))
+            .map(|start| {
+                buf.next_pending_channel(n, ChannelCursor::at(id(start / n), id(start % n)))
+            })
             .collect();
         let bounds: Vec<_> = (0..n).map(|s| buf.pending_since(id(s))).collect();
         format!(
@@ -2034,11 +2167,23 @@ mod tests {
 
     #[test]
     fn buffer_matches_the_reference_model_on_random_traffic() {
+        let mut paths = ScanPaths::default();
         for seed in 0..6 {
-            run_differential(5, seed, 1_500);
+            run_differential(5, seed, 1_500, &mut paths);
         }
-        run_differential(1, 7, 200);
+        run_differential(1, 7, 200, &mut paths);
+        run_differential(8, 9, 400, &mut paths);
         // Past one word of the live bitset.
-        run_differential(67, 8, 250);
+        run_differential(67, 8, 250, &mut paths);
+        let ScanPaths {
+            own_hit,
+            own_rejected,
+            queue_only,
+            wrapped,
+        } = paths;
+        assert!(
+            own_hit > 0 && own_rejected > 0 && queue_only > 0 && wrapped > 0,
+            "a scan path went untested: {paths:?}"
+        );
     }
 }

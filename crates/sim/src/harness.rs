@@ -79,7 +79,11 @@ struct HarnessCore {
     cfg: SystemConfig,
     input: Bit,
     reset_count: u64,
-    rng: ProcessorRng,
+    /// The master seed the private random stream derives from, with `id`.
+    master_seed: u64,
+    /// The private random stream, derived at the first draw: most protocols
+    /// never flip a coin, and deriving a stream costs six `splitmix64`s.
+    rng: Option<ProcessorRng>,
     coin_flips: u64,
     outbox: Vec<Outgoing>,
     /// The recipients of the staged multicasts, back to back; emptied with
@@ -89,6 +93,17 @@ struct HarnessCore {
 }
 
 impl HarnessCore {
+    /// Counts a draw and hands out the private random stream, deriving it
+    /// on the first: bit for bit the stream
+    /// [`ProcessorRng::for_processor`] gives for the master seed and `id`.
+    #[inline]
+    fn draw(&mut self) -> &mut ProcessorRng {
+        self.coin_flips += 1;
+        let (seed, id) = (self.master_seed, self.id);
+        self.rng
+            .get_or_insert_with(|| ProcessorRng::for_processor(seed, id))
+    }
+
     /// Forgets every staged message, keeping the allocations.
     fn clear_outbox(&mut self) {
         self.outbox.clear();
@@ -139,18 +154,15 @@ impl Context for HarnessContext<'_> {
     }
 
     fn random_bit(&mut self) -> Bit {
-        self.core.coin_flips += 1;
-        self.core.rng.bit()
+        self.core.draw().bit()
     }
 
     fn random_range(&mut self, bound: u64) -> u64 {
-        self.core.coin_flips += 1;
-        self.core.rng.range(bound)
+        self.core.draw().range(bound)
     }
 
     fn random_ticket(&mut self) -> u64 {
-        self.core.coin_flips += 1;
-        self.core.rng.ticket()
+        self.core.draw().ticket()
     }
 
     fn decide(&mut self, value: Bit) {
@@ -183,7 +195,7 @@ impl ProcessorHarness {
     ///
     /// The protocol instance is created through `builder`; the processor's
     /// private random stream is derived deterministically from `master_seed`
-    /// and `id`.
+    /// and `id`, at its first draw.
     pub fn new(
         id: ProcessorId,
         input: Bit,
@@ -198,7 +210,8 @@ impl ProcessorHarness {
                 cfg,
                 input,
                 reset_count: 0,
-                rng: ProcessorRng::for_processor(master_seed, id),
+                master_seed,
+                rng: None,
                 coin_flips: 0,
                 outbox: Vec::new(),
                 recipients: Vec::new(),
@@ -261,7 +274,8 @@ impl ProcessorHarness {
     /// outbox and violation allocations: the protocol slot goes through
     /// [`ProtocolBuilder::rebuild`] — which resets the previous trial's
     /// instance where the builder recognizes it as its own and replaces it
-    /// otherwise — then a fresh rng stream, zeroed counters. Equivalent to
+    /// otherwise — then the seed of a fresh rng stream (derived at the first
+    /// draw, as in a new harness), zeroed counters. Equivalent to
     /// `ProcessorHarness::new` with the same arguments.
     pub fn reinit(
         &mut self,
@@ -277,7 +291,8 @@ impl ProcessorHarness {
         self.core.cfg = cfg;
         self.core.input = input;
         self.core.reset_count = 0;
-        self.core.rng = ProcessorRng::for_processor(master_seed, id);
+        self.core.master_seed = master_seed;
+        self.core.rng = None;
         self.core.coin_flips = 0;
         self.core.clear_outbox();
         self.core.violations.clear();
@@ -663,11 +678,43 @@ mod tests {
         assert_eq!(reused.outbox_len(), 0);
         assert!(reused.violations().is_empty());
         assert_eq!(reused.digest(&unset), fresh.digest(&unset));
-        // The private random stream restarts exactly where a fresh one does.
+        // The private random stream restarts exactly where a fresh one does
+        // — derived at the first draw — and a reset neither reseeds nor
+        // rewinds it.
         let (mut a, mut b) = (OutputRegister::new(), OutputRegister::new());
-        let (mut reused, mut fresh) = (context(&mut reused, &mut a), context(&mut fresh, &mut b));
-        assert_eq!(reused.random_ticket(), fresh.random_ticket());
-        assert_eq!(reused.random_bit(), fresh.random_bit());
+        for round in 0..3 {
+            if round == 1 {
+                reused.reset(&mut a);
+                fresh.reset(&mut b);
+            }
+            let (mut reused, mut fresh) =
+                (context(&mut reused, &mut a), context(&mut fresh, &mut b));
+            for bound in [1, 2, 7, 1 << 40] {
+                assert_eq!(reused.random_bit(), fresh.random_bit(), "round {round}");
+                assert_eq!(
+                    reused.random_range(bound),
+                    fresh.random_range(bound),
+                    "round {round}"
+                );
+                assert_eq!(
+                    reused.random_ticket(),
+                    fresh.random_ticket(),
+                    "round {round}"
+                );
+            }
+        }
+        // The stream is the one `ProcessorRng::for_processor` derives, one
+        // draw per call.
+        let mut expected = ProcessorRng::for_processor(99, ProcessorId::new(2));
+        let mut draws =
+            ProcessorHarness::new(ProcessorId::new(2), Bit::Zero, cfg, &EchoBuilder, 99);
+        let mut out = OutputRegister::new();
+        let mut ctx = context(&mut draws, &mut out);
+        assert_eq!(ctx.random_bit(), expected.bit());
+        assert_eq!(ctx.random_range(7), expected.range(7));
+        assert_eq!(ctx.random_ticket(), expected.ticket());
+        assert_eq!(reused.coin_flips(), fresh.coin_flips());
+        assert_eq!(draws.coin_flips(), 3);
     }
 
     #[test]

@@ -90,7 +90,7 @@ pub use adversary::{
     FullDeliveryAdversary, PartialSyncAction, PartialSyncAdversary, SystemView, WindowAdversary,
 };
 pub use agreement_model::{FullTrace, NoTrace, Recorder};
-pub use buffer::{BufferChoice, MessageBuffer};
+pub use buffer::{BufferChoice, ChannelCursor, MessageBuffer};
 pub use engine::{
     run_async, run_partial_sync, run_windowed, BuiltAdversary, ModelDescriptor, ASYNC,
     PARTIAL_SYNC, WINDOWED,

@@ -30,8 +30,8 @@ use agreement::model::{
 };
 use agreement::protocols::{BenOrBuilder, BrachaBuilder};
 use agreement::sim::{
-    run_partial_sync, BuiltAdversary, ExecutionCore, PartialSyncAction, PartialSyncAdversary,
-    RunLimits, RunOutcome, Scheduler, SystemView, TrialWorkspace,
+    run_partial_sync, BuiltAdversary, ChannelCursor, ExecutionCore, PartialSyncAction,
+    PartialSyncAdversary, RunLimits, RunOutcome, Scheduler, SystemView, TrialWorkspace,
 };
 
 /// A worst-case adversary for delivery bounds: it never delivers anything by
@@ -261,6 +261,14 @@ impl PollingOracle<'_> {
     }
 }
 
+/// A cursor at a uniformly random channel of the `n × n` round robin: one
+/// draw, as the channel index `from * n + to`.
+fn random_cursor(rng: &mut ProcessorRng, n: u64) -> ChannelCursor {
+    let channel = rng.range(n * n);
+    let id = |i: u64| ProcessorId::new(i as usize);
+    ChannelCursor::at(id(channel / n), id(channel % n))
+}
+
 /// A seeded mix of everything a partial-synchrony adversary may do: mostly
 /// deliveries on channels that have something pending, some aimed anywhere
 /// (empty channels, crashed recipients), stalls, crashes — within and beyond
@@ -289,7 +297,7 @@ impl PartialSyncAdversary for RandomAdversary {
         let n = view.n() as u64;
         let any = |rng: &mut ProcessorRng| ProcessorId::new(rng.range(n) as usize);
         match self.rng.range(100) {
-            0..=49 => match view.next_pending_channel(self.rng.range(n * n) as usize) {
+            0..=49 => match view.next_pending_channel(random_cursor(&mut self.rng, n)) {
                 Some((_, from, to)) => PartialSyncAction::Deliver { from, to },
                 None => PartialSyncAction::Stall,
             },
@@ -397,7 +405,7 @@ fn bounded_delay_enforcement_matches_the_polling_oracle() {
 struct LaggingChannel {
     gst: u64,
     delta: u64,
-    cursor: usize,
+    cursor: ChannelCursor,
 }
 
 impl PartialSyncAdversary for LaggingChannel {
@@ -450,7 +458,7 @@ fn a_lane_that_never_drains_only_costs_the_enforcement_a_scan() {
         let adversary = || LaggingChannel {
             gst,
             delta,
-            cursor: 0,
+            cursor: ChannelCursor::default(),
         };
         let mut stale_steps = 0;
         let mut real_adversary = adversary();
