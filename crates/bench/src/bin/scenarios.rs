@@ -35,10 +35,6 @@
 //!                      silent twice this long is dropped and respawned
 //!   --respawn-budget <N>  with --workers: how many replacement workers the
 //!                      session may spawn after losses (default 2)
-//!   --compress         with --workers: pass each block's columnar body
-//!                      through the std-only LZ codec (off by default: on a
-//!                      localhost wire the bytes are cheaper than the
-//!                      cycles)
 //!   --chaos <SPEC>     with --workers: deterministic fault injection on
 //!                      every worker connection, e.g.
 //!                      `seed=7,drop=0.01,dup=0.03,flip=0.005,trunc=0.003,\
@@ -83,7 +79,6 @@ struct Options {
     recv_timeout: Option<u64>,
     respawn_budget: Option<u32>,
     chaos: Option<String>,
-    compress: bool,
     worker: bool,
     connect: Option<String>,
 }
@@ -105,7 +100,6 @@ fn parse_options() -> Options {
         recv_timeout: None,
         respawn_budget: None,
         chaos: None,
-        compress: false,
         worker: false,
         connect: None,
     };
@@ -132,7 +126,6 @@ fn parse_options() -> Options {
                 options.respawn_budget = Some(parsed_value(&mut args, "--respawn-budget"))
             }
             "--chaos" => options.chaos = Some(required_value(&mut args, "--chaos")),
-            "--compress" => options.compress = true,
             "--worker" => options.worker = true,
             "--connect" => options.connect = Some(required_value(&mut args, "--connect")),
             "--scale" => {
@@ -153,7 +146,7 @@ fn parse_options() -> Options {
                      \x20                [--trials N] [--base-seed S]\n\
                      \x20                [--json PATH] [--csv PATH] [--jsonl PATH] [--check PATH]\n\
                      \x20                [--workers N [--checkpoint PATH] [--recv-timeout S]\n\
-                     \x20                 [--respawn-budget N] [--chaos SPEC] [--compress]]\n\
+                     \x20                 [--respawn-budget N] [--chaos SPEC]]\n\
                      Runs every registered protocol × adversary × inputs × size combination."
                 );
                 std::process::exit(0);
@@ -322,7 +315,6 @@ fn main() {
             if let Some(budget) = options.respawn_budget {
                 orchestrator = orchestrator.respawn_budget(budget);
             }
-            orchestrator = orchestrator.compress(options.compress);
             if let Some(spec) = &options.chaos {
                 match FaultPlan::parse(spec) {
                     Ok(plan) => orchestrator = orchestrator.worker_faults(plan),
@@ -346,7 +338,6 @@ fn main() {
                 (options.recv_timeout.is_some(), "--recv-timeout"),
                 (options.respawn_budget.is_some(), "--respawn-budget"),
                 (options.chaos.is_some(), "--chaos"),
-                (options.compress, "--compress"),
             ] {
                 if set {
                     eprintln!("{flag} requires --workers");

@@ -13,8 +13,7 @@
 //! identically wherever it is executed (its seed is `base_seed + t`, its
 //! workspace leaks no state), the merged record stream — and therefore every
 //! report sink's output — is **byte-identical to a single-process run** of
-//! the same spec, across worker counts, chunk sizes, and compression
-//! settings. That is the invariant the whole workspace has preserved across
+//! the same spec, across worker counts and chunk sizes. That is the invariant the whole workspace has preserved across
 //! thread counts since PR 1, extended across process boundaries.
 //!
 //! # Protocol
@@ -25,10 +24,10 @@
 //! [`BLOCK_MAGIC`](crate::block::BLOCK_MAGIC) is a binary record block:
 //!
 //! ```text
-//! worker → coordinator   {"type":"hello","pid":P,"proto":3}
+//! worker → coordinator   {"type":"hello","pid":P,"proto":4}
 //! coordinator → worker   {"type":"run","job":J,"scenario":ID,"scale":S,
 //!                         "trials":T,"base_seed":B,"max_windows":W,
-//!                         "max_steps":X,"lo":L,"hi":H,"compress":C}
+//!                         "max_steps":X,"lo":L,"hi":H}
 //! worker → coordinator   <block: J, records L..H>      — or —
 //! worker → coordinator   {"type":"error","job":J,"message":M}
 //! coordinator → worker   {"type":"shutdown"}
@@ -236,7 +235,6 @@ pub struct Orchestrator {
     recv_timeout: Duration,
     respawn_budget: u32,
     worker_faults: Option<FaultPlan>,
-    compress: bool,
 }
 
 impl Orchestrator {
@@ -257,16 +255,7 @@ impl Orchestrator {
             recv_timeout: Duration::from_secs(600),
             respawn_budget: 2,
             worker_faults: None,
-            compress: false,
         }
-    }
-
-    /// Passes each block's columnar body through the std-only LZ codec
-    /// (default off: on a localhost wire the bytes are cheaper than the
-    /// cycles, see DESIGN.md; turn it on when workers cross a real network).
-    pub fn compress(mut self, compress: bool) -> Self {
-        self.compress = compress;
-        self
     }
 
     /// Sets the worker-process count (default 2; clamped to at least 1).

@@ -623,7 +623,6 @@ impl<'s, F: FnMut(OrchestrationEvent)> SpecRun<'s, F> {
                 limits: self.spec.limits,
                 lo,
                 hi,
-                compress: self.session.config.compress,
             });
             if self.session.workers[worker]
                 .conn

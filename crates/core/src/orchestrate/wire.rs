@@ -15,7 +15,7 @@ use crate::experiments::Scale;
 /// The one protocol version coordinator and worker speak. Workers are only
 /// ever spawned from the coordinator's own build, so a mismatch means a stale
 /// worker binary, and [`read_hello`] refuses it.
-pub(super) const PROTO_VERSION: u64 = 3;
+pub(super) const PROTO_VERSION: u64 = 4;
 
 /// One range assignment: everything a worker needs to rebuild the workload
 /// from its registry and run trials `lo..hi` of it.
@@ -29,8 +29,6 @@ pub(super) struct Run {
     pub limits: RunLimits,
     pub lo: u64,
     pub hi: u64,
-    /// Whether block bodies pass through the LZ codec.
-    pub compress: bool,
 }
 
 /// Every JSON frame of the protocol.
@@ -93,7 +91,6 @@ impl Message {
                 w.key("max_steps").u64(run.limits.max_steps);
                 w.key("lo").u64(run.lo);
                 w.key("hi").u64(run.hi);
-                w.key("compress").bool(run.compress);
             }
             Message::WorkerError { job, message } => {
                 w.str("error");
@@ -145,7 +142,6 @@ impl Message {
                     "max_steps" => max_steps: r.u64(),
                     "lo" => lo: r.u64(),
                     "hi" => hi: r.u64(),
-                    "compress" => compress: r.bool(),
                 });
                 let scenario = scenario.into_owned();
                 let limits = RunLimits {
@@ -161,7 +157,6 @@ impl Message {
                     limits,
                     lo,
                     hi,
-                    compress,
                 }))
             }),
             "error" => parse(text, |r| {
@@ -234,7 +229,6 @@ pub(super) mod tests {
             },
             lo: 250,
             hi: 500,
-            compress: true,
         }
     }
 
@@ -325,6 +319,7 @@ pub(super) mod tests {
             (1, br#"{"type":"hello","pid":77}"#.to_vec()),
             (1, Message::Hello { pid, proto: 1 }.encode()),
             (2, Message::Hello { pid, proto: 2 }.encode()),
+            (3, Message::Hello { pid, proto: 3 }.encode()),
         ];
         for (proto, hello) in stale {
             match greet(hello) {

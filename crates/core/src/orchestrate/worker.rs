@@ -70,7 +70,7 @@ pub fn serve(addr: &str) -> io::Result<()> {
 /// records, or an in-protocol error. `Err` means the coordinator is gone.
 fn answer(conn: &Connection, run: &Run, campaign: &Campaign) -> Result<(), ()> {
     let frame = match execute(run, campaign) {
-        Ok(records) => encode_block(run.job, &records, run.compress),
+        Ok(records) => encode_block(run.job, &records, false),
         Err(message) => Message::WorkerError {
             job: run.job,
             message,
@@ -125,7 +125,6 @@ mod tests {
                 limits: spec.limits,
                 lo,
                 hi,
-                compress: false,
             };
             let err = execute(&run, &Campaign::serial()).unwrap_err();
             assert!(err.contains("at most 65536 trials"), "{err}");

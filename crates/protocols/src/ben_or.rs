@@ -243,68 +243,7 @@ impl ProtocolBuilder for BenOrBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::VecDeque;
-
-    #[derive(Debug)]
-    struct TestCtx {
-        cfg: SystemConfig,
-        sent: Vec<Payload>,
-        decided: Option<Bit>,
-        random_bits: VecDeque<Bit>,
-    }
-
-    impl TestCtx {
-        fn new(n: usize, t: usize) -> Self {
-            TestCtx {
-                cfg: SystemConfig::new(n, t).unwrap(),
-                sent: Vec::new(),
-                decided: None,
-                random_bits: VecDeque::new(),
-            }
-        }
-
-        /// Payloads sent to processor 1 (one copy of each broadcast).
-        fn broadcasts(&self) -> Vec<&Payload> {
-            // `sent` stores every (recipient, payload) pair flattened; since the
-            // context below records only payloads, every n-th entry is one broadcast.
-            self.sent.iter().collect()
-        }
-    }
-
-    impl Context for TestCtx {
-        fn id(&self) -> ProcessorId {
-            ProcessorId::new(0)
-        }
-        fn config(&self) -> SystemConfig {
-            self.cfg
-        }
-        fn input(&self) -> Bit {
-            Bit::Zero
-        }
-        fn send(&mut self, to: ProcessorId, payload: Payload) {
-            if to == ProcessorId::new(1) {
-                self.sent.push(payload);
-            }
-        }
-        fn random_bit(&mut self) -> Bit {
-            self.random_bits.pop_front().unwrap_or(Bit::Zero)
-        }
-        fn random_range(&mut self, bound: u64) -> u64 {
-            assert!(bound > 0);
-            0
-        }
-        fn random_ticket(&mut self) -> u64 {
-            0
-        }
-        fn decide(&mut self, value: Bit) {
-            if self.decided.is_none() {
-                self.decided = Some(value);
-            }
-        }
-        fn decision(&self) -> Option<Bit> {
-            self.decided
-        }
-    }
+    use crate::test_ctx::TestCtx;
 
     fn feed_reports(p: &mut BenOr, ctx: &mut TestCtx, round: u64, zeros: usize, ones: usize) {
         let mut sender = 0;
@@ -347,7 +286,7 @@ mod tests {
 
     /// n = 7, t = 3: quorum = 4, majority > 3.5 means >= 4, decide needs >= 4 proposals.
     fn setup(input: Bit) -> (BenOr, TestCtx) {
-        let ctx = TestCtx::new(7, 3);
+        let ctx = TestCtx::new(0, 7, 3);
         (BenOr::new(input, &ctx.cfg), ctx)
     }
 
@@ -355,9 +294,9 @@ mod tests {
     fn start_broadcasts_round_one_report() {
         let (mut p, mut ctx) = setup(Bit::One);
         p.on_start(&mut ctx);
-        assert_eq!(ctx.broadcasts().len(), 1);
+        assert_eq!(ctx.sent_to(1).len(), 1);
         assert!(matches!(
-            ctx.broadcasts()[0],
+            ctx.sent_to(1)[0],
             Payload::Report {
                 round: 1,
                 value: Bit::One
@@ -374,7 +313,7 @@ mod tests {
         feed_reports(&mut p, &mut ctx, 1, 4, 0); // 4 zeros > n/2 = 3.5
         assert_eq!(p.waiting_phase(), 2);
         assert!(matches!(
-            ctx.broadcasts()[0],
+            ctx.sent_to(1)[0],
             Payload::Proposal {
                 round: 1,
                 value: Some(Bit::Zero)
@@ -390,7 +329,7 @@ mod tests {
         feed_reports(&mut p, &mut ctx, 1, 2, 2);
         assert_eq!(p.waiting_phase(), 2);
         assert!(matches!(
-            ctx.broadcasts()[0],
+            ctx.sent_to(1)[0],
             Payload::Proposal {
                 round: 1,
                 value: None
@@ -427,7 +366,7 @@ mod tests {
     #[test]
     fn all_question_marks_sample_a_random_bit() {
         let (mut p, mut ctx) = setup(Bit::One);
-        ctx.random_bits.push_back(Bit::One);
+        ctx.coins.push_back(Bit::One);
         p.on_start(&mut ctx);
         feed_reports(&mut p, &mut ctx, 1, 2, 2);
         feed_proposals(&mut p, &mut ctx, 1, &[None, None, None, None]);

@@ -271,60 +271,8 @@ impl ProtocolBuilder for BrachaBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_ctx::TestCtx;
     use agreement_model::RbcStep;
-
-    #[derive(Debug)]
-    struct TestCtx {
-        id: ProcessorId,
-        cfg: SystemConfig,
-        sent: Vec<Payload>,
-        decided: Option<Bit>,
-    }
-
-    impl TestCtx {
-        fn new(id: usize, n: usize, t: usize) -> Self {
-            TestCtx {
-                id: ProcessorId::new(id),
-                cfg: SystemConfig::new(n, t).unwrap(),
-                sent: Vec::new(),
-                decided: None,
-            }
-        }
-    }
-
-    impl Context for TestCtx {
-        fn id(&self) -> ProcessorId {
-            self.id
-        }
-        fn config(&self) -> SystemConfig {
-            self.cfg
-        }
-        fn input(&self) -> Bit {
-            Bit::Zero
-        }
-        fn send(&mut self, to: ProcessorId, payload: Payload) {
-            if to == ProcessorId::new(0) {
-                self.sent.push(payload);
-            }
-        }
-        fn random_bit(&mut self) -> Bit {
-            Bit::Zero
-        }
-        fn random_range(&mut self, _b: u64) -> u64 {
-            0
-        }
-        fn random_ticket(&mut self) -> u64 {
-            0
-        }
-        fn decide(&mut self, value: Bit) {
-            if self.decided.is_none() {
-                self.decided = Some(value);
-            }
-        }
-        fn decision(&self) -> Option<Bit> {
-            self.decided
-        }
-    }
 
     /// Shortcut: deliver `count` already-accepted-equivalent votes by sending
     /// `2t + 1` Ready messages per origin directly.
@@ -363,8 +311,8 @@ mod tests {
     fn start_reliably_broadcasts_phase_one_vote() {
         let (mut p, mut ctx) = setup(Bit::One);
         p.on_start(&mut ctx);
-        assert_eq!(ctx.sent.len(), 1);
-        match &ctx.sent[0] {
+        assert_eq!(ctx.sent_to(0).len(), 1);
+        match ctx.sent_to(0)[0] {
             Payload::Rbc {
                 step: RbcStep::Init,
                 origin,

@@ -437,63 +437,9 @@ impl ProtocolBuilder for CommitteeBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_ctx::TestCtx;
 
     const VARIANTS: [Variant; 2] = [Variant::Baseline, Variant::Sampled];
-
-    #[derive(Debug)]
-    struct TestCtx {
-        id: ProcessorId,
-        cfg: SystemConfig,
-        sent: Vec<(ProcessorId, Payload)>,
-        decided: Option<Bit>,
-    }
-
-    impl TestCtx {
-        fn new(id: usize, n: usize, t: usize) -> Self {
-            TestCtx {
-                id: ProcessorId::new(id),
-                cfg: SystemConfig::new(n, t).unwrap(),
-                sent: Vec::new(),
-                decided: None,
-            }
-        }
-
-        fn recipients(&self) -> Vec<usize> {
-            self.sent.iter().map(|(to, _)| to.index()).collect()
-        }
-    }
-
-    impl Context for TestCtx {
-        fn id(&self) -> ProcessorId {
-            self.id
-        }
-        fn config(&self) -> SystemConfig {
-            self.cfg
-        }
-        fn input(&self) -> Bit {
-            Bit::Zero
-        }
-        fn send(&mut self, to: ProcessorId, payload: Payload) {
-            self.sent.push((to, payload));
-        }
-        fn random_bit(&mut self) -> Bit {
-            Bit::Zero
-        }
-        fn random_range(&mut self, _b: u64) -> u64 {
-            0
-        }
-        fn random_ticket(&mut self) -> u64 {
-            0
-        }
-        fn decide(&mut self, value: Bit) {
-            if self.decided.is_none() {
-                self.decided = Some(value);
-            }
-        }
-        fn decision(&self) -> Option<Bit> {
-            self.decided
-        }
-    }
 
     fn committee(indices: &[usize]) -> Vec<ProcessorId> {
         indices.iter().copied().map(ProcessorId::new).collect()

@@ -60,6 +60,8 @@ mod rebuild_tests;
 mod reliable_broadcast;
 mod reset_tolerant;
 mod tally;
+#[cfg(test)]
+mod test_ctx;
 
 pub use ben_or::{BenOr, BenOrBuilder};
 pub use bracha::{Bracha, BrachaBuilder};

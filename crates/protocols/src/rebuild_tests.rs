@@ -6,77 +6,18 @@
 //! parameters.
 
 use agreement_model::{
-    Bit, Context, Payload, ProcessorId, ProcessorRng, Protocol, ProtocolBuilder, StateDigest,
-    SystemConfig, Thresholds,
+    Bit, Payload, ProcessorId, Protocol, ProtocolBuilder, StateDigest, SystemConfig, Thresholds,
 };
 
+use crate::test_ctx::TestCtx;
 use crate::{BenOrBuilder, BrachaBuilder, CommitteeBuilder, ResetTolerantBuilder};
 
 /// How many callbacks a rebuilt and a new instance are compared over.
 const REPLAYED_CALLBACKS: usize = 50;
 
-/// A recording context: what the instance sent, decided and drew.
-#[derive(Debug)]
-struct Ctx {
-    id: ProcessorId,
-    cfg: SystemConfig,
-    input: Bit,
-    rng: ProcessorRng,
-    sent: Vec<(ProcessorId, Payload)>,
-    decided: Option<Bit>,
-    draws: u64,
-}
-
-impl Ctx {
-    fn new(id: ProcessorId, input: Bit, cfg: SystemConfig) -> Self {
-        Ctx {
-            id,
-            cfg,
-            input,
-            rng: ProcessorRng::for_processor(0xC0FFEE, id),
-            sent: Vec::new(),
-            decided: None,
-            draws: 0,
-        }
-    }
-
-    /// Everything observable so far, the sends taken out.
-    fn effects(&mut self) -> (Vec<(ProcessorId, Payload)>, Option<Bit>, u64) {
-        (std::mem::take(&mut self.sent), self.decided, self.draws)
-    }
-}
-
-impl Context for Ctx {
-    fn id(&self) -> ProcessorId {
-        self.id
-    }
-    fn config(&self) -> SystemConfig {
-        self.cfg
-    }
-    fn input(&self) -> Bit {
-        self.input
-    }
-    fn send(&mut self, to: ProcessorId, payload: Payload) {
-        self.sent.push((to, payload));
-    }
-    fn random_bit(&mut self) -> Bit {
-        self.draws += 1;
-        self.rng.bit()
-    }
-    fn random_range(&mut self, bound: u64) -> u64 {
-        self.draws += 1;
-        self.rng.range(bound)
-    }
-    fn random_ticket(&mut self) -> u64 {
-        self.draws += 1;
-        self.rng.ticket()
-    }
-    fn decide(&mut self, value: Bit) {
-        self.decided.get_or_insert(value);
-    }
-    fn decision(&self) -> Option<Bit> {
-        self.decided
-    }
+/// Everything `ctx` observed so far, the sends taken out.
+fn effects(ctx: &mut TestCtx) -> (Vec<(ProcessorId, Payload)>, Option<Bit>, u64) {
+    (std::mem::take(&mut ctx.sent), ctx.decided, ctx.draws)
 }
 
 /// Where the box points: a rebuild in place keeps it, a `build` cannot (the
@@ -100,7 +41,10 @@ fn dirtied_instance(
         .iter()
         .map(|&id| builder.build(id, input(id), &cfg))
         .collect();
-    let mut ctxs: Vec<Ctx> = ids.iter().map(|&id| Ctx::new(id, input(id), cfg)).collect();
+    let mut ctxs: Vec<TestCtx> = ids
+        .iter()
+        .map(|&id| TestCtx::with_config(id, input(id), cfg))
+        .collect();
     let mut heard_by_zero = Vec::new();
     let mut in_flight = std::collections::VecDeque::new();
     for (instance, ctx) in instances.iter_mut().zip(&mut ctxs) {
@@ -155,12 +99,13 @@ fn assert_rebuild_equals_build(
     builder.rebuild(slot, id, input, &cfg);
     let mut fresh = builder.build(id, input, &cfg);
     assert_eq!(slot.digest(), fresh.digest(), "{context}: digest");
-    let (mut rebuilt_ctx, mut fresh_ctx) = (Ctx::new(id, input, cfg), Ctx::new(id, input, cfg));
+    let ctx = || TestCtx::with_config(id, input, cfg);
+    let (mut rebuilt_ctx, mut fresh_ctx) = (ctx(), ctx());
     slot.on_start(&mut rebuilt_ctx);
     fresh.on_start(&mut fresh_ctx);
     assert_eq!(
-        rebuilt_ctx.effects(),
-        fresh_ctx.effects(),
+        effects(&mut rebuilt_ctx),
+        effects(&mut fresh_ctx),
         "{context}: start"
     );
     let replayed = script.iter().cycle().take(REPLAYED_CALLBACKS - 1);
@@ -168,8 +113,8 @@ fn assert_rebuild_equals_build(
         slot.on_message(*from, payload, &mut rebuilt_ctx);
         fresh.on_message(*from, payload, &mut fresh_ctx);
         assert_eq!(
-            rebuilt_ctx.effects(),
-            fresh_ctx.effects(),
+            effects(&mut rebuilt_ctx),
+            effects(&mut fresh_ctx),
             "{context}: callback {step}"
         );
         assert_eq!(slot.digest(), fresh.digest(), "{context}: digest {step}");

@@ -217,59 +217,8 @@ impl ReliableBroadcaster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use agreement_model::{Bit, SystemConfig};
-
-    #[derive(Debug)]
-    struct TestCtx {
-        id: ProcessorId,
-        cfg: SystemConfig,
-        sent: Vec<Payload>,
-    }
-
-    impl TestCtx {
-        fn new(id: usize, n: usize, t: usize) -> Self {
-            TestCtx {
-                id: ProcessorId::new(id),
-                cfg: SystemConfig::new(n, t).unwrap(),
-                sent: Vec::new(),
-            }
-        }
-
-        /// One copy of each broadcast payload (messages to processor 0).
-        fn broadcasts(&self) -> Vec<&Payload> {
-            self.sent.iter().collect()
-        }
-    }
-
-    impl Context for TestCtx {
-        fn id(&self) -> ProcessorId {
-            self.id
-        }
-        fn config(&self) -> SystemConfig {
-            self.cfg
-        }
-        fn input(&self) -> Bit {
-            Bit::Zero
-        }
-        fn send(&mut self, to: ProcessorId, payload: Payload) {
-            if to == ProcessorId::new(0) {
-                self.sent.push(payload);
-            }
-        }
-        fn random_bit(&mut self) -> Bit {
-            Bit::Zero
-        }
-        fn random_range(&mut self, _bound: u64) -> u64 {
-            0
-        }
-        fn random_ticket(&mut self) -> u64 {
-            0
-        }
-        fn decide(&mut self, _value: Bit) {}
-        fn decision(&self) -> Option<Bit> {
-            None
-        }
-    }
+    use crate::test_ctx::TestCtx;
+    use agreement_model::Bit;
 
     fn inner() -> Payload {
         Payload::BrachaVote {
@@ -312,9 +261,9 @@ mod tests {
         let (mut r, mut ctx) = setup();
         let accepted = r.on_message(ProcessorId::new(3), &rbc(RbcStep::Init, 3, 7), &mut ctx);
         assert!(accepted.is_empty());
-        assert_eq!(ctx.broadcasts().len(), 1);
+        assert_eq!(ctx.sent_to(0).len(), 1);
         assert!(matches!(
-            ctx.broadcasts()[0],
+            ctx.sent_to(0)[0],
             Payload::Rbc {
                 step: RbcStep::Echo,
                 ..
@@ -328,7 +277,7 @@ mod tests {
         // Processor 4 claims to forward an Init originated by processor 3.
         let accepted = r.on_message(ProcessorId::new(4), &rbc(RbcStep::Init, 3, 7), &mut ctx);
         assert!(accepted.is_empty());
-        assert!(ctx.broadcasts().is_empty());
+        assert!(ctx.sent_to(0).is_empty());
     }
 
     #[test]
@@ -342,7 +291,7 @@ mod tests {
             );
         }
         let readies = ctx
-            .broadcasts()
+            .sent_to(0)
             .iter()
             .filter(|p| {
                 matches!(
@@ -358,7 +307,7 @@ mod tests {
         // Further echoes do not re-send ready.
         r.on_message(ProcessorId::new(5), &rbc(RbcStep::Echo, 3, 7), &mut ctx);
         let readies = ctx
-            .broadcasts()
+            .sent_to(0)
             .iter()
             .filter(|p| {
                 matches!(
@@ -384,7 +333,7 @@ mod tests {
             );
         }
         let readies = ctx
-            .broadcasts()
+            .sent_to(0)
             .iter()
             .filter(|p| {
                 matches!(
@@ -467,7 +416,7 @@ mod tests {
             r.on_message(ProcessorId::new(sender), &other, &mut ctx);
         }
         assert!(
-            ctx.broadcasts().is_empty(),
+            ctx.sent_to(0).is_empty(),
             "no ready may be sent on mixed echoes"
         );
     }
@@ -476,8 +425,8 @@ mod tests {
     fn broadcast_sends_init_with_own_origin() {
         let (mut r, mut ctx) = setup();
         r.broadcast(42, inner(), &mut ctx);
-        assert_eq!(ctx.broadcasts().len(), 1);
-        match ctx.broadcasts()[0] {
+        assert_eq!(ctx.sent_to(0).len(), 1);
+        match ctx.sent_to(0)[0] {
             Payload::Rbc {
                 step: RbcStep::Init,
                 origin,

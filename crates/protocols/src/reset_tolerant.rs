@@ -296,73 +296,8 @@ impl ProtocolBuilder for ResetTolerantBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_ctx::TestCtx;
     use agreement_model::SystemConfig;
-    use std::collections::VecDeque;
-
-    /// A scripted test context.
-    #[derive(Debug)]
-    struct TestCtx {
-        id: ProcessorId,
-        cfg: SystemConfig,
-        input: Bit,
-        sent: Vec<(ProcessorId, Payload)>,
-        decided: Option<Bit>,
-        random_bits: VecDeque<Bit>,
-    }
-
-    impl TestCtx {
-        fn new(n: usize, t: usize, input: Bit) -> Self {
-            TestCtx {
-                id: ProcessorId::new(0),
-                cfg: SystemConfig::new(n, t).unwrap(),
-                input,
-                sent: Vec::new(),
-                decided: None,
-                random_bits: VecDeque::new(),
-            }
-        }
-
-        fn broadcast_rounds(&self) -> Vec<u64> {
-            self.sent
-                .iter()
-                .filter(|(to, _)| to.index() == 1)
-                .filter_map(|(_, p)| p.round())
-                .collect()
-        }
-    }
-
-    impl Context for TestCtx {
-        fn id(&self) -> ProcessorId {
-            self.id
-        }
-        fn config(&self) -> SystemConfig {
-            self.cfg
-        }
-        fn input(&self) -> Bit {
-            self.input
-        }
-        fn send(&mut self, to: ProcessorId, payload: Payload) {
-            self.sent.push((to, payload));
-        }
-        fn random_bit(&mut self) -> Bit {
-            self.random_bits.pop_front().unwrap_or(Bit::Zero)
-        }
-        fn random_range(&mut self, bound: u64) -> u64 {
-            assert!(bound > 0);
-            0
-        }
-        fn random_ticket(&mut self) -> u64 {
-            0
-        }
-        fn decide(&mut self, value: Bit) {
-            if self.decided.is_none() {
-                self.decided = Some(value);
-            }
-        }
-        fn decision(&self) -> Option<Bit> {
-            self.decided
-        }
-    }
 
     /// n = 13, t = 2 gives the recommended thresholds T1 = T2 = 9, T3 = 7.
     fn setup(input: Bit) -> (ResetTolerant, TestCtx) {
@@ -374,8 +309,16 @@ mod tests {
         );
         (
             ResetTolerant::new(input, thresholds),
-            TestCtx::new(13, 2, input),
+            TestCtx::with_config(ProcessorId::new(0), input, cfg),
         )
+    }
+
+    /// The rounds of the payloads sent to processor 1.
+    fn broadcast_rounds(ctx: &TestCtx) -> Vec<u64> {
+        ctx.sent_to(1)
+            .into_iter()
+            .filter_map(Payload::round)
+            .collect()
     }
 
     fn feed_reports(
@@ -436,7 +379,7 @@ mod tests {
         assert_eq!(p.estimate(), Bit::One);
         assert_eq!(p.round(), 2);
         // Step 4 sent the round-2 message.
-        assert_eq!(ctx.broadcast_rounds(), vec![2]);
+        assert_eq!(broadcast_rounds(&ctx), vec![2]);
     }
 
     #[test]
@@ -453,7 +396,7 @@ mod tests {
     #[test]
     fn split_view_samples_a_random_bit() {
         let (mut p, mut ctx) = setup(Bit::One);
-        ctx.random_bits.push_back(Bit::One);
+        ctx.coins.push_back(Bit::One);
         p.on_start(&mut ctx);
         // 5 zeros, 4 ones: total 9 = T1 but neither value reaches T3 = 7.
         feed_reports(&mut p, &mut ctx, 1, 5, 4);
@@ -543,7 +486,7 @@ mod tests {
         assert_eq!(p.round(), 6, "step 4 advances past the adopted round");
         assert_eq!(p.estimate(), Bit::One);
         assert_eq!(ctx.decided, Some(Bit::One));
-        assert_eq!(ctx.broadcast_rounds(), vec![6]);
+        assert_eq!(broadcast_rounds(&ctx), vec![6]);
     }
 
     #[test]

@@ -148,14 +148,14 @@ fn eight_seeded_fault_schedules_with_worker_kills_merge_byte_identically() {
     );
 }
 
-/// Compressed record blocks under a hot corruption schedule: a block frame
+/// Record blocks under a hot corruption schedule: a block frame
 /// carrying a whole range is exactly where a bit flip is most damaging, and
 /// the transport's CRC trailer must catch every one before the columnar
 /// decoder runs — a corrupt block surfaces as a dropped worker and a
 /// re-queued range, never as a bad decode, so the merge stays byte-identical
 /// to a fault-free single-process run.
 #[test]
-fn four_fault_seeds_over_batched_compressed_blocks_merge_byte_identically() {
+fn four_fault_seeds_over_batched_blocks_merge_byte_identically() {
     let specs = soak_specs();
     let (local_json, local_jsonl) = render_local(&specs);
     let mut total_lost = 0usize;
@@ -172,7 +172,6 @@ fn four_fault_seeds_over_batched_compressed_blocks_merge_byte_identically() {
         plan.delay_ms = 3;
         let mut session = Orchestrator::new(Scale::Quick, worker_command())
             .workers(2)
-            .compress(true)
             .worker_faults(plan)
             .recv_timeout(std::time::Duration::from_secs(2))
             .respawn_budget(40)

@@ -1,4 +1,4 @@
-//! Every file README.md and DESIGN.md point at exists.
+//! Every file and every `Type::item` README.md and DESIGN.md point at exists.
 //!
 //! A backticked token that contains a `/` and ends in one of the source or
 //! data extensions below, optionally followed by `:line`, is a reference to a
@@ -7,7 +7,13 @@
 //! file in the tree. A `:line` must lie inside that file, and a
 //! `{a,b}` group stands for each of its expansions. Fenced code blocks are
 //! commands, not references, and are skipped; so are tokens with whitespace.
+//!
+//! A backticked `Type::item` token (a capitalised type, then a function,
+//! constant, field or variant, optionally called with arguments) is a
+//! reference to code: some crate of the checkout must declare both the type
+//! and the item.
 
+use std::collections::HashSet;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -101,6 +107,134 @@ fn resolve<'a>(path: &str, files: &'a [String]) -> Result<&'a str, String> {
     }
 }
 
+/// A span as the `(type, item)` pair it names, if it names one: `T::f`,
+/// `T::f()` and `T::f(args)` all name `f` of `T`; an expression that goes on
+/// after the arguments names nothing.
+fn type_reference(span: &str) -> Option<(&str, &str)> {
+    let (path, args) = span.split_once('(').unwrap_or((span, ")"));
+    if args.find(')') != Some(args.len() - 1) {
+        return None;
+    }
+    let (ty, item) = path.split_once("::")?;
+    let ident =
+        |s: &str| !s.is_empty() && s.bytes().all(|b| b.is_ascii_alphanumeric() || b == b'_');
+    let capitalised = ty.starts_with(|c: char| c.is_ascii_uppercase());
+    (capitalised && ident(ty) && ident(item)).then_some((ty, item))
+}
+
+/// The names a crate declares: its types, and every function, constant,
+/// static, associated type, field and enum variant.
+#[derive(Default)]
+struct Declarations {
+    types: HashSet<String>,
+    items: HashSet<String>,
+}
+
+impl Declarations {
+    /// Reads the declarations off one source line.
+    fn scan(&mut self, line: &str) {
+        let mut rest = line.trim_start();
+        if let Some(after) = rest.strip_prefix("pub") {
+            rest = match after.strip_prefix('(') {
+                Some(scoped) => scoped.split_once(')').map_or("", |(_, tail)| tail),
+                None => after,
+            }
+            .trim_start();
+        }
+        let leading = |s: &str| -> String {
+            s.chars()
+                .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
+                .collect()
+        };
+        let words: Vec<&str> = rest.split_whitespace().collect();
+        for pair in words.windows(2) {
+            let name = leading(pair[1]);
+            match pair[0] {
+                // `const fn f`: the name comes with the next keyword.
+                _ if matches!(name.as_str(), "fn" | "unsafe" | "async" | "extern") => {}
+                "struct" | "enum" | "trait" | "union" => drop(self.types.insert(name)),
+                "type" => {
+                    self.types.insert(name.clone());
+                    self.items.insert(name);
+                }
+                "fn" | "const" | "static" => drop(self.items.insert(name)),
+                _ => {}
+            }
+        }
+        // A field (`name: T,`) or a variant (`Name,`, `Name(T),`, `Name {`).
+        let name = leading(rest);
+        let tail = &rest[name.len()..];
+        let field = tail.starts_with(':') && !tail.starts_with("::");
+        let variant = [",", "(", " {", " ="].iter().any(|p| tail.starts_with(p))
+            && [',', '{', '(']
+                .iter()
+                .any(|&c| rest.trim_end().ends_with(c));
+        if !name.is_empty() && (field || variant) {
+            self.items.insert(name);
+        }
+    }
+}
+
+/// The declarations of every crate of the checkout (a directory with a
+/// `Cargo.toml`), over the `.rs` files it holds outside nested crates.
+fn crate_declarations(root: &Path, files: &[String]) -> Vec<Declarations> {
+    let crates: Vec<&str> = files
+        .iter()
+        .filter_map(|file| file.strip_suffix("Cargo.toml"))
+        .collect();
+    let mut declared: Vec<Declarations> = crates.iter().map(|_| Declarations::default()).collect();
+    for file in files.iter().filter(|file| file.ends_with(".rs")) {
+        let (owner, _) = crates
+            .iter()
+            .enumerate()
+            .filter(|(_, dir)| file.starts_with(*dir))
+            .max_by_key(|(_, dir)| dir.len())
+            .expect("every source file is inside the root crate");
+        let text = fs::read_to_string(root.join(file)).expect("a source file");
+        for line in text.lines() {
+            declared[owner].scan(line);
+        }
+    }
+    declared
+}
+
+#[test]
+fn every_type_item_the_docs_name_is_declared() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    walk(&root, &root, &mut files);
+    let declared = crate_declarations(&root, &files);
+    let mut checked = 0;
+    let mut broken = Vec::new();
+    for doc in DOCS {
+        let text = fs::read_to_string(root.join(doc)).expect("a document");
+        for span in code_spans(&text) {
+            let Some((ty, item)) = type_reference(&span) else {
+                continue;
+            };
+            checked += 1;
+            let mut owners = declared.iter().filter(|d| d.types.contains(ty)).peekable();
+            if owners.peek().is_none() {
+                broken.push(format!("{doc}: `{span}`: no crate declares `{ty}`"));
+            } else if !owners.any(|d| d.items.contains(item)) {
+                broken.push(format!(
+                    "{doc}: `{span}`: no crate declaring `{ty}` declares `{item}`"
+                ));
+            }
+        }
+    }
+    assert!(
+        broken.is_empty(),
+        "{} broken type references:\n{}",
+        broken.len(),
+        broken.join("\n")
+    );
+    assert!(
+        checked >= 20,
+        "only {checked} type references found; is the scan broken?"
+    );
+}
+
 #[test]
 fn every_file_the_docs_reference_exists() {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
@@ -163,5 +297,47 @@ fn a_reference_is_a_path_with_a_known_extension() {
     assert!(
         resolve("rates/a/src/b.rs", &files).is_err(),
         "not on a boundary"
+    );
+
+    assert_eq!(
+        type_reference("Campaign::run_records"),
+        Some(("Campaign", "run_records"))
+    );
+    assert_eq!(type_reference("Window::full()"), Some(("Window", "full")));
+    assert_eq!(type_reference("T::f(a, b)"), Some(("T", "f")));
+    let expressions = ["S::X(a).run(b)", "T::f(a"];
+    for span in [
+        "u64::MAX",
+        "std::mem::take",
+        "a/b.rs",
+        "T::<u8>::f",
+        "Campaign",
+    ]
+    .into_iter()
+    .chain(expressions)
+    {
+        assert_eq!(type_reference(span), None, "{span}");
+    }
+    let mut declared = Declarations::default();
+    for line in [
+        "pub(crate) struct Lane<T> {",
+        "    pub slots: Vec<T>,",
+        "pub enum Scale {",
+        "    Quick,",
+        "    Multicast(Vec<u8>),",
+        "    pub const fn serial() -> Self {",
+        "        let x = Foo::bar(1);",
+        "        call(",
+    ] {
+        declared.scan(line);
+    }
+    assert_eq!(
+        declared.types,
+        HashSet::from(["Lane".into(), "Scale".into()])
+    );
+    let items = ["slots", "Quick", "Multicast", "serial", "call"];
+    assert_eq!(
+        declared.items,
+        items.into_iter().map(String::from).collect()
     );
 }

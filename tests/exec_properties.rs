@@ -1,44 +1,39 @@
-//! Properties of the unified `ExecutionCore` and the parallel campaign
-//! runner.
+//! Properties of the unified `ExecutionCore`.
 //!
 //! Every execution model is a scheduler over one shared core; these tests pin
 //! down the guarantees that rests on:
 //!
-//! 1. **Determinism** — for a fixed seed, `run_windowed` / `run_async`
-//!    produce identical outcomes on every invocation (no hidden state).
-//! 2. **Driver equivalence** — step-wise driving (`Scheduler::start`,
+//! 1. **Driver equivalence** — step-wise driving (`Scheduler::start`,
 //!    `step`, `outcome`) produces the same outcome as `Scheduler::run`, the
-//!    one loop every execution goes through.
-//! 3. **Campaign determinism** — parallel aggregation is bit-identical to the
-//!    serial path regardless of thread count.
-//! 4. **The view is the processors** — what `ExecutionCore::with_view` shows
+//!    one loop every execution goes through, trace contents included.
+//! 2. **The view is the processors** — what `ExecutionCore::with_view` shows
 //!    an adversary equals what the execution did after every step of every
 //!    model (its digests the harnesses', its outputs and crash flags the
 //!    trace's and the protocols' own), and a digest is computed only when
 //!    asked for and only once per change.
-//! 5. **Every decision is booked once** — whichever transition hands a
+//! 3. **Every decision is booked once** — whichever transition hands a
 //!    processor to its protocol (start, delivery, reset), the output bit it
 //!    writes reaches the trace as one `Decided` event.
+//!
+//! That a seeded run is the same execution on a fresh core, in a reused
+//! workspace and on any thread count is `tests/equivalence.rs`'s table.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use agreement::adversary::{
     Genome, GstProcrastinatorAdversary, RotatingResetAdversary, ScheduledCrashAdversary,
-    SearchAsyncAdversary, SearchPartialSyncAdversary, SearchWindowAdversary, SplitVoteAdversary,
+    SearchAsyncAdversary, SearchPartialSyncAdversary, SearchWindowAdversary,
 };
-use agreement::core::{Aggregate, Campaign, TrialPlan};
 use agreement::model::{
-    Bit, Context, InputAssignment, Payload, ProcessorId, ProcessorRng, Protocol, ProtocolBuilder,
-    StateDigest, SystemConfig, TraceEvent,
+    Bit, Context, InputAssignment, Payload, ProcessorId, Protocol, ProtocolBuilder, StateDigest,
+    SystemConfig, TraceEvent,
 };
 use agreement::protocols::{BenOrBuilder, BrachaBuilder, ResetTolerantBuilder};
 use agreement::sim::{
-    run_async, run_windowed, BuiltAdversary, ExecutionCore, FairAsyncAdversary,
-    FullDeliveryAdversary, RunLimits, RunOutcome, Scheduler, SystemView, Window, WindowAdversary,
+    run_async, run_windowed, ExecutionCore, FairAsyncAdversary, FullDeliveryAdversary, RunLimits,
+    RunOutcome, Scheduler, SystemView, Window, WindowAdversary,
 };
-
-const CASES: u64 = 12;
 
 fn assert_outcomes_identical(a: &RunOutcome, b: &RunOutcome, context: &str) {
     assert_eq!(a.decisions, b.decisions, "{context}: decisions");
@@ -69,72 +64,6 @@ fn assert_outcomes_identical(a: &RunOutcome, b: &RunOutcome, context: &str) {
         b.trace.stored(),
         "{context}: trace contents"
     );
-}
-
-/// Re-running `run_windowed` with a fixed seed reproduces the outcome
-/// bit-for-bit, across inputs and adversaries.
-#[test]
-fn windowed_runs_are_deterministic_for_fixed_seeds() {
-    let cfg = SystemConfig::with_sixth_resilience(13).unwrap();
-    let builder = ResetTolerantBuilder::recommended(&cfg).unwrap();
-    for case in 0..CASES {
-        let mut gen = ProcessorRng::labelled(0x5EED, case);
-        let seed = gen.range(10_000);
-        let inputs = InputAssignment::new((0..13).map(|_| gen.bit()).collect());
-        let limits = RunLimits::windows(20_000);
-        let first = run_windowed(
-            cfg,
-            inputs.clone(),
-            &builder,
-            &mut SplitVoteAdversary::new(),
-            seed,
-            limits,
-        );
-        let second = run_windowed(
-            cfg,
-            inputs.clone(),
-            &builder,
-            &mut SplitVoteAdversary::new(),
-            seed,
-            limits,
-        );
-        assert_outcomes_identical(
-            &first,
-            &second,
-            &format!("windowed case {case} seed {seed}"),
-        );
-    }
-}
-
-/// Re-running `run_async` with a fixed seed reproduces the outcome
-/// bit-for-bit, including crash scheduling and chain metrics.
-#[test]
-fn async_runs_are_deterministic_for_fixed_seeds() {
-    let cfg = SystemConfig::new(7, 2).unwrap();
-    for case in 0..CASES {
-        let mut gen = ProcessorRng::labelled(0xAB5EED, case);
-        let seed = gen.range(10_000);
-        let inputs = InputAssignment::new((0..7).map(|_| gen.bit()).collect());
-        let crash_list = vec![ProcessorId::new(gen.range(7) as usize)];
-        let limits = RunLimits::steps(500_000);
-        let first = run_async(
-            cfg,
-            inputs.clone(),
-            &BenOrBuilder::new(),
-            &mut ScheduledCrashAdversary::new(crash_list.clone()),
-            seed,
-            limits,
-        );
-        let second = run_async(
-            cfg,
-            inputs.clone(),
-            &BenOrBuilder::new(),
-            &mut ScheduledCrashAdversary::new(crash_list),
-            seed,
-            limits,
-        );
-        assert_outcomes_identical(&first, &second, &format!("async case {case} seed {seed}"));
-    }
 }
 
 /// Driving any scheduler step by step — `start`, then `step` until it
@@ -240,53 +169,6 @@ fn model_specific_counters_stay_separated() {
     );
     assert_eq!(asynchronous.metrics.resets_consumed, 0);
     assert_eq!(asynchronous.metrics.crashes, 1);
-}
-
-/// The parallel campaign aggregates bit-identically to the serial path for
-/// the same base seed, whatever the thread count — both for window and for
-/// asynchronous campaigns.
-#[test]
-fn campaign_aggregation_is_thread_count_invariant() {
-    let cfg = SystemConfig::with_sixth_resilience(13).unwrap();
-    let builder = ResetTolerantBuilder::recommended(&cfg).unwrap();
-    let plan = TrialPlan::new(cfg, InputAssignment::evenly_split(13))
-        .trials(10)
-        .base_seed(0xFEED)
-        .limits(RunLimits::windows(3_000));
-    let aggregate = |campaign: Campaign| {
-        let records = campaign.run_records(&plan, &builder, |_| {
-            BuiltAdversary::windowed(Box::new(SplitVoteAdversary::new()))
-        });
-        Aggregate::from_records(&records, plan.limits.max_windows)
-    };
-    let serial = aggregate(Campaign::serial());
-    for threads in [2usize, 4, 7, 16, 0] {
-        assert_eq!(
-            serial,
-            aggregate(Campaign::with_threads(threads)),
-            "threads={threads}"
-        );
-    }
-
-    let cfg = SystemConfig::new(6, 2).unwrap();
-    let plan = TrialPlan::new(cfg, InputAssignment::evenly_split(6))
-        .trials(10)
-        .base_seed(0xF00)
-        .limits(RunLimits::steps(500_000));
-    let aggregate = |campaign: Campaign| {
-        let records = campaign.run_records(&plan, &BenOrBuilder::new(), |_| {
-            BuiltAdversary::asynchronous(Box::new(FairAsyncAdversary::default()))
-        });
-        Aggregate::from_records(&records, plan.limits.max_steps)
-    };
-    let serial = aggregate(Campaign::serial());
-    for threads in [3usize, 8, 0] {
-        assert_eq!(
-            serial,
-            aggregate(Campaign::with_threads(threads)),
-            "threads={threads}"
-        );
-    }
 }
 
 /// The benign full-delivery baseline still terminates in one window through

@@ -1,6 +1,6 @@
 //! Properties of the partial-synchrony execution model.
 //!
-//! Four guarantees are pinned here:
+//! Two guarantees are pinned here:
 //!
 //! 1. **The bounded-delay invariant** — the scheduler *enforces* eventual
 //!    synchrony: once the adversary's GST has passed, no pending message
@@ -9,13 +9,7 @@
 //!    step-wise executions driven by a worst-case stonewalling adversary, so
 //!    the delivery guarantee demonstrably comes from the scheduler, not from
 //!    adversary goodwill.
-//! 2. **Thread-count invariance** — partial-sync scenario reports and record
-//!    streams are bit-identical across campaign thread counts, exactly like
-//!    the two older models.
-//! 3. **Trace-gating transparency** — `NoTrace` workspace runs of the
-//!    partial-sync model equal `FullTrace` fresh runs in every field but the
-//!    trace.
-//! 4. **The enforcement is the same function of the schedule** — the
+//! 2. **The enforcement is the same function of the schedule** — the
 //!    scheduler skips senders whose per-lane send-stamp bound puts every
 //!    deadline in the future; a test-only oracle that polls all `n²` channel
 //!    heads every step, as the scheduler itself used to, must produce the
@@ -25,13 +19,12 @@
 use agreement::core::experiments::Scale;
 use agreement::core::{partial_sync_scenarios, Campaign};
 use agreement::model::{
-    Bit, InputAssignment, ProcessorId, ProcessorRng, ProtocolBuilder, SystemConfig, Trace,
-    TraceEvent,
+    Bit, InputAssignment, ProcessorId, ProcessorRng, ProtocolBuilder, SystemConfig, TraceEvent,
 };
 use agreement::protocols::{BenOrBuilder, BrachaBuilder};
 use agreement::sim::{
-    run_partial_sync, BuiltAdversary, ChannelCursor, ExecutionCore, PartialSyncAction,
-    PartialSyncAdversary, RunLimits, RunOutcome, Scheduler, SystemView, TrialWorkspace,
+    ChannelCursor, ExecutionCore, PartialSyncAction, PartialSyncAdversary, RunOutcome, Scheduler,
+    SystemView,
 };
 
 /// A worst-case adversary for delivery bounds: it never delivers anything by
@@ -492,70 +485,18 @@ fn a_lane_that_never_drains_only_costs_the_enforcement_a_scan() {
     }
 }
 
-/// Partial-sync scenario reports (aggregate, distributions, meta) are
-/// bit-identical across campaign thread counts, including serial.
+/// The registry's partial-synchrony family stays rich, its reports name
+/// their model, and Ben-Or decides under the procrastinator.
 #[test]
-fn partial_sync_reports_are_identical_across_thread_counts() {
+fn the_registered_procrastinator_cannot_stop_ben_or() {
     let specs = partial_sync_scenarios(Scale::Quick);
     assert!(specs.len() >= 6, "the partial-sync family must stay rich");
     let spec = specs
         .iter()
         .find(|s| s.adversary == "gst-procrastinator" && s.protocol.label() == "ben-or")
         .expect("registry carries ben-or under the procrastinator");
-    let serial = spec.run_on(&Campaign::serial()).unwrap();
-    assert_eq!(serial.meta.model, "partial-sync");
-    assert_eq!(serial.aggregate.termination_rate, 1.0);
-    assert_eq!(serial.aggregate.agreement_rate, 1.0);
-    for threads in [2usize, 3, 0] {
-        let parallel = spec.run_on(&Campaign::with_threads(threads)).unwrap();
-        assert_eq!(
-            serial, parallel,
-            "thread count {threads} changed a partial-sync report"
-        );
-    }
-}
-
-/// `NoTrace` workspace runs of the partial-sync model are bit-identical to
-/// fresh `FullTrace` runs in every field but the trace.
-#[test]
-fn partial_sync_no_trace_runs_match_full_trace_runs() {
-    fn strip_trace(mut outcome: RunOutcome) -> RunOutcome {
-        outcome.trace = Trace::new();
-        outcome
-    }
-    let cfg = SystemConfig::new(7, 1).unwrap();
-    let inputs = InputAssignment::evenly_split(7);
-    let mut workspace = TrialWorkspace::new();
-    for seed in 0..6u64 {
-        let mut fresh_adversary = agreement::adversary::GstProcrastinatorAdversary::new(32, 3);
-        let fresh = run_partial_sync(
-            cfg,
-            inputs.clone(),
-            &BenOrBuilder::new(),
-            &mut fresh_adversary,
-            seed,
-            RunLimits::small(),
-        );
-        assert!(
-            fresh.trace.total_events() > 0,
-            "the diagnostic path keeps its trace"
-        );
-        let mut reused_adversary = BuiltAdversary::partial_sync(Box::new(
-            agreement::adversary::GstProcrastinatorAdversary::new(32, 3),
-        ));
-        let reused = workspace.run_built(
-            cfg,
-            &inputs,
-            &BenOrBuilder::new(),
-            &mut reused_adversary,
-            seed,
-            RunLimits::small(),
-        );
-        assert_eq!(
-            reused.trace.total_events(),
-            0,
-            "workspace runs are trace-free"
-        );
-        assert_eq!(reused, strip_trace(fresh), "seed {seed}");
-    }
+    let report = spec.run_on(&Campaign::serial()).unwrap();
+    assert_eq!(report.meta.model, "partial-sync");
+    assert_eq!(report.aggregate.termination_rate, 1.0);
+    assert_eq!(report.aggregate.agreement_rate, 1.0);
 }
