@@ -186,10 +186,12 @@ pub trait ProtocolBuilder: fmt::Debug + Send + Sync {
     /// `slot` holds whatever instance ran the previous trial, built by this
     /// builder or by any other.
     ///
-    /// The default replaces the instance. A builder may instead reset the
-    /// instance in place, keeping its allocations, when — and only when — it
-    /// is one of its own with equal parameters; nothing observable (digest,
-    /// sends, decisions, coin draws) may tell the two apart.
+    /// The default replaces the instance. A builder may instead rebuild the
+    /// instance in place when — and only when — it is one of its own with
+    /// equal parameters: through the same constructor `build` calls, handed
+    /// the old instance's storage (a vote tally, say), so that the box and
+    /// the allocations survive. Nothing observable (digest, sends,
+    /// decisions, coin draws) may tell the two apart.
     fn rebuild(
         &self,
         slot: &mut Box<dyn Protocol>,

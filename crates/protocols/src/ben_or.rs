@@ -46,29 +46,24 @@ pub struct BenOr {
 impl BenOr {
     /// Creates the protocol state for a processor with the given input.
     pub fn new(input: Bit, cfg: &SystemConfig) -> Self {
+        BenOr::with_tally(input, cfg.n(), cfg.t(), RoundTally::for_processors(cfg.n()))
+    }
+
+    /// The state [`BenOr::new`] builds, counting votes in `tally` (sized for
+    /// `n`, emptied here): the only place the starting state is written.
+    fn with_tally(input: Bit, n: usize, t: usize, mut tally: RoundTally) -> Self {
+        tally.clear();
         BenOr {
-            n: cfg.n(),
-            t: cfg.t(),
+            n,
+            t,
             round: 1,
             estimate: input,
             waiting_phase: PHASE_REPORT,
-            tally: RoundTally::for_processors(cfg.n()),
+            tally,
             decided: None,
             reset_count: 0,
             input,
         }
-    }
-
-    /// Returns this instance to the state [`BenOr::new`] builds for `input`
-    /// and the configuration it already has, keeping the tally's storage.
-    fn reinit(&mut self, input: Bit) {
-        self.round = 1;
-        self.estimate = input;
-        self.waiting_phase = PHASE_REPORT;
-        self.tally.clear();
-        self.decided = None;
-        self.reset_count = 0;
-        self.input = input;
     }
 
     /// The current round number.
@@ -173,11 +168,11 @@ impl Protocol for BenOr {
         // faithful behaviour is to restart from round 1 with the input bit.
         // (It is only run under crash/Byzantine adversaries in this workspace;
         // the reset-tolerant variant handles the strongly adaptive adversary.)
-        self.reset_count += 1;
-        self.round = 1;
-        self.estimate = self.input;
-        self.waiting_phase = PHASE_REPORT;
-        self.tally.clear();
+        *self = BenOr {
+            decided: self.decided,
+            reset_count: self.reset_count + 1,
+            ..BenOr::with_tally(self.input, self.n, self.t, std::mem::take(&mut self.tally))
+        };
     }
 
     fn digest(&self) -> StateDigest {
@@ -234,7 +229,9 @@ impl ProtocolBuilder for BenOrBuilder {
         cfg: &SystemConfig,
     ) {
         match slot.downcast_mut::<BenOr>() {
-            Some(ours) if (ours.n, ours.t) == (cfg.n(), cfg.t()) => ours.reinit(input),
+            Some(ours) if (ours.n, ours.t) == (cfg.n(), cfg.t()) => {
+                *ours = BenOr::with_tally(input, ours.n, ours.t, std::mem::take(&mut ours.tally));
+            }
             _ => *slot = self.build(id, input, cfg),
         }
     }

@@ -59,31 +59,26 @@ impl Bracha {
     ///
     /// Panics unless `3 * t < n` (required by reliable broadcast).
     pub fn new(input: Bit, cfg: &SystemConfig) -> Self {
+        Bracha::with_votes(input, cfg.n(), cfg.t(), RoundTally::for_processors(cfg.n()))
+    }
+
+    /// The state [`Bracha::new`] builds, counting accepted votes in `votes`
+    /// (sized for `n`, emptied here): the only place the starting state is
+    /// written.
+    fn with_votes(input: Bit, n: usize, t: usize, mut votes: RoundTally) -> Self {
+        votes.clear();
         Bracha {
-            n: cfg.n(),
-            t: cfg.t(),
+            n,
+            t,
             input,
             round: 1,
             phase: 1,
             estimate: input,
-            rbc: ReliableBroadcaster::new(cfg.n(), cfg.t()),
-            votes: RoundTally::for_processors(cfg.n()),
+            rbc: ReliableBroadcaster::new(n, t),
+            votes,
             decided: None,
             reset_count: 0,
         }
-    }
-
-    /// Returns this instance to the state [`Bracha::new`] builds for `input`
-    /// and the configuration it already has, keeping the tally's storage.
-    fn reinit(&mut self, input: Bit) {
-        self.input = input;
-        self.round = 1;
-        self.phase = 1;
-        self.estimate = input;
-        self.rbc.clear();
-        self.votes.clear();
-        self.decided = None;
-        self.reset_count = 0;
     }
 
     /// The current round.
@@ -200,12 +195,11 @@ impl Protocol for Bracha {
     fn on_reset(&mut self, _ctx: &mut dyn Context) {
         // Bracha's protocol was not designed for resetting failures; restart
         // from scratch. It is only run under crash/Byzantine adversaries here.
-        self.reset_count += 1;
-        self.round = 1;
-        self.phase = 1;
-        self.estimate = self.input;
-        self.rbc.clear();
-        self.votes.clear();
+        *self = Bracha {
+            decided: self.decided,
+            reset_count: self.reset_count + 1,
+            ..Bracha::with_votes(self.input, self.n, self.t, std::mem::take(&mut self.votes))
+        };
     }
 
     fn digest(&self) -> StateDigest {
@@ -262,7 +256,9 @@ impl ProtocolBuilder for BrachaBuilder {
         cfg: &SystemConfig,
     ) {
         match slot.downcast_mut::<Bracha>() {
-            Some(ours) if (ours.n, ours.t) == (cfg.n(), cfg.t()) => ours.reinit(input),
+            Some(ours) if (ours.n, ours.t) == (cfg.n(), cfg.t()) => {
+                *ours = Bracha::with_votes(input, ours.n, ours.t, std::mem::take(&mut ours.votes));
+            }
             _ => *slot = self.build(id, input, cfg),
         }
     }

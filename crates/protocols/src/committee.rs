@@ -137,12 +137,38 @@ pub struct CommitteeAgreement {
     committee: Arc<Roster>,
     variant: Variant,
     fault_tolerance: usize,
+    trial: TrialState,
+}
+
+/// The part of a [`CommitteeAgreement`] a trial starts afresh: apart from the
+/// roster, so a rebuild or a reset does not clone the shared `Arc` (a tenth
+/// of an n = 1 000 trial).
+#[derive(Debug)]
+struct TrialState {
     is_member: bool,
     input: Bit,
     votes: RoundTally,
     announced: bool,
     decided: Option<Bit>,
     reset_count: u64,
+}
+
+impl TrialState {
+    /// Processor `id` with `input` over `committee`, counting votes in
+    /// `votes` (sized for its `id_bound`, emptied here): the only place the
+    /// starting state is written. Forced inline as `HarnessCore::new` is.
+    #[inline(always)]
+    fn start(committee: &Roster, id: ProcessorId, input: Bit, mut votes: RoundTally) -> Self {
+        votes.clear();
+        TrialState {
+            is_member: committee.contains(id),
+            input,
+            votes,
+            announced: false,
+            decided: None,
+            reset_count: 0,
+        }
+    }
 }
 
 impl CommitteeAgreement {
@@ -154,31 +180,13 @@ impl CommitteeAgreement {
     }
 
     fn with_roster(id: ProcessorId, input: Bit, committee: Arc<Roster>, variant: Variant) -> Self {
+        let votes = RoundTally::for_processors(committee.id_bound());
         CommitteeAgreement {
-            variant,
+            trial: TrialState::start(&committee, id, input, votes),
             fault_tolerance: committee.listed.len().saturating_sub(1) / 3,
-            is_member: committee.contains(id),
-            input,
-            // Only members' messages are tallied, so their ids bound the
-            // voter sets.
-            votes: RoundTally::for_processors(committee.id_bound()),
             committee,
-            announced: false,
-            decided: None,
-            reset_count: 0,
+            variant,
         }
-    }
-
-    /// Returns this instance to the state [`CommitteeAgreement::with_roster`]
-    /// builds for `id`, `input` and the roster and variant it already has,
-    /// keeping the tally's storage.
-    fn reinit(&mut self, id: ProcessorId, input: Bit) {
-        self.is_member = self.committee.contains(id);
-        self.input = input;
-        self.votes.clear();
-        self.announced = false;
-        self.decided = None;
-        self.reset_count = 0;
     }
 
     /// The publicly known final committee.
@@ -193,7 +201,7 @@ impl CommitteeAgreement {
 
     /// Whether this processor is a committee member.
     pub fn is_member(&self) -> bool {
-        self.is_member
+        self.trial.is_member
     }
 
     fn committee_quorum(&self) -> usize {
@@ -203,12 +211,12 @@ impl CommitteeAgreement {
     /// A member's step once its tally of proposals reads `proposals`:
     /// with a quorum in, decide the majority and announce it, once.
     fn try_announce(&mut self, proposals: VoteCounts, ctx: &mut dyn Context) {
-        if self.announced || proposals.total() < self.committee_quorum() {
+        if self.trial.announced || proposals.total() < self.committee_quorum() {
             return;
         }
-        let value = proposals.majority_value().unwrap_or(self.input);
-        self.announced = true;
-        self.decided = Some(value);
+        let value = proposals.majority_value().unwrap_or(self.trial.input);
+        self.trial.announced = true;
+        self.trial.decided = Some(value);
         ctx.decide(value);
         // The sampled variant's only all-to-all fan-out: k broadcasts in
         // total, so k·n messages per decision.
@@ -218,11 +226,11 @@ impl CommitteeAgreement {
     /// Any processor's step once its tally of announcements reads
     /// `announces`: decide the first value `f + 1` members announced.
     fn try_decide_from_announcements(&mut self, announces: VoteCounts, ctx: &mut dyn Context) {
-        if self.decided.is_some() {
+        if self.trial.decided.is_some() {
             return;
         }
         if let Some(value) = announces.value_with_at_least(self.fault_tolerance + 1) {
-            self.decided = Some(value);
+            self.trial.decided = Some(value);
             ctx.decide(value);
         }
     }
@@ -230,10 +238,12 @@ impl CommitteeAgreement {
 
 impl Protocol for CommitteeAgreement {
     fn on_start(&mut self, ctx: &mut dyn Context) {
-        if !self.is_member {
+        if !self.trial.is_member {
             return;
         }
-        let proposal = Payload::Committee(CommitteeMsg::Proposal { value: self.input });
+        let proposal = Payload::Committee(CommitteeMsg::Proposal {
+            value: self.trial.input,
+        });
         match self.variant {
             Variant::Baseline => ctx.broadcast(proposal),
             // Proposals stay inside the committee: k² messages in total,
@@ -250,14 +260,15 @@ impl Protocol for CommitteeAgreement {
         }
         // A duplicate vote changes no count, so it cannot move either step:
         // both already ran on the counts it would show them.
+        let votes = &mut self.trial.votes;
         match payload {
-            Payload::Committee(CommitteeMsg::Proposal { value }) if self.is_member => {
-                if let Some(proposals) = self.votes.record(0, KEY_PROPOSALS, from, Some(*value)) {
+            Payload::Committee(CommitteeMsg::Proposal { value }) if self.trial.is_member => {
+                if let Some(proposals) = votes.record(0, KEY_PROPOSALS, from, Some(*value)) {
                     self.try_announce(proposals, ctx);
                 }
             }
             Payload::Committee(CommitteeMsg::Announce { value }) => {
-                if let Some(announces) = self.votes.record(0, KEY_ANNOUNCES, from, Some(*value)) {
+                if let Some(announces) = votes.record(0, KEY_ANNOUNCES, from, Some(*value)) {
                     self.try_decide_from_announcements(announces, ctx);
                 }
             }
@@ -265,19 +276,23 @@ impl Protocol for CommitteeAgreement {
         }
     }
 
-    fn on_reset(&mut self, _ctx: &mut dyn Context) {
-        self.reset_count += 1;
-        self.votes.clear();
-        self.announced = false;
+    fn on_reset(&mut self, ctx: &mut dyn Context) {
+        let trial = &mut self.trial;
+        let votes = std::mem::take(&mut trial.votes);
+        *trial = TrialState {
+            decided: trial.decided,
+            reset_count: trial.reset_count + 1,
+            ..TrialState::start(&self.committee, ctx.id(), trial.input, votes)
+        };
     }
 
     fn digest(&self) -> StateDigest {
         StateDigest {
             round: Some(1),
-            estimate: Some(self.input),
-            decided: self.decided,
-            reset_count: self.reset_count,
-            phase: match (self.is_member, self.announced) {
+            estimate: Some(self.trial.input),
+            decided: self.trial.decided,
+            reset_count: self.trial.reset_count,
+            phase: match (self.trial.is_member, self.trial.announced) {
                 (true, true) => "member-announced",
                 (true, false) => "member",
                 (false, _) => "observer",
@@ -427,7 +442,8 @@ impl ProtocolBuilder for CommitteeBuilder {
         match slot.downcast_mut::<CommitteeAgreement>() {
             Some(ours) if Arc::ptr_eq(&ours.committee, &self.committee) => {
                 debug_assert_eq!(ours.variant, self.variant);
-                ours.reinit(id, input);
+                let votes = std::mem::take(&mut ours.trial.votes);
+                ours.trial = TrialState::start(&ours.committee, id, input, votes);
             }
             _ => *slot = self.build(id, input, cfg),
         }

@@ -1,9 +1,10 @@
 //! [`ProtocolBuilder::rebuild`] against [`ProtocolBuilder::build`], for every
-//! builder of this crate: an instance that has run a whole execution and is
-//! then rebuilt must be indistinguishable from a new one — in its digest and
-//! in what it sends, decides and draws over the callbacks that follow — and
-//! must be reset in place exactly when it is the builder's own with equal
-//! parameters.
+//! builder of this crate: an instance that has run a whole execution, been
+//! reset and counted the first votes of that execution again, and is then
+//! rebuilt, must be indistinguishable from a new one — in its digest and in
+//! what it sends, decides and draws over an execution with the other input
+//! split — and must be rebuilt in place exactly when it is the builder's own
+//! with equal parameters.
 
 use agreement_model::{
     Bit, Payload, ProcessorId, Protocol, ProtocolBuilder, StateDigest, SystemConfig, Thresholds,
@@ -11,9 +12,6 @@ use agreement_model::{
 
 use crate::test_ctx::TestCtx;
 use crate::{BenOrBuilder, BrachaBuilder, CommitteeBuilder, ResetTolerantBuilder};
-
-/// How many callbacks a rebuilt and a new instance are compared over.
-const REPLAYED_CALLBACKS: usize = 50;
 
 /// Everything `ctx` observed so far, the sends taken out.
 fn effects(ctx: &mut TestCtx) -> (Vec<(ProcessorId, Payload)>, Option<Bit>, u64) {
@@ -26,17 +24,22 @@ fn address(slot: &dyn Protocol) -> *const u8 {
     std::ptr::from_ref(slot).cast()
 }
 
-/// Runs `n` instances of `builder` under full, in-order delivery until
-/// nothing is in flight (or 20 000 deliveries), then resets processor 0 and
-/// lets it hear a little more. Returns processor 0's instance — started,
-/// delivered to, decided, reset — and every message it was sent.
-fn dirtied_instance(
+/// The inputs of the dirtying run: one dissenter, so every protocol still
+/// decides in its first round.
+fn one_dissenter(id: ProcessorId) -> Bit {
+    Bit::from(id.index() != 1)
+}
+
+/// Runs `n` instances of `builder` with inputs `input` under full, in-order
+/// delivery until nothing is in flight (or 20 000 deliveries). Returns
+/// processor 0's instance, every message it was sent, and how many of them
+/// it heard before its digest first changed.
+fn run(
     builder: &dyn ProtocolBuilder,
     cfg: SystemConfig,
-) -> (Box<dyn Protocol>, Vec<(ProcessorId, Payload)>) {
+    input: impl Fn(ProcessorId) -> Bit,
+) -> (Box<dyn Protocol>, Vec<(ProcessorId, Payload)>, usize) {
     let ids: Vec<ProcessorId> = ProcessorId::all(cfg.n()).collect();
-    // One dissenter: every protocol still decides in its first round.
-    let input = |id: ProcessorId| Bit::from(id.index() != 1);
     let mut instances: Vec<Box<dyn Protocol>> = ids
         .iter()
         .map(|&id| builder.build(id, input(id), &cfg))
@@ -55,6 +58,8 @@ fn dirtied_instance(
                 .map(|(to, payload)| (ctx.id, to, payload)),
         );
     }
+    let started = instances[0].digest();
+    let mut unmoved = None;
     for _ in 0..20_000 {
         let Some((from, to, payload)) = in_flight.pop_front() else {
             break;
@@ -68,25 +73,37 @@ fn dirtied_instance(
         );
         if to.index() == 0 {
             heard_by_zero.push((from, payload));
+            if unmoved.is_none() && instances[0].digest() != started {
+                unmoved = Some(heard_by_zero.len() - 1);
+            }
         }
     }
-    let mut zero = instances.swap_remove(0);
+    let unmoved = unmoved.unwrap_or(heard_by_zero.len());
+    (instances.swap_remove(0), heard_by_zero, unmoved)
+}
+
+/// Processor 0's instance after a whole execution it decides in, reset, and
+/// then handed again the messages it heard first, up to the one that moved
+/// it: its votes and broadcast state hold the first keys of a run with
+/// these inputs, which a rebuilt instance must not carry over.
+fn dirtied_instance(builder: &dyn ProtocolBuilder, cfg: SystemConfig) -> Box<dyn Protocol> {
+    let (mut zero, heard, unmoved) = run(builder, cfg, one_dissenter);
     assert!(
         zero.digest().decided.is_some(),
         "{}: the dirtying run must get processor 0 to decide",
         builder.name()
     );
-    zero.on_reset(&mut ctxs[0]);
-    for (from, payload) in heard_by_zero.iter().rev().take(5) {
-        zero.on_message(*from, payload, &mut ctxs[0]);
+    assert!(unmoved > 0, "{}: processor 0 moved at once", builder.name());
+    let ctx = &mut TestCtx::with_config(ProcessorId::new(0), Bit::One, cfg);
+    zero.on_reset(ctx);
+    for (from, payload) in &heard[..unmoved] {
+        zero.on_message(*from, payload, ctx);
     }
-    assert!(!heard_by_zero.is_empty());
-    (zero, heard_by_zero)
+    zero
 }
 
 /// Rebuilds `slot` with `builder` for `(id, input)` and compares it with a
-/// new instance over `on_start` and the messages of `script`, repeated as
-/// often as it takes (a committee observer hears fewer than fifty).
+/// new instance over `on_start` and every message of `script`.
 fn assert_rebuild_equals_build(
     builder: &dyn ProtocolBuilder,
     slot: &mut Box<dyn Protocol>,
@@ -108,8 +125,7 @@ fn assert_rebuild_equals_build(
         effects(&mut fresh_ctx),
         "{context}: start"
     );
-    let replayed = script.iter().cycle().take(REPLAYED_CALLBACKS - 1);
-    for (step, (from, payload)) in replayed.enumerate() {
+    for (step, (from, payload)) in script.iter().enumerate() {
         slot.on_message(*from, payload, &mut rebuilt_ctx);
         fresh.on_message(*from, payload, &mut fresh_ctx);
         assert_eq!(
@@ -121,17 +137,20 @@ fn assert_rebuild_equals_build(
     }
 }
 
-/// The whole contract for one builder: its own dirtied instance is reset in
-/// place for each identity in `ids`, and an instance of each builder in
+/// The whole contract for one builder: its own dirtied instance is rebuilt
+/// in place for each identity in `ids`, and an instance of each builder in
 /// `strangers` — another protocol, or this one with other parameters — is
-/// replaced; either way nothing tells the result from `build`.
+/// replaced; either way nothing tells the result from `build` over what
+/// processor 0 hears in a run with the other input split, whose votes the
+/// dirtied instance never counted.
 fn check_builder(
     builder: &dyn ProtocolBuilder,
     cfg: SystemConfig,
     ids: &[usize],
     strangers: &[(&dyn ProtocolBuilder, SystemConfig)],
 ) {
-    let (mut slot, script) = dirtied_instance(builder, cfg);
+    let mut slot = dirtied_instance(builder, cfg);
+    let (_, script, _) = run(builder, cfg, |id| !one_dissenter(id));
     let initial: StateDigest = builder.build(ProcessorId::new(0), Bit::One, &cfg).digest();
     assert_ne!(slot.digest(), initial, "the instance must start out dirty");
     for (&id, input) in ids.iter().zip([Bit::Zero, Bit::One].into_iter().cycle()) {
@@ -152,7 +171,7 @@ fn check_builder(
         );
     }
     for &(stranger, stranger_cfg) in strangers {
-        let (mut slot, _) = dirtied_instance(stranger, stranger_cfg);
+        let mut slot = dirtied_instance(stranger, stranger_cfg);
         let before = address(slot.as_ref());
         assert_rebuild_equals_build(
             builder,
@@ -251,7 +270,8 @@ fn committee_rebuild_equals_build() {
     );
     check_builder(&baseline, cfg, &[0, 39], &[(&sampled, cfg)]);
     // A clone shares the roster, and so the instances.
-    let (mut slot, script) = dirtied_instance(&baseline, cfg);
+    let mut slot = dirtied_instance(&baseline, cfg);
+    let (_, script, _) = run(&baseline, cfg, |id| !one_dissenter(id));
     let before = address(slot.as_ref());
     assert_rebuild_equals_build(
         &baseline.clone(),

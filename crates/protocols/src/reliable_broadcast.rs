@@ -207,11 +207,6 @@ impl ReliableBroadcaster {
         }
         accepted
     }
-
-    /// Discards all instance state (used when the embedding protocol is reset).
-    pub fn clear(&mut self) {
-        self.instances.clear();
-    }
 }
 
 #[cfg(test)]
@@ -441,7 +436,7 @@ mod tests {
     }
 
     #[test]
-    fn non_rbc_payloads_are_ignored_and_clear_resets_state() {
+    fn non_rbc_payloads_are_ignored_and_an_init_opens_an_instance() {
         let (mut r, mut ctx) = setup();
         let accepted = r.on_message(
             ProcessorId::new(2),
@@ -449,9 +444,8 @@ mod tests {
             &mut ctx,
         );
         assert!(accepted.is_empty());
+        assert_eq!(r.instance_count(), 0);
         r.on_message(ProcessorId::new(3), &rbc(RbcStep::Init, 3, 7), &mut ctx);
         assert_eq!(r.instance_count(), 1);
-        r.clear();
-        assert_eq!(r.instance_count(), 0);
     }
 }

@@ -44,6 +44,7 @@ enum Mode {
 #[derive(Debug)]
 pub struct ResetTolerant {
     thresholds: Thresholds,
+    n: usize,
     mode: Mode,
     round: u64,
     estimate: Bit,
@@ -55,30 +56,27 @@ pub struct ResetTolerant {
 
 impl ResetTolerant {
     /// Creates the protocol state for a processor with the given input.
-    pub fn new(input: Bit, thresholds: Thresholds) -> Self {
+    pub fn new(input: Bit, thresholds: Thresholds, cfg: &SystemConfig) -> Self {
+        let n = cfg.n();
+        ResetTolerant::with_tally(input, thresholds, n, RoundTally::for_processors(n))
+    }
+
+    /// The state [`ResetTolerant::new`] builds, counting votes in `tally`
+    /// (sized for `n`, emptied here): the only place the starting state is
+    /// written.
+    fn with_tally(input: Bit, thresholds: Thresholds, n: usize, mut tally: RoundTally) -> Self {
+        tally.clear();
         ResetTolerant {
             thresholds,
+            n,
             mode: Mode::Normal,
             round: 1,
             estimate: input,
-            tally: RoundTally::new(),
+            tally,
             last_processed_round: 0,
             reset_count: 0,
             decided: None,
         }
-    }
-
-    /// Returns this instance to the state [`ResetTolerant::new`] builds for
-    /// `input` and the thresholds it already has, keeping the tally's
-    /// storage.
-    fn reinit(&mut self, input: Bit) {
-        self.mode = Mode::Normal;
-        self.round = 1;
-        self.estimate = input;
-        self.tally.clear();
-        self.last_processed_round = 0;
-        self.reset_count = 0;
-        self.decided = None;
     }
 
     /// The thresholds this instance runs with.
@@ -270,9 +268,7 @@ impl ProtocolBuilder for ResetTolerantBuilder {
     }
 
     fn build(&self, _id: ProcessorId, input: Bit, cfg: &SystemConfig) -> Box<dyn Protocol> {
-        let mut protocol = ResetTolerant::new(input, self.thresholds);
-        protocol.tally = RoundTally::for_processors(cfg.n());
-        Box::new(protocol)
+        Box::new(ResetTolerant::new(input, self.thresholds, cfg))
     }
 
     fn rebuild(
@@ -283,10 +279,9 @@ impl ProtocolBuilder for ResetTolerantBuilder {
         cfg: &SystemConfig,
     ) {
         match slot.downcast_mut::<ResetTolerant>() {
-            Some(ours)
-                if ours.thresholds == self.thresholds && ours.tally.is_sized_for(cfg.n()) =>
-            {
-                ours.reinit(input);
+            Some(ours) if (ours.thresholds, ours.n) == (self.thresholds, cfg.n()) => {
+                let tally = std::mem::take(&mut ours.tally);
+                *ours = ResetTolerant::with_tally(input, self.thresholds, ours.n, tally);
             }
             _ => *slot = self.build(id, input, cfg),
         }
@@ -308,7 +303,7 @@ mod tests {
             (9, 9, 7)
         );
         (
-            ResetTolerant::new(input, thresholds),
+            ResetTolerant::new(input, thresholds, &cfg),
             TestCtx::with_config(ProcessorId::new(0), input, cfg),
         )
     }

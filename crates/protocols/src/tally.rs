@@ -15,8 +15,9 @@
 //! up from the back, where the current round is. A slot holds its key, the
 //! three counts inline, and its voters as a bitset of `u64` words indexed by
 //! [`ProcessorId`]; the words are sized once, from the processor count the
-//! tally was built for, and grow only if a larger identity shows up. Keys are
-//! stored, not indexed, so any `round` value works. Slots retired by
+//! tally was built for ([`RoundTally::for_processors`]), and never grow: a
+//! voter at or above that count is a caller's bug ([`RoundTally::record`]).
+//! Keys are stored, not indexed, so any `round` value works. Slots retired by
 //! [`RoundTally::forget_rounds_before`] and [`RoundTally::clear`] are wiped
 //! and rotated behind the live prefix of the same `Vec`, and the next new key
 //! takes one back, words and all: once a processor has seen as many keys at
@@ -35,7 +36,7 @@ use agreement_model::{Bit, ProcessorId};
 /// use agreement_model::{Bit, ProcessorId};
 /// use agreement_protocols::RoundTally;
 ///
-/// let mut tally = RoundTally::new();
+/// let mut tally = RoundTally::for_processors(4);
 /// tally.record(1, 0, ProcessorId::new(0), Some(Bit::One));
 /// tally.record(1, 0, ProcessorId::new(1), Some(Bit::Zero));
 /// // A duplicate vote from the same sender is ignored.
@@ -44,6 +45,9 @@ use agreement_model::{Bit, ProcessorId};
 /// assert_eq!(tally.count(1, 0, Bit::One), 1);
 /// assert_eq!(tally.count(1, 0, Bit::Zero), 1);
 /// ```
+///
+/// `RoundTally::default()` is the tally for no processors: it takes no
+/// vote, and stands in for a tally moved out with [`std::mem::take`].
 #[derive(Debug, Clone, Default)]
 pub struct RoundTally {
     /// `slots[..live]` are the keys with at least one recorded vote, sorted
@@ -52,8 +56,9 @@ pub struct RoundTally {
     /// otherwise carry a second allocation per processor.
     slots: Vec<Slot>,
     live: usize,
-    /// Voter words a brand-new slot starts with.
-    voter_words: usize,
+    /// The processors `0..n` whose votes the tally takes; a brand-new slot
+    /// gets voter words for exactly these.
+    n: usize,
 }
 
 /// Whether bit `index` of the bitset `words` is set; bits beyond its last
@@ -74,7 +79,7 @@ pub(crate) fn bit_is_set(words: &[u64], index: usize) -> bool {
 /// use agreement_model::{Bit, ProcessorId};
 /// use agreement_protocols::RoundTally;
 ///
-/// let mut tally = RoundTally::new();
+/// let mut tally = RoundTally::for_processors(2);
 /// tally.record(1, 0, ProcessorId::new(0), Some(Bit::One));
 /// let counts = tally.record(1, 0, ProcessorId::new(1), None).unwrap();
 /// assert_eq!((counts.total(), counts.count(Bit::One)), (2, 1));
@@ -152,38 +157,16 @@ impl Slot {
     fn has_voted(&self, sender: ProcessorId) -> bool {
         bit_is_set(&self.voters, sender.index())
     }
-
-    /// Grows the voter set to hold word `word`, for a sender beyond the
-    /// identities the tally was sized for, and returns that word.
-    #[cold]
-    #[inline(never)]
-    fn grow_voters(&mut self, word: usize) -> &mut u64 {
-        self.voters.resize(word + 1, 0);
-        &mut self.voters[word]
-    }
 }
 
 impl RoundTally {
-    /// Creates an empty tally.
-    pub fn new() -> Self {
-        RoundTally::default()
-    }
-
     /// Creates an empty tally whose voter sets are sized, once, for senders
-    /// `0..n`. Votes from any other [`ProcessorId`] are still recorded; they
-    /// only cost the slot they land in a reallocation.
+    /// `0..n`: the only voters [`RoundTally::record`] takes.
     pub fn for_processors(n: usize) -> Self {
         RoundTally {
-            voter_words: n.div_ceil(64),
+            n,
             ..RoundTally::default()
         }
-    }
-
-    /// Whether the voter sets are sized as [`RoundTally::for_processors`]
-    /// sizes them for `n` — what a cleared tally must also match to stand in
-    /// for a new one.
-    pub(crate) fn is_sized_for(&self, n: usize) -> bool {
-        self.voter_words == n.div_ceil(64)
     }
 
     /// The keys with at least one recorded vote, sorted by `(round, phase)`.
@@ -228,7 +211,17 @@ impl RoundTally {
     /// caller waiting for a quorum or a threshold need not look the key up a
     /// second time — and `None` if this sender had already voted for this
     /// key.
-    #[inline]
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sender` is not one of the `n` processors the tally was
+    /// sized for by [`RoundTally::for_processors`]. A release build checks
+    /// only the voter words, so there it panics from the next multiple of
+    /// 64 up.
+    // Forced: every delivery of every protocol comes through here, and left
+    // to the inliner the benchmark's build called it out of line from
+    // `ResetTolerant::on_message`, ≈ 20 % of a windowed n = 13 trial.
+    #[inline(always)]
     pub fn record(
         &mut self,
         round: u64,
@@ -236,16 +229,18 @@ impl RoundTally {
         sender: ProcessorId,
         value: Option<Bit>,
     ) -> Option<VoteCounts> {
+        debug_assert!(
+            sender.index() < self.n,
+            "voter {sender} outside the {} processors the tally is sized for",
+            self.n
+        );
         let at = match self.position(round, phase) {
             Ok(at) => at,
             Err(at) => self.open(at, round, phase),
         };
         let slot = &mut self.slots[at];
         let (word, bit) = (sender.index() / 64, 1u64 << (sender.index() % 64));
-        let voters = match slot.voters.get_mut(word) {
-            Some(voters) => voters,
-            None => slot.grow_voters(word),
-        };
+        let voters = &mut slot.voters[word];
         if *voters & bit != 0 {
             return None;
         }
@@ -267,7 +262,7 @@ impl RoundTally {
     #[inline(never)]
     fn open(&mut self, at: usize, round: u64, phase: u8) -> usize {
         if self.live == self.slots.len() {
-            self.slots.push(Slot::empty(self.voter_words));
+            self.slots.push(Slot::empty(self.n.div_ceil(64)));
         }
         // The first spare takes the key and moves into sorted place.
         self.slots[self.live].round = round;
@@ -535,18 +530,15 @@ mod tests {
         // across the whole of `u64`, and `forget_rounds_before` cuts through
         // the middle of them.
         let rounds: Vec<u64> = (0..4).chain(u64::MAX - 3..=u64::MAX).collect();
-        // Sized for 70 processors; 130 and 700 lie beyond the hint.
+        // Sized for 701 processors: senders on both sides of the first word
+        // boundary, and 700, the last processor, eleven words in.
         let senders: Vec<ProcessorId> = [0, 1, 2, 5, 63, 64, 69, 130, 700]
             .into_iter()
             .map(ProcessorId::new)
             .collect();
         for seed in 0..8u64 {
             let mut rng = ProcessorRng::from_seed(seed);
-            let mut flat = if seed % 2 == 0 {
-                RoundTally::for_processors(70)
-            } else {
-                RoundTally::new()
-            };
+            let mut flat = RoundTally::for_processors(701);
             let mut reference = ReferenceTally::default();
             for op in 0..400 {
                 let round = rounds[rng.range(rounds.len() as u64) as usize];
@@ -617,8 +609,21 @@ mod tests {
     }
 
     #[test]
+    #[should_panic]
+    fn a_voter_past_the_sized_words_panics() {
+        RoundTally::for_processors(64).record(1, 0, p(64), Some(Bit::One));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "voter p4 outside the 3 processors")]
+    fn a_debug_build_panics_at_the_first_voter_past_n() {
+        RoundTally::for_processors(3).record(1, 0, p(3), None);
+    }
+
+    #[test]
     fn duplicate_votes_are_ignored() {
-        let mut t = RoundTally::new();
+        let mut t = RoundTally::for_processors(8);
         let counted = t.record(1, 0, p(0), Some(Bit::One));
         assert_eq!(counted.map(VoteCounts::total), Some(1));
         assert_eq!(t.record(1, 0, p(0), Some(Bit::One)), None);
@@ -632,7 +637,7 @@ mod tests {
 
     #[test]
     fn phases_and_rounds_are_independent_keys() {
-        let mut t = RoundTally::new();
+        let mut t = RoundTally::for_processors(8);
         t.record(1, 0, p(0), Some(Bit::One));
         t.record(1, 1, p(0), Some(Bit::Zero));
         t.record(2, 0, p(0), Some(Bit::Zero));
@@ -644,7 +649,7 @@ mod tests {
 
     #[test]
     fn abstentions_count_towards_total_but_not_values() {
-        let mut t = RoundTally::new();
+        let mut t = RoundTally::for_processors(8);
         t.record(3, 2, p(0), None);
         t.record(3, 2, p(1), Some(Bit::Zero));
         assert_eq!(t.total(3, 2), 2);
@@ -655,7 +660,7 @@ mod tests {
 
     #[test]
     fn majority_value_breaks_ties_towards_one() {
-        let mut t = RoundTally::new();
+        let mut t = RoundTally::for_processors(8);
         assert_eq!(t.majority_value(1, 0), None);
         t.record(1, 0, p(0), Some(Bit::Zero));
         assert_eq!(t.majority_value(1, 0), Some(Bit::Zero));
@@ -667,7 +672,7 @@ mod tests {
 
     #[test]
     fn majority_value_of_only_abstentions_is_none() {
-        let mut t = RoundTally::new();
+        let mut t = RoundTally::for_processors(8);
         t.record(1, 0, p(0), None);
         t.record(1, 0, p(1), None);
         assert_eq!(t.majority_value(1, 0), None);
@@ -675,7 +680,7 @@ mod tests {
 
     #[test]
     fn value_with_at_least_respects_threshold() {
-        let mut t = RoundTally::new();
+        let mut t = RoundTally::for_processors(8);
         for i in 0..5 {
             t.record(1, 0, p(i), Some(Bit::Zero));
         }
@@ -690,7 +695,7 @@ mod tests {
 
     #[test]
     fn rounds_with_at_least_reports_ready_rounds() {
-        let mut t = RoundTally::new();
+        let mut t = RoundTally::for_processors(8);
         for i in 0..4 {
             t.record(7, 0, p(i), Some(Bit::One));
         }
@@ -706,7 +711,7 @@ mod tests {
 
     #[test]
     fn forgetting_old_rounds_keeps_newer_ones() {
-        let mut t = RoundTally::new();
+        let mut t = RoundTally::for_processors(8);
         t.record(1, 0, p(0), Some(Bit::One));
         t.record(5, 0, p(0), Some(Bit::One));
         t.forget_rounds_before(3);

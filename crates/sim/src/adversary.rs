@@ -559,7 +559,7 @@ mod tests {
         let outputs = [None, Some(Bit::One), None, None];
         let crashed = [false, false, true, false];
         let processors = Processors::new(cfg, &outputs, &crashed);
-        let buffer = MessageBuffer::new();
+        let buffer = MessageBuffer::with_processors(cfg.n());
         let view = processors.view(3, &buffer);
         assert_eq!(view.n(), 4);
         assert_eq!(view.t(), 1);
@@ -585,7 +585,7 @@ mod tests {
     fn full_delivery_adversary_emits_valid_windows() {
         let cfg = SystemConfig::new(6, 1).unwrap();
         let processors = Processors::undecided(cfg);
-        let buffer = MessageBuffer::new();
+        let buffer = MessageBuffer::with_processors(cfg.n());
         let mut adv = FullDeliveryAdversary;
         let w = adv.next_window(&processors.view(0, &buffer));
         assert!(w.validate(&cfg).is_ok());
@@ -596,7 +596,7 @@ mod tests {
     fn fair_async_adversary_serves_channels_round_robin_and_halts_when_empty() {
         let cfg = SystemConfig::new(2, 0).unwrap();
         let processors = Processors::undecided(cfg);
-        let mut buffer = MessageBuffer::new();
+        let mut buffer = MessageBuffer::with_processors(cfg.n());
         buffer.enqueue(Envelope::new(
             ProcessorId::new(0),
             ProcessorId::new(1),
@@ -637,7 +637,7 @@ mod tests {
     fn fair_async_adversary_skips_crashed_recipients() {
         let cfg = SystemConfig::new(2, 1).unwrap();
         let processors = Processors::new(cfg, &[None; 2], &[false, true]);
-        let mut buffer = MessageBuffer::new();
+        let mut buffer = MessageBuffer::with_processors(cfg.n());
         buffer.enqueue(Envelope::new(
             ProcessorId::new(0),
             ProcessorId::new(1),

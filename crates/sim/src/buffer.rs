@@ -341,9 +341,7 @@ fn clear_bit(words: &mut [u64], i: usize) {
 /// module docs).
 #[derive(Debug, Clone, Default)]
 pub struct MessageBuffer {
-    /// Number of processors the lanes cover.
-    n: usize,
-    /// One lane per sender.
+    /// One lane per sender, one sender per processor the buffer covers.
     lanes: Vec<Lane>,
     /// Bit `s` is set iff `lanes[s].pending > 0`.
     live: Vec<u64>,
@@ -357,19 +355,15 @@ pub struct MessageBuffer {
 }
 
 impl MessageBuffer {
-    /// Creates an empty buffer. The lanes grow on demand; prefer
-    /// [`MessageBuffer::with_processors`] when `n` is known up front so the
-    /// hot path never reallocates.
-    pub fn new() -> Self {
-        MessageBuffer::default()
-    }
-
-    /// Creates an empty buffer pre-sized for `n` processors: `n` empty lanes,
-    /// each allocating only as its traffic names recipients.
+    /// Creates an empty buffer for processors `0..n`: `n` empty lanes, each
+    /// allocating only as its traffic names recipients. The buffer never
+    /// grows; [`MessageBuffer::reset`] re-shapes it for another `n`.
     pub fn with_processors(n: usize) -> Self {
-        let mut buffer = MessageBuffer::default();
-        buffer.reshape(n);
-        buffer
+        MessageBuffer {
+            lanes: std::iter::repeat_with(Lane::default).take(n).collect(),
+            live: vec![0; n.div_ceil(64)],
+            ..MessageBuffer::default()
+        }
     }
 
     /// [`MessageBuffer::with_processors`]; the choice has one value (see
@@ -378,29 +372,19 @@ impl MessageBuffer {
         MessageBuffer::with_processors(n)
     }
 
-    /// Replaces the storage with empty lanes for `n` processors.
-    fn reshape(&mut self, n: usize) {
-        self.n = n;
-        self.lanes.clear();
-        self.lanes.resize_with(n, Lane::default);
-        self.live.clear();
-        self.live.resize(n.div_ceil(64), 0);
-    }
-
-    /// Clears the buffer for reuse by the next trial: empties every lane,
-    /// zeroes the counters and the clock, and re-shapes the storage to `n`
-    /// processors. With an unchanged `n` this allocates nothing and only
-    /// touches the lanes that sent: logs, cursor rows and materialized index
-    /// queues all stay warm, so steady-state traffic stops paying for them
-    /// after the first trial.
+    /// Clears the buffer for reuse by the next trial: leaves the state
+    /// [`MessageBuffer::with_processors`] builds for `n`. With an unchanged
+    /// `n` this allocates nothing and only touches the lanes that sent:
+    /// logs, cursor rows and materialized index queues all stay warm, so
+    /// steady-state traffic stops paying for them after the first trial.
     pub fn reset(&mut self, n: usize) {
-        if n == self.n {
+        if n == self.lanes.len() {
             for lane in self.lanes.iter_mut().filter(|lane| !lane.log.is_empty()) {
                 lane.clear();
             }
             self.live.fill(0);
         } else {
-            self.reshape(n);
+            *self = MessageBuffer::with_processors(n);
         }
         self.now = 0;
         self.enqueued = 0;
@@ -413,39 +397,6 @@ impl MessageBuffer {
     /// partial-synchrony model can age pending messages exactly.
     pub fn set_now(&mut self, now: u64) {
         self.now = now;
-    }
-
-    /// Grows the storage so processor `id` is covered. Only reachable
-    /// through a send on a buffer built with [`MessageBuffer::new`];
-    /// engine-owned buffers are pre-sized and never take this path.
-    #[inline]
-    fn ensure_covers(&mut self, id: usize) {
-        if id >= self.n {
-            self.grow_to_cover(id);
-        }
-    }
-
-    /// The cold body of [`MessageBuffer::ensure_covers`], outlined so the
-    /// send fast path inlines as a bounds check and nothing more. Processors
-    /// that join late were not addressed by the broadcasts already logged,
-    /// so their cursors start past them.
-    #[cold]
-    #[inline(never)]
-    fn grow_to_cover(&mut self, id: usize) {
-        let n = id + 1;
-        for lane in &mut self.lanes {
-            // A lane only has a cursor row to grow once it has broadcast.
-            if !lane.cursors.is_empty() {
-                lane.cursors.resize(n, lane.broadcasts.len() as u32);
-            }
-            // Likewise the slot table, once the lane has named someone.
-            if !lane.slots.is_empty() {
-                lane.slots.resize(n, 0);
-            }
-        }
-        self.lanes.resize_with(n, Lane::default);
-        self.live.resize(n.div_ceil(64), 0);
-        self.n = n;
     }
 
     /// Appends one send addressing `fanout` channels to `sender`'s log —
@@ -478,6 +429,11 @@ impl MessageBuffer {
 
     /// Enqueues a single-recipient message: one log entry, one index on the
     /// recipient's queue.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sender` or `recipient` is not one of the `n` processors
+    /// the buffer was sized for.
     #[inline]
     pub fn enqueue_unicast(
         &mut self,
@@ -492,11 +448,15 @@ impl MessageBuffer {
     /// Sends one payload to every processor the buffer covers, the sender
     /// included: one log entry and nothing per recipient — each channel of
     /// the lane finds it through its cursor.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sender` is not one of the `n` processors the buffer was
+    /// sized for.
     #[inline]
     pub fn broadcast(&mut self, sender: ProcessorId, payload: Payload, chain: u64) {
         let s = sender.index();
-        self.ensure_covers(s);
-        let n = self.n;
+        let n = self.lanes.len();
         let idx = self.log_send(s, payload, chain, n);
         let lane = &mut self.lanes[s];
         lane.broadcasts.push(idx);
@@ -515,6 +475,11 @@ impl MessageBuffer {
     /// 10 000. An empty set is a no-op. Duplicate
     /// ids in `recipients` enqueue one message per occurrence, in slice
     /// order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the set is not empty and `sender` or one of `recipients`
+    /// is not one of the `n` processors the buffer was sized for.
     #[inline]
     pub fn multicast(
         &mut self,
@@ -523,13 +488,12 @@ impl MessageBuffer {
         payload: Payload,
         chain: u64,
     ) {
-        let Some(top) = recipients.iter().map(|to| to.index()).max() else {
+        if recipients.is_empty() {
             return;
-        };
+        }
         let s = sender.index();
-        self.ensure_covers(s.max(top));
         let idx = self.log_send(s, payload, chain, recipients.len());
-        let n = self.n;
+        let n = self.lanes.len();
         let lane = &mut self.lanes[s];
         for to in recipients {
             lane.queue_mut(to.index(), n).push_back(idx);
@@ -655,7 +619,7 @@ impl MessageBuffer {
         recipient: ProcessorId,
         replacement: Payload,
     ) -> Option<&Payload> {
-        let (r, n) = (recipient.index(), self.n);
+        let (r, n) = (recipient.index(), self.lanes.len());
         let lane = self.lanes.get_mut(sender.index())?;
         let (source, original) = lane.head(r)?;
         let Entry {
@@ -726,7 +690,7 @@ impl MessageBuffer {
     /// sender-major and oldest-first within each channel: the
     /// `(sender, recipient)`-keyed order of the original `BTreeMap` layout.
     pub fn iter(&self) -> impl Iterator<Item = (ProcessorId, ProcessorId, &Payload)> + '_ {
-        let n = self.n;
+        let n = self.lanes.len();
         let pending = self
             .lanes
             .iter()
@@ -766,10 +730,9 @@ impl MessageBuffer {
     /// hit — plus the hit's endpoints, or `None` when no admitted channel has
     /// pending messages.
     ///
-    /// `n` is the *caller's* channel space (the system size), which may
-    /// exceed the buffer's own coverage when the buffer was grown lazily, so
-    /// that round-robin fairness is over the system, not the traffic pattern;
-    /// a cursor outside it starts from `(0, 0)`.
+    /// `n` is the *caller's* channel space (the system size, which the
+    /// engines size the buffer for); a cursor outside it starts from
+    /// `(0, 0)`.
     ///
     /// The cursor's own channel is tried first, inline: a resumed round
     /// robin over broadcasts mostly finds the next recipient of the same
@@ -1134,7 +1097,7 @@ mod tests {
 
     #[test]
     fn enqueue_then_pop_is_fifo_per_channel() {
-        let mut buf = MessageBuffer::new();
+        let mut buf = MessageBuffer::with_processors(3);
         buf.enqueue(env(0, 1, 1));
         buf.enqueue(env(0, 1, 2));
         buf.enqueue(env(2, 1, 9));
@@ -1150,7 +1113,7 @@ mod tests {
 
     #[test]
     fn chain_tags_ride_along_with_their_messages() {
-        let mut buf = MessageBuffer::new();
+        let mut buf = MessageBuffer::with_processors(2);
         buf.enqueue_with_chain(env(0, 1, 1), 4);
         buf.enqueue_with_chain(env(0, 1, 2), 9);
         let (first, chain) = buf.pop_with_chain(id(0), id(1)).unwrap();
@@ -1189,7 +1152,7 @@ mod tests {
 
     #[test]
     fn drain_removes_everything_in_order() {
-        let mut buf = MessageBuffer::new();
+        let mut buf = MessageBuffer::with_processors(5);
         for r in 1..=3 {
             buf.enqueue(env(4, 2, r));
         }
@@ -1203,7 +1166,7 @@ mod tests {
 
     #[test]
     fn drain_of_missing_channel_is_empty() {
-        let mut buf = MessageBuffer::new();
+        let mut buf = MessageBuffer::with_processors(3);
         assert_eq!(buf.drain(id(0), id(1), |_, _| unreachable!()), 0);
         buf.enqueue(env(0, 2, 1));
         assert_eq!(buf.drain(id(0), id(1), |_, _| unreachable!()), 0);
@@ -1255,7 +1218,7 @@ mod tests {
 
     #[test]
     fn drop_to_discards_only_that_recipient() {
-        let mut buf = MessageBuffer::new();
+        let mut buf = MessageBuffer::with_processors(3);
         buf.enqueue(env(0, 1, 1));
         buf.enqueue(env(0, 2, 1));
         buf.drop_to(id(1));
@@ -1266,7 +1229,7 @@ mod tests {
 
     #[test]
     fn corrupt_head_replaces_payload_in_place() {
-        let mut buf = MessageBuffer::new();
+        let mut buf = MessageBuffer::with_processors(4);
         buf.enqueue_with_chain(env(3, 0, 5), 7);
         let lie = Payload::Report {
             round: 5,
@@ -1284,7 +1247,7 @@ mod tests {
 
     #[test]
     fn iter_visits_every_pending_message() {
-        let mut buf = MessageBuffer::new();
+        let mut buf = MessageBuffer::with_processors(2);
         buf.enqueue(env(0, 1, 1));
         buf.enqueue(env(1, 0, 2));
         buf.enqueue(env(1, 0, 3));
@@ -1295,7 +1258,7 @@ mod tests {
 
     #[test]
     fn iter_is_sender_major_like_the_old_btree_layout() {
-        let mut buf = MessageBuffer::new();
+        let mut buf = MessageBuffer::with_processors(3);
         buf.enqueue(env(2, 0, 1));
         buf.enqueue(env(0, 2, 2));
         buf.enqueue(env(0, 1, 3));
@@ -1323,34 +1286,22 @@ mod tests {
     }
 
     #[test]
-    fn lazily_grown_buffer_matches_presized_behaviour() {
-        let mut lazy = MessageBuffer::new();
-        let mut sized = MessageBuffer::with_processors(6);
-        for (from, to, round) in [(0, 1, 1), (5, 2, 2), (2, 5, 3), (0, 1, 4)] {
-            lazy.enqueue(env(from, to, round));
-            sized.enqueue(env(from, to, round));
-        }
-        let l: Vec<_> = lazy.iter().map(|(f, t, p)| (f, t, p.round())).collect();
-        let s: Vec<_> = sized.iter().map(|(f, t, p)| (f, t, p.round())).collect();
-        assert_eq!(l, s);
-        assert_eq!(lazy.pending_total(), sized.pending_total());
+    #[should_panic]
+    fn a_broadcast_from_a_sender_past_n_panics() {
+        MessageBuffer::with_processors(3).broadcast(id(3), report(1), 0);
     }
 
     #[test]
-    fn a_broadcast_addresses_the_processors_covered_when_it_was_sent() {
-        let mut buf = MessageBuffer::new();
-        buf.enqueue(env(0, 2, 1));
-        buf.broadcast(id(1), report(2), 0);
-        assert_eq!(buf.pending_total(), 1 + 3);
-        // Processor 4 joins afterwards: the logged broadcast is not for it,
-        // the next one is.
-        buf.enqueue(env(4, 0, 3));
-        assert_eq!(buf.pending_on(id(1), id(4)), 0);
-        buf.broadcast(id(1), report(4), 0);
-        assert_eq!(buf.pending_on(id(1), id(4)), 1);
-        assert_eq!(buf.pending_on(id(1), id(2)), 2);
-        assert_eq!(buf.pending_total(), 1 + 3 + 1 + 5);
-        assert_eq!(buf.iter().count(), buf.pending_total());
+    #[should_panic]
+    fn a_unicast_from_a_sender_past_n_panics() {
+        MessageBuffer::with_processors(3).enqueue(env(3, 0, 1));
+    }
+
+    #[test]
+    #[should_panic]
+    fn a_multicast_naming_a_recipient_past_n_panics() {
+        let mut buf = MessageBuffer::with_processors(3);
+        buf.multicast(id(0), &[id(1), id(3)], report(1), 0);
     }
 
     #[test]
@@ -1446,7 +1397,7 @@ mod tests {
             "live bits cleared"
         );
         assert_eq!(buf.check_lanes(), Ok(()));
-        // Still usable for the same n without growth, cursors rewound.
+        // Still usable for the same n, cursors rewound.
         buf.enqueue(env(2, 2, 1));
         assert_eq!(buf.pending_on(id(2), id(2)), 1);
         buf.broadcast(id(1), report(4), 0);
@@ -1955,7 +1906,6 @@ mod tests {
         let mut rng = ProcessorRng::labelled(seed, 0xD4A1 + n as u64);
         let mut drained = MessageBuffer::with_processors(n);
         let mut popped = MessageBuffer::with_processors(n);
-        let mut n = n;
         let mut serial = 0;
         let mut now = 0;
         for op in 0..ops {
@@ -1972,17 +1922,12 @@ mod tests {
                 }
                 10..=24 => {
                     // Sets in whatever order the draws come — descending,
-                    // shuffled, with repeats — and, rarely, naming an id the
-                    // buffer does not cover yet.
+                    // shuffled, with repeats.
                     let s = any(&mut rng);
-                    let mut set: Vec<usize> = (0..rng.range(6)).map(|_| any(&mut rng)).collect();
-                    if rng.range(40) == 0 {
-                        set.push(n + rng.range(3) as usize);
-                    }
-                    let ids: Vec<ProcessorId> = set.iter().map(|&r| id(r)).collect();
+                    let ids: Vec<ProcessorId> =
+                        (0..rng.range(6)).map(|_| id(any(&mut rng))).collect();
                     drained.multicast(id(s), &ids, p.clone(), chain);
                     popped.multicast(id(s), &ids, p, chain);
-                    n = n.max(set.iter().max().map_or(0, |&top| top + 1));
                 }
                 25..=36 => {
                     let s = any(&mut rng);
@@ -2099,16 +2044,16 @@ mod tests {
     fn slot_table_finds_recipients_named_in_any_order() {
         let n = 100;
         let mut buf = MessageBuffer::with_processors(n);
-        // Descending, then shuffled with a repeat, then past the coverage.
+        // Descending, then shuffled with a repeat, then one more in between.
         buf.multicast(id(5), &[id(90), id(40), id(7)], report(1), 0);
         assert_eq!(buf.lanes[5].recipients, vec![7, 40, 90]);
         assert_eq!(buf.lanes[5].slots.len(), n, "allocated once, for all n");
         assert_eq!(buf.lanes[5].slots.capacity(), n, "and exactly");
         buf.multicast(id(5), &[id(63), id(7), id(99), id(0), id(63)], report(2), 0);
         assert_eq!(buf.lanes[5].recipients, vec![0, 7, 40, 63, 90, 99]);
-        buf.multicast(id(5), &[id(130), id(40)], report(3), 0);
-        assert_eq!(buf.lanes[5].recipients, vec![0, 7, 40, 63, 90, 99, 130]);
-        assert_eq!(buf.lanes[5].slots.len(), 131, "grown with the coverage");
+        buf.multicast(id(5), &[id(30), id(40)], report(3), 0);
+        assert_eq!(buf.lanes[5].recipients, vec![0, 7, 30, 40, 63, 90, 99]);
+        assert_eq!(buf.lanes[5].slots.len(), n, "never grown");
         assert!(
             buf.lanes[6].slots.is_empty(),
             "a lane that named no one has no table"
@@ -2120,7 +2065,7 @@ mod tests {
             (63, vec![2, 2]),
             (90, vec![1]),
             (99, vec![2]),
-            (130, vec![3]),
+            (30, vec![3]),
             (8, vec![]),
         ] {
             assert_eq!(buf.pending_on(id(5), id(to)), rounds.len(), "to {to}");
@@ -2129,7 +2074,7 @@ mod tests {
         }
         assert!(buf.is_empty());
         // The table and the queues survive the recycle and a reset.
-        buf.reset(131);
+        buf.reset(n);
         buf.multicast(id(5), &[id(99)], report(4), 0);
         assert_eq!(buf.lanes[5].queues.len(), 7);
         assert_eq!(buf.pop(id(5), id(99)).unwrap().round(), Some(4));

@@ -15,6 +15,7 @@
 //! messages but keeps the input, output, identity and reset counter — exactly
 //! the semantics of the paper's resetting failures.
 
+use std::mem::take;
 use std::ops::Range;
 
 use agreement_model::{
@@ -90,9 +91,42 @@ struct HarnessCore {
     /// the outbox.
     recipients: Vec<ProcessorId>,
     violations: Vec<String>,
+    /// Whether the protocol's `on_start` has run.
+    started: bool,
 }
 
 impl HarnessCore {
+    /// Processor `id` before its first step of a trial, keeping the given
+    /// buffers' allocations: the only place the starting state is written.
+    // Forced: inlined, a by-value rebuild moves less (−2 700 instructions).
+    #[inline(always)]
+    fn new(
+        id: ProcessorId,
+        input: Bit,
+        cfg: SystemConfig,
+        master_seed: u64,
+        mut outbox: Vec<Outgoing>,
+        mut recipients: Vec<ProcessorId>,
+        mut violations: Vec<String>,
+    ) -> Self {
+        outbox.clear();
+        recipients.clear();
+        violations.clear();
+        HarnessCore {
+            id,
+            cfg,
+            input,
+            reset_count: 0,
+            master_seed,
+            rng: None,
+            coin_flips: 0,
+            outbox,
+            recipients,
+            violations,
+            started: false,
+        }
+    }
+
     /// Counts a draw and hands out the private random stream, deriving it
     /// on the first: bit for bit the stream
     /// [`ProcessorRng::for_processor`] gives for the master seed and `id`.
@@ -187,7 +221,6 @@ impl Context for HarnessContext<'_> {
 pub struct ProcessorHarness {
     core: HarnessCore,
     protocol: Box<dyn Protocol>,
-    started: bool,
 }
 
 impl ProcessorHarness {
@@ -203,22 +236,9 @@ impl ProcessorHarness {
         builder: &dyn ProtocolBuilder,
         master_seed: u64,
     ) -> Self {
-        let protocol = builder.build(id, input, &cfg);
         ProcessorHarness {
-            core: HarnessCore {
-                id,
-                cfg,
-                input,
-                reset_count: 0,
-                master_seed,
-                rng: None,
-                coin_flips: 0,
-                outbox: Vec::new(),
-                recipients: Vec::new(),
-                violations: Vec::new(),
-            },
-            protocol,
-            started: false,
+            core: HarnessCore::new(id, input, cfg, master_seed, vec![], vec![], vec![]),
+            protocol: builder.build(id, input, &cfg),
         }
     }
 
@@ -270,12 +290,10 @@ impl ProcessorHarness {
         !self.core.outbox.is_empty()
     }
 
-    /// Re-initializes this harness for a fresh trial in place, reusing the
-    /// outbox and violation allocations: the protocol slot goes through
-    /// [`ProtocolBuilder::rebuild`] — which resets the previous trial's
-    /// instance where the builder recognizes it as its own and replaces it
-    /// otherwise — then the seed of a fresh rng stream (derived at the first
-    /// draw, as in a new harness), zeroed counters. Equivalent to
+    /// Re-initializes this harness for a fresh trial in place: the protocol
+    /// slot goes through [`ProtocolBuilder::rebuild`], the rest through the
+    /// constructor [`ProcessorHarness::new`] uses, keeping the outbox,
+    /// staged recipient and violation allocations. Equivalent to
     /// `ProcessorHarness::new` with the same arguments.
     pub fn reinit(
         &mut self,
@@ -286,26 +304,20 @@ impl ProcessorHarness {
         master_seed: u64,
     ) {
         builder.rebuild(&mut self.protocol, id, input, &cfg);
-        self.started = false;
-        self.core.id = id;
-        self.core.cfg = cfg;
-        self.core.input = input;
-        self.core.reset_count = 0;
-        self.core.master_seed = master_seed;
-        self.core.rng = None;
-        self.core.coin_flips = 0;
-        self.core.clear_outbox();
-        self.core.violations.clear();
+        let core = &mut self.core;
+        let (outbox, staged) = (take(&mut core.outbox), take(&mut core.recipients));
+        let violations = take(&mut core.violations);
+        self.core = HarnessCore::new(id, input, cfg, master_seed, outbox, staged, violations);
     }
 
     /// Runs the protocol's `on_start` callback (idempotent: only the first
     /// call has any effect), with `output` as the processor's output
     /// register.
     pub fn start(&mut self, output: &mut OutputRegister) {
-        if self.started {
+        if self.core.started {
             return;
         }
-        self.started = true;
+        self.core.started = true;
         let ctx = &mut HarnessContext {
             core: &mut self.core,
             output,
@@ -653,9 +665,10 @@ mod tests {
     fn reinit_reproduces_a_fresh_harness_bit_for_bit() {
         let cfg = SystemConfig::new(4, 0).unwrap();
         let mut reused = ProcessorHarness::new(ProcessorId::new(0), Bit::One, cfg, &EchoBuilder, 7);
-        // Dirty every piece of state the reinit must clear.
+        // Dirty every piece of state the reinit must clear, the outbox last.
         let mut out = OutputRegister::new();
         reused.start(&mut out);
+        reused.reset(&mut out);
         reused.deliver(
             ProcessorId::new(1),
             &Payload::Report {
@@ -664,8 +677,7 @@ mod tests {
             },
             &mut out,
         );
-        reused.reset(&mut out);
-        assert!(reused.reset_count() > 0);
+        assert!(reused.reset_count() > 0 && reused.outbox_len() > 0);
 
         reused.reinit(ProcessorId::new(2), Bit::Zero, cfg, &EchoBuilder, 99);
         let mut fresh =

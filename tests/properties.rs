@@ -161,7 +161,7 @@ fn tally_counts_are_bounded_by_distinct_voters() {
         let votes: Vec<(usize, bool)> = (0..gen.range(60))
             .map(|_| (gen.range(10) as usize, gen.bit().is_one()))
             .collect();
-        let mut tally = RoundTally::new();
+        let mut tally = RoundTally::for_processors(10);
         for (sender, value) in &votes {
             tally.record(1, 0, ProcessorId::new(*sender), Some(Bit::from(*value)));
             // A duplicate never changes the counts.
