@@ -487,6 +487,34 @@ impl ScenarioSpec {
         ))
     }
 
+    /// [`ScenarioSpec::run_range_records`] inside the caller's
+    /// `workspaces`, one per campaign worker
+    /// ([`Campaign::run_records_range_in`]): an orchestration worker passes
+    /// the same list for every range it serves, so each range starts on
+    /// warm cores.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ScenarioError`] when the spec does not resolve.
+    pub fn run_range_records_in(
+        &self,
+        campaign: &Campaign,
+        workspaces: &mut Vec<TrialWorkspace>,
+        lo: u64,
+        hi: u64,
+    ) -> Result<Vec<TrialRecord>, ScenarioError> {
+        let (cfg, instance, factory) = self.resolved()?;
+        let plan = self.plan(cfg, self.trials, self.base_seed);
+        Ok(campaign.run_records_range_in(
+            workspaces,
+            &plan,
+            instance.builder.as_ref(),
+            |seed| factory.build(&self.build_ctx(cfg, &instance, seed)),
+            lo,
+            hi,
+        ))
+    }
+
     /// Runs a single execution with an explicit seed and returns its raw
     /// outcome (used by determinism tests and for inspecting one trace).
     ///

@@ -23,7 +23,7 @@ use agreement_model::{
     Bit, Context, Payload, ProcessorId, Protocol, ProtocolBuilder, StateDigest, SystemConfig,
 };
 
-use crate::tally::RoundTally;
+use crate::tally::{RoundTally, VoteCounts};
 
 /// Phase identifiers used as tally keys.
 const PHASE_REPORT: u8 = 1;
@@ -99,32 +99,23 @@ impl BenOr {
         });
     }
 
-    fn try_progress(&mut self, ctx: &mut dyn Context) {
+    /// Runs the phases whose quorum is in, starting from `votes`, the counts
+    /// of the key the processor waits on — `(round, waiting_phase)` — which
+    /// hold a quorum. Each later key's counts are read once, when the
+    /// processor moves on to it; it stops at the first without a quorum.
+    fn try_progress(&mut self, mut votes: VoteCounts, ctx: &mut dyn Context) {
         loop {
-            let r = self.round;
             match self.waiting_phase {
                 PHASE_REPORT => {
-                    if self.tally.total(r, PHASE_REPORT) < self.quorum() {
-                        break;
-                    }
                     // Strict majority of *all* processors among the received
                     // reports is required to propose.
-                    let proposal = Bit::ALL
-                        .into_iter()
-                        .find(|&v| 2 * self.tally.count(r, PHASE_REPORT, v) > self.n);
+                    let proposal = Bit::ALL.into_iter().find(|&v| 2 * votes.count(v) > self.n);
                     self.send_proposal(proposal, ctx);
                     self.waiting_phase = PHASE_PROPOSAL;
                 }
                 PHASE_PROPOSAL => {
-                    if self.tally.total(r, PHASE_PROPOSAL) < self.quorum() {
-                        break;
-                    }
-                    let strong = Bit::ALL
-                        .into_iter()
-                        .find(|&v| self.tally.count(r, PHASE_PROPOSAL, v) > self.t);
-                    let weak = Bit::ALL
-                        .into_iter()
-                        .find(|&v| self.tally.count(r, PHASE_PROPOSAL, v) >= 1);
+                    let strong = Bit::ALL.into_iter().find(|&v| votes.count(v) > self.t);
+                    let weak = Bit::ALL.into_iter().find(|&v| votes.count(v) >= 1);
                     if let Some(v) = strong {
                         self.decided = Some(v);
                         ctx.decide(v);
@@ -134,12 +125,16 @@ impl BenOr {
                     } else {
                         self.estimate = ctx.random_bit();
                     }
-                    self.round = r + 1;
+                    self.round += 1;
                     self.waiting_phase = PHASE_REPORT;
                     self.tally.forget_rounds_before(self.round);
                     self.send_report(ctx);
                 }
                 _ => unreachable!("Ben-Or only has phases 1 and 2"),
+            }
+            votes = self.tally.counts(self.round, self.waiting_phase);
+            if votes.total() < self.quorum() {
+                break;
             }
         }
     }
@@ -151,16 +146,27 @@ impl Protocol for BenOr {
     }
 
     fn on_message(&mut self, from: ProcessorId, payload: &Payload, ctx: &mut dyn Context) {
-        match payload {
-            Payload::Report { round, value } if *round >= self.round => {
-                self.tally.record(*round, PHASE_REPORT, from, Some(*value));
-            }
-            Payload::Proposal { round, value } if *round >= self.round => {
-                self.tally.record(*round, PHASE_PROPOSAL, from, *value);
-            }
+        let (round, phase, value) = match *payload {
+            Payload::Report { round, value } => (round, PHASE_REPORT, Some(value)),
+            Payload::Proposal { round, value } => (round, PHASE_PROPOSAL, value),
             _ => return,
+        };
+        if round < self.round {
+            return;
         }
-        self.try_progress(ctx);
+        // At rest the key the processor waits on holds less than a quorum —
+        // `try_progress` runs until it does — and no other key is looked at
+        // until that one fills: only a counted vote that lifts it to the
+        // quorum can move the state machine.
+        match self.tally.record(round, phase, from, value) {
+            Some(votes)
+                if (round, phase) == (self.round, self.waiting_phase)
+                    && votes.total() >= self.quorum() =>
+            {
+                self.try_progress(votes, ctx);
+            }
+            _ => {}
+        }
     }
 
     fn on_reset(&mut self, _ctx: &mut dyn Context) {
@@ -394,6 +400,80 @@ mod tests {
         // The early round-2 reports now immediately complete phase 1 of round 2.
         assert_eq!(p.round(), 2);
         assert_eq!(p.waiting_phase(), 2);
+    }
+
+    #[test]
+    fn the_report_completing_a_quorum_also_runs_the_proposals_already_in() {
+        let (mut p, mut ctx) = setup(Bit::One);
+        p.on_start(&mut ctx);
+        // Round-1 proposals from a quorum arrive while the reports are one
+        // short of theirs.
+        feed_proposals(&mut p, &mut ctx, 1, &[Some(Bit::Zero); 4]);
+        feed_reports(&mut p, &mut ctx, 1, 3, 0);
+        assert_eq!((p.round(), p.waiting_phase()), (1, PHASE_REPORT));
+        assert_eq!(ctx.decided, None);
+        ctx.sent.clear();
+        // The fourth report: phase 1 proposes, and phase 2 finds its quorum
+        // already in and decides — one call.
+        p.on_message(
+            ProcessorId::new(6),
+            &Payload::Report {
+                round: 1,
+                value: Bit::Zero,
+            },
+            &mut ctx,
+        );
+        assert_eq!(ctx.decided, Some(Bit::Zero));
+        assert_eq!((p.round(), p.waiting_phase()), (2, PHASE_REPORT));
+        let sent: Vec<&Payload> = ctx.sent_to(1);
+        assert!(matches!(
+            sent[..],
+            [
+                Payload::Proposal {
+                    round: 1,
+                    value: Some(Bit::Zero)
+                },
+                Payload::Report {
+                    round: 2,
+                    value: Bit::Zero
+                }
+            ]
+        ));
+    }
+
+    #[test]
+    fn a_vote_that_cannot_fill_the_awaited_key_leaves_the_processor_at_rest() {
+        let (mut p, mut ctx) = setup(Bit::One);
+        p.on_start(&mut ctx);
+        // The awaited key, round-1 reports, one short of the quorum of 4.
+        feed_reports(&mut p, &mut ctx, 1, 0, 3);
+        ctx.sent.clear();
+        let report = |round| Payload::Report {
+            round,
+            value: Bit::One,
+        };
+        let votes = [
+            // A duplicate of an awaited-key vote.
+            (0, report(1)),
+            // Votes for other keys: this round's proposals, the next
+            // round's reports.
+            (
+                4,
+                Payload::Proposal {
+                    round: 1,
+                    value: Some(Bit::One),
+                },
+            ),
+            (5, report(2)),
+        ];
+        for (from, payload) in &votes {
+            p.on_message(ProcessorId::new(*from), payload, &mut ctx);
+            assert_eq!((p.round(), p.waiting_phase()), (1, PHASE_REPORT));
+            assert!(ctx.sent.is_empty(), "{payload:?} moved the processor");
+        }
+        // A fresh awaited-key vote does fill it.
+        p.on_message(ProcessorId::new(6), &report(1), &mut ctx);
+        assert_eq!((p.round(), p.waiting_phase()), (1, PHASE_PROPOSAL));
     }
 
     #[test]

@@ -550,6 +550,36 @@ impl MessageBuffer {
             .map(|entry| (&entry.payload, entry.chain))
     }
 
+    /// [`MessageBuffer::pop_message`] on a channel known to hold a message:
+    /// one [`MessageBuffer::owed_channels`] listed, popped no more often
+    /// than it said. A channel without an index queue hands out the
+    /// broadcast under its cursor directly, with nothing to merge.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the channel is empty or outside the buffer.
+    #[inline(always)]
+    pub fn pop_owed(&mut self, sender: ProcessorId, recipient: ProcessorId) -> (&Payload, u64) {
+        let (s, r) = (sender.index(), recipient.index());
+        let lane = &mut self.lanes[s];
+        let idx = match lane.slot(r) {
+            None => {
+                let cursor = &mut lane.cursors[r];
+                let idx = lane.broadcasts[*cursor as usize] as usize;
+                *cursor += 1;
+                lane.pending -= 1;
+                idx
+            }
+            Some(_) => lane.pop(r).expect("an owed message is pending"),
+        };
+        if lane.pending == 0 {
+            clear_bit(&mut self.live, s);
+        }
+        self.delivered += 1;
+        let entry = &lane.log[idx];
+        (&entry.payload, entry.chain)
+    }
+
     /// Removes *all* undelivered messages from `sender` to `recipient`,
     /// lending each one's payload and chain tag to `f`, oldest first, and
     /// returns how many there were. This is a receiving phase's bulk
@@ -680,8 +710,10 @@ impl MessageBuffer {
 
     /// The send-time stamp of the oldest undelivered message on the channel
     /// (the buffer clock value at its enqueue). Channels are FIFO and the
-    /// clock is monotone, so the head is always the channel's oldest message;
-    /// the partial-synchrony scheduler uses this to find overdue deliveries.
+    /// clock is monotone, so the head is always the channel's oldest
+    /// message. The partial-synchrony scheduler lists a sender's overdue
+    /// channels with [`MessageBuffer::owed_channels`] instead of polling
+    /// heads; the tests' reference scheduler polls them with this.
     pub fn head_sent_at(&self, sender: ProcessorId, recipient: ProcessorId) -> Option<u64> {
         self.front(sender, recipient).map(|entry| entry.sent_at)
     }
@@ -716,11 +748,63 @@ impl MessageBuffer {
     /// stamp, so no entry of the log — pending or not — is older. It goes
     /// stale (stays low) while the lane never fully drains, which makes it a
     /// reason to *skip* a sender, never a substitute for
-    /// [`MessageBuffer::head_sent_at`].
+    /// [`MessageBuffer::owed_channels`].
     #[inline]
     pub fn pending_since(&self, sender: ProcessorId) -> Option<u64> {
         let lane = self.lanes.get(sender.index())?;
         (lane.pending > 0).then(|| lane.log[0].sent_at)
+    }
+
+    /// Lists in `owed` (cleared first), in ascending recipient order, each
+    /// recipient that `sender` has messages pending to with a send stamp at
+    /// most `bound`, and how many: popping that many off the channel
+    /// ([`MessageBuffer::pop_owed`]) delivers exactly them. The
+    /// partial-synchrony scheduler's owed deliveries.
+    ///
+    /// A channel's stamps never decrease along its FIFO order — the log is
+    /// appended in clock order and a [`MessageBuffer::corrupt_head`]
+    /// replacement takes both the place and the stamp of its original — so
+    /// the messages at or below `bound` are a prefix of it. The due
+    /// broadcasts are found by one binary search over the lane's broadcast
+    /// list, and a channel owes the ones between its cursor and that point:
+    /// one compare per cursor. A lane that has named a recipient adds, for
+    /// each recipient with an index queue, the prefix of the queue at or
+    /// below `bound`.
+    #[inline]
+    pub fn owed_channels(
+        &self,
+        sender: ProcessorId,
+        bound: u64,
+        owed: &mut Vec<(ProcessorId, usize)>,
+    ) {
+        owed.clear();
+        let Some(lane) = self
+            .lanes
+            .get(sender.index())
+            .filter(|lane| lane.pending > 0)
+        else {
+            return;
+        };
+        let due = |&idx: &u32| lane.log[idx as usize].sent_at <= bound;
+        let cast = lane.broadcasts.partition_point(due);
+        if lane.recipients.is_empty() {
+            for (r, &cursor) in lane.cursors.iter().enumerate() {
+                if (cursor as usize) < cast {
+                    owed.push((ProcessorId::new(r), cast - cursor as usize));
+                }
+            }
+            return;
+        }
+        // A lane that named a recipient has its slot table, one per processor.
+        for r in 0..lane.slots.len() {
+            let queued = lane
+                .slot(r)
+                .map_or(0, |i| lane.queues[i].partition_point(due));
+            let count = cast.saturating_sub(lane.cursor(r)) + queued;
+            if count > 0 {
+                owed.push((ProcessorId::new(r), count));
+            }
+        }
     }
 
     /// Finds the first channel with a pending message at or after `cursor`
@@ -1583,6 +1667,20 @@ mod tests {
             count
         }
 
+        /// Per recipient in ascending order, how many of `s`'s pending
+        /// messages to it are stamped at most `bound`; asserts that those
+        /// are a prefix of the channel.
+        fn owed(&self, s: usize, bound: u64) -> Vec<(ProcessorId, usize)> {
+            let lane = self.channels.range((s, 0)..=(s, self.n));
+            let counted = lane.map(|(&(_, r), channel)| {
+                let count = channel.iter().take_while(|sent| sent.2 <= bound).count();
+                let mut late = channel.iter().skip(count);
+                assert!(late.all(|sent| sent.2 > bound), "{s} -> {r} unordered");
+                (id(r), count)
+            });
+            counted.filter(|&(_, count)| count > 0).collect()
+        }
+
         fn has_pending(&self, s: usize, r: usize) -> bool {
             self.channels.get(&(s, r)).is_some_and(|c| !c.is_empty())
         }
@@ -1617,6 +1715,12 @@ mod tests {
         /// The hit lay before the cursor, or was channel `(n − 1, n − 1)`:
         /// the round robin wrapped.
         wrapped: usize,
+        /// [`MessageBuffer::owed_channels`] listed a channel of a lane that
+        /// never named a recipient: by the cursor row alone.
+        owed_by_cursor_row: usize,
+        /// It listed a channel of a lane with index queues: by each
+        /// channel's merged FIFO.
+        owed_by_merged_fifo: usize,
     }
 
     /// Every scan [`MessageBuffer::next_pending_channel_where`] can make
@@ -1762,6 +1866,7 @@ mod tests {
                 value,
             }
         };
+        let mut owed = Vec::new();
         for op in 0..ops {
             let at = format!("after op {op} (n = {n}, seed {seed})");
             let any = |rng: &mut ProcessorRng| rng.range(n as u64) as usize;
@@ -1773,16 +1878,19 @@ mod tests {
                     _ => (any(rng), any(rng)),
                 }
             };
+            // Senders 3, 7, 11, … only broadcast (their corruptions go to
+            // the sender below), so their lanes never name a recipient.
+            let naming = |s: usize| if s % 4 == 3 { s - 1 } else { s };
             let chain = rng.range(10);
-            match rng.range(100) {
+            match rng.range(106) {
                 0..=11 => {
-                    let (s, r, p) = (any(&mut rng), any(&mut rng), fresh(Bit::Zero));
+                    let (s, r, p) = (naming(any(&mut rng)), any(&mut rng), fresh(Bit::Zero));
                     model.send(s, [r], &p, chain);
                     buf.enqueue_unicast(id(s), id(r), p, chain);
                 }
                 12..=23 => {
                     // Empty, singleton and duplicate-bearing sets included.
-                    let s = any(&mut rng);
+                    let s = naming(any(&mut rng));
                     let set: Vec<usize> = (0..rng.range(5)).map(|_| any(&mut rng)).collect();
                     let ids: Vec<ProcessorId> = set.iter().map(|&r| id(r)).collect();
                     let p = fresh(Bit::Zero);
@@ -1827,6 +1935,7 @@ mod tests {
                 }
                 74..=87 => {
                     let (s, r) = aim(&mut rng, &model);
+                    let s = naming(s);
                     let lie = fresh(Bit::One);
                     let expected = model.corrupt_head(s, r, lie.clone());
                     let original = buf.corrupt_head(id(s), id(r), lie).cloned();
@@ -1845,6 +1954,34 @@ mod tests {
                         ..Model::default()
                     };
                     buf.reset(n);
+                }
+                100..=105 => {
+                    // One lane's owed channels at a bound up to just past
+                    // the clock; then, mostly, a sender's forced
+                    // deliveries: exactly the owed count popped off each.
+                    let (s, bound) = (any(&mut rng), rng.range(model.now + 2));
+                    buf.owed_channels(id(s), bound, &mut owed);
+                    assert_eq!(
+                        owed,
+                        model.owed(s, bound),
+                        "owed_channels({s}, {bound}) {at}"
+                    );
+                    match (owed.is_empty(), buf.lanes[s].recipients.is_empty()) {
+                        (true, _) => {}
+                        (false, true) => paths.owed_by_cursor_row += 1,
+                        (false, false) => paths.owed_by_merged_fifo += 1,
+                    }
+                    if rng.range(4) > 0 {
+                        for &(r, count) in &owed {
+                            for _ in 0..count {
+                                let expected = model.pop(s, r.index());
+                                let (p, chain) = buf.pop_owed(id(s), r);
+                                assert_eq!(Some((p.clone(), chain)), expected, "pop_owed {at}");
+                            }
+                        }
+                        buf.owed_channels(id(s), bound, &mut owed);
+                        assert_eq!(owed, [], "owed after the forced deliveries {at}");
+                    }
                 }
                 _ => {
                     model.now += rng.range(3);
@@ -2125,10 +2262,16 @@ mod tests {
             own_rejected,
             queue_only,
             wrapped,
+            owed_by_cursor_row,
+            owed_by_merged_fifo,
         } = paths;
         assert!(
             own_hit > 0 && own_rejected > 0 && queue_only > 0 && wrapped > 0,
             "a scan path went untested: {paths:?}"
+        );
+        assert!(
+            owed_by_cursor_row > 0 && owed_by_merged_fifo > 0,
+            "an owed-channel path went untested: {paths:?}"
         );
     }
 }

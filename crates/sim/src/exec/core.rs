@@ -84,6 +84,10 @@ pub struct ExecutionCore<P: Probe = NoProbe, R: Recorder = FullTrace> {
     /// `RefCell` where the memo has `Cell`s: a `Cell` of a non-`Copy` value
     /// has no `Debug`.)
     spare_window: RefCell<Window>,
+    /// The channels one sender owes in a partial-synchrony step, as
+    /// [`MessageBuffer::owed_channels`] lists them. Storage only, like the
+    /// spare window: [`ExecutionCore::reinit`] leaves it alone.
+    owed: Vec<(ProcessorId, usize)>,
     /// Number of non-crashed processors that have not decided yet. Kept
     /// incrementally so termination checks are O(1) per adversary step
     /// instead of an O(n) scan.
@@ -162,6 +166,7 @@ impl<P: Probe, R: Recorder> ExecutionCore<P, R> {
             corrupted: vec![false; cfg.n()],
             digest_memo: vec![Cell::new(None); cfg.n()],
             spare_window: RefCell::default(),
+            owed: Vec::new(),
             undecided_correct: cfg.n(),
             decided_count: 0,
             cfg,
@@ -511,13 +516,27 @@ impl<P: Probe, R: Recorder> ExecutionCore<P, R> {
     /// flushes the recipient's resulting sends into the buffer. No-op when the
     /// recipient has crashed or the channel is empty.
     pub fn deliver_one(&mut self, from: ProcessorId, to: ProcessorId) {
-        let i = to.index();
-        if self.status[i].crashed {
-            return;
+        if !self.status[to.index()].crashed {
+            self.receive(from, to, false);
         }
+    }
+
+    /// [`ExecutionCore::deliver_one`] to a recipient known not to have
+    /// crashed, on a channel known to hold a message if `owed`. Inlined
+    /// into both callers: the forced deliveries of a partial-synchrony step
+    /// check the crash flag once per channel and pop with
+    /// [`MessageBuffer::pop_owed`].
+    #[inline(always)]
+    fn receive(&mut self, from: ProcessorId, to: ProcessorId, owed: bool) {
+        let i = to.index();
         // The payload is processed straight out of the sender's log —
         // borrowed, never moved or cloned.
-        let Some((payload, chain)) = self.buffer.pop_message(from, to) else {
+        let popped = if owed {
+            Some(self.buffer.pop_owed(from, to))
+        } else {
+            self.buffer.pop_message(from, to)
+        };
+        let Some((payload, chain)) = popped else {
             return;
         };
         self.recorder.record(TraceEvent::Delivered { from, to });
@@ -530,6 +549,33 @@ impl<P: Probe, R: Recorder> ExecutionCore<P, R> {
         self.note_decision(i, before);
         self.mark_view_dirty(i);
         self.flush_outbox(to);
+    }
+
+    /// Delivers every message `from` has pending with a send stamp at most
+    /// `bound` to a non-crashed recipient, channel by channel in recipient
+    /// order, oldest first within a channel: the forced deliveries of one
+    /// sender in a partial-synchrony step.
+    ///
+    /// The channels and their counts are listed once, up front
+    /// ([`MessageBuffer::owed_channels`]), and each owed message is popped
+    /// once. The list stays exact while it is worked through as long as
+    /// `bound` lies below the clock: a delivery only makes its recipient
+    /// send, and those sends are stamped with the clock, so they are never
+    /// owed; and the sender's lane cannot recycle under the list, since it
+    /// still has the owed messages pending.
+    pub(crate) fn deliver_owed(&mut self, from: ProcessorId, bound: u64) {
+        debug_assert!(bound < self.time, "sends stamped now would be owed");
+        self.buffer.owed_channels(from, bound, &mut self.owed);
+        // By index: the deliveries borrow the whole core, and leave the list
+        // as it is.
+        for k in 0..self.owed.len() {
+            let (to, count) = self.owed[k];
+            if !self.status[to.index()].crashed {
+                for _ in 0..count {
+                    self.receive(from, to, true);
+                }
+            }
+        }
     }
 
     /// The receiving steps of one processor in an acceptable window: drains,

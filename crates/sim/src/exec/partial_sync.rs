@@ -22,14 +22,18 @@
 //! 1. the adversary picks a discretionary [`PartialSyncAction`] with full
 //!    information;
 //! 2. the clock advances;
-//! 3. **bounded-delay enforcement** — if the clock has passed GST, every
-//!    pending message sent at step `s` whose deadline `max(s, gst) + Δ` has
-//!    arrived is delivered, in deterministic sender-major channel order
-//!    (messages from omitted senders and messages to crashed recipients are
-//!    exempt). A sender is skipped outright when the buffer's lower bound on
-//!    the send stamps it still has pending puts every such deadline in the
-//!    future — most steps force nothing, and this is what keeps them from
-//!    polling all `n²` channels to find that out;
+//! 3. **bounded-delay enforcement** — every pending message sent at step
+//!    `s` whose deadline `max(s, gst) + Δ` has arrived is delivered, in
+//!    deterministic sender-major channel order (messages from omitted
+//!    senders and messages to crashed recipients are exempt). Once
+//!    `now ≥ gst + Δ` that deadline has arrived exactly when
+//!    `s ≤ now − Δ`, so the step computes that one due bound and compares
+//!    stamps with it. A sender is skipped outright when the buffer's lower
+//!    bound on the stamps it still has pending lies past it; any other
+//!    sender's owed channels are read off its lane — from its cursor row,
+//!    one compare per recipient — and exactly the owed messages are
+//!    popped. The cost is one check per sender plus the deliveries forced,
+//!    where polling every channel head cost `n²` lookups a step;
 //! 4. the discretionary action is applied.
 //!
 //! Running time is measured in steps against `RunLimits::max_steps`, and the
@@ -55,56 +59,53 @@ fn omission_faults(adversary: &dyn PartialSyncAdversary, t: usize) -> usize {
         .count()
 }
 
-/// Delivers every pending message whose post-GST deadline has arrived:
-/// a message sent at step `s` must be delivered by `max(s, gst) + Δ`.
+/// Delivers every pending message whose post-GST deadline has arrived,
+/// given the step's due bound: a message sent at step `s` is due once
+/// `max(s, gst) + Δ ≤ now`, which — once `now ≥ gst + Δ` — says `s ≤ bound`
+/// for `bound = now − Δ` (see [`due_bound`]).
 ///
-/// Senders are visited in identity order, but only those that can have
-/// something overdue: [`MessageBuffer::pending_since`] bounds the send
-/// stamp of everything a sender still has pending from below, so when
-/// even that stamp's deadline lies ahead, so does every deadline on the
-/// sender's `n` channels, and scanning them would deliver nothing. The
-/// bound is only ever a reason to skip; a sender that is not skipped has
-/// every channel scanned, sender-major: within a channel, FIFO order and
-/// a monotone clock mean the head is always the oldest message, so
-/// popping while the head is overdue delivers exactly the overdue
-/// prefix. Messages from omitted senders — the first `t` the adversary
-/// declared, the budget the model grants it — and to crashed recipients
-/// are exempt (the model only promises delivery between correct
-/// processors).
+/// Senders are visited in identity order, and a sender is skipped outright
+/// when [`MessageBuffer::pending_since`] — a lower bound on the send stamp
+/// of everything it still has pending — lies past `bound`: then so does
+/// every stamp on its `n` channels. A sender that is not skipped has its
+/// owed channels read off its lane ([`ExecutionCore::deliver_owed`]): each
+/// recipient it owes, with how many, from one binary search over the lane's
+/// broadcasts and one compare per cursor. Exactly those messages are
+/// popped, recipient by recipient, sender-major — the order a poll of every
+/// channel head would deliver them in. Messages from omitted senders — the
+/// first `t` the adversary declared, the budget the model grants it — and
+/// to crashed recipients are exempt (the model only promises delivery
+/// between correct processors).
 ///
 /// [`MessageBuffer::pending_since`]: crate::MessageBuffer::pending_since
 fn force_overdue<P: Probe, R: Recorder>(
     adversary: &dyn PartialSyncAdversary,
     core: &mut ExecutionCore<P, R>,
-    now: u64,
-    gst: u64,
-    delta: u64,
+    bound: u64,
 ) {
-    let n = core.config().n();
     let omitted = adversary.omitted_senders();
     let omitted = &omitted[..omitted.len().min(core.config().t())];
-    for from in ProcessorId::all(n) {
+    for from in ProcessorId::all(core.config().n()) {
         // Read per sender, not once up front: a forced delivery makes
         // its recipient send, which can wake a lane that was idle.
-        match core.buffer().pending_since(from) {
-            Some(oldest) if oldest.max(gst) + delta <= now => {}
-            _ => continue,
-        }
-        if omitted.contains(&from) {
-            continue;
-        }
-        for to in ProcessorId::all(n) {
-            if core.is_crashed(to) {
-                continue;
-            }
-            while let Some(sent) = core.buffer().head_sent_at(from, to) {
-                if sent.max(gst) + delta > now {
-                    break;
-                }
-                core.deliver_one(from, to);
-            }
+        if core
+            .buffer()
+            .pending_since(from)
+            .is_some_and(|oldest| oldest <= bound)
+            && !omitted.contains(&from)
+        {
+            core.deliver_owed(from, bound);
         }
     }
+}
+
+/// The due bound of a step at `now`: `Some(now − Δ)` once `now ≥ gst + Δ`,
+/// when a message is due exactly if its send stamp is at most the bound;
+/// `None` before, when nothing is. A `gst + Δ` past `u64::MAX` never
+/// arrives.
+fn due_bound(now: u64, gst: u64, delta: u64) -> Option<u64> {
+    let first_due = gst.checked_add(delta)?;
+    (now >= first_due).then(|| now - delta)
 }
 
 /// Executes one partial-synchrony step (see the module docs for the phase
@@ -119,10 +120,8 @@ pub(super) fn step<P: Probe, R: Recorder>(
     let action = core.with_view(|view| adversary.next_action(view));
     core.advance_step();
     let now = core.time();
-    let gst = adversary.gst();
-    let delta = adversary.delta().max(1);
-    if now >= gst {
-        force_overdue(adversary, core, now, gst, delta);
+    if let Some(bound) = due_bound(now, adversary.gst(), adversary.delta().max(1)) {
+        force_overdue(adversary, core, bound);
     }
     match action {
         PartialSyncAction::Deliver { from, to } => core.deliver_one(from, to),
@@ -189,6 +188,25 @@ mod tests {
         }
         fn next_action(&mut self, _view: &SystemView<'_>) -> PartialSyncAction {
             PartialSyncAction::Stall
+        }
+    }
+
+    #[test]
+    fn the_due_bound_is_now_minus_delta_once_gst_plus_delta_arrives() {
+        // (now, gst, Δ) → the bound.
+        let max = u64::MAX;
+        for (now, gst, delta, bound) in [
+            (4, 2, 3, None),
+            (5, 2, 3, Some(2)),
+            (9, 2, 3, Some(6)),
+            (9, 0, 9, Some(0)),
+            (max, max - 1, 1, Some(max - 1)),
+            // `gst + Δ` past `u64::MAX` never arrives.
+            (max, 0, max, Some(0)),
+            (max, 1, max, None),
+            (max, max, 2, None),
+        ] {
+            assert_eq!(due_bound(now, gst, delta), bound, "({now}, {gst}, {delta})");
         }
     }
 

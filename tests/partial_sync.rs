@@ -11,15 +11,18 @@
 //!    adversary goodwill.
 //! 2. **The enforcement is the same function of the schedule** — the
 //!    scheduler skips senders whose per-lane send-stamp bound puts every
-//!    deadline in the future; a test-only oracle that polls all `n²` channel
-//!    heads every step, as the scheduler itself used to, must produce the
-//!    same trace event for event under seeded random adversaries, and under
-//!    a schedule built to make the bound go stale.
+//!    deadline in the future and reads each remaining sender's owed channels
+//!    off its lane; a test-only oracle that polls all `n²` channel heads
+//!    every step, as the scheduler itself used to, must produce the same
+//!    trace event for event under seeded random adversaries — over lanes
+//!    with and without index queues — under a schedule built to make the
+//!    bound go stale, and with deadlines past the end of time.
 
 use agreement::core::experiments::Scale;
 use agreement::core::{partial_sync_scenarios, Campaign};
 use agreement::model::{
-    Bit, InputAssignment, ProcessorId, ProcessorRng, ProtocolBuilder, SystemConfig, TraceEvent,
+    Bit, Context, InputAssignment, Payload, ProcessorId, ProcessorRng, Protocol, ProtocolBuilder,
+    StateDigest, SystemConfig, TraceEvent,
 };
 use agreement::protocols::{BenOrBuilder, BrachaBuilder};
 use agreement::sim::{
@@ -61,9 +64,11 @@ impl PartialSyncAdversary for Stonewall {
     }
 }
 
-/// Asserts the bounded-delay invariant on a core's current state: no
+/// Asserts the bounded-delay invariant on a core's state after a step: no
 /// pending message between correct processors (and non-omitted senders) has
-/// outlived its deadline `max(sent_at, gst) + delta`.
+/// reached its deadline `max(sent_at, gst) + delta` — the step at the
+/// deadline delivers it — saturating: a deadline past `u64::MAX` never
+/// arrives.
 fn assert_no_overdue(
     core: &ExecutionCore,
     gst: u64,
@@ -85,9 +90,9 @@ fn assert_no_overdue(
                 continue;
             }
             if let Some(sent) = core.buffer().head_sent_at(from, to) {
-                let deadline = sent.max(gst) + delta;
+                let deadline = sent.max(gst).saturating_add(delta);
                 assert!(
-                    deadline >= now,
+                    deadline > now,
                     "pending message {from}->{to} sent at {sent} is overdue at \
                      step {now} (gst {gst}, delta {delta})"
                 );
@@ -225,7 +230,7 @@ impl PollingOracle<'_> {
         for from in ProcessorId::all(n).filter(|from| now >= gst && !omitted.contains(from)) {
             for to in ProcessorId::all(n) {
                 while let Some(sent) = core.buffer().head_sent_at(from, to) {
-                    if core.is_crashed(to) || sent.max(gst) + delta > now {
+                    if core.is_crashed(to) || sent.max(gst).saturating_add(delta) > now {
                         break;
                     }
                     core.deliver_one(from, to);
@@ -326,21 +331,143 @@ fn run_stepwise(
     outcome
 }
 
-/// The per-lane bound changes which channels the enforcement *looks at*,
-/// never what it delivers: against seeded random adversaries, the scheduler
-/// and the all-channels polling oracle produce the same trace, event for
-/// event, and the same outcome — with the bounded-delay invariant checked
-/// after every step of the real scheduler.
+/// Runs one seeded trial of `builder` from evenly split inputs under the
+/// scheduler and under the polling oracle, each driven by its own
+/// `adversary()`, for at most 400 steps; asserts the bounded-delay invariant
+/// after every step of the scheduler's run and that both runs trace and end
+/// alike. Returns the scheduler's outcome.
+fn run_against_the_oracle<A: PartialSyncAdversary>(
+    cfg: SystemConfig,
+    builder: &dyn ProtocolBuilder,
+    seed: u64,
+    adversary: impl Fn() -> A,
+    what: &str,
+) -> RunOutcome {
+    let fresh = || ExecutionCore::new(cfg, InputAssignment::evenly_split(cfg.n()), builder, seed);
+    let mut real_adversary = adversary();
+    let (gst, delta) = (real_adversary.gst(), real_adversary.delta());
+    let omitted = real_adversary.omitted_senders().to_vec();
+    let mut scheduler = Scheduler::PartialSync(&mut real_adversary);
+    let real = run_stepwise(
+        &mut fresh(),
+        |core| scheduler.step(core),
+        400,
+        |core| assert_no_overdue(core, gst, delta, &omitted, cfg.t()),
+    );
+    let mut oracle_adversary = adversary();
+    let mut oracle = PollingOracle {
+        adversary: &mut oracle_adversary,
+    };
+    let polled = run_stepwise(&mut fresh(), |core| oracle.step(core), 400, |_| {});
+    assert_eq!(real.trace.stored(), polled.trace.stored(), "{what}");
+    assert_eq!(real, polled, "{what}");
+    real
+}
+
+/// Rounds of replies [`Echo`] exchanges before it falls silent.
+const ECHO_ROUNDS: u64 = 6;
+
+/// A protocol whose lanes carry index queues, where Ben-Or's and Bracha's
+/// hold broadcasts only: it broadcasts a round-1 report and names its
+/// successor in a unicast of the same report at start — so every lane has
+/// named a recipient before the first step — then answers each report of a
+/// round below [`ECHO_ROUNDS`] with the next round's report: a unicast to
+/// the sender on odd rounds, a multicast to the sender and itself on even
+/// ones. It decides its input once it has heard `n − t` round-1 reports.
+/// Traffic for the enforcement, not an agreement protocol.
+#[derive(Debug)]
+struct Echo {
+    id: ProcessorId,
+    n: usize,
+    quorum: usize,
+    input: Bit,
+    heard: usize,
+}
+
+impl Protocol for Echo {
+    fn on_start(&mut self, ctx: &mut dyn Context) {
+        let report = Payload::Report {
+            round: 1,
+            value: self.input,
+        };
+        ctx.broadcast(report.clone());
+        ctx.send(ProcessorId::new((self.id.index() + 1) % self.n), report);
+    }
+
+    fn on_message(&mut self, from: ProcessorId, payload: &Payload, ctx: &mut dyn Context) {
+        let Payload::Report { round, value } = *payload else {
+            return;
+        };
+        if round == 1 {
+            self.heard += 1;
+            if self.heard == self.quorum {
+                ctx.decide(self.input);
+            }
+        }
+        if round < ECHO_ROUNDS {
+            let reply = Payload::Report {
+                round: round + 1,
+                value,
+            };
+            if round % 2 == 0 {
+                ctx.multicast(&[from, self.id], reply);
+            } else {
+                ctx.send(from, reply);
+            }
+        }
+    }
+
+    fn digest(&self) -> StateDigest {
+        StateDigest::initial(self.input)
+    }
+}
+
+#[derive(Debug)]
+struct EchoBuilder;
+
+impl ProtocolBuilder for EchoBuilder {
+    fn name(&self) -> &'static str {
+        "echo"
+    }
+
+    fn build(&self, id: ProcessorId, input: Bit, cfg: &SystemConfig) -> Box<dyn Protocol> {
+        Box::new(Echo {
+            id,
+            n: cfg.n(),
+            quorum: cfg.quorum(),
+            input,
+            heard: 0,
+        })
+    }
+}
+
+/// The per-lane bound and the owed-channel list change which channels the
+/// enforcement *looks at*, never what it delivers: against seeded random
+/// adversaries, the scheduler and the all-channels polling oracle produce
+/// the same trace, event for event, and the same outcome — with the
+/// bounded-delay invariant checked after every step of the real scheduler.
+///
+/// A lane lists what it owes one of two ways: by its cursor row alone when
+/// it never named a recipient, by each channel's merged FIFO when it did.
+/// Ben-Or and Bracha only broadcast, so every lane of theirs takes the
+/// first; [`Echo`] names a recipient at start, so every lane of its takes
+/// the second. The test fails unless runs of both forced deliveries.
 #[test]
 fn bounded_delay_enforcement_matches_the_polling_oracle() {
-    let builders: [&dyn ProtocolBuilder; 2] = [&BenOrBuilder::new(), &BrachaBuilder::new()];
+    // With the path each builder's lanes take: cursor row (0) or merged
+    // FIFO (1).
+    let builders: [(&dyn ProtocolBuilder, usize); 3] = [
+        (&BenOrBuilder::new(), 0),
+        (&BrachaBuilder::new(), 0),
+        (&EchoBuilder, 1),
+    ];
     let id = ProcessorId::new;
     // Empty, duplicated, and longer than t (only the first t are honoured).
     let omitted_lists = [vec![], vec![id(2), id(2)], vec![id(0), id(1), id(2), id(3)]];
-    let mut forced_runs = 0;
+    let mut forced_runs = [0; 2];
     for (n, t) in [(4, 1), (5, 1), (7, 2)] {
         let cfg = SystemConfig::new(n, t).unwrap();
-        for (b, builder) in builders.iter().enumerate() {
+        for (b, &(builder, path)) in builders.iter().enumerate() {
             for (case, (gst, delta)) in [0, 5, 40]
                 .into_iter()
                 .flat_map(|gst| [1, 3, 8].map(|delta| (gst, delta)))
@@ -354,42 +481,99 @@ fn bounded_delay_enforcement_matches_the_polling_oracle() {
                         delta,
                         omitted: omitted.clone(),
                     };
-                    let fresh = || {
-                        ExecutionCore::new(cfg, InputAssignment::evenly_split(n), *builder, seed)
-                    };
                     let what = format!(
                         "{} n={n} gst={gst} delta={delta} omitted={omitted:?} seed={seed}",
                         builder.name()
                     );
-
-                    let mut real_adversary = adversary();
-                    let mut scheduler = Scheduler::PartialSync(&mut real_adversary);
-                    let real = run_stepwise(
-                        &mut fresh(),
-                        |core| scheduler.step(core),
-                        400,
-                        |core| assert_no_overdue(core, gst, delta, omitted, t),
-                    );
-                    let mut oracle_adversary = adversary();
-                    let mut oracle = PollingOracle {
-                        adversary: &mut oracle_adversary,
-                    };
-                    let polled = run_stepwise(&mut fresh(), |core| oracle.step(core), 400, |_| {});
-
-                    assert_eq!(real.trace.stored(), polled.trace.stored(), "{what}");
-                    assert_eq!(real, polled, "{what}");
+                    let real = run_against_the_oracle(cfg, builder, seed, adversary, &what);
                     // The adversary chooses at most one delivery a step.
                     if real.metrics.messages_delivered > real.metrics.steps {
-                        forced_runs += 1;
+                        forced_runs[path] += 1;
                     }
                 }
             }
         }
     }
+    // 162 runs take the cursor-row path, 81 the merged-FIFO one.
+    let [by_cursor_row, by_merged_fifo] = forced_runs;
     assert!(
-        forced_runs > 100,
-        "only {forced_runs} of 162 runs had a forced delivery"
+        by_cursor_row > 100 && by_merged_fifo > 50,
+        "runs with a forced delivery: {by_cursor_row} of 162 by cursor row, \
+         {by_merged_fifo} of 81 by merged FIFO"
     );
+}
+
+/// Delivers fairly, one message a step, under any GST and Δ: the benign
+/// baseline with the model's parameters chosen by the test.
+struct Eager {
+    gst: u64,
+    delta: u64,
+    cursor: ChannelCursor,
+}
+
+impl PartialSyncAdversary for Eager {
+    fn name(&self) -> &'static str {
+        "eager"
+    }
+    fn gst(&self) -> u64 {
+        self.gst
+    }
+    fn delta(&self) -> u64 {
+        self.delta
+    }
+    fn next_action(&mut self, view: &SystemView<'_>) -> PartialSyncAction {
+        match view.next_pending_channel(self.cursor) {
+            Some((next, from, to)) => {
+                self.cursor = next;
+                PartialSyncAction::Deliver { from, to }
+            }
+            None => PartialSyncAction::Halt,
+        }
+    }
+}
+
+/// A Δ or a GST near `u64::MAX` is legal, and a deadline `max(s, gst) + Δ`
+/// past `u64::MAX` never arrives: nothing is forced, and the scheduler
+/// neither overflows (a debug build panics on it) nor wraps (a release
+/// build would force messages whose deadline lies beyond the end of time).
+/// Checked against the saturating oracle, under the random and the eager
+/// fair adversary.
+#[test]
+fn deadlines_past_the_end_of_time_never_arrive() {
+    let near_end = u64::MAX - 3;
+    let cfg = SystemConfig::new(4, 1).unwrap();
+    for (gst, delta) in [
+        (0, u64::MAX),
+        (5, near_end),
+        (near_end, 8),
+        (near_end, near_end),
+    ] {
+        for seed in 0..4u64 {
+            let random = || RandomAdversary {
+                rng: ProcessorRng::labelled(seed, 0xE4D),
+                gst,
+                delta,
+                omitted: vec![],
+            };
+            let eager = || Eager {
+                gst,
+                delta,
+                cursor: ChannelCursor::default(),
+            };
+            let what = format!("gst={gst} delta={delta} seed={seed}");
+            let runs = [
+                run_against_the_oracle(cfg, &BenOrBuilder::new(), seed, random, &what),
+                run_against_the_oracle(cfg, &BenOrBuilder::new(), seed, eager, &what),
+            ];
+            for real in runs {
+                let (delivered, steps) = (real.metrics.messages_delivered, real.metrics.steps);
+                assert!(
+                    delivered <= steps,
+                    "{what}: {delivered} deliveries in {steps} steps, some of them forced"
+                );
+            }
+        }
+    }
 }
 
 /// Delivers fairly, one message a step, but on the channel `0 -> 1` only
