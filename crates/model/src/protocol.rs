@@ -101,9 +101,13 @@ pub struct StateDigest {
     pub round: Option<u64>,
     /// The processor's current estimate `x_p`, if it has one.
     pub estimate: Option<Bit>,
-    /// The value the protocol believes it has decided, if any.
+    /// The processor's output bit, if written. Durable: the engine's
+    /// harness writes it from the output register, the only copy, over
+    /// whatever [`Protocol::digest`] put here.
     pub decided: Option<Bit>,
-    /// How many resets the protocol has observed.
+    /// How many times the processor has been reset. Durable: the engine's
+    /// harness writes it from its own counter over whatever
+    /// [`Protocol::digest`] put here.
     pub reset_count: u64,
     /// A protocol-specific phase label, for diagnostics.
     pub phase: &'static str,
@@ -134,6 +138,12 @@ impl StateDigest {
 ///    and its identity) and, if the protocol supports rejoining, begin its
 ///    resynchronization procedure.
 ///
+/// A state machine is the processor's erasable memory and nothing else. What
+/// a reset keeps — the input, the identity, the output bit and the reset
+/// count — belongs to the engine and is reached through the [`Context`]
+/// ([`Context::input`], [`Context::id`], [`Context::decide`],
+/// [`Context::decision`]); a protocol keeps no copy of it.
+///
 /// Implementations must be deterministic given the context's random stream:
 /// all randomness must be drawn through the [`Context`].
 ///
@@ -147,6 +157,7 @@ pub trait Protocol: Any + fmt::Debug + Send {
     fn on_message(&mut self, from: ProcessorId, payload: &Payload, ctx: &mut dyn Context);
 
     /// Called when the adversary resets this processor (erases its memory).
+    /// What the reset keeps is the engine's, and `ctx` hands it out.
     ///
     /// The default implementation is provided for protocols that do not
     /// support resets (e.g. plain Ben-Or / Bracha under the crash model); it
@@ -156,7 +167,10 @@ pub trait Protocol: Any + fmt::Debug + Send {
         let _ = ctx;
     }
 
-    /// The adversary-visible digest of the current state.
+    /// The adversary-visible digest of the current state: its round,
+    /// estimate and phase. The durable [`StateDigest::decided`] and
+    /// [`StateDigest::reset_count`] are the engine's, which overwrites them;
+    /// a protocol, holding no copy of either, reports `None` and 0.
     fn digest(&self) -> StateDigest;
 }
 

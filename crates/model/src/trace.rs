@@ -147,11 +147,6 @@ impl Trace {
         self.total - self.events.len() as u64
     }
 
-    /// Number of messages placed in the buffer.
-    pub fn sent_count(&self) -> u64 {
-        self.sent
-    }
-
     /// Number of messages delivered.
     pub fn delivered_count(&self) -> u64 {
         self.delivered
@@ -162,19 +157,9 @@ impl Trace {
         self.resets
     }
 
-    /// Number of crash steps.
-    pub fn crash_count(&self) -> u64 {
-        self.crashes
-    }
-
     /// Number of corrupted messages.
     pub fn corruption_count(&self) -> u64 {
         self.corruptions
-    }
-
-    /// Number of recorded correctness violations.
-    pub fn violation_count(&self) -> u64 {
-        self.violations
     }
 
     /// Iterates over stored decision events as `(processor, value, at)`.
@@ -306,12 +291,9 @@ mod tests {
         t.push(TraceEvent::Violation {
             description: "conflicting decision".to_string(),
         });
-        assert_eq!(t.sent_count(), 1);
         assert_eq!(t.delivered_count(), 1);
         assert_eq!(t.reset_count(), 1);
-        assert_eq!(t.crash_count(), 1);
         assert_eq!(t.corruption_count(), 1);
-        assert_eq!(t.violation_count(), 1);
         assert_eq!(t.total_events(), 6);
         assert_eq!(t.dropped(), 0);
     }
@@ -360,7 +342,7 @@ mod tests {
         assert_eq!(rec.trace().total_events(), 2);
         let taken = rec.take_trace();
         assert_eq!(taken.total_events(), 2);
-        assert_eq!(taken.violation_count(), 1);
+        assert!(matches!(taken.stored()[1], TraceEvent::Violation { .. }));
         assert_eq!(rec.trace().total_events(), 0, "take leaves an empty trace");
         assert!(is_recording::<FullTrace>());
     }

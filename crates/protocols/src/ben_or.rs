@@ -18,6 +18,11 @@
 //! and receiving the latest messages from `n - t` processors always triggers a
 //! new broadcast to all `n` processors. It is therefore in the class to which
 //! Theorem 17's exponential lower bound applies.
+//!
+//! Its state is exactly its erasable memory: the round, the estimate, the
+//! awaited phase and the tally. The input bit comes from
+//! [`Context::input`], the decision goes to the output register through
+//! [`Context::decide`], and the harness counts the resets.
 
 use agreement_model::{
     Bit, Context, Payload, ProcessorId, Protocol, ProtocolBuilder, StateDigest, SystemConfig,
@@ -38,9 +43,6 @@ pub struct BenOr {
     estimate: Bit,
     waiting_phase: u8,
     tally: RoundTally,
-    decided: Option<Bit>,
-    reset_count: u64,
-    input: Bit,
 }
 
 impl BenOr {
@@ -60,25 +62,7 @@ impl BenOr {
             estimate: input,
             waiting_phase: PHASE_REPORT,
             tally,
-            decided: None,
-            reset_count: 0,
-            input,
         }
-    }
-
-    /// The current round number.
-    pub fn round(&self) -> u64 {
-        self.round
-    }
-
-    /// The current estimate.
-    pub fn estimate(&self) -> Bit {
-        self.estimate
-    }
-
-    /// The phase (1 or 2) whose quorum the processor is currently waiting for.
-    pub fn waiting_phase(&self) -> u8 {
-        self.waiting_phase
     }
 
     fn quorum(&self) -> usize {
@@ -117,7 +101,6 @@ impl BenOr {
                     let strong = Bit::ALL.into_iter().find(|&v| votes.count(v) > self.t);
                     let weak = Bit::ALL.into_iter().find(|&v| votes.count(v) >= 1);
                     if let Some(v) = strong {
-                        self.decided = Some(v);
                         ctx.decide(v);
                         self.estimate = v;
                     } else if let Some(v) = weak {
@@ -169,24 +152,21 @@ impl Protocol for BenOr {
         }
     }
 
-    fn on_reset(&mut self, _ctx: &mut dyn Context) {
+    fn on_reset(&mut self, ctx: &mut dyn Context) {
         // Plain Ben-Or was not designed for resetting failures; the closest
         // faithful behaviour is to restart from round 1 with the input bit.
         // (It is only run under crash/Byzantine adversaries in this workspace;
         // the reset-tolerant variant handles the strongly adaptive adversary.)
-        *self = BenOr {
-            decided: self.decided,
-            reset_count: self.reset_count + 1,
-            ..BenOr::with_tally(self.input, self.n, self.t, std::mem::take(&mut self.tally))
-        };
+        let tally = std::mem::take(&mut self.tally);
+        *self = BenOr::with_tally(ctx.input(), self.n, self.t, tally);
     }
 
     fn digest(&self) -> StateDigest {
         StateDigest {
             round: Some(self.round),
             estimate: Some(self.estimate),
-            decided: self.decided,
-            reset_count: self.reset_count,
+            decided: None,
+            reset_count: 0,
             phase: if self.waiting_phase == PHASE_REPORT {
                 "report"
             } else {
@@ -289,8 +269,15 @@ mod tests {
 
     /// n = 7, t = 3: quorum = 4, majority > 3.5 means >= 4, decide needs >= 4 proposals.
     fn setup(input: Bit) -> (BenOr, TestCtx) {
-        let ctx = TestCtx::new(0, 7, 3);
-        (BenOr::new(input, &ctx.cfg), ctx)
+        let cfg = SystemConfig::new(7, 3).unwrap();
+        let ctx = TestCtx::with_config(ProcessorId::new(0), input, cfg);
+        (BenOr::new(input, &cfg), ctx)
+    }
+
+    /// The round and the awaited phase, as the digest reports them.
+    fn at(p: &BenOr) -> (Option<u64>, &'static str) {
+        let digest = p.digest();
+        (digest.round, digest.phase)
     }
 
     #[test]
@@ -305,7 +292,7 @@ mod tests {
                 value: Bit::One
             }
         ));
-        assert_eq!(p.waiting_phase(), 1);
+        assert_eq!(at(&p), (Some(1), "report"));
     }
 
     #[test]
@@ -314,7 +301,7 @@ mod tests {
         p.on_start(&mut ctx);
         ctx.sent.clear();
         feed_reports(&mut p, &mut ctx, 1, 4, 0); // 4 zeros > n/2 = 3.5
-        assert_eq!(p.waiting_phase(), 2);
+        assert_eq!(at(&p), (Some(1), "proposal"));
         assert!(matches!(
             ctx.sent_to(1)[0],
             Payload::Proposal {
@@ -330,7 +317,7 @@ mod tests {
         p.on_start(&mut ctx);
         ctx.sent.clear();
         feed_reports(&mut p, &mut ctx, 1, 2, 2);
-        assert_eq!(p.waiting_phase(), 2);
+        assert_eq!(at(&p), (Some(1), "proposal"));
         assert!(matches!(
             ctx.sent_to(1)[0],
             Payload::Proposal {
@@ -347,10 +334,10 @@ mod tests {
         feed_reports(&mut p, &mut ctx, 1, 4, 0);
         feed_proposals(&mut p, &mut ctx, 1, &[Some(Bit::Zero); 4]); // t + 1 = 4
         assert_eq!(ctx.decided, Some(Bit::Zero));
-        assert_eq!(p.estimate(), Bit::Zero);
+        assert_eq!(p.digest().estimate, Some(Bit::Zero));
         assert_eq!(
-            p.round(),
-            2,
+            at(&p),
+            (Some(2), "report"),
             "the protocol keeps participating after deciding"
         );
     }
@@ -362,8 +349,8 @@ mod tests {
         feed_reports(&mut p, &mut ctx, 1, 2, 2);
         feed_proposals(&mut p, &mut ctx, 1, &[Some(Bit::Zero), None, None, None]);
         assert_eq!(ctx.decided, None);
-        assert_eq!(p.estimate(), Bit::Zero);
-        assert_eq!(p.round(), 2);
+        assert_eq!(p.digest().estimate, Some(Bit::Zero));
+        assert_eq!(at(&p), (Some(2), "report"));
     }
 
     #[test]
@@ -374,8 +361,8 @@ mod tests {
         feed_reports(&mut p, &mut ctx, 1, 2, 2);
         feed_proposals(&mut p, &mut ctx, 1, &[None, None, None, None]);
         assert_eq!(ctx.decided, None);
-        assert_eq!(p.estimate(), Bit::One);
-        assert_eq!(p.round(), 2);
+        assert_eq!(p.digest().estimate, Some(Bit::One));
+        assert_eq!(at(&p), (Some(2), "report"));
     }
 
     #[test]
@@ -383,8 +370,7 @@ mod tests {
         let (mut p, mut ctx) = setup(Bit::One);
         p.on_start(&mut ctx);
         feed_reports(&mut p, &mut ctx, 1, 2, 1); // 3 < quorum 4
-        assert_eq!(p.waiting_phase(), 1);
-        assert_eq!(p.round(), 1);
+        assert_eq!(at(&p), (Some(1), "report"));
     }
 
     #[test]
@@ -393,13 +379,12 @@ mod tests {
         p.on_start(&mut ctx);
         // Round-2 reports arrive early.
         feed_reports(&mut p, &mut ctx, 2, 0, 4);
-        assert_eq!(p.round(), 1);
+        assert_eq!(at(&p), (Some(1), "report"));
         // Complete round 1: phase 1 then phase 2 (all abstain -> random, scripted Zero).
         feed_reports(&mut p, &mut ctx, 1, 2, 2);
         feed_proposals(&mut p, &mut ctx, 1, &[None, None, None, None]);
         // The early round-2 reports now immediately complete phase 1 of round 2.
-        assert_eq!(p.round(), 2);
-        assert_eq!(p.waiting_phase(), 2);
+        assert_eq!(at(&p), (Some(2), "proposal"));
     }
 
     #[test]
@@ -410,7 +395,7 @@ mod tests {
         // short of theirs.
         feed_proposals(&mut p, &mut ctx, 1, &[Some(Bit::Zero); 4]);
         feed_reports(&mut p, &mut ctx, 1, 3, 0);
-        assert_eq!((p.round(), p.waiting_phase()), (1, PHASE_REPORT));
+        assert_eq!(at(&p), (Some(1), "report"));
         assert_eq!(ctx.decided, None);
         ctx.sent.clear();
         // The fourth report: phase 1 proposes, and phase 2 finds its quorum
@@ -424,7 +409,7 @@ mod tests {
             &mut ctx,
         );
         assert_eq!(ctx.decided, Some(Bit::Zero));
-        assert_eq!((p.round(), p.waiting_phase()), (2, PHASE_REPORT));
+        assert_eq!(at(&p), (Some(2), "report"));
         let sent: Vec<&Payload> = ctx.sent_to(1);
         assert!(matches!(
             sent[..],
@@ -468,12 +453,12 @@ mod tests {
         ];
         for (from, payload) in &votes {
             p.on_message(ProcessorId::new(*from), payload, &mut ctx);
-            assert_eq!((p.round(), p.waiting_phase()), (1, PHASE_REPORT));
+            assert_eq!(at(&p), (Some(1), "report"));
             assert!(ctx.sent.is_empty(), "{payload:?} moved the processor");
         }
         // A fresh awaited-key vote does fill it.
         p.on_message(ProcessorId::new(6), &report(1), &mut ctx);
-        assert_eq!((p.round(), p.waiting_phase()), (1, PHASE_PROPOSAL));
+        assert_eq!(at(&p), (Some(1), "proposal"));
     }
 
     #[test]
@@ -481,12 +466,10 @@ mod tests {
         let (mut p, mut ctx) = setup(Bit::One);
         p.on_start(&mut ctx);
         feed_reports(&mut p, &mut ctx, 1, 0, 4);
-        assert_eq!(p.waiting_phase(), 2);
+        assert_eq!(at(&p), (Some(1), "proposal"));
         p.on_reset(&mut ctx);
-        assert_eq!(p.round(), 1);
-        assert_eq!(p.waiting_phase(), 1);
-        assert_eq!(p.estimate(), Bit::One);
-        assert_eq!(p.digest().reset_count, 1);
+        assert_eq!(at(&p), (Some(1), "report"));
+        assert_eq!(p.digest().estimate, Some(Bit::One));
     }
 
     #[test]

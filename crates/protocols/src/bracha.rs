@@ -29,27 +29,30 @@
 //! terminates with probability one under crash failures, but a worst-case
 //! Byzantine scheduler can delay its termination indefinitely. The
 //! experiments in this workspace only rely on the preserved properties.
+//!
+//! Its state is exactly its erasable memory: the round, the phase, the
+//! estimate, the reliable-broadcast instances and the tally of accepted
+//! votes. The input bit comes from [`Context::input`], the decision goes to
+//! the output register through [`Context::decide`], and the harness counts
+//! the resets.
 
 use agreement_model::{
     Bit, Context, Payload, ProcessorId, Protocol, ProtocolBuilder, StateDigest, SystemConfig,
 };
 
-use crate::reliable_broadcast::ReliableBroadcaster;
-use crate::tally::RoundTally;
+use crate::reliable_broadcast::{AcceptedBroadcast, ReliableBroadcaster};
+use crate::tally::{RoundTally, VoteCounts};
 
 /// Bracha's agreement protocol: single-processor state machine.
 #[derive(Debug)]
 pub struct Bracha {
     n: usize,
     t: usize,
-    input: Bit,
     round: u64,
     phase: u8,
     estimate: Bit,
     rbc: ReliableBroadcaster,
     votes: RoundTally,
-    decided: Option<Bit>,
-    reset_count: u64,
 }
 
 impl Bracha {
@@ -70,30 +73,12 @@ impl Bracha {
         Bracha {
             n,
             t,
-            input,
             round: 1,
             phase: 1,
             estimate: input,
             rbc: ReliableBroadcaster::new(n, t),
             votes,
-            decided: None,
-            reset_count: 0,
         }
-    }
-
-    /// The current round.
-    pub fn round(&self) -> u64 {
-        self.round
-    }
-
-    /// The phase (1, 2 or 3) whose quorum the processor is waiting for.
-    pub fn phase(&self) -> u8 {
-        self.phase
-    }
-
-    /// The current estimate.
-    pub fn estimate(&self) -> Bit {
-        self.estimate
     }
 
     fn quorum(&self) -> usize {
@@ -114,25 +99,22 @@ impl Bracha {
             .broadcast(Self::broadcast_id(self.round, self.phase), vote, ctx);
     }
 
-    fn try_progress(&mut self, ctx: &mut dyn Context) {
+    /// Runs the phases whose quorum is in, starting from `votes`, the counts
+    /// of the key the processor waits on — `(round, phase)` — which hold a
+    /// quorum. Each later key's counts are read once, when the processor
+    /// moves on to it; it stops at the first without a quorum.
+    fn try_progress(&mut self, mut votes: VoteCounts, ctx: &mut dyn Context) {
         loop {
-            let r = self.round;
-            let p = self.phase;
-            if self.votes.total(r, p) < self.quorum() {
-                break;
-            }
-            match p {
+            match self.phase {
                 1 => {
-                    if let Some(v) = self.votes.majority_value(r, 1) {
+                    if let Some(v) = votes.majority_value() {
                         self.estimate = v;
                     }
                     self.phase = 2;
                     self.broadcast_vote(Some(self.estimate), ctx);
                 }
                 2 => {
-                    let advertised = Bit::ALL
-                        .into_iter()
-                        .find(|&v| 2 * self.votes.count(r, 2, v) > self.n);
+                    let advertised = Bit::ALL.into_iter().find(|&v| 2 * votes.count(v) > self.n);
                     if let Some(v) = advertised {
                         self.estimate = v;
                     }
@@ -140,14 +122,9 @@ impl Bracha {
                     self.broadcast_vote(advertised, ctx);
                 }
                 3 => {
-                    let decide_value = Bit::ALL
-                        .into_iter()
-                        .find(|&v| self.votes.count(r, 3, v) > 2 * self.t);
-                    let adopt_value = Bit::ALL
-                        .into_iter()
-                        .find(|&v| self.votes.count(r, 3, v) > self.t);
+                    let decide_value = Bit::ALL.into_iter().find(|&v| votes.count(v) > 2 * self.t);
+                    let adopt_value = Bit::ALL.into_iter().find(|&v| votes.count(v) > self.t);
                     if let Some(v) = decide_value {
-                        self.decided = Some(v);
                         ctx.decide(v);
                         self.estimate = v;
                     } else if let Some(v) = adopt_value {
@@ -155,12 +132,16 @@ impl Bracha {
                     } else {
                         self.estimate = ctx.random_bit();
                     }
-                    self.round = r + 1;
+                    self.round += 1;
                     self.phase = 1;
                     self.votes.forget_rounds_before(self.round);
                     self.broadcast_vote(Some(self.estimate), ctx);
                 }
                 _ => unreachable!("Bracha only has phases 1..=3"),
+            }
+            votes = self.votes.counts(self.round, self.phase);
+            if votes.total() < self.quorum() {
+                break;
             }
         }
     }
@@ -172,42 +153,48 @@ impl Protocol for Bracha {
     }
 
     fn on_message(&mut self, from: ProcessorId, payload: &Payload, ctx: &mut dyn Context) {
-        let accepted = self.rbc.on_message(from, payload, ctx);
-        let mut progressed = false;
-        for broadcast in accepted {
-            if let Payload::BrachaVote {
-                round,
-                phase,
-                value,
-            } = broadcast.payload
-            {
-                if round >= self.round {
-                    self.votes.record(round, phase, broadcast.origin, value);
-                    progressed = true;
-                }
-            }
+        let Some(AcceptedBroadcast {
+            origin,
+            payload:
+                Payload::BrachaVote {
+                    round,
+                    phase,
+                    value,
+                },
+            ..
+        }) = self.rbc.on_message(from, payload, ctx)
+        else {
+            return;
+        };
+        if round < self.round {
+            return;
         }
-        if progressed {
-            self.try_progress(ctx);
+        // At rest the key the processor waits on holds less than a quorum —
+        // `try_progress` runs until it does — so only a counted vote that
+        // lifts it to the quorum can move the state machine.
+        match self.votes.record(round, phase, origin, value) {
+            Some(votes)
+                if (round, phase) == (self.round, self.phase) && votes.total() >= self.quorum() =>
+            {
+                self.try_progress(votes, ctx);
+            }
+            _ => {}
         }
     }
 
-    fn on_reset(&mut self, _ctx: &mut dyn Context) {
+    fn on_reset(&mut self, ctx: &mut dyn Context) {
         // Bracha's protocol was not designed for resetting failures; restart
         // from scratch. It is only run under crash/Byzantine adversaries here.
-        *self = Bracha {
-            decided: self.decided,
-            reset_count: self.reset_count + 1,
-            ..Bracha::with_votes(self.input, self.n, self.t, std::mem::take(&mut self.votes))
-        };
+        let votes = std::mem::take(&mut self.votes);
+        *self = Bracha::with_votes(ctx.input(), self.n, self.t, votes);
     }
 
     fn digest(&self) -> StateDigest {
         StateDigest {
             round: Some(self.round),
             estimate: Some(self.estimate),
-            decided: self.decided,
-            reset_count: self.reset_count,
+            decided: None,
+            reset_count: 0,
             phase: match self.phase {
                 1 => "phase1",
                 2 => "phase2",
@@ -299,8 +286,15 @@ mod tests {
 
     /// n = 4, t = 1: quorum 3, accept threshold 3, decide threshold 3.
     fn setup(input: Bit) -> (Bracha, TestCtx) {
-        let ctx = TestCtx::new(0, 4, 1);
-        (Bracha::new(input, &ctx.cfg), ctx)
+        let cfg = SystemConfig::new(4, 1).unwrap();
+        let ctx = TestCtx::with_config(ProcessorId::new(0), input, cfg);
+        (Bracha::new(input, &cfg), ctx)
+    }
+
+    /// The round and the awaited phase, as the digest reports them.
+    fn at(p: &Bracha) -> (Option<u64>, &'static str) {
+        let digest = p.digest();
+        (digest.round, digest.phase)
     }
 
     #[test]
@@ -336,8 +330,8 @@ mod tests {
         for origin in 1..=3 {
             accept_vote(&mut p, &mut ctx, origin, 1, 1, Some(Bit::Zero));
         }
-        assert_eq!(p.phase(), 2);
-        assert_eq!(p.estimate(), Bit::Zero);
+        assert_eq!(at(&p), (Some(1), "phase2"));
+        assert_eq!(p.digest().estimate, Some(Bit::Zero));
     }
 
     #[test]
@@ -354,8 +348,11 @@ mod tests {
             accept_vote(&mut p, &mut ctx, origin, 1, 3, Some(Bit::One));
         }
         assert_eq!(ctx.decided, Some(Bit::One));
-        assert_eq!(p.round(), 2, "the protocol keeps going after deciding");
-        assert_eq!(p.phase(), 1);
+        assert_eq!(
+            at(&p),
+            (Some(2), "phase1"),
+            "the protocol keeps going after deciding"
+        );
     }
 
     #[test]
@@ -373,8 +370,8 @@ mod tests {
         accept_vote(&mut p, &mut ctx, 2, 1, 3, Some(Bit::Zero));
         accept_vote(&mut p, &mut ctx, 3, 1, 3, None);
         assert_eq!(ctx.decided, None);
-        assert_eq!(p.estimate(), Bit::Zero);
-        assert_eq!(p.round(), 2);
+        assert_eq!(p.digest().estimate, Some(Bit::Zero));
+        assert_eq!(at(&p), (Some(2), "phase1"));
     }
 
     #[test]
@@ -387,11 +384,11 @@ mod tests {
                 accept_vote(&mut p, &mut ctx, origin, 1, phase, Some(Bit::One));
             }
         }
-        assert_eq!(p.round(), 2);
+        assert_eq!(at(&p), (Some(2), "phase1"));
         // A late round-1 vote does not disturb round 2.
         accept_vote(&mut p, &mut ctx, 1, 1, 1, Some(Bit::Zero));
-        assert_eq!(p.round(), 2);
-        assert_eq!(p.estimate(), Bit::One);
+        assert_eq!(at(&p), (Some(2), "phase1"));
+        assert_eq!(p.digest().estimate, Some(Bit::One));
     }
 
     #[test]
@@ -401,12 +398,11 @@ mod tests {
         for origin in 1..=3 {
             accept_vote(&mut p, &mut ctx, origin, 1, 1, Some(Bit::Zero));
         }
-        assert_eq!(p.phase(), 2);
+        assert_eq!(at(&p), (Some(1), "phase2"));
+        assert_eq!(p.digest().estimate, Some(Bit::Zero));
         p.on_reset(&mut ctx);
-        assert_eq!(p.round(), 1);
-        assert_eq!(p.phase(), 1);
-        assert_eq!(p.estimate(), Bit::One);
-        assert_eq!(p.digest().reset_count, 1);
+        assert_eq!(at(&p), (Some(1), "phase1"));
+        assert_eq!(p.digest().estimate, Some(Bit::One));
     }
 
     #[test]

@@ -54,6 +54,12 @@
 //!
 //! The two draw their committees through different sortition labels, so the
 //! same public seed never yields the same committee for both.
+//!
+//! An instance holds the public roster and the memory a reset erases:
+//! membership, the input it proposes and its digest reports, the tally and
+//! whether it has announced. The decision is the output register's, read and
+//! written through [`Context::decision`] and [`Context::decide`], and the
+//! harness counts the resets.
 
 use std::sync::Arc;
 
@@ -140,17 +146,15 @@ pub struct CommitteeAgreement {
     trial: TrialState,
 }
 
-/// The part of a [`CommitteeAgreement`] a trial starts afresh: apart from the
-/// roster, so a rebuild or a reset does not clone the shared `Arc` (a tenth
-/// of an n = 1 000 trial).
+/// The part of a [`CommitteeAgreement`] a trial — or a reset — starts
+/// afresh: apart from the roster, so a rebuild or a reset does not clone the
+/// shared `Arc` (a tenth of an n = 1 000 trial).
 #[derive(Debug)]
 struct TrialState {
     is_member: bool,
     input: Bit,
     votes: RoundTally,
     announced: bool,
-    decided: Option<Bit>,
-    reset_count: u64,
 }
 
 impl TrialState {
@@ -165,8 +169,6 @@ impl TrialState {
             input,
             votes,
             announced: false,
-            decided: None,
-            reset_count: 0,
         }
     }
 }
@@ -199,11 +201,6 @@ impl CommitteeAgreement {
         self.fault_tolerance
     }
 
-    /// Whether this processor is a committee member.
-    pub fn is_member(&self) -> bool {
-        self.trial.is_member
-    }
-
     fn committee_quorum(&self) -> usize {
         self.committee.listed.len() - self.fault_tolerance
     }
@@ -216,21 +213,25 @@ impl CommitteeAgreement {
         }
         let value = proposals.majority_value().unwrap_or(self.trial.input);
         self.trial.announced = true;
-        self.trial.decided = Some(value);
         ctx.decide(value);
         // The sampled variant's only all-to-all fan-out: k broadcasts in
         // total, so k·n messages per decision.
         ctx.broadcast(Payload::Committee(CommitteeMsg::Announce { value }));
     }
 
-    /// Any processor's step once its tally of announcements reads
-    /// `announces`: decide the first value `f + 1` members announced.
-    fn try_decide_from_announcements(&mut self, announces: VoteCounts, ctx: &mut dyn Context) {
-        if self.trial.decided.is_some() {
-            return;
-        }
-        if let Some(value) = announces.value_with_at_least(self.fault_tolerance + 1) {
-            self.trial.decided = Some(value);
+    /// Any processor's step once an announcement of `value` is counted and
+    /// its tally of announcements reads `announces`: decide the first value
+    /// `f + 1` members announced, unless the output is written already.
+    fn try_decide_from_announcements(
+        &self,
+        value: Bit,
+        announces: VoteCounts,
+        ctx: &mut dyn Context,
+    ) {
+        // Counts grow by one, so the first value to reach `f + 1` does it on
+        // the announcement that lifts it there: the only one that asks the
+        // output register, at most once per value until a reset.
+        if announces.count(value) == self.fault_tolerance + 1 && ctx.decision().is_none() {
             ctx.decide(value);
         }
     }
@@ -269,7 +270,7 @@ impl Protocol for CommitteeAgreement {
             }
             Payload::Committee(CommitteeMsg::Announce { value }) => {
                 if let Some(announces) = votes.record(0, KEY_ANNOUNCES, from, Some(*value)) {
-                    self.try_decide_from_announcements(announces, ctx);
+                    self.try_decide_from_announcements(*value, announces, ctx);
                 }
             }
             _ => {}
@@ -279,19 +280,15 @@ impl Protocol for CommitteeAgreement {
     fn on_reset(&mut self, ctx: &mut dyn Context) {
         let trial = &mut self.trial;
         let votes = std::mem::take(&mut trial.votes);
-        *trial = TrialState {
-            decided: trial.decided,
-            reset_count: trial.reset_count + 1,
-            ..TrialState::start(&self.committee, ctx.id(), trial.input, votes)
-        };
+        *trial = TrialState::start(&self.committee, ctx.id(), trial.input, votes);
     }
 
     fn digest(&self) -> StateDigest {
         StateDigest {
             round: Some(1),
             estimate: Some(self.trial.input),
-            decided: self.trial.decided,
-            reset_count: self.trial.reset_count,
+            decided: None,
+            reset_count: 0,
             phase: match (self.trial.is_member, self.trial.announced) {
                 (true, true) => "member-announced",
                 (true, false) => "member",
@@ -498,7 +495,7 @@ mod tests {
         let p = CommitteeAgreement::new(ProcessorId::new(1), Bit::One, committee(&[1, 2, 3, 4]));
         assert_eq!(p.variant, Variant::Baseline);
         assert_eq!(p.committee(), committee(&[1, 2, 3, 4]));
-        assert!(p.is_member());
+        assert_eq!(p.digest().phase, "member");
     }
 
     #[test]
@@ -506,7 +503,7 @@ mod tests {
         for variant in VARIANTS {
             let mut ctx = TestCtx::new(1, 100, 10);
             let mut member = instance(variant, 1, Bit::One, &[1, 2, 3, 4]);
-            assert!(member.is_member());
+            assert_eq!(member.digest().phase, "member");
             member.on_start(&mut ctx);
             match variant {
                 Variant::Baseline => assert_eq!(ctx.recipients(), (0..100).collect::<Vec<_>>()),
@@ -525,7 +522,7 @@ mod tests {
         for variant in VARIANTS {
             let mut ctx = TestCtx::new(7, 100, 10);
             let mut observer = instance(variant, 7, Bit::Zero, &[1, 2, 3, 4]);
-            assert!(!observer.is_member());
+            assert_eq!(observer.digest().phase, "observer");
             observer.on_start(&mut ctx);
             assert!(ctx.sent.is_empty(), "{variant:?}");
         }

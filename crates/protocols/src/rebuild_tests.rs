@@ -4,10 +4,13 @@
 //! rebuilt, must be indistinguishable from a new one — in its digest and in
 //! what it sends, decides and draws over an execution with the other input
 //! split — and must be rebuilt in place exactly when it is the builder's own
-//! with equal parameters.
+//! with equal parameters. For the protocols that restart on a reset (all but
+//! the reset-tolerant one, which resynchronizes), such an instance reset once
+//! more must be indistinguishable from a new one too: it holds nothing a
+//! reset keeps.
 
 use agreement_model::{
-    Bit, Payload, ProcessorId, Protocol, ProtocolBuilder, StateDigest, SystemConfig, Thresholds,
+    Bit, Payload, ProcessorId, Protocol, ProtocolBuilder, SystemConfig, Thresholds,
 };
 
 use crate::test_ctx::TestCtx;
@@ -30,15 +33,19 @@ fn one_dissenter(id: ProcessorId) -> Bit {
     Bit::from(id.index() != 1)
 }
 
+/// Messages a processor heard, in order, each with its sender.
+type Heard = Vec<(ProcessorId, Payload)>;
+
 /// Runs `n` instances of `builder` with inputs `input` under full, in-order
 /// delivery until nothing is in flight (or 20 000 deliveries). Returns
-/// processor 0's instance, every message it was sent, and how many of them
-/// it heard before its digest first changed.
+/// processor 0's instance, every message it was sent, how many of them it
+/// heard before it first moved (its digest changed or it decided), and its
+/// decision.
 fn run(
     builder: &dyn ProtocolBuilder,
     cfg: SystemConfig,
     input: impl Fn(ProcessorId) -> Bit,
-) -> (Box<dyn Protocol>, Vec<(ProcessorId, Payload)>, usize) {
+) -> (Box<dyn Protocol>, Heard, usize, Option<Bit>) {
     let ids: Vec<ProcessorId> = ProcessorId::all(cfg.n()).collect();
     let mut instances: Vec<Box<dyn Protocol>> = ids
         .iter()
@@ -73,23 +80,33 @@ fn run(
         );
         if to.index() == 0 {
             heard_by_zero.push((from, payload));
-            if unmoved.is_none() && instances[0].digest() != started {
+            let moved = instances[0].digest() != started || ctxs[0].decided.is_some();
+            if unmoved.is_none() && moved {
                 unmoved = Some(heard_by_zero.len() - 1);
             }
         }
     }
     let unmoved = unmoved.unwrap_or(heard_by_zero.len());
-    (instances.swap_remove(0), heard_by_zero, unmoved)
+    (
+        instances.swap_remove(0),
+        heard_by_zero,
+        unmoved,
+        ctxs[0].decided,
+    )
 }
 
 /// Processor 0's instance after a whole execution it decides in, reset, and
 /// then handed again the messages it heard first, up to the one that moved
 /// it: its votes and broadcast state hold the first keys of a run with
-/// these inputs, which a rebuilt instance must not carry over.
-fn dirtied_instance(builder: &dyn ProtocolBuilder, cfg: SystemConfig) -> Box<dyn Protocol> {
-    let (mut zero, heard, unmoved) = run(builder, cfg, one_dissenter);
+/// these inputs, which a rebuilt instance must not carry over. Also returns
+/// that message, the one that moved it.
+fn dirtied_instance(
+    builder: &dyn ProtocolBuilder,
+    cfg: SystemConfig,
+) -> (Box<dyn Protocol>, (ProcessorId, Payload)) {
+    let (mut zero, heard, unmoved, decided) = run(builder, cfg, one_dissenter);
     assert!(
-        zero.digest().decided.is_some(),
+        decided.is_some(),
         "{}: the dirtying run must get processor 0 to decide",
         builder.name()
     );
@@ -99,7 +116,41 @@ fn dirtied_instance(builder: &dyn ProtocolBuilder, cfg: SystemConfig) -> Box<dyn
     for (from, payload) in &heard[..unmoved] {
         zero.on_message(*from, payload, ctx);
     }
-    zero
+    (zero, heard[unmoved].clone())
+}
+
+/// Compares `slot` with a new instance of `builder` for `(id, input)`, over
+/// the digest, `on_start` and every message of `script`.
+fn assert_equals_build(
+    builder: &dyn ProtocolBuilder,
+    slot: &mut dyn Protocol,
+    id: ProcessorId,
+    input: Bit,
+    cfg: SystemConfig,
+    script: &[(ProcessorId, Payload)],
+    context: &str,
+) {
+    let mut fresh = builder.build(id, input, &cfg);
+    assert_eq!(slot.digest(), fresh.digest(), "{context}: digest");
+    let ctx = || TestCtx::with_config(id, input, cfg);
+    let (mut slot_ctx, mut fresh_ctx) = (ctx(), ctx());
+    slot.on_start(&mut slot_ctx);
+    fresh.on_start(&mut fresh_ctx);
+    assert_eq!(
+        effects(&mut slot_ctx),
+        effects(&mut fresh_ctx),
+        "{context}: start"
+    );
+    for (step, (from, payload)) in script.iter().enumerate() {
+        slot.on_message(*from, payload, &mut slot_ctx);
+        fresh.on_message(*from, payload, &mut fresh_ctx);
+        assert_eq!(
+            effects(&mut slot_ctx),
+            effects(&mut fresh_ctx),
+            "{context}: callback {step}"
+        );
+        assert_eq!(slot.digest(), fresh.digest(), "{context}: digest {step}");
+    }
 }
 
 /// Rebuilds `slot` with `builder` for `(id, input)` and compares it with a
@@ -114,27 +165,7 @@ fn assert_rebuild_equals_build(
 ) {
     let context = format!("{} rebuilt for {id} with input {input}", builder.name());
     builder.rebuild(slot, id, input, &cfg);
-    let mut fresh = builder.build(id, input, &cfg);
-    assert_eq!(slot.digest(), fresh.digest(), "{context}: digest");
-    let ctx = || TestCtx::with_config(id, input, cfg);
-    let (mut rebuilt_ctx, mut fresh_ctx) = (ctx(), ctx());
-    slot.on_start(&mut rebuilt_ctx);
-    fresh.on_start(&mut fresh_ctx);
-    assert_eq!(
-        effects(&mut rebuilt_ctx),
-        effects(&mut fresh_ctx),
-        "{context}: start"
-    );
-    for (step, (from, payload)) in script.iter().enumerate() {
-        slot.on_message(*from, payload, &mut rebuilt_ctx);
-        fresh.on_message(*from, payload, &mut fresh_ctx);
-        assert_eq!(
-            effects(&mut rebuilt_ctx),
-            effects(&mut fresh_ctx),
-            "{context}: callback {step}"
-        );
-        assert_eq!(slot.digest(), fresh.digest(), "{context}: digest {step}");
-    }
+    assert_equals_build(builder, slot.as_mut(), id, input, cfg, script, &context);
 }
 
 /// The whole contract for one builder: its own dirtied instance is rebuilt
@@ -149,10 +180,20 @@ fn check_builder(
     ids: &[usize],
     strangers: &[(&dyn ProtocolBuilder, SystemConfig)],
 ) {
-    let mut slot = dirtied_instance(builder, cfg);
-    let (_, script, _) = run(builder, cfg, |id| !one_dissenter(id));
-    let initial: StateDigest = builder.build(ProcessorId::new(0), Bit::One, &cfg).digest();
-    assert_ne!(slot.digest(), initial, "the instance must start out dirty");
+    let (mut slot, mover) = dirtied_instance(builder, cfg);
+    let (_, script, _, _) = run(builder, cfg, |id| !one_dissenter(id));
+    // The dirt is in the votes: the message that moved processor 0 in the
+    // dirtying run moves an identically dirtied instance, not a new one.
+    let moves = |mut instance: Box<dyn Protocol>| {
+        let ctx = &mut TestCtx::with_config(ProcessorId::new(0), Bit::One, cfg);
+        let before = instance.digest();
+        instance.on_message(mover.0, &mover.1, ctx);
+        instance.digest() != before || ctx.decided.is_some()
+    };
+    let fresh = builder.build(ProcessorId::new(0), Bit::One, &cfg);
+    let twin = dirtied_instance(builder, cfg).0;
+    let moved = (moves(twin), moves(fresh));
+    assert_eq!(moved, (true, false), "the instance must start out dirty");
     for (&id, input) in ids.iter().zip([Bit::Zero, Bit::One].into_iter().cycle()) {
         let before = address(slot.as_ref());
         assert_rebuild_equals_build(
@@ -171,7 +212,7 @@ fn check_builder(
         );
     }
     for &(stranger, stranger_cfg) in strangers {
-        let mut slot = dirtied_instance(stranger, stranger_cfg);
+        let mut slot = dirtied_instance(stranger, stranger_cfg).0;
         let before = address(slot.as_ref());
         assert_rebuild_equals_build(
             builder,
@@ -270,8 +311,8 @@ fn committee_rebuild_equals_build() {
     );
     check_builder(&baseline, cfg, &[0, 39], &[(&sampled, cfg)]);
     // A clone shares the roster, and so the instances.
-    let mut slot = dirtied_instance(&baseline, cfg);
-    let (_, script, _) = run(&baseline, cfg, |id| !one_dissenter(id));
+    let mut slot = dirtied_instance(&baseline, cfg).0;
+    let (_, script, _, _) = run(&baseline, cfg, |id| !one_dissenter(id));
     let before = address(slot.as_ref());
     assert_rebuild_equals_build(
         &baseline.clone(),
@@ -282,4 +323,27 @@ fn committee_rebuild_equals_build() {
         &script,
     );
     assert_eq!(address(slot.as_ref()), before);
+}
+
+/// A dirtied instance of `builder` (processor 0's, input 1) reset with
+/// processor `id`'s context must be indistinguishable from `build(id, 1)`,
+/// for every `id`: nothing it held survives the reset.
+fn check_reset_equals_build(builder: &dyn ProtocolBuilder, cfg: SystemConfig) {
+    let (_, script, _, _) = run(builder, cfg, |id| !one_dissenter(id));
+    for id in ProcessorId::all(cfg.n()) {
+        let mut slot = dirtied_instance(builder, cfg).0;
+        slot.on_reset(&mut TestCtx::with_config(id, Bit::One, cfg));
+        let context = format!("{} reset as {id}", builder.name());
+        assert_equals_build(builder, slot.as_mut(), id, Bit::One, cfg, &script, &context);
+    }
+}
+
+#[test]
+fn reset_equals_build_for_the_protocols_that_restart() {
+    check_reset_equals_build(&BenOrBuilder::new(), SystemConfig::new(7, 2).unwrap());
+    check_reset_equals_build(&BrachaBuilder::new(), third(7));
+    // Members and observers alike.
+    let cfg = third(40);
+    check_reset_equals_build(&CommitteeBuilder::sampled(&cfg, 7, 11), cfg);
+    check_reset_equals_build(&CommitteeBuilder::random(&cfg, 7, 11), cfg);
 }

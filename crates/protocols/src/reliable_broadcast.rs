@@ -127,14 +127,14 @@ impl ReliableBroadcaster {
 
     /// Processes an incoming `Rbc` payload. Non-`Rbc` payloads are ignored.
     ///
-    /// Returns the broadcasts newly accepted as a result of this message
-    /// (at most one per call in practice).
+    /// Returns the broadcast this message made the processor accept, if any:
+    /// a message touches one instance, which accepts once.
     pub fn on_message(
         &mut self,
         from: ProcessorId,
         payload: &Payload,
         ctx: &mut dyn Context,
-    ) -> Vec<AcceptedBroadcast> {
+    ) -> Option<AcceptedBroadcast> {
         let Payload::Rbc {
             step,
             origin,
@@ -142,11 +142,11 @@ impl ReliableBroadcaster {
             inner,
         } = payload
         else {
-            return Vec::new();
+            return None;
         };
         let key = (*origin, *broadcast_id);
         let mut to_send: Vec<Payload> = Vec::new();
-        let mut accepted = Vec::new();
+        let mut accepted = None;
         let echo_threshold = self.echo_threshold();
         let ready_threshold = self.ready_threshold();
         let accept_threshold = self.accept_threshold();
@@ -193,7 +193,7 @@ impl ReliableBroadcaster {
                 }
                 if !instance.accepted && readies >= accept_threshold {
                     instance.accepted = true;
-                    accepted.push(AcceptedBroadcast {
+                    accepted = Some(AcceptedBroadcast {
                         origin: *origin,
                         broadcast_id: *broadcast_id,
                         payload: inner.as_ref().clone(),
@@ -255,7 +255,7 @@ mod tests {
     fn init_from_origin_triggers_echo() {
         let (mut r, mut ctx) = setup();
         let accepted = r.on_message(ProcessorId::new(3), &rbc(RbcStep::Init, 3, 7), &mut ctx);
-        assert!(accepted.is_empty());
+        assert!(accepted.is_none());
         assert_eq!(ctx.sent_to(0).len(), 1);
         assert!(matches!(
             ctx.sent_to(0)[0],
@@ -271,7 +271,7 @@ mod tests {
         let (mut r, mut ctx) = setup();
         // Processor 4 claims to forward an Init originated by processor 3.
         let accepted = r.on_message(ProcessorId::new(4), &rbc(RbcStep::Init, 3, 7), &mut ctx);
-        assert!(accepted.is_empty());
+        assert!(accepted.is_none());
         assert!(ctx.sent_to(0).is_empty());
     }
 
@@ -353,10 +353,10 @@ mod tests {
                 &rbc(RbcStep::Ready, 3, 7),
                 &mut ctx,
             );
-            accepted_total += accepted.len();
+            accepted_total += usize::from(accepted.is_some());
             if sender < 4 {
                 assert!(
-                    accepted.is_empty(),
+                    accepted.is_none(),
                     "fewer than 2t+1 readies must not accept"
                 );
             }
@@ -367,7 +367,7 @@ mod tests {
     #[test]
     fn accepted_broadcast_carries_origin_id_and_payload() {
         let (mut r, mut ctx) = setup();
-        let mut result = Vec::new();
+        let mut result = None;
         for sender in 0..5 {
             result = r.on_message(
                 ProcessorId::new(sender),
@@ -377,11 +377,11 @@ mod tests {
         }
         assert_eq!(
             result,
-            vec![AcceptedBroadcast {
+            Some(AcceptedBroadcast {
                 origin: ProcessorId::new(3),
                 broadcast_id: 9,
                 payload: inner(),
-            }]
+            })
         );
     }
 
@@ -443,7 +443,7 @@ mod tests {
             &Payload::Decided { value: Bit::One },
             &mut ctx,
         );
-        assert!(accepted.is_empty());
+        assert!(accepted.is_none());
         assert_eq!(r.instance_count(), 0);
         r.on_message(ProcessorId::new(3), &rbc(RbcStep::Init, 3, 7), &mut ctx);
         assert_eq!(r.instance_count(), 1);

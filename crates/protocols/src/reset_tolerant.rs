@@ -23,6 +23,11 @@
 //! measure one correctness and termination against every strongly adaptive
 //! adversary — at the cost of expected exponential running time for
 //! adversarially split inputs, which Theorem 5 shows is unavoidable.
+//!
+//! Its state is exactly the memory a reset erases: the mode, the round, the
+//! estimate and the tally. The input bit, the output bit and the reset
+//! counter survive a reset because they are not here: the harness keeps them,
+//! and the protocol reaches the output bit through [`Context::decide`].
 
 use agreement_model::{
     Bit, ConfigError, Context, Payload, ProcessorId, Protocol, ProtocolBuilder, StateDigest,
@@ -50,8 +55,6 @@ pub struct ResetTolerant {
     estimate: Bit,
     tally: RoundTally,
     last_processed_round: u64,
-    reset_count: u64,
-    decided: Option<Bit>,
 }
 
 impl ResetTolerant {
@@ -74,29 +77,12 @@ impl ResetTolerant {
             estimate: input,
             tally,
             last_processed_round: 0,
-            reset_count: 0,
-            decided: None,
         }
     }
 
     /// The thresholds this instance runs with.
     pub fn thresholds(&self) -> Thresholds {
         self.thresholds
-    }
-
-    /// The current round number (meaningful only in normal mode).
-    pub fn round(&self) -> u64 {
-        self.round
-    }
-
-    /// The current estimate `x_p`.
-    pub fn estimate(&self) -> Bit {
-        self.estimate
-    }
-
-    /// Whether the processor is currently resynchronizing after a reset.
-    pub fn is_resynchronizing(&self) -> bool {
-        self.mode == Mode::Resync
     }
 
     fn send_round_message(&self, ctx: &mut dyn Context) {
@@ -110,7 +96,6 @@ impl ResetTolerant {
     /// then step 4.
     fn step_three_and_four(&mut self, r: u64, votes: VoteCounts, ctx: &mut dyn Context) {
         if let Some(v) = votes.value_with_at_least(self.thresholds.t2()) {
-            self.decided = Some(v);
             ctx.decide(v);
         }
         if let Some(v) = votes.value_with_at_least(self.thresholds.t3()) {
@@ -186,10 +171,7 @@ impl Protocol for ResetTolerant {
 
     fn on_reset(&mut self, _ctx: &mut dyn Context) {
         // Memory is erased: the round number, estimate, and all recorded
-        // messages are lost. The input bit, output bit and reset counter are
-        // durable and owned by the harness; we only keep the (detectable)
-        // fact that a reset happened.
-        self.reset_count += 1;
+        // messages are lost. All that is left is the resync the reset starts.
         self.mode = Mode::Resync;
         self.round = 0;
         self.last_processed_round = 0;
@@ -208,8 +190,8 @@ impl Protocol for ResetTolerant {
                 Mode::Normal => Some(self.estimate),
                 Mode::Resync => None,
             },
-            decided: self.decided,
-            reset_count: self.reset_count,
+            decided: None,
+            reset_count: 0,
             phase: match self.mode {
                 Mode::Normal => "normal",
                 Mode::Resync => "resync",
@@ -308,6 +290,11 @@ mod tests {
         )
     }
 
+    /// The round, as the digest reports it: `None` while resynchronizing.
+    fn round(p: &ResetTolerant) -> Option<u64> {
+        p.digest().round
+    }
+
     /// The rounds of the payloads sent to processor 1.
     fn broadcast_rounds(ctx: &TestCtx) -> Vec<u64> {
         ctx.sent_to(1)
@@ -360,7 +347,7 @@ mod tests {
                 value: Bit::One
             }
         )));
-        assert_eq!(p.round(), 1);
+        assert_eq!(round(&p), Some(1));
     }
 
     #[test]
@@ -371,8 +358,8 @@ mod tests {
         // 9 matching One reports: reaches T1 = 9 and T2 = 9 simultaneously.
         feed_reports(&mut p, &mut ctx, 1, 0, 9);
         assert_eq!(ctx.decided, Some(Bit::One));
-        assert_eq!(p.estimate(), Bit::One);
-        assert_eq!(p.round(), 2);
+        assert_eq!(p.digest().estimate, Some(Bit::One));
+        assert_eq!(round(&p), Some(2));
         // Step 4 sent the round-2 message.
         assert_eq!(broadcast_rounds(&ctx), vec![2]);
     }
@@ -384,8 +371,8 @@ mod tests {
         // 7 zeros (meets T3 = 7) and 2 ones: total 9 = T1, but no value reaches T2 = 9.
         feed_reports(&mut p, &mut ctx, 1, 7, 2);
         assert_eq!(ctx.decided, None);
-        assert_eq!(p.estimate(), Bit::Zero);
-        assert_eq!(p.round(), 2);
+        assert_eq!(p.digest().estimate, Some(Bit::Zero));
+        assert_eq!(round(&p), Some(2));
     }
 
     #[test]
@@ -397,11 +384,11 @@ mod tests {
         feed_reports(&mut p, &mut ctx, 1, 5, 4);
         assert_eq!(ctx.decided, None);
         assert_eq!(
-            p.estimate(),
-            Bit::One,
+            p.digest().estimate,
+            Some(Bit::One),
             "estimate must come from the scripted random bit"
         );
-        assert_eq!(p.round(), 2);
+        assert_eq!(round(&p), Some(2));
     }
 
     #[test]
@@ -409,7 +396,7 @@ mod tests {
         let (mut p, mut ctx) = setup(Bit::Zero);
         p.on_start(&mut ctx);
         feed_reports(&mut p, &mut ctx, 1, 4, 4); // 8 < T1 = 9
-        assert_eq!(p.round(), 1);
+        assert_eq!(round(&p), Some(1));
         assert_eq!(ctx.decided, None);
     }
 
@@ -420,14 +407,14 @@ mod tests {
         // Deliver round-2 messages first; they must not be lost.
         feed_reports(&mut p, &mut ctx, 2, 0, 9);
         assert_eq!(
-            p.round(),
-            1,
+            round(&p),
+            Some(1),
             "round-2 messages alone cannot advance round 1"
         );
         // Now complete round 1 with a split view; the buffered round-2
         // messages then immediately advance the protocol to round 3.
         feed_reports(&mut p, &mut ctx, 1, 5, 4);
-        assert_eq!(p.round(), 3);
+        assert_eq!(round(&p), Some(3));
         assert_eq!(
             ctx.decided,
             Some(Bit::One),
@@ -440,7 +427,7 @@ mod tests {
         let (mut p, mut ctx) = setup(Bit::One);
         p.on_start(&mut ctx);
         feed_reports(&mut p, &mut ctx, 1, 0, 9);
-        assert_eq!(p.round(), 2);
+        assert_eq!(round(&p), Some(2));
         // A late round-1 message must not be recorded for the current round.
         p.on_message(
             ProcessorId::new(12),
@@ -450,7 +437,7 @@ mod tests {
             },
             &mut ctx,
         );
-        assert_eq!(p.round(), 2);
+        assert_eq!(round(&p), Some(2));
     }
 
     #[test]
@@ -460,12 +447,10 @@ mod tests {
         feed_reports(&mut p, &mut ctx, 1, 0, 9);
         ctx.sent.clear();
         p.on_reset(&mut ctx);
-        assert!(p.is_resynchronizing());
         assert!(ctx.sent.is_empty(), "a reset processor must not send");
         let digest = p.digest();
         assert_eq!(digest.round, None);
         assert_eq!(digest.estimate, None);
-        assert_eq!(digest.reset_count, 1);
         assert_eq!(digest.phase, "resync");
     }
 
@@ -477,9 +462,9 @@ mod tests {
         ctx.sent.clear();
         // The other processors are in round 5; T1 of their reports resynchronize us.
         feed_reports(&mut p, &mut ctx, 5, 0, 9);
-        assert!(!p.is_resynchronizing());
-        assert_eq!(p.round(), 6, "step 4 advances past the adopted round");
-        assert_eq!(p.estimate(), Bit::One);
+        assert_eq!(p.digest().phase, "normal");
+        assert_eq!(round(&p), Some(6), "step 4 advances past the adopted round");
+        assert_eq!(p.digest().estimate, Some(Bit::One));
         assert_eq!(ctx.decided, Some(Bit::One));
         assert_eq!(broadcast_rounds(&ctx), vec![6]);
     }
@@ -492,8 +477,8 @@ mod tests {
         // Exactly T1 = 9 reports, 7 zeros and 2 ones: T3 reached, T2 not.
         feed_reports(&mut p, &mut ctx, 3, 7, 2);
         assert_eq!(ctx.decided, None);
-        assert_eq!(p.estimate(), Bit::Zero);
-        assert_eq!(p.round(), 4);
+        assert_eq!(p.digest().estimate, Some(Bit::Zero));
+        assert_eq!(round(&p), Some(4));
     }
 
     #[test]

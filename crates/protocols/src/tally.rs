@@ -41,9 +41,10 @@ use agreement_model::{Bit, ProcessorId};
 /// tally.record(1, 0, ProcessorId::new(1), Some(Bit::Zero));
 /// // A duplicate vote from the same sender is ignored.
 /// tally.record(1, 0, ProcessorId::new(0), Some(Bit::Zero));
-/// assert_eq!(tally.total(1, 0), 2);
-/// assert_eq!(tally.count(1, 0, Bit::One), 1);
-/// assert_eq!(tally.count(1, 0, Bit::Zero), 1);
+/// let counts = tally.counts(1, 0);
+/// assert_eq!(counts.total(), 2);
+/// assert_eq!(counts.count(Bit::One), 1);
+/// assert_eq!(counts.count(Bit::Zero), 1);
 /// ```
 ///
 /// `RoundTally::default()` is the tally for no processors: it takes no
@@ -106,11 +107,6 @@ impl VoteCounts {
         }
     }
 
-    /// Number of abstentions (`None` votes).
-    pub fn abstentions(self) -> usize {
-        self.abstains as usize
-    }
-
     /// The value with the most votes; ties favour [`Bit::One`], and only
     /// abstentions (or no votes) give `None`.
     pub fn majority_value(self) -> Option<Bit> {
@@ -154,6 +150,9 @@ impl Slot {
         (self.round, self.phase)
     }
 
+    /// Whether `sender` has voted for this key: what the differential test
+    /// compares against the reference's voter sets.
+    #[cfg(test)]
     fn has_voted(&self, sender: ProcessorId) -> bool {
         bit_is_set(&self.voters, sender.index())
     }
@@ -199,7 +198,9 @@ impl RoundTally {
     }
 
     /// The counts of `(round, phase)`: all zero for a key nobody voted for.
-    pub(crate) fn counts(&self, round: u64, phase: u8) -> VoteCounts {
+    /// The one key-addressed query; a caller that has just recorded a vote
+    /// reads the counts [`RoundTally::record`] returned instead.
+    pub fn counts(&self, round: u64, phase: u8) -> VoteCounts {
         self.slot(round, phase)
             .map_or_else(VoteCounts::default, |k| k.counts)
     }
@@ -272,50 +273,8 @@ impl RoundTally {
         at
     }
 
-    /// Total number of distinct voters recorded for `(round, phase)`.
-    pub fn total(&self, round: u64, phase: u8) -> usize {
-        self.counts(round, phase).total()
-    }
-
-    /// Number of votes for `value` recorded for `(round, phase)`.
-    pub fn count(&self, round: u64, phase: u8, value: Bit) -> usize {
-        self.counts(round, phase).count(value)
-    }
-
-    /// Number of abstentions (`None` votes) recorded for `(round, phase)`.
-    pub fn abstentions(&self, round: u64, phase: u8) -> usize {
-        self.counts(round, phase).abstentions()
-    }
-
-    /// Returns `true` if `sender` has already voted for `(round, phase)`.
-    pub fn has_voted(&self, round: u64, phase: u8, sender: ProcessorId) -> bool {
-        self.slot(round, phase).is_some_and(|k| k.has_voted(sender))
-    }
-
-    /// The value with the most votes for `(round, phase)`; ties favour
-    /// [`Bit::One`] (a fixed, publicly known tie-break).
-    pub fn majority_value(&self, round: u64, phase: u8) -> Option<Bit> {
-        self.counts(round, phase).majority_value()
-    }
-
-    /// Returns `Some(v)` if at least `threshold` votes were cast for `v`,
-    /// as [`VoteCounts::value_with_at_least`] decides it; `None` for a key
-    /// nobody voted for.
-    pub fn value_with_at_least(&self, round: u64, phase: u8, threshold: usize) -> Option<Bit> {
-        self.slot(round, phase)?
-            .counts
-            .value_with_at_least(threshold)
-    }
-
-    /// Rounds for which at least `threshold` distinct voters have been
-    /// recorded in phase `phase`, in increasing order.
-    pub fn rounds_with_at_least(&self, phase: u8, threshold: usize) -> Vec<u64> {
-        self.ready_rounds(phase, threshold).collect()
-    }
-
     /// The lowest round for which at least `threshold` distinct voters have
-    /// been recorded in phase `phase`: the first entry of
-    /// [`RoundTally::rounds_with_at_least`], without building the list.
+    /// been recorded in phase `phase`.
     pub fn lowest_round_with_at_least(&self, phase: u8, threshold: usize) -> Option<u64> {
         self.ready_rounds(phase, threshold).next()
     }
@@ -386,12 +345,6 @@ mod tests {
             true
         }
 
-        fn total(&self, round: u64, phase: u8) -> usize {
-            self.votes
-                .get(&(round, phase))
-                .map_or(0, |k| k.voters.len())
-        }
-
         fn counts(&self, round: u64, phase: u8) -> VoteCounts {
             self.votes
                 .get(&(round, phase))
@@ -400,17 +353,6 @@ mod tests {
                     ones: k.ones as u32,
                     abstains: k.abstains as u32,
                 })
-        }
-
-        fn count(&self, round: u64, phase: u8, value: Bit) -> usize {
-            self.votes.get(&(round, phase)).map_or(0, |k| match value {
-                Bit::Zero => k.zeros,
-                Bit::One => k.ones,
-            })
-        }
-
-        fn abstentions(&self, round: u64, phase: u8) -> usize {
-            self.votes.get(&(round, phase)).map_or(0, |k| k.abstains)
         }
 
         fn has_voted(&self, round: u64, phase: u8, sender: ProcessorId) -> bool {
@@ -464,8 +406,16 @@ mod tests {
         }
     }
 
-    /// Every query of the public API, over every key and sender the
-    /// generator can produce, must agree between the two tallies.
+    /// Whether `sender` has voted for `(round, phase)` in `tally`.
+    fn has_voted(tally: &RoundTally, round: u64, phase: u8, sender: ProcessorId) -> bool {
+        tally
+            .slot(round, phase)
+            .is_some_and(|slot| slot.has_voted(sender))
+    }
+
+    /// Every answer the tally gives — the counts of each key and what they
+    /// decide, the ready rounds, the voter bits — over every key and sender
+    /// the generator can produce, must agree with the reference.
     fn assert_same_answers(
         flat: &RoundTally,
         reference: &ReferenceTally,
@@ -477,7 +427,7 @@ mod tests {
             for threshold in 0..6 {
                 let ready = reference.rounds_with_at_least(phase, threshold);
                 assert_eq!(
-                    flat.rounds_with_at_least(phase, threshold),
+                    flat.ready_rounds(phase, threshold).collect::<Vec<_>>(),
                     ready,
                     "{context}"
                 );
@@ -488,34 +438,23 @@ mod tests {
                 );
             }
             for &r in rounds {
-                assert_eq!(flat.total(r, phase), reference.total(r, phase), "{context}");
+                let counts = flat.counts(r, phase);
+                assert_eq!(counts, reference.counts(r, phase), "{context}");
                 assert_eq!(
-                    flat.abstentions(r, phase),
-                    reference.abstentions(r, phase),
-                    "{context}"
-                );
-                assert_eq!(
-                    flat.majority_value(r, phase),
+                    counts.majority_value(),
                     reference.majority_value(r, phase),
                     "{context}"
                 );
-                for value in [Bit::Zero, Bit::One] {
+                for threshold in 1..6 {
                     assert_eq!(
-                        flat.count(r, phase, value),
-                        reference.count(r, phase, value),
-                        "{context}"
-                    );
-                }
-                for threshold in 0..6 {
-                    assert_eq!(
-                        flat.value_with_at_least(r, phase, threshold),
+                        counts.value_with_at_least(threshold),
                         reference.value_with_at_least(r, phase, threshold),
                         "{context}"
                     );
                 }
                 for &s in senders {
                     assert_eq!(
-                        flat.has_voted(r, phase, s),
+                        has_voted(flat, r, phase, s),
                         reference.has_voted(r, phase, s),
                         "{context}"
                     );
@@ -595,10 +534,10 @@ mod tests {
             let counted = t.record(round + 1, 0, p(12), Some(Bit::Zero));
             assert_eq!(counted.map(VoteCounts::total), Some(1));
             t.forget_rounds_before(round + 1);
-            assert_eq!(t.total(round, 0), 0);
-            assert_eq!(t.total(round + 1, 0), 1);
-            assert_eq!(t.count(round + 1, 0, Bit::One), 0);
-            assert!(!t.has_voted(round + 1, 0, p(1)));
+            assert_eq!(t.counts(round, 0).total(), 0);
+            let next = t.counts(round + 1, 0);
+            assert_eq!((next.total(), next.count(Bit::One)), (1, 0));
+            assert!(!has_voted(&t, round + 1, 0, p(1)));
         }
         // Two keys were alive at once at most, so two slots exist in all.
         assert_eq!((t.live, t.slots.len()), (1, 2));
@@ -628,11 +567,9 @@ mod tests {
         assert_eq!(counted.map(VoteCounts::total), Some(1));
         assert_eq!(t.record(1, 0, p(0), Some(Bit::One)), None);
         assert_eq!(t.record(1, 0, p(0), Some(Bit::Zero)), None);
-        assert_eq!(t.total(1, 0), 1);
-        assert_eq!(t.count(1, 0, Bit::One), 1);
-        assert_eq!(t.count(1, 0, Bit::Zero), 0);
-        assert!(t.has_voted(1, 0, p(0)));
-        assert!(!t.has_voted(1, 0, p(1)));
+        assert_eq!(t.counts(1, 0), counted.unwrap());
+        assert!(has_voted(&t, 1, 0, p(0)));
+        assert!(!has_voted(&t, 1, 0, p(1)));
     }
 
     #[test]
@@ -641,41 +578,41 @@ mod tests {
         t.record(1, 0, p(0), Some(Bit::One));
         t.record(1, 1, p(0), Some(Bit::Zero));
         t.record(2, 0, p(0), Some(Bit::Zero));
-        assert_eq!(t.total(1, 0), 1);
-        assert_eq!(t.total(1, 1), 1);
-        assert_eq!(t.total(2, 0), 1);
-        assert_eq!(t.count(1, 1, Bit::Zero), 1);
+        assert_eq!(t.counts(1, 0).total(), 1);
+        assert_eq!(t.counts(1, 1).total(), 1);
+        assert_eq!(t.counts(2, 0).total(), 1);
+        assert_eq!(t.counts(1, 1).count(Bit::Zero), 1);
     }
 
     #[test]
     fn abstentions_count_towards_total_but_not_values() {
         let mut t = RoundTally::for_processors(8);
         t.record(3, 2, p(0), None);
-        t.record(3, 2, p(1), Some(Bit::Zero));
-        assert_eq!(t.total(3, 2), 2);
-        assert_eq!(t.abstentions(3, 2), 1);
-        assert_eq!(t.count(3, 2, Bit::Zero), 1);
-        assert_eq!(t.count(3, 2, Bit::One), 0);
+        let counts = t.record(3, 2, p(1), Some(Bit::Zero)).unwrap();
+        assert_eq!(counts.total(), 2);
+        assert_eq!(counts.abstains, 1);
+        assert_eq!(counts.count(Bit::Zero), 1);
+        assert_eq!(counts.count(Bit::One), 0);
     }
 
     #[test]
     fn majority_value_breaks_ties_towards_one() {
         let mut t = RoundTally::for_processors(8);
-        assert_eq!(t.majority_value(1, 0), None);
-        t.record(1, 0, p(0), Some(Bit::Zero));
-        assert_eq!(t.majority_value(1, 0), Some(Bit::Zero));
-        t.record(1, 0, p(1), Some(Bit::One));
-        assert_eq!(t.majority_value(1, 0), Some(Bit::One));
-        t.record(1, 0, p(2), Some(Bit::One));
-        assert_eq!(t.majority_value(1, 0), Some(Bit::One));
+        assert_eq!(t.counts(1, 0).majority_value(), None);
+        let majority = |t: &mut RoundTally, i, value| {
+            t.record(1, 0, p(i), Some(value)).unwrap().majority_value()
+        };
+        assert_eq!(majority(&mut t, 0, Bit::Zero), Some(Bit::Zero));
+        assert_eq!(majority(&mut t, 1, Bit::One), Some(Bit::One));
+        assert_eq!(majority(&mut t, 2, Bit::One), Some(Bit::One));
     }
 
     #[test]
     fn majority_value_of_only_abstentions_is_none() {
         let mut t = RoundTally::for_processors(8);
         t.record(1, 0, p(0), None);
-        t.record(1, 0, p(1), None);
-        assert_eq!(t.majority_value(1, 0), None);
+        let counts = t.record(1, 0, p(1), None).unwrap();
+        assert_eq!(counts.majority_value(), None);
     }
 
     #[test]
@@ -687,14 +624,15 @@ mod tests {
         for i in 5..8 {
             t.record(1, 0, p(i), Some(Bit::One));
         }
-        assert_eq!(t.value_with_at_least(1, 0, 5), Some(Bit::Zero));
-        assert_eq!(t.value_with_at_least(1, 0, 6), None);
-        assert_eq!(t.value_with_at_least(1, 0, 3), Some(Bit::Zero));
-        assert_eq!(t.value_with_at_least(2, 0, 1), None);
+        let counts = t.counts(1, 0);
+        assert_eq!(counts.value_with_at_least(5), Some(Bit::Zero));
+        assert_eq!(counts.value_with_at_least(6), None);
+        assert_eq!(counts.value_with_at_least(3), Some(Bit::Zero));
+        assert_eq!(t.counts(2, 0).value_with_at_least(1), None);
     }
 
     #[test]
-    fn rounds_with_at_least_reports_ready_rounds() {
+    fn the_lowest_ready_round_is_the_resync_target() {
         let mut t = RoundTally::for_processors(8);
         for i in 0..4 {
             t.record(7, 0, p(i), Some(Bit::One));
@@ -702,11 +640,13 @@ mod tests {
         for i in 0..2 {
             t.record(8, 0, p(i), Some(Bit::One));
         }
-        assert_eq!(t.rounds_with_at_least(0, 3), vec![7]);
-        assert_eq!(t.rounds_with_at_least(0, 1), vec![7, 8]);
-        assert!(t.rounds_with_at_least(1, 1).is_empty());
+        assert_eq!(t.lowest_round_with_at_least(0, 3), Some(7));
         assert_eq!(t.lowest_round_with_at_least(0, 1), Some(7));
+        assert_eq!(t.lowest_round_with_at_least(1, 1), None);
         assert_eq!(t.lowest_round_with_at_least(0, 5), None);
+        t.forget_rounds_before(8);
+        assert_eq!(t.lowest_round_with_at_least(0, 1), Some(8));
+        assert_eq!(t.lowest_round_with_at_least(0, 3), None);
     }
 
     #[test]
@@ -715,9 +655,9 @@ mod tests {
         t.record(1, 0, p(0), Some(Bit::One));
         t.record(5, 0, p(0), Some(Bit::One));
         t.forget_rounds_before(3);
-        assert_eq!(t.total(1, 0), 0);
-        assert_eq!(t.total(5, 0), 1);
+        assert_eq!(t.counts(1, 0).total(), 0);
+        assert_eq!(t.counts(5, 0).total(), 1);
         t.clear();
-        assert_eq!(t.total(5, 0), 0);
+        assert_eq!(t.counts(5, 0).total(), 0);
     }
 }

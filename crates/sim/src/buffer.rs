@@ -417,14 +417,7 @@ impl MessageBuffer {
 
     /// Places an envelope into the buffer with a zero chain tag.
     pub fn enqueue(&mut self, envelope: Envelope) {
-        self.enqueue_with_chain(envelope, 0);
-    }
-
-    /// Places an envelope into the buffer, tagging it with the causal depth of
-    /// its sending step.
-    #[inline]
-    pub fn enqueue_with_chain(&mut self, envelope: Envelope, chain: u64) {
-        self.enqueue_unicast(envelope.sender, envelope.recipient, envelope.payload, chain);
+        self.enqueue_unicast(envelope.sender, envelope.recipient, envelope.payload, 0);
     }
 
     /// Enqueues a single-recipient message: one log entry, one index on the
@@ -516,25 +509,13 @@ impl MessageBuffer {
     }
 
     /// Removes and returns the oldest undelivered message from `sender` to
-    /// `recipient`, if any.
+    /// `recipient`, if any. The payload is cloned out of the shared log
+    /// entry; the engines deliver through [`MessageBuffer::pop_message`],
+    /// which borrows it instead.
     #[inline]
     pub fn pop(&mut self, sender: ProcessorId, recipient: ProcessorId) -> Option<Payload> {
-        self.pop_with_chain(sender, recipient)
-            .map(|(payload, _)| payload)
-    }
-
-    /// Removes and returns the oldest undelivered message on the channel
-    /// together with its chain tag. The payload is cloned out of the shared
-    /// log entry; the engines deliver through
-    /// [`MessageBuffer::pop_message`], which borrows it instead.
-    #[inline]
-    pub fn pop_with_chain(
-        &mut self,
-        sender: ProcessorId,
-        recipient: ProcessorId,
-    ) -> Option<(Payload, u64)> {
         self.pop_message(sender, recipient)
-            .map(|(payload, chain)| (payload.clone(), chain))
+            .map(|(payload, _)| payload.clone())
     }
 
     /// Removes the oldest undelivered message on the channel, lending the
@@ -1198,12 +1179,12 @@ mod tests {
     #[test]
     fn chain_tags_ride_along_with_their_messages() {
         let mut buf = MessageBuffer::with_processors(2);
-        buf.enqueue_with_chain(env(0, 1, 1), 4);
-        buf.enqueue_with_chain(env(0, 1, 2), 9);
-        let (first, chain) = buf.pop_with_chain(id(0), id(1)).unwrap();
+        buf.enqueue_unicast(id(0), id(1), report(1), 4);
+        buf.enqueue_unicast(id(0), id(1), report(2), 9);
+        let (first, chain) = buf.pop_message(id(0), id(1)).unwrap();
         assert_eq!(first.round(), Some(1));
         assert_eq!(chain, 4);
-        let (_, chain) = buf.pop_with_chain(id(0), id(1)).unwrap();
+        let (_, chain) = buf.pop_message(id(0), id(1)).unwrap();
         assert_eq!(chain, 9);
     }
 
@@ -1314,7 +1295,7 @@ mod tests {
     #[test]
     fn corrupt_head_replaces_payload_in_place() {
         let mut buf = MessageBuffer::with_processors(4);
-        buf.enqueue_with_chain(env(3, 0, 5), 7);
+        buf.enqueue_unicast(id(3), id(0), report(5), 7);
         let lie = Payload::Report {
             round: 5,
             value: Bit::One,
@@ -1325,7 +1306,7 @@ mod tests {
         assert_eq!(now.advocated_value(), Some(Bit::One));
         assert_eq!(buf.pending_on(id(3), id(0)), 1);
         // Corruption rewrites contents, not causality: the tag is preserved.
-        let (_, chain) = buf.pop_with_chain(id(3), id(0)).unwrap();
+        let (_, chain) = buf.pop_message(id(3), id(0)).unwrap();
         assert_eq!(chain, 7);
     }
 
@@ -1408,7 +1389,7 @@ mod tests {
         );
         // Every recipient resolves the same contents.
         for to in ProcessorId::all(4) {
-            let (p, chain) = buf.pop_with_chain(id(0), to).unwrap();
+            let (p, chain) = buf.pop_message(id(0), to).unwrap();
             assert_eq!(p.round(), Some(1));
             assert_eq!(chain, 1);
         }
@@ -1430,7 +1411,7 @@ mod tests {
         // Recipient 1 sees the corruption — ahead of the unicast that was
         // sent after the broadcast — 0 and 2 see the original.
         assert_eq!(buf.pending_on(id(0), id(1)), 2);
-        let (corrupted, chain) = buf.pop_with_chain(id(0), id(1)).unwrap();
+        let (corrupted, chain) = buf.pop_message(id(0), id(1)).unwrap();
         assert_eq!(corrupted.advocated_value(), Some(Bit::One));
         assert_eq!(chain, 2, "the replacement keeps the original's tag");
         assert_eq!(buf.pop(id(0), id(1)).unwrap().round(), Some(2));
@@ -1508,7 +1489,7 @@ mod tests {
         let targets: Vec<usize> = buf.iter().map(|(_, to, _)| to.index()).collect();
         assert_eq!(targets, vec![3, 71, 512]);
         for &to in &committee {
-            let (p, chain) = buf.pop_with_chain(id(71), to).unwrap();
+            let (p, chain) = buf.pop_message(id(71), to).unwrap();
             assert_eq!(p.round(), Some(1));
             assert_eq!(chain, 2);
         }
@@ -1526,7 +1507,7 @@ mod tests {
         assert_eq!(buf.enqueued_count(), 3);
         assert_eq!(buf.pending_on(id(0), id(9)), 2);
         assert_eq!(buf.pending_on(id(0), id(4)), 1);
-        let (p, chain) = buf.pop_with_chain(id(0), id(9)).unwrap();
+        let (p, chain) = buf.pop_message(id(0), id(9)).unwrap();
         assert_eq!(p.round(), Some(2));
         assert_eq!(chain, 5);
     }
@@ -1907,7 +1888,8 @@ mod tests {
                         let (s, r) = aim(&mut rng, &model);
                         let expected = model.pop(s, r);
                         if rng.bit().is_one() {
-                            assert_eq!(buf.pop_with_chain(id(s), id(r)), expected, "pop {at}");
+                            let payload = expected.map(|(p, _)| p);
+                            assert_eq!(buf.pop(id(s), id(r)), payload, "pop {at}");
                         } else {
                             let lent = buf.pop_message(id(s), id(r));
                             assert_eq!(
@@ -1922,8 +1904,9 @@ mod tests {
                     // Drain one sender completely, so its lane recycles.
                     let s = any(&mut rng);
                     for r in 0..n {
-                        while let Some(expected) = model.pop(s, r) {
-                            assert_eq!(buf.pop_with_chain(id(s), id(r)), Some(expected), "{at}");
+                        while let Some((payload, chain)) = model.pop(s, r) {
+                            let lent = buf.pop_message(id(s), id(r));
+                            assert_eq!(lent, Some((&payload, chain)), "{at}");
                         }
                         assert_eq!(buf.pop(id(s), id(r)), None, "{at}");
                     }
@@ -2075,8 +2058,8 @@ mod tests {
                     // A few single deliveries, so drains start mid-channel.
                     for _ in 0..=rng.range(n as u64) {
                         let (s, r) = (any(&mut rng), any(&mut rng));
-                        let a = drained.pop_with_chain(id(s), id(r));
-                        assert_eq!(a, popped.pop_with_chain(id(s), id(r)), "pop {at}");
+                        let a = drained.pop_message(id(s), id(r));
+                        assert_eq!(a, popped.pop_message(id(s), id(r)), "pop {at}");
                     }
                 }
                 45..=64 => {

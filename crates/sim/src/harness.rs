@@ -413,7 +413,8 @@ impl ProcessorHarness {
 
     /// The adversary-visible digest: the protocol's own digest with the
     /// durable output register (`output`, the processor's) and reset counter
-    /// merged in.
+    /// merged in — the only writer of [`StateDigest::decided`] and
+    /// [`StateDigest::reset_count`], whose one copy each is here.
     pub fn digest(&self, output: &OutputRegister) -> StateDigest {
         let mut digest = self.protocol.digest();
         digest.decided = output.get();

@@ -1,4 +1,5 @@
-//! Every file and every `Type::item` README.md and DESIGN.md point at exists.
+//! Every file and every `Type::item` README.md, DESIGN.md and EXPERIMENTS.md
+//! point at exists.
 //!
 //! A backticked token that contains a `/` and ends in one of the source or
 //! data extensions below, optionally followed by `:line`, is a reference to a
@@ -18,7 +19,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 /// The documents whose references are checked.
-const DOCS: [&str; 2] = ["README.md", "DESIGN.md"];
+const DOCS: [&str; 3] = ["README.md", "DESIGN.md", "EXPERIMENTS.md"];
 
 /// What a referenced file may end in.
 const EXTENSIONS: [&str; 7] = [".rs", ".md", ".json", ".jsonl", ".toml", ".yml", ".sh"];

@@ -191,18 +191,20 @@ fn full_delivery_baseline_outcome_is_pinned() {
     assert!(outcome.all_decided_at.is_some());
 }
 
-/// What each processor's protocol reports as decided in its own digest: every
-/// instance a [`Reporting`] builder makes writes its slot after each callback.
+/// What each processor's protocol decided, as it said so: every instance a
+/// [`Reporting`] builder makes hands its protocol a context that keeps the
+/// first value each `decide` call names, beside the harness's. Building an
+/// instance (every trial does) empties its slot.
 #[derive(Debug, Clone, Default)]
 struct OwnDecisions(Arc<Mutex<Vec<Option<Bit>>>>);
 
 impl OwnDecisions {
-    fn set(&self, id: ProcessorId, decided: Option<Bit>) {
+    fn slot(&self, id: ProcessorId, write: impl FnOnce(&mut Option<Bit>)) {
         let mut slots = self.0.lock().unwrap();
         if slots.len() <= id.index() {
             slots.resize(id.index() + 1, None);
         }
-        slots[id.index()] = decided;
+        write(&mut slots[id.index()]);
     }
 
     fn get(&self) -> Vec<Option<Bit>> {
@@ -210,29 +212,63 @@ impl OwnDecisions {
     }
 }
 
-/// Wraps a protocol instance, reporting its own `digest().decided` after
-/// every callback.
+/// Wraps a protocol instance, handing it a [`Witnessed`] context.
 #[derive(Debug)]
-struct ReportingInstance(Box<dyn Protocol>, ProcessorId, OwnDecisions);
+struct ReportingInstance(Box<dyn Protocol>, OwnDecisions);
 
-impl ReportingInstance {
-    fn report(&self) {
-        self.2.set(self.1, self.0.digest().decided);
+/// Forwards every call to the harness's context, and notes each decision the
+/// protocol makes in its [`OwnDecisions`] slot as well.
+struct Witnessed<'a>(&'a mut dyn Context, &'a OwnDecisions);
+
+impl Context for Witnessed<'_> {
+    fn id(&self) -> ProcessorId {
+        self.0.id()
+    }
+    fn config(&self) -> SystemConfig {
+        self.0.config()
+    }
+    fn input(&self) -> Bit {
+        self.0.input()
+    }
+    fn send(&mut self, to: ProcessorId, payload: Payload) {
+        self.0.send(to, payload);
+    }
+    fn random_bit(&mut self) -> Bit {
+        self.0.random_bit()
+    }
+    fn random_range(&mut self, bound: u64) -> u64 {
+        self.0.random_range(bound)
+    }
+    fn random_ticket(&mut self) -> u64 {
+        self.0.random_ticket()
+    }
+    fn decide(&mut self, value: Bit) {
+        self.1.slot(self.0.id(), |own| {
+            own.get_or_insert(value);
+        });
+        self.0.decide(value);
+    }
+    fn decision(&self) -> Option<Bit> {
+        self.0.decision()
+    }
+    fn broadcast(&mut self, payload: Payload) {
+        self.0.broadcast(payload);
+    }
+    fn multicast(&mut self, recipients: &[ProcessorId], payload: Payload) {
+        self.0.multicast(recipients, payload);
     }
 }
 
 impl Protocol for ReportingInstance {
     fn on_start(&mut self, ctx: &mut dyn Context) {
-        self.0.on_start(ctx);
-        self.report();
+        self.0.on_start(&mut Witnessed(ctx, &self.1));
     }
     fn on_message(&mut self, from: ProcessorId, payload: &Payload, ctx: &mut dyn Context) {
-        self.0.on_message(from, payload, ctx);
-        self.report();
+        self.0
+            .on_message(from, payload, &mut Witnessed(ctx, &self.1));
     }
     fn on_reset(&mut self, ctx: &mut dyn Context) {
-        self.0.on_reset(ctx);
-        self.report();
+        self.0.on_reset(&mut Witnessed(ctx, &self.1));
     }
     fn digest(&self) -> StateDigest {
         self.0.digest()
@@ -248,9 +284,11 @@ impl ProtocolBuilder for Reporting<'_> {
         self.0.name()
     }
     fn build(&self, id: ProcessorId, input: Bit, cfg: &SystemConfig) -> Box<dyn Protocol> {
-        let instance = ReportingInstance(self.0.build(id, input, cfg), id, self.1.clone());
-        instance.report();
-        Box::new(instance)
+        self.1.slot(id, |own| *own = None);
+        Box::new(ReportingInstance(
+            self.0.build(id, input, cfg),
+            self.1.clone(),
+        ))
     }
 }
 
@@ -258,8 +296,8 @@ impl ProtocolBuilder for Reporting<'_> {
 /// what the execution did: the digests against the harnesses' (asked for
 /// twice in the one decision, the second time in the opposite order), the
 /// outputs and crash flags against the `Decided` and `Crashed` events of the
-/// core's trace and — where `own` collects them — against what each
-/// protocol's own digest says it decided. (The core's `decisions()` and
+/// core's trace and — where `own` collects them — against the first value
+/// each protocol passed to `decide`. (The core's `decisions()` and
 /// `crashed()` read the very storage the view does, so they would prove
 /// nothing.)
 fn assert_view_matches_the_execution(

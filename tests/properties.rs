@@ -168,9 +168,10 @@ fn tally_counts_are_bounded_by_distinct_voters() {
             tally.record(1, 0, ProcessorId::new(*sender), Some(Bit::from(!*value)));
         }
         let distinct: std::collections::BTreeSet<usize> = votes.iter().map(|(s, _)| *s).collect();
-        assert_eq!(tally.total(1, 0), distinct.len(), "case {case}");
+        let counts = tally.counts(1, 0);
+        assert_eq!(counts.total(), distinct.len(), "case {case}");
         assert!(
-            tally.count(1, 0, Bit::Zero) + tally.count(1, 0, Bit::One) == distinct.len(),
+            counts.count(Bit::Zero) + counts.count(Bit::One) == distinct.len(),
             "case {case}"
         );
     }
