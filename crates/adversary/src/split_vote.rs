@@ -42,11 +42,6 @@ impl SplitVoteAdversary {
         SplitVoteAdversary { use_resets: true }
     }
 
-    /// Whether the adversary also spends its reset budget on balancing.
-    pub fn uses_resets(&self) -> bool {
-        self.use_resets
-    }
-
     /// The value advocated by `sender`'s fresh message this window, if any.
     fn fresh_value(view: &SystemView<'_>, sender: usize) -> Option<Bit> {
         let probe = ProcessorId::new(0);
@@ -228,7 +223,5 @@ mod tests {
             SplitVoteAdversary::with_resets().name(),
             "split-vote+resets"
         );
-        assert!(SplitVoteAdversary::with_resets().uses_resets());
-        assert!(!SplitVoteAdversary::default().uses_resets());
     }
 }

@@ -45,9 +45,7 @@ pub use lower_bound::{
 };
 pub use lz::{lz_compress, lz_decompress, MIN_MATCH, WINDOW};
 pub use product::ProductDistribution;
-pub use stats::{
-    exponential_fit, linear_fit, ExponentialFit, Histogram, HistogramBucket, LinearFit, Summary,
-};
+pub use stats::{exponential_fit, linear_fit, ExponentialFit, Histogram, LinearFit, Summary};
 pub use talagrand::{check_talagrand, eta, talagrand_bound, tau, worst_case_ratio, TalagrandCheck};
 pub use varint::{read_varint, write_varint, zigzag_decode, zigzag_encode, MAX_VARINT_LEN};
 pub use zsets::{

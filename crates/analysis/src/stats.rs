@@ -1,5 +1,5 @@
-//! Small statistics toolbox for the experiment harness: summaries with
-//! confidence intervals, sample distributions with percentiles
+//! Small statistics toolbox for the experiment harness: sample summaries,
+//! sample distributions with percentiles
 //! ([`Histogram`]), and exponential-growth fitting (used to verify that
 //! measured running times grow exponentially in `n`, experiments E2 and E6).
 
@@ -12,12 +12,9 @@
 /// JSON writer has no representation for non-finite numbers. The conventions:
 ///
 /// * **Empty sample**: `count = 0` and every statistic (`mean`, `std_dev`,
-///   `min`, `max`, [`Summary::std_error`]) is `0.0`; the confidence interval
-///   collapses to `(0.0, 0.0)`.
+///   `min`, `max`) is `0.0`.
 /// * **Single sample**: `std_dev` is `0.0` (the unbiased estimator is
-///   undefined at `n = 1`; we report zero spread rather than `0/0 = NaN`),
-///   so `std_error` is `0.0` and the confidence interval collapses onto the
-///   mean.
+///   undefined at `n = 1`; we report zero spread rather than `0/0 = NaN`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     /// Number of samples.
@@ -61,44 +58,17 @@ impl Summary {
             max: samples.iter().copied().fold(f64::NEG_INFINITY, f64::max),
         }
     }
-
-    /// Standard error of the mean.
-    pub fn std_error(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.std_dev / (self.count as f64).sqrt()
-        }
-    }
-
-    /// A (approximately 95%) confidence interval for the mean, `mean ± 1.96 SE`.
-    pub fn confidence_interval(&self) -> (f64, f64) {
-        let half = 1.96 * self.std_error();
-        (self.mean - half, self.mean + half)
-    }
 }
 
-/// A sample distribution supporting percentile queries and equal-width
-/// bucketing.
+/// A sample distribution supporting percentile queries.
 ///
 /// Stores the sorted sample (experiment batches are small — tens to hundreds
 /// of trials — so exact percentiles are cheaper than maintaining an
 /// approximate sketch). Like [`Summary`], every query is total: an empty
-/// histogram answers `0.0` everywhere and has no buckets.
+/// histogram answers `0.0` everywhere.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     sorted: Vec<f64>,
-}
-
-/// One equal-width bucket of a [`Histogram`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HistogramBucket {
-    /// Inclusive lower edge.
-    pub lo: f64,
-    /// Upper edge (inclusive for the last bucket).
-    pub hi: f64,
-    /// Number of samples in `[lo, hi)` (last bucket: `[lo, hi]`).
-    pub count: usize,
 }
 
 impl Histogram {
@@ -149,48 +119,9 @@ impl Histogram {
         self.quantile(p / 100.0)
     }
 
-    /// The median.
-    pub fn median(&self) -> f64 {
-        self.quantile(0.5)
-    }
-
     /// The [`Summary`] of the underlying sample.
     pub fn summary(&self) -> Summary {
         Summary::from_samples(&self.sorted)
-    }
-
-    /// Splits the sample range into `buckets` equal-width bins and counts the
-    /// samples per bin. Returns an empty vector when the histogram is empty
-    /// or `buckets` is zero; a zero-width range puts everything in one bin.
-    pub fn buckets(&self, buckets: usize) -> Vec<HistogramBucket> {
-        if self.sorted.is_empty() || buckets == 0 {
-            return Vec::new();
-        }
-        let (min, max) = (self.min(), self.max());
-        if min == max {
-            return vec![HistogramBucket {
-                lo: min,
-                hi: max,
-                count: self.sorted.len(),
-            }];
-        }
-        let width = (max - min) / buckets as f64;
-        let mut out: Vec<HistogramBucket> = (0..buckets)
-            .map(|i| HistogramBucket {
-                lo: min + width * i as f64,
-                hi: if i + 1 == buckets {
-                    max
-                } else {
-                    min + width * (i + 1) as f64
-                },
-                count: 0,
-            })
-            .collect();
-        for &x in &self.sorted {
-            let index = (((x - min) / width) as usize).min(buckets - 1);
-            out[index].count += 1;
-        }
-        out
     }
 }
 
@@ -283,8 +214,6 @@ mod tests {
         assert!((s.std_dev - 2.138089935299395).abs() < 1e-9);
         assert_eq!(s.min, 2.0);
         assert_eq!(s.max, 9.0);
-        let (lo, hi) = s.confidence_interval();
-        assert!(lo < 5.0 && 5.0 < hi);
     }
 
     #[test]
@@ -297,24 +226,14 @@ mod tests {
         assert_eq!(empty.std_dev, 0.0);
         assert_eq!(empty.min, 0.0);
         assert_eq!(empty.max, 0.0);
-        assert_eq!(empty.std_error(), 0.0);
-        assert_eq!(empty.confidence_interval(), (0.0, 0.0));
 
         let single = Summary::from_samples(&[3.5]);
         assert_eq!(single.count, 1);
         assert_eq!(single.mean, 3.5);
         assert_eq!(single.std_dev, 0.0);
-        assert_eq!(single.std_error(), 0.0);
-        assert_eq!(single.confidence_interval(), (3.5, 3.5));
 
         for summary in [empty, single] {
-            for stat in [
-                summary.mean,
-                summary.std_dev,
-                summary.min,
-                summary.max,
-                summary.std_error(),
-            ] {
+            for stat in [summary.mean, summary.std_dev, summary.min, summary.max] {
                 assert!(stat.is_finite(), "degenerate summaries must stay finite");
             }
         }
@@ -326,7 +245,7 @@ mod tests {
         assert_eq!(h.count(), 5);
         assert_eq!(h.min(), 1.0);
         assert_eq!(h.max(), 5.0);
-        assert_eq!(h.median(), 3.0);
+        assert_eq!(h.percentile(50.0), 3.0);
         assert_eq!(h.percentile(0.0), 1.0);
         assert_eq!(h.percentile(100.0), 5.0);
         assert_eq!(h.percentile(25.0), 2.0);
@@ -341,30 +260,12 @@ mod tests {
     fn histogram_degenerate_inputs_are_total() {
         let empty = Histogram::from_samples(&[]);
         assert_eq!(empty.count(), 0);
-        assert_eq!(empty.median(), 0.0);
+        assert_eq!(empty.percentile(50.0), 0.0);
         assert_eq!(empty.min(), 0.0);
-        assert!(empty.buckets(4).is_empty());
         assert_eq!(empty.summary(), Summary::from_samples(&[]));
-
-        let constant = Histogram::from_samples(&[7.0, 7.0, 7.0]);
-        let buckets = constant.buckets(5);
-        assert_eq!(buckets.len(), 1, "zero-width range collapses to one bin");
-        assert_eq!(buckets[0].count, 3);
 
         let with_nan = Histogram::from_samples(&[1.0, f64::NAN, 2.0]);
         assert_eq!(with_nan.count(), 2, "non-finite samples are discarded");
-    }
-
-    #[test]
-    fn histogram_buckets_cover_the_range() {
-        let h = Histogram::from_samples(&[0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]);
-        let buckets = h.buckets(4);
-        assert_eq!(buckets.len(), 4);
-        assert_eq!(buckets.iter().map(|b| b.count).sum::<usize>(), 8);
-        assert_eq!(buckets[0].lo, 0.0);
-        assert_eq!(buckets[3].hi, 7.0);
-        // The max lands in the last bucket, not one past the end.
-        assert_eq!(buckets[3].count, 2);
     }
 
     #[test]

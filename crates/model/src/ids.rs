@@ -1,4 +1,4 @@
-//! Processor identities and round numbers.
+//! Processor identities.
 //!
 //! The paper (Section 2) endows each of the `n` processors with a unique
 //! identity between `1` and `n`. Internally we index processors from `0` to
@@ -75,63 +75,6 @@ impl From<ProcessorId> for usize {
     }
 }
 
-/// A protocol-internal round number (the variable `r_p` of the Section 3 algorithm).
-///
-/// Round numbers start at `1`, matching the paper. A freshly reset processor
-/// has no round number until it resynchronizes; that state is represented by
-/// `Option<RoundNumber>` at the use sites, not by a sentinel value here.
-///
-/// # Examples
-///
-/// ```
-/// use agreement_model::RoundNumber;
-///
-/// let r = RoundNumber::first();
-/// assert_eq!(r.get(), 1);
-/// assert_eq!(r.next().get(), 2);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct RoundNumber(u64);
-
-impl RoundNumber {
-    /// The first round of the protocol.
-    pub const fn first() -> Self {
-        RoundNumber(1)
-    }
-
-    /// Creates a round number from a raw value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `round` is zero; rounds are numbered from one.
-    pub fn new(round: u64) -> Self {
-        assert!(round >= 1, "round numbers start at 1");
-        RoundNumber(round)
-    }
-
-    /// Returns the raw round value.
-    pub const fn get(self) -> u64 {
-        self.0
-    }
-
-    /// Returns the round that follows this one.
-    pub const fn next(self) -> Self {
-        RoundNumber(self.0 + 1)
-    }
-}
-
-impl Default for RoundNumber {
-    fn default() -> Self {
-        RoundNumber::first()
-    }
-}
-
-impl fmt::Display for RoundNumber {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "r{}", self.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,26 +106,5 @@ mod tests {
     #[test]
     fn all_with_zero_is_empty() {
         assert_eq!(ProcessorId::all(0).count(), 0);
-    }
-
-    #[test]
-    fn round_number_starts_at_one_and_increments() {
-        let r = RoundNumber::first();
-        assert_eq!(r.get(), 1);
-        assert_eq!(r.next().get(), 2);
-        assert_eq!(r.next().next().get(), 3);
-        assert_eq!(RoundNumber::default(), RoundNumber::first());
-    }
-
-    #[test]
-    #[should_panic(expected = "round numbers start at 1")]
-    fn round_number_zero_panics() {
-        let _ = RoundNumber::new(0);
-    }
-
-    #[test]
-    fn round_number_ordering_matches_value() {
-        assert!(RoundNumber::new(2) < RoundNumber::new(3));
-        assert_eq!(RoundNumber::new(4).to_string(), "r4");
     }
 }

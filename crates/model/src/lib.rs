@@ -5,14 +5,14 @@
 //! This crate defines the vocabulary shared by every other crate in the
 //! workspace:
 //!
-//! * [`ProcessorId`], [`RoundNumber`] — identities and protocol rounds.
+//! * [`ProcessorId`] — processor identities.
 //! * [`Bit`], [`OutputRegister`], [`InputAssignment`] — binary agreement
 //!   values and the write-once output bit of the paper's model.
 //! * [`SystemConfig`], [`Thresholds`] — the `(n, t)` system parameters and the
 //!   `T1 >= T2 >= T3` thresholds of the Section 3 protocol, with the
 //!   Theorem 4 validity constraints.
-//! * [`Envelope`], [`Payload`] — messages and the closed payload vocabulary
-//!   that full-information adversaries inspect.
+//! * [`Payload`] — the closed message vocabulary that full-information
+//!   adversaries inspect.
 //! * [`Protocol`], [`ProtocolBuilder`], [`Context`], [`StateDigest`] — the
 //!   event-driven state-machine abstraction engines drive.
 //! * [`ProcessorRng`] — deterministic, per-processor random streams.
@@ -51,8 +51,8 @@ mod value;
 
 pub use config::{SystemConfig, Thresholds};
 pub use error::{ConfigError, ModelError};
-pub use ids::{ProcessorId, RoundNumber};
-pub use message::{CommitteeMsg, Envelope, Payload, RbcStep};
+pub use ids::ProcessorId;
+pub use message::{CommitteeMsg, Payload, RbcStep};
 pub use protocol::{Context, Protocol, ProtocolBuilder, StateDigest};
 pub use rng::{derive_seed, splitmix64, ProcessorRng};
 pub use trace::{FullTrace, NoTrace, Recorder, Trace, TraceEvent};

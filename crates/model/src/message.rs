@@ -1,4 +1,4 @@
-//! Messages: envelopes and the protocol payload vocabulary.
+//! Messages: the protocol payload vocabulary.
 //!
 //! The paper's model (Section 2) lets a message space `M` be arbitrary. For
 //! the reproduction we use a single closed [`Payload`] enum covering every
@@ -38,15 +38,6 @@ impl fmt::Display for RbcStep {
 /// (the simplified Kapron-et-al.-style comparator).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum CommitteeMsg {
-    /// A lottery ticket for the election at `level` within `group`.
-    Ticket {
-        /// Election level in the committee tree (leaves are level 0).
-        level: u32,
-        /// Group index within the level.
-        group: u32,
-        /// The random lottery value drawn by the sender.
-        ticket: u64,
-    },
     /// A final-committee member's current value, exchanged inside the committee.
     Proposal {
         /// The proposing member's current estimate.
@@ -108,12 +99,8 @@ pub enum Payload {
     },
     /// A committee-protocol message.
     Committee(CommitteeMsg),
-    /// Notification that the sender has decided `value`.
-    Decided {
-        /// The decided value.
-        value: Bit,
-    },
-    /// Uninterpreted bytes; used by the threaded runtime's probes and by tests.
+    /// Uninterpreted bytes that no protocol sends; tests use them as a
+    /// payload nothing reads.
     Opaque(Vec<u8>),
 }
 
@@ -138,51 +125,8 @@ impl Payload {
             Payload::Rbc { inner, .. } => inner.advocated_value(),
             Payload::Committee(CommitteeMsg::Proposal { value })
             | Payload::Committee(CommitteeMsg::Announce { value }) => Some(*value),
-            Payload::Decided { value } => Some(*value),
             _ => None,
         }
-    }
-
-    /// Returns `true` for payloads that announce a final decision.
-    pub fn is_decision(&self) -> bool {
-        matches!(
-            self,
-            Payload::Decided { .. } | Payload::Committee(CommitteeMsg::Announce { .. })
-        )
-    }
-}
-
-/// A message in flight: a payload together with its dedicated channel's
-/// endpoints. The recipient always correctly identifies the sender, as in the
-/// paper's dedicated-channel assumption.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct Envelope {
-    /// The processor that sent the message.
-    pub sender: ProcessorId,
-    /// The processor the message is addressed to.
-    pub recipient: ProcessorId,
-    /// The message contents.
-    pub payload: Payload,
-}
-
-impl Envelope {
-    /// Creates a new envelope.
-    pub fn new(sender: ProcessorId, recipient: ProcessorId, payload: Payload) -> Self {
-        Envelope {
-            sender,
-            recipient,
-            payload,
-        }
-    }
-}
-
-impl fmt::Display for Envelope {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} -> {}: {:?}",
-            self.sender, self.recipient, self.payload
-        )
     }
 }
 
@@ -198,7 +142,6 @@ mod tests {
         };
         assert_eq!(p.round(), Some(3));
         assert_eq!(p.advocated_value(), Some(Bit::One));
-        assert!(!p.is_decision());
     }
 
     #[test]
@@ -229,33 +172,13 @@ mod tests {
     }
 
     #[test]
-    fn decision_payloads_are_detected() {
-        assert!(Payload::Decided { value: Bit::One }.is_decision());
-        assert!(Payload::Committee(CommitteeMsg::Announce { value: Bit::Zero }).is_decision());
-        assert!(!Payload::Opaque(vec![1, 2, 3]).is_decision());
-    }
-
-    #[test]
-    fn committee_ticket_has_no_round_or_value() {
-        let p = Payload::Committee(CommitteeMsg::Ticket {
-            level: 1,
-            group: 0,
-            ticket: 99,
-        });
+    fn committee_messages_carry_a_value_but_no_round() {
+        let p = Payload::Committee(CommitteeMsg::Announce { value: Bit::Zero });
+        assert_eq!(p.round(), None);
+        assert_eq!(p.advocated_value(), Some(Bit::Zero));
+        let p = Payload::Opaque(vec![1, 2, 3]);
         assert_eq!(p.round(), None);
         assert_eq!(p.advocated_value(), None);
-    }
-
-    #[test]
-    fn envelope_display_names_both_endpoints() {
-        let e = Envelope::new(
-            ProcessorId::new(0),
-            ProcessorId::new(3),
-            Payload::Decided { value: Bit::One },
-        );
-        let s = e.to_string();
-        assert!(s.contains("p1"));
-        assert!(s.contains("p4"));
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! describing how a processor updates its state and emits messages in response
 //! to a received message. We realize this as the [`Protocol`] trait: an
 //! event-driven state machine receiving callbacks from an execution engine
-//! (the window engine of `agreement-sim`, the asynchronous engine, or the
-//! threaded runtime of `agreement-net`) through a [`Context`] that provides
-//! message sending, private randomness and the write-once output bit.
+//! (the execution core of `agreement-sim`, under any of its schedulers)
+//! through a [`Context`] that provides message sending, private coin flips
+//! and the write-once output bit.
 
 use std::any::Any;
 use std::fmt;
@@ -16,7 +16,11 @@ use crate::ids::ProcessorId;
 use crate::message::Payload;
 use crate::value::Bit;
 
-/// The services an execution engine provides to a protocol state machine.
+/// The services an execution engine provides to a protocol state machine:
+/// exactly the calls protocols make. It hands out the identity, the
+/// configuration, the input and the output bit — what a reset keeps, apart
+/// from the reset count — beside the two ways to act: sending and flipping a
+/// private coin.
 ///
 /// # Sending conventions
 ///
@@ -41,18 +45,9 @@ pub trait Context {
     /// Queues a message to `to`. Delivery is entirely under adversary control.
     fn send(&mut self, to: ProcessorId, payload: Payload);
 
-    /// Samples one unbiased private random bit.
+    /// Samples one unbiased private random bit: the protocol's only source
+    /// of randomness.
     fn random_bit(&mut self) -> Bit;
-
-    /// Samples a uniformly random integer in `0..bound`.
-    ///
-    /// # Panics
-    ///
-    /// Implementations panic if `bound` is zero.
-    fn random_range(&mut self, bound: u64) -> u64;
-
-    /// Samples a full-width random `u64` (lottery tickets).
-    fn random_ticket(&mut self) -> u64;
 
     /// Writes the processor's write-once output bit.
     ///
@@ -87,13 +82,15 @@ pub trait Context {
     }
 }
 
-/// An adversary-visible summary of a protocol state machine's state.
+/// An adversary-visible summary of a processor's erasable memory.
 ///
 /// The paper's adversary has unrestricted access to the internal states of all
 /// processors. Exposing a digest (rather than the concrete state type) keeps
 /// the adversary implementations protocol-agnostic while still giving them the
-/// information the paper's adversary strategies rely on: the current round,
-/// the current estimate `x_p`, and whether/what the processor has decided.
+/// information the paper's adversary strategies rely on: the current round
+/// and the current estimate `x_p`. It covers what a reset erases and nothing
+/// else; the durable output bit and reset count are read where the engine
+/// keeps them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct StateDigest {
     /// The processor's current round number, or `None` while it is
@@ -101,14 +98,6 @@ pub struct StateDigest {
     pub round: Option<u64>,
     /// The processor's current estimate `x_p`, if it has one.
     pub estimate: Option<Bit>,
-    /// The processor's output bit, if written. Durable: the engine's
-    /// harness writes it from the output register, the only copy, over
-    /// whatever [`Protocol::digest`] put here.
-    pub decided: Option<Bit>,
-    /// How many times the processor has been reset. Durable: the engine's
-    /// harness writes it from its own counter over whatever
-    /// [`Protocol::digest`] put here.
-    pub reset_count: u64,
     /// A protocol-specific phase label, for diagnostics.
     pub phase: &'static str,
 }
@@ -119,8 +108,6 @@ impl StateDigest {
         StateDigest {
             round: Some(1),
             estimate: Some(estimate),
-            decided: None,
-            reset_count: 0,
             phase: "init",
         }
     }
@@ -140,9 +127,9 @@ impl StateDigest {
 ///
 /// A state machine is the processor's erasable memory and nothing else. What
 /// a reset keeps — the input, the identity, the output bit and the reset
-/// count — belongs to the engine and is reached through the [`Context`]
-/// ([`Context::input`], [`Context::id`], [`Context::decide`],
-/// [`Context::decision`]); a protocol keeps no copy of it.
+/// count — belongs to the engine; a protocol reaches the first three through
+/// the [`Context`] ([`Context::input`], [`Context::id`], [`Context::decide`],
+/// [`Context::decision`]) and keeps no copy of any of them.
 ///
 /// Implementations must be deterministic given the context's random stream:
 /// all randomness must be drawn through the [`Context`].
@@ -167,10 +154,8 @@ pub trait Protocol: Any + fmt::Debug + Send {
         let _ = ctx;
     }
 
-    /// The adversary-visible digest of the current state: its round,
-    /// estimate and phase. The durable [`StateDigest::decided`] and
-    /// [`StateDigest::reset_count`] are the engine's, which overwrites them;
-    /// a protocol, holding no copy of either, reports `None` and 0.
+    /// The adversary-visible digest of the erasable memory: its round,
+    /// estimate and phase. The engine hands it to adversaries unchanged.
     fn digest(&self) -> StateDigest;
 }
 
@@ -250,13 +235,6 @@ mod tests {
         fn random_bit(&mut self) -> Bit {
             self.bits.pop_front().unwrap_or(Bit::Zero)
         }
-        fn random_range(&mut self, bound: u64) -> u64 {
-            assert!(bound > 0);
-            0
-        }
-        fn random_ticket(&mut self) -> u64 {
-            7
-        }
         fn decide(&mut self, value: Bit) {
             if self.decided.is_none() {
                 self.decided = Some(value);
@@ -277,18 +255,20 @@ mod tests {
             decided: None,
             bits: VecDeque::new(),
         };
-        ctx.broadcast(Payload::Decided { value: Bit::One });
+        ctx.broadcast(Payload::Report {
+            round: 1,
+            value: Bit::One,
+        });
         let recipients: Vec<usize> = ctx.sent.iter().map(|(to, _)| to.index()).collect();
         assert_eq!(recipients, vec![0, 1, 2, 3]);
     }
 
     #[test]
-    fn state_digest_initial_is_round_one_undecided() {
+    fn state_digest_initial_is_round_one_with_the_estimate() {
         let d = StateDigest::initial(Bit::Zero);
         assert_eq!(d.round, Some(1));
         assert_eq!(d.estimate, Some(Bit::Zero));
-        assert_eq!(d.decided, None);
-        assert_eq!(d.reset_count, 0);
+        assert_eq!(d.phase, "init");
     }
 
     #[test]

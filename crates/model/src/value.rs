@@ -190,7 +190,7 @@ impl fmt::Display for OutputRegister {
 /// use agreement_model::{Bit, InputAssignment};
 ///
 /// let unanimous = InputAssignment::unanimous(4, Bit::One);
-/// assert!(unanimous.is_unanimous());
+/// assert_eq!(unanimous.unanimous_value(), Some(Bit::One));
 ///
 /// let split = InputAssignment::evenly_split(4);
 /// assert_eq!(split.count(Bit::Zero), 2);
@@ -278,11 +278,6 @@ impl InputAssignment {
         self.bits.iter().filter(|&&b| b == value).count()
     }
 
-    /// Returns `true` if every processor holds the same input.
-    pub fn is_unanimous(&self) -> bool {
-        self.bits.windows(2).all(|w| w[0] == w[1])
-    }
-
     /// Returns the slice of bits.
     pub fn as_slice(&self) -> &[Bit] {
         &self.bits
@@ -290,7 +285,7 @@ impl InputAssignment {
 
     /// Returns `Some(v)` when the assignment is unanimous with value `v`.
     pub fn unanimous_value(&self) -> Option<Bit> {
-        if self.bits.is_empty() || !self.is_unanimous() {
+        if self.bits.is_empty() || self.bits.windows(2).any(|w| w[0] != w[1]) {
             None
         } else {
             Some(self.bits[0])
@@ -362,7 +357,6 @@ mod tests {
     #[test]
     fn unanimous_assignment_detected() {
         let a = InputAssignment::unanimous(5, Bit::One);
-        assert!(a.is_unanimous());
         assert_eq!(a.unanimous_value(), Some(Bit::One));
         assert_eq!(a.count(Bit::One), 5);
         assert_eq!(a.count(Bit::Zero), 0);
@@ -374,7 +368,6 @@ mod tests {
         let a = InputAssignment::evenly_split(7);
         assert_eq!(a.count(Bit::Zero), 4);
         assert_eq!(a.count(Bit::One), 3);
-        assert!(!a.is_unanimous());
         assert_eq!(a.unanimous_value(), None);
     }
 

@@ -76,24 +76,6 @@ impl FaultPlan {
         }
     }
 
-    /// The standard chaos mix: every fault class enabled at rates gentle
-    /// enough that a bounded respawn budget outlives them, aggressive
-    /// enough that every recovery path fires on a full-registry run.
-    #[must_use]
-    pub fn gentle(seed: u64) -> Self {
-        FaultPlan {
-            seed,
-            grace: 1,
-            drop: 0.01,
-            duplicate: 0.03,
-            bit_flip: 0.005,
-            truncate: 0.003,
-            hang: 0.002,
-            delay: 0.05,
-            delay_ms: 15,
-        }
-    }
-
     /// The same plan under a different seed — how the orchestrator gives
     /// each spawned worker its own (still deterministic) fault substream.
     #[must_use]
@@ -315,9 +297,16 @@ impl FaultInjector {
 mod tests {
     use super::*;
 
+    /// Every fault class enabled, at rates that let a bounded respawn budget
+    /// outlive them.
+    fn every_fault(seed: u64) -> FaultPlan {
+        let rates = "grace=1,drop=0.01,dup=0.03,flip=0.005,trunc=0.003,hang=0.002,delay=0.05:15";
+        FaultPlan::parse(&format!("seed={seed},{rates}")).unwrap()
+    }
+
     #[test]
     fn spec_string_round_trips_through_parse() {
-        let plan = FaultPlan::gentle(42);
+        let plan = every_fault(42);
         let reparsed = FaultPlan::parse(&plan.to_string()).unwrap();
         assert_eq!(plan, reparsed);
     }
@@ -333,7 +322,7 @@ mod tests {
 
     #[test]
     fn same_seed_reproduces_the_same_action_schedule() {
-        let plan = FaultPlan::gentle(7);
+        let plan = every_fault(7);
         let mut a = plan.injector(0);
         let mut b = plan.injector(0);
         let schedule_a: Vec<FaultAction> = (0..4096).map(|_| a.next_action()).collect();
@@ -370,8 +359,8 @@ mod tests {
     }
 
     #[test]
-    fn gentle_rates_fire_every_fault_class_eventually() {
-        let mut injector = FaultPlan::gentle(11).injector(0);
+    fn every_fault_class_fires_eventually() {
+        let mut injector = every_fault(11).injector(0);
         let mut saw_drop = false;
         let mut saw_dup = false;
         let mut saw_flip = false;

@@ -165,8 +165,6 @@ impl Protocol for BenOr {
         StateDigest {
             round: Some(self.round),
             estimate: Some(self.estimate),
-            decided: None,
-            reset_count: 0,
             phase: if self.waiting_phase == PHASE_REPORT {
                 "report"
             } else {

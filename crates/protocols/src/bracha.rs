@@ -193,8 +193,6 @@ impl Protocol for Bracha {
         StateDigest {
             round: Some(self.round),
             estimate: Some(self.estimate),
-            decided: None,
-            reset_count: 0,
             phase: match self.phase {
                 1 => "phase1",
                 2 => "phase2",
@@ -256,6 +254,7 @@ mod tests {
     use super::*;
     use crate::test_ctx::TestCtx;
     use agreement_model::RbcStep;
+    use std::collections::VecDeque;
 
     /// Shortcut: deliver `count` already-accepted-equivalent votes by sending
     /// `2t + 1` Ready messages per origin directly.
@@ -403,6 +402,53 @@ mod tests {
         p.on_reset(&mut ctx);
         assert_eq!(at(&p), (Some(1), "phase1"));
         assert_eq!(p.digest().estimate, Some(Bit::One));
+    }
+
+    #[test]
+    fn a_long_full_delivery_run_holds_voters_only_for_unsettled_instances() {
+        let n = 4;
+        let cfg = SystemConfig::new(n, 1).unwrap();
+        let input = |i: usize| if i < 2 { Bit::Zero } else { Bit::One };
+        let mut procs: Vec<Bracha> = (0..n).map(|i| Bracha::new(input(i), &cfg)).collect();
+        let mut ctxs: Vec<TestCtx> = (0..n)
+            .map(|i| TestCtx::with_config(ProcessorId::new(i), input(i), cfg))
+            .collect();
+        // Every send, delivered in the order it was made.
+        let mut in_flight = VecDeque::new();
+        let post = |in_flight: &mut VecDeque<_>, from, ctx: &mut TestCtx| {
+            in_flight.extend(ctx.sent.drain(..).map(|(to, m)| (from, to.index(), m)));
+        };
+        for (i, (p, ctx)) in procs.iter_mut().zip(&mut ctxs).enumerate() {
+            p.on_start(ctx);
+            post(&mut in_flight, i, ctx);
+        }
+        let mut checked_round = 0;
+        while procs[0].round < 60 {
+            let (from, to, message) = in_flight.pop_front().expect("Bracha never halts");
+            procs[to].on_message(ProcessorId::new(from), &message, &mut ctxs[to]);
+            post(&mut in_flight, to, &mut ctxs[to]);
+            if procs[0].round == checked_round {
+                continue;
+            }
+            checked_round = procs[0].round;
+            for p in &procs {
+                // An unsettled instance holds at most n echoes and n readies
+                // of correct voters; a settled one holds none.
+                let (held, unsettled) = p.rbc.held_voters();
+                assert!(
+                    held <= 2 * n * unsettled,
+                    "round {checked_round}: {held} voters"
+                );
+                assert!(
+                    unsettled <= 6 * n,
+                    "round {checked_round}: {unsettled} unsettled"
+                );
+            }
+        }
+        assert!(
+            procs[0].rbc.instance_count() > 100,
+            "the run settled many instances"
+        );
     }
 
     #[test]

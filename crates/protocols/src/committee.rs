@@ -287,8 +287,6 @@ impl Protocol for CommitteeAgreement {
         StateDigest {
             round: Some(1),
             estimate: Some(self.trial.input),
-            decided: None,
-            reset_count: 0,
             phase: match (self.trial.is_member, self.trial.announced) {
                 (true, true) => "member-announced",
                 (true, false) => "member",

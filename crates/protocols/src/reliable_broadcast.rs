@@ -46,6 +46,13 @@ struct Instance {
 }
 
 impl Instance {
+    /// Echoed, ready sent and accepted: every branch of
+    /// [`ReliableBroadcaster::on_message`] that sends or accepts is gated on
+    /// one of the three, so nothing the instance receives any more is read.
+    fn settled(&self) -> bool {
+        self.echoed && self.ready_sent && self.accepted
+    }
+
     fn voters_mut<'a>(
         bucket: &'a mut Vec<(Payload, BTreeSet<ProcessorId>)>,
         payload: &Payload,
@@ -67,6 +74,10 @@ impl Instance {
 
 /// The reliable-broadcast component: manages all broadcast instances this
 /// processor participates in.
+///
+/// An instance that has echoed, sent its ready and accepted is settled: it
+/// keeps its key and its three flags, and drops its voters, so a long run
+/// holds voters only for the instances still in progress.
 #[derive(Debug)]
 pub struct ReliableBroadcaster {
     n: usize,
@@ -151,6 +162,9 @@ impl ReliableBroadcaster {
         let ready_threshold = self.ready_threshold();
         let accept_threshold = self.accept_threshold();
         let instance = self.instances.entry(key).or_default();
+        if instance.settled() {
+            return None;
+        }
 
         match step {
             RbcStep::Init => {
@@ -201,11 +215,34 @@ impl ReliableBroadcaster {
                 }
             }
         }
+        if instance.settled() {
+            // The key stays, so that a late `Init` still finds it echoed;
+            // the voters go.
+            instance.echoes = Vec::new();
+            instance.readies = Vec::new();
+        }
 
         for message in to_send {
             ctx.broadcast(message);
         }
         accepted
+    }
+}
+
+#[cfg(test)]
+impl ReliableBroadcaster {
+    /// The echo and ready voters held across all instances, and the number
+    /// of instances not settled.
+    pub(crate) fn held_voters(&self) -> (usize, usize) {
+        let voters = |bucket: &[(Payload, BTreeSet<ProcessorId>)]| -> usize {
+            bucket.iter().map(|(_, voters)| voters.len()).sum()
+        };
+        self.instances
+            .values()
+            .fold((0, 0), |(held, unsettled), i| {
+                let held = held + voters(&i.echoes) + voters(&i.readies);
+                (held, unsettled + usize::from(!i.settled()))
+            })
     }
 }
 
@@ -440,7 +477,10 @@ mod tests {
         let (mut r, mut ctx) = setup();
         let accepted = r.on_message(
             ProcessorId::new(2),
-            &Payload::Decided { value: Bit::One },
+            &Payload::Report {
+                round: 1,
+                value: Bit::One,
+            },
             &mut ctx,
         );
         assert!(accepted.is_none());

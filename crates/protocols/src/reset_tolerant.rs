@@ -190,8 +190,6 @@ impl Protocol for ResetTolerant {
                 Mode::Normal => Some(self.estimate),
                 Mode::Resync => None,
             },
-            decided: None,
-            reset_count: 0,
             phase: match self.mode {
                 Mode::Normal => "normal",
                 Mode::Resync => "resync",

@@ -1,7 +1,7 @@
 //! The scripted [`Context`] every protocol unit test runs its instances
 //! against: it records each send with its recipient, keeps the first
 //! decision, answers coin flips from a script and then from a seeded
-//! [`ProcessorRng`], and counts every random draw.
+//! [`ProcessorRng`], and counts every coin flip.
 
 use std::collections::VecDeque;
 
@@ -17,7 +17,7 @@ pub(crate) struct TestCtx {
     pub decided: Option<Bit>,
     /// Coin bits handed out before the generator is drawn from.
     pub coins: VecDeque<Bit>,
-    /// Random draws made so far, scripted or not.
+    /// Coin flips made so far, scripted or not.
     pub draws: u64,
     rng: ProcessorRng,
 }
@@ -74,14 +74,6 @@ impl Context for TestCtx {
     fn random_bit(&mut self) -> Bit {
         self.draws += 1;
         self.coins.pop_front().unwrap_or_else(|| self.rng.bit())
-    }
-    fn random_range(&mut self, bound: u64) -> u64 {
-        self.draws += 1;
-        self.rng.range(bound)
-    }
-    fn random_ticket(&mut self) -> u64 {
-        self.draws += 1;
-        self.rng.ticket()
     }
     fn decide(&mut self, value: Bit) {
         self.decided.get_or_insert(value);

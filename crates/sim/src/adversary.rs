@@ -112,11 +112,6 @@ impl<'a> SystemView<'a> {
         self.status[i].output.get()
     }
 
-    /// The output bits of every processor, in identity order.
-    pub fn outputs(&self) -> impl Iterator<Item = Option<Bit>> + '_ {
-        self.status.iter().map(|s| s.output.get())
-    }
-
     /// Whether processor `i` has crashed.
     pub fn is_crashed(&self, i: usize) -> bool {
         self.status[i].crashed
@@ -127,11 +122,11 @@ impl<'a> SystemView<'a> {
         (0..self.status.len()).filter(|&i| !self.is_crashed(i))
     }
 
-    /// The adversary-visible digest of processor `i`'s internal state.
+    /// The adversary-visible digest of processor `i`'s erasable memory.
     pub fn digest(&self, i: usize) -> StateDigest {
         let memo = &self.digest_memo[i];
         memo.get().unwrap_or_else(|| {
-            let digest = self.harnesses[i].digest(&self.status[i].output);
+            let digest = self.harnesses[i].digest();
             memo.set(Some(digest));
             digest
         })
@@ -209,11 +204,6 @@ impl<'a> SystemView<'a> {
         self.live()
             .filter(|&i| self.digest(i).estimate == Some(value))
             .count()
-    }
-
-    /// The highest protocol round any processor has reached.
-    pub fn max_round(&self) -> u64 {
-        self.digests().filter_map(|d| d.round).max().unwrap_or(0)
     }
 }
 
@@ -471,7 +461,7 @@ impl PartialSyncAdversary for BenignEventualAdversary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use agreement_model::{Context, Envelope, Protocol, ProtocolBuilder};
+    use agreement_model::{Context, Protocol, ProtocolBuilder};
 
     /// Decides the value it was built with, if any, as soon as it starts.
     #[derive(Debug)]
@@ -563,13 +553,12 @@ mod tests {
         let view = processors.view(3, &buffer);
         assert_eq!(view.n(), 4);
         assert_eq!(view.t(), 1);
-        assert_eq!(view.outputs().collect::<Vec<_>>(), outputs);
+        assert_eq!((0..4).map(|i| view.output(i)).collect::<Vec<_>>(), outputs);
         assert_eq!(
             (0..4).map(|i| view.is_crashed(i)).collect::<Vec<_>>(),
             crashed
         );
         assert_eq!(view.output(1), Some(Bit::One));
-        assert_eq!(view.digest(1).decided, Some(Bit::One));
         assert!(view.any_decided());
         assert!(!view.all_correct_decided());
         assert_eq!(
@@ -578,7 +567,7 @@ mod tests {
         );
         assert_eq!(view.estimate_count(Bit::Zero), 3);
         assert_eq!(view.estimate_count(Bit::One), 0);
-        assert_eq!(view.max_round(), 1);
+        assert!(view.digests().all(|d| d.round == Some(1)));
     }
 
     #[test]
@@ -597,16 +586,12 @@ mod tests {
         let cfg = SystemConfig::new(2, 0).unwrap();
         let processors = Processors::undecided(cfg);
         let mut buffer = MessageBuffer::with_processors(cfg.n());
-        buffer.enqueue(Envelope::new(
-            ProcessorId::new(0),
-            ProcessorId::new(1),
-            Payload::Decided { value: Bit::One },
-        ));
-        buffer.enqueue(Envelope::new(
-            ProcessorId::new(1),
-            ProcessorId::new(0),
-            Payload::Decided { value: Bit::One },
-        ));
+        let report = Payload::Report {
+            round: 1,
+            value: Bit::One,
+        };
+        buffer.enqueue_unicast(ProcessorId::new(0), ProcessorId::new(1), report.clone(), 0);
+        buffer.enqueue_unicast(ProcessorId::new(1), ProcessorId::new(0), report, 0);
         let mut adv = FairAsyncAdversary::default();
         let first = adv.next_action(&processors.view(0, &buffer));
         assert_eq!(
@@ -638,11 +623,11 @@ mod tests {
         let cfg = SystemConfig::new(2, 1).unwrap();
         let processors = Processors::new(cfg, &[None; 2], &[false, true]);
         let mut buffer = MessageBuffer::with_processors(cfg.n());
-        buffer.enqueue(Envelope::new(
-            ProcessorId::new(0),
-            ProcessorId::new(1),
-            Payload::Decided { value: Bit::One },
-        ));
+        let report = Payload::Report {
+            round: 1,
+            value: Bit::One,
+        };
+        buffer.enqueue_unicast(ProcessorId::new(0), ProcessorId::new(1), report, 0);
         let mut adv = FairAsyncAdversary::default();
         assert_eq!(
             adv.next_action(&processors.view(0, &buffer)),

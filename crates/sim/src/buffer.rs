@@ -75,7 +75,7 @@
 
 use std::collections::VecDeque;
 
-use agreement_model::{Envelope, Payload, ProcessorId};
+use agreement_model::{Payload, ProcessorId};
 
 /// One send in a lane's log, shared by every recipient it addresses.
 #[derive(Debug, Clone)]
@@ -413,11 +413,6 @@ impl MessageBuffer {
         self.enqueued += fanout as u64;
         set_bit(&mut self.live, sender);
         idx
-    }
-
-    /// Places an envelope into the buffer with a zero chain tag.
-    pub fn enqueue(&mut self, envelope: Envelope) {
-        self.enqueue_unicast(envelope.sender, envelope.recipient, envelope.payload, 0);
     }
 
     /// Enqueues a single-recipient message: one log entry, one index on the
@@ -1133,10 +1128,6 @@ mod tests {
         }
     }
 
-    fn env(from: usize, to: usize, round: u64) -> Envelope {
-        Envelope::new(id(from), id(to), report(round))
-    }
-
     /// Bytes of heap the buffer holds on to (capacities, not lengths).
     fn heap_bytes(buf: &MessageBuffer) -> usize {
         let per_lane = |lane: &Lane| {
@@ -1163,9 +1154,9 @@ mod tests {
     #[test]
     fn enqueue_then_pop_is_fifo_per_channel() {
         let mut buf = MessageBuffer::with_processors(3);
-        buf.enqueue(env(0, 1, 1));
-        buf.enqueue(env(0, 1, 2));
-        buf.enqueue(env(2, 1, 9));
+        buf.enqueue_unicast(id(0), id(1), report(1), 0);
+        buf.enqueue_unicast(id(0), id(1), report(2), 0);
+        buf.enqueue_unicast(id(2), id(1), report(9), 0);
         assert_eq!(buf.pending_on(id(0), id(1)), 2);
         let first = buf.pop(id(0), id(1)).unwrap();
         assert_eq!(first.round(), Some(1));
@@ -1191,9 +1182,9 @@ mod tests {
     #[test]
     fn send_time_stamps_follow_the_buffer_clock() {
         let mut buf = MessageBuffer::with_processors(2);
-        buf.enqueue(env(0, 1, 1));
+        buf.enqueue_unicast(id(0), id(1), report(1), 0);
         buf.set_now(7);
-        buf.enqueue(env(0, 1, 2));
+        buf.enqueue_unicast(id(0), id(1), report(2), 0);
         assert_eq!(buf.head_sent_at(id(0), id(1)), Some(0));
         buf.pop(id(0), id(1));
         assert_eq!(buf.head_sent_at(id(0), id(1)), Some(7));
@@ -1202,7 +1193,7 @@ mod tests {
         // Reset rewinds the clock with everything else.
         buf.set_now(9);
         buf.reset(2);
-        buf.enqueue(env(0, 1, 3));
+        buf.enqueue_unicast(id(0), id(1), report(3), 0);
         assert_eq!(buf.head_sent_at(id(0), id(1)), Some(0));
     }
 
@@ -1219,7 +1210,7 @@ mod tests {
     fn drain_removes_everything_in_order() {
         let mut buf = MessageBuffer::with_processors(5);
         for r in 1..=3 {
-            buf.enqueue(env(4, 2, r));
+            buf.enqueue_unicast(id(4), id(2), report(r), 0);
         }
         assert_eq!(
             drained_rounds(&mut buf, 4, 2),
@@ -1233,7 +1224,7 @@ mod tests {
     fn drain_of_missing_channel_is_empty() {
         let mut buf = MessageBuffer::with_processors(3);
         assert_eq!(buf.drain(id(0), id(1), |_, _| unreachable!()), 0);
-        buf.enqueue(env(0, 2, 1));
+        buf.enqueue_unicast(id(0), id(2), report(1), 0);
         assert_eq!(buf.drain(id(0), id(1), |_, _| unreachable!()), 0);
         assert_eq!(buf.drain(id(0), id(9), |_, _| unreachable!()), 0);
         assert_eq!(buf.drain(id(9), id(0), |_, _| unreachable!()), 0);
@@ -1244,14 +1235,14 @@ mod tests {
     fn drain_lends_from_the_log_and_the_next_send_recycles_it() {
         let mut buf = MessageBuffer::with_processors(3);
         for r in 1..=3 {
-            buf.enqueue(env(0, 1, r));
+            buf.enqueue_unicast(id(0), id(1), report(r), 0);
         }
         assert_eq!(
             drained_rounds(&mut buf, 0, 1),
             vec![Some(1), Some(2), Some(3)]
         );
         assert_eq!(logged(&buf), 3, "lent entries outlive the drain");
-        buf.enqueue(env(0, 1, 9));
+        buf.enqueue_unicast(id(0), id(1), report(9), 0);
         assert_eq!(logged(&buf), 1, "the drained log was recycled");
         assert_eq!(drained_rounds(&mut buf, 0, 1), vec![Some(9)]);
     }
@@ -1264,7 +1255,7 @@ mod tests {
         buf.set_now(4);
         buf.broadcast(id(0), report(1), 0);
         buf.set_now(9);
-        buf.enqueue(env(0, 1, 2));
+        buf.enqueue_unicast(id(0), id(1), report(2), 0);
         assert_eq!(buf.pending_since(id(0)), Some(4));
         // The stamp-4 broadcast is delivered everywhere; the bound goes
         // stale rather than wrong: still a lower bound on what is pending.
@@ -1277,15 +1268,15 @@ mod tests {
         assert_eq!(buf.pending_since(id(0)), None);
         // Drained, so the next send recycles the log and the bound is exact.
         buf.set_now(12);
-        buf.enqueue(env(0, 2, 3));
+        buf.enqueue_unicast(id(0), id(2), report(3), 0);
         assert_eq!(buf.pending_since(id(0)), Some(12));
     }
 
     #[test]
     fn drop_to_discards_only_that_recipient() {
         let mut buf = MessageBuffer::with_processors(3);
-        buf.enqueue(env(0, 1, 1));
-        buf.enqueue(env(0, 2, 1));
+        buf.enqueue_unicast(id(0), id(1), report(1), 0);
+        buf.enqueue_unicast(id(0), id(2), report(1), 0);
         buf.drop_to(id(1));
         assert_eq!(buf.pending_on(id(0), id(1)), 0);
         assert_eq!(buf.pending_on(id(0), id(2)), 1);
@@ -1313,9 +1304,9 @@ mod tests {
     #[test]
     fn iter_visits_every_pending_message() {
         let mut buf = MessageBuffer::with_processors(2);
-        buf.enqueue(env(0, 1, 1));
-        buf.enqueue(env(1, 0, 2));
-        buf.enqueue(env(1, 0, 3));
+        buf.enqueue_unicast(id(0), id(1), report(1), 0);
+        buf.enqueue_unicast(id(1), id(0), report(2), 0);
+        buf.enqueue_unicast(id(1), id(0), report(3), 0);
         assert_eq!(buf.iter().count(), 3);
         assert_eq!(buf.pending_total(), 3);
         assert_eq!(buf.enqueued_count(), 3);
@@ -1324,10 +1315,10 @@ mod tests {
     #[test]
     fn iter_is_sender_major_like_the_old_btree_layout() {
         let mut buf = MessageBuffer::with_processors(3);
-        buf.enqueue(env(2, 0, 1));
-        buf.enqueue(env(0, 2, 2));
-        buf.enqueue(env(0, 1, 3));
-        buf.enqueue(env(1, 0, 4));
+        buf.enqueue_unicast(id(2), id(0), report(1), 0);
+        buf.enqueue_unicast(id(0), id(2), report(2), 0);
+        buf.enqueue_unicast(id(0), id(1), report(3), 0);
+        buf.enqueue_unicast(id(1), id(0), report(4), 0);
         let order: Vec<(usize, usize)> = buf
             .iter()
             .map(|(from, to, _)| (from.index(), to.index()))
@@ -1338,7 +1329,7 @@ mod tests {
     #[test]
     fn out_of_range_queries_are_answered_gracefully() {
         let mut buf = MessageBuffer::with_processors(2);
-        buf.enqueue(env(0, 1, 1));
+        buf.enqueue_unicast(id(0), id(1), report(1), 0);
         buf.broadcast(id(1), report(2), 0);
         assert_eq!(buf.pending_on(id(5), id(0)), 0);
         assert_eq!(buf.pending_on(id(1), id(5)), 0);
@@ -1359,7 +1350,7 @@ mod tests {
     #[test]
     #[should_panic]
     fn a_unicast_from_a_sender_past_n_panics() {
-        MessageBuffer::with_processors(3).enqueue(env(3, 0, 1));
+        MessageBuffer::with_processors(3).enqueue_unicast(id(3), id(0), report(1), 0);
     }
 
     #[test]
@@ -1401,7 +1392,7 @@ mod tests {
     fn corrupting_a_shared_head_leaves_other_recipients_untouched() {
         let mut buf = MessageBuffer::with_processors(3);
         buf.broadcast(id(0), report(1), 2);
-        buf.enqueue(env(0, 1, 2));
+        buf.enqueue_unicast(id(0), id(1), report(2), 0);
         let lie = Payload::Report {
             round: 1,
             value: Bit::One,
@@ -1436,7 +1427,7 @@ mod tests {
         assert_eq!(payload.round(), Some(7));
         assert!(buf.is_empty());
         assert_eq!(logged(&buf), 1);
-        buf.enqueue(env(1, 0, 8));
+        buf.enqueue_unicast(id(1), id(0), report(8), 0);
         assert_eq!(logged(&buf), 1, "the drained log was recycled");
         assert_eq!(buf.peek(id(1), id(0)).unwrap().round(), Some(8));
     }
@@ -1444,8 +1435,8 @@ mod tests {
     #[test]
     fn reset_clears_messages_logs_and_counters() {
         let mut buf = MessageBuffer::with_processors(3);
-        buf.enqueue(env(0, 1, 1));
-        buf.enqueue(env(2, 0, 2));
+        buf.enqueue_unicast(id(0), id(1), report(1), 0);
+        buf.enqueue_unicast(id(2), id(0), report(2), 0);
         buf.broadcast(id(1), report(3), 0);
         buf.pop(id(0), id(1));
         buf.pop(id(1), id(2));
@@ -1463,13 +1454,13 @@ mod tests {
         );
         assert_eq!(buf.check_lanes(), Ok(()));
         // Still usable for the same n, cursors rewound.
-        buf.enqueue(env(2, 2, 1));
+        buf.enqueue_unicast(id(2), id(2), report(1), 0);
         assert_eq!(buf.pending_on(id(2), id(2)), 1);
         buf.broadcast(id(1), report(4), 0);
         assert_eq!(buf.pending_on(id(1), id(2)), 1);
         // Re-shaping to a different n works.
         buf.reset(9);
-        buf.enqueue(env(8, 8, 1));
+        buf.enqueue_unicast(id(8), id(8), report(1), 0);
         assert_eq!(buf.pending_on(id(8), id(8)), 1);
         assert_eq!(buf.check_lanes(), Ok(()));
     }
@@ -1516,9 +1507,9 @@ mod tests {
     fn drop_to_keeps_the_scan_honest() {
         let n = 80;
         let mut buf = MessageBuffer::with_processors(n);
-        buf.enqueue(env(10, 40, 1));
-        buf.enqueue(env(64, 40, 2));
-        buf.enqueue(env(64, 41, 3));
+        buf.enqueue_unicast(id(10), id(40), report(1), 0);
+        buf.enqueue_unicast(id(64), id(40), report(2), 0);
+        buf.enqueue_unicast(id(64), id(41), report(3), 0);
         buf.drop_to(id(40));
         assert_eq!(buf.dropped_count(), 2);
         let hit = buf.next_pending_channel(n, ChannelCursor::default());

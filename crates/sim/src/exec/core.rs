@@ -300,10 +300,7 @@ impl<P: Probe, R: Recorder> ExecutionCore<P, R> {
 
     /// The adversary-visible digests of all processors, in identity order.
     pub fn digests(&self) -> impl Iterator<Item = StateDigest> + '_ {
-        self.harnesses
-            .iter()
-            .zip(&self.status)
-            .map(|(h, s)| h.digest(&s.output))
+        self.harnesses.iter().map(ProcessorHarness::digest)
     }
 
     /// Which processors have been crashed so far, in identity order.

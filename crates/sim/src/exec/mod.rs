@@ -145,8 +145,6 @@ pub(crate) mod testkit {
             StateDigest {
                 round: Some(1),
                 estimate: Some(self.input),
-                decided: self.decided,
-                reset_count: 0,
                 phase: "quorum-majority",
             }
         }

@@ -19,8 +19,8 @@ use std::mem::take;
 use std::ops::Range;
 
 use agreement_model::{
-    Bit, Context, Envelope, OutputRegister, Payload, ProcessorId, ProcessorRng, Protocol,
-    ProtocolBuilder, StateDigest, SystemConfig,
+    Bit, Context, OutputRegister, Payload, ProcessorId, ProcessorRng, Protocol, ProtocolBuilder,
+    StateDigest, SystemConfig,
 };
 
 /// A message computed by the protocol but not yet placed into the buffer —
@@ -82,7 +82,7 @@ struct HarnessCore {
     reset_count: u64,
     /// The master seed the private random stream derives from, with `id`.
     master_seed: u64,
-    /// The private random stream, derived at the first draw: most protocols
+    /// The private random stream, derived at the first flip: most protocols
     /// never flip a coin, and deriving a stream costs six `splitmix64`s.
     rng: Option<ProcessorRng>,
     coin_flips: u64,
@@ -125,17 +125,6 @@ impl HarnessCore {
             violations,
             started: false,
         }
-    }
-
-    /// Counts a draw and hands out the private random stream, deriving it
-    /// on the first: bit for bit the stream
-    /// [`ProcessorRng::for_processor`] gives for the master seed and `id`.
-    #[inline]
-    fn draw(&mut self) -> &mut ProcessorRng {
-        self.coin_flips += 1;
-        let (seed, id) = (self.master_seed, self.id);
-        self.rng
-            .get_or_insert_with(|| ProcessorRng::for_processor(seed, id))
     }
 
     /// Forgets every staged message, keeping the allocations.
@@ -187,16 +176,16 @@ impl Context for HarnessContext<'_> {
         self.core.outbox.push(Outgoing::Multicast { to, payload });
     }
 
+    /// Counts the flip and draws it from the private random stream, deriving
+    /// the stream at the first flip: bit for bit the stream
+    /// [`ProcessorRng::for_processor`] gives for the master seed and `id`.
     fn random_bit(&mut self) -> Bit {
-        self.core.draw().bit()
-    }
-
-    fn random_range(&mut self, bound: u64) -> u64 {
-        self.core.draw().range(bound)
-    }
-
-    fn random_ticket(&mut self) -> u64 {
-        self.core.draw().ticket()
+        let core = &mut *self.core;
+        core.coin_flips += 1;
+        let (seed, id) = (core.master_seed, core.id);
+        core.rng
+            .get_or_insert_with(|| ProcessorRng::for_processor(seed, id))
+            .bit()
     }
 
     fn decide(&mut self, value: Bit) {
@@ -215,8 +204,7 @@ impl Context for HarnessContext<'_> {
 /// A processor: durable state, private randomness and the protocol "memory".
 ///
 /// The processor's output register is not in here: every method that hands
-/// the processor to its protocol borrows it from the caller, and
-/// [`ProcessorHarness::digest`] reads it from there too.
+/// the processor to its protocol borrows it from the caller.
 #[derive(Debug)]
 pub struct ProcessorHarness {
     core: HarnessCore,
@@ -228,7 +216,7 @@ impl ProcessorHarness {
     ///
     /// The protocol instance is created through `builder`; the processor's
     /// private random stream is derived deterministically from `master_seed`
-    /// and `id`, at its first draw.
+    /// and `id`, at its first flip.
     pub fn new(
         id: ProcessorId,
         input: Bit,
@@ -257,8 +245,8 @@ impl ProcessorHarness {
         self.core.reset_count
     }
 
-    /// How many private random draws (bits, ranges, tickets) the protocol has
-    /// made. Durable instrumentation: resets do not clear it.
+    /// How many private coin flips the protocol has made. Durable
+    /// instrumentation: resets do not clear it.
     pub fn coin_flips(&self) -> u64 {
         self.core.coin_flips
     }
@@ -385,41 +373,12 @@ impl ProcessorHarness {
         recipients.clear();
     }
 
-    /// Takes the messages of the next *sending step* as concrete envelopes,
-    /// expanding staged broadcasts into one envelope per recipient (cloning
-    /// the payload per extra recipient). Convenience for tests and
-    /// diagnostics; engines use [`ProcessorHarness::drain_outbox`].
-    pub fn take_outbox(&mut self) -> Vec<Envelope> {
-        let n = self.core.cfg.n();
-        let sender = self.core.id;
-        let mut envelopes = Vec::with_capacity(self.outbox_len());
-        self.drain_outbox(|out, staged| match out {
-            Outgoing::One { to, payload } => {
-                envelopes.push(Envelope::new(sender, to, payload));
-            }
-            Outgoing::Broadcast { payload } => {
-                for to in ProcessorId::all(n) {
-                    envelopes.push(Envelope::new(sender, to, payload.clone()));
-                }
-            }
-            Outgoing::Multicast { to, payload } => {
-                for &to in &staged[to] {
-                    envelopes.push(Envelope::new(sender, to, payload.clone()));
-                }
-            }
-        });
-        envelopes
-    }
-
-    /// The adversary-visible digest: the protocol's own digest with the
-    /// durable output register (`output`, the processor's) and reset counter
-    /// merged in — the only writer of [`StateDigest::decided`] and
-    /// [`StateDigest::reset_count`], whose one copy each is here.
-    pub fn digest(&self, output: &OutputRegister) -> StateDigest {
-        let mut digest = self.protocol.digest();
-        digest.decided = output.get();
-        digest.reset_count = self.core.reset_count;
-        digest
+    /// The adversary-visible digest of the processor's erasable memory: the
+    /// protocol's own. The durable facts are read where they live: the
+    /// output bit in the core's register, the reset count from
+    /// [`ProcessorHarness::reset_count`].
+    pub fn digest(&self) -> StateDigest {
+        self.protocol.digest()
     }
 }
 
@@ -435,7 +394,6 @@ mod tests {
     struct Echo {
         input: Bit,
         seen: u64,
-        resets: u64,
     }
 
     impl Protocol for Echo {
@@ -464,15 +422,12 @@ mod tests {
 
         fn on_reset(&mut self, _ctx: &mut dyn Context) {
             self.seen = 0;
-            self.resets += 1;
         }
 
         fn digest(&self) -> StateDigest {
             StateDigest {
                 round: Some(self.seen + 1),
                 estimate: Some(self.input),
-                decided: None,
-                reset_count: self.resets,
                 phase: "echo",
             }
         }
@@ -487,11 +442,7 @@ mod tests {
         }
 
         fn build(&self, _id: ProcessorId, input: Bit, _cfg: &SystemConfig) -> Box<dyn Protocol> {
-            Box::new(Echo {
-                input,
-                seen: 0,
-                resets: 0,
-            })
+            Box::new(Echo { input, seen: 0 })
         }
     }
 
@@ -523,8 +474,9 @@ mod tests {
             4,
             "second start must not duplicate messages"
         );
-        let out = h.take_outbox();
-        assert_eq!(out.len(), 4);
+        let mut staged = 0;
+        h.drain_outbox(|_, _| staged += 1);
+        assert_eq!(staged, 1, "one staged broadcast");
         assert_eq!(h.outbox_len(), 0);
     }
 
@@ -533,7 +485,7 @@ mod tests {
         let mut h = harness(4);
         let mut out = OutputRegister::new();
         h.start(&mut out);
-        h.take_outbox();
+        h.drain_outbox(|_, _| {});
         h.deliver(
             ProcessorId::new(2),
             &Payload::Report {
@@ -545,9 +497,12 @@ mod tests {
         assert_eq!(out.get(), Some(Bit::Zero));
         // The echo reply is waiting in the outbox.
         assert_eq!(h.outbox_len(), 1);
-        let out = h.take_outbox();
-        assert_eq!(out[0].recipient, ProcessorId::new(2));
-        assert_eq!(out[0].sender, ProcessorId::new(0));
+        let mut replies = Vec::new();
+        h.drain_outbox(|out, _| replies.push(out));
+        assert!(matches!(
+            replies[..],
+            [Outgoing::One { to, .. }] if to == ProcessorId::new(2)
+        ));
     }
 
     #[test]
@@ -570,7 +525,8 @@ mod tests {
         assert_eq!(h.reset_count(), 1);
         // Output bit survives the reset, as in the paper's model.
         assert_eq!(out.get(), Some(Bit::One));
-        assert_eq!(h.digest(&out).reset_count, 1);
+        // The memory is erased: the protocol's counter is back at zero.
+        assert_eq!(h.digest().round, Some(1));
     }
 
     #[test]
@@ -638,11 +594,13 @@ mod tests {
         assert_eq!(h.core.outbox.len(), 1, "one staged entry for the set");
         assert!(matches!(h.core.outbox[0], Outgoing::Multicast { .. }));
         assert_eq!(h.outbox_len(), 3);
-        let out = h.take_outbox();
-        assert_eq!(out.len(), 3);
-        let recipients: Vec<usize> = out.iter().map(|e| e.recipient.index()).collect();
+        let mut recipients = Vec::new();
+        h.drain_outbox(|out, staged| {
+            if let Outgoing::Multicast { to, .. } = out {
+                recipients.extend(staged[to].iter().map(|id| id.index()));
+            }
+        });
         assert_eq!(recipients, vec![2, 5, 0], "slice order preserved");
-        assert!(out.iter().all(|e| e.sender == ProcessorId::new(0)));
         assert!(
             h.core.recipients.is_empty(),
             "staged recipients go with the outbox"
@@ -650,8 +608,9 @@ mod tests {
         // Two sets staged back to back come out as their own slices.
         let mut output = OutputRegister::new();
         let mut ctx = context(&mut h, &mut output);
-        ctx.multicast(&set[1..], Payload::Decided { value: Bit::One });
-        ctx.multicast(&set[..1], Payload::Decided { value: Bit::Zero });
+        let report = |value| Payload::Report { round: 2, value };
+        ctx.multicast(&set[1..], report(Bit::One));
+        ctx.multicast(&set[..1], report(Bit::Zero));
         let mut sets = Vec::new();
         h.drain_outbox(|out, staged| {
             if let Outgoing::Multicast { to, .. } = out {
@@ -683,14 +642,13 @@ mod tests {
         reused.reinit(ProcessorId::new(2), Bit::Zero, cfg, &EchoBuilder, 99);
         let mut fresh =
             ProcessorHarness::new(ProcessorId::new(2), Bit::Zero, cfg, &EchoBuilder, 99);
-        let unset = OutputRegister::new();
         assert_eq!(reused.id(), fresh.id());
         assert_eq!(reused.input(), fresh.input());
         assert_eq!(reused.reset_count(), 0);
         assert_eq!(reused.coin_flips(), 0);
         assert_eq!(reused.outbox_len(), 0);
         assert!(reused.violations().is_empty());
-        assert_eq!(reused.digest(&unset), fresh.digest(&unset));
+        assert_eq!(reused.digest(), fresh.digest());
         // The private random stream restarts exactly where a fresh one does
         // — derived at the first draw — and a reset neither reseeds nor
         // rewinds it.
@@ -702,18 +660,9 @@ mod tests {
             }
             let (mut reused, mut fresh) =
                 (context(&mut reused, &mut a), context(&mut fresh, &mut b));
-            for bound in [1, 2, 7, 1 << 40] {
-                assert_eq!(reused.random_bit(), fresh.random_bit(), "round {round}");
-                assert_eq!(
-                    reused.random_range(bound),
-                    fresh.random_range(bound),
-                    "round {round}"
-                );
-                assert_eq!(
-                    reused.random_ticket(),
-                    fresh.random_ticket(),
-                    "round {round}"
-                );
+            for flip in 0..12 {
+                let (a, b) = (reused.random_bit(), fresh.random_bit());
+                assert_eq!(a, b, "round {round}, flip {flip}");
             }
         }
         // The stream is the one `ProcessorRng::for_processor` derives, one
@@ -723,19 +672,19 @@ mod tests {
             ProcessorHarness::new(ProcessorId::new(2), Bit::Zero, cfg, &EchoBuilder, 99);
         let mut out = OutputRegister::new();
         let mut ctx = context(&mut draws, &mut out);
-        assert_eq!(ctx.random_bit(), expected.bit());
-        assert_eq!(ctx.random_range(7), expected.range(7));
-        assert_eq!(ctx.random_ticket(), expected.ticket());
+        for _ in 0..3 {
+            assert_eq!(ctx.random_bit(), expected.bit());
+        }
         assert_eq!(reused.coin_flips(), fresh.coin_flips());
         assert_eq!(draws.coin_flips(), 3);
     }
 
     #[test]
-    fn digest_merges_durable_output() {
+    fn digest_is_the_protocols_and_the_decision_stays_in_the_register() {
         let mut h = harness(4);
         let mut out = OutputRegister::new();
         h.start(&mut out);
-        assert_eq!(h.digest(&out).decided, None);
+        assert_eq!(out.get(), None);
         h.deliver(
             ProcessorId::new(1),
             &Payload::Report {
@@ -744,7 +693,9 @@ mod tests {
             },
             &mut out,
         );
-        assert_eq!(h.digest(&out).decided, Some(Bit::One));
+        assert_eq!(out.get(), Some(Bit::One));
+        assert_eq!(h.digest(), h.protocol.digest());
+        assert_eq!(h.digest().round, Some(2));
     }
 
     #[test]
@@ -754,7 +705,8 @@ mod tests {
         let mut b = ProcessorHarness::new(ProcessorId::new(2), Bit::Zero, cfg, &EchoBuilder, 99);
         let (mut out_a, mut out_b) = (OutputRegister::new(), OutputRegister::new());
         let (mut a, mut b) = (context(&mut a, &mut out_a), context(&mut b, &mut out_b));
-        assert_eq!(a.random_ticket(), b.random_ticket());
-        assert_eq!(a.random_bit(), b.random_bit());
+        for _ in 0..64 {
+            assert_eq!(a.random_bit(), b.random_bit());
+        }
     }
 }

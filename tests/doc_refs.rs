@@ -1,5 +1,5 @@
-//! Every file and every `Type::item` README.md, DESIGN.md and EXPERIMENTS.md
-//! point at exists.
+//! Every file and every `Type::item` README.md, DESIGN.md, EXPERIMENTS.md
+//! and the verify skill (`.claude/skills/verify/SKILL.md`) point at exists.
 //!
 //! A backticked token that contains a `/` and ends in one of the source or
 //! data extensions below, optionally followed by `:line`, is a reference to a
@@ -19,7 +19,12 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 /// The documents whose references are checked.
-const DOCS: [&str; 3] = ["README.md", "DESIGN.md", "EXPERIMENTS.md"];
+const DOCS: [&str; 4] = [
+    "README.md",
+    "DESIGN.md",
+    "EXPERIMENTS.md",
+    ".claude/skills/verify/SKILL.md",
+];
 
 /// What a referenced file may end in.
 const EXTENSIONS: [&str; 7] = [".rs", ".md", ".json", ".jsonl", ".toml", ".yml", ".sh"];

@@ -236,12 +236,6 @@ impl Context for Witnessed<'_> {
     fn random_bit(&mut self) -> Bit {
         self.0.random_bit()
     }
-    fn random_range(&mut self, bound: u64) -> u64 {
-        self.0.random_range(bound)
-    }
-    fn random_ticket(&mut self) -> u64 {
-        self.0.random_ticket()
-    }
     fn decide(&mut self, value: Bit) {
         self.1.slot(self.0.id(), |own| {
             own.get_or_insert(value);
@@ -310,12 +304,7 @@ fn assert_view_matches_the_execution(
         let digests: Vec<StateDigest> = view.digests().collect();
         let mut again: Vec<StateDigest> = (0..n).rev().map(|i| view.digest(i)).collect();
         again.reverse();
-        let outputs: Vec<Option<Bit>> = view.outputs().collect();
-        assert_eq!(
-            (0..n).map(|i| view.output(i)).collect::<Vec<_>>(),
-            outputs,
-            "{context}"
-        );
+        let outputs: Vec<Option<Bit>> = (0..n).map(|i| view.output(i)).collect();
         let crashed: Vec<bool> = (0..n).map(|i| view.is_crashed(i)).collect();
         (digests, again, outputs, crashed)
     });
@@ -648,7 +637,10 @@ fn a_view_computes_a_digest_only_when_asked_and_once_per_change() {
     assert_eq!(read_all(&core), 7);
     assert_eq!(calls.load(Ordering::Relaxed), 7, "the first full read");
     read_all(&core);
-    core.with_view(|view| (view.max_round(), view.estimate_count(Bit::One)));
+    core.with_view(|view| {
+        let highest = view.digests().filter_map(|d| d.round).max();
+        (highest, view.estimate_count(Bit::One))
+    });
     assert_eq!(calls.load(Ordering::Relaxed), 7, "nothing changed since");
 
     // One asynchronous step delivers to one processor.
