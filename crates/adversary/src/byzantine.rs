@@ -114,7 +114,7 @@ mod tests {
     use super::*;
     use agreement_model::{InputAssignment, SystemConfig};
     use agreement_protocols::{BenOrBuilder, BrachaBuilder};
-    use agreement_sim::{run_async, RunLimits};
+    use agreement_sim::{run_async, ExecutionCore, FullTrace, RunLimits, Scheduler};
 
     #[test]
     fn corrupted_payload_rewrites_value_carriers_only() {
@@ -161,14 +161,11 @@ mod tests {
         // test checks safety over a bounded prefix rather than termination.)
         let cfg = SystemConfig::new(7, 2).unwrap();
         let inputs = InputAssignment::unanimous(7, Bit::One);
-        let outcome = run_async(
-            cfg,
-            inputs.clone(),
-            &BrachaBuilder::new(),
-            &mut EquivocatingAdversary::new(),
-            21,
-            RunLimits::steps(60_000),
-        );
+        let builder = BrachaBuilder::new();
+        let mut core =
+            ExecutionCore::with_probe(cfg, inputs.clone(), &builder, 21, FullTrace::new());
+        let outcome = Scheduler::Asynchronous(&mut EquivocatingAdversary::new())
+            .run(&mut core, RunLimits::steps(60_000));
         assert!(outcome.agreement_holds(), "Bracha must never disagree");
         assert!(
             outcome.validity_holds(&inputs),
@@ -176,7 +173,7 @@ mod tests {
         );
         assert!(outcome.violations.is_empty());
         assert!(
-            outcome.trace.corruption_count() > 0,
+            core.probe().trace().corruption_count() > 0,
             "the adversary must actually have equivocated"
         );
     }
@@ -185,16 +182,12 @@ mod tests {
     fn equivocation_is_recorded_in_the_trace() {
         let cfg = SystemConfig::new(7, 2).unwrap();
         let inputs = InputAssignment::unanimous(7, Bit::One);
-        let outcome = run_async(
-            cfg,
-            inputs.clone(),
-            &BrachaBuilder::new(),
-            &mut EquivocatingAdversary::new(),
-            4,
-            RunLimits::steps(20_000),
-        );
+        let mut core =
+            ExecutionCore::with_probe(cfg, inputs, &BrachaBuilder::new(), 4, FullTrace::new());
+        Scheduler::Asynchronous(&mut EquivocatingAdversary::new())
+            .run(&mut core, RunLimits::steps(20_000));
         assert!(
-            outcome.trace.corruption_count() > 0,
+            core.probe().trace().corruption_count() > 0,
             "the adversary should have corrupted at least one message"
         );
     }

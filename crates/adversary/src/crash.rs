@@ -131,7 +131,7 @@ mod tests {
     use super::*;
     use agreement_model::{Bit, InputAssignment, SystemConfig};
     use agreement_protocols::{BenOrBuilder, CommitteeBuilder};
-    use agreement_sim::{run_async, RunLimits};
+    use agreement_sim::{run_async, ExecutionCore, FullTrace, RunLimits, Scheduler};
 
     #[test]
     fn scheduled_crash_kills_exactly_its_victims_and_ben_or_survives() {
@@ -162,20 +162,17 @@ mod tests {
         let inputs = InputAssignment::unanimous(7, Bit::Zero);
         let mut adversary =
             ScheduledCrashAdversary::withholding(vec![ProcessorId::new(5), ProcessorId::new(6)]);
-        let outcome = run_async(
-            cfg,
-            inputs.clone(),
-            &BenOrBuilder::new(),
-            &mut adversary,
-            8,
-            RunLimits::small(),
-        );
+        let builder = BenOrBuilder::new();
+        let mut core =
+            ExecutionCore::with_probe(cfg, inputs.clone(), &builder, 8, FullTrace::new());
+        let outcome = Scheduler::Asynchronous(&mut adversary).run(&mut core, RunLimits::small());
         assert!(outcome.all_correct_decided());
         assert!(outcome.is_correct(&inputs));
         // No message from a silenced victim was ever delivered.
         let victims = [ProcessorId::new(5), ProcessorId::new(6)];
-        assert!(outcome
-            .trace
+        assert!(core
+            .probe()
+            .trace()
             .stored()
             .iter()
             .all(|e| !matches!(e, agreement_model::TraceEvent::Delivered { from, .. } if victims.contains(from))));

@@ -114,7 +114,7 @@ mod tests {
         let mut adversary = SplitVoteAdversary::new();
         let mut scheduler = Scheduler::Windowed(&mut adversary);
         scheduler.step(&mut core);
-        let outcome = scheduler.outcome(&mut core);
+        let outcome = scheduler.outcome(&core);
         assert!(
             !outcome.any_decided(),
             "a balanced first window must not reach the T2 threshold"

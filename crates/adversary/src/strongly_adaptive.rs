@@ -116,7 +116,7 @@ mod tests {
         for _ in 0..13 {
             scheduler.step(&mut core);
         }
-        let outcome = scheduler.outcome(&mut core);
+        let outcome = scheduler.outcome(&core);
         // t = 2 resets per window over 13 windows.
         assert_eq!(outcome.metrics.resets_consumed, 26);
         assert!(outcome.agreement_holds());

@@ -13,15 +13,16 @@
 //! never results.
 //!
 //! Each worker owns a reusable
-//! [`TrialWorkspace`](agreement_sim::TrialWorkspace): trials run with trace
-//! emission compiled out (`NoTrace` — a campaign drops every trace unread)
-//! inside an execution core whose allocations persist from seed to seed. The
+//! [`TrialWorkspace`](agreement_sim::TrialWorkspace): trials run
+//! un-instrumented (`NoProbe` — nothing observes a campaign trial but its
+//! record) inside an execution core whose allocations persist from seed to
+//! seed. The
 //! trial's [`RunOutcome`] is distilled into a
 //! [`TrialRecord`](crate::TrialRecord) *inside* the worker; aggregation into
 //! an [`Aggregate`] is one consumer of the record stream
 //! ([`Aggregate::from_records`]), the report sinks of [`crate::record`] are
 //! the others. The workspace path is bit-identical to running every trial on
-//! a fresh, trace-keeping core — pinned by the equivalence tests.
+//! a fresh core, traced or not — pinned by the equivalence tests.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;

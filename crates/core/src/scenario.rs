@@ -516,7 +516,7 @@ impl ScenarioSpec {
     }
 
     /// Runs a single execution with an explicit seed and returns its raw
-    /// outcome (used by determinism tests and for inspecting one trace).
+    /// outcome (used by determinism tests).
     ///
     /// # Errors
     ///
@@ -548,7 +548,7 @@ impl ScenarioSpec {
         })
     }
 
-    /// Runs one traced execution of this spec's harness under a
+    /// Runs one execution of this spec's harness on a fresh core under a
     /// caller-supplied adversary — the replay path for stored schedule
     /// artifacts (`search --replay`).
     ///

@@ -16,7 +16,9 @@
 //! * [`Protocol`], [`ProtocolBuilder`], [`Context`], [`StateDigest`] — the
 //!   event-driven state-machine abstraction engines drive.
 //! * [`ProcessorRng`] — deterministic, per-processor random streams.
-//! * [`Trace`], [`TraceEvent`] — bounded execution logs.
+//! * [`Trace`], [`TraceEvent`] — bounded execution logs, which the
+//!   simulator's `FullTrace` probe fills; [`NoTrace`] is a marker with no
+//!   behaviour.
 //!
 //! # Example
 //!
@@ -55,5 +57,5 @@ pub use ids::ProcessorId;
 pub use message::{CommitteeMsg, Payload, RbcStep};
 pub use protocol::{Context, Protocol, ProtocolBuilder, StateDigest};
 pub use rng::{derive_seed, splitmix64, ProcessorRng};
-pub use trace::{FullTrace, NoTrace, Recorder, Trace, TraceEvent};
+pub use trace::{NoTrace, Trace, TraceEvent};
 pub use value::{Bit, InputAssignment, OutputRegister};

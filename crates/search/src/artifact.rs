@@ -1,5 +1,5 @@
 //! Replayable schedule artifacts: JSON serialization, registry lookup,
-//! `FullTrace` replay verification, and the baseline comparison against the
+//! fresh-core replay verification, and the baseline comparison against the
 //! hand-coded adversaries.
 //!
 //! An artifact pins everything a third party needs to re-execute a
@@ -131,7 +131,7 @@ pub struct ReplayReport {
     pub time_cap: u64,
 }
 
-/// Replays `artifact` on `spec` under `FullTrace` and verifies the recorded
+/// Replays `artifact` on `spec` on a fresh core and verifies the recorded
 /// metrics.
 ///
 /// # Errors

@@ -240,7 +240,8 @@ fn main() {
     };
 
     // Verify the artifact replays before anything is written: a mismatch
-    // here means NoTrace/FullTrace drift, which must fail loudly.
+    // here means the campaign workspace and a fresh core drifted apart,
+    // which must fail loudly.
     let verification = replay(&spec, &artifact).unwrap_or_else(|err| {
         eprintln!("self-replay failed: {err}");
         std::process::exit(1);

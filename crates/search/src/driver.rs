@@ -1,5 +1,5 @@
 //! The search driver: batch-synchronous random walks plus corpus mutation
-//! over NoTrace campaign trials.
+//! over campaign trials.
 //!
 //! Determinism is the load-bearing property. Each generation is built in
 //! three strictly sequential phases: (1) a genome batch is derived from the
@@ -205,7 +205,7 @@ pub fn run_search(
             };
             genomes.push(genome);
         }
-        // Phase 2: evaluate on the NoTrace campaign path (slot-ordered,
+        // Phase 2: evaluate on the campaign path (slot-ordered,
         // thread-count independent).
         let records = runner.run(batch, seed_cursor, |seed| {
             let genome = &genomes[(seed - seed_cursor) as usize];

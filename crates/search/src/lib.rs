@@ -18,12 +18,12 @@
 //!    genome per signature.
 //! 3. **The driver** ([`run_search`]) alternates seed-derived random walks
 //!    with corpus mutations (byte flips, splices, truncations, seed reruns)
-//!    over NoTrace campaign batches, deterministically seeded — the same
+//!    over campaign batches, deterministically seeded — the same
 //!    `--seed` and budget reproduce the corpus byte for byte at any thread
 //!    count.
 //! 4. **The shrinker** ([`shrink`]) delta-debugs the winning tape while the
-//!    failure [`Predicate`] keeps holding, then the result is replayed under
-//!    `FullTrace` and written as a JSON [`ScheduleArtifact`] — a committed,
+//!    failure [`Predicate`] keeps holding, then the result is replayed on a
+//!    fresh core and written as a JSON [`ScheduleArtifact`] — a committed,
 //!    replayable counterexample (see `examples/`).
 //! 5. **Replay** ([`replay_file`]) re-executes a stored artifact through the
 //!    scenario registry and verifies the recorded

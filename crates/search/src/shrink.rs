@@ -1,8 +1,8 @@
 //! Counterexample shrinking: delta debugging on the genome tape.
 //!
 //! The shrinker removes tape segments (halving chunk sizes, ddmin style) and
-//! then zeroes surviving bytes, keeping every candidate whose `FullTrace`
-//! replay still satisfies the failure [`Predicate`]. Because exhausted or
+//! then zeroes surviving bytes, keeping every candidate whose replay on a
+//! fresh core still satisfies the failure [`Predicate`]. Because exhausted or
 //! zeroed tape regions decode to benign scheduling, every candidate is a
 //! valid schedule — shrinking can only simplify, never crash the decoder.
 
@@ -16,7 +16,7 @@ use crate::signature::Predicate;
 pub struct ShrinkReport {
     /// The minimized genome (still tagged with the original model).
     pub genome: Genome,
-    /// The `FullTrace` record of the minimized genome at the original seed —
+    /// The replayed record of the minimized genome at the original seed —
     /// this is what the schedule artifact stores and replay verifies against.
     pub record: TrialRecord,
     /// The predicate every kept candidate (and the final genome) satisfies.

@@ -4,8 +4,8 @@
 //!   at 1, 2 and 4 campaign threads;
 //! - the shrinker returns a valid genome (same model tag, no longer tape)
 //!   whose replay still satisfies the failure predicate;
-//! - the NoTrace search path and the FullTrace replay path agree on every
-//!   record field for the same genome and seed;
+//! - a trial of the search's campaign workspace and its replay on a fresh
+//!   core agree on every record field for the same genome and seed;
 //! - the committed example artifact replays exactly and still beats every
 //!   hand-coded registry adversary on its harness.
 
@@ -82,32 +82,32 @@ fn shrinker_preserves_predicate_and_model_tag() {
 }
 
 #[test]
-fn notrace_search_trial_equals_fulltrace_replay() {
+fn campaign_workspace_trial_equals_fresh_core_replay() {
     let spec = spec();
     let campaign = Campaign::serial();
     let outcome = run_search(&spec, &campaign, &small_config()).expect("search runs");
     let cfg = spec.config().expect("config resolves");
     let inputs = spec.inputs.materialize(spec.n);
 
-    // Every corpus survivor, not just the winner: re-evaluate its genome on
-    // the NoTrace campaign path and on the FullTrace replay path at the same
+    // Every corpus survivor, not just the winner: re-evaluate its genome in
+    // a campaign workspace and on the fresh-core replay path at the same
     // seed and demand field-for-field equality.
     for entry in outcome.corpus.iter().take(16) {
         let seed = entry.record.seed;
-        let notrace = spec
+        let pooled = spec
             .batch_runner(&campaign)
             .expect("spec resolves")
             .run(1, seed, |_| {
                 build_from_genome(&entry.genome, &cfg).expect("genome rebuilds")
             });
         let mut adversary = build_from_genome(&entry.genome, &cfg).expect("genome rebuilds");
-        let traced = spec
+        let replayed = spec
             .run_single_with(seed, &mut adversary)
             .expect("replay runs");
-        let fulltrace = TrialRecord::from_outcome(0, seed, &traced, &inputs);
+        let replayed = TrialRecord::from_outcome(0, seed, &replayed, &inputs);
         assert_eq!(
-            notrace[0], fulltrace,
-            "NoTrace and FullTrace disagree for seed {seed}"
+            pooled[0], replayed,
+            "the campaign workspace and a fresh core disagree for seed {seed}"
         );
     }
 }

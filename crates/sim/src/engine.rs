@@ -16,7 +16,7 @@
 //!   [`BuiltAdversary::scheduler`] lends it as the [`Scheduler`] that drives
 //!   a core, so no layer above this file matches on the model.
 //! * [`run_windowed`], [`run_async`] and [`run_partial_sync`] run one fresh,
-//!   trace-keeping execution against a concrete adversary. Step-wise driving
+//!   un-instrumented execution against a concrete adversary. Step-wise driving
 //!   needs no facade: [`Scheduler::start`], [`Scheduler::step`] and
 //!   [`Scheduler::outcome`] are that API.
 //!
@@ -25,7 +25,7 @@
 //! and rows in the adversary table of `agreement-adversary`. See DESIGN.md
 //! §2 for the partial-synchrony model as a worked example.
 
-use agreement_model::{InputAssignment, ProtocolBuilder, Recorder, SystemConfig};
+use agreement_model::{InputAssignment, ProtocolBuilder, SystemConfig};
 
 use crate::adversary::{AsyncAdversary, PartialSyncAdversary, WindowAdversary};
 use crate::exec::{ExecutionCore, Scheduler};
@@ -108,8 +108,8 @@ pub static ASYNC: ModelDescriptor = ModelDescriptor::Asynchronous;
 /// directly.
 pub static PARTIAL_SYNC: ModelDescriptor = ModelDescriptor::PartialSync;
 
-/// Builds a fresh trace-keeping core, runs it against the window adversary
-/// `adversary` and returns the outcome.
+/// Builds a fresh core, runs it against the window adversary `adversary`
+/// and returns the outcome.
 pub fn run_windowed(
     cfg: SystemConfig,
     inputs: InputAssignment,
@@ -122,8 +122,8 @@ pub fn run_windowed(
     Scheduler::Windowed(adversary).run(&mut core, limits)
 }
 
-/// Builds a fresh trace-keeping core, runs it against the asynchronous
-/// adversary `adversary` and returns the outcome.
+/// Builds a fresh core, runs it against the asynchronous adversary
+/// `adversary` and returns the outcome.
 pub fn run_async(
     cfg: SystemConfig,
     inputs: InputAssignment,
@@ -136,7 +136,7 @@ pub fn run_async(
     Scheduler::Asynchronous(adversary).run(&mut core, limits)
 }
 
-/// Builds a fresh trace-keeping core, runs it against the partial-synchrony
+/// Builds a fresh core, runs it against the partial-synchrony
 /// adversary `adversary` and returns the outcome.
 pub fn run_partial_sync(
     cfg: SystemConfig,
@@ -153,9 +153,9 @@ pub fn run_partial_sync(
 /// A boxed adversary of one of the three execution models: what an
 /// `AdversaryFactory` builds and what campaign workers run.
 ///
-/// [`BuiltAdversary::run`] drives any core — whatever its probe and recorder
-/// — through the model's [`Scheduler`], so no layer above this file matches
-/// on the model; [`BuiltAdversary::scheduler`] lends that scheduler for
+/// [`BuiltAdversary::run`] drives any core — whatever its probe — through
+/// the model's [`Scheduler`], so no layer above this file matches on the
+/// model; [`BuiltAdversary::scheduler`] lends that scheduler for
 /// step-by-step driving. The model-specific boxes can be recovered with
 /// [`BuiltAdversary::into_window`] and its siblings where a caller genuinely
 /// needs one (e.g. to wrap the adversary).
@@ -223,11 +223,7 @@ impl BuiltAdversary {
     /// Runs `core` under this adversary until every correct processor
     /// decided, the adversary halted, or the model's time cap from `limits`
     /// elapsed.
-    pub fn run<P: Probe, R: Recorder>(
-        &mut self,
-        core: &mut ExecutionCore<P, R>,
-        limits: RunLimits,
-    ) -> RunOutcome {
+    pub fn run<P: Probe>(&mut self, core: &mut ExecutionCore<P>, limits: RunLimits) -> RunOutcome {
         self.scheduler().run(core, limits)
     }
 

@@ -4,22 +4,18 @@
 //! paper's model consists of, independent of *which* adversary model schedules
 //! it: the per-processor harnesses, every processor's crash flag and output
 //! register, the in-flight [`MessageBuffer`], causal chain depths,
-//! decision/validity tracking, trace emission and the outcome snapshot. What
-//! differs between models — how a unit of scheduled time is assembled — is
-//! one arm of the [`Scheduler`](super::Scheduler) enum.
-//! Observation is compile-time gated twice over: primitive-transition hooks
-//! live behind the [`Probe`](crate::Probe) trait (default
-//! [`NoProbe`](crate::NoProbe) compiles every hook away), and trace emission
-//! lives behind the [`Recorder`](agreement_model::Recorder) trait — the
-//! default [`FullTrace`] keeps the event log for diagnostics, while
-//! [`NoTrace`](agreement_model::NoTrace) monomorphizes every trace push (and
-//! the construction of its event) out of the campaign hot path entirely.
+//! decision/validity tracking and the outcome snapshot. What differs between
+//! models — how a unit of scheduled time is assembled — is one arm of the
+//! [`Scheduler`](super::Scheduler) enum.
+//! Observation is compile-time gated: every primitive transition fires one
+//! hook of the [`Probe`] trait. The default [`NoProbe`] compiles every hook
+//! away; [`FullTrace`](crate::FullTrace) keeps the event log for
+//! diagnostics.
 
 use std::cell::{Cell, RefCell};
 
 use agreement_model::{
-    Bit, FullTrace, InputAssignment, Payload, ProcessorId, ProtocolBuilder, Recorder, StateDigest,
-    SystemConfig, TraceEvent,
+    Bit, InputAssignment, NoTrace, Payload, ProcessorId, ProtocolBuilder, StateDigest, SystemConfig,
 };
 
 use crate::adversary::SystemView;
@@ -29,7 +25,7 @@ use crate::metrics::{Metrics, NoProbe, Probe};
 use crate::outcome::RunOutcome;
 use crate::window::Window;
 
-/// The shared state of one execution: harnesses, buffer, recorder and
+/// The shared state of one execution: harnesses, buffer, probe and
 /// counters.
 ///
 /// A core is model-agnostic. It exposes the primitive state transitions of the
@@ -38,15 +34,13 @@ use crate::window::Window;
 /// [`Scheduler`](super::Scheduler) composes them into the execution shape of a
 /// concrete adversary model. Every transition that hands a processor to its
 /// protocol ends in one decision transition, which books a newly written
-/// output bit once: the counters, the first-decision chain, the
-/// [`TraceEvent::Decided`] event and [`Probe::on_decide`]. Every transition
-/// additionally fires a hook on the core's [`Probe`] and an event on its
-/// [`Recorder`]; with the default [`NoProbe`] the hooks are empty inlined
-/// bodies, and with [`NoTrace`](agreement_model::NoTrace) the event pushes
-/// vanish the same way — a `NoProbe`/`NoTrace` core is byte-for-byte the
-/// un-instrumented, un-traced core the campaign workers run.
+/// output bit once: the counters, the first-decision chain and
+/// [`Probe::on_decide`]. Every transition additionally fires one hook on the
+/// core's [`Probe`]; with the default [`NoProbe`] the hooks are empty inlined
+/// bodies, so a `NoProbe` core is byte-for-byte the un-instrumented core the
+/// campaign workers run.
 #[derive(Debug)]
-pub struct ExecutionCore<P: Probe = NoProbe, R: Recorder = FullTrace> {
+pub struct ExecutionCore<P: Probe = NoProbe> {
     cfg: SystemConfig,
     inputs: InputAssignment,
     harnesses: Vec<ProcessorHarness>,
@@ -57,7 +51,6 @@ pub struct ExecutionCore<P: Probe = NoProbe, R: Recorder = FullTrace> {
     /// context borrows the output register from its slot.
     status: Vec<Status>,
     buffer: MessageBuffer,
-    recorder: R,
     probe: P,
     /// Scheduler time: window index for windowed executions, step index for
     /// asynchronous ones. Advanced only by [`ExecutionCore::advance_window`]
@@ -101,9 +94,9 @@ pub struct ExecutionCore<P: Probe = NoProbe, R: Recorder = FullTrace> {
     started: bool,
 }
 
-impl ExecutionCore<NoProbe, FullTrace> {
-    /// Creates an un-instrumented, trace-keeping core for `cfg.n()`
-    /// processors with the given inputs.
+impl ExecutionCore {
+    /// Creates an un-instrumented core for `cfg.n()` processors with the
+    /// given inputs.
     ///
     /// # Panics
     ///
@@ -118,9 +111,8 @@ impl ExecutionCore<NoProbe, FullTrace> {
     }
 }
 
-impl<P: Probe> ExecutionCore<P, FullTrace> {
-    /// Creates a trace-keeping core whose primitive transitions are observed
-    /// by `probe`.
+impl<P: Probe> ExecutionCore<P> {
+    /// Creates a core whose primitive transitions are observed by `probe`.
     ///
     /// # Panics
     ///
@@ -131,26 +123,6 @@ impl<P: Probe> ExecutionCore<P, FullTrace> {
         builder: &dyn ProtocolBuilder,
         master_seed: u64,
         probe: P,
-    ) -> Self {
-        ExecutionCore::with_parts(cfg, inputs, builder, master_seed, probe, FullTrace::new())
-    }
-}
-
-impl<P: Probe, R: Recorder> ExecutionCore<P, R> {
-    /// Creates a core with an explicit probe *and* recorder. Campaign workers
-    /// pass [`NoTrace`](agreement_model::NoTrace) here so every per-message
-    /// trace push monomorphizes away; diagnostic paths pass [`FullTrace`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs` does not assign exactly `cfg.n()` bits.
-    pub fn with_parts(
-        cfg: SystemConfig,
-        inputs: InputAssignment,
-        builder: &dyn ProtocolBuilder,
-        master_seed: u64,
-        probe: P,
-        recorder: R,
     ) -> Self {
         assert_eq!(
             inputs.len(),
@@ -173,7 +145,6 @@ impl<P: Probe, R: Recorder> ExecutionCore<P, R> {
             inputs,
             harnesses,
             buffer: MessageBuffer::with_processors(cfg.n()),
-            recorder,
             probe,
             time: 0,
             windows: 0,
@@ -188,6 +159,24 @@ impl<P: Probe, R: Recorder> ExecutionCore<P, R> {
         }
     }
 
+    /// [`ExecutionCore::with_probe`] with a [`NoTrace`] marker as a sixth
+    /// argument, which it ignores. It stays only because
+    /// `benchmark/src/layers.rs` calls it; new code calls `with_probe`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `inputs` does not assign exactly `cfg.n()` bits.
+    pub fn with_parts(
+        cfg: SystemConfig,
+        inputs: InputAssignment,
+        builder: &dyn ProtocolBuilder,
+        master_seed: u64,
+        probe: P,
+        _: NoTrace,
+    ) -> Self {
+        ExecutionCore::with_probe(cfg, inputs, builder, master_seed, probe)
+    }
+
     /// Re-initializes this core for a fresh trial **in place**, reusing every
     /// allocation the previous trial warmed up: the harness vector (and each
     /// harness's outbox/violation buffers), the status array, the send logs,
@@ -195,12 +184,13 @@ impl<P: Probe, R: Recorder> ExecutionCore<P, R> {
     /// the digest memo, the spare window and — where the builder recognizes
     /// them as its own ([`ProtocolBuilder::rebuild`]) — the protocol
     /// instances themselves. Equivalent to building a new core with
-    /// [`ExecutionCore::with_parts`] and the current probe/recorder — the
+    /// [`ExecutionCore::with_probe`] and the current probe — the
     /// workspace-reuse equivalence tests pin that down bit for bit.
     ///
     /// The probe is carried over untouched (so a campaign-wide probe keeps
-    /// accumulating); the recorder is [`reset`](Recorder::reset). `inputs` is
-    /// copied into the core's existing assignment buffer, not reallocated.
+    /// accumulating, and a [`FullTrace`](crate::FullTrace) keeps the earlier
+    /// trials' events). `inputs` is copied into the core's existing
+    /// assignment buffer, not reallocated.
     ///
     /// # Panics
     ///
@@ -237,7 +227,6 @@ impl<P: Probe, R: Recorder> ExecutionCore<P, R> {
         self.status.clear();
         self.status.resize(n, Status::default());
         self.buffer.reset(n);
-        self.recorder.reset();
         self.depth.clear();
         self.depth.resize(n, 0);
         self.corrupted.clear();
@@ -282,9 +271,10 @@ impl<P: Probe, R: Recorder> ExecutionCore<P, R> {
         &self.probe
     }
 
-    /// Read access to the recorder (with [`FullTrace`], the trace so far).
-    pub fn recorder(&self) -> &R {
-        &self.recorder
+    /// Write access to the probe, for a caller that clears what it observed
+    /// between trials of a reused core.
+    pub fn probe_mut(&mut self) -> &mut P {
+        &mut self.probe
     }
 
     /// Read access to the in-flight message buffer.
@@ -411,9 +401,7 @@ impl<P: Probe, R: Recorder> ExecutionCore<P, R> {
         if self.chain_at_first_decision.is_none() {
             self.chain_at_first_decision = Some(self.depth[i]);
         }
-        let (id, at) = (ProcessorId::new(i), self.time);
-        self.recorder.record(TraceEvent::Decided { id, value, at });
-        self.probe.on_decide(id, value, at);
+        self.probe.on_decide(ProcessorId::new(i), value, self.time);
     }
 
     // ----- primitive transitions ---------------------------------------------------
@@ -443,7 +431,7 @@ impl<P: Probe, R: Recorder> ExecutionCore<P, R> {
     /// Each staged send becomes **one** entry of the sender's log, whatever
     /// its fan-out: a broadcast costs the buffer O(1), a multicast one
     /// 4-byte index per listed recipient. The per-recipient loops below only
-    /// feed the recorder and the probe, and vanish with `NoTrace`/`NoProbe`.
+    /// feed the probe, and vanish with `NoProbe`.
     ///
     /// Most receiving steps stage nothing (≈ 7 250 of the 7 273 steps of an
     /// n = 1 000 committee trial), so the test for that is all that is
@@ -464,14 +452,10 @@ impl<P: Probe, R: Recorder> ExecutionCore<P, R> {
         let ExecutionCore {
             harnesses,
             buffer,
-            recorder,
             probe,
             ..
         } = self;
-        let mut sent = |to: ProcessorId| {
-            recorder.record(TraceEvent::Sent { from: id, to });
-            probe.on_send(id, chain);
-        };
+        let mut sent = |to: ProcessorId| probe.on_send(id, to, chain);
         harnesses[id.index()].drain_outbox(|outgoing, staged| match outgoing {
             Outgoing::One { to, payload } => {
                 sent(to);
@@ -536,7 +520,6 @@ impl<P: Probe, R: Recorder> ExecutionCore<P, R> {
         let Some((payload, chain)) = popped else {
             return;
         };
-        self.recorder.record(TraceEvent::Delivered { from, to });
         self.probe.on_deliver(from, to, chain);
         let output = &mut self.status[i].output;
         let before = output.get();
@@ -586,7 +569,6 @@ impl<P: Probe, R: Recorder> ExecutionCore<P, R> {
             harnesses,
             status,
             buffer,
-            recorder,
             probe,
             ..
         } = self;
@@ -602,10 +584,6 @@ impl<P: Probe, R: Recorder> ExecutionCore<P, R> {
             // one context built above — nothing is cloned, collected or
             // allocated.
             buffer.drain(sender, recipient, |payload, chain| {
-                recorder.record(TraceEvent::Delivered {
-                    from: sender,
-                    to: recipient,
-                });
                 probe.on_deliver(sender, recipient, chain);
                 depth = depth.max(chain);
                 if live {
@@ -632,22 +610,19 @@ impl<P: Probe, R: Recorder> ExecutionCore<P, R> {
         self.mark_view_dirty(id.index());
         self.resets_performed += 1;
         self.probe.on_reset(id);
-        self.recorder.record(TraceEvent::Reset { id });
         self.note_decision(id.index(), before);
     }
 
     /// Crashes a processor, enforcing the fault budget `t`: an attempt beyond
-    /// the budget is ignored and recorded as a violation trace event.
+    /// the budget is refused ([`ExecutionCore::refuse`]) and has no effect.
     pub fn crash(&mut self, id: ProcessorId) {
         if self.status[id.index()].crashed {
             return;
         }
         if self.faults_used() >= self.cfg.t() {
             let t = self.cfg.t();
-            self.recorder.record_with(|| TraceEvent::Violation {
-                description: format!(
-                    "adversary attempted to crash {id} beyond the fault budget t={t}; ignored"
-                ),
+            self.refuse(|| {
+                format!("adversary attempted to crash {id} beyond the fault budget t={t}; ignored")
             });
             return;
         }
@@ -668,21 +643,20 @@ impl<P: Probe, R: Recorder> ExecutionCore<P, R> {
         }
         self.crashes_performed += 1;
         self.probe.on_crash(id);
-        self.recorder.record(TraceEvent::Crashed { id });
     }
 
     /// Declares a processor Byzantine-corrupted (charged against the budget
-    /// `t`); over-budget attempts are ignored and logged.
+    /// `t`); over-budget attempts are refused.
     pub fn corrupt_processor(&mut self, id: ProcessorId) {
         if self.corrupted[id.index()] {
             return;
         }
         if self.faults_used() >= self.cfg.t() {
             let t = self.cfg.t();
-            self.recorder.record_with(|| TraceEvent::Violation {
-                description: format!(
+            self.refuse(|| {
+                format!(
                     "adversary attempted to corrupt {id} beyond the fault budget t={t}; ignored"
-                ),
+                )
             });
             return;
         }
@@ -691,24 +665,31 @@ impl<P: Probe, R: Recorder> ExecutionCore<P, R> {
 
     /// Rewrites the oldest in-flight message on `from -> to`, which is only
     /// legal when `from` was previously declared corrupted; an illegal attempt
-    /// is ignored and logged.
+    /// is refused.
     pub fn corrupt_message(&mut self, from: ProcessorId, to: ProcessorId, payload: Payload) {
         if self.corrupted[from.index()] {
             if self.buffer.corrupt_head(from, to, payload).is_some() {
-                self.recorder.record(TraceEvent::Corrupted { id: from });
+                self.probe.on_corrupt(from);
             }
         } else {
-            self.recorder.record_with(|| TraceEvent::Violation {
-                description: format!(
-                    "adversary attempted to corrupt a message of uncorrupted {from}; ignored"
-                ),
+            self.refuse(|| {
+                format!("adversary attempted to corrupt a message of uncorrupted {from}; ignored")
             });
         }
     }
 
-    /// Records a scheduler-specific trace event (e.g. window boundaries).
-    pub fn push_trace(&mut self, event: TraceEvent) {
-        self.recorder.record(event);
+    /// Refuses an adversary action the model forbids, which the caller
+    /// ignores: tells the probe why ([`Probe::on_refuse`]). `describe` runs
+    /// only in a probe that keeps the description, so a [`NoProbe`] core
+    /// never formats one.
+    pub fn refuse(&mut self, describe: impl FnOnce() -> String) {
+        self.probe.on_refuse(describe);
+    }
+
+    /// Marks the start of the acceptable window the scheduler has validated
+    /// and is about to apply; its index is the current clock.
+    pub fn start_window(&mut self) {
+        self.probe.on_window_start(self.time);
     }
 
     /// Advances the scheduler clock by one acceptable window.
@@ -771,12 +752,7 @@ impl<P: Probe, R: Recorder> ExecutionCore<P, R> {
 
     /// Produces the outcome snapshot of the execution so far with an explicit
     /// longest-chain metric.
-    ///
-    /// The accumulated trace is **moved** into the outcome, not cloned (the
-    /// clone used to be per-trial heap work the campaign immediately threw
-    /// away): a second snapshot of the same execution reports an empty trace,
-    /// while every counter and decision field stays exact.
-    pub fn outcome(&mut self, longest_chain: u64) -> RunOutcome {
+    pub fn outcome(&self, longest_chain: u64) -> RunOutcome {
         let violations: Vec<String> = self
             .harnesses
             .iter()
@@ -793,7 +769,6 @@ impl<P: Probe, R: Recorder> ExecutionCore<P, R> {
             longest_chain,
             halted_by_adversary: self.halted,
             metrics: self.metrics(),
-            trace: self.recorder.take_trace(),
         }
     }
 

@@ -5,7 +5,8 @@
 //! asynchronous crash/Byzantine model of Section 5 — with partial synchrony
 //! as the curtailed contrast. All three share almost all of their mechanics:
 //! processor harnesses, an in-flight message buffer, decision and validity
-//! tracking, trace emission and run-limit enforcement.
+//! tracking, the probe that observes every transition and run-limit
+//! enforcement.
 //! This module owns those mechanics once, in [`ExecutionCore`], and puts what
 //! genuinely differs — how a unit of scheduled time is assembled — in one
 //! arm each of the closed [`Scheduler`] enum:

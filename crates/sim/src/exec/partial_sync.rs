@@ -41,7 +41,7 @@
 //! fully asynchronous model — so expected-time numbers are directly
 //! comparable between the two.
 
-use agreement_model::{ProcessorId, Recorder};
+use agreement_model::ProcessorId;
 
 use crate::adversary::{PartialSyncAction, PartialSyncAdversary};
 use crate::metrics::Probe;
@@ -78,9 +78,9 @@ fn omission_faults(adversary: &dyn PartialSyncAdversary, t: usize) -> usize {
 /// between correct processors).
 ///
 /// [`MessageBuffer::pending_since`]: crate::MessageBuffer::pending_since
-fn force_overdue<P: Probe, R: Recorder>(
+fn force_overdue<P: Probe>(
     adversary: &dyn PartialSyncAdversary,
-    core: &mut ExecutionCore<P, R>,
+    core: &mut ExecutionCore<P>,
     bound: u64,
 ) {
     let omitted = adversary.omitted_senders();
@@ -110,9 +110,9 @@ fn due_bound(now: u64, gst: u64, delta: u64) -> Option<u64> {
 
 /// Executes one partial-synchrony step (see the module docs for the phase
 /// order). Returns `false` once the execution has halted.
-pub(super) fn step<P: Probe, R: Recorder>(
+pub(super) fn step<P: Probe>(
     adversary: &mut dyn PartialSyncAdversary,
-    core: &mut ExecutionCore<P, R>,
+    core: &mut ExecutionCore<P>,
 ) -> bool {
     if core.is_halted() {
         return false;
@@ -128,21 +128,21 @@ pub(super) fn step<P: Probe, R: Recorder>(
         PartialSyncAction::Crash(id) => {
             // Omissions and crashes draw from ONE budget of `t` faults:
             // a crash that would push the combined total past `t` is
-            // refused (and logged), exactly like the core's own
-            // over-budget crash handling — otherwise an adversary could
-            // silence 2t processors and defeat the model's
-            // forced-termination guarantee. Re-crashing an already
-            // crashed processor stays the same free no-op it is in the
-            // core, never a logged budget violation.
+            // refused, exactly like the core's own over-budget crash
+            // handling — otherwise an adversary could silence 2t
+            // processors and defeat the model's forced-termination
+            // guarantee. Re-crashing an already crashed processor stays
+            // the same free no-op it is in the core, never a refused
+            // budget violation.
             let t = core.config().t();
             if core.is_crashed(id) {
                 // no-op
             } else if omission_faults(adversary, t) + core.faults_used() >= t {
-                core.push_trace(agreement_model::TraceEvent::Violation {
-                    description: format!(
+                core.refuse(|| {
+                    format!(
                         "partial-sync adversary attempted to crash {id} beyond the \
                          shared omission+crash budget t={t}; ignored"
-                    ),
+                    )
                 });
             } else {
                 core.crash(id);

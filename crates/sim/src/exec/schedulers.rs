@@ -21,7 +21,7 @@
 //! model means a variant here, in [`ModelDescriptor`] and in
 //! [`BuiltAdversary`](crate::BuiltAdversary), plus one step function.
 
-use agreement_model::{ProcessorId, Recorder, TraceEvent};
+use agreement_model::ProcessorId;
 
 use crate::adversary::{AsyncAction, AsyncAdversary, PartialSyncAdversary, WindowAdversary};
 use crate::engine::{ModelDescriptor, ASYNC, PARTIAL_SYNC, WINDOWED};
@@ -35,8 +35,8 @@ use super::{partial_sync, ExecutionCore};
 ///
 /// The set is closed — the paper's results are stated over exactly these
 /// adversary powers — so every method is one `match`. Every method is
-/// generic over the core's [`Probe`] and [`Recorder`], so the same driver
-/// runs instrumented, un-instrumented, traced and trace-free executions.
+/// generic over the core's [`Probe`], so the same driver runs instrumented,
+/// traced and un-instrumented executions.
 pub enum Scheduler<'a> {
     /// The strongly adaptive model (Section 2, [`WINDOWED`]): time advances
     /// one acceptable window at a time.
@@ -64,7 +64,7 @@ impl Scheduler<'_> {
     /// wrote. The two step models also perform every processor's initial
     /// sending step, so the adversary schedules deliveries (and the
     /// partial-synchrony bound applies) from the very first step. Idempotent.
-    pub fn start<P: Probe, R: Recorder>(&self, core: &mut ExecutionCore<P, R>) {
+    pub fn start<P: Probe>(&self, core: &mut ExecutionCore<P>) {
         core.ensure_started();
         if !matches!(self, Scheduler::Windowed(_)) {
             core.flush_all_outboxes();
@@ -80,7 +80,7 @@ impl Scheduler<'_> {
     /// Panics if a window adversary returns a window violating Definition 1 —
     /// that is a bug in the adversary implementation, not a legitimate
     /// execution.
-    pub fn step<P: Probe, R: Recorder>(&mut self, core: &mut ExecutionCore<P, R>) -> bool {
+    pub fn step<P: Probe>(&mut self, core: &mut ExecutionCore<P>) -> bool {
         match self {
             Scheduler::Windowed(adversary) => {
                 step_window(*adversary, core);
@@ -94,11 +94,7 @@ impl Scheduler<'_> {
     /// Runs `core` until every correct processor has decided, the execution
     /// halts, or the model's time cap from `limits` elapses, and returns the
     /// outcome.
-    pub fn run<P: Probe, R: Recorder>(
-        &mut self,
-        core: &mut ExecutionCore<P, R>,
-        limits: RunLimits,
-    ) -> RunOutcome {
+    pub fn run<P: Probe>(&mut self, core: &mut ExecutionCore<P>, limits: RunLimits) -> RunOutcome {
         self.start(core);
         let cap = self.model().time_cap(&limits);
         while !core.all_correct_decided() && !core.is_halted() && core.time() < cap {
@@ -115,7 +111,7 @@ impl Scheduler<'_> {
     /// the longest message chain preceding the first decision (Section 5's
     /// metric, tracked causally by the core), so their expected times read
     /// off one scale. Zero while undecided.
-    pub fn outcome<P: Probe, R: Recorder>(&self, core: &mut ExecutionCore<P, R>) -> RunOutcome {
+    pub fn outcome<P: Probe>(&self, core: &ExecutionCore<P>) -> RunOutcome {
         let longest_chain = match self {
             Scheduler::Windowed(_) => core.first_decision_at(),
             Scheduler::Asynchronous(_) | Scheduler::PartialSync(_) => {
@@ -127,10 +123,7 @@ impl Scheduler<'_> {
 }
 
 /// Executes one acceptable window chosen by `adversary`.
-fn step_window<P: Probe, R: Recorder>(
-    adversary: &mut dyn WindowAdversary,
-    core: &mut ExecutionCore<P, R>,
-) {
+fn step_window<P: Probe>(adversary: &mut dyn WindowAdversary, core: &mut ExecutionCore<P>) {
     core.ensure_started();
     // Anything not delivered in the previous window is never delivered.
     core.discard_undelivered();
@@ -147,7 +140,7 @@ fn step_window<P: Probe, R: Recorder>(
             core.time()
         );
     }
-    core.push_trace(TraceEvent::WindowStarted { index: core.time() });
+    core.start_window();
 
     // Receiving phase, then resetting phase.
     for recipient in ProcessorId::all(core.config().n()) {
@@ -164,10 +157,7 @@ fn step_window<P: Probe, R: Recorder>(
 
 /// Executes one asynchronous action chosen by `adversary`. Returns `false`
 /// once the execution has halted.
-fn step_async<P: Probe, R: Recorder>(
-    adversary: &mut dyn AsyncAdversary,
-    core: &mut ExecutionCore<P, R>,
-) -> bool {
+fn step_async<P: Probe>(adversary: &mut dyn AsyncAdversary, core: &mut ExecutionCore<P>) -> bool {
     if core.is_halted() {
         return false;
     }
@@ -191,6 +181,7 @@ mod tests {
         use crate::adversary::{FullDeliveryAdversary, SystemView};
         use crate::engine::run_windowed;
         use crate::exec::testkit::MajorityBuilder;
+        use crate::metrics::FullTrace;
         use crate::outcome::RunLimits;
         use crate::window::Window;
         use agreement_model::{
@@ -293,14 +284,15 @@ mod tests {
             }
             let cfg = SystemConfig::new(6, 1).unwrap();
             let inputs = InputAssignment::unanimous(6, Bit::Zero);
-            let mut core = ExecutionCore::new(cfg, inputs, &MajorityBuilder, 5);
+            let mut core =
+                ExecutionCore::with_probe(cfg, inputs, &MajorityBuilder, 5, FullTrace::new());
             let mut adversary = ResetZero;
             let mut scheduler = Scheduler::Windowed(&mut adversary);
             scheduler.step(&mut core);
             scheduler.step(&mut core);
-            let outcome = scheduler.outcome(&mut core);
+            let outcome = scheduler.outcome(&core);
             assert_eq!(outcome.metrics.resets_consumed, 2);
-            assert_eq!(outcome.trace.reset_count(), 2);
+            assert_eq!(core.probe().trace().reset_count(), 2);
         }
 
         #[test]
@@ -336,7 +328,7 @@ mod tests {
                 let mut scheduler = Scheduler::Windowed(&mut adversary);
                 scheduler.step(&mut core);
                 scheduler.step(&mut core);
-                assert_eq!(scheduler.outcome(&mut core).metrics.resets_consumed, 2);
+                assert_eq!(scheduler.outcome(&core).metrics.resets_consumed, 2);
             }
             // One allocation, by the first window; every later one — the
             // second trial's first included — was filled into it.
@@ -380,10 +372,11 @@ mod tests {
         use crate::adversary::{FairAsyncAdversary, SystemView};
         use crate::engine::run_async;
         use crate::exec::testkit::QuorumBuilder;
+        use crate::metrics::FullTrace;
         use crate::outcome::RunLimits;
         use agreement_model::{
             Bit, Context, InputAssignment, Payload, ProcessorId, Protocol, ProtocolBuilder,
-            StateDigest, SystemConfig,
+            StateDigest, SystemConfig, TraceEvent,
         };
 
         #[test]
@@ -431,10 +424,15 @@ mod tests {
                 next: 0,
                 inner: FairAsyncAdversary::default(),
             };
-            let outcome = run_async(cfg, inputs, &QuorumBuilder, &mut adv, 9, RunLimits::small());
+            let mut core =
+                ExecutionCore::with_probe(cfg, inputs, &QuorumBuilder, 9, FullTrace::new());
+            let outcome = Scheduler::Asynchronous(&mut adv).run(&mut core, RunLimits::small());
             // Only one crash may be charged; the rest are ignored (and logged).
             assert_eq!(outcome.metrics.crashes, 1);
             assert_eq!(outcome.crashed.iter().filter(|&&c| c).count(), 1);
+            let refused = core.probe().trace().stored().iter();
+            let refused = refused.filter(|e| matches!(e, TraceEvent::Violation { .. }));
+            assert_eq!(refused.count(), 4, "one logged refusal per crash beyond t");
             // The remaining four processors still decide.
             assert!(outcome.all_correct_decided());
             assert_eq!(outcome.decided_value(), Some(Bit::One));
@@ -478,16 +476,11 @@ mod tests {
                 corrupted_once: false,
                 inner: FairAsyncAdversary::default(),
             };
-            let outcome = run_async(
-                cfg,
-                inputs.clone(),
-                &QuorumBuilder,
-                &mut adv,
-                3,
-                RunLimits::small(),
-            );
+            let mut core =
+                ExecutionCore::with_probe(cfg, inputs.clone(), &QuorumBuilder, 3, FullTrace::new());
+            let outcome = Scheduler::Asynchronous(&mut adv).run(&mut core, RunLimits::small());
             assert!(outcome.all_correct_decided());
-            assert_eq!(outcome.trace.corruption_count(), 1);
+            assert_eq!(core.probe().trace().corruption_count(), 1);
             assert!(outcome.agreement_holds());
             assert!(outcome.validity_holds(&inputs));
         }

@@ -3,13 +3,14 @@
 //! This crate is the execution substrate of the reproduction of Lewko & Lewko
 //! (PODC 2013). Every execution model shares one substrate — the
 //! [`ExecutionCore`] of the [`exec`] module, which owns processor harnesses,
-//! the in-flight [`MessageBuffer`], decision/validity tracking, trace emission
-//! and limit enforcement — while one arm of the [`Scheduler`] enum supplies
-//! what differs between models. The set of models is **closed** — the
-//! paper's results are stated over exactly these adversary powers — so a
-//! model is a variant of [`Scheduler`], [`ModelDescriptor`] and
-//! [`BuiltAdversary`], and [`Scheduler::run`] is the one loop every
-//! execution, on any core, goes through. The three models:
+//! the in-flight [`MessageBuffer`], decision/validity tracking, limit
+//! enforcement and the one [`Probe`] that observes every transition — while
+//! one arm of the [`Scheduler`] enum supplies what differs between models.
+//! The set of models is **closed** — the paper's results are stated over
+//! exactly these adversary powers — so a model is a variant of
+//! [`Scheduler`], [`ModelDescriptor`] and [`BuiltAdversary`], and
+//! [`Scheduler::run`] is the one loop every execution, on any core, goes
+//! through. The three models:
 //!
 //! * [`WINDOWED`] — the **strongly adaptive model** of Section 2: the
 //!   execution is a sequence of *acceptable windows* ([`Window`],
@@ -89,7 +90,6 @@ pub use adversary::{
     AsyncAction, AsyncAdversary, BenignEventualAdversary, FairAsyncAdversary,
     FullDeliveryAdversary, PartialSyncAction, PartialSyncAdversary, SystemView, WindowAdversary,
 };
-pub use agreement_model::{FullTrace, NoTrace, Recorder};
 pub use buffer::{BufferChoice, ChannelCursor, MessageBuffer};
 pub use engine::{
     run_async, run_partial_sync, run_windowed, BuiltAdversary, ModelDescriptor, ASYNC,
@@ -97,7 +97,7 @@ pub use engine::{
 };
 pub use exec::{ExecutionCore, Scheduler};
 pub use harness::{Outgoing, ProcessorHarness};
-pub use metrics::{Metrics, MetricsProbe, NoProbe, Probe};
+pub use metrics::{FullTrace, Metrics, MetricsProbe, NoProbe, Probe};
 pub use outcome::{RunLimits, RunOutcome};
 pub use window::{Window, WindowError};
 pub use workspace::TrialWorkspace;

@@ -7,19 +7,19 @@
 //! crash counters, causal depths, per-processor coin draws). Assembly happens
 //! once, at outcome time, so recording metrics costs nothing per step.
 //!
-//! The [`Probe`] trait is the *extension point* for observers that want to
-//! see the primitive transitions as they happen: every send, delivery, drop,
-//! reset, crash, decision and clock advance fires a hook. The core is
-//! generic over its probe with [`NoProbe`] as the default, so the
+//! The [`Probe`] trait is the one observer of the primitive transitions as
+//! they happen: every send, delivery, drop, reset, crash, corruption,
+//! refusal, decision, window start and clock advance fires a hook. The core
+//! is generic over its probe with [`NoProbe`] as the default, so the
 //! un-instrumented path monomorphizes to exactly the code that existed
 //! before probes — every hook is an empty inlined body, no allocation, no
 //! branch (guarded by `tests/alloc_budget.rs` and the benchmark's bounds).
-//! [`MetricsProbe`] is the reference
-//! implementation: it accumulates the event-observable subset of [`Metrics`]
-//! and is cross-checked in tests against the core-assembled snapshot, pinning
-//! the hook placement.
+//! [`MetricsProbe`] accumulates the event-observable subset of [`Metrics`]
+//! and is cross-checked in tests against the core-assembled snapshot,
+//! pinning the hook placement; [`FullTrace`] keeps the event log of a run
+//! for diagnostics.
 
-use agreement_model::{Bit, ProcessorId};
+use agreement_model::{Bit, ProcessorId, Trace, TraceEvent};
 
 /// Structured counters describing one execution.
 ///
@@ -46,7 +46,7 @@ pub struct Metrics {
     pub resets_consumed: u64,
     /// Crash failures charged against the fault budget.
     pub crashes: u64,
-    /// Private random draws (bits, ranges and tickets) across all processors.
+    /// Private random bits drawn across all processors.
     pub coin_flips: u64,
     /// The longest causal message chain any processor has received: the
     /// maximum over processors of the longest chain `m_1, ..., m_k` where
@@ -62,10 +62,12 @@ pub struct Metrics {
 /// events they care about. The core is generic over its probe, so a
 /// [`NoProbe`] core compiles to exactly the un-instrumented code.
 pub trait Probe {
-    /// A sending step placed a message with causal tag `chain` into the buffer.
+    /// A sending step placed a message from `from` to `to` with causal tag
+    /// `chain` into the buffer (a broadcast or multicast fires once per
+    /// recipient).
     #[inline]
-    fn on_send(&mut self, from: ProcessorId, chain: u64) {
-        let _ = (from, chain);
+    fn on_send(&mut self, from: ProcessorId, to: ProcessorId, chain: u64) {
+        let _ = (from, to, chain);
     }
 
     /// A receiving step delivered a message with causal tag `chain`.
@@ -92,12 +94,35 @@ pub trait Probe {
         let _ = id;
     }
 
+    /// The adversary rewrote the oldest in-flight message of the corrupted
+    /// sender `from`.
+    #[inline]
+    fn on_corrupt(&mut self, from: ProcessorId) {
+        let _ = from;
+    }
+
+    /// The core refused an adversary action the model forbids (a fault
+    /// beyond the budget `t`, a corruption of an uncorrupted sender).
+    /// `describe` says why; it runs only in a probe that keeps the
+    /// description, so a [`NoProbe`] core never formats one.
+    #[inline]
+    fn on_refuse(&mut self, describe: impl FnOnce() -> String) {
+        let _ = describe;
+    }
+
     /// Processor `id` wrote its output bit `value` at scheduler time `at`.
     /// Fired once per processor, by the core's one decision transition,
     /// whichever transition handed the processor to its protocol.
     #[inline]
     fn on_decide(&mut self, id: ProcessorId, value: Bit, at: u64) {
         let _ = (id, value, at);
+    }
+
+    /// The acceptable window `index` passed validation and is about to be
+    /// applied.
+    #[inline]
+    fn on_window_start(&mut self, index: u64) {
+        let _ = index;
     }
 
     /// One acceptable window completed.
@@ -140,7 +165,7 @@ impl MetricsProbe {
 
 impl Probe for MetricsProbe {
     #[inline]
-    fn on_send(&mut self, _from: ProcessorId, _chain: u64) {
+    fn on_send(&mut self, _from: ProcessorId, _to: ProcessorId, _chain: u64) {
         self.observed.messages_sent += 1;
     }
 
@@ -176,6 +201,66 @@ impl Probe for MetricsProbe {
     }
 }
 
+/// Keeps each transition it observes as one [`TraceEvent`] in an owned
+/// [`Trace`] (drops and clock advances carry no event): the diagnostic probe,
+/// for single runs a person or a test reads.
+#[derive(Debug, Clone)]
+pub struct FullTrace(Trace);
+
+impl Default for FullTrace {
+    fn default() -> Self {
+        FullTrace::new()
+    }
+}
+
+impl FullTrace {
+    /// A probe with an empty trace at the default capacity.
+    pub fn new() -> Self {
+        FullTrace(Trace::new())
+    }
+
+    /// The trace observed so far.
+    pub fn trace(&self) -> &Trace {
+        &self.0
+    }
+}
+
+impl Probe for FullTrace {
+    fn on_send(&mut self, from: ProcessorId, to: ProcessorId, _chain: u64) {
+        self.0.push(TraceEvent::Sent { from, to });
+    }
+
+    fn on_deliver(&mut self, from: ProcessorId, to: ProcessorId, _chain: u64) {
+        self.0.push(TraceEvent::Delivered { from, to });
+    }
+
+    fn on_reset(&mut self, id: ProcessorId) {
+        self.0.push(TraceEvent::Reset { id });
+    }
+
+    fn on_crash(&mut self, id: ProcessorId) {
+        self.0.push(TraceEvent::Crashed { id });
+    }
+
+    fn on_corrupt(&mut self, from: ProcessorId) {
+        self.0.push(TraceEvent::Corrupted { id: from });
+    }
+
+    fn on_refuse(&mut self, describe: impl FnOnce() -> String) {
+        self.0.push(TraceEvent::Violation {
+            description: describe(),
+        });
+    }
+
+    fn on_decide(&mut self, id: ProcessorId, value: Bit, at: u64) {
+        self.0.push(TraceEvent::Decided { id, value, at });
+    }
+
+    fn on_window_start(&mut self, index: u64) {
+        self.0.push(TraceEvent::WindowStarted { index });
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -184,15 +269,16 @@ mod tests {
     fn no_probe_observes_nothing_and_is_zero_sized() {
         assert_eq!(std::mem::size_of::<NoProbe>(), 0);
         let mut probe = NoProbe;
-        probe.on_send(ProcessorId::new(0), 1);
+        probe.on_send(ProcessorId::new(0), ProcessorId::new(1), 1);
+        probe.on_refuse(|| unreachable!("a NoProbe core never formats a refusal"));
         probe.on_window();
     }
 
     #[test]
     fn metrics_probe_accumulates_events() {
         let mut probe = MetricsProbe::new();
-        probe.on_send(ProcessorId::new(0), 1);
-        probe.on_send(ProcessorId::new(1), 2);
+        probe.on_send(ProcessorId::new(0), ProcessorId::new(1), 1);
+        probe.on_send(ProcessorId::new(1), ProcessorId::new(0), 2);
         probe.on_deliver(ProcessorId::new(0), ProcessorId::new(1), 5);
         probe.on_deliver(ProcessorId::new(1), ProcessorId::new(0), 3);
         probe.on_drop(4);
@@ -217,5 +303,41 @@ mod tests {
     fn metrics_default_is_all_zero() {
         assert_eq!(Metrics::default().messages_sent, 0);
         assert_eq!(Metrics::default(), MetricsProbe::new().observed());
+    }
+
+    #[test]
+    fn full_trace_keeps_one_event_per_hook_and_nothing_for_the_counters() {
+        let (a, b) = (ProcessorId::new(0), ProcessorId::new(1));
+        let mut probe = FullTrace::new();
+        probe.on_window_start(3);
+        probe.on_send(a, b, 1);
+        probe.on_deliver(a, b, 1);
+        probe.on_drop(2);
+        probe.on_reset(b);
+        probe.on_crash(b);
+        probe.on_corrupt(a);
+        probe.on_refuse(|| "refused".to_string());
+        probe.on_decide(a, Bit::One, 3);
+        probe.on_window();
+        probe.on_step();
+        assert_eq!(
+            probe.trace().stored(),
+            [
+                TraceEvent::WindowStarted { index: 3 },
+                TraceEvent::Sent { from: a, to: b },
+                TraceEvent::Delivered { from: a, to: b },
+                TraceEvent::Reset { id: b },
+                TraceEvent::Crashed { id: b },
+                TraceEvent::Corrupted { id: a },
+                TraceEvent::Violation {
+                    description: "refused".to_string()
+                },
+                TraceEvent::Decided {
+                    id: a,
+                    value: Bit::One,
+                    at: 3
+                },
+            ]
+        );
     }
 }

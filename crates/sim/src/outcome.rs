@@ -1,6 +1,6 @@
 //! Run limits and run outcomes: what an execution produced.
 
-use agreement_model::{Bit, InputAssignment, Trace};
+use agreement_model::{Bit, InputAssignment};
 
 use crate::metrics::Metrics;
 
@@ -84,8 +84,6 @@ pub struct RunOutcome {
     /// Structured counters of everything the execution did (messages,
     /// windows/steps, resets, crashes, coin flips, causal chains).
     pub metrics: Metrics,
-    /// The bounded event trace of the run.
-    pub trace: Trace,
 }
 
 impl RunOutcome {
@@ -156,7 +154,6 @@ mod tests {
             longest_chain: 0,
             halted_by_adversary: false,
             metrics: Metrics::default(),
-            trace: Trace::new(),
         }
     }
 

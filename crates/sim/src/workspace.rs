@@ -13,29 +13,26 @@
 //! trial's builder recognizes the previous trial's as its own:
 //! [`ProtocolBuilder::rebuild`]).
 //!
-//! The workspace runs its executions with
-//! [`NoTrace`](agreement_model::NoTrace): campaign trials are distilled into
-//! records and their traces dropped unread, so the trace is never built in
-//! the first place — every per-message trace push monomorphizes away. The
-//! results are **bit-identical** to the trace-keeping, allocate-per-trial
-//! path (`run_windowed` / `run_async`) in every field except the trace
-//! itself; the equivalence tests pin that down across both schedulers.
+//! The workspace runs its executions with [`NoProbe`](crate::NoProbe):
+//! campaign trials are distilled into records, so nothing observes them and
+//! every probe hook monomorphizes away. The results are **bit-identical** to
+//! the allocate-per-trial path (`run_windowed` / `run_async`); the
+//! equivalence tests pin that down across both schedulers.
 
-use agreement_model::{InputAssignment, NoTrace, ProtocolBuilder, SystemConfig};
+use agreement_model::{InputAssignment, ProtocolBuilder, SystemConfig};
 
 use crate::buffer::BufferChoice;
 use crate::engine::BuiltAdversary;
 use crate::exec::ExecutionCore;
-use crate::metrics::NoProbe;
 use crate::outcome::{RunLimits, RunOutcome};
 
-/// One worker's reusable execution state: a trace-free [`ExecutionCore`]
-/// whose allocations persist across trials.
+/// One worker's reusable execution state: an un-instrumented
+/// [`ExecutionCore`] whose allocations persist across trials.
 #[derive(Debug, Default)]
 pub struct TrialWorkspace {
     /// Created lazily by the first trial, re-initialized in place by every
     /// trial after it.
-    core: Option<ExecutionCore<NoProbe, NoTrace>>,
+    core: Option<ExecutionCore>,
 }
 
 impl TrialWorkspace {
@@ -55,17 +52,15 @@ impl TrialWorkspace {
         inputs: &InputAssignment,
         builder: &dyn ProtocolBuilder,
         master_seed: u64,
-    ) -> &mut ExecutionCore<NoProbe, NoTrace> {
+    ) -> &mut ExecutionCore {
         match &mut self.core {
             Some(core) => core.reinit(cfg, inputs, builder, master_seed),
             slot @ None => {
-                *slot = Some(ExecutionCore::with_parts(
+                *slot = Some(ExecutionCore::new(
                     cfg,
                     inputs.clone(),
                     builder,
                     master_seed,
-                    NoProbe,
-                    NoTrace,
                 ));
             }
         }
@@ -77,8 +72,8 @@ impl TrialWorkspace {
     /// model's scheduler, so no caller matches on the model. Same results as
     /// the fresh-core
     /// [`run_windowed`](crate::run_windowed) / [`run_async`](crate::run_async)
-    /// / [`run_partial_sync`](crate::run_partial_sync), minus the trace; no
-    /// per-trial allocation of core state.
+    /// / [`run_partial_sync`](crate::run_partial_sync); no per-trial
+    /// allocation of core state.
     pub fn run_built(
         &mut self,
         cfg: SystemConfig,
@@ -99,12 +94,7 @@ mod tests {
     use crate::adversary::{FairAsyncAdversary, FullDeliveryAdversary};
     use crate::engine::{run_async, run_windowed};
     use crate::exec::testkit::MajorityBuilder;
-    use agreement_model::{Bit, Trace};
-
-    fn strip_trace(mut outcome: RunOutcome) -> RunOutcome {
-        outcome.trace = Trace::new();
-        outcome
-    }
+    use agreement_model::Bit;
 
     #[test]
     fn reused_workspace_matches_fresh_runs_across_seeds() {
@@ -128,11 +118,7 @@ mod tests {
                 seed,
                 RunLimits::small(),
             );
-            assert!(
-                reused.trace.total_events() == 0,
-                "workspace runs are trace-free"
-            );
-            assert_eq!(reused, strip_trace(fresh), "seed {seed}");
+            assert_eq!(reused, fresh, "seed {seed}");
         }
     }
 
@@ -160,25 +146,25 @@ mod tests {
             );
             assert_eq!(
                 windowed,
-                strip_trace(run_windowed(
+                run_windowed(
                     cfg,
                     inputs.clone(),
                     &MajorityBuilder,
                     &mut FullDeliveryAdversary,
                     seed,
                     RunLimits::small(),
-                ))
+                )
             );
             assert_eq!(
                 asynchronous,
-                strip_trace(run_async(
+                run_async(
                     cfg,
                     inputs.clone(),
                     &MajorityBuilder,
                     &mut FairAsyncAdversary::default(),
                     seed,
                     RunLimits::small(),
-                ))
+                )
             );
             assert_eq!(windowed.metrics.steps, 0);
             assert_eq!(asynchronous.metrics.windows, 0);

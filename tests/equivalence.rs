@@ -8,12 +8,12 @@
 //! (random inputs and crash victims, `CASES` trials each). Every row goes
 //! through two checks:
 //!
-//! (a) **fresh vs pooled** — each trial of each row runs on a fresh
-//!     trace-keeping core (`ExecutionCore::new` + `BuiltAdversary::run`) and
-//!     in one `NoTrace` [`TrialWorkspace`] carried through *every* row in
-//!     order, so between rows it changes `n` (4 to 10 000), the model and the
-//!     protocol. The two outcomes must be equal field for field, the trace
-//!     excepted. That one comparison covers determinism, trace gating and
+//! (a) **fresh vs pooled** — each trial of each row runs on a fresh core
+//!     observed by a `FullTrace` probe (`ExecutionCore::with_probe` +
+//!     `BuiltAdversary::run`) and in one un-instrumented [`TrialWorkspace`]
+//!     carried through *every* row in order, so between rows it changes `n`
+//!     (4 to 10 000), the model and the protocol. The two outcomes must be
+//!     equal. That one comparison covers determinism, probe transparency and
 //!     workspace reuse.
 //! (b) **thread counts** — each fixed-input row of more than one trial runs
 //!     as a campaign serially, whose records must equal those distilled from
@@ -43,12 +43,12 @@ use agreement::core::{
     ProtocolSpec, ReportSink, ScenarioMeta, TrialPlan, TrialRecord,
 };
 use agreement::model::{
-    InputAssignment, ProcessorId, ProcessorRng, ProtocolBuilder, SystemConfig, Thresholds, Trace,
+    InputAssignment, ProcessorId, ProcessorRng, ProtocolBuilder, SystemConfig, Thresholds,
 };
 use agreement::protocols::{BenOrBuilder, BrachaBuilder, ResetTolerantBuilder};
 use agreement::sim::{
     run_async, run_partial_sync, run_windowed, BuiltAdversary, ExecutionCore, FairAsyncAdversary,
-    RunLimits, RunOutcome, TrialWorkspace,
+    FullTrace, RunLimits, RunOutcome, TrialWorkspace,
 };
 
 /// Trials of each seeded random-input row.
@@ -60,12 +60,6 @@ const REGISTRY_TRIALS: u64 = 8;
 /// Every thread count a campaign is compared with the serial one at; 0
 /// means one worker per core.
 const THREADS: [usize; 7] = [2, 3, 4, 7, 8, 16, 0];
-
-/// The trace is the one field the trace-free path legitimately lacks.
-fn strip_trace(mut outcome: RunOutcome) -> RunOutcome {
-    outcome.trace = Trace::new();
-    outcome
-}
 
 /// One row of the table: a workload resolved down to what its trials need.
 struct Row {
@@ -89,34 +83,33 @@ impl Row {
         0..self.inputs.len() as u64
     }
 
-    /// Trial `trial` on a fresh trace-keeping core, its trace checked
-    /// non-empty and then dropped.
+    /// Trial `trial` on a fresh core observed by a [`FullTrace`], its trace
+    /// checked non-empty.
     fn fresh(&self, trial: u64) -> RunOutcome {
         let seed = self.seed(trial);
         let inputs = self.inputs[trial as usize].clone();
-        let mut core = ExecutionCore::new(self.cfg, inputs, self.builder.as_ref(), seed);
+        let builder = self.builder.as_ref();
+        let mut core = ExecutionCore::with_probe(self.cfg, inputs, builder, seed, FullTrace::new());
         let outcome = (self.adversary)(seed).run(&mut core, self.limits);
         assert!(
-            outcome.trace.total_events() > 0,
-            "{} trial {trial}: the diagnostic path keeps its trace",
+            core.probe().trace().total_events() > 0,
+            "{} trial {trial}: the diagnostic probe keeps its trace",
             self.id
         );
-        strip_trace(outcome)
+        outcome
     }
 
-    /// Trial `trial` in `workspace`, trace-free.
+    /// Trial `trial` in `workspace`.
     fn pooled(&self, workspace: &mut TrialWorkspace, trial: u64) -> RunOutcome {
         let seed = self.seed(trial);
-        let outcome = workspace.run_built(
+        workspace.run_built(
             self.cfg,
             &self.inputs[trial as usize],
             self.builder.as_ref(),
             &mut (self.adversary)(seed),
             seed,
             self.limits,
-        );
-        assert_eq!(outcome.trace.total_events(), 0, "{}: trace-free", self.id);
-        outcome
+        )
     }
 
     /// The campaign plan of a row whose trials share one input assignment.
@@ -349,7 +342,7 @@ enum Model {
 }
 
 /// Runs `spec` at `(13, t)` for three seeds inside `workspace` and in fresh
-/// trace-keeping cores, and compares the outcomes field for field.
+/// cores, and compares the outcomes.
 fn assert_workspace_matches_fresh(
     workspace: &mut TrialWorkspace,
     spec: ProtocolSpec,
@@ -413,11 +406,7 @@ fn assert_workspace_matches_fresh(
         };
         let reused = workspace.run_built(cfg, &inputs, builder, &mut built, seed, limits);
         assert!(fresh.metrics.messages_delivered > 0, "{spec:?}: a real run");
-        assert_eq!(
-            reused,
-            strip_trace(fresh),
-            "{spec:?} under {model:?}, seed {seed}"
-        );
+        assert_eq!(reused, fresh, "{spec:?} under {model:?}, seed {seed}");
     }
 }
 

@@ -31,39 +31,21 @@ use agreement::model::{
 };
 use agreement::protocols::{BenOrBuilder, BrachaBuilder, ResetTolerantBuilder};
 use agreement::sim::{
-    run_async, run_windowed, ExecutionCore, FairAsyncAdversary, FullDeliveryAdversary, RunLimits,
-    RunOutcome, Scheduler, SystemView, Window, WindowAdversary,
+    run_async, run_windowed, ExecutionCore, FairAsyncAdversary, FullDeliveryAdversary, FullTrace,
+    RunLimits, Scheduler, SystemView, Window, WindowAdversary,
 };
 
-fn assert_outcomes_identical(a: &RunOutcome, b: &RunOutcome, context: &str) {
-    assert_eq!(a.decisions, b.decisions, "{context}: decisions");
-    assert_eq!(a.crashed, b.crashed, "{context}: crashed");
-    assert_eq!(a.duration, b.duration, "{context}: duration");
-    assert_eq!(
-        a.first_decision_at, b.first_decision_at,
-        "{context}: first_decision_at"
-    );
-    assert_eq!(
-        a.all_decided_at, b.all_decided_at,
-        "{context}: all_decided_at"
-    );
-    assert_eq!(a.violations, b.violations, "{context}: violations");
-    assert_eq!(a.metrics, b.metrics, "{context}: metrics");
-    assert_eq!(a.longest_chain, b.longest_chain, "{context}: longest_chain");
-    assert_eq!(
-        a.halted_by_adversary, b.halted_by_adversary,
-        "{context}: halted"
-    );
-    assert_eq!(
-        a.trace.total_events(),
-        b.trace.total_events(),
-        "{context}: trace events"
-    );
-    assert_eq!(
-        a.trace.stored(),
-        b.trace.stored(),
-        "{context}: trace contents"
-    );
+/// A core that keeps the trace of its execution.
+type Traced = ExecutionCore<FullTrace>;
+
+/// A fresh [`Traced`] core.
+fn traced(
+    cfg: SystemConfig,
+    inputs: InputAssignment,
+    builder: &dyn ProtocolBuilder,
+    seed: u64,
+) -> Traced {
+    ExecutionCore::with_probe(cfg, inputs, builder, seed, FullTrace::new())
 }
 
 /// Driving any scheduler step by step — `start`, then `step` until it
@@ -117,25 +99,41 @@ fn stepwise_and_run_produce_identical_outcomes() {
             let inputs = InputAssignment::evenly_split(cfg.n());
             let mut ran = None;
             with_scheduler(&mut |scheduler| {
-                let mut core = ExecutionCore::new(cfg, inputs.clone(), builder, seed);
-                ran = Some((scheduler.run(&mut core, limits), core.metrics()));
+                let mut core = traced(cfg, inputs.clone(), builder, seed);
+                ran = Some((scheduler.run(&mut core, limits), core));
             });
             let mut stepped = None;
             with_scheduler(&mut |scheduler| {
-                let mut core = ExecutionCore::new(cfg, inputs.clone(), builder, seed);
+                let mut core = traced(cfg, inputs.clone(), builder, seed);
                 scheduler.start(&mut core);
                 while !core.all_correct_decided()
                     && core.time() < scheduler.model().time_cap(&limits)
                     && scheduler.step(&mut core)
                 {}
-                stepped = Some((scheduler.outcome(&mut core), core.metrics()));
+                stepped = Some((scheduler.outcome(&core), core));
             });
-            let (ran, ran_metrics) = ran.expect("the row drove its scheduler");
-            let (stepped, stepped_metrics) = stepped.expect("the row drove its scheduler");
+            let (ran, ran_core) = ran.expect("the row drove its scheduler");
+            let (stepped, stepped_core) = stepped.expect("the row drove its scheduler");
             let context = format!("{model} seed {seed}");
             assert!(ran.all_correct_decided(), "{context}: the run decides");
-            assert_outcomes_identical(&stepped, &ran, &context);
-            assert_eq!(stepped_metrics, ran_metrics, "{context}: core metrics");
+            assert_eq!(stepped, ran, "{context}");
+            let (ran_trace, stepped_trace) =
+                (ran_core.probe().trace(), stepped_core.probe().trace());
+            assert_eq!(
+                stepped_trace.total_events(),
+                ran_trace.total_events(),
+                "{context}: trace events"
+            );
+            assert_eq!(
+                stepped_trace.stored(),
+                ran_trace.stored(),
+                "{context}: trace contents"
+            );
+            assert_eq!(
+                stepped_core.metrics(),
+                ran_core.metrics(),
+                "{context}: core metrics"
+            );
         }
     }
 }
@@ -294,11 +292,7 @@ impl ProtocolBuilder for Reporting<'_> {
 /// each protocol passed to `decide`. (The core's `decisions()` and
 /// `crashed()` read the very storage the view does, so they would prove
 /// nothing.)
-fn assert_view_matches_the_execution(
-    core: &ExecutionCore,
-    own: Option<&OwnDecisions>,
-    context: &str,
-) {
+fn assert_view_matches_the_execution(core: &Traced, own: Option<&OwnDecisions>, context: &str) {
     let n = core.config().n();
     let (digests, again, outputs, crashed) = core.with_view(|view| {
         let digests: Vec<StateDigest> = view.digests().collect();
@@ -311,7 +305,7 @@ fn assert_view_matches_the_execution(
     assert_eq!(digests, core.digests().collect::<Vec<_>>(), "{context}");
     assert_eq!(again, digests, "{context}: second read");
 
-    let trace = core.recorder().trace();
+    let trace = core.probe().trace();
     assert_eq!(trace.dropped(), 0, "{context}: the whole trace is stored");
     let (mut traced_outputs, mut traced_crashed) = (vec![None; n], vec![false; n]);
     for event in trace.stored() {
@@ -387,11 +381,10 @@ fn the_view_equals_the_harnesses_after_every_step_of_every_model() {
             let n = cfg.n();
             let own = OwnDecisions::default();
             let builder = Reporting(builder, own.clone());
-            let mut core =
-                ExecutionCore::new(cfg, InputAssignment::evenly_split(n), &builder, seed);
+            let mut core = traced(cfg, InputAssignment::evenly_split(n), &builder, seed);
             for trial in 0..2u64 {
                 let context = format!("{model} seed {seed} trial {trial}");
-                let check = |core: &ExecutionCore, context: &str| {
+                let check = |core: &Traced, context: &str| {
                     assert_view_matches_the_execution(core, Some(&own), context);
                     if let Err(broken) = core.buffer().check_lanes() {
                         panic!("{context}: message buffer {broken}");
@@ -415,6 +408,9 @@ fn the_view_equals_the_harnesses_after_every_step_of_every_model() {
                 corrupted += core.corrupted().iter().filter(|&&c| c).count();
                 let inputs = InputAssignment::unanimous(n, Bit::from(seed % 2 == 0));
                 core.reinit(cfg, &inputs, &builder, seed + 1_000);
+                // `reinit` carries the probe over: the next trial's trace
+                // starts empty only if it is cleared here.
+                *core.probe_mut() = FullTrace::new();
             }
         }
     }
@@ -427,7 +423,7 @@ fn the_view_equals_the_harnesses_after_every_step_of_every_model() {
     // The two transitions a schedule above cannot isolate — a window resets
     // and then delivers to everyone, and none of the three protocols changes
     // its digest by starting — driven directly.
-    let mut core = ExecutionCore::new(sixth, InputAssignment::evenly_split(7), &DecidesAtStart, 0);
+    let mut core = traced(sixth, InputAssignment::evenly_split(7), &DecidesAtStart, 0);
     assert_view_matches_the_execution(&core, None, "before the start");
     core.ensure_started();
     assert_view_matches_the_execution(&core, None, "started");
@@ -471,25 +467,18 @@ fn a_decision_written_at_start_reaches_the_trace() {
     let expected: Vec<(ProcessorId, Bit, u64)> = ProcessorId::all(5)
         .map(|id| (id, inputs.bit(id.index()), 0))
         .collect();
-    let windowed = run_windowed(
-        cfg,
-        inputs.clone(),
-        &DecidesAtStart,
-        &mut FullDeliveryAdversary,
-        1,
-        RunLimits::small(),
-    );
-    let asynchronous = run_async(
-        cfg,
-        inputs.clone(),
-        &DecidesAtStart,
-        &mut FairAsyncAdversary::default(),
-        1,
-        RunLimits::small(),
-    );
-    for (model, outcome) in [("windowed", windowed), ("async", asynchronous)] {
+    let mut windowed = traced(cfg, inputs.clone(), &DecidesAtStart, 1);
+    let windowed_outcome =
+        Scheduler::Windowed(&mut FullDeliveryAdversary).run(&mut windowed, RunLimits::small());
+    let mut asynchronous = traced(cfg, inputs.clone(), &DecidesAtStart, 1);
+    let asynchronous_outcome = Scheduler::Asynchronous(&mut FairAsyncAdversary::default())
+        .run(&mut asynchronous, RunLimits::small());
+    for (model, outcome, core) in [
+        ("windowed", windowed_outcome, windowed),
+        ("async", asynchronous_outcome, asynchronous),
+    ] {
         assert_eq!(
-            outcome.trace.decisions().collect::<Vec<_>>(),
+            core.probe().trace().decisions().collect::<Vec<_>>(),
             expected,
             "{model}"
         );
@@ -549,21 +538,16 @@ impl WindowAdversary for ResetsInTurn {
 fn a_decision_written_by_a_reset_reaches_the_trace_at_its_window() {
     let cfg = SystemConfig::with_sixth_resilience(7).unwrap();
     let inputs = InputAssignment::evenly_split(7);
-    let outcome = run_windowed(
-        cfg,
-        inputs.clone(),
-        &DecidesOnReset,
-        &mut ResetsInTurn,
-        1,
-        RunLimits::windows(20),
-    );
+    let mut core = traced(cfg, inputs.clone(), &DecidesOnReset, 1);
+    let outcome = Scheduler::Windowed(&mut ResetsInTurn).run(&mut core, RunLimits::windows(20));
     let expected: Vec<(ProcessorId, Bit, u64)> = ProcessorId::all(7)
         .map(|id| (id, inputs.bit(id.index()), id.index() as u64))
         .collect();
-    assert_eq!(outcome.trace.decisions().collect::<Vec<_>>(), expected);
+    let trace = core.probe().trace();
+    assert_eq!(trace.decisions().collect::<Vec<_>>(), expected);
     let mut window = None;
     let mut last_reset = None;
-    for event in outcome.trace.stored() {
+    for event in trace.stored() {
         match *event {
             TraceEvent::WindowStarted { index } => window = Some(index),
             TraceEvent::Reset { id } => last_reset = Some(id),

@@ -46,8 +46,8 @@ struct HearingProbe {
 }
 
 impl Probe for HearingProbe {
-    fn on_send(&mut self, from: ProcessorId, chain: u64) {
-        self.metrics.on_send(from, chain);
+    fn on_send(&mut self, from: ProcessorId, to: ProcessorId, chain: u64) {
+        self.metrics.on_send(from, to, chain);
     }
     fn on_deliver(&mut self, from: ProcessorId, to: ProcessorId, chain: u64) {
         self.metrics.on_deliver(from, to, chain);

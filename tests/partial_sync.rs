@@ -22,13 +22,16 @@ use agreement::core::experiments::Scale;
 use agreement::core::{partial_sync_scenarios, Campaign};
 use agreement::model::{
     Bit, Context, InputAssignment, Payload, ProcessorId, ProcessorRng, Protocol, ProtocolBuilder,
-    StateDigest, SystemConfig, TraceEvent,
+    StateDigest, SystemConfig, Trace, TraceEvent,
 };
 use agreement::protocols::{BenOrBuilder, BrachaBuilder};
 use agreement::sim::{
-    ChannelCursor, ExecutionCore, PartialSyncAction, PartialSyncAdversary, RunOutcome, Scheduler,
-    SystemView,
+    ChannelCursor, ExecutionCore, FullTrace, PartialSyncAction, PartialSyncAdversary, Probe,
+    RunOutcome, Scheduler, SystemView,
 };
+
+/// A core that keeps the trace of its execution.
+type Traced = ExecutionCore<FullTrace>;
 
 /// A worst-case adversary for delivery bounds: it never delivers anything by
 /// choice, crashes one optional victim early, and stalls forever after.
@@ -69,8 +72,8 @@ impl PartialSyncAdversary for Stonewall {
 /// reached its deadline `max(sent_at, gst) + delta` — the step at the
 /// deadline delivers it — saturating: a deadline past `u64::MAX` never
 /// arrives.
-fn assert_no_overdue(
-    core: &ExecutionCore,
+fn assert_no_overdue<P: Probe>(
+    core: &ExecutionCore<P>,
     gst: u64,
     delta: u64,
     omitted: &[ProcessorId],
@@ -154,7 +157,8 @@ fn bounded_delay_invariant_holds_after_every_step() {
 fn omission_and_crash_share_one_fault_budget() {
     let cfg = SystemConfig::new(5, 1).unwrap();
     let inputs = InputAssignment::unanimous(5, Bit::One);
-    let mut core = ExecutionCore::new(cfg, inputs.clone(), &BenOrBuilder::new(), 3);
+    let builder = BenOrBuilder::new();
+    let mut core = ExecutionCore::with_probe(cfg, inputs.clone(), &builder, 3, FullTrace::new());
     let mut adversary = Stonewall {
         gst: 0,
         delta: 4,
@@ -169,11 +173,14 @@ fn omission_and_crash_share_one_fault_budget() {
             break;
         }
     }
-    let outcome = scheduler.outcome(&mut core);
+    let outcome = scheduler.outcome(&core);
     assert_eq!(
         outcome.metrics.crashes, 0,
         "the crash beyond the shared budget must be refused"
     );
+    let logged = core.probe().trace().stored().iter();
+    let logged = logged.filter(|event| matches!(event, TraceEvent::Violation { .. }));
+    assert_eq!(logged.count(), 1, "the refused crash is logged once");
     assert!(
         outcome.crashed.iter().all(|&c| !c),
         "no processor may actually crash once omissions spent the budget"
@@ -217,7 +224,7 @@ struct PollingOracle<'a> {
 }
 
 impl PollingOracle<'_> {
-    fn step(&mut self, core: &mut ExecutionCore) -> bool {
+    fn step(&mut self, core: &mut Traced) -> bool {
         if core.is_halted() {
             return false;
         }
@@ -243,11 +250,11 @@ impl PollingOracle<'_> {
             PartialSyncAction::Deliver { from, to } => core.deliver_one(from, to),
             PartialSyncAction::Crash(id) if core.is_crashed(id) => {}
             PartialSyncAction::Crash(id) if omitted.len() + core.faults_used() >= t => {
-                core.push_trace(TraceEvent::Violation {
-                    description: format!(
+                core.refuse(|| {
+                    format!(
                         "partial-sync adversary attempted to crash {id} beyond the \
                          shared omission+crash budget t={t}; ignored"
-                    ),
+                    )
                 });
             }
             PartialSyncAction::Crash(id) => core.crash(id),
@@ -313,13 +320,14 @@ impl PartialSyncAdversary for RandomAdversary {
 
 /// Starts `core` the way the partial-synchrony model does and drives it with
 /// `step` to a decision, a halt or `max_steps`, calling `after_step` on the
-/// core after every step; reports the model's chain metric.
+/// core after every step; reports the outcome, with the model's chain
+/// metric, and the trace.
 fn run_stepwise(
-    core: &mut ExecutionCore,
-    mut step: impl FnMut(&mut ExecutionCore) -> bool,
+    core: &mut Traced,
+    mut step: impl FnMut(&mut Traced) -> bool,
     max_steps: u64,
-    mut after_step: impl FnMut(&ExecutionCore),
-) -> RunOutcome {
+    mut after_step: impl FnMut(&Traced),
+) -> (RunOutcome, Trace) {
     core.ensure_started();
     core.flush_all_outboxes();
     core.record_decision_progress();
@@ -327,8 +335,9 @@ fn run_stepwise(
         after_step(core);
     }
     let outcome = core.outcome(core.chain_at_first_decision().unwrap_or(0));
-    assert_eq!(outcome.trace.dropped(), 0, "the whole trace is compared");
-    outcome
+    let trace = core.probe().trace();
+    assert_eq!(trace.dropped(), 0, "the whole trace is compared");
+    (outcome, trace.clone())
 }
 
 /// Runs one seeded trial of `builder` from evenly split inputs under the
@@ -343,12 +352,13 @@ fn run_against_the_oracle<A: PartialSyncAdversary>(
     adversary: impl Fn() -> A,
     what: &str,
 ) -> RunOutcome {
-    let fresh = || ExecutionCore::new(cfg, InputAssignment::evenly_split(cfg.n()), builder, seed);
+    let inputs = InputAssignment::evenly_split(cfg.n());
+    let fresh = || ExecutionCore::with_probe(cfg, inputs.clone(), builder, seed, FullTrace::new());
     let mut real_adversary = adversary();
     let (gst, delta) = (real_adversary.gst(), real_adversary.delta());
     let omitted = real_adversary.omitted_senders().to_vec();
     let mut scheduler = Scheduler::PartialSync(&mut real_adversary);
-    let real = run_stepwise(
+    let (real, real_trace) = run_stepwise(
         &mut fresh(),
         |core| scheduler.step(core),
         400,
@@ -358,8 +368,8 @@ fn run_against_the_oracle<A: PartialSyncAdversary>(
     let mut oracle = PollingOracle {
         adversary: &mut oracle_adversary,
     };
-    let polled = run_stepwise(&mut fresh(), |core| oracle.step(core), 400, |_| {});
-    assert_eq!(real.trace.stored(), polled.trace.stored(), "{what}");
+    let (polled, polled_trace) = run_stepwise(&mut fresh(), |core| oracle.step(core), 400, |_| {});
+    assert_eq!(real_trace.stored(), polled_trace.stored(), "{what}");
     assert_eq!(real, polled, "{what}");
     real
 }
@@ -625,11 +635,12 @@ fn a_lane_that_never_drains_only_costs_the_enforcement_a_scan() {
     let lane = ProcessorId::new(0);
     for seed in 0..8u64 {
         let fresh = || {
-            ExecutionCore::new(
+            ExecutionCore::with_probe(
                 cfg,
                 InputAssignment::evenly_split(n),
                 &BenOrBuilder::new(),
                 seed,
+                FullTrace::new(),
             )
         };
         let adversary = || LaggingChannel {
@@ -640,7 +651,7 @@ fn a_lane_that_never_drains_only_costs_the_enforcement_a_scan() {
         let mut stale_steps = 0;
         let mut real_adversary = adversary();
         let mut scheduler = Scheduler::PartialSync(&mut real_adversary);
-        let real = run_stepwise(
+        let (real, real_trace) = run_stepwise(
             &mut fresh(),
             |core| scheduler.step(core),
             2_000,
@@ -658,8 +669,9 @@ fn a_lane_that_never_drains_only_costs_the_enforcement_a_scan() {
         let mut oracle = PollingOracle {
             adversary: &mut oracle_adversary,
         };
-        let polled = run_stepwise(&mut fresh(), |core| oracle.step(core), 2_000, |_| {});
-        assert_eq!(real.trace.stored(), polled.trace.stored(), "seed {seed}");
+        let (polled, polled_trace) =
+            run_stepwise(&mut fresh(), |core| oracle.step(core), 2_000, |_| {});
+        assert_eq!(real_trace.stored(), polled_trace.stored(), "seed {seed}");
         assert_eq!(real, polled, "seed {seed}");
         assert!(real.all_correct_decided(), "seed {seed}");
         assert!(
