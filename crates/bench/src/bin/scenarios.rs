@@ -27,8 +27,9 @@
 //!                      each range coming back as one columnar block frame;
 //!                      the merged output is byte-identical to a
 //!                      single-process run
-//!   --checkpoint <P>   with --workers: persist completed seed ranges to P
-//!                      (CRC-guarded JSONL) and resume from it on restart
+//!   --checkpoint <P>   persist completed seed ranges to P (CRC-guarded
+//!                      JSONL) and resume from it on restart, on threads or
+//!                      with --workers; either resumes what the other wrote
 //!   --recv-timeout <S> with --workers: liveness policy receive timeout in
 //!                      seconds (default 600) — a worker silent this long
 //!                      has its range speculatively re-dispatched, and one
@@ -58,7 +59,7 @@ use agreement_core::cli::{parsed_value, required_value};
 use agreement_core::experiments::Scale;
 use agreement_core::orchestrate::{worker, OrchestrateError, Orchestrator, Session};
 use agreement_core::{
-    scenario_registry, stream_records, CsvSink, JsonReportSink, JsonlSink, ReportSink,
+    scenario_registry, stream_records, Campaign, CsvSink, JsonReportSink, JsonlSink, ReportSink,
     ScenarioSpec, TableSink,
 };
 use agreement_net::fault::FaultPlan;
@@ -145,7 +146,7 @@ fn parse_options() -> Options {
                      \x20                [--scale quick|full]\n\
                      \x20                [--trials N] [--base-seed S]\n\
                      \x20                [--json PATH] [--csv PATH] [--jsonl PATH] [--check PATH]\n\
-                     \x20                [--workers N [--checkpoint PATH] [--recv-timeout S]\n\
+                     \x20                [--checkpoint PATH] [--workers N [--recv-timeout S]\n\
                      \x20                 [--respawn-budget N] [--chaos SPEC]]\n\
                      Runs every registered protocol × adversary × inputs × size combination."
                 );
@@ -334,7 +335,6 @@ fn main() {
         }
         None => {
             for (set, flag) in [
-                (options.checkpoint.is_some(), "--checkpoint"),
                 (options.recv_timeout.is_some(), "--recv-timeout"),
                 (options.respawn_budget.is_some(), "--respawn-budget"),
                 (options.chaos.is_some(), "--chaos"),
@@ -375,26 +375,29 @@ fn main() {
         if options.json.is_some() {
             sinks.push(&mut json);
         }
-        match session.as_mut() {
-            Some(session) => match session.run_spec_records(spec) {
-                Ok(records) => {
-                    let meta = spec.meta().expect("feasible spec has metadata");
-                    stream_records(&meta, &records, &mut sinks);
-                }
-                Err(OrchestrateError::Scenario(err)) => {
+        let records = match (session.as_mut(), &options.checkpoint) {
+            (Some(session), _) => session.run_spec_records(spec),
+            (None, Some(path)) => spec.run_checkpointed(&Campaign::default(), path.as_ref()),
+            (None, None) => {
+                if let Err(err) = spec.run_with_sinks(&Campaign::default(), &mut sinks) {
                     failures += 1;
                     table.push_failure(spec.id(), format!("infeasible: {err}"));
                 }
-                Err(err) => {
-                    eprintln!("orchestration of '{}' failed: {err}", spec.id());
-                    std::process::exit(1);
-                }
-            },
-            None => {
-                if let Err(err) = spec.run_with_sinks(&Default::default(), &mut sinks) {
-                    failures += 1;
-                    table.push_failure(spec.id(), format!("infeasible: {err}"));
-                }
+                continue;
+            }
+        };
+        match records {
+            Ok(records) => {
+                let meta = spec.meta().expect("feasible spec has metadata");
+                stream_records(&meta, &records, &mut sinks);
+            }
+            Err(OrchestrateError::Scenario(err)) => {
+                failures += 1;
+                table.push_failure(spec.id(), format!("infeasible: {err}"));
+            }
+            Err(err) => {
+                eprintln!("run of '{}' failed: {err}", spec.id());
+                std::process::exit(1);
             }
         }
     }

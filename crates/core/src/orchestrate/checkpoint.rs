@@ -1,14 +1,17 @@
 //! Seed-range checkpoints: the CRC-wrapped JSONL line format, its lossy
-//! reader, the coalescing writer, and atomic compaction. This file is the
-//! only one that knows the line format; the session sees entries.
+//! reader, the coalescing writer, atomic compaction, and the resume policy
+//! both executors share ([`RangeLedger`]). This file is the only one that
+//! knows the line format; the executors see ranges.
 
+use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, BufRead, Write as _};
 use std::path::{Path, PathBuf};
 
 use agreement_analysis::{crc32, read_json_object, JsonReader, JsonWriter};
 
-use super::OrchestrateError;
+use super::{OrchestrateError, MAX_RANGE_TRIALS};
 use crate::record::TrialRecord;
+use crate::scenario::ScenarioSpec;
 
 /// One completed, persisted seed range of a scenario: the unit of resumption.
 #[derive(Debug, Clone, PartialEq)]
@@ -148,7 +151,7 @@ fn load_checkpoint(path: &Path) -> Result<CheckpointLoad, OrchestrateError> {
             Err(_) if load.torn_tail => {}
             Err(err) => {
                 eprintln!(
-                    "orchestrate: skipping damaged checkpoint line {number} in {}: {err}",
+                    "checkpoint: skipping damaged line {number} in {}: {err}",
                     path.display()
                 );
                 load.damaged += 1;
@@ -190,9 +193,8 @@ pub fn read_checkpoint(path: &Path) -> Result<Vec<CheckpointEntry>, OrchestrateE
 /// An open checkpoint file accepting coalesced appends: one CRC'd line per
 /// completed range, written with a **single** `write` syscall each. The
 /// one-shot [`append_checkpoint`] pays an open + format + write per call;
-/// a [`Session`](super::Session) instead keeps one of these for the whole
-/// run, which is what makes per-range checkpointing cheap on large
-/// campaigns.
+/// a checkpointed run instead keeps one of these for the whole run, which
+/// is what makes per-range checkpointing cheap on large campaigns.
 #[derive(Debug)]
 pub struct CheckpointWriter {
     file: std::fs::File,
@@ -279,29 +281,189 @@ pub fn compact_checkpoint(
     Ok(())
 }
 
-/// What a resuming session does with its checkpoint file: loads the entries
-/// (none when the file does not exist yet) and reopens it for appending.
-/// Damaged lines are shed once via an atomic compaction, and so is a torn
-/// tail — the next append would otherwise land on the torn line, fail its
-/// CRC on the following resume and lose a freshly computed range.
-pub(super) fn resume_checkpoint(
-    path: &Path,
-) -> Result<(Vec<CheckpointEntry>, CheckpointWriter), OrchestrateError> {
-    let mut entries = Vec::new();
-    if path.exists() {
-        let load = load_checkpoint(path)?;
+/// Whether `records` are exactly trials `lo..hi`, in order.
+pub(super) fn holds_exactly(records: &[TrialRecord], lo: u64, hi: u64) -> bool {
+    hi.checked_sub(lo) == Some(records.len() as u64)
+        && records
+            .iter()
+            .zip(lo..)
+            .all(|(record, trial)| record.trial == trial)
+}
+
+/// The resume policy a session and [`ScenarioSpec::run_checkpointed`]
+/// share: one workload's settled ranges, restored from its checkpoint or
+/// [settled](RangeLedger::settle) and appended to it, on their way to the
+/// [merge](RangeLedger::merge).
+pub(crate) struct RangeLedger {
+    /// `spec.id()`, as checkpoint entries name the workload.
+    scenario: String,
+    base_seed: u64,
+    trials: u64,
+    /// Where settled ranges are appended; none without a checkpoint.
+    pub(super) writer: Option<CheckpointWriter>,
+    /// Settled ranges, disjoint, by start: `lo → (hi, records)`.
+    settled: BTreeMap<u64, (u64, Vec<TrialRecord>)>,
+    /// Trials the settled ranges cover.
+    covered: u64,
+}
+
+impl RangeLedger {
+    /// A ledger for `spec`'s run that restores this exact workload's entries
+    /// (scenario id, base seed, trial count) from `checkpoint`, each reported
+    /// to `on_restored`. Damaged lines and a torn tail are shed first by an
+    /// atomic compaction (an append onto a torn line would be lost), and only
+    /// then is the writer opened (the rename would orphan its inode). An
+    /// entry is checked, not trusted: one that is not a nonempty range inside
+    /// `0..trials` holding exactly its trials, or that overlaps a range
+    /// already restored, is skipped and logged — its trials simply re-run.
+    pub(crate) fn resume(
+        spec: &ScenarioSpec,
+        checkpoint: Option<&Path>,
+        mut on_restored: impl FnMut(u64, u64),
+    ) -> Result<Self, OrchestrateError> {
+        let mut ledger = RangeLedger {
+            scenario: spec.id(),
+            base_seed: spec.base_seed,
+            trials: spec.trials,
+            writer: None,
+            settled: BTreeMap::new(),
+            covered: 0,
+        };
+        let Some(path) = checkpoint else {
+            return Ok(ledger);
+        };
+        let load = match path.exists() {
+            true => load_checkpoint(path)?,
+            false => CheckpointLoad::default(),
+        };
         if load.damaged > 0 || load.torn_tail {
             eprintln!(
-                "orchestrate: checkpoint {} held {} damaged line(s), torn tail: {}; compacting",
+                "checkpoint: {} held {} damaged line(s), torn tail: {}; compacting",
                 path.display(),
                 load.damaged,
                 load.torn_tail
             );
             compact_checkpoint(path, &load.entries)?;
         }
-        entries = load.entries;
+        ledger.writer = Some(CheckpointWriter::open(path)?);
+        let (scenario, total) = (&ledger.scenario, ledger.trials);
+        for entry in load.entries {
+            let (lo, hi) = (entry.lo, entry.hi);
+            if (&entry.scenario, entry.base_seed, entry.trials) != (scenario, spec.base_seed, total)
+            {
+                continue;
+            }
+            // Restored ranges are disjoint, so only the last one starting
+            // before `hi` can reach past `lo`.
+            let overlaps = ledger
+                .settled
+                .range(..hi)
+                .next_back()
+                .is_some_and(|(_, &(end, _))| end > lo);
+            if lo >= hi || hi > total || overlaps || !holds_exactly(&entry.records, lo, hi) {
+                eprintln!(
+                    "checkpoint: skipping entry {lo}..{hi} of '{scenario}': not a new \
+                     range of 0..{total} holding exactly its trials ({} record(s))",
+                    entry.records.len()
+                );
+                continue;
+            }
+            on_restored(lo, hi);
+            ledger.covered += hi - lo;
+            ledger.settled.insert(lo, (hi, entry.records));
+        }
+        Ok(ledger)
     }
-    Ok((entries, CheckpointWriter::open(path)?))
+
+    /// The trials no settled range covers, in trial order, cut into ranges
+    /// of at most `chunk` trials (clamped to 1..=65 536).
+    pub(crate) fn missing(&self, chunk: u64) -> VecDeque<(u64, u64)> {
+        let chunk = chunk.clamp(1, MAX_RANGE_TRIALS);
+        let settled = self.settled.iter().map(|(&lo, &(hi, _))| (lo, hi));
+        let mut missing = VecDeque::new();
+        let mut cursor = 0;
+        for (lo, hi) in settled.chain([(self.trials, self.trials)]) {
+            while cursor < lo {
+                let end = (cursor + chunk).min(lo);
+                missing.push_back((cursor, end));
+                cursor = end;
+            }
+            cursor = cursor.max(hi);
+        }
+        missing
+    }
+
+    /// Whether the range `lo..hi` is settled.
+    pub(crate) fn holds(&self, (lo, hi): (u64, u64)) -> bool {
+        self.settled.get(&lo).is_some_and(|&(end, _)| end == hi)
+    }
+
+    /// Whether the settled ranges cover every trial.
+    pub(crate) fn is_complete(&self) -> bool {
+        self.covered >= self.trials
+    }
+
+    /// Settles `lo..hi`, a missing range, with its records: appends them to
+    /// the checkpoint as one line (an I/O error leaves the range missing),
+    /// then keeps them for the merge.
+    pub(crate) fn settle(
+        &mut self,
+        lo: u64,
+        hi: u64,
+        mut records: Vec<TrialRecord>,
+    ) -> Result<(), OrchestrateError> {
+        if let Some(writer) = self.writer.as_mut() {
+            // The records move through the entry and back out.
+            let entry = CheckpointEntry {
+                scenario: self.scenario.clone(),
+                base_seed: self.base_seed,
+                trials: self.trials,
+                lo,
+                hi,
+                records,
+            };
+            writer.append(&entry)?;
+            records = entry.records;
+        }
+        self.covered += hi - lo;
+        self.settled.insert(lo, (hi, records));
+        Ok(())
+    }
+
+    /// The settled ranges merged into the `0..trials` record stream, the
+    /// one a single-process campaign produces; a
+    /// [`Coverage`](OrchestrateError::Coverage) error unless they tile
+    /// `0..trials` exactly with every record in its own slot.
+    pub(crate) fn merge(self) -> Result<Vec<TrialRecord>, OrchestrateError> {
+        let total = self.trials;
+        let mut merged: Vec<TrialRecord> = Vec::with_capacity(total as usize);
+        for (lo, (hi, records)) in self.settled {
+            if lo != merged.len() as u64 || records.len() as u64 != hi - lo {
+                return Err(OrchestrateError::Coverage(format!(
+                    "ranges do not tile 0..{total}: {lo}..{hi} carries {} record(s) and follows \
+                     {} merged trial(s)",
+                    records.len(),
+                    merged.len()
+                )));
+            }
+            merged.extend(records);
+        }
+        if merged.len() as u64 != total {
+            return Err(OrchestrateError::Coverage(format!(
+                "ranges cover 0..{} of 0..{total}",
+                merged.len()
+            )));
+        }
+        for (slot, record) in merged.iter().enumerate() {
+            if record.trial != slot as u64 {
+                return Err(OrchestrateError::Coverage(format!(
+                    "slot {slot} holds trial {}",
+                    record.trial
+                )));
+            }
+        }
+        Ok(merged)
+    }
 }
 
 #[cfg(test)]
@@ -483,10 +645,15 @@ pub(super) mod tests {
 
     #[test]
     fn an_append_after_a_torn_tail_survives_the_next_resume() {
+        use crate::experiments::Scale;
+        use crate::scenario::scenario_registry;
+
+        let mut spec = scenario_registry(Scale::Quick).remove(0);
+        spec.trials = 3;
         let path = temp_path("torn-append");
         let entry = |lo: u64| CheckpointEntry {
-            scenario: "x".to_string(),
-            base_seed: 3,
+            scenario: spec.id(),
+            base_seed: spec.base_seed,
             trials: 3,
             lo,
             hi: lo + 1,
@@ -497,13 +664,15 @@ pub(super) mod tests {
         let torn = &whole[..whole.len() / 2];
         std::fs::write(&path, format!("{whole}{torn}")).unwrap();
 
-        // The issue's reproduction: [0, torn] on disk, the resumed session
-        // appends 1 and 2, and the next resume must see all three.
-        let (entries, mut writer) = resume_checkpoint(&path).unwrap();
-        assert_eq!(entries, vec![entry(0)]);
-        writer.append(&entry(1)).unwrap();
-        writer.append(&entry(2)).unwrap();
-        drop(writer);
+        // [0, torn] on disk, the resumed run settles 1 and 2, and the next
+        // resume must see all three.
+        let mut restored = Vec::new();
+        let mut ledger =
+            RangeLedger::resume(&spec, Some(&path), |lo, hi| restored.push((lo, hi))).unwrap();
+        assert_eq!(restored, [(0, 1)]);
+        ledger.settle(1, 2, vec![record(1)]).unwrap();
+        ledger.settle(2, 3, vec![record(2)]).unwrap();
+        drop(ledger);
         let load = load_checkpoint(&path).unwrap();
         assert_eq!(load.entries, vec![entry(0), entry(1), entry(2)]);
         assert_eq!(load.damaged, 0);
@@ -538,6 +707,89 @@ pub(super) mod tests {
         assert_eq!(skipped, 0);
         assert_eq!(entries, vec![entry]);
         std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A ledger of `trials` trials, without a checkpoint, that has settled
+    /// `ranges`.
+    fn ledger(trials: u64, ranges: &[(u64, u64, Vec<TrialRecord>)]) -> RangeLedger {
+        RangeLedger {
+            scenario: String::new(),
+            base_seed: 0,
+            trials,
+            writer: None,
+            settled: ranges
+                .iter()
+                .map(|(lo, hi, records)| (*lo, (*hi, records.clone())))
+                .collect(),
+            covered: ranges.iter().map(|(lo, hi, _)| hi - lo).sum(),
+        }
+    }
+
+    /// What a ledger of `trials` trials that has settled `ranges` is
+    /// missing, in chunks of `chunk`.
+    fn missing(trials: u64, ranges: &[(u64, u64)], chunk: u64) -> Vec<(u64, u64)> {
+        let ranges: Vec<_> = ranges
+            .iter()
+            .map(|&(lo, hi)| (lo, hi, (lo..hi).map(record).collect()))
+            .collect();
+        ledger(trials, &ranges).missing(chunk).into()
+    }
+
+    #[test]
+    fn missing_complements_arbitrary_coverage() {
+        assert_eq!(missing(10, &[], 10), vec![(0, 10)]);
+        assert_eq!(missing(10, &[(0, 10)], 10), Vec::<(u64, u64)>::new());
+        assert_eq!(
+            missing(10, &[(2, 5), (7, 9)], 10),
+            vec![(0, 2), (5, 7), (9, 10)]
+        );
+        assert_eq!(missing(10, &[(5, 10), (0, 2)], 10), vec![(2, 5)]);
+        assert_eq!(missing(0, &[], 10), Vec::<(u64, u64)>::new());
+    }
+
+    #[test]
+    fn missing_is_chunked_without_gaps() {
+        assert_eq!(
+            missing(12, &[(7, 10)], 3),
+            vec![(0, 3), (3, 6), (6, 7), (10, 12)]
+        );
+        // A zero chunk is clamped, not an infinite loop.
+        assert_eq!(missing(2, &[], 0).len(), 2);
+        // And a chunk past the range cap is cut to it.
+        assert_eq!(
+            missing(MAX_RANGE_TRIALS + 1, &[], u64::MAX).last(),
+            Some(&(MAX_RANGE_TRIALS, MAX_RANGE_TRIALS + 1))
+        );
+    }
+
+    #[test]
+    fn merge_validates_tiling_and_slots() {
+        let done = [
+            (3, 5, vec![record(3), record(4)]),
+            (0, 3, vec![record(0), record(1), record(2)]),
+        ];
+        let merged = ledger(5, &done).merge().unwrap();
+        assert_eq!(merged.len(), 5);
+        assert!(merged.iter().enumerate().all(|(i, r)| r.trial == i as u64));
+
+        let gap = [(0, 2, vec![record(0), record(1)])];
+        assert!(matches!(
+            ledger(5, &gap).merge(),
+            Err(OrchestrateError::Coverage(_))
+        ));
+        let overlap = [
+            (0, 3, vec![record(0), record(1), record(2)]),
+            (2, 5, vec![record(2), record(3), record(4)]),
+        ];
+        assert!(matches!(
+            ledger(5, &overlap).merge(),
+            Err(OrchestrateError::Coverage(_))
+        ));
+        let short = [(0, 3, vec![record(0)])];
+        assert!(matches!(
+            ledger(3, &short).merge(),
+            Err(OrchestrateError::Coverage(_))
+        ));
     }
 
     #[test]

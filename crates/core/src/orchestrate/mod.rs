@@ -75,25 +75,25 @@
 //!
 //! # Checkpoints
 //!
-//! With a checkpoint path configured, every completed range is appended to a
-//! JSONL file *with its records embedded*, each line wrapped with a CRC32 of
-//! its body. Appends are coalesced: the session holds one open
-//! [`CheckpointWriter`] and each completed range costs a single preformatted
-//! `write` — not an open/format/flush cycle per line. Lines go straight
-//! between the structs and text (no JSON tree, reused buffers), and the CRC is
-//! verified before a byte of a line reaches the JSON reader. A restarted
-//! coordinator loads the file, skips (and logs) damaged lines instead of
-//! trusting or dying on them, compacts the file via an atomic tmp+rename
-//! when damage or a torn tail was found (a line counts once its newline is
-//! on disk; appending onto an unterminated tail would lose the next range),
-//! dispatches only the missing sub-ranges, and merges checkpointed and fresh
-//! ranges into the same byte-identical stream.
+//! A checkpoint belongs to the campaign: the threaded
+//! [`ScenarioSpec::run_checkpointed`](crate::ScenarioSpec::run_checkpointed)
+//! and a [`Session`] share one resume policy (`checkpoint::RangeLedger`),
+//! and either resumes what the other wrote. Every settled range is appended
+//! to a JSONL file *with its records embedded*, each line wrapped with a
+//! CRC32 of its body, as one preformatted `write` on a [`CheckpointWriter`]
+//! held open for the run. Lines go straight between the structs and text,
+//! and the CRC is verified before a byte of a line reaches the JSON reader.
+//! A resumed run skips (and logs) damaged lines, compacts the file via an
+//! atomic tmp+rename when damage or a torn tail was found (a line counts
+//! once its newline is on disk), runs only the missing sub-ranges, and
+//! merges restored and fresh ranges into the same byte-identical stream.
 //!
 //! # Layout
 //!
-//! `checkpoint` owns the checkpoint line format, `wire` the JSON frames,
-//! `session` the worker pool and the per-run dispatch state, [`worker`] the
-//! worker half; this file holds the configuration and the shared types.
+//! `checkpoint` owns the checkpoint line format and the resume policy,
+//! `wire` the JSON frames, `session` the worker pool and the per-run
+//! dispatch state, [`worker`] the worker half; this file holds the
+//! configuration and the shared types.
 
 use std::fmt;
 use std::io;
@@ -105,7 +105,7 @@ pub use agreement_net::fault::FaultPlan;
 use crate::experiments::Scale;
 use crate::scenario::ScenarioError;
 
-mod checkpoint;
+pub(crate) mod checkpoint;
 mod session;
 mod wire;
 pub mod worker;

@@ -12,9 +12,9 @@ use agreement_model::{derive_seed, ProcessorRng};
 use agreement_net::fault::FAULT_ENV;
 use agreement_net::transport::{bounded, Connection, Listener, Sender};
 
-use super::checkpoint::{resume_checkpoint, CheckpointEntry, CheckpointWriter};
+use super::checkpoint::{holds_exactly, RangeLedger};
 use super::wire::{read_hello, Message, Run};
-use super::{OrchestrateError, OrchestrationEvent, Orchestrator, MAX_RANGE_TRIALS};
+use super::{OrchestrateError, OrchestrationEvent, Orchestrator};
 use crate::block::{decode_block, is_block_frame};
 use crate::record::TrialRecord;
 use crate::scenario::ScenarioSpec;
@@ -37,91 +37,6 @@ const RESPAWN_JITTER_MS: u64 = 25;
 /// attempt is counted as failed (shorter than [`SPAWN_DEADLINE`]: a respawn
 /// blocks the dispatch loop, and localhost dials are fast).
 const RESPAWN_ACCEPT_DEADLINE: Duration = Duration::from_secs(10);
-
-/// The sub-ranges of `0..total` not covered by `done` ranges — the work a
-/// resumed coordinator still has to dispatch.
-fn missing_ranges(total: u64, done: &[(u64, u64)]) -> Vec<(u64, u64)> {
-    let mut sorted: Vec<(u64, u64)> = done.to_vec();
-    sorted.sort_unstable();
-    let mut missing = Vec::new();
-    let mut cursor = 0u64;
-    for (lo, hi) in sorted {
-        if lo > cursor {
-            missing.push((cursor, lo.min(total)));
-        }
-        cursor = cursor.max(hi);
-        if cursor >= total {
-            break;
-        }
-    }
-    if cursor < total {
-        missing.push((cursor, total));
-    }
-    missing
-}
-
-/// Splits ranges into dispatch chunks of at most `chunk` trials, clamped to
-/// 1..=[`MAX_RANGE_TRIALS`].
-fn chunk_ranges(ranges: &[(u64, u64)], chunk: u64) -> VecDeque<(u64, u64)> {
-    let chunk = chunk.clamp(1, MAX_RANGE_TRIALS);
-    let mut out = VecDeque::new();
-    for &(lo, hi) in ranges {
-        let mut start = lo;
-        while start < hi {
-            let end = (start + chunk).min(hi);
-            out.push_back((start, end));
-            start = end;
-        }
-    }
-    out
-}
-
-/// Merges completed ranges into the full `0..total` record stream,
-/// validating that the ranges tile the interval exactly and that every
-/// record sits in its own slot. The result is the stream a single-process
-/// campaign would have produced.
-fn merge_ranges(
-    total: u64,
-    mut done: Vec<(u64, u64, Vec<TrialRecord>)>,
-) -> Result<Vec<TrialRecord>, OrchestrateError> {
-    done.sort_by_key(|&(lo, _, _)| lo);
-    let mut merged: Vec<TrialRecord> = Vec::with_capacity(total as usize);
-    for (lo, hi, records) in done {
-        if lo != merged.len() as u64 || records.len() as u64 != hi - lo {
-            return Err(OrchestrateError::Coverage(format!(
-                "ranges do not tile 0..{total}: {lo}..{hi} carries {} record(s) and follows {} \
-                 merged trial(s)",
-                records.len(),
-                merged.len()
-            )));
-        }
-        merged.extend(records);
-    }
-    if merged.len() as u64 != total {
-        return Err(OrchestrateError::Coverage(format!(
-            "ranges cover 0..{} of 0..{total}",
-            merged.len()
-        )));
-    }
-    for (slot, record) in merged.iter().enumerate() {
-        if record.trial != slot as u64 {
-            return Err(OrchestrateError::Coverage(format!(
-                "slot {slot} holds trial {}",
-                record.trial
-            )));
-        }
-    }
-    Ok(merged)
-}
-
-/// Whether `records` are exactly trials `lo..hi`, in order.
-fn holds_exactly(records: &[TrialRecord], lo: u64, hi: u64) -> bool {
-    hi.checked_sub(lo) == Some(records.len() as u64)
-        && records
-            .iter()
-            .zip(lo..)
-            .all(|(record, trial)| record.trial == trial)
-}
 
 /// What a worker forwarder delivers into the coordinator's shared inbox.
 enum Delivery {
@@ -200,10 +115,6 @@ pub struct Session {
     respawns_used: u32,
     respawn_due: Option<Instant>,
     respawn_rng: ProcessorRng,
-    // One open handle for coalesced checkpoint appends, (re)opened per spec
-    // run *after* any resume compaction (a rename would orphan the handle's
-    // inode and lose every subsequent append).
-    checkpoint_writer: Option<CheckpointWriter>,
 }
 
 impl Session {
@@ -238,7 +149,6 @@ impl Session {
             respawns_used: 0,
             respawn_due: None,
             respawn_rng: ProcessorRng::from_seed(derive_seed(jitter_seed, 0xBAC0FF)),
-            checkpoint_writer: None,
         })
     }
 
@@ -337,21 +247,15 @@ impl Session {
     pub fn run_spec_records_with(
         &mut self,
         spec: &ScenarioSpec,
-        on_event: impl FnMut(OrchestrationEvent),
+        mut on_event: impl FnMut(OrchestrationEvent),
     ) -> Result<Vec<TrialRecord>, OrchestrateError> {
         // Fail exactly like a local run before involving any worker.
         spec.feasibility()?;
-        // The coalescing writer from any previous spec run is closed before
-        // the resume: compaction renames a fresh file over the path, which
-        // would silently orphan an open append handle.
-        self.checkpoint_writer = None;
-        let mut entries = Vec::new();
-        if let Some(path) = self.config.checkpoint.clone() {
-            let (restored, writer) = resume_checkpoint(&path)?;
-            entries = restored;
-            self.checkpoint_writer = Some(writer);
-        }
-        SpecRun::resume(self, spec, entries, on_event).finish()
+        let checkpoint = self.config.checkpoint.as_deref();
+        let ledger = RangeLedger::resume(spec, checkpoint, |lo, hi| {
+            on_event(OrchestrationEvent::RangeRestored { lo, hi });
+        })?;
+        SpecRun::new(self, spec, ledger, on_event).finish()
     }
 
     /// Whether lost capacity can still come back: a respawn is already
@@ -457,10 +361,10 @@ impl Drop for Session {
     }
 }
 
-/// One spec's dispatch over a session's pool: what is still to hand out,
-/// who holds what, and what has come back. Every delivery from a worker
-/// passes through [`SpecRun::on_delivery`]; every dropped worker through
-/// [`SpecRun::lose`].
+/// One spec's dispatch over a session's pool: what is still to hand out and
+/// who holds what. What has come back is the [`RangeLedger`]'s. Every
+/// delivery from a worker passes through [`SpecRun::on_delivery`]; every
+/// dropped worker through [`SpecRun::lose`].
 ///
 /// A range is settled by one block carrying exactly its trials. A block for
 /// a retired job (a duplicated frame) is discarded, and so is the slower of
@@ -470,80 +374,36 @@ impl Drop for Session {
 struct SpecRun<'s, F: FnMut(OrchestrationEvent)> {
     session: &'s mut Session,
     spec: &'s ScenarioSpec,
-    /// `spec.id()`, as run frames and checkpoint entries name the workload.
-    scenario: String,
     pending: VecDeque<(u64, u64)>,
     /// The range each busy worker holds, by worker index. A lost worker
     /// holds none: [`SpecRun::lose`] takes it.
     inflight: BTreeMap<usize, Inflight>,
-    done: Vec<(u64, u64, Vec<TrialRecord>)>,
-    /// Ranges already merged: the slower copy of a speculatively
-    /// re-dispatched range is discarded against it.
-    completed: BTreeSet<(u64, u64)>,
-    /// Trials covered so far (restored + completed); drives loop exit.
-    covered: u64,
+    /// Restored and completed ranges: the slower copy of a speculatively
+    /// re-dispatched range is discarded against them, and the run ends when
+    /// they cover every trial.
+    ledger: RangeLedger,
     on_event: F,
 }
 
 impl<'s, F: FnMut(OrchestrationEvent)> SpecRun<'s, F> {
-    /// A run that takes over the checkpointed ranges of this exact workload
-    /// among `entries` and queues the complement in dispatch chunks. The
+    /// A run that queues what `ledger` is missing in dispatch chunks. The
     /// default chunk is `ceil(trials / (workers · 4))`.
-    ///
-    /// An entry is checked, not trusted: one that is not a nonempty range
-    /// inside `0..trials` holding exactly its trials, or that overlaps a
-    /// range already restored, is skipped and logged like a damaged line —
-    /// its trials simply re-run.
-    fn resume(
+    fn new(
         session: &'s mut Session,
         spec: &'s ScenarioSpec,
-        entries: Vec<CheckpointEntry>,
-        mut on_event: F,
+        ledger: RangeLedger,
+        on_event: F,
     ) -> Self {
-        let (scenario, total) = (spec.id(), spec.trials);
-        let (mut done, mut completed, mut covered) = (Vec::new(), BTreeSet::new(), 0);
-        for entry in entries {
-            let (lo, hi) = (entry.lo, entry.hi);
-            if (&entry.scenario, entry.base_seed, entry.trials)
-                != (&scenario, spec.base_seed, total)
-            {
-                continue;
-            }
-            // Restored ranges are disjoint, so only the last one starting
-            // before `hi` can reach past `lo`.
-            let overlaps = completed
-                .range(..(hi, 0))
-                .next_back()
-                .is_some_and(|&(_, end)| end > lo);
-            if lo >= hi || hi > total || overlaps || !holds_exactly(&entry.records, lo, hi) {
-                eprintln!(
-                    "orchestrate: skipping checkpoint entry {lo}..{hi} of '{scenario}': not a new \
-                     range of 0..{total} holding exactly its trials ({} record(s))",
-                    entry.records.len()
-                );
-                continue;
-            }
-            on_event(OrchestrationEvent::RangeRestored { lo, hi });
-            completed.insert((lo, hi));
-            covered += hi - lo;
-            done.push((lo, hi, entry.records));
-        }
-        let restored: Vec<(u64, u64)> = completed.iter().copied().collect();
         let config = &session.config;
         let chunk = config
             .chunk
-            .unwrap_or_else(|| total.div_ceil(config.workers as u64 * 4));
-        let pending = chunk_ranges(&missing_ranges(total, &restored), chunk);
-        let inflight = BTreeMap::new();
+            .unwrap_or_else(|| spec.trials.div_ceil(config.workers as u64 * 4));
         SpecRun {
+            pending: ledger.missing(chunk),
             session,
             spec,
-            scenario,
-            pending,
-            inflight,
-            done,
-            completed,
-            covered,
+            inflight: BTreeMap::new(),
+            ledger,
             on_event,
         }
     }
@@ -559,7 +419,7 @@ impl<'s, F: FnMut(OrchestrationEvent)> SpecRun<'s, F> {
             self.lose(worker, "still mid-range at the run's end");
         }
         outcome?;
-        merge_ranges(self.spec.trials, self.done)
+        self.ledger.merge()
     }
 
     fn dispatch(&mut self) -> Result<(), OrchestrateError> {
@@ -571,7 +431,7 @@ impl<'s, F: FnMut(OrchestrationEvent)> SpecRun<'s, F> {
                 (self.on_event)(OrchestrationEvent::WorkerRespawned { worker });
             }
             self.assign();
-            if self.covered >= self.spec.trials {
+            if self.ledger.is_complete() {
                 return Ok(());
             }
             if self.session.live_workers() == 0 && !self.session.respawn_possible() {
@@ -580,7 +440,7 @@ impl<'s, F: FnMut(OrchestrationEvent)> SpecRun<'s, F> {
                     self.session.workers.len(),
                     self.session.config.respawn_budget,
                     self.pending.len() + self.inflight.len(),
-                    self.scenario,
+                    self.spec.id(),
                 )));
             }
             let wait = self
@@ -609,14 +469,14 @@ impl<'s, F: FnMut(OrchestrationEvent)> SpecRun<'s, F> {
             }
             // A queued speculative copy of a range since completed is stale.
             let mut queued = std::iter::from_fn(|| self.pending.pop_front());
-            let Some((lo, hi)) = queued.find(|range| !self.completed.contains(range)) else {
+            let Some((lo, hi)) = queued.find(|&range| !self.ledger.holds(range)) else {
                 break;
             };
             let job = self.session.next_job;
             self.session.next_job += 1;
             let run = Message::Run(Run {
                 job,
-                scenario: self.scenario.clone(),
+                scenario: self.spec.id(),
                 scale: self.session.config.scale,
                 trials: self.spec.trials,
                 base_seed: self.spec.base_seed,
@@ -704,7 +564,7 @@ impl<'s, F: FnMut(OrchestrationEvent)> SpecRun<'s, F> {
         &mut self,
         worker: usize,
         job: u64,
-        mut records: Vec<TrialRecord>,
+        records: Vec<TrialRecord>,
     ) -> Result<Result<(), String>, OrchestrateError> {
         // Validate before taking the slot: on failure the range must stay in
         // flight so losing the worker re-queues it (a taken slot would leak
@@ -722,30 +582,13 @@ impl<'s, F: FnMut(OrchestrationEvent)> SpecRun<'s, F> {
         }
         self.inflight.remove(&worker);
         self.session.retired_jobs.insert(job);
-        if self.completed.contains(&(lo, hi)) {
+        if self.ledger.holds((lo, hi)) {
             // The straggler finished after its speculative twin: the range
-            // is already merged; free the worker and move on.
+            // is already settled; free the worker and move on.
             return Ok(Ok(()));
         }
-        if let Some(writer) = self.session.checkpoint_writer.as_mut() {
-            // Coalesced: the whole completed range lands as one write on the
-            // session's open handle. The records move through the entry and
-            // back out.
-            let entry = CheckpointEntry {
-                scenario: self.scenario.clone(),
-                base_seed: self.spec.base_seed,
-                trials: self.spec.trials,
-                lo,
-                hi,
-                records,
-            };
-            writer.append(&entry)?;
-            records = entry.records;
-        }
-        self.completed.insert((lo, hi));
-        self.covered += hi - lo;
+        self.ledger.settle(lo, hi, records)?;
         (self.on_event)(OrchestrationEvent::RangeCompleted { worker, lo, hi });
-        self.done.push((lo, hi, records));
         Ok(Ok(()))
     }
 
@@ -765,7 +608,7 @@ impl<'s, F: FnMut(OrchestrationEvent)> SpecRun<'s, F> {
         if let Some(lost) = self.inflight.remove(&worker) {
             let range = (lost.lo, lost.hi);
             let mut twins = self.inflight.values();
-            if !self.completed.contains(&range) && !twins.any(|twin| (twin.lo, twin.hi) == range) {
+            if !self.ledger.holds(range) && !twins.any(|twin| (twin.lo, twin.hi) == range) {
                 self.pending.push_front(range);
             }
         }
@@ -785,7 +628,7 @@ impl<'s, F: FnMut(OrchestrationEvent)> SpecRun<'s, F> {
                 self.lose(worker, "silent past twice the receive timeout");
             } else if !range.speculated && now >= range.heard + timeout {
                 range.speculated = true;
-                if !self.completed.contains(&(lo, hi)) {
+                if !self.ledger.holds((lo, hi)) {
                     eprintln!(
                         "orchestrate: worker {worker} silent past the receive timeout; \
                          speculatively re-dispatching {lo}..{hi}"
@@ -801,67 +644,12 @@ impl<'s, F: FnMut(OrchestrationEvent)> SpecRun<'s, F> {
 #[cfg(test)]
 mod tests {
     use super::super::checkpoint::tests::{record, temp_path};
+    use super::super::checkpoint::CheckpointWriter;
     use super::super::wire::PROTO_VERSION;
     use super::*;
     use crate::block::encode_block;
     use crate::experiments::Scale;
     use crate::scenario::scenario_registry;
-
-    #[test]
-    fn missing_ranges_complements_arbitrary_coverage() {
-        assert_eq!(missing_ranges(10, &[]), vec![(0, 10)]);
-        assert_eq!(missing_ranges(10, &[(0, 10)]), Vec::<(u64, u64)>::new());
-        assert_eq!(
-            missing_ranges(10, &[(2, 5), (7, 9)]),
-            vec![(0, 2), (5, 7), (9, 10)]
-        );
-        assert_eq!(missing_ranges(10, &[(5, 10), (0, 2)]), vec![(2, 5)]);
-        assert_eq!(missing_ranges(0, &[]), Vec::<(u64, u64)>::new());
-    }
-
-    #[test]
-    fn chunk_ranges_splits_without_gaps() {
-        let chunks = chunk_ranges(&[(0, 7), (10, 12)], 3);
-        assert_eq!(Vec::from(chunks), vec![(0, 3), (3, 6), (6, 7), (10, 12)]);
-        // A zero chunk is clamped, not an infinite loop.
-        assert_eq!(chunk_ranges(&[(0, 2)], 0).len(), 2);
-        // And a chunk past the range cap is cut to it.
-        let long = chunk_ranges(&[(0, MAX_RANGE_TRIALS + 1)], u64::MAX);
-        assert_eq!(
-            Vec::from(long).last(),
-            Some(&(MAX_RANGE_TRIALS, MAX_RANGE_TRIALS + 1))
-        );
-    }
-
-    #[test]
-    fn merge_validates_tiling_and_slots() {
-        let done = vec![
-            (3u64, 5u64, vec![record(3), record(4)]),
-            (0, 3, vec![record(0), record(1), record(2)]),
-        ];
-        let merged = merge_ranges(5, done).unwrap();
-        assert_eq!(merged.len(), 5);
-        assert!(merged.iter().enumerate().all(|(i, r)| r.trial == i as u64));
-
-        let gap = vec![(0u64, 2u64, vec![record(0), record(1)])];
-        assert!(matches!(
-            merge_ranges(5, gap),
-            Err(OrchestrateError::Coverage(_))
-        ));
-        let overlap = vec![
-            (0u64, 3u64, vec![record(0), record(1), record(2)]),
-            (2, 5, vec![record(2), record(3), record(4)]),
-        ];
-        assert!(matches!(
-            merge_ranges(5, overlap),
-            Err(OrchestrateError::Coverage(_))
-        ));
-        let short = vec![(0u64, 3u64, vec![record(0)])];
-        assert!(matches!(
-            merge_ranges(3, short),
-            Err(OrchestrateError::Coverage(_))
-        ));
-    }
 
     /// A thread playing a worker: says hello, takes one run frame, answers
     /// it in full when `finishes` and not at all otherwise, then holds the
@@ -915,10 +703,11 @@ mod tests {
         let path = temp_path("read-only");
         std::fs::write(&path, b"").unwrap();
         let read_only = std::fs::File::open(&path).unwrap();
-        session.checkpoint_writer = Some(CheckpointWriter::over(read_only));
+        let mut ledger = RangeLedger::resume(&spec, None, |_, _| {}).unwrap();
+        ledger.writer = Some(CheckpointWriter::over(read_only));
 
         let mut events = Vec::new();
-        let run = SpecRun::resume(&mut session, &spec, Vec::new(), |event| events.push(event));
+        let run = SpecRun::new(&mut session, &spec, ledger, |event| events.push(event));
         let outcome = run.finish();
         assert!(
             matches!(outcome, Err(OrchestrateError::Io(_))),

@@ -83,8 +83,8 @@ pub struct TrialRecord {
 
 impl TrialRecord {
     /// Distills a [`RunOutcome`] (plus the inputs needed for the validity
-    /// check) into its record. The heavyweight trace is dropped here, which
-    /// is what lets campaigns keep thousands of trials in flight.
+    /// check) into its record: a few flags, times and counters, small
+    /// enough for a campaign to keep every trial's.
     pub fn from_outcome(
         trial: u64,
         seed: u64,

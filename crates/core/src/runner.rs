@@ -111,7 +111,7 @@ impl Campaign {
         Campaign { threads }
     }
 
-    fn worker_count(&self, trials: u64) -> usize {
+    pub(crate) fn worker_count(&self, trials: u64) -> usize {
         // The probe reads the affinity mask and the cgroup files (tens of
         // microseconds), so only a campaign that asked for it pays it.
         let requested = match self.threads {

@@ -18,6 +18,8 @@
 //! exercises) for the `scenarios` CLI and the smoke tests.
 
 use std::fmt;
+use std::path::Path;
+use std::sync::Mutex;
 
 use agreement_adversary::{find_adversary, AdversaryBuildCtx, AdversaryFactory};
 use agreement_analysis::{Histogram, JsonValue, Summary};
@@ -31,6 +33,7 @@ use agreement_sim::{
 };
 
 use crate::experiments::Scale;
+use crate::orchestrate::{checkpoint::RangeLedger, OrchestrateError};
 use crate::record::{stream_records, ReportSink, ScenarioMeta, TrialRecord};
 use crate::runner::{Aggregate, Campaign, TrialPlan};
 
@@ -513,6 +516,53 @@ impl ScenarioSpec {
             lo,
             hi,
         ))
+    }
+
+    /// Runs the spec's trials on `campaign` as
+    /// [`ScenarioSpec::run_range_records`] over `0..trials` would, resuming
+    /// from the checkpoint at `path`: the ranges it holds for this exact
+    /// workload are restored, and each missing range is appended as soon as
+    /// it has run. Ranges are `ceil(trials / (32 × threads))` trials (at most
+    /// 65 536), and each thread claims the next one on its own warm
+    /// workspace, so no thread waits for another's range.
+    ///
+    /// # Errors
+    ///
+    /// [`OrchestrateError::Scenario`] when the spec does not resolve (the
+    /// file is not touched then), [`OrchestrateError::Io`] when the
+    /// checkpoint cannot be read or appended to (no range is claimed after
+    /// a failed append).
+    pub fn run_checkpointed(
+        &self,
+        campaign: &Campaign,
+        path: &Path,
+    ) -> Result<Vec<TrialRecord>, OrchestrateError> {
+        self.feasibility()?;
+        let ledger = RangeLedger::resume(self, Some(path), |_, _| {})?;
+        let threads = campaign.worker_count(self.trials);
+        let missing = Mutex::new(ledger.missing(self.trials.div_ceil(32 * threads as u64)));
+        let ledger = Mutex::new(ledger);
+        let claim = || missing.lock().expect("range queue poisoned").pop_front();
+        let work = || -> Result<(), OrchestrateError> {
+            let mut workspaces = Vec::new();
+            while let Some((lo, hi)) = claim() {
+                let records =
+                    self.run_range_records_in(&Campaign::serial(), &mut workspaces, lo, hi)?;
+                ledger
+                    .lock()
+                    .expect("ledger poisoned")
+                    .settle(lo, hi, records)
+                    .inspect_err(|_| missing.lock().expect("range queue poisoned").clear())?;
+            }
+            Ok(())
+        };
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..threads).map(|_| scope.spawn(work)).collect();
+            workers
+                .into_iter()
+                .try_for_each(|worker| worker.join().expect("range worker panicked"))
+        })?;
+        ledger.into_inner().expect("ledger poisoned").merge()
     }
 
     /// Runs a single execution with an explicit seed and returns its raw

@@ -78,13 +78,20 @@ pub enum TraceEvent {
 /// assert_eq!(trace.total_events(), 3);
 /// assert_eq!(trace.dropped(), 1);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Trace {
     events: Vec<TraceEvent>,
     capacity: usize,
     total: u64,
     resets: u64,
     corruptions: u64,
+}
+
+impl Default for Trace {
+    /// A trace with the default storage cap, as [`Trace::new`].
+    fn default() -> Self {
+        Trace::new()
+    }
 }
 
 impl Trace {
@@ -102,7 +109,9 @@ impl Trace {
         Trace {
             events: Vec::new(),
             capacity,
-            ..Trace::default()
+            total: 0,
+            resets: 0,
+            corruptions: 0,
         }
     }
 
@@ -224,5 +233,13 @@ mod tests {
         let t = Trace::new();
         assert_eq!(t.stored().len(), 0);
         assert_eq!(t.total_events(), 0);
+    }
+
+    #[test]
+    fn a_default_trace_stores_what_it_is_pushed() {
+        let mut t = Trace::default();
+        t.push(TraceEvent::WindowStarted { index: 0 });
+        assert_eq!(t.stored(), [TraceEvent::WindowStarted { index: 0 }]);
+        assert_eq!(t.dropped(), 0);
     }
 }

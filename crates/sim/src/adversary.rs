@@ -187,11 +187,6 @@ impl<'a> SystemView<'a> {
             })
     }
 
-    /// Returns `true` if some processor has written its output bit.
-    pub fn any_decided(&self) -> bool {
-        self.status.iter().any(|s| s.output.is_written())
-    }
-
     /// Returns `true` if every non-crashed processor has written its output bit.
     pub fn all_correct_decided(&self) -> bool {
         self.status
@@ -559,7 +554,7 @@ mod tests {
             crashed
         );
         assert_eq!(view.output(1), Some(Bit::One));
-        assert!(view.any_decided());
+        assert!((0..4).any(|i| view.output(i).is_some()));
         assert!(!view.all_correct_decided());
         assert_eq!(
             view.undecided().collect::<Vec<_>>(),

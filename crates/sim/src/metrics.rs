@@ -204,14 +204,8 @@ impl Probe for MetricsProbe {
 /// Keeps each transition it observes as one [`TraceEvent`] in an owned
 /// [`Trace`] (drops and clock advances carry no event): the diagnostic probe,
 /// for single runs a person or a test reads.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FullTrace(Trace);
-
-impl Default for FullTrace {
-    fn default() -> Self {
-        FullTrace::new()
-    }
-}
 
 impl FullTrace {
     /// A probe with an empty trace at the default capacity.

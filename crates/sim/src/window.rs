@@ -26,8 +26,9 @@
 //! [`Window::copy_set`]) closed by [`Window::end_set`] — or, once, by
 //! [`Window::end_shared_set`]. The storage is warm after the first window of
 //! a workspace, so a window costs the allocator nothing.
-//! [`Window::new`], [`Window::uniform`] and [`Window::full_delivery`] build
-//! the same layout from owned vectors.
+//! [`Window::new`] and [`Window::uniform`] build the same layout from owned
+//! vectors; [`Window::fill_full_delivery`] rewrites a window as the
+//! failure-free, full-delivery one.
 //!
 //! The two forms are the same window to every observer: `==` compares the
 //! sets recipient by recipient, and the order of the senders inside a set —
@@ -97,14 +98,6 @@ impl Window {
             window.senders.extend_from_slice(set);
             window.end_set();
         }
-        window
-    }
-
-    /// The failure-free, full-delivery window: every processor receives from
-    /// everyone and nobody is reset.
-    pub fn full_delivery(cfg: &SystemConfig) -> Self {
-        let mut window = Window::default();
-        window.fill_full_delivery(cfg.n());
         window
     }
 
@@ -652,7 +645,7 @@ mod tests {
         );
 
         window.fill_full_delivery(7);
-        assert_eq!(window, Window::full_delivery(&cfg()));
+        assert_eq!(window, full_delivery(7));
         window.clear();
         assert_eq!(window, Window::default());
         assert_eq!(window.arity(), 0);
@@ -701,7 +694,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "no further sets")]
     fn no_set_can_follow_a_shared_set() {
-        let mut window = Window::full_delivery(&cfg());
+        let mut window = full_delivery(7);
         window.end_set();
     }
 
@@ -725,7 +718,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "arity 7")]
     fn shared_delivery_set_beyond_the_arity_panics() {
-        let _ = Window::full_delivery(&cfg()).delivery_set(7);
+        let _ = full_delivery(7).delivery_set(7);
     }
 
     fn cfg() -> SystemConfig {
@@ -740,9 +733,16 @@ mod tests {
         indices.iter().copied().map(ProcessorId::new).collect()
     }
 
+    /// A window of `n` processors filled by [`Window::fill_full_delivery`].
+    fn full_delivery(n: usize) -> Window {
+        let mut window = Window::default();
+        window.fill_full_delivery(n);
+        window
+    }
+
     #[test]
     fn full_delivery_window_is_valid() {
-        let w = Window::full_delivery(&cfg());
+        let w = full_delivery(7);
         assert!(w.validate(&cfg()).is_ok());
         assert_eq!(w.arity(), 7);
         assert!(w.resets().is_empty());

@@ -7,10 +7,10 @@
 //! examples and integration tests can address the whole system:
 //!
 //! * [`model`] — processors, bits, messages, configurations, protocol traits.
-//! * [`sim`] — the one execution core and its schedulers over an open model
-//!   axis: the acceptable-window model (strongly adaptive), the fully
-//!   asynchronous model (crash/Byzantine), and the partial-synchrony model
-//!   (eventual synchrony with omission faults).
+//! * [`sim`] — the one execution core and its schedulers over a closed set
+//!   of three models: the acceptable-window model (strongly adaptive), the
+//!   fully asynchronous model (crash/Byzantine), and the partial-synchrony
+//!   model (eventual synchrony with omission faults).
 //! * [`protocols`] — Ben-Or, Bracha (+ reliable broadcast), the paper's
 //!   reset-tolerant protocol, and the committee baseline.
 //! * [`adversary`] — resetting, balancing, crash, committee-killer,

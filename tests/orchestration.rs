@@ -1,7 +1,8 @@
 //! Multi-process orchestration equivalence: the coordinator's slot-ordered
 //! merge of worker-streamed records must be **byte-identical** to a
 //! single-process campaign — across worker counts, across a worker killed
-//! mid-range, and across a checkpoint-resumed coordinator.
+//! mid-range, and across a resumed checkpoint, whichever executor (threads
+//! or worker processes) wrote it and whichever resumes it.
 //!
 //! This is the process-boundary extension of the thread-count and
 //! buffer-layout equivalence suites: trial `t` of a spec is fully determined
@@ -9,16 +10,17 @@
 //! before or after a crash) must never show in the rendered reports.
 
 use std::cell::{Cell, RefCell};
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use agreement::core::experiments::Scale;
 use agreement::core::orchestrate::{
-    append_checkpoint, read_checkpoint, CheckpointEntry, FaultPlan, OrchestrateError,
-    OrchestrationEvent, Orchestrator, Session,
+    append_checkpoint, compact_checkpoint, read_checkpoint, read_checkpoint_lossy, CheckpointEntry,
+    FaultPlan, OrchestrateError, OrchestrationEvent, Orchestrator, Session,
 };
 use agreement::core::{
     scenario_registry, stream_records, Campaign, JsonReportSink, JsonlSink, ReportSink,
-    ScenarioSpec,
+    ScenarioSpec, TrialRecord,
 };
 
 fn worker_command() -> Vec<String> {
@@ -387,130 +389,216 @@ fn worker_error_frames_exhaust_the_pool_without_hanging_shutdown() {
         .expect("shutdown after losing every worker");
 }
 
-#[test]
-fn checkpoint_resume_skips_completed_ranges_and_merges_identically() {
-    let spec = fault_spec();
-    let campaign = Campaign::parallel();
-    let expected = spec
-        .run_range_records(&campaign, 0, spec.trials)
-        .expect("local run");
+/// The two executors that settle a checkpoint's ranges.
+#[derive(Debug, Clone, Copy)]
+enum Executor {
+    /// This process's threads: `ScenarioSpec::run_checkpointed`.
+    Threads,
+    /// Two worker processes: a session with the checkpoint configured.
+    Workers,
+}
 
-    // Simulate a coordinator that died after persisting two ranges.
+/// What a resumed run returned, and for a session the ranges it reported
+/// restored and assigned (threads report none).
+struct Resumed {
+    records: Vec<TrialRecord>,
+    restored: Vec<(u64, u64)>,
+    assigned: Vec<(u64, u64)>,
+}
+
+impl Executor {
+    /// Runs `spec`, resuming from and appending to the checkpoint at `path`.
+    fn run(self, spec: &ScenarioSpec, path: &Path) -> Resumed {
+        let (mut restored, mut assigned) = (Vec::new(), Vec::new());
+        let records = match self {
+            Executor::Threads => spec
+                .run_checkpointed(&Campaign::with_threads(2), path)
+                .expect("threaded resumed run"),
+            Executor::Workers => {
+                let mut session = Orchestrator::new(Scale::Quick, worker_command())
+                    .workers(2)
+                    .checkpoint(path)
+                    .start()
+                    .expect("spawn orchestration workers");
+                let records = session
+                    .run_spec_records_with(spec, |event| match event {
+                        OrchestrationEvent::RangeRestored { lo, hi } => restored.push((lo, hi)),
+                        OrchestrationEvent::RangeAssigned { lo, hi, .. } => assigned.push((lo, hi)),
+                        _ => {}
+                    })
+                    .expect("resumed run");
+                session.shutdown().expect("worker shutdown");
+                records
+            }
+        };
+        Resumed {
+            records,
+            restored,
+            assigned,
+        }
+    }
+
+    /// For a session, that it restored exactly the ranges `kept` and
+    /// dispatched no trial of them.
+    fn check_restored(self, resumed: &Resumed, kept: &[(u64, u64)]) {
+        if let Executor::Workers = self {
+            let mut restored = resumed.restored.clone();
+            restored.sort_unstable();
+            assert_eq!(restored, kept, "the session restored other ranges");
+            assert!(
+                resumed
+                    .assigned
+                    .iter()
+                    .all(|&(lo, hi)| kept.iter().all(|&(a, b)| hi <= a || lo >= b)),
+                "a checkpointed trial was re-dispatched: {:?}",
+                resumed.assigned
+            );
+        }
+    }
+}
+
+/// A fresh checkpoint path for `tag`.
+fn checkpoint_path(tag: &str) -> PathBuf {
     let path = std::env::temp_dir().join(format!(
-        "agreement-orchestration-resume-{}.jsonl",
+        "agreement-orchestration-{tag}-{}.jsonl",
         std::process::id()
     ));
     let _ = std::fs::remove_file(&path);
-    for (lo, hi) in [(0u64, 3u64), (5, 7)] {
-        append_checkpoint(
-            &path,
-            &CheckpointEntry {
-                scenario: spec.id(),
-                base_seed: spec.base_seed,
-                trials: spec.trials,
-                lo,
-                hi,
-                records: expected[lo as usize..hi as usize].to_vec(),
-            },
-        )
-        .expect("seed checkpoint");
+    path
+}
+
+/// `spec`'s checkpoint entry for `lo..hi`.
+fn entry(spec: &ScenarioSpec, lo: u64, hi: u64, records: &[TrialRecord]) -> CheckpointEntry {
+    CheckpointEntry {
+        scenario: spec.id(),
+        base_seed: spec.base_seed,
+        trials: spec.trials,
+        lo,
+        hi,
+        records: records.to_vec(),
     }
+}
 
-    let mut session = Orchestrator::new(Scale::Quick, worker_command())
-        .workers(2)
-        .checkpoint(&path)
-        .start()
-        .expect("spawn orchestration workers");
-    let mut restored = Vec::new();
-    let mut assigned = Vec::new();
-    let records = session
-        .run_spec_records_with(&spec, |event| match event {
-            OrchestrationEvent::RangeRestored { lo, hi } => restored.push((lo, hi)),
-            OrchestrationEvent::RangeAssigned { lo, hi, .. } => assigned.push((lo, hi)),
-            _ => {}
-        })
-        .expect("resumed run");
-    session.shutdown().expect("worker shutdown");
+/// `records` with each of `trials` forged: a duration no run of it
+/// produces. Its checkpoint line still passes its CRC, so the output carries
+/// a forgery only if the range holding it was restored and not re-run.
+fn forged(records: &[TrialRecord], trials: &[u64]) -> Vec<TrialRecord> {
+    let mut forged = records.to_vec();
+    for &trial in trials {
+        forged[trial as usize].duration += 1_000_000;
+    }
+    forged
+}
 
-    assert_eq!(restored, vec![(0, 3), (5, 7)]);
-    assert!(
-        assigned
+#[test]
+fn checkpoint_resume_skips_completed_ranges_and_merges_identically() {
+    let spec = fault_spec();
+    let expected = spec
+        .run_range_records(&Campaign::parallel(), 0, spec.trials)
+        .expect("local run");
+    let covered = |path: &Path| -> u64 {
+        let entries = read_checkpoint(path).expect("re-read checkpoint");
+        entries.iter().map(|e| e.hi - e.lo).sum()
+    };
+
+    for (first, second) in [
+        (Executor::Threads, Executor::Workers),
+        (Executor::Workers, Executor::Threads),
+    ] {
+        // A run that died after persisting two ranges, one record of each
+        // forged.
+        let path = checkpoint_path(&format!("resume-{first:?}"));
+        let seeded = [(0u64, 3u64), (5, 7)];
+        let want = forged(&expected, &[1, 5]);
+        for (lo, hi) in seeded {
+            let records = &want[lo as usize..hi as usize];
+            append_checkpoint(&path, &entry(&spec, lo, hi, records)).expect("seed checkpoint");
+        }
+        let resumed = first.run(&spec, &path);
+        assert_eq!(resumed.records, want, "{first:?} resumed wrongly");
+        first.check_restored(&resumed, &seeded);
+        // The completed run persisted the missing ranges too.
+        assert_eq!(covered(&path), spec.trials, "{first:?} left ranges out");
+
+        // The lines `first` wrote, the first record of each forged, resume
+        // under `second`.
+        let mut written: Vec<(u64, u64)> = read_checkpoint(&path)
+            .expect("re-read checkpoint")
+            .into_iter()
+            .map(|e| (e.lo, e.hi))
+            .filter(|range| !seeded.contains(range))
+            .collect();
+        written.sort_unstable();
+        let want = forged(
+            &expected,
+            &written.iter().map(|&(lo, _)| lo).collect::<Vec<_>>(),
+        );
+        let entries: Vec<CheckpointEntry> = written
             .iter()
-            .all(|&(lo, hi)| (hi <= 5 && lo >= 3) || lo >= 7),
-        "a checkpointed trial was re-dispatched: {assigned:?}"
-    );
-    assert_eq!(records, expected, "resumed merge diverges");
-
-    // The completed run must have persisted the missing ranges too: a second
-    // resume finds full coverage.
-    let entries = read_checkpoint(&path).expect("re-read checkpoint");
-    let covered: u64 = entries
-        .iter()
-        .filter(|e| e.scenario == spec.id())
-        .map(|e| e.hi - e.lo)
-        .sum();
-    assert_eq!(covered, spec.trials, "checkpoint does not cover all trials");
-    let _ = std::fs::remove_file(&path);
+            .map(|&(lo, hi)| entry(&spec, lo, hi, &want[lo as usize..hi as usize]))
+            .collect();
+        compact_checkpoint(&path, &entries).expect("rewrite checkpoint");
+        let resumed = second.run(&spec, &path);
+        assert_eq!(
+            resumed.records, want,
+            "{second:?} resumed {first:?}'s checkpoint wrongly"
+        );
+        second.check_restored(&resumed, &written);
+        assert_eq!(covered(&path), spec.trials, "{second:?} left ranges out");
+        let _ = std::fs::remove_file(&path);
+    }
 }
 
 #[test]
 fn malformed_checkpoint_entries_are_skipped_and_their_trials_re_run() {
     let spec = fault_spec();
-    let campaign = Campaign::parallel();
     let expected = spec
-        .run_range_records(&campaign, 0, spec.trials)
+        .run_range_records(&Campaign::parallel(), 0, spec.trials)
         .expect("local run");
-
-    // Every line below passes its CRC and names this exact workload; only
-    // the first two are ranges a session could have written.
-    let path = std::env::temp_dir().join(format!(
-        "agreement-orchestration-malformed-{}.jsonl",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_file(&path);
+    let want = forged(&expected, &[0, 5]);
     let mut reversed = expected[3..5].to_vec();
     reversed.reverse();
+    // Every entry below passes its CRC and names this exact workload; only
+    // the first two are ranges a run could have written.
     let entries = [
-        (0u64, 3u64, expected[0..3].to_vec()),
-        (5, 7, expected[5..7].to_vec()),
+        (0u64, 3u64, &want[0..3]),
+        (5, 7, &want[5..7]),
         // lo > hi: once an underflowing subtraction in the covered count.
-        (4, 2, Vec::new()),
-        (4, 4, Vec::new()),
-        (3, 5, reversed),
-        (7, 8, expected[6..8].to_vec()),
+        (4, 2, &[][..]),
+        (4, 4, &[][..]),
+        (3, 5, &reversed[..]),
+        (7, 8, &expected[6..8]),
         // Well-formed, but overlapping the restored 0..3.
-        (2, 4, expected[2..4].to_vec()),
-        (7, 9, expected[7..8].to_vec()),
+        (2, 4, &expected[2..4]),
+        (7, 9, &expected[7..8]),
     ];
-    for (lo, hi, records) in entries {
-        let entry = CheckpointEntry {
-            scenario: spec.id(),
-            base_seed: spec.base_seed,
-            trials: spec.trials,
-            lo,
-            hi,
-            records,
-        };
-        append_checkpoint(&path, &entry).expect("seed checkpoint");
-    }
 
-    let mut session = Orchestrator::new(Scale::Quick, worker_command())
-        .workers(2)
-        .checkpoint(&path)
-        .start()
-        .expect("spawn orchestration workers");
-    let mut restored = Vec::new();
-    let records = session
-        .run_spec_records_with(&spec, |event| {
-            if let OrchestrationEvent::RangeRestored { lo, hi } = event {
-                restored.push((lo, hi));
-            }
-        })
-        .expect("malformed entries are skipped, never fatal");
-    session.shutdown().expect("worker shutdown");
-    assert_eq!(restored, vec![(0, 3), (5, 7)]);
-    assert_eq!(records, expected, "resumed merge diverges");
-    let _ = std::fs::remove_file(&path);
+    for executor in [Executor::Threads, Executor::Workers] {
+        let path = checkpoint_path(&format!("malformed-{executor:?}"));
+        for (lo, hi, records) in entries {
+            append_checkpoint(&path, &entry(&spec, lo, hi, records)).expect("seed checkpoint");
+        }
+        // A damaged line, then a torn tail: half of a line, no newline.
+        let mut text = std::fs::read_to_string(&path).expect("read checkpoint");
+        let line = text.lines().next().expect("a line").to_string();
+        text.push_str("not a checkpoint line\n");
+        text.push_str(&line[..line.len() / 2]);
+        std::fs::write(&path, text).expect("damage checkpoint");
+
+        let resumed = executor.run(&spec, &path);
+        assert_eq!(
+            resumed.records, want,
+            "{executor:?}: malformed entries must be skipped"
+        );
+        executor.check_restored(&resumed, &[(0, 3), (5, 7)]);
+        // Both were compacted away before the first append: the file reads
+        // clean and every line is whole.
+        let (_, damaged) = read_checkpoint_lossy(&path).expect("re-read checkpoint");
+        assert_eq!(damaged, 0, "{executor:?} kept a damaged line");
+        let bytes = std::fs::read(&path).expect("read checkpoint");
+        assert_eq!(bytes.last(), Some(&b'\n'), "{executor:?} kept a torn tail");
+        let _ = std::fs::remove_file(&path);
+    }
 }
 
 #[test]
