@@ -26,21 +26,13 @@
 //!                      worker processes (spawned from this same binary),
 //!                      each range coming back as one columnar block frame;
 //!                      the merged output is byte-identical to a
-//!                      single-process run
+//!                      single-process run. A worker that crashes, hangs up
+//!                      or sends damaged bytes is dropped and its range re-run
+//!                      on the others; one that stays connected but silent
+//!                      stalls the run
 //!   --checkpoint <P>   persist completed seed ranges to P (CRC-guarded
 //!                      JSONL) and resume from it on restart, on threads or
 //!                      with --workers; either resumes what the other wrote
-//!   --recv-timeout <S> with --workers: liveness policy receive timeout in
-//!                      seconds (default 600) — a worker silent this long
-//!                      has its range speculatively re-dispatched, and one
-//!                      silent twice this long is dropped and respawned
-//!   --respawn-budget <N>  with --workers: how many replacement workers the
-//!                      session may spawn after losses (default 2)
-//!   --chaos <SPEC>     with --workers: deterministic fault injection on
-//!                      every worker connection, e.g.
-//!                      `seed=7,drop=0.01,dup=0.03,flip=0.005,trunc=0.003,\
-//!                      hang=0.002,delay=0.05:15` — output stays
-//!                      byte-identical to a fault-free run
 //!   --worker           internal: run as an orchestration worker (requires
 //!                      --connect <ADDR>; spawned by the coordinator)
 //! ```
@@ -62,7 +54,6 @@ use agreement_core::{
     scenario_registry, stream_records, Campaign, CsvSink, JsonReportSink, JsonlSink, ReportSink,
     ScenarioSpec, TableSink,
 };
-use agreement_net::fault::FaultPlan;
 
 struct Options {
     list: bool,
@@ -77,9 +68,6 @@ struct Options {
     check: Option<String>,
     workers: Option<usize>,
     checkpoint: Option<String>,
-    recv_timeout: Option<u64>,
-    respawn_budget: Option<u32>,
-    chaos: Option<String>,
     worker: bool,
     connect: Option<String>,
 }
@@ -98,9 +86,6 @@ fn parse_options() -> Options {
         check: None,
         workers: None,
         checkpoint: None,
-        recv_timeout: None,
-        respawn_budget: None,
-        chaos: None,
         worker: false,
         connect: None,
     };
@@ -120,13 +105,6 @@ fn parse_options() -> Options {
             "--check" => options.check = Some(required_value(&mut args, "--check")),
             "--workers" => options.workers = Some(parsed_value(&mut args, "--workers")),
             "--checkpoint" => options.checkpoint = Some(required_value(&mut args, "--checkpoint")),
-            "--recv-timeout" => {
-                options.recv_timeout = Some(parsed_value(&mut args, "--recv-timeout"))
-            }
-            "--respawn-budget" => {
-                options.respawn_budget = Some(parsed_value(&mut args, "--respawn-budget"))
-            }
-            "--chaos" => options.chaos = Some(required_value(&mut args, "--chaos")),
             "--worker" => options.worker = true,
             "--connect" => options.connect = Some(required_value(&mut args, "--connect")),
             "--scale" => {
@@ -146,8 +124,7 @@ fn parse_options() -> Options {
                      \x20                [--scale quick|full]\n\
                      \x20                [--trials N] [--base-seed S]\n\
                      \x20                [--json PATH] [--csv PATH] [--jsonl PATH] [--check PATH]\n\
-                     \x20                [--checkpoint PATH] [--workers N [--recv-timeout S]\n\
-                     \x20                 [--respawn-budget N] [--chaos SPEC]]\n\
+                     \x20                [--checkpoint PATH] [--workers N]\n\
                      Runs every registered protocol × adversary × inputs × size combination."
                 );
                 std::process::exit(0);
@@ -310,21 +287,6 @@ fn main() {
             if let Some(path) = &options.checkpoint {
                 orchestrator = orchestrator.checkpoint(path);
             }
-            if let Some(secs) = options.recv_timeout {
-                orchestrator = orchestrator.recv_timeout(std::time::Duration::from_secs(secs));
-            }
-            if let Some(budget) = options.respawn_budget {
-                orchestrator = orchestrator.respawn_budget(budget);
-            }
-            if let Some(spec) = &options.chaos {
-                match FaultPlan::parse(spec) {
-                    Ok(plan) => orchestrator = orchestrator.worker_faults(plan),
-                    Err(err) => {
-                        eprintln!("--chaos: {err}");
-                        std::process::exit(2);
-                    }
-                }
-            }
             match orchestrator.start() {
                 Ok(session) => Some(session),
                 Err(err) => {
@@ -333,19 +295,7 @@ fn main() {
                 }
             }
         }
-        None => {
-            for (set, flag) in [
-                (options.recv_timeout.is_some(), "--recv-timeout"),
-                (options.respawn_budget.is_some(), "--respawn-budget"),
-                (options.chaos.is_some(), "--chaos"),
-            ] {
-                if set {
-                    eprintln!("{flag} requires --workers");
-                    std::process::exit(2);
-                }
-            }
-            None
-        }
+        None => None,
     };
 
     let mut table = TableSink::new(

@@ -9,9 +9,8 @@
 //! almost always `true`, metrics counters near zero — collapse to a byte or
 //! a bit each. The body can optionally pass through the std-only LZ codec
 //! ([`agreement_analysis::lz_compress`]); either way the transport's frame
-//! CRC covers the final payload, so in-flight damage (including injected
-//! `FaultPlan` bit-flips) surfaces as `FrameCorrupt` before this decoder
-//! runs. This decoder's own checks guard against the *other* failure class:
+//! CRC covers the final payload, so in-flight damage surfaces as
+//! `FrameCorrupt` before this decoder runs. This decoder's own checks guard against the *other* failure class:
 //! truncated, malformed, or adversarial bytes decode to a loud error, never
 //! to fabricated records.
 //!

@@ -47,31 +47,22 @@
 //! apply the trials/seed/limits carried on the wire, so both sides agree on
 //! the exact workload without serializing protocol objects.
 //!
-//! # Fault tolerance and recovery
+//! # Recovery
 //!
-//! Every failure funnels into one recovery path: **drop the worker, re-queue
-//! its range, re-run deterministically** (a half-range would have to be
-//! stitched; a re-run of trial `t` is provably identical, so re-running is
-//! both simpler and correct). What differs is only the detector:
+//! Every failure of a worker funnels into one rule: **drop the worker, put
+//! its range back at the front of the queue, re-run it on the remaining
+//! workers** (a half-range would have to be stitched; a re-run of trial `t`
+//! is provably identical, so re-running is both simpler and correct). A
+//! worker is dropped when it hangs up or crashes (its forwarder observes
+//! the hangup), when its bytes arrive damaged (every frame carries a CRC32
+//! trailer, see `agreement_net::transport`, so a bit-flip or a torn frame
+//! stops the reader with a recorded reason instead of parsing as garbage),
+//! and when it breaks the protocol or reports an error. With no live worker
+//! left the run ends in [`OrchestrateError::WorkersExhausted`]; lost workers
+//! are not replaced.
 //!
-//! * **Disconnect / crash (SIGKILL)** — the forwarder observes the hangup
-//!   and delivers a gone notice.
-//! * **Damaged bytes** — every frame carries a CRC32 trailer (see
-//!   `agreement_net::transport`); a bit-flip or a torn frame kills the
-//!   reader with a recorded reason and surfaces as a corrupt delivery, not
-//!   as garbage JSON.
-//! * **Silence** — a worker holding a range but silent past the liveness
-//!   policy's receive timeout gets its range *speculatively re-dispatched*
-//!   to an idle worker (first completion wins, the slower copy is discarded,
-//!   so the merge stays byte-identical); one silent past **twice** the
-//!   timeout is dropped outright.
-//!
-//! Lost capacity comes back: the session respawns dead workers up to a
-//! bounded budget, with seeded exponential backoff and jitter, and only
-//! reports [`OrchestrateError::WorkersExhausted`] when no live worker
-//! remains and the budget is spent. The fault schedule of a chaos run is
-//! seeded (`agreement_net::fault::FaultPlan`), so the same seed reproduces
-//! the same failures and the same recovery sequence.
+//! There is no liveness timeout: a worker that stays connected but silent
+//! stalls the run, as a stuck thread stalls a threaded campaign.
 //!
 //! # Checkpoints
 //!
@@ -98,9 +89,6 @@
 use std::fmt;
 use std::io;
 use std::path::PathBuf;
-use std::time::Duration;
-
-pub use agreement_net::fault::FaultPlan;
 
 use crate::experiments::Scale;
 use crate::scenario::ScenarioError;
@@ -111,8 +99,7 @@ mod wire;
 pub mod worker;
 
 pub use checkpoint::{
-    append_checkpoint, compact_checkpoint, read_checkpoint, read_checkpoint_lossy, CheckpointEntry,
-    CheckpointWriter,
+    append_checkpoint, compact_checkpoint, read_checkpoint_lossy, CheckpointEntry, CheckpointWriter,
 };
 pub use session::Session;
 
@@ -203,9 +190,11 @@ pub enum OrchestrationEvent {
         /// Worker index within the session.
         worker: usize,
     },
-    /// A worker held a range past the receive timeout; the range was
-    /// re-dispatched speculatively to an idle worker. Whichever copy
-    /// finishes first wins; the other completion is discarded.
+    /// Never emitted: a session re-dispatches a range only when its worker
+    /// is lost.
+    ///
+    /// It survives only because `benchmark/src/workloads.rs` matches this
+    /// enum exhaustively. Once that match goes, so does the variant.
     RangeSpeculated {
         /// The straggling worker still holding the original assignment.
         worker: usize,
@@ -214,8 +203,10 @@ pub enum OrchestrationEvent {
         /// Range end (exclusive).
         hi: u64,
     },
-    /// A replacement worker process was spawned, connected, and joined the
-    /// pool after earlier losses.
+    /// Never emitted: a session does not replace lost workers.
+    ///
+    /// It survives only because `benchmark/src/workloads.rs` matches this
+    /// enum exhaustively. Once that match goes, so does the variant.
     WorkerRespawned {
         /// The new worker's index within the session.
         worker: usize,
@@ -223,8 +214,7 @@ pub enum OrchestrationEvent {
 }
 
 /// Coordinator configuration: how many workers to spawn, with what command,
-/// at what scale, with what chunking, checkpointing, liveness policy,
-/// respawn budget, and (for chaos runs) fault plan.
+/// at what scale, with what chunking and checkpointing.
 #[derive(Debug, Clone)]
 pub struct Orchestrator {
     scale: Scale,
@@ -232,9 +222,6 @@ pub struct Orchestrator {
     command: Vec<String>,
     chunk: Option<u64>,
     checkpoint: Option<PathBuf>,
-    recv_timeout: Duration,
-    respawn_budget: u32,
-    worker_faults: Option<FaultPlan>,
 }
 
 impl Orchestrator {
@@ -252,9 +239,6 @@ impl Orchestrator {
             command,
             chunk: None,
             checkpoint: None,
-            recv_timeout: Duration::from_secs(600),
-            respawn_budget: 2,
-            worker_faults: None,
         }
     }
 
@@ -278,33 +262,6 @@ impl Orchestrator {
     /// already exists.
     pub fn checkpoint(mut self, path: impl Into<PathBuf>) -> Self {
         self.checkpoint = Some(path.into());
-        self
-    }
-
-    /// Sets the liveness policy's receive timeout (default 600 s, clamped to
-    /// at least one second). A worker holding a range but silent this long
-    /// gets the range speculatively re-dispatched; silent twice this long,
-    /// it is dropped and its range re-queued.
-    pub fn recv_timeout(mut self, timeout: Duration) -> Self {
-        self.recv_timeout = timeout.max(Duration::from_secs(1));
-        self
-    }
-
-    /// Sets how many replacement workers the session may spawn over its
-    /// lifetime (default 2; zero disables respawning). Each respawn waits
-    /// out an exponential backoff with seeded jitter first.
-    pub fn respawn_budget(mut self, budget: u32) -> Self {
-        self.respawn_budget = budget;
-        self
-    }
-
-    /// Injects deterministic faults on every worker's outgoing connection:
-    /// each spawned worker (respawns included) receives `plan` reseeded with
-    /// a distinct derived seed through the `AGREEMENT_FAULTS` environment
-    /// hook, so one plan seed reproduces the entire multi-process fault
-    /// schedule. Production runs never set this and pay nothing.
-    pub fn worker_faults(mut self, plan: FaultPlan) -> Self {
-        self.worker_faults = Some(plan);
         self
     }
 

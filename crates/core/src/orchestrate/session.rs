@@ -1,15 +1,13 @@
 //! The coordinator's live half: the worker pool ([`Session`]) and the state
 //! of one spec's dispatch over it ([`SpecRun`]).
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::process::{Child, Command, Stdio};
-use std::sync::mpsc::{Receiver, RecvTimeoutError};
+use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use agreement_model::{derive_seed, ProcessorRng};
-use agreement_net::fault::FAULT_ENV;
 use agreement_net::transport::{bounded, Connection, Listener, Sender};
 
 use super::checkpoint::{holds_exactly, RangeLedger};
@@ -25,18 +23,6 @@ const SPAWN_DEADLINE: Duration = Duration::from_secs(30);
 /// How long shutdown waits for workers to exit gracefully before forcing
 /// their sockets shut and killing the processes.
 const SHUTDOWN_DEADLINE: Duration = Duration::from_secs(30);
-
-/// Base of the respawn exponential backoff: attempt `k` waits
-/// `RESPAWN_BACKOFF_BASE · 2^min(k, 5)` (at most 1.6 s) plus seeded jitter.
-const RESPAWN_BACKOFF_BASE: Duration = Duration::from_millis(50);
-
-/// Upper bound (exclusive) on the seeded respawn jitter, in milliseconds.
-const RESPAWN_JITTER_MS: u64 = 25;
-
-/// How long a respawned worker gets to dial in and say hello before the
-/// attempt is counted as failed (shorter than [`SPAWN_DEADLINE`]: a respawn
-/// blocks the dispatch loop, and localhost dials are fast).
-const RESPAWN_ACCEPT_DEADLINE: Duration = Duration::from_secs(10);
 
 /// What a worker forwarder delivers into the coordinator's shared inbox.
 enum Delivery {
@@ -55,15 +41,11 @@ struct WorkerHandle {
     forwarder: JoinHandle<()>,
 }
 
+/// The range a worker holds, and the job id its answer must name.
 struct Inflight {
     job: u64,
     lo: u64,
     hi: u64,
-    /// When the worker holding the range was last heard from.
-    heard: Instant,
-    /// Whether this range has already been speculatively re-dispatched —
-    /// one speculation per straggler, then the 2× deadline drops it.
-    speculated: bool,
 }
 
 /// Spawns the thread that pumps one worker connection into the shared inbox
@@ -93,35 +75,26 @@ fn spawn_forwarder(
 
 /// A live orchestration session: connected worker processes, reusable across
 /// many specs (the `scenarios` bin runs its whole matrix through one
-/// session). The session keeps its listener open so replacement workers can
-/// dial in after losses.
+/// session). A lost worker is not replaced: the pool only shrinks.
 pub struct Session {
     config: Orchestrator,
     listener: Listener,
     workers: Vec<WorkerHandle>,
     children: Vec<Child>,
     inbox: Receiver<(usize, Delivery)>,
-    // Kept so the inbox stays connected for forwarders spawned later
-    // (respawns) — and so a momentarily empty pool reads as a timeout, not
-    // a disconnect.
+    // Cloned into the forwarder of each worker admitted; kept, so the inbox
+    // never reads as disconnected.
     inbox_tx: Sender<(usize, Delivery)>,
+    // Job ids are session-unique, so a block naming a job its worker does
+    // not hold — a late frame from an earlier run — breaks the protocol.
     next_job: u64,
-    // Jobs whose range has been settled (merged, or superseded by a twin).
-    // Job ids are session-unique, so a block naming a retired job can only
-    // be a duplicated late copy — benign — while a block naming an unknown
-    // job is a protocol violation. Without this, a duplicated final block
-    // of one spec poisons the next spec's run on the same session.
-    retired_jobs: BTreeSet<u64>,
-    respawns_used: u32,
-    respawn_due: Option<Instant>,
-    respawn_rng: ProcessorRng,
 }
 
 impl Session {
     /// Spawns `config.workers` worker processes and admits each.
     pub(super) fn fill(&mut self) -> Result<(), OrchestrateError> {
-        for spawn_index in 0..self.config.workers {
-            self.spawn(spawn_index as u64)?;
+        for _ in 0..self.config.workers {
+            self.spawn()?;
         }
         let deadline = Instant::now() + SPAWN_DEADLINE;
         for _ in 0..self.config.workers {
@@ -133,10 +106,6 @@ impl Session {
     /// A session with its listener bound and an empty pool.
     pub(super) fn listen(config: Orchestrator) -> Result<Session, OrchestrateError> {
         let (inbox_tx, inbox) = bounded::<(usize, Delivery)>(1024);
-        // The jitter stream is seeded from the fault plan when there is one
-        // (so a chaos run's whole recovery timeline replays from one seed)
-        // and from a fixed constant otherwise.
-        let jitter_seed = config.worker_faults.as_ref().map_or(0x7E5_7A77, |p| p.seed);
         Ok(Session {
             config,
             listener: Listener::bind_local()?,
@@ -145,19 +114,12 @@ impl Session {
             inbox,
             inbox_tx,
             next_job: 0,
-            retired_jobs: BTreeSet::new(),
-            respawns_used: 0,
-            respawn_due: None,
-            respawn_rng: ProcessorRng::from_seed(derive_seed(jitter_seed, 0xBAC0FF)),
         })
     }
 
-    /// Spawns the session's `spawn_index`-th worker process, dialing back to
-    /// the listener; [`Session::admit`] takes its call. With a fault plan
-    /// configured, the worker inherits it through the environment hook,
-    /// reseeded per spawn index so every worker (and every respawn) injures
-    /// its frames on its own deterministic substream.
-    fn spawn(&mut self, spawn_index: u64) -> Result<(), OrchestrateError> {
+    /// Spawns one worker process, dialing back to the listener;
+    /// [`Session::admit`] takes its call.
+    fn spawn(&mut self) -> Result<(), OrchestrateError> {
         let mut cmd = Command::new(&self.config.command[0]);
         cmd.args(&self.config.command[1..])
             .arg("--connect")
@@ -165,17 +127,13 @@ impl Session {
             // Workers write records to the socket, never to stdout; a stray
             // print must not corrupt the coordinator's own output.
             .stdout(Stdio::null());
-        if let Some(plan) = &self.config.worker_faults {
-            let reseeded = plan.reseeded(derive_seed(plan.seed, spawn_index));
-            cmd.env(FAULT_ENV, reseeded.to_string());
-        }
         self.children.push(cmd.spawn()?);
         Ok(())
     }
 
     /// Accepts the next connection, checks its hello, and appends the worker
-    /// to the pool, returning its index.
-    fn admit(&mut self, deadline: Instant) -> Result<usize, OrchestrateError> {
+    /// to the pool.
+    fn admit(&mut self, deadline: Instant) -> Result<(), OrchestrateError> {
         let index = self.workers.len();
         let conn = self.listener.accept_deadline(deadline)?;
         let pid = read_hello(&conn, deadline, index)?;
@@ -187,11 +145,11 @@ impl Session {
             alive: true,
             forwarder,
         });
-        Ok(index)
+        Ok(())
     }
 
-    /// OS process ids of the worker processes, in session order — what a
-    /// fault-injection test needs to kill one mid-range.
+    /// OS process ids of the worker processes, in session order — how a
+    /// caller watches (or signals) the processes a session runs.
     pub fn worker_pids(&self) -> Vec<u64> {
         self.workers.iter().map(|w| w.pid).collect()
     }
@@ -201,11 +159,12 @@ impl Session {
         self.workers.iter().filter(|w| w.alive).count()
     }
 
-    /// Removes and returns the OS process handle of session worker `index` —
-    /// fault injection for tests: `kill()` it and watch the dispatch loop
-    /// reroute its range. Children are matched by the pid the worker reported
-    /// in its hello (spawn order and connection-accept order can differ), so
-    /// the handle always belongs to the worker the coordinator calls `index`.
+    /// Removes and returns the OS process handle of session worker `index`,
+    /// so a test can `kill()` it mid-range and watch the dispatch loop drop
+    /// the worker and re-run its range on the others. Children are matched
+    /// by the pid the worker reported in its hello (spawn order and
+    /// connection-accept order can differ), so the handle always belongs to
+    /// the worker the coordinator calls `index`.
     /// The session stops reaping a taken child; the caller owns the `wait`.
     ///
     /// # Panics
@@ -256,50 +215,6 @@ impl Session {
             on_event(OrchestrationEvent::RangeRestored { lo, hi });
         })?;
         SpecRun::new(self, spec, ledger, on_event).finish()
-    }
-
-    /// Whether lost capacity can still come back: a respawn is already
-    /// scheduled, or the budget has room for another.
-    fn respawn_possible(&self) -> bool {
-        self.respawn_due.is_some() || self.respawns_used < self.config.respawn_budget
-    }
-
-    /// Replaces lost capacity when the budget allows: schedules a respawn
-    /// (exponential backoff plus seeded jitter) whenever the pool is short
-    /// and none is pending, and performs one whose backoff has elapsed,
-    /// returning the new worker's index. Called at the top of the dispatch
-    /// loop — not only on a receive timeout — so respawns stay timely even
-    /// while the surviving workers stream frames continuously.
-    fn tick_respawn(&mut self) -> Option<usize> {
-        if self.respawn_due.is_none()
-            && self.respawns_used < self.config.respawn_budget
-            && self.live_workers() < self.config.workers
-        {
-            let backoff = RESPAWN_BACKOFF_BASE * (1 << self.respawns_used.min(5));
-            let jitter = Duration::from_millis(self.respawn_rng.range(RESPAWN_JITTER_MS));
-            self.respawn_due = Some(Instant::now() + backoff + jitter);
-        }
-        if self.respawn_due.is_none_or(|due| Instant::now() < due) {
-            return None;
-        }
-        // The attempt is spent whether or not it succeeds; after a failure
-        // the next tick schedules another (with a longer backoff) if the
-        // budget allows.
-        self.respawn_due = None;
-        let spawn_index = self.config.workers as u64 + u64::from(self.respawns_used);
-        self.respawns_used += 1;
-        let respawned = self
-            .spawn(spawn_index)
-            .and_then(|()| self.admit(Instant::now() + RESPAWN_ACCEPT_DEADLINE));
-        let (used, budget) = (self.respawns_used, self.config.respawn_budget);
-        match &respawned {
-            Ok(index) => eprintln!(
-                "orchestrate: respawned worker {index} (pid {}, {used} of {budget} budget used)",
-                self.workers[*index].pid
-            ),
-            Err(err) => eprintln!("orchestrate: respawn attempt failed: {err}"),
-        }
-        respawned.ok()
     }
 
     /// Sends every live worker a shutdown frame and reaps the worker
@@ -366,11 +281,10 @@ impl Drop for Session {
 /// delivery from a worker passes through [`SpecRun::on_delivery`]; every
 /// dropped worker through [`SpecRun::lose`].
 ///
-/// A range is settled by one block carrying exactly its trials. A block for
-/// a retired job (a duplicated frame) is discarded, and so is the slower of
-/// two copies of a speculatively re-dispatched range. Everything else —
-/// short, unordered or foreign blocks, frames that do not decode — drops the
-/// worker.
+/// Each missing range is pending or held by exactly one worker. It is
+/// settled by one block carrying exactly its trials; anything else — short,
+/// unordered or foreign blocks, frames that do not decode, damage, a hangup
+/// — drops the worker and puts its range back at the front of the queue.
 struct SpecRun<'s, F: FnMut(OrchestrationEvent)> {
     session: &'s mut Session,
     spec: &'s ScenarioSpec,
@@ -378,9 +292,8 @@ struct SpecRun<'s, F: FnMut(OrchestrationEvent)> {
     /// The range each busy worker holds, by worker index. A lost worker
     /// holds none: [`SpecRun::lose`] takes it.
     inflight: BTreeMap<usize, Inflight>,
-    /// Restored and completed ranges: the slower copy of a speculatively
-    /// re-dispatched range is discarded against them, and the run ends when
-    /// they cover every trial.
+    /// Restored and completed ranges: the run ends when they cover every
+    /// trial.
     ledger: RangeLedger,
     on_event: F,
 }
@@ -408,11 +321,9 @@ impl<'s, F: FnMut(OrchestrationEvent)> SpecRun<'s, F> {
         }
     }
 
-    /// Dispatches until the range is covered, drops whoever still holds an
-    /// assignment — on success a straggler whose range a twin completed, on
-    /// failure everyone mid-range; either way its eventual frames for this
-    /// spec's job would poison the next spec run on this session, and the
-    /// respawn budget can replace the capacity — and merges.
+    /// Dispatches until the range is covered and merges. A run that fails
+    /// first drops whoever is still mid-range: its eventual frames for this
+    /// spec's job would poison the next spec run on this session.
     fn finish(mut self) -> Result<Vec<TrialRecord>, OrchestrateError> {
         let outcome = self.dispatch();
         while let Some((&worker, _)) = self.inflight.first_key_value() {
@@ -427,36 +338,27 @@ impl<'s, F: FnMut(OrchestrationEvent)> SpecRun<'s, F> {
         // before the next assignment round.
         let mut drained: Vec<(usize, Delivery)> = Vec::new();
         loop {
-            if let Some(worker) = self.session.tick_respawn() {
-                (self.on_event)(OrchestrationEvent::WorkerRespawned { worker });
-            }
             self.assign();
             if self.ledger.is_complete() {
                 return Ok(());
             }
-            if self.session.live_workers() == 0 && !self.session.respawn_possible() {
+            if self.session.live_workers() == 0 {
                 return Err(OrchestrateError::WorkersExhausted(format!(
-                    "all {} worker(s) lost (respawn budget {} spent) with {} range(s) of '{}' unfinished",
+                    "all {} worker(s) lost with {} range(s) of '{}' unfinished",
                     self.session.workers.len(),
-                    self.session.config.respawn_budget,
-                    self.pending.len() + self.inflight.len(),
+                    self.pending.len(),
                     self.spec.id(),
                 )));
             }
-            let wait = self
-                .next_deadline()
-                .saturating_duration_since(Instant::now());
-            match self.session.inbox.recv_timeout(wait) {
-                Ok(first) => {
-                    drained.push(first);
-                    drained.extend(self.session.inbox.try_iter());
-                    for (worker, delivery) in drained.drain(..) {
-                        self.on_delivery(worker, delivery)?;
-                    }
-                }
-                // A due respawn is handled at the loop top.
-                Err(RecvTimeoutError::Timeout) => self.on_silence(Instant::now()),
-                Err(RecvTimeoutError::Disconnected) => unreachable!("the session holds a sender"),
+            let first = self
+                .session
+                .inbox
+                .recv()
+                .expect("the session holds a sender");
+            drained.push(first);
+            drained.extend(self.session.inbox.try_iter());
+            for (worker, delivery) in drained.drain(..) {
+                self.on_delivery(worker, delivery)?;
             }
         }
     }
@@ -467,9 +369,7 @@ impl<'s, F: FnMut(OrchestrationEvent)> SpecRun<'s, F> {
             if self.inflight.contains_key(&worker) || !self.session.workers[worker].alive {
                 continue;
             }
-            // A queued speculative copy of a range since completed is stale.
-            let mut queued = std::iter::from_fn(|| self.pending.pop_front());
-            let Some((lo, hi)) = queued.find(|&range| !self.ledger.holds(range)) else {
+            let Some((lo, hi)) = self.pending.pop_front() else {
                 break;
             };
             let job = self.session.next_job;
@@ -493,30 +393,9 @@ impl<'s, F: FnMut(OrchestrationEvent)> SpecRun<'s, F> {
                 self.pending.push_front((lo, hi));
                 continue;
             }
-            let range = Inflight {
-                job,
-                lo,
-                hi,
-                heard: Instant::now(),
-                speculated: false,
-            };
-            self.inflight.insert(worker, range);
+            self.inflight.insert(worker, Inflight { job, lo, hi });
             (self.on_event)(OrchestrationEvent::RangeAssigned { worker, lo, hi });
         }
-    }
-
-    /// When the dispatch loop must wake at the latest: a straggler crossing
-    /// its speculation (1×) or drop (2×) deadline, a due respawn, or a
-    /// liveness tick.
-    fn next_deadline(&self) -> Instant {
-        let timeout = self.session.config.recv_timeout;
-        let stragglers = self.inflight.values().map(|range| {
-            let factor = if range.speculated { 2 } else { 1 };
-            range.heard + timeout * factor
-        });
-        stragglers
-            .chain(self.session.respawn_due)
-            .fold(Instant::now() + timeout, Instant::min)
     }
 
     /// Applies one delivery from `worker`. A delivery the worker should not
@@ -527,9 +406,6 @@ impl<'s, F: FnMut(OrchestrationEvent)> SpecRun<'s, F> {
             // Residue from a worker already written off — possibly earlier
             // in this same batch.
             return Ok(());
-        }
-        if let Some(range) = self.inflight.get_mut(&worker) {
-            range.heard = Instant::now();
         }
         // The frame CRC already vouched for the bytes, so a decode failure is
         // a protocol bug, not line noise — but it still only costs this one
@@ -555,11 +431,10 @@ impl<'s, F: FnMut(OrchestrationEvent)> SpecRun<'s, F> {
     }
 
     /// Settles the range `worker` holds with the block that answers it:
-    /// checkpoints it, counts it, frees the worker. A block for a retired job
-    /// is a duplicated late copy and changes nothing. The inner `Err` — a
-    /// block for a job the worker does not hold, or one that does not carry
-    /// exactly the range's trials in order — drops the worker; the outer one
-    /// is a checkpoint I/O failure.
+    /// checkpoints it, counts it, frees the worker. The inner `Err` — a block
+    /// for a job the worker does not hold, or one that does not carry exactly
+    /// the range's trials in order — drops the worker; the outer one is a
+    /// checkpoint I/O failure.
     fn on_block(
         &mut self,
         worker: usize,
@@ -571,7 +446,6 @@ impl<'s, F: FnMut(OrchestrationEvent)> SpecRun<'s, F> {
         // the range and stall the run forever).
         let (lo, hi) = match self.inflight.get(&worker) {
             Some(current) if current.job == job => (current.lo, current.hi),
-            _ if self.session.retired_jobs.contains(&job) => return Ok(Ok(())),
             _ => return Ok(Err("block for a job the worker does not hold".into())),
         };
         if !holds_exactly(&records, lo, hi) {
@@ -581,22 +455,14 @@ impl<'s, F: FnMut(OrchestrationEvent)> SpecRun<'s, F> {
             )));
         }
         self.inflight.remove(&worker);
-        self.session.retired_jobs.insert(job);
-        if self.ledger.holds((lo, hi)) {
-            // The straggler finished after its speculative twin: the range
-            // is already settled; free the worker and move on.
-            return Ok(Ok(()));
-        }
         self.ledger.settle(lo, hi, records)?;
         (self.on_event)(OrchestrationEvent::RangeCompleted { worker, lo, hi });
         Ok(Ok(()))
     }
 
     /// The one place a worker is dropped, and logged as dropped: marks it
-    /// dead and re-queues its in-flight range (partial records are
-    /// discarded: a deterministic re-run is identical). A range already
-    /// completed by a speculative twin — or still in flight on one — is not
-    /// re-queued.
+    /// dead and puts its in-flight range back at the front of the queue
+    /// (partial records are discarded: a deterministic re-run is identical).
     fn lose(&mut self, worker: usize, reason: &str) {
         eprintln!("orchestrate: worker {worker} dropped: {reason}");
         let handle = &mut self.session.workers[worker];
@@ -606,38 +472,9 @@ impl<'s, F: FnMut(OrchestrationEvent)> SpecRun<'s, F> {
         // leave a thread or process for shutdown to hang on.
         handle.conn.shutdown();
         if let Some(lost) = self.inflight.remove(&worker) {
-            let range = (lost.lo, lost.hi);
-            let mut twins = self.inflight.values();
-            if !self.ledger.holds(range) && !twins.any(|twin| (twin.lo, twin.hi) == range) {
-                self.pending.push_front(range);
-            }
+            self.pending.push_front((lost.lo, lost.hi));
         }
         (self.on_event)(OrchestrationEvent::WorkerLost { worker });
-    }
-
-    /// The liveness policy, applied when the inbox stayed silent up to
-    /// `now`: a worker holding a range gets it speculatively re-dispatched
-    /// after one receive timeout and is dropped after two.
-    fn on_silence(&mut self, now: Instant) {
-        let timeout = self.session.config.recv_timeout;
-        let holders: Vec<usize> = self.inflight.keys().copied().collect();
-        for worker in holders {
-            let range = self.inflight.get_mut(&worker).expect("a holder");
-            let (lo, hi) = (range.lo, range.hi);
-            if now >= range.heard + timeout * 2 {
-                self.lose(worker, "silent past twice the receive timeout");
-            } else if !range.speculated && now >= range.heard + timeout {
-                range.speculated = true;
-                if !self.ledger.holds((lo, hi)) {
-                    eprintln!(
-                        "orchestrate: worker {worker} silent past the receive timeout; \
-                         speculatively re-dispatching {lo}..{hi}"
-                    );
-                    self.pending.push_back((lo, hi));
-                    (self.on_event)(OrchestrationEvent::RangeSpeculated { worker, lo, hi });
-                }
-            }
-        }
     }
 }
 
@@ -650,11 +487,14 @@ mod tests {
     use crate::block::encode_block;
     use crate::experiments::Scale;
     use crate::scenario::scenario_registry;
+    use agreement_net::transport::{encode_frame, read_frame, write_frame};
+    use std::io::{Read, Write};
+    use std::net::{SocketAddr, TcpStream};
 
-    /// A thread playing a worker: says hello, takes one run frame, answers
-    /// it in full when `finishes` and not at all otherwise, then holds the
-    /// connection until told to shut down or hung up on.
-    fn fake_worker(addr: String, finishes: bool) -> JoinHandle<()> {
+    /// A thread playing a worker: says hello, then answers every run frame
+    /// in full when `answers` and none at all otherwise, until told to shut
+    /// down or hung up on.
+    fn fake_worker(addr: String, answers: bool) -> JoinHandle<()> {
         std::thread::spawn(move || {
             let conn = Connection::connect(&addr).unwrap();
             let hello = Message::Hello {
@@ -662,24 +502,97 @@ mod tests {
                 proto: PROTO_VERSION,
             };
             conn.send(hello.encode()).unwrap();
-            // A session that drops this worker right after assigning it a
-            // range may hang up before the run frame leaves its writer queue.
-            let Some(frame) = conn.recv() else {
-                return;
+            while let Some(frame) = conn.recv() {
+                match Message::decode(&frame) {
+                    Ok(Message::Run(run)) if answers => {
+                        let records: Vec<TrialRecord> = (run.lo..run.hi).map(record).collect();
+                        conn.send(encode_block(run.job, &records, false)).unwrap();
+                    }
+                    Ok(Message::Run(_)) => {}
+                    _ => return,
+                }
+            }
+        })
+    }
+
+    /// A raw socket playing a worker: says hello, takes one run frame,
+    /// answers it with a block frame one byte of which is flipped on the
+    /// wire, then holds the socket until the session hangs up.
+    fn damaging_worker(addr: SocketAddr) -> JoinHandle<()> {
+        std::thread::spawn(move || {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            let hello = Message::Hello {
+                pid: 0,
+                proto: PROTO_VERSION,
             };
+            write_frame(&mut stream, &hello.encode()).unwrap();
+            let frame = read_frame(&mut stream).unwrap().expect("a run frame");
             let Ok(Message::Run(run)) = Message::decode(&frame) else {
                 panic!("the first frame after the hello must be a run frame");
             };
-            let (job, lo, hi) = (run.job, run.lo, run.hi);
-            if finishes {
-                let records: Vec<TrialRecord> = (lo..hi).map(record).collect();
-                conn.send(encode_block(job, &records, false)).unwrap();
-            }
-            while conn
-                .recv()
-                .is_some_and(|frame| Message::decode(&frame) != Ok(Message::Shutdown))
-            {}
+            let records: Vec<TrialRecord> = (run.lo..run.hi).map(record).collect();
+            let mut bytes = encode_frame(&encode_block(run.job, &records, false));
+            let middle = bytes.len() / 2;
+            bytes[middle] ^= 0x01;
+            stream.write_all(&bytes).unwrap();
+            let _ = stream.read_to_end(&mut Vec::new());
         })
+    }
+
+    #[test]
+    fn a_worker_that_sends_a_damaged_block_is_dropped_and_its_range_re_run() {
+        let mut spec = scenario_registry(Scale::Quick).remove(0);
+        spec.trials = 4;
+        let config = Orchestrator::new(Scale::Quick, vec!["unused".to_string()])
+            .workers(2)
+            .chunk(2);
+        let mut session = Session::listen(config).unwrap();
+        let addr = session.listener.local_addr().unwrap();
+        let deadline = Instant::now() + SPAWN_DEADLINE;
+        // Admitted one at a time, so that the damaging worker is worker 0.
+        let damaging = damaging_worker(addr);
+        session.admit(deadline).unwrap();
+        let answering = fake_worker(addr.to_string(), true);
+        session.admit(deadline).unwrap();
+
+        // The run gets a thread of its own, so that a lost range that is
+        // never re-run fails this test instead of hanging it.
+        let (done_tx, done) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let mut events = Vec::new();
+            let records = session.run_spec_records_with(&spec, |event| events.push(event));
+            done_tx.send((session, records, events)).unwrap();
+        });
+        let (session, records, events) = done
+            .recv_timeout(Duration::from_secs(60))
+            .expect("the run stalled: the damaged worker's range was not re-run");
+
+        let all: Vec<TrialRecord> = (0..4).map(record).collect();
+        assert_eq!(records.unwrap(), all, "every trial's record comes back");
+        let lost: Vec<&OrchestrationEvent> = events
+            .iter()
+            .filter(|event| matches!(event, OrchestrationEvent::WorkerLost { .. }))
+            .collect();
+        assert_eq!(lost, [&OrchestrationEvent::WorkerLost { worker: 0 }]);
+        let assigned = |worker| {
+            events.iter().filter_map(move |event| match *event {
+                OrchestrationEvent::RangeAssigned { worker: w, lo, hi } if w == worker => {
+                    Some((lo, hi))
+                }
+                _ => None,
+            })
+        };
+        let damaged: Vec<(u64, u64)> = assigned(0).collect();
+        assert_eq!(damaged.len(), 1, "worker 0 held one range: {damaged:?}");
+        assert!(
+            assigned(1).any(|range| range == damaged[0]),
+            "the damaged worker's range {:?} went to worker 1: {events:?}",
+            damaged[0]
+        );
+
+        drop(session);
+        damaging.join().unwrap();
+        answering.join().unwrap();
     }
 
     #[test]
@@ -688,8 +601,7 @@ mod tests {
         spec.trials = 4;
         let config = Orchestrator::new(Scale::Quick, vec!["unused".to_string()])
             .workers(2)
-            .chunk(2)
-            .respawn_budget(0);
+            .chunk(2);
         let mut session = Session::listen(config).unwrap();
         let addr = session.listener.local_addr().unwrap().to_string();
         let deadline = Instant::now() + SPAWN_DEADLINE;

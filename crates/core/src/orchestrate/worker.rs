@@ -9,7 +9,7 @@ use agreement_net::transport::Connection;
 use agreement_sim::TrialWorkspace;
 
 use super::wire::{Message, Run, PROTO_VERSION};
-use super::{FaultPlan, MAX_RANGE_TRIALS};
+use super::MAX_RANGE_TRIALS;
 use crate::block::encode_block;
 use crate::experiments::Scale;
 use crate::record::TrialRecord;
@@ -27,26 +27,15 @@ struct Warm {
     workspaces: Vec<TrialWorkspace>,
 }
 
-/// Serves one coordinator at `addr` until shutdown or disconnect.
-///
-/// When the `AGREEMENT_FAULTS` environment variable carries a
-/// [`FaultPlan`] spec, the worker's outgoing connection runs through the
-/// deterministic fault injector — this is the env-gated hook the
-/// orchestrator's [`Orchestrator::worker_faults`](super::Orchestrator::worker_faults)
-/// uses, and chaos tests can set directly. An unset variable costs nothing;
-/// a malformed one is a loud error, never a silently fault-free run.
+/// Serves one coordinator at `addr` until shutdown or disconnect. Each run
+/// frame is answered by exactly one frame, in the order the frames came.
 ///
 /// # Errors
 ///
-/// Propagates connection errors and a malformed fault spec; execution
-/// errors are reported to the coordinator in-protocol, not returned
-/// here.
+/// Propagates connection errors; execution errors are reported to the
+/// coordinator in-protocol, not returned here.
 pub fn serve(addr: &str) -> io::Result<()> {
-    let faults = FaultPlan::from_env();
-    let mut conn = match faults.map_err(|err| io::Error::new(io::ErrorKind::InvalidInput, err))? {
-        Some(plan) => Connection::connect_with_faults(addr, &plan)?,
-        None => Connection::connect(addr)?,
-    };
+    let mut conn = Connection::connect(addr)?;
     let hello = Message::Hello {
         pid: u64::from(std::process::id()),
         proto: PROTO_VERSION,
@@ -62,19 +51,11 @@ pub fn serve(addr: &str) -> io::Result<()> {
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
     let campaign = Campaign::with_threads(cores);
     let mut warm = Warm::default();
-    // Guard against duplicated run frames (a faulted coordinator→worker
-    // leg can re-deliver one): re-executing would re-send a block the
-    // coordinator has already consumed.
-    let mut last_job: Option<u64> = None;
     while let Some(frame) = conn.recv() {
         // Shutdown, or anything this worker cannot act on: stop serving.
         let Ok(Message::Run(run)) = Message::decode(&frame) else {
             break;
         };
-        if last_job == Some(run.job) {
-            continue;
-        }
-        last_job = Some(run.job);
         if answer(&conn, &run, &campaign, &mut warm).is_err() {
             return Ok(());
         }

@@ -19,10 +19,9 @@
 //!   (takes every frame queued in its bounded outbox, writes them all,
 //!   flushes **once** — many small sends become one syscall) and a reader
 //!   thread (feeds a bounded inbox; a slow consumer propagates
-//!   backpressure to the peer through TCP flow control). A connection built
-//!   with [`Connection::connect_with_faults`] consults a seeded
-//!   [`crate::fault::FaultInjector`] at every outgoing frame
-//!   boundary; without one the fault hook is a single branch per frame.
+//!   backpressure to the peer through TCP flow control). A reader that
+//!   stops on damage records why ([`Connection::read_fault`]), so the owner
+//!   can tell a damaged stream from a clean hangup.
 //!
 //! The orchestration layer in `agreement-core` speaks JSON inside these
 //! frames; this module neither knows nor cares — payloads are opaque bytes.
@@ -38,8 +37,6 @@ use std::time::{Duration, Instant};
 
 use agreement_analysis::crc32;
 
-use crate::fault::{FaultAction, FaultInjector, FaultPlan};
-
 /// Largest accepted frame payload (64 MiB): a corrupted length prefix must
 /// not become an attempted multi-gigabyte allocation.
 pub const MAX_FRAME_LEN: usize = 64 << 20;
@@ -51,9 +48,9 @@ const FRAME_TRAILER: usize = 4;
 pub const FRAME_RESERVE: usize = 64 << 10;
 
 /// A frame whose CRC32 trailer does not match its payload: the bytes were
-/// damaged in flight (or deliberately, by the fault injector). Carried as
-/// the inner error of an [`io::ErrorKind::InvalidData`] error from
-/// [`read_frame`]; test with [`is_frame_corrupt`].
+/// damaged in flight. Carried as the inner error of an
+/// [`io::ErrorKind::InvalidData`] error from [`read_frame`]; test with
+/// [`is_frame_corrupt`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameCorrupt {
     /// The checksum the sender wrote.
@@ -145,8 +142,8 @@ pub fn write_frame(writer: &mut impl Write, payload: &[u8]) -> io::Result<()> {
 }
 
 /// Encodes one frame — length prefix, payload, CRC trailer — into a byte
-/// vector: [`write_frame`] into memory. This is the form the fault injector
-/// mutates before putting bytes on the wire.
+/// vector: [`write_frame`] into memory — how a test or a benchmark puts
+/// raw frame bytes on a socket or into a buffer.
 ///
 /// # Panics
 ///
@@ -253,48 +250,6 @@ pub struct Connection {
     read_fault: Arc<Mutex<Option<String>>>,
 }
 
-/// Applies one fault decision to one outgoing frame. Returns `false` when
-/// the write side is finished (truncate-then-close fired or I/O failed).
-fn write_frame_with_fault(
-    sink: &mut BufWriter<&TcpStream>,
-    stream: &TcpStream,
-    frame: &[u8],
-    action: FaultAction,
-) -> bool {
-    match action {
-        FaultAction::Deliver => write_frame(sink, frame).is_ok(),
-        FaultAction::Drop | FaultAction::Hang => true,
-        FaultAction::Duplicate => {
-            write_frame(sink, frame).is_ok() && write_frame(sink, frame).is_ok()
-        }
-        FaultAction::Delay { ms } => {
-            // Flush what is already buffered so the delay is observable as
-            // wire silence, then stall this frame and everything after it.
-            let _ = sink.flush();
-            std::thread::sleep(Duration::from_millis(ms));
-            write_frame(sink, frame).is_ok()
-        }
-        FaultAction::BitFlip { bit } => {
-            let mut bytes = encode_frame(frame);
-            // Flip inside the payload+CRC body, never the length prefix: a
-            // flipped length desynchronizes the stream instead of testing
-            // the integrity check.
-            let body_bits = ((bytes.len() - 4) * 8) as u64;
-            let bit = (bit % body_bits) as usize;
-            bytes[4 + bit / 8] ^= 1 << (bit % 8);
-            sink.write_all(&bytes).is_ok()
-        }
-        FaultAction::TruncateClose { keep } => {
-            let bytes = encode_frame(frame);
-            let keep = 1 + (keep % (bytes.len() as u64 - 1)) as usize;
-            let _ = sink.write_all(&bytes[..keep]);
-            let _ = sink.flush();
-            let _ = stream.shutdown(Shutdown::Both);
-            false
-        }
-    }
-}
-
 impl Connection {
     /// Connects to `addr` (e.g. `"127.0.0.1:4000"`).
     ///
@@ -305,30 +260,12 @@ impl Connection {
         Connection::from_stream(TcpStream::connect(addr)?)
     }
 
-    /// Connects to `addr` with outgoing frames subjected to `plan` — the
-    /// chaos-testing entry point: at every frame boundary the writer
-    /// consults the plan's deterministic injector and delivers, drops,
-    /// duplicates, bit-flips, truncates-then-closes, delays, or hangs.
-    /// Incoming frames are untouched — faults on the other direction belong
-    /// to the peer's plan.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying socket errors.
-    pub fn connect_with_faults(addr: &str, plan: &FaultPlan) -> io::Result<Self> {
-        Connection::build(TcpStream::connect(addr)?, Some(plan.injector(0)))
-    }
-
     /// Wraps an accepted or connected stream.
     ///
     /// # Errors
     ///
     /// Propagates the underlying socket errors.
     pub fn from_stream(stream: TcpStream) -> io::Result<Self> {
-        Connection::build(stream, None)
-    }
-
-    fn build(stream: TcpStream, mut faults: Option<FaultInjector>) -> io::Result<Self> {
         stream.set_nodelay(true)?;
 
         let (outbox_tx, outbox_rx) = bounded::<Vec<u8>>(CONNECTION_QUEUE);
@@ -341,29 +278,12 @@ impl Connection {
             let mut writing = true;
             // One wakeup takes every frame queued since the last, so a burst
             // of sends becomes one write + one flush (outbox coalescing).
-            // Exit on disconnect (sender dropped) or I/O error (peer gone —
-            // the reader side reports it). When the fault injector silences
-            // the connection the loop keeps draining so senders never block,
-            // it just stops writing.
+            // Exit on disconnect (sender dropped); after an I/O error (peer
+            // gone — the reader side reports it) keep draining so senders
+            // never block, but stop touching the socket.
             while let Ok(first) = outbox_rx.recv() {
                 for frame in std::iter::once(first).chain(outbox_rx.try_iter()) {
-                    if !writing {
-                        continue;
-                    }
-                    let ok = match faults.as_mut() {
-                        // The zero-cost path: no plan, no decision — one
-                        // branch per frame.
-                        None => write_frame(&mut sink, &frame).is_ok(),
-                        Some(injector) => write_frame_with_fault(
-                            &mut sink,
-                            &write_stream,
-                            &frame,
-                            injector.next_action(),
-                        ),
-                    };
-                    if !ok {
-                        // Keep draining (senders must not wedge), but stop
-                        // touching the socket.
+                    if writing && write_frame(&mut sink, &frame).is_err() {
                         writing = false;
                     }
                 }
@@ -726,148 +646,45 @@ mod tests {
         assert_eq!(encode_frame(payload), written);
     }
 
-    #[test]
-    fn fault_plan_bit_flips_surface_as_read_faults_not_payloads() {
-        use crate::fault::FaultPlan;
-
-        let mut plan = FaultPlan::new(11);
-        plan.grace = 0;
-        plan.bit_flip = 1.0; // every frame arrives damaged
+    /// Accepts one connection whose peer is a raw socket that writes
+    /// `bytes` and closes, and returns what the connection recorded: the
+    /// frames it delivered and its read fault.
+    fn read_from_raw_peer(bytes: Vec<u8>) -> (Vec<Vec<u8>>, Option<String>) {
         let listener = Listener::bind_local().unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        let client = std::thread::spawn(move || {
-            let mut conn = Connection::connect_with_faults(&addr, &plan).unwrap();
-            conn.send(b"this frame will be mangled".to_vec()).unwrap();
-            conn.finish();
+        let addr = listener.local_addr().unwrap();
+        let peer = std::thread::spawn(move || {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            stream.write_all(&bytes).unwrap();
         });
         let server = listener
             .accept_deadline(Instant::now() + Duration::from_secs(5))
             .unwrap();
-        // The damaged frame must never surface as a payload; the reader
-        // stops and records why.
-        assert!(server.recv().is_none(), "corrupt frame must not deliver");
-        let fault = server.read_fault().expect("read fault recorded");
-        assert!(fault.contains("CRC"), "fault should name the CRC: {fault}");
-        client.join().unwrap();
+        let delivered = std::iter::from_fn(|| server.recv()).collect();
+        peer.join().unwrap();
+        (delivered, server.read_fault())
     }
 
     #[test]
-    fn fault_plan_grace_then_drop_silences_after_the_hello() {
-        use crate::fault::FaultPlan;
+    fn a_frame_with_a_flipped_crc_byte_surfaces_as_a_read_fault() {
+        let mut bytes = encode_frame(b"this frame arrives damaged");
+        let last = bytes.len() - 1;
+        bytes[last] ^= 0x10;
+        let (delivered, fault) = read_from_raw_peer(bytes);
+        assert!(delivered.is_empty(), "a damaged frame must not deliver");
+        let fault = fault.expect("the damage is recorded");
+        assert!(fault.contains("CRC"), "the fault names the CRC: {fault}");
+    }
 
-        let mut plan = FaultPlan::new(5);
-        plan.grace = 1;
-        plan.drop = 1.0; // everything after the grace frame vanishes
-        let listener = Listener::bind_local().unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        let client = std::thread::spawn(move || {
-            let mut conn = Connection::connect_with_faults(&addr, &plan).unwrap();
-            conn.send(b"hello".to_vec()).unwrap();
-            for _ in 0..10 {
-                conn.send(b"dropped".to_vec()).unwrap();
-            }
-            conn.finish();
-        });
-        let server = listener
-            .accept_deadline(Instant::now() + Duration::from_secs(5))
-            .unwrap();
-        assert_eq!(server.recv().expect("grace frame"), b"hello");
-        // Every later frame was dropped; the writer still drains and closes
-        // cleanly, so the server sees EOF, not a hang.
-        assert!(server.recv().is_none());
+    #[test]
+    fn a_frame_cut_short_before_a_close_surfaces_as_a_read_fault() {
+        let bytes = encode_frame(b"this frame is cut short mid-write");
+        let (delivered, fault) = read_from_raw_peer(bytes[..12].to_vec());
+        assert!(delivered.is_empty(), "a torn frame must not deliver");
+        let fault = fault.expect("the tear is recorded, not read as a hangup");
         assert!(
-            server.read_fault().is_none(),
-            "drops are silent, not damage"
+            fault.contains("EOF inside a frame"),
+            "the fault names the truncation: {fault}"
         );
-        client.join().unwrap();
-    }
-
-    #[test]
-    fn fault_plan_duplicates_deliver_the_frame_twice() {
-        use crate::fault::FaultPlan;
-
-        let mut plan = FaultPlan::new(3);
-        plan.grace = 0;
-        plan.duplicate = 1.0;
-        let listener = Listener::bind_local().unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        let client = std::thread::spawn(move || {
-            let mut conn = Connection::connect_with_faults(&addr, &plan).unwrap();
-            conn.send(b"once".to_vec()).unwrap();
-            conn.finish();
-        });
-        let server = listener
-            .accept_deadline(Instant::now() + Duration::from_secs(5))
-            .unwrap();
-        assert_eq!(server.recv().expect("first copy"), b"once");
-        assert_eq!(server.recv().expect("second copy"), b"once");
-        assert!(server.recv().is_none());
-        client.join().unwrap();
-    }
-
-    #[test]
-    fn truncate_close_leaves_a_torn_frame_on_the_wire() {
-        use crate::fault::FaultPlan;
-
-        let mut plan = FaultPlan::new(17);
-        plan.grace = 0;
-        plan.truncate = 1.0;
-        let listener = Listener::bind_local().unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        let client = std::thread::spawn(move || {
-            let mut conn = Connection::connect_with_faults(&addr, &plan).unwrap();
-            conn.send(b"this frame is cut short mid-write".to_vec())
-                .unwrap();
-            // finish() must not wedge even though the socket is already shut.
-            conn.finish();
-        });
-        let server = listener
-            .accept_deadline(Instant::now() + Duration::from_secs(5))
-            .unwrap();
-        assert!(server.recv().is_none(), "torn frame must not deliver");
-        // A tear lands either as an in-frame EOF or (if the close races the
-        // read) a reset — both are recorded, neither is a clean hangup.
-        let fault = server.read_fault().expect("torn frame recorded");
-        assert!(!fault.is_empty(), "fault description must not be empty");
-        client.join().unwrap();
-    }
-
-    #[test]
-    fn same_seed_same_fault_schedule_on_a_live_connection() {
-        use crate::fault::FaultPlan;
-
-        // Two runs with the same plan must deliver exactly the same subset
-        // of frames — the reproducibility contract chaos runs rely on.
-        let deliveries = |seed: u64| -> Vec<Vec<u8>> {
-            let mut plan = FaultPlan::new(seed);
-            plan.grace = 1;
-            plan.drop = 0.5;
-            let listener = Listener::bind_local().unwrap();
-            let addr = listener.local_addr().unwrap().to_string();
-            let client = std::thread::spawn(move || {
-                let mut conn = Connection::connect_with_faults(&addr, &plan).unwrap();
-                for i in 0..64u32 {
-                    conn.send(i.to_le_bytes().to_vec()).unwrap();
-                }
-                conn.finish();
-            });
-            let server = listener
-                .accept_deadline(Instant::now() + Duration::from_secs(5))
-                .unwrap();
-            let mut got = Vec::new();
-            while let Some(frame) = server.recv() {
-                got.push(frame);
-            }
-            client.join().unwrap();
-            got
-        };
-        let first = deliveries(99);
-        let second = deliveries(99);
-        let other = deliveries(100);
-        assert_eq!(first, second, "same seed, same schedule");
-        assert!(first.len() < 64, "a 50% drop plan must drop something");
-        assert!(!first.is_empty(), "the grace frame always lands");
-        assert_ne!(first, other, "different seeds should diverge");
     }
 
     #[test]

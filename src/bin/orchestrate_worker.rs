@@ -2,9 +2,10 @@
 //! `--connect <addr>` and serves sharded seed ranges until shutdown.
 //!
 //! The `scenarios` binary spawns *itself* with `--worker` for everyday use;
-//! this separate binary exists so integration tests and benches of the root
-//! package can spawn a worker via `CARGO_BIN_EXE_orchestrate_worker` without
-//! depending on the bench crate's binaries.
+//! this separate binary exists so the root package's integration tests
+//! (`tests/orchestration.rs`) can spawn a worker via
+//! `CARGO_BIN_EXE_orchestrate_worker` without depending on the bench crate's
+//! binaries.
 
 use std::process::ExitCode;
 

@@ -18,8 +18,8 @@
 //!   adversaries.
 //! * [`analysis`] — Hamming geometry, product distributions, Talagrand's
 //!   inequality, the Z-set recursion, Theorem 5 constants, statistics.
-//! * [`net`] — the framed socket transport (and its fault injector) under
-//!   the multi-process orchestration.
+//! * [`net`] — the framed, CRC-checked socket transport under the
+//!   multi-process orchestration.
 //! * [`core`] — the campaign runner, the scenario registry, the experiment
 //!   harness (E1–E10) and report tables.
 //!
