@@ -129,9 +129,11 @@ impl Genome {
 
     /// Serializes the tape as lowercase hex (the artifact wire format).
     pub fn to_hex(&self) -> String {
+        const DIGITS: &[u8; 16] = b"0123456789abcdef";
         let mut out = String::with_capacity(self.tape.len() * 2);
-        for byte in self.tape.iter() {
-            out.push_str(&format!("{byte:02x}"));
+        for &byte in self.tape.iter() {
+            out.push(char::from(DIGITS[usize::from(byte >> 4)]));
+            out.push(char::from(DIGITS[usize::from(byte & 0xf)]));
         }
         out
     }
@@ -634,6 +636,13 @@ mod tests {
         let genome = Genome::from_seed(ASYNC.id(), 7, 32);
         let back = Genome::from_hex(ASYNC.id(), &genome.to_hex()).unwrap();
         assert_eq!(genome, back);
+    }
+
+    #[test]
+    fn hex_writes_every_byte_as_format_does() {
+        let genome = Genome::new(ASYNC.id(), (0..=u8::MAX).collect::<Vec<u8>>());
+        let expected: String = (0..=u8::MAX).map(|b| format!("{b:02x}")).collect();
+        assert_eq!(genome.to_hex(), expected);
     }
 
     #[test]

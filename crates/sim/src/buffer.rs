@@ -30,15 +30,20 @@
 //! of the index queue" and "broadcast under the cursor" was logged first.
 //! Delivery hands out a `&Payload` borrowed from the log — nothing is cloned,
 //! moved or reference-counted on the way — one message at a time
-//! ([`MessageBuffer::pop_message`]) or a whole channel at once
-//! ([`MessageBuffer::drain`], the receiving phase of a window).
+//! ([`MessageBuffer::pop_message`]), a whole channel at once
+//! ([`MessageBuffer::drain`], a window's receiving phase per recipient), or,
+//! for a window whose one sender set every recipient shares, a lane's
+//! broadcasts listed once for all of them and the lane settled once
+//! (`lend_shared`).
 //!
 //! **Recycling.** A lane whose pending count is zero has nothing left that
 //! points into its log, so the next send on it (or the next
-//! [`MessageBuffer::reset`] / [`MessageBuffer::discard_undelivered`]) clears
-//! the log and rewinds the cursors, keeping every allocation. Memory is thus
+//! [`MessageBuffer::reset`] / [`MessageBuffer::discard_undelivered`])
+//! rewinds the log and the cursors, keeping every allocation. Memory is thus
 //! bounded by the sends made since the lane last drained, as an entry per
-//! in-flight message was before.
+//! in-flight message was before. A rewound log keeps its slots for the next
+//! sends to overwrite (`Log`), so a payload that owns no heap memory is
+//! never dropped at all.
 //!
 //! # One channel layout
 //!
@@ -75,7 +80,7 @@
 
 use std::collections::VecDeque;
 
-use agreement_model::{Payload, ProcessorId};
+use agreement_model::{CommitteeMsg, Payload, ProcessorId};
 
 /// One send in a lane's log, shared by every recipient it addresses.
 #[derive(Debug, Clone)]
@@ -106,6 +111,105 @@ pub enum BufferChoice {
     Lazy,
 }
 
+/// A lane's log: its entries in send order, in slots that outlive them.
+///
+/// Rewinding the log ([`Log::rewind`]) keeps every slot, and the next sends
+/// overwrite them. An entry whose payload owns no heap memory — every
+/// payload but a reliable-broadcast wrapper or opaque bytes — is overwritten
+/// without running its drop glue, which is a call per entry (the payload
+/// type is recursive, so it is never inlined); an entry that owns some is
+/// dropped when its slot is reused, or with the buffer.
+#[derive(Debug, Clone, Default)]
+struct Log {
+    /// The slots; the first `len` hold the log, the rest entries it has
+    /// rewound past.
+    slots: Vec<Entry>,
+    len: usize,
+}
+
+impl Log {
+    /// Number of entries logged since the last rewind.
+    #[inline]
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether nothing was logged since the last rewind.
+    #[inline]
+    fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Appends `entry`, into the next rewound slot if there is one.
+    #[inline(always)]
+    fn push(&mut self, entry: Entry) {
+        match self.slots.get_mut(self.len) {
+            // Nothing to free: skip the drop glue.
+            Some(slot) if !owns_heap(&slot.payload) => {
+                std::mem::forget(std::mem::replace(slot, entry))
+            }
+            Some(slot) => *slot = entry,
+            None => self.slots.push(entry),
+        }
+        self.len += 1;
+    }
+
+    /// Forgets every entry, keeping the slots for the next sends.
+    #[inline(always)]
+    fn rewind(&mut self) {
+        self.len = 0;
+    }
+
+    /// The slots' heap capacity, in entries.
+    #[cfg(test)]
+    fn capacity(&self) -> usize {
+        self.slots.capacity()
+    }
+}
+
+impl std::ops::Index<usize> for Log {
+    type Output = Entry;
+
+    #[inline(always)]
+    fn index(&self, i: usize) -> &Entry {
+        debug_assert!(i < self.len, "entry {i} of a log of {}", self.len);
+        &self.slots[i]
+    }
+}
+
+/// Whether dropping `payload` frees heap memory. Exhaustive on purpose: a
+/// new payload variant must say whether it owns any.
+#[inline(always)]
+fn owns_heap(payload: &Payload) -> bool {
+    match payload {
+        Payload::Report { .. }
+        | Payload::Proposal { .. }
+        | Payload::BrachaVote { .. }
+        | Payload::Committee(CommitteeMsg::Proposal { .. } | CommitteeMsg::Announce { .. }) => {
+            false
+        }
+        Payload::Rbc { .. } | Payload::Opaque(_) => true,
+    }
+}
+
+/// One item of a shared window's receiving phase, as
+/// [`MessageBuffer::lend_shared`] lists them: what each recipient receives
+/// from one sender.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Lent {
+    /// Entry `index` of `sender`'s log, a broadcast every recipient receives
+    /// (the lane is settled already).
+    Entry {
+        /// The lane's sender.
+        sender: ProcessorId,
+        /// The entry's index in the lane's log.
+        index: u32,
+    },
+    /// Everything `sender` has pending to the recipient, drained from its
+    /// channel ([`MessageBuffer::drain`]).
+    Channel(ProcessorId),
+}
+
 /// Which of a channel's two sources holds a given message.
 #[derive(Debug, Clone, Copy)]
 enum Source {
@@ -121,7 +225,7 @@ enum Source {
 #[derive(Debug, Clone, Default)]
 struct Lane {
     /// One entry per send since the lane last recycled.
-    log: Vec<Entry>,
+    log: Log,
     /// Log indices of the broadcast entries, ascending.
     broadcasts: Vec<u32>,
     /// `cursors[r]` counts the broadcasts recipient `r` is past. Empty until
@@ -285,29 +389,25 @@ impl Lane {
 
     /// Appends an entry to the log and returns its index; `order` is `None`
     /// for a send, which takes its own index as its place in the order.
-    #[inline]
+    #[inline(always)]
     fn append(&mut self, payload: Payload, chain: u64, sent_at: u64, order: Option<u32>) -> u32 {
         let idx = u32::try_from(self.log.len()).expect("lane log overflow");
         let order = order.unwrap_or(idx);
-        // `extend(once_with(..))` rather than `push`: the entry is built
-        // after the capacity check, straight into the log. `push` builds it
-        // on the stack first and copies it over with loads wider than the
-        // stores that filled it (16.3 against 20.5 ns per unicast enqueue).
-        self.log.extend(std::iter::once_with(|| Entry {
+        self.log.push(Entry {
             payload,
             chain,
             sent_at,
             order,
-        }));
+        });
         idx
     }
 
     /// Forgets the log once nothing points into it (`pending == 0`), keeping
     /// every allocation.
-    #[inline]
+    #[inline(always)]
     fn recycle(&mut self) {
         debug_assert_eq!(self.pending, 0, "recycled a lane with messages pending");
-        self.log.clear();
+        self.log.rewind();
         if !self.broadcasts.is_empty() {
             self.broadcasts.clear();
             self.cursors.fill(0);
@@ -402,7 +502,7 @@ impl MessageBuffer {
     /// Appends one send addressing `fanout` channels to `sender`'s log —
     /// recycling the lane first if it has drained — and returns its log
     /// index. The caller addresses it (cursor or index queues).
-    #[inline]
+    #[inline(always)]
     fn log_send(&mut self, sender: usize, payload: Payload, chain: u64, fanout: usize) -> u32 {
         let lane = &mut self.lanes[sender];
         if lane.pending == 0 {
@@ -441,7 +541,7 @@ impl MessageBuffer {
     ///
     /// Panics if `sender` is not one of the `n` processors the buffer was
     /// sized for.
-    #[inline]
+    #[inline(always)]
     pub fn broadcast(&mut self, sender: ProcessorId, payload: Payload, chain: u64) {
         let s = sender.index();
         let n = self.lanes.len();
@@ -580,6 +680,54 @@ impl MessageBuffer {
         }
         self.delivered += count as u64;
         count
+    }
+
+    /// Lends a shared window's deliveries: lists in `lent` (cleared first),
+    /// in the order of `senders`, what every recipient receives from each
+    /// of them, and settles each lane it lends entry by entry.
+    ///
+    /// A lane whose channels all hold the same messages — the broadcasts
+    /// since it last recycled, every cursor still at the first of them, no
+    /// index queue ever materialized — lists each broadcast's log index
+    /// once ([`Lent::Entry`]) and is settled here, once, before anyone
+    /// receives: its broadcast list empties under cursors that are all at
+    /// zero already, its pending count goes to the delivered counter and its
+    /// live bit clears. The log itself stays until the lane's next send, so
+    /// each listed entry stays readable ([`MessageBuffer::lent`]) for the
+    /// whole receiving phase. Any other lane with something pending lists
+    /// one [`Lent::Channel`]: its channels may differ, so each recipient
+    /// drains its own ([`MessageBuffer::drain`]).
+    pub(crate) fn lend_shared(&mut self, senders: &[ProcessorId], lent: &mut Vec<Lent>) {
+        lent.clear();
+        let n = self.lanes.len();
+        for &sender in senders {
+            let s = sender.index();
+            let lane = &mut self.lanes[s];
+            if lane.pending == 0 {
+                continue;
+            }
+            if !lane.recipients.is_empty() || lane.pending != n * lane.broadcasts.len() {
+                lent.push(Lent::Channel(sender));
+                continue;
+            }
+            lent.extend(
+                lane.broadcasts
+                    .iter()
+                    .map(|&index| Lent::Entry { sender, index }),
+            );
+            lane.broadcasts.clear();
+            self.delivered += lane.pending as u64;
+            lane.pending = 0;
+            clear_bit(&mut self.live, s);
+        }
+    }
+
+    /// The payload and chain tag of entry `index` of `sender`'s log: a
+    /// [`Lent::Entry`] of [`MessageBuffer::lend_shared`].
+    #[inline(always)]
+    pub(crate) fn lent(&self, sender: ProcessorId, index: u32) -> (&Payload, u64) {
+        let entry = &self.lanes[sender.index()].log[index as usize];
+        (&entry.payload, entry.chain)
     }
 
     /// Discards every undelivered message addressed to `recipient`.

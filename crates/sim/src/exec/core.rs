@@ -19,7 +19,7 @@ use agreement_model::{
 };
 
 use crate::adversary::SystemView;
-use crate::buffer::MessageBuffer;
+use crate::buffer::{Lent, MessageBuffer};
 use crate::harness::{Outgoing, ProcessorHarness, Status};
 use crate::metrics::{Metrics, NoProbe, Probe};
 use crate::outcome::RunOutcome;
@@ -81,6 +81,9 @@ pub struct ExecutionCore<P: Probe = NoProbe> {
     /// [`MessageBuffer::owed_channels`] lists them. Storage only, like the
     /// spare window: [`ExecutionCore::reinit`] leaves it alone.
     owed: Vec<(ProcessorId, usize)>,
+    /// What every recipient of a shared window receives, as
+    /// [`MessageBuffer::lend_shared`] lists it. Storage only, like `owed`.
+    lent: Vec<Lent>,
     /// Number of non-crashed processors that have not decided yet. Kept
     /// incrementally so termination checks are O(1) per adversary step
     /// instead of an O(n) scan.
@@ -139,6 +142,7 @@ impl<P: Probe> ExecutionCore<P> {
             digest_memo: vec![Cell::new(None); cfg.n()],
             spare_window: RefCell::default(),
             owed: Vec::new(),
+            lent: Vec::new(),
             undecided_correct: cfg.n(),
             decided_count: 0,
             cfg,
@@ -444,9 +448,19 @@ impl<P: Probe> ExecutionCore<P> {
         }
     }
 
-    /// The sending step of a processor whose outbox holds something.
+    /// The sending step of a processor whose outbox holds something, out of
+    /// line for the delivery paths that end in one.
     #[inline(never)]
     fn send_staged(&mut self, id: ProcessorId) {
+        self.log_staged(id);
+    }
+
+    /// The body of a sending step: logs each staged message in `id`'s lane,
+    /// oldest first, in one inlined pass — the buffer's broadcast, its log
+    /// append and the lane's recycling all inline here, and nothing is
+    /// handed through a closure or left behind for a drain guard.
+    #[inline(always)]
+    fn log_staged(&mut self, id: ProcessorId) {
         let chain = self.depth[id.index()] + 1;
         let n = self.cfg.n();
         let ExecutionCore {
@@ -455,30 +469,41 @@ impl<P: Probe> ExecutionCore<P> {
             probe,
             ..
         } = self;
-        let mut sent = |to: ProcessorId| probe.on_send(id, to, chain);
-        harnesses[id.index()].drain_outbox(|outgoing, staged| match outgoing {
-            Outgoing::One { to, payload } => {
-                sent(to);
-                buffer.enqueue_unicast(id, to, payload, chain);
+        let (outbox, staged) = harnesses[id.index()].staged_mut();
+        // Reversed once, the outbox pops oldest first, and a pop leaves no
+        // drain guard behind to run; a lone staged message (the usual case)
+        // reverses for free.
+        outbox.reverse();
+        while let Some(outgoing) = outbox.pop() {
+            match outgoing {
+                Outgoing::Broadcast { payload } => {
+                    for to in ProcessorId::all(n) {
+                        probe.on_send(id, to, chain);
+                    }
+                    buffer.broadcast(id, payload, chain);
+                }
+                Outgoing::One { to, payload } => {
+                    probe.on_send(id, to, chain);
+                    buffer.enqueue_unicast(id, to, payload, chain);
+                }
+                Outgoing::Multicast { to, payload } => {
+                    let to = &staged[to];
+                    for &to in to {
+                        probe.on_send(id, to, chain);
+                    }
+                    buffer.multicast(id, to, payload, chain);
+                }
             }
-            Outgoing::Broadcast { payload } => {
-                ProcessorId::all(n).for_each(&mut sent);
-                buffer.broadcast(id, payload, chain);
-            }
-            Outgoing::Multicast { to, payload } => {
-                let to = &staged[to];
-                to.iter().copied().for_each(&mut sent);
-                buffer.multicast(id, to, payload, chain);
-            }
-        });
+        }
+        staged.clear();
     }
 
     /// Sending steps for every non-crashed processor (the sending phase of an
-    /// acceptable window).
+    /// acceptable window), each inlined into the one loop.
     pub fn flush_all_outboxes(&mut self) {
         for id in ProcessorId::all(self.cfg.n()) {
-            if !self.status[id.index()].crashed {
-                self.flush_outbox(id);
+            if !self.status[id.index()].crashed && self.harnesses[id.index()].has_staged() {
+                self.log_staged(id);
             }
         }
     }
@@ -558,12 +583,48 @@ impl<P: Probe> ExecutionCore<P> {
         }
     }
 
+    /// The receiving phase of an acceptable window: every processor
+    /// receives, and immediately processes, what the senders in its `S_i`
+    /// just sent to it — processor by processor in identity order, sender by
+    /// sender in the set's order, oldest first within a channel. Responses
+    /// stay in the outboxes until the next window's sending phase.
+    ///
+    /// A window whose one set is shared by every recipient (`R, S, …, S`)
+    /// reads each listed lane once: a lane whose channels all hold the same
+    /// broadcasts lends their log entries to every recipient in turn and is
+    /// settled once for all of them (`MessageBuffer::lend_shared`); any
+    /// other lane is drained channel by channel, as every lane of a window
+    /// with per-recipient sets is ([`ExecutionCore::deliver_from_senders`]).
+    pub fn deliver_window(&mut self, window: &Window) {
+        let Some(senders) = window.shared_set() else {
+            for recipient in ProcessorId::all(self.cfg.n()) {
+                self.deliver_from_senders(recipient, window.delivery_set(recipient.index()));
+            }
+            return;
+        };
+        let mut lent = std::mem::take(&mut self.lent);
+        self.buffer.lend_shared(senders, &mut lent);
+        for recipient in ProcessorId::all(self.cfg.n()) {
+            self.receive_lent(recipient, lent.iter().copied());
+        }
+        self.lent = lent;
+    }
+
     /// The receiving steps of one processor in an acceptable window: drains,
     /// and immediately processes, everything the senders in `S_i` just sent to
     /// `recipient`. Responses stay in the recipient's outbox until the next
     /// window's sending phase. A crashed recipient's channels are drained
     /// and counted all the same — only its protocol hears nothing.
     pub fn deliver_from_senders(&mut self, recipient: ProcessorId, senders: &[ProcessorId]) {
+        self.receive_lent(recipient, senders.iter().copied().map(Lent::Channel));
+    }
+
+    /// Hands `recipient` everything `lent` lists, in order: a lent log entry
+    /// as it is, a channel drained. A crashed recipient's messages are
+    /// consumed, counted and chained all the same — only its protocol hears
+    /// nothing.
+    #[inline(always)]
+    fn receive_lent(&mut self, recipient: ProcessorId, lent: impl Iterator<Item = Lent>) {
         let i = recipient.index();
         let ExecutionCore {
             harnesses,
@@ -577,19 +638,28 @@ impl<P: Probe> ExecutionCore<P> {
         let before = output.get();
         let (protocol, mut ctx) = harnesses[i].receiver(output);
         let mut depth = self.depth[i];
-        for &sender in senders {
-            // This runs for every (recipient, sender) pair of every window:
-            // the channel is found once and emptied in one pass, and each
-            // payload is processed borrowed from the sender's log, under the
-            // one context built above — nothing is cloned, collected or
-            // allocated.
-            buffer.drain(sender, recipient, |payload, chain| {
-                probe.on_deliver(sender, recipient, chain);
-                depth = depth.max(chain);
-                if live {
-                    protocol.on_message(sender, payload, &mut ctx);
+        // This runs for every (recipient, sender) pair of every window: each
+        // payload is processed borrowed from the sender's log, under the one
+        // context built above — nothing is cloned, collected or allocated.
+        let mut receive = |sender: ProcessorId, payload: &Payload, chain: u64| {
+            probe.on_deliver(sender, recipient, chain);
+            depth = depth.max(chain);
+            if live {
+                protocol.on_message(sender, payload, &mut ctx);
+            }
+        };
+        for item in lent {
+            match item {
+                Lent::Entry { sender, index } => {
+                    let (payload, chain) = buffer.lent(sender, index);
+                    receive(sender, payload, chain);
                 }
-            });
+                Lent::Channel(sender) => {
+                    buffer.drain(sender, recipient, |payload, chain| {
+                        receive(sender, payload, chain);
+                    });
+                }
+            }
         }
         self.depth[i] = depth;
         self.note_decision(i, before);

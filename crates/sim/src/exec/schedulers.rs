@@ -21,8 +21,6 @@
 //! model means a variant here, in [`ModelDescriptor`] and in
 //! [`BuiltAdversary`](crate::BuiltAdversary), plus one step function.
 
-use agreement_model::ProcessorId;
-
 use crate::adversary::{AsyncAction, AsyncAdversary, PartialSyncAdversary, WindowAdversary};
 use crate::engine::{ModelDescriptor, ASYNC, PARTIAL_SYNC, WINDOWED};
 use crate::metrics::Probe;
@@ -143,9 +141,7 @@ fn step_window<P: Probe>(adversary: &mut dyn WindowAdversary, core: &mut Executi
     core.start_window();
 
     // Receiving phase, then resetting phase.
-    for recipient in ProcessorId::all(core.config().n()) {
-        core.deliver_from_senders(recipient, window.delivery_set(recipient.index()));
-    }
+    core.deliver_window(&window);
     for &id in window.resets() {
         core.reset(id);
     }

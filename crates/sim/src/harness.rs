@@ -52,10 +52,9 @@ pub enum Outgoing {
     /// recipient, so a committee multicast costs O(|set|), not O(n).
     Multicast {
         /// Where the recipients are among the harness's staged recipients,
-        /// in the order the protocol listed them: the slice
-        /// [`ProcessorHarness::drain_outbox`] hands over beside the entry.
-        /// They are staged there, not in a vector of their own, so that a
-        /// warm harness allocates nothing per multicast.
+        /// in the order the protocol listed them. They are staged there, not
+        /// in a vector of their own, so that a warm harness allocates
+        /// nothing per multicast.
         to: Range<usize>,
         /// The message contents, stored once for the whole recipient set.
         payload: Payload,
@@ -357,20 +356,13 @@ impl ProcessorHarness {
         self.core.clear_outbox();
     }
 
-    /// Hands the staged messages computed since the last sending step (the
-    /// contents of the next *sending step*) to `send`, oldest first, each
-    /// beside the staged recipients a multicast's `to` range indexes; leaves
-    /// the outbox and the staged recipients empty but their allocations in
-    /// place. This is the engines' hot path: broadcasts come out as single
-    /// entries for the buffer to log once.
-    pub fn drain_outbox(&mut self, mut send: impl FnMut(Outgoing, &[ProcessorId])) {
-        let HarnessCore {
-            outbox, recipients, ..
-        } = &mut self.core;
-        for out in outbox.drain(..) {
-            send(out, recipients);
-        }
-        recipients.clear();
+    /// The staged messages computed since the last sending step (the
+    /// contents of the next *sending step*), oldest first, and the staged
+    /// recipients a multicast's `to` range indexes: the core's sending step
+    /// empties both in place, keeping their allocations.
+    #[inline]
+    pub(crate) fn staged_mut(&mut self) -> (&mut Vec<Outgoing>, &mut Vec<ProcessorId>) {
+        (&mut self.core.outbox, &mut self.core.recipients)
     }
 
     /// The adversary-visible digest of the processor's erasable memory: the
@@ -386,6 +378,16 @@ impl ProcessorHarness {
 mod tests {
     use super::*;
     use agreement_model::Payload;
+
+    /// Empties the outbox as a sending step does, handing `send` each staged
+    /// message, oldest first, beside the staged recipients.
+    fn drain_outbox(h: &mut ProcessorHarness, mut send: impl FnMut(Outgoing, &[ProcessorId])) {
+        let (outbox, staged) = h.staged_mut();
+        for out in outbox.drain(..) {
+            send(out, staged);
+        }
+        staged.clear();
+    }
 
     /// A test protocol: echoes every report back to its sender, decides on the
     /// first report whose round is at least 3, and supports resets by clearing
@@ -475,7 +477,7 @@ mod tests {
             "second start must not duplicate messages"
         );
         let mut staged = 0;
-        h.drain_outbox(|_, _| staged += 1);
+        drain_outbox(&mut h, |_, _| staged += 1);
         assert_eq!(staged, 1, "one staged broadcast");
         assert_eq!(h.outbox_len(), 0);
     }
@@ -485,7 +487,7 @@ mod tests {
         let mut h = harness(4);
         let mut out = OutputRegister::new();
         h.start(&mut out);
-        h.drain_outbox(|_, _| {});
+        drain_outbox(&mut h, |_, _| {});
         h.deliver(
             ProcessorId::new(2),
             &Payload::Report {
@@ -498,7 +500,7 @@ mod tests {
         // The echo reply is waiting in the outbox.
         assert_eq!(h.outbox_len(), 1);
         let mut replies = Vec::new();
-        h.drain_outbox(|out, _| replies.push(out));
+        drain_outbox(&mut h, |out, _| replies.push(out));
         assert!(matches!(
             replies[..],
             [Outgoing::One { to, .. }] if to == ProcessorId::new(2)
@@ -571,7 +573,7 @@ mod tests {
         assert!(matches!(h.core.outbox[0], Outgoing::Broadcast { .. }));
         assert_eq!(h.outbox_len(), 4);
         let mut drained = Vec::new();
-        h.drain_outbox(|out, _| drained.push(out));
+        drain_outbox(&mut h, |out, _| drained.push(out));
         assert_eq!(drained.len(), 1);
         assert_eq!(h.outbox_len(), 0);
     }
@@ -595,7 +597,7 @@ mod tests {
         assert!(matches!(h.core.outbox[0], Outgoing::Multicast { .. }));
         assert_eq!(h.outbox_len(), 3);
         let mut recipients = Vec::new();
-        h.drain_outbox(|out, staged| {
+        drain_outbox(&mut h, |out, staged| {
             if let Outgoing::Multicast { to, .. } = out {
                 recipients.extend(staged[to].iter().map(|id| id.index()));
             }
@@ -612,7 +614,7 @@ mod tests {
         ctx.multicast(&set[1..], report(Bit::One));
         ctx.multicast(&set[..1], report(Bit::Zero));
         let mut sets = Vec::new();
-        h.drain_outbox(|out, staged| {
+        drain_outbox(&mut h, |out, staged| {
             if let Outgoing::Multicast { to, .. } = out {
                 sets.push(staged[to].to_vec());
             }

@@ -233,6 +233,13 @@ impl Window {
         }
     }
 
+    /// The one sender set of an `R, S, S, …, S` window, shared by every
+    /// recipient; `None` for a window of per-recipient sets (even equal
+    /// ones: [`Window::copy_set`] closes a copy).
+    pub fn shared_set(&self) -> Option<&[ProcessorId]> {
+        self.shared.map(|_| &self.senders[self.set_range(0)])
+    }
+
     /// Number of per-processor delivery sets (should equal `n`).
     pub fn arity(&self) -> usize {
         self.shared.unwrap_or(self.ends.len())
