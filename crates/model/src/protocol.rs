@@ -185,12 +185,15 @@ pub trait ProtocolBuilder: fmt::Debug + Send + Sync {
     /// `slot` holds whatever instance ran the previous trial, built by this
     /// builder or by any other.
     ///
-    /// The default replaces the instance. A builder may instead rebuild the
+    /// The default replaces the instance. A builder may instead restart the
     /// instance in place when — and only when — it is one of its own with
-    /// equal parameters: through the same constructor `build` calls, handed
-    /// the old instance's storage (a vote tally, say), so that the box and
-    /// the allocations survive. Nothing observable (digest, sends,
-    /// decisions, coin draws) may tell the two apart.
+    /// equal parameters, so that the box and the allocations it holds
+    /// survive: through the one place its starting state is written, which
+    /// `build` goes through too — a method that assigns the starting state
+    /// field by field where it lies, or the constructor, handed the old
+    /// instance's storage (a vote tally, say), which it empties rather than
+    /// replaces. Nothing observable (digest, sends, decisions, coin draws)
+    /// may tell the two apart.
     fn rebuild(
         &self,
         slot: &mut Box<dyn Protocol>,

@@ -85,7 +85,7 @@ impl Bracha {
         self.n - self.t
     }
 
-    fn broadcast_id(round: u64, phase: u8) -> u64 {
+    pub(crate) fn broadcast_id(round: u64, phase: u8) -> u64 {
         round * 4 + u64::from(phase)
     }
 

@@ -158,18 +158,16 @@ struct TrialState {
 }
 
 impl TrialState {
-    /// Processor `id` with `input` over `committee`, counting votes in
-    /// `votes` (sized for its `id_bound`, emptied here): the only place the
-    /// starting state is written. Forced inline as `HarnessCore::new` is.
+    /// Writes the state of processor `id` with `input` over `committee` in
+    /// place, emptying the tally and keeping its storage: the only place
+    /// the starting state is written, for a build, a rebuild and a reset
+    /// alike.
     #[inline(always)]
-    fn start(committee: &Roster, id: ProcessorId, input: Bit, mut votes: RoundTally) -> Self {
-        votes.clear();
-        TrialState {
-            is_member: committee.contains(id),
-            input,
-            votes,
-            announced: false,
-        }
+    fn restart(&mut self, committee: &Roster, id: ProcessorId, input: Bit) {
+        self.votes.clear();
+        self.is_member = committee.contains(id);
+        self.input = input;
+        self.announced = false;
     }
 }
 
@@ -182,9 +180,15 @@ impl CommitteeAgreement {
     }
 
     fn with_roster(id: ProcessorId, input: Bit, committee: Arc<Roster>, variant: Variant) -> Self {
-        let votes = RoundTally::for_processors(committee.id_bound());
+        let mut trial = TrialState {
+            is_member: false,
+            input,
+            votes: RoundTally::for_processors(committee.id_bound()),
+            announced: false,
+        };
+        trial.restart(&committee, id, input);
         CommitteeAgreement {
-            trial: TrialState::start(&committee, id, input, votes),
+            trial,
             fault_tolerance: committee.listed.len().saturating_sub(1) / 3,
             committee,
             variant,
@@ -278,9 +282,8 @@ impl Protocol for CommitteeAgreement {
     }
 
     fn on_reset(&mut self, ctx: &mut dyn Context) {
-        let trial = &mut self.trial;
-        let votes = std::mem::take(&mut trial.votes);
-        *trial = TrialState::start(&self.committee, ctx.id(), trial.input, votes);
+        let input = self.trial.input;
+        self.trial.restart(&self.committee, ctx.id(), input);
     }
 
     fn digest(&self) -> StateDigest {
@@ -437,8 +440,7 @@ impl ProtocolBuilder for CommitteeBuilder {
         match slot.downcast_mut::<CommitteeAgreement>() {
             Some(ours) if Arc::ptr_eq(&ours.committee, &self.committee) => {
                 debug_assert_eq!(ours.variant, self.variant);
-                let votes = std::mem::take(&mut ours.trial.votes);
-                ours.trial = TrialState::start(&ours.committee, id, input, votes);
+                ours.trial.restart(&ours.committee, id, input);
             }
             _ => *slot = self.build(id, input, cfg),
         }

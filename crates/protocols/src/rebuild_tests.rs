@@ -347,3 +347,103 @@ fn reset_equals_build_for_the_protocols_that_restart() {
     check_reset_equals_build(&CommitteeBuilder::sampled(&cfg, 7, 11), cfg);
     check_reset_equals_build(&CommitteeBuilder::random(&cfg, 7, 11), cfg);
 }
+
+/// Rebuilds, at a width where every tally spans at least three voter words,
+/// an instance of `builder` for processor `id` that has heard the first
+/// half of `script`, and compares it with `build` over the whole script.
+/// The script's first voters have the highest identities, so the dirt lies
+/// in the top words: a clear that left any word but the first one as it
+/// was would keep those votes as cast, and the rebuilt instance would
+/// count the script's second half short of where a new one moves.
+fn check_wide_rebuild(
+    builder: &dyn ProtocolBuilder,
+    cfg: SystemConfig,
+    id: ProcessorId,
+    script: &[(ProcessorId, Payload)],
+) {
+    assert!(cfg.n() > 128, "a tally of n = {} spans two words", cfg.n());
+    let dirt = &script[..script.len() / 2];
+    // The voter is the sender, or the origin of a reliable broadcast.
+    let voter = |(from, payload): &(ProcessorId, Payload)| match payload {
+        Payload::Rbc { origin, .. } => origin.index(),
+        _ => from.index(),
+    };
+    assert!(
+        dirt.iter().any(|heard| voter(heard) >= 128),
+        "{}: no voter of the third word in the dirt",
+        builder.name()
+    );
+    let mut slot = builder.build(id, Bit::One, &cfg);
+    let ctx = &mut TestCtx::with_config(id, Bit::One, cfg);
+    slot.on_start(ctx);
+    for (from, payload) in dirt {
+        slot.on_message(*from, payload, ctx);
+    }
+    let before = address(slot.as_ref());
+    assert_rebuild_equals_build(builder, &mut slot, id, Bit::One, cfg, script);
+    assert_eq!(address(slot.as_ref()), before, "{}", builder.name());
+}
+
+/// `payload` from every processor of `senders`, in that order.
+fn from_each(senders: impl IntoIterator<Item = usize>, payload: &Payload) -> Heard {
+    senders
+        .into_iter()
+        .map(|sender| (ProcessorId::new(sender), payload.clone()))
+        .collect()
+}
+
+#[test]
+fn every_builder_rebuilds_a_tally_of_three_words_and_more() {
+    let report = Payload::Report {
+        round: 1,
+        value: Bit::One,
+    };
+    // Ben-Or and the reset-tolerant protocol count round-1 reports, highest
+    // sender first.
+    let ben_or = SystemConfig::new(129, 2).unwrap();
+    let script = from_each((0..129).rev(), &report);
+    check_wide_rebuild(&BenOrBuilder::new(), ben_or, ProcessorId::new(0), &script);
+    let sixth = SystemConfig::with_sixth_resilience(130).unwrap();
+    let reset_tolerant = ResetTolerantBuilder::recommended(&sixth).unwrap();
+    let script = from_each((0..130).rev(), &report);
+    check_wide_rebuild(&reset_tolerant, sixth, ProcessorId::new(0), &script);
+    // Bracha counts a vote once reliable broadcast accepts it: 2t + 1
+    // readies for each origin, highest origin first.
+    let bracha = third(130);
+    let vote = Payload::BrachaVote {
+        round: 1,
+        phase: 1,
+        value: Some(Bit::One),
+    };
+    let script: Heard = (0..130)
+        .rev()
+        .flat_map(|origin| {
+            let ready = Payload::Rbc {
+                step: agreement_model::RbcStep::Ready,
+                origin: ProcessorId::new(origin),
+                broadcast_id: crate::bracha::Bracha::broadcast_id(1, 1),
+                inner: Box::new(vote.clone()),
+            };
+            from_each(0..2 * bracha.t() + 1, &ready)
+        })
+        .collect();
+    check_wide_rebuild(&BrachaBuilder::new(), bracha, ProcessorId::new(0), &script);
+    // A committee whose members all lie above index 128: an observer counts
+    // their announcements, a member their proposals.
+    let committee = third(200);
+    let members: Vec<usize> = (130..200).step_by(10).collect();
+    let roster = || members.iter().copied().map(ProcessorId::new).collect();
+    for builder in [
+        CommitteeBuilder::with_committee(roster()),
+        CommitteeBuilder::sampled_with_committee(roster()),
+    ] {
+        let announce =
+            Payload::Committee(agreement_model::CommitteeMsg::Announce { value: Bit::One });
+        let script = from_each(members.iter().copied(), &announce);
+        check_wide_rebuild(&builder, committee, ProcessorId::new(0), &script);
+        let proposal =
+            Payload::Committee(agreement_model::CommitteeMsg::Proposal { value: Bit::One });
+        let script = from_each(members.iter().copied(), &proposal);
+        check_wide_rebuild(&builder, committee, ProcessorId::new(members[0]), &script);
+    }
+}

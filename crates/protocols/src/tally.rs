@@ -19,10 +19,13 @@
 //! voter at or above that count is a caller's bug ([`RoundTally::record`]).
 //! Keys are stored, not indexed, so any `round` value works. Slots retired by
 //! [`RoundTally::forget_rounds_before`] and [`RoundTally::clear`] are wiped
-//! and rotated behind the live prefix of the same `Vec`, and the next new key
+//! and kept behind the live prefix of the same `Vec`, and the next new key
 //! takes one back, words and all: once a processor has seen as many keys at
 //! once as it ever will, recording a vote never allocates, and retiring never
-//! does.
+//! does. A wipe zeroes only slots that took a vote, and a key that
+//! sorts after every live one — the first key after a [`RoundTally::clear`],
+//! a protocol's next round — takes the first spare slot where it lies,
+//! without a rotation.
 
 use agreement_model::{Bit, ProcessorId};
 
@@ -150,6 +153,18 @@ impl Slot {
         (self.round, self.phase)
     }
 
+    /// Zeroes the counts and the voter words of a slot that took a vote;
+    /// one that took none is clean already. (A scan that zeroes only the
+    /// words holding a vote reads every word all the same, at six
+    /// instructions a word against a fraction of one for the `memset`, and
+    /// noting the words as votes arrive would cost every vote.)
+    fn wipe(&mut self) {
+        if self.counts.total() > 0 {
+            self.counts = VoteCounts::default();
+            self.voters.fill(0);
+        }
+    }
+
     /// Whether `sender` has voted for this key: what the differential test
     /// compares against the reference's voter sets.
     #[cfg(test)]
@@ -258,16 +273,36 @@ impl RoundTally {
     /// The cold half of [`RoundTally::record`]: opens key `(round, phase)`
     /// at live position `at`, in the first spare slot (a new one if none is
     /// left), and returns `at`. A protocol opens a handful of keys per round
-    /// and records a vote on every delivered message.
+    /// and records a vote on every delivered message. (Kept out of line: a
+    /// check for a spare inlined into `record` cost every vote four
+    /// instructions.)
     #[cold]
     #[inline(never)]
     fn open(&mut self, at: usize, round: u64, phase: u8) -> usize {
+        // The first spare takes a key that sorts after every live one (the
+        // first key after a clear, a protocol's next round) where it lies;
+        // anything else takes the slow path, a tail call, so this one saves
+        // no registers.
+        if at < self.live || self.live == self.slots.len() {
+            return self.open_slow(at, round, phase);
+        }
+        let spare = &mut self.slots[at];
+        (spare.round, spare.phase) = (round, phase);
+        self.live += 1;
+        at
+    }
+
+    /// [`RoundTally::open`] where no spare is left — a new slot, voter
+    /// words and all, which a tally pays until it has as many slots as keys
+    /// it ever holds at once — or the key sorts before a live one, and the
+    /// spare moves into sorted place.
+    #[inline(never)]
+    fn open_slow(&mut self, at: usize, round: u64, phase: u8) -> usize {
         if self.live == self.slots.len() {
             self.slots.push(Slot::empty(self.n.div_ceil(64)));
         }
-        // The first spare takes the key and moves into sorted place.
-        self.slots[self.live].round = round;
-        self.slots[self.live].phase = phase;
+        let spare = &mut self.slots[self.live];
+        (spare.round, spare.phase) = (round, phase);
         self.slots[at..=self.live].rotate_right(1);
         self.live += 1;
         at
@@ -293,16 +328,22 @@ impl RoundTally {
         self.retire(keep_from);
     }
 
-    /// Discards everything (used when a processor is reset).
+    /// Discards everything (used when a processor is reset, and when a
+    /// protocol instance starts a new trial). Only the live slots are wiped,
+    /// and none moves: every slot is a spare afterwards, so the first key
+    /// recorded next takes the first slot where it lies, without a
+    /// rotation.
     pub fn clear(&mut self) {
-        self.retire(self.live);
+        for slot in &mut self.slots[..self.live] {
+            slot.wipe();
+        }
+        self.live = 0;
     }
 
     /// Wipes the first `count` live slots and moves them behind the rest.
     fn retire(&mut self, count: usize) {
         for slot in &mut self.slots[..count] {
-            slot.counts = VoteCounts::default();
-            slot.voters.fill(0);
+            slot.wipe();
         }
         self.slots[..self.live].rotate_left(count);
         self.live -= count;

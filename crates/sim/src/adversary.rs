@@ -52,6 +52,8 @@ pub struct SystemView<'a> {
     harnesses: &'a [ProcessorHarness],
     /// `digest_memo[i]` is processor `i`'s digest while it is known to be
     /// current, `None` once the processor has changed since it was computed.
+    /// Empty before the execution has started (the core fills it at the
+    /// start): a view taken then computes every digest it is asked for.
     digest_memo: &'a [Cell<Option<StateDigest>>],
     /// The window the scheduler applied last, lent back for refilling.
     spare_window: &'a RefCell<Window>,
@@ -61,8 +63,8 @@ impl<'a> SystemView<'a> {
     /// A view of the processors whose crash flags and outputs are `status`
     /// and whose harnesses are `harnesses`; `digest_memo` has one cell per
     /// processor, `None` wherever the processor changed since the cell was
-    /// filled, and `spare_window` is what [`SystemView::take_window`] hands
-    /// out.
+    /// filled (or no cell at all, and nothing is remembered), and
+    /// `spare_window` is what [`SystemView::take_window`] hands out.
     pub(crate) fn new(
         config: SystemConfig,
         time: u64,
@@ -73,7 +75,7 @@ impl<'a> SystemView<'a> {
         spare_window: &'a RefCell<Window>,
     ) -> Self {
         debug_assert_eq!(status.len(), harnesses.len());
-        debug_assert_eq!(status.len(), digest_memo.len());
+        debug_assert!(digest_memo.is_empty() || digest_memo.len() == status.len());
         SystemView {
             config,
             time,
@@ -124,7 +126,9 @@ impl<'a> SystemView<'a> {
 
     /// The adversary-visible digest of processor `i`'s erasable memory.
     pub fn digest(&self, i: usize) -> StateDigest {
-        let memo = &self.digest_memo[i];
+        let Some(memo) = self.digest_memo.get(i) else {
+            return self.harnesses[i].digest();
+        };
         memo.get().unwrap_or_else(|| {
             let digest = self.harnesses[i].digest();
             memo.set(Some(digest));

@@ -445,6 +445,11 @@ pub struct MessageBuffer {
     lanes: Vec<Lane>,
     /// Bit `s` is set iff `lanes[s].pending > 0`.
     live: Vec<u64>,
+    /// Bit `s` is set once `lanes[s]` has logged a send since the last
+    /// [`MessageBuffer::reset`]: the lanes a reset has to clear, found
+    /// without reading the `n - 20` lanes of a committee trial that never
+    /// sent.
+    sent: Vec<u64>,
     /// The clock value stamped onto entries as they are enqueued
     /// ([`MessageBuffer::set_now`]); schedulers that enforce delivery bounds
     /// keep it equal to the execution clock.
@@ -462,6 +467,7 @@ impl MessageBuffer {
         MessageBuffer {
             lanes: std::iter::repeat_with(Lane::default).take(n).collect(),
             live: vec![0; n.div_ceil(64)],
+            sent: vec![0; n.div_ceil(64)],
             ..MessageBuffer::default()
         }
     }
@@ -479,8 +485,15 @@ impl MessageBuffer {
     /// steady-state traffic stops paying for them after the first trial.
     pub fn reset(&mut self, n: usize) {
         if n == self.lanes.len() {
-            for lane in self.lanes.iter_mut().filter(|lane| !lane.log.is_empty()) {
-                lane.clear();
+            for (w, word) in self.sent.iter_mut().enumerate() {
+                let mut bits = std::mem::take(word);
+                while bits != 0 {
+                    let lane = &mut self.lanes[w * 64 + bits.trailing_zeros() as usize];
+                    if !lane.log.is_empty() {
+                        lane.clear();
+                    }
+                    bits &= bits - 1;
+                }
             }
             self.live.fill(0);
         } else {
@@ -512,6 +525,7 @@ impl MessageBuffer {
         lane.pending += fanout;
         self.enqueued += fanout as u64;
         set_bit(&mut self.live, sender);
+        set_bit(&mut self.sent, sender);
         idx
     }
 
@@ -1071,6 +1085,13 @@ impl MessageBuffer {
             if live != (lane.pending > 0) {
                 let pending = lane.pending;
                 return Err(format!("lane {s}: live bit {live} with {pending} pending"));
+            }
+            let sent = self
+                .sent
+                .get(s / 64)
+                .is_some_and(|w| (w >> (s % 64)) & 1 == 1);
+            if !sent && !lane.log.is_empty() {
+                return Err(format!("lane {s}: a logged send without its sent bit"));
             }
             total += lane.pending as u64;
         }

@@ -22,7 +22,7 @@ use crate::adversary::SystemView;
 use crate::buffer::{Lent, MessageBuffer};
 use crate::harness::{Outgoing, ProcessorHarness, Status};
 use crate::metrics::{Metrics, NoProbe, Probe};
-use crate::outcome::RunOutcome;
+use crate::outcome::{DecisionSummary, RunOutcome};
 use crate::window::Window;
 
 /// The shared state of one execution: harnesses, buffer, probe and
@@ -68,7 +68,9 @@ pub struct ExecutionCore<P: Probe = NoProbe> {
     corrupted: Vec<bool>,
     /// What [`SystemView::digest`] remembers between decisions: processor
     /// `i`'s digest as last computed for a view, `None` once a transition has
-    /// touched the processor since (see `mark_view_dirty`).
+    /// touched the processor since (see `mark_view_dirty`). Empty until the
+    /// start fills it with `None`, once per trial: a view taken before the
+    /// start remembers nothing and computes what it asks for.
     digest_memo: Vec<Cell<Option<StateDigest>>>,
     /// The window applied last, until the next decision takes it to refill
     /// ([`SystemView::take_window`]). Not execution state — only its storage
@@ -93,6 +95,10 @@ pub struct ExecutionCore<P: Probe = NoProbe> {
     first_decision_at: Option<u64>,
     all_decided_at: Option<u64>,
     chain_at_first_decision: Option<u64>,
+    /// Whether some processor has decided each value, indexed by
+    /// [`Bit::as_index`]: the running summary agreement, validity and the
+    /// decided value are read from.
+    decided: [bool; 2],
     halted: bool,
     started: bool,
 }
@@ -139,7 +145,7 @@ impl<P: Probe> ExecutionCore<P> {
             status: vec![Status::default(); cfg.n()],
             depth: vec![0; cfg.n()],
             corrupted: vec![false; cfg.n()],
-            digest_memo: vec![Cell::new(None); cfg.n()],
+            digest_memo: Vec::new(),
             spare_window: RefCell::default(),
             owed: Vec::new(),
             lent: Vec::new(),
@@ -158,6 +164,7 @@ impl<P: Probe> ExecutionCore<P> {
             first_decision_at: None,
             all_decided_at: None,
             chain_at_first_decision: None,
+            decided: [false; 2],
             halted: false,
             started: false,
         }
@@ -181,14 +188,19 @@ impl<P: Probe> ExecutionCore<P> {
         ExecutionCore::with_probe(cfg, inputs, builder, master_seed, probe)
     }
 
-    /// Re-initializes this core for a fresh trial **in place**, reusing every
-    /// allocation the previous trial warmed up: the harness vector (and each
-    /// harness's outbox/violation buffers), the status array, the send logs,
-    /// cursor rows and index queues of the buffer, the causal-depth vector,
-    /// the digest memo, the spare window and — where the builder recognizes
-    /// them as its own ([`ProtocolBuilder::rebuild`]) — the protocol
-    /// instances themselves. Equivalent to building a new core with
-    /// [`ExecutionCore::with_probe`] and the current probe — the
+    /// Re-initializes this core for a fresh trial **in place**: one pass
+    /// over the processors writes each harness's starting state where it
+    /// lies — its protocol instance restarted by the builder wherever it
+    /// recognizes the instance as its own ([`ProtocolBuilder::rebuild`]),
+    /// its outbox emptied with the allocation kept — and every dense
+    /// per-processor array (crash flags and outputs, causal depths,
+    /// corruption flags) is written once. The buffer's send logs, cursor
+    /// rows and index queues, the spare window and the digest memo keep
+    /// their storage; the memo is emptied here and filled by the start, the
+    /// one transition that touches every processor. The running summary
+    /// the outcome is read from (the decision counters and the values
+    /// decided so far) restarts from zero. Equivalent to building a new
+    /// core with [`ExecutionCore::with_probe`] and the current probe — the
     /// workspace-reuse equivalence tests pin that down bit for bit.
     ///
     /// The probe is carried over untouched (so a campaign-wide probe keeps
@@ -213,7 +225,14 @@ impl<P: Probe> ExecutionCore<P> {
         );
         let n = cfg.n();
         if self.harnesses.len() == n {
-            for (i, harness) in self.harnesses.iter_mut().enumerate() {
+            // Every per-processor array has `n` entries too: one pass
+            // writes each processor's starting state, all of it.
+            let processors = self
+                .harnesses
+                .iter_mut()
+                .zip(&mut self.status)
+                .zip(self.depth.iter_mut().zip(&mut self.corrupted));
+            for (i, ((harness, status), (depth, corrupted))) in processors.enumerate() {
                 harness.reinit(
                     ProcessorId::new(i),
                     inputs.bit(i),
@@ -221,26 +240,29 @@ impl<P: Probe> ExecutionCore<P> {
                     builder,
                     master_seed,
                 );
+                *status = Status::default();
+                *depth = 0;
+                *corrupted = false;
             }
         } else {
             self.harnesses.clear();
             self.harnesses.extend(ProcessorId::all(n).map(|id| {
                 ProcessorHarness::new(id, inputs.bit(id.index()), cfg, builder, master_seed)
             }));
+            self.status.clear();
+            self.status.resize(n, Status::default());
+            self.depth.clear();
+            self.depth.resize(n, 0);
+            self.corrupted.clear();
+            self.corrupted.resize(n, false);
         }
-        self.status.clear();
-        self.status.resize(n, Status::default());
-        self.buffer.reset(n);
-        self.depth.clear();
-        self.depth.resize(n, 0);
-        self.corrupted.clear();
-        self.corrupted.resize(n, false);
         self.digest_memo.clear();
-        self.digest_memo.resize(n, Cell::new(None));
+        self.buffer.reset(n);
         self.undecided_correct = n;
         self.decided_count = 0;
         self.cfg = cfg;
         self.inputs.clone_from(inputs);
+        self.decided = [false; 2];
         self.time = 0;
         self.windows = 0;
         self.steps = 0;
@@ -383,7 +405,9 @@ impl<P: Probe> ExecutionCore<P> {
     /// here.
     #[inline]
     fn mark_view_dirty(&mut self, i: usize) {
-        self.digest_memo[i].set(None);
+        if let Some(memo) = self.digest_memo.get(i) {
+            memo.set(None);
+        }
     }
 
     /// The one ⊥ → v transition: books processor `i`'s output bit if it was
@@ -392,6 +416,11 @@ impl<P: Probe> ExecutionCore<P> {
     /// delivering, draining a window's senders, resetting — ends here, and
     /// nothing else changes the decision counters upward. Crashed processors
     /// never reach their protocol, so a decision is always a correct one.
+    ///
+    /// It also keeps the running summary the outcome reads instead of the
+    /// output registers: which values have been decided. That is agreement
+    /// (not both), the decided value (the one) and validity (each one held
+    /// as an input), in one store.
     #[inline]
     fn note_decision(&mut self, i: usize, before: Option<Bit>) {
         if before.is_some() {
@@ -402,6 +431,7 @@ impl<P: Probe> ExecutionCore<P> {
         };
         self.decided_count += 1;
         self.undecided_correct -= 1;
+        self.decided[value.as_index()] = true;
         if self.chain_at_first_decision.is_none() {
             self.chain_at_first_decision = Some(self.depth[i]);
         }
@@ -412,9 +442,30 @@ impl<P: Probe> ExecutionCore<P> {
 
     /// Runs every processor's `on_start` callback. Idempotent.
     pub fn ensure_started(&mut self) {
-        if self.started {
-            return;
+        if !self.started {
+            self.start_processors(false);
         }
+    }
+
+    /// [`ExecutionCore::ensure_started`] followed by every processor's
+    /// sending step ([`ExecutionCore::flush_all_outboxes`]), as the step
+    /// models begin: a processor that has not started yet sends in the
+    /// same pass, right after its `on_start`, so the pass touches it once.
+    /// The buffer ends up the same either way, since a start reads nothing
+    /// another processor sent.
+    pub(crate) fn start_and_send(&mut self) {
+        if self.started {
+            self.flush_all_outboxes();
+        } else {
+            self.start_processors(true);
+        }
+    }
+
+    /// Starts every processor that has not crashed, and with `send`
+    /// performs its first sending step right after. The one transition
+    /// that touches every processor, so it fills the digest memo, the one
+    /// time a trial writes all of it.
+    fn start_processors(&mut self, send: bool) {
         self.started = true;
         for i in 0..self.harnesses.len() {
             let status = &mut self.status[i];
@@ -424,9 +475,13 @@ impl<P: Probe> ExecutionCore<P> {
             let before = status.output.get();
             self.harnesses[i].start(&mut status.output);
             self.note_decision(i, before);
+            if send {
+                self.flush_outbox(ProcessorId::new(i));
+            }
         }
-        // The one transition that touches every processor.
-        self.digest_memo.fill(Cell::new(None));
+        self.digest_memo.clear();
+        self.digest_memo
+            .resize(self.harnesses.len(), Cell::new(None));
     }
 
     /// A *sending step* of processor `id`: moves its computed messages into
@@ -806,60 +861,102 @@ impl<P: Probe> ExecutionCore<P> {
     /// The structured metrics snapshot of the execution so far, assembled
     /// from counters the core maintains anyway — no probe required.
     pub fn metrics(&self) -> Metrics {
-        Metrics {
+        self.metrics_and_conflicts().0
+    }
+
+    /// The metrics, and how many conflicting decisions the harnesses
+    /// recorded. What only the processors hold — the round each digest
+    /// reports, the coin flips and the conflicting decisions a harness
+    /// counts where they happen — is read in one pass over them, and the
+    /// longest chain in one over the dense depth array: a running maximum
+    /// would cost a compare on every delivery, several per processor.
+    fn metrics_and_conflicts(&self) -> (Metrics, usize) {
+        let (mut rounds, mut coin_flips, mut conflicts) = (0, 0, 0);
+        for harness in &self.harnesses {
+            rounds = rounds.max(harness.digest().round.unwrap_or(0));
+            coin_flips += harness.coin_flips();
+            conflicts += harness.violations().len();
+        }
+        let metrics = Metrics {
             messages_sent: self.buffer.enqueued_count(),
             messages_delivered: self.buffer.delivered_count(),
             messages_dropped: self.buffer.dropped_count(),
-            rounds: self.digests().filter_map(|d| d.round).max().unwrap_or(0),
+            rounds,
             windows: self.windows,
             steps: self.steps,
             resets_consumed: self.resets_performed,
             crashes: self.crashes_performed,
-            coin_flips: self.harnesses.iter().map(|h| h.coin_flips()).sum(),
+            coin_flips,
             max_chain: self.depth.iter().copied().max().unwrap_or(0),
+        };
+        (metrics, conflicts)
+    }
+
+    /// The decisions so far as the decision transitions booked them.
+    fn decision_summary(&self) -> DecisionSummary {
+        DecisionSummary {
+            decided: self.decided,
+            all_correct_decided: self.all_correct_decided(),
         }
     }
 
     /// Produces the outcome snapshot of the execution so far with an explicit
-    /// longest-chain metric.
+    /// longest-chain metric: the output and crash arrays copied once each,
+    /// the rest read off the counters and the running summary.
     pub fn outcome(&self, longest_chain: u64) -> RunOutcome {
-        let violations: Vec<String> = self
-            .harnesses
-            .iter()
-            .flat_map(|h| h.violations().iter().cloned())
-            .chain(self.validity_violations())
-            .collect();
+        let (metrics, conflicts) = self.metrics_and_conflicts();
         RunOutcome {
             decisions: self.decisions().collect(),
             crashed: self.crashed().collect(),
             duration: self.time,
             first_decision_at: self.first_decision_at,
             all_decided_at: self.all_decided_at,
-            violations,
+            violations: self.violations(conflicts),
             longest_chain,
             halted_by_adversary: self.halted,
-            metrics: self.metrics(),
+            metrics,
+            summary: self.decision_summary(),
         }
     }
 
-    fn validity_violations(&self) -> Vec<String> {
-        let mut violations = Vec::new();
-        if let Some(unanimous) = self.inputs.unanimous_value() {
+    /// The correctness violations so far: the `conflicts` conflicting
+    /// decisions the harnesses recorded, in identity order, then one per
+    /// processor that decided against a unanimous input, then one if
+    /// processors decided both values. A decided value is invalid when no
+    /// input holds it, which the first inputs usually refute; a run without
+    /// violations allocates nothing and looks at no processor again.
+    fn violations(&self, conflicts: usize) -> Vec<String> {
+        let invalid = [Bit::Zero, Bit::One].into_iter().find(|&value| {
+            self.decided[value.as_index()] && !self.inputs.iter().any(|input| input == value)
+        });
+        let both = self.decided == [true; 2];
+        if conflicts == 0 && invalid.is_none() && !both {
+            return Vec::new();
+        }
+        self.describe_violations(invalid, both)
+    }
+
+    /// The violations [`ExecutionCore::violations`] found, written out;
+    /// `invalid` is a decided value no input holds.
+    #[cold]
+    fn describe_violations(&self, invalid: Option<Bit>, both: bool) -> Vec<String> {
+        let mut violations: Vec<String> = self
+            .harnesses
+            .iter()
+            .flat_map(|h| h.violations().iter().cloned())
+            .collect();
+        // Binary inputs that never hold a decided value all hold the other.
+        if let Some(unanimous) = invalid.map(|value| !value) {
             for (id, decided) in ProcessorId::all(self.cfg.n()).zip(self.decisions()) {
-                if let Some(decided) = decided {
-                    if decided != unanimous {
-                        violations.push(format!(
-                            "{id} decided {decided} although every input is {unanimous}"
-                        ));
-                    }
+                if let Some(decided) = decided.filter(|&decided| decided != unanimous) {
+                    violations.push(format!(
+                        "{id} decided {decided} although every input is {unanimous}"
+                    ));
                 }
             }
         }
-        let mut decided_values = self.decisions().flatten();
-        if let Some(first) = decided_values.next() {
-            if decided_values.any(|other| other != first) {
-                violations.push("processors decided conflicting values".to_string());
-            }
+        if both {
+            violations.push("processors decided conflicting values".to_string());
         }
         violations
     }

@@ -63,9 +63,10 @@ impl Scheduler<'_> {
     /// sending step, so the adversary schedules deliveries (and the
     /// partial-synchrony bound applies) from the very first step. Idempotent.
     pub fn start<P: Probe>(&self, core: &mut ExecutionCore<P>) {
-        core.ensure_started();
-        if !matches!(self, Scheduler::Windowed(_)) {
-            core.flush_all_outboxes();
+        if matches!(self, Scheduler::Windowed(_)) {
+            core.ensure_started();
+        } else {
+            core.start_and_send();
         }
         core.record_decision_progress();
     }

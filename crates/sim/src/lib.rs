@@ -98,6 +98,6 @@ pub use engine::{
 pub use exec::{ExecutionCore, Scheduler};
 pub use harness::{Outgoing, ProcessorHarness};
 pub use metrics::{FullTrace, Metrics, MetricsProbe, NoProbe, Probe};
-pub use outcome::{RunLimits, RunOutcome};
+pub use outcome::{DecisionSummary, RunLimits, RunOutcome};
 pub use window::{Window, WindowError};
 pub use workspace::TrialWorkspace;

@@ -84,52 +84,64 @@ pub struct RunOutcome {
     /// Structured counters of everything the execution did (messages,
     /// windows/steps, resets, crashes, coin flips, causal chains).
     pub metrics: Metrics,
+    /// What the execution core kept about the decisions as they were
+    /// written: the questions below are answered from it, not from a pass
+    /// over `decisions`.
+    pub summary: DecisionSummary,
+}
+
+/// The decisions of a run as the execution core books them, one decision
+/// transition at a time: enough for agreement, validity, termination and
+/// the decided value.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DecisionSummary {
+    /// Whether some processor decided each value, indexed by
+    /// [`Bit::as_index`].
+    pub decided: [bool; 2],
+    /// Whether every non-crashed processor has written its output bit.
+    pub all_correct_decided: bool,
+}
+
+impl DecisionSummary {
+    /// The values some processor decided: none, one, or both.
+    pub fn decided_values(self) -> impl Iterator<Item = Bit> {
+        [Bit::Zero, Bit::One]
+            .into_iter()
+            .filter(move |value| self.decided[value.as_index()])
+    }
 }
 
 impl RunOutcome {
     /// `true` when every non-crashed processor wrote its output bit.
     pub fn all_correct_decided(&self) -> bool {
-        self.decisions
-            .iter()
-            .zip(&self.crashed)
-            .all(|(d, crashed)| *crashed || d.is_some())
+        self.summary.all_correct_decided
     }
 
     /// `true` when at least one processor wrote its output bit.
     pub fn any_decided(&self) -> bool {
-        self.decisions.iter().any(Option::is_some)
+        self.summary.decided_values().next().is_some()
     }
 
     /// *Agreement*: no two processors decided different values (Definition 2's
     /// first requirement: conflicting non-`⊥` outputs are disallowed).
     pub fn agreement_holds(&self) -> bool {
-        let mut seen: Option<Bit> = None;
-        for decision in self.decisions.iter().flatten() {
-            match seen {
-                None => seen = Some(*decision),
-                Some(v) if v != *decision => return false,
-                Some(_) => {}
-            }
-        }
-        true
+        self.summary.decided != [true; 2]
     }
 
     /// *Validity*: every decided value equals some processor's input
     /// (Definition 2's second requirement). With binary inputs this reduces
-    /// to: a unanimous input assignment forces that value.
+    /// to: a unanimous input assignment forces that value. At most two
+    /// values were decided, and each is looked up in `inputs` once.
     pub fn validity_holds(&self, inputs: &InputAssignment) -> bool {
-        self.decisions
-            .iter()
-            .flatten()
-            .all(|decided| inputs.iter().any(|input| input == *decided))
+        self.summary
+            .decided_values()
+            .all(|decided| inputs.iter().any(|input| input == decided))
     }
 
     /// The common decided value, when agreement holds and someone decided.
     pub fn decided_value(&self) -> Option<Bit> {
-        if !self.agreement_holds() {
-            return None;
-        }
-        self.decisions.iter().flatten().next().copied()
+        let mut decided = self.summary.decided_values();
+        decided.next().filter(|_| decided.next().is_none())
     }
 
     /// `true` when the run satisfies agreement, validity and produced no
@@ -143,8 +155,19 @@ impl RunOutcome {
 mod tests {
     use super::*;
 
+    /// An outcome with these decisions and crash flags, and the summary the
+    /// core would have booked for them.
     fn outcome(decisions: Vec<Option<Bit>>, crashed: Vec<bool>) -> RunOutcome {
+        let decided = |value| decisions.contains(&Some(value));
+        let summary = DecisionSummary {
+            decided: [decided(Bit::Zero), decided(Bit::One)],
+            all_correct_decided: decisions
+                .iter()
+                .zip(&crashed)
+                .all(|(d, &c)| c || d.is_some()),
+        };
         RunOutcome {
+            summary,
             decisions,
             crashed,
             duration: 10,

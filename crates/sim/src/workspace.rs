@@ -16,8 +16,9 @@
 //! The workspace runs its executions with [`NoProbe`](crate::NoProbe):
 //! campaign trials are distilled into records, so nothing observes them and
 //! every probe hook monomorphizes away. The results are **bit-identical** to
-//! the allocate-per-trial path (`run_windowed` / `run_async`); the
-//! equivalence tests pin that down across both schedulers.
+//! the allocate-per-trial path (`run_windowed` / `run_async` /
+//! `run_partial_sync`); the equivalence tests pin that down across all
+//! three execution models.
 
 use agreement_model::{InputAssignment, ProtocolBuilder, SystemConfig};
 

@@ -79,10 +79,13 @@ const MAX_ALLOCATIONS_PER_WINDOW: f64 = 0.25;
 /// committee trial read 24.0 while every staged multicast copied its 20
 /// recipients into a vector of its own. With a sender set allocated per
 /// window they read 19.0, 9.5 and 24.0, with the processors built anew every
-/// trial 71.5, 37.4 and 3 044.
+/// trial 71.5, 37.4 and 3 044. Restarting the processors in place and
+/// reading the outcome off a running summary left all three where they
+/// were (the outcome still copies its two arrays), and each budget is its
+/// reading plus one: 4.0, 4.0 and 5.0, down from 6.0, 6.0 and 5.0.
 const BUDGETS: [(&str, u64, u64, f64); 3] = [
-    ("e1/reset-tolerant/split-vote/split/n13t2", 50, 250, 6.0),
-    ("e1/reset-tolerant/split-vote/split/n7t1", 50, 250, 6.0),
+    ("e1/reset-tolerant/split-vote/split/n13t2", 50, 250, 4.0),
+    ("e1/reset-tolerant/split-vote/split/n7t1", 50, 250, 4.0),
     (
         "subquad/sampled-committee20/fair-round-robin/unanimous-1/n1000t7",
         5,
@@ -99,12 +102,13 @@ const BUDGETS: [(&str, u64, u64, f64); 3] = [
 /// plus a thirty-second of the generation's record vector — and none per
 /// window. When every generation resolved the spec again, ran in a cold
 /// workspace and decoded 3 + 2n vectors per window out of a copied tape, the
-/// same loop read 66.0 per trial (22 per window).
+/// same loop read 66.0 per trial (22 per window). The budget is the reading
+/// plus one (it was 6.0).
 const SEARCHED: &str = "e1/reset-tolerant/split-vote/split/n7t1";
 const GENERATION: u64 = 32;
 const WARM_GENERATIONS: u64 = 4;
 const MEASURED_GENERATIONS: u64 = 8;
-const MAX_ALLOCATIONS_PER_SEARCHED_TRIAL: f64 = 6.0;
+const MAX_ALLOCATIONS_PER_SEARCHED_TRIAL: f64 = 4.0;
 
 fn registry_spec(id: &str) -> ScenarioSpec {
     scenario_registry(Scale::Quick)
