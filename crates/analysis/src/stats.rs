@@ -72,11 +72,12 @@ pub struct Histogram {
 }
 
 impl Histogram {
-    /// Builds a histogram from `samples`. Non-finite samples are discarded
-    /// (the simulation layer never produces them; dropping keeps every query
-    /// total).
-    pub fn from_samples(samples: &[f64]) -> Self {
-        let mut sorted: Vec<f64> = samples.iter().copied().filter(|x| x.is_finite()).collect();
+    /// Builds a histogram from `samples`, sorted in place if given a `Vec`.
+    /// Non-finite samples are discarded (the simulation layer never produces
+    /// them; dropping keeps every query total).
+    pub fn from_samples(samples: impl Into<Vec<f64>>) -> Self {
+        let mut sorted = samples.into();
+        sorted.retain(|x| x.is_finite());
         sorted.sort_by(f64::total_cmp);
         Histogram { sorted }
     }
@@ -241,7 +242,7 @@ mod tests {
 
     #[test]
     fn histogram_percentiles_interpolate() {
-        let h = Histogram::from_samples(&[4.0, 1.0, 3.0, 2.0, 5.0]);
+        let h = Histogram::from_samples([4.0, 1.0, 3.0, 2.0, 5.0]);
         assert_eq!(h.count(), 5);
         assert_eq!(h.min(), 1.0);
         assert_eq!(h.max(), 5.0);
@@ -258,13 +259,13 @@ mod tests {
 
     #[test]
     fn histogram_degenerate_inputs_are_total() {
-        let empty = Histogram::from_samples(&[]);
+        let empty = Histogram::from_samples([]);
         assert_eq!(empty.count(), 0);
         assert_eq!(empty.percentile(50.0), 0.0);
         assert_eq!(empty.min(), 0.0);
         assert_eq!(empty.summary(), Summary::from_samples(&[]));
 
-        let with_nan = Histogram::from_samples(&[1.0, f64::NAN, 2.0]);
+        let with_nan = Histogram::from_samples([1.0, f64::NAN, 2.0]);
         assert_eq!(with_nan.count(), 2, "non-finite samples are discarded");
     }
 

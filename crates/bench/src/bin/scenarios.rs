@@ -325,22 +325,21 @@ fn main() {
         if options.json.is_some() {
             sinks.push(&mut json);
         }
-        let records = match (session.as_mut(), &options.checkpoint) {
-            (Some(session), _) => session.run_spec_records(spec),
-            (None, Some(path)) => spec.run_checkpointed(&Campaign::default(), path.as_ref()),
-            (None, None) => {
-                if let Err(err) = spec.run_with_sinks(&Campaign::default(), &mut sinks) {
-                    failures += 1;
-                    table.push_failure(spec.id(), format!("infeasible: {err}"));
-                }
-                continue;
-            }
-        };
-        match records {
-            Ok(records) => {
+        let outcome = match (session.as_mut(), &options.checkpoint) {
+            (Some(session), _) => session.run_spec_records(spec).map(|records| {
                 let meta = spec.meta().expect("feasible spec has metadata");
                 stream_records(&meta, &records, &mut sinks);
-            }
+            }),
+            (None, checkpoint) => spec
+                .run_checkpointed(
+                    &Campaign::default(),
+                    checkpoint.as_deref().map(std::path::Path::new),
+                    &mut sinks,
+                )
+                .map(drop),
+        };
+        match outcome {
+            Ok(()) => {}
             Err(OrchestrateError::Scenario(err)) => {
                 failures += 1;
                 table.push_failure(spec.id(), format!("infeasible: {err}"));

@@ -1,9 +1,9 @@
 //! Seed-range checkpoints: the CRC-wrapped JSONL line format, its lossy
-//! reader, the coalescing writer, atomic compaction, and the resume policy
-//! both executors share ([`RangeLedger`]). This file is the only one that
-//! knows the line format; the executors see ranges.
+//! reader, the coalescing writer, atomic compaction, and the range ledger
+//! the campaign and the session share ([`RangeLedger`]). This file is the
+//! only one that knows the line format; the executors see ranges.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::io::{self, BufRead, Write as _};
 use std::path::{Path, PathBuf};
 
@@ -14,7 +14,7 @@ use crate::record::TrialRecord;
 use crate::scenario::ScenarioSpec;
 
 /// One completed, persisted seed range of a scenario: the unit of resumption.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CheckpointEntry {
     /// The scenario's registry id.
     pub scenario: String,
@@ -280,24 +280,32 @@ pub(super) fn holds_exactly(records: &[TrialRecord], lo: u64, hi: u64) -> bool {
             .all(|(record, trial)| record.trial == trial)
 }
 
-/// The resume policy a session and [`ScenarioSpec::run_checkpointed`]
-/// share: one workload's settled ranges, restored from its checkpoint or
-/// [settled](RangeLedger::settle) and appended to it, on their way to the
-/// [merge](RangeLedger::merge).
+/// The campaign's one reorder point, which a session shares: one workload's
+/// ranges, restored from its checkpoint or [settled](RangeLedger::settle)
+/// and appended to it, handed on in trial order.
+#[derive(Default)]
 pub(crate) struct RangeLedger {
-    /// `spec.id()`, as checkpoint entries name the workload.
-    scenario: String,
-    base_seed: u64,
-    trials: u64,
+    /// The line a settled range is appended as: the workload (`spec.id()`,
+    /// base seed, and trial count, which is where the span ends), and the
+    /// range's bounds and records while they are written.
+    line: CheckpointEntry,
     /// Where settled ranges are appended; none without a checkpoint.
     pub(super) writer: Option<CheckpointWriter>,
-    /// Settled ranges, disjoint, by start: `lo → (hi, records)`.
-    settled: BTreeMap<u64, (u64, Vec<TrialRecord>)>,
-    /// Trials the settled ranges cover.
-    covered: u64,
+    /// Every trial below this has been handed on.
+    next: u64,
+    /// Restored ranges, and settled ones that arrived ahead of `next`:
+    /// disjoint, by start, `lo → (hi, records)`.
+    held: BTreeMap<u64, (u64, Vec<TrialRecord>)>,
 }
 
 impl RangeLedger {
+    /// A ledger for trials `lo..hi` of a campaign without a checkpoint.
+    pub(crate) fn span(lo: u64, hi: u64) -> Self {
+        let mut ledger = RangeLedger::default();
+        (ledger.line.trials, ledger.next) = (hi, lo.min(hi));
+        ledger
+    }
+
     /// A ledger for `spec`'s run that restores this exact workload's entries
     /// (scenario id, base seed, trial count) from `checkpoint`, each reported
     /// to `on_restored`. Damaged lines and a torn tail are shed first by an
@@ -311,14 +319,8 @@ impl RangeLedger {
         checkpoint: Option<&Path>,
         mut on_restored: impl FnMut(u64, u64),
     ) -> Result<Self, OrchestrateError> {
-        let mut ledger = RangeLedger {
-            scenario: spec.id(),
-            base_seed: spec.base_seed,
-            trials: spec.trials,
-            writer: None,
-            settled: BTreeMap::new(),
-            covered: 0,
-        };
+        let mut ledger = RangeLedger::span(0, spec.trials);
+        (ledger.line.scenario, ledger.line.base_seed) = (spec.id(), spec.base_seed);
         let Some(path) = checkpoint else {
             return Ok(ledger);
         };
@@ -336,7 +338,7 @@ impl RangeLedger {
             compact_checkpoint(path, &load.entries)?;
         }
         ledger.writer = Some(CheckpointWriter::open(path)?);
-        let (scenario, total) = (&ledger.scenario, ledger.trials);
+        let (scenario, total) = (&ledger.line.scenario, ledger.line.trials);
         for entry in load.entries {
             let (lo, hi) = (entry.lo, entry.hi);
             if (&entry.scenario, entry.base_seed, entry.trials) != (scenario, spec.base_seed, total)
@@ -346,7 +348,7 @@ impl RangeLedger {
             // Restored ranges are disjoint, so only the last one starting
             // before `hi` can reach past `lo`.
             let overlaps = ledger
-                .settled
+                .held
                 .range(..hi)
                 .next_back()
                 .is_some_and(|(_, &(end, _))| end > lo);
@@ -359,95 +361,83 @@ impl RangeLedger {
                 continue;
             }
             on_restored(lo, hi);
-            ledger.covered += hi - lo;
-            ledger.settled.insert(lo, (hi, entry.records));
+            ledger.held.insert(lo, (hi, entry.records));
         }
         Ok(ledger)
     }
 
-    /// The trials no settled range covers, in trial order, cut into ranges
-    /// of at most `chunk` trials (clamped to 1..=65 536).
-    pub(crate) fn missing(&self, chunk: u64) -> VecDeque<(u64, u64)> {
-        let chunk = chunk.clamp(1, MAX_RANGE_TRIALS);
-        let settled = self.settled.iter().map(|(&lo, &(hi, _))| (lo, hi));
-        let mut missing = VecDeque::new();
-        let mut cursor = 0;
-        for (lo, hi) in settled.chain([(self.trials, self.trials)]) {
-            while cursor < lo {
-                let end = (cursor + chunk).min(lo);
-                missing.push_back((cursor, end));
-                cursor = end;
-            }
-            cursor = cursor.max(hi);
-        }
-        missing
+    /// How many trials are still to be handed on.
+    pub(crate) fn len(&self) -> u64 {
+        self.line.trials - self.next
     }
 
-    /// Whether the settled ranges cover every trial.
-    pub(crate) fn is_complete(&self) -> bool {
-        self.covered >= self.trials
+    /// The trials no range covers, in trial order, cut into ranges of at
+    /// most `chunk` trials (clamped to 1..=65 536): asked before anything
+    /// is settled, what the campaign claims and a session queues.
+    pub(crate) fn missing(&self, chunk: u64) -> impl Iterator<Item = (u64, u64)> + Send {
+        let chunk = chunk.clamp(1, MAX_RANGE_TRIALS);
+        let held: Vec<(u64, u64)> = self.held.iter().map(|(&lo, &(hi, _))| (lo, hi)).collect();
+        let end = self.line.trials;
+        let gaps = held.into_iter().chain([(end, end)]);
+        gaps.scan(self.next, |cursor, (lo, hi)| {
+            Some((std::mem::replace(cursor, hi), lo))
+        })
+        .flat_map(move |(lo, hi)| {
+            let starts = (lo..hi).step_by(chunk as usize);
+            starts.map(move |at| (at, at.saturating_add(chunk).min(hi)))
+        })
     }
 
     /// Settles `lo..hi`, a missing range, with its records: appends them to
     /// the checkpoint as one line (an I/O error leaves the range missing),
-    /// then keeps them for the merge.
+    /// then hands on every range that now continues the handed-on prefix.
+    /// `records` is left empty, with its buffer unless the range must wait.
     pub(crate) fn settle(
         &mut self,
         lo: u64,
         hi: u64,
-        mut records: Vec<TrialRecord>,
+        records: &mut Vec<TrialRecord>,
+        consume: &mut dyn FnMut(&[TrialRecord]),
     ) -> Result<(), OrchestrateError> {
         if let Some(writer) = self.writer.as_mut() {
-            // The records move through the entry and back out.
-            let entry = CheckpointEntry {
-                scenario: self.scenario.clone(),
-                base_seed: self.base_seed,
-                trials: self.trials,
-                lo,
-                hi,
-                records,
-            };
-            writer.append(&entry)?;
-            records = entry.records;
+            // The records move through the line and back out.
+            (self.line.lo, self.line.hi) = (lo, hi);
+            std::mem::swap(&mut self.line.records, records);
+            let appended = writer.append(&self.line);
+            std::mem::swap(&mut self.line.records, records);
+            appended?;
         }
-        self.covered += hi - lo;
-        self.settled.insert(lo, (hi, records));
+        self.release(consume);
+        if lo != self.next {
+            self.held.insert(lo, (hi, std::mem::take(records)));
+            return Ok(());
+        }
+        consume(records);
+        records.clear();
+        self.next = hi;
+        self.release(consume);
         Ok(())
     }
 
-    /// The settled ranges merged into the `0..trials` record stream, the
-    /// one a single-process campaign produces; a
-    /// [`Coverage`](OrchestrateError::Coverage) error unless they tile
-    /// `0..trials` exactly with every record in its own slot.
-    pub(crate) fn merge(self) -> Result<Vec<TrialRecord>, OrchestrateError> {
-        let total = self.trials;
-        let mut merged: Vec<TrialRecord> = Vec::with_capacity(total as usize);
-        for (lo, (hi, records)) in self.settled {
-            if lo != merged.len() as u64 || records.len() as u64 != hi - lo {
-                return Err(OrchestrateError::Coverage(format!(
-                    "ranges do not tile 0..{total}: {lo}..{hi} carries {} record(s) and follows \
-                     {} merged trial(s)",
-                    records.len(),
-                    merged.len()
-                )));
-            }
-            merged.extend(records);
+    /// Hands on the held ranges that continue the handed-on prefix.
+    fn release(&mut self, consume: &mut dyn FnMut(&[TrialRecord])) {
+        while let Some((hi, records)) = self.held.remove(&self.next) {
+            consume(&records);
+            self.next = hi;
         }
-        if merged.len() as u64 != total {
-            return Err(OrchestrateError::Coverage(format!(
-                "ranges cover 0..{} of 0..{total}",
-                merged.len()
-            )));
-        }
-        for (slot, record) in merged.iter().enumerate() {
-            if record.trial != slot as u64 {
-                return Err(OrchestrateError::Coverage(format!(
-                    "slot {slot} holds trial {}",
-                    record.trial
-                )));
-            }
-        }
-        Ok(merged)
+    }
+
+    /// Hands on what is still held, and fails with a
+    /// [`Coverage`](OrchestrateError::Coverage) error unless the ranges
+    /// reached the span's end without a gap.
+    pub(crate) fn finish(
+        &mut self,
+        consume: &mut dyn FnMut(&[TrialRecord]),
+    ) -> Result<(), OrchestrateError> {
+        self.release(consume);
+        let (next, trials) = (self.next, self.line.trials);
+        let gap = || OrchestrateError::Coverage(format!("ranges reach trial {next} of {trials}"));
+        (next == trials).then_some(()).ok_or_else(gap)
     }
 }
 
@@ -655,8 +645,15 @@ pub(super) mod tests {
         let mut ledger =
             RangeLedger::resume(&spec, Some(&path), |lo, hi| restored.push((lo, hi))).unwrap();
         assert_eq!(restored, [(0, 1)]);
-        ledger.settle(1, 2, vec![record(1)]).unwrap();
-        ledger.settle(2, 3, vec![record(2)]).unwrap();
+        let mut handed = Vec::new();
+        let mut consume = |records: &[TrialRecord]| handed.extend_from_slice(records);
+        ledger
+            .settle(1, 2, &mut vec![record(1)], &mut consume)
+            .unwrap();
+        ledger
+            .settle(2, 3, &mut vec![record(2)], &mut consume)
+            .unwrap();
+        assert_eq!(handed, [record(0), record(1), record(2)]);
         drop(ledger);
         let load = load_checkpoint(&path).unwrap();
         assert_eq!(load.entries, vec![entry(0), entry(1), entry(2)]);
@@ -670,6 +667,62 @@ pub(super) mod tests {
         let load = load_checkpoint(&path).unwrap();
         assert_eq!(load.entries.len(), 3);
         assert!(load.torn_tail);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn the_first_failed_append_ends_the_campaign() {
+        use crate::runner::{Campaign, TrialPlan};
+        use agreement_model::{InputAssignment, SystemConfig};
+        use agreement_protocols::BenOrBuilder;
+        use agreement_sim::{BuiltAdversary, FairAsyncAdversary, RunLimits};
+
+        // A handle that cannot be written to: the first append fails.
+        let path = temp_path("append-fails");
+        std::fs::write(&path, b"").unwrap();
+        let trials = 64;
+        let plan = TrialPlan::new(
+            SystemConfig::new(5, 1).unwrap(),
+            InputAssignment::evenly_split(5),
+        )
+        .trials(trials)
+        .limits(RunLimits::small());
+        let calling = std::thread::current().id();
+        for threads in [1u64, 2, 4] {
+            let mut ledger = RangeLedger::span(0, trials);
+            ledger.writer = Some(CheckpointWriter::over(std::fs::File::open(&path).unwrap()));
+            let ran = AtomicU64::new(0);
+            let mut handed = 0;
+            let outcome = Campaign::with_threads(threads as usize).run_ledger(
+                &mut Vec::new(),
+                &plan,
+                &BenOrBuilder::new(),
+                |_| {
+                    // The calling thread settles its first range while
+                    // every other worker is still inside its own.
+                    if std::thread::current().id() != calling {
+                        std::thread::sleep(std::time::Duration::from_millis(200));
+                    }
+                    ran.fetch_add(1, Ordering::Relaxed);
+                    BuiltAdversary::asynchronous(Box::new(FairAsyncAdversary::default()))
+                },
+                &mut ledger,
+                &mut |records| handed += records.len(),
+            );
+            assert!(
+                matches!(outcome, Err(OrchestrateError::Io(_))),
+                "{threads} thread(s): expected the append error, got {outcome:?}"
+            );
+            assert_eq!(handed, 0, "{threads} thread(s): a range went on unwritten");
+            // Each worker finishes the range it holds, if any; none claims
+            // another.
+            let (ran, range) = (ran.into_inner(), trials.div_ceil(32 * threads));
+            assert!(
+                (range..=threads * range).contains(&ran),
+                "{threads} thread(s) ran {ran} trials in ranges of {range}"
+            );
+        }
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), 0);
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -698,15 +751,11 @@ pub(super) mod tests {
     /// `ranges`.
     fn ledger(trials: u64, ranges: &[(u64, u64, Vec<TrialRecord>)]) -> RangeLedger {
         RangeLedger {
-            scenario: String::new(),
-            base_seed: 0,
-            trials,
-            writer: None,
-            settled: ranges
+            held: ranges
                 .iter()
                 .map(|(lo, hi, records)| (*lo, (*hi, records.clone())))
                 .collect(),
-            covered: ranges.iter().map(|(lo, hi, _)| hi - lo).sum(),
+            ..RangeLedger::span(0, trials)
         }
     }
 
@@ -717,7 +766,7 @@ pub(super) mod tests {
             .iter()
             .map(|&(lo, hi)| (lo, hi, (lo..hi).map(record).collect()))
             .collect();
-        ledger(trials, &ranges).missing(chunk).into()
+        ledger(trials, &ranges).missing(chunk).collect()
     }
 
     #[test]
@@ -748,33 +797,56 @@ pub(super) mod tests {
     }
 
     #[test]
-    fn merge_validates_tiling_and_slots() {
-        let done = [
-            (3, 5, vec![record(3), record(4)]),
-            (0, 3, vec![record(0), record(1), record(2)]),
-        ];
-        let merged = ledger(5, &done).merge().unwrap();
-        assert_eq!(merged.len(), 5);
-        assert!(merged.iter().enumerate().all(|(i, r)| r.trial == i as u64));
+    fn ranges_are_handed_on_in_trial_order_as_soon_as_they_continue_the_prefix() {
+        // 2..4 restored; 6..8 and 4..6 settle out of order, then 0..2.
+        let mut ledger = ledger(8, &[(2, 4, vec![record(2), record(3)])]);
+        assert_eq!(
+            ledger.missing(2).collect::<Vec<_>>(),
+            [(0, 2), (4, 6), (6, 8)]
+        );
+        let mut handed = Vec::new();
+        let mut consume = |records: &[TrialRecord]| handed.push(records.to_vec());
+        for lo in [6, 4, 0] {
+            let mut records = vec![record(lo), record(lo + 1)];
+            ledger
+                .settle(lo, lo + 2, &mut records, &mut consume)
+                .unwrap();
+            assert!(records.is_empty());
+        }
+        ledger.finish(&mut consume).unwrap();
+        let firsts: Vec<u64> = handed.iter().map(|records| records[0].trial).collect();
+        assert_eq!(
+            firsts,
+            [0, 2, 4, 6],
+            "one hand-off per range, in trial order"
+        );
+        assert!(handed.concat().iter().zip(0..).all(|(r, t)| r.trial == t));
+    }
 
-        let gap = [(0, 2, vec![record(0), record(1)])];
-        assert!(matches!(
-            ledger(5, &gap).merge(),
-            Err(OrchestrateError::Coverage(_))
-        ));
-        let overlap = [
-            (0, 3, vec![record(0), record(1), record(2)]),
-            (2, 5, vec![record(2), record(3), record(4)]),
+    #[test]
+    fn finishing_with_a_gap_is_a_coverage_error() {
+        let handed = std::cell::Cell::new(0);
+        let mut consume = |records: &[TrialRecord]| handed.set(handed.get() + records.len());
+        let gap = [
+            (0, 2, vec![record(0), record(1)]),
+            (3, 5, vec![record(3), record(4)]),
         ];
+        let mut short = ledger(5, &gap);
         assert!(matches!(
-            ledger(5, &overlap).merge(),
+            short.finish(&mut consume),
             Err(OrchestrateError::Coverage(_))
         ));
-        let short = [(0, 3, vec![record(0)])];
-        assert!(matches!(
-            ledger(3, &short).merge(),
-            Err(OrchestrateError::Coverage(_))
-        ));
+        assert_eq!(
+            handed.get(),
+            2,
+            "the prefix before the gap is still handed on"
+        );
+        let mut span = RangeLedger::span(3, 5);
+        assert_eq!(span.missing(1).collect::<Vec<_>>(), [(3, 4), (4, 5)]);
+        span.settle(3, 5, &mut vec![record(3), record(4)], &mut consume)
+            .unwrap();
+        span.finish(&mut consume).unwrap();
+        assert_eq!(handed.get(), 4);
     }
 
     #[test]

@@ -66,18 +66,13 @@
 //!
 //! # Checkpoints
 //!
-//! A checkpoint belongs to the campaign: the threaded
+//! A checkpoint is the file of the campaign's range ledger
+//! (`checkpoint::RangeLedger`). A [`Session`] keeps its own dispatch over
+//! the ledger that
 //! [`ScenarioSpec::run_checkpointed`](crate::ScenarioSpec::run_checkpointed)
-//! and a [`Session`] share one resume policy (`checkpoint::RangeLedger`),
-//! and either resumes what the other wrote. Every settled range is appended
-//! to a JSONL file *with its records embedded*, each line wrapped with a
-//! CRC32 of its body, as one preformatted `write` on a [`CheckpointWriter`]
-//! held open for the run. Lines go straight between the structs and text,
-//! and the CRC is verified before a byte of a line reaches the JSON reader.
-//! A resumed run skips (and logs) damaged lines, compacts the file via an
-//! atomic tmp+rename when damage or a torn tail was found (a line counts
-//! once its newline is on disk), runs only the missing sub-ranges, and
-//! merges restored and fresh ranges into the same byte-identical stream.
+//! streams through, so either resumes what the other wrote; `checkpoint`
+//! documents the CRC-wrapped line format, the [`CheckpointWriter`] held
+//! open for a run, the torn-tail rule and the compaction.
 //!
 //! # Layout
 //!
@@ -110,7 +105,7 @@ pub const DEFAULT_BATCH_RECORDS: u64 = 256;
 
 /// The most trials a range holds: a block of this many worst-case records
 /// still fits the transport's 64 MiB frame cap.
-const MAX_RANGE_TRIALS: u64 = 65_536;
+pub(crate) const MAX_RANGE_TRIALS: u64 = 65_536;
 
 /// Why an orchestrated campaign failed.
 #[derive(Debug)]

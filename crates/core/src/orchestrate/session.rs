@@ -292,9 +292,10 @@ struct SpecRun<'s, F: FnMut(OrchestrationEvent)> {
     /// The range each busy worker holds, by worker index. A lost worker
     /// holds none: [`SpecRun::lose`] takes it.
     inflight: BTreeMap<usize, Inflight>,
-    /// Restored and completed ranges: the run ends when they cover every
-    /// trial.
+    /// Restored and completed ranges.
     ledger: RangeLedger,
+    /// What the ledger has handed on.
+    merged: Vec<TrialRecord>,
     on_event: F,
 }
 
@@ -312,10 +313,11 @@ impl<'s, F: FnMut(OrchestrationEvent)> SpecRun<'s, F> {
             .chunk
             .unwrap_or_else(|| spec.trials.div_ceil(config.workers as u64 * 4));
         SpecRun {
-            pending: ledger.missing(chunk),
+            pending: ledger.missing(chunk).collect(),
             session,
             spec,
             inflight: BTreeMap::new(),
+            merged: Vec::new(),
             ledger,
             on_event,
         }
@@ -330,7 +332,9 @@ impl<'s, F: FnMut(OrchestrationEvent)> SpecRun<'s, F> {
             self.lose(worker, "still mid-range at the run's end");
         }
         outcome?;
-        self.ledger.merge()
+        let consume = &mut |records: &[TrialRecord]| self.merged.extend_from_slice(records);
+        self.ledger.finish(consume)?;
+        Ok(self.merged)
     }
 
     fn dispatch(&mut self) -> Result<(), OrchestrateError> {
@@ -339,7 +343,7 @@ impl<'s, F: FnMut(OrchestrationEvent)> SpecRun<'s, F> {
         let mut drained: Vec<(usize, Delivery)> = Vec::new();
         loop {
             self.assign();
-            if self.ledger.is_complete() {
+            if self.pending.is_empty() && self.inflight.is_empty() {
                 return Ok(());
             }
             if self.session.live_workers() == 0 {
@@ -439,7 +443,7 @@ impl<'s, F: FnMut(OrchestrationEvent)> SpecRun<'s, F> {
         &mut self,
         worker: usize,
         job: u64,
-        records: Vec<TrialRecord>,
+        mut records: Vec<TrialRecord>,
     ) -> Result<Result<(), String>, OrchestrateError> {
         // Validate before taking the slot: on failure the range must stay in
         // flight so losing the worker re-queues it (a taken slot would leak
@@ -455,7 +459,8 @@ impl<'s, F: FnMut(OrchestrationEvent)> SpecRun<'s, F> {
             )));
         }
         self.inflight.remove(&worker);
-        self.ledger.settle(lo, hi, records)?;
+        let consume = &mut |records: &[TrialRecord]| self.merged.extend_from_slice(records);
+        self.ledger.settle(lo, hi, &mut records, consume)?;
         (self.on_event)(OrchestrationEvent::RangeCompleted { worker, lo, hi });
         Ok(Ok(()))
     }

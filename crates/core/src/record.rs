@@ -23,6 +23,7 @@ use agreement_model::{Bit, InputAssignment};
 use agreement_sim::{Metrics, RunOutcome};
 
 use crate::report::{fmt_f64, fmt_rate, Table};
+use crate::runner::ReportColumns;
 use crate::scenario::ScenarioReport;
 
 /// Identity of the scenario whose trial records are being streamed.
@@ -275,19 +276,36 @@ pub fn stream_records(
     records: &[TrialRecord],
     sinks: &mut [&mut dyn ReportSink],
 ) -> ScenarioReport {
-    for sink in sinks.iter_mut() {
-        sink.begin_scenario(meta);
-    }
-    for record in records {
-        for sink in sinks.iter_mut() {
-            sink.record_trial(meta, record);
+    let streamed = stream_with(meta, sinks, |consume| {
+        consume(records);
+        Ok::<_, ()>(())
+    });
+    streamed.expect("a slice of records streams without fail")
+}
+
+/// Streams the records `run` hands its consumer — in trial order, a slice at
+/// a time — through `sinks` and into the columns the returned report is
+/// built from.
+pub(crate) fn stream_with<E>(
+    meta: &ScenarioMeta,
+    sinks: &mut [&mut dyn ReportSink],
+    run: impl FnOnce(&mut dyn FnMut(&[TrialRecord])) -> Result<(), E>,
+) -> Result<ScenarioReport, E> {
+    sinks.iter_mut().for_each(|sink| sink.begin_scenario(meta));
+    let mut columns = ReportColumns::new(meta.time_cap, meta.trials);
+    run(&mut |records| {
+        for record in records {
+            sinks
+                .iter_mut()
+                .for_each(|sink| sink.record_trial(meta, record));
+            columns.push(record);
         }
-    }
-    let report = ScenarioReport::from_records(meta.clone(), records);
-    for sink in sinks.iter_mut() {
-        sink.end_scenario(meta, &report);
-    }
-    report
+    })?;
+    let report = ScenarioReport::from_columns(meta.clone(), columns);
+    sinks
+        .iter_mut()
+        .for_each(|sink| sink.end_scenario(meta, &report));
+    Ok(report)
 }
 
 /// Renders one aggregate row per scenario into a plain-text [`Table`] — the
@@ -926,6 +944,6 @@ mod tests {
             .iter()
             .map(|r| r.all_decided_at.unwrap_or(meta.time_cap) as f64)
             .collect();
-        assert_eq!(report.decision_times, Histogram::from_samples(&expected));
+        assert_eq!(report.decision_times, Histogram::from_samples(expected));
     }
 }

@@ -2,35 +2,24 @@
 //! repeated over seeds, distilled into per-trial records.
 //!
 //! A [`TrialPlan`] describes *what* to run; a [`Campaign`] decides *how* —
-//! serially or fanned out across worker threads, one trial per seed. The
-//! environment this workspace builds in is offline, so the fan-out is a
-//! self-contained `std::thread` work-stealing pool rather than rayon; the
-//! scheduling discipline is the same (a shared atomic trial counter), and
-//! results are written into per-trial slots so the record stream is always
-//! in trial order. That makes every record stream — and everything derived
-//! from one, aggregates included — **bit-identical** across thread counts,
-//! including the serial path: parallelism changes only wall-clock time,
-//! never results.
-//!
-//! Each worker owns a reusable
-//! [`TrialWorkspace`](agreement_sim::TrialWorkspace): trials run
-//! un-instrumented (`NoProbe` — nothing observes a campaign trial but its
-//! record) inside an execution core whose allocations persist from seed to
-//! seed. The
-//! trial's [`RunOutcome`] is distilled into a
-//! [`TrialRecord`](crate::TrialRecord) *inside* the worker; aggregation into
-//! an [`Aggregate`] is one consumer of the record stream
-//! ([`Aggregate::from_records`]), the report sinks of [`crate::record`] are
-//! the others. The workspace path is bit-identical to running every trial on
-//! a fresh core, traced or not — pinned by the equivalence tests.
+//! serially or on worker threads. There is one campaign loop: workers claim
+//! ranges of trials, each in its own reusable, un-instrumented
+//! [`TrialWorkspace`](agreement_sim::TrialWorkspace), distill every outcome
+//! into a [`TrialRecord`](crate::TrialRecord) and bring the range to the
+//! calling thread (itself a worker). There the range ledger, which also
+//! keeps the checkpoint, hands the records on in trial order as soon as
+//! every trial before them has run: to a `Vec`, or to the report sinks and
+//! the columns an [`Aggregate`] is built from. Every record stream is
+//! **bit-identical** across thread counts and to fresh cores.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{self, Receiver};
 use std::sync::Mutex;
 
 use agreement_analysis::Summary;
 use agreement_model::{InputAssignment, ProtocolBuilder, SystemConfig};
 use agreement_sim::{BuiltAdversary, RunLimits, TrialWorkspace};
 
+use crate::orchestrate::{checkpoint::RangeLedger, OrchestrateError};
 use crate::record::TrialRecord;
 
 /// The static description of a batch of trials.
@@ -121,90 +110,11 @@ impl Campaign {
         requested.clamp(1, trials.max(1) as usize)
     }
 
-    /// Executes the seeded trials `lo..hi` and returns their results **in
-    /// trial order**, regardless of which worker ran which trial.
-    ///
-    /// Every worker (the calling thread included, on the serial path) owns
-    /// one [`TrialWorkspace`] for its whole run: `run_one` executes each
-    /// claimed trial inside it, so core allocations are reused from seed to
-    /// seed instead of rebuilt per trial. With `kept`, the workspaces are the
-    /// caller's — the list grows to the worker count — and a caller that
-    /// passes the same list again also reuses them from call to call;
-    /// without, each worker makes its own and drops it when it is done.
-    /// Which worker ran a trial never affects its result (executions are
-    /// seed-deterministic and the workspace leaks no state between trials),
-    /// so the stream stays bit-identical across thread counts. Trial `t` also
-    /// runs identically whether it is reached as part of `0..trials` or as
-    /// part of a shard `lo..hi` (its seed and workspace semantics depend only
-    /// on `t`), which is what lets a multi-process orchestrator split a
-    /// campaign into ranges and merge the streams bit-identically.
-    fn run_trials_range<T: Send>(
-        &self,
-        kept: Option<&mut Vec<TrialWorkspace>>,
-        lo: u64,
-        hi: u64,
-        run_one: impl Fn(&mut TrialWorkspace, u64) -> T + Sync,
-    ) -> Vec<T> {
-        let count = hi.saturating_sub(lo);
-        let workers = self.worker_count(count);
-        let mut kept = kept.map(|list| {
-            if list.len() < workers {
-                list.resize_with(workers, TrialWorkspace::new);
-            }
-            list.iter_mut()
-        });
-        let mut next_kept = || kept.as_mut().and_then(Iterator::next);
-        if workers <= 1 {
-            let mut fresh = TrialWorkspace::new();
-            let workspace = next_kept().unwrap_or(&mut fresh);
-            return (lo..hi).map(|t| run_one(workspace, t)).collect();
-        }
-        let next = AtomicU64::new(lo);
-        let slots: Vec<Mutex<Option<T>>> = (0..count).map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let (next, slots, run_one) = (&next, &slots, &run_one);
-                let mut kept = next_kept();
-                scope.spawn(move || {
-                    // The workspace is on its worker's stack while it runs
-                    // (kept ones sit side by side in their list, where two
-                    // workers' clocks and counters would share cache lines),
-                    // and one nobody keeps dies with its worker: left for the
-                    // spawning thread to free, it cost a two-thread range of
-                    // 2 500 20 µs trials 5–10 %.
-                    let mut workspace = kept.as_deref_mut().map(std::mem::take).unwrap_or_default();
-                    loop {
-                        let trial = next.fetch_add(1, Ordering::Relaxed);
-                        if trial >= hi {
-                            break;
-                        }
-                        let outcome = run_one(&mut workspace, trial);
-                        *slots[(trial - lo) as usize]
-                            .lock()
-                            .expect("trial slot poisoned") = Some(outcome);
-                    }
-                    if let Some(kept) = kept {
-                        *kept = workspace;
-                    }
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("trial slot poisoned")
-                    .expect("every trial index below the counter was executed")
-            })
-            .collect()
-    }
-
     /// Runs `plan.trials` executions of *any* execution model and returns one
     /// [`TrialRecord`] per trial, **in trial order** regardless of thread
     /// count. `make_adversary` receives each trial's seed and returns a
     /// [`BuiltAdversary`] (typically from an `AdversaryFactory`); the
-    /// campaign never inspects the model — [`BuiltAdversary::run`] does. This
-    /// is the entry point the scenario layer uses.
+    /// campaign never inspects the model — [`BuiltAdversary::run`] does.
     pub fn run_records<F>(
         &self,
         plan: &TrialPlan,
@@ -235,67 +145,140 @@ impl Campaign {
     where
         F: Fn(u64) -> BuiltAdversary + Sync,
     {
-        self.run_plan_range(None, plan, builder, make_adversary, lo, hi)
+        let (mut records, workspaces) = (Vec::new(), &mut Vec::new());
+        self.extend_records(
+            workspaces,
+            plan,
+            builder,
+            make_adversary,
+            (lo, hi),
+            &mut records,
+        );
+        records
     }
 
-    /// [`Campaign::run_records_range`] inside the caller's `workspaces`, one
-    /// per worker: a caller that runs many short ranges (the schedule search
-    /// runs one per generation) passes the same list every time and pays for
-    /// cold cores once, not once per range. The list grows to the worker
-    /// count on demand; an empty one is a fine start.
-    pub fn run_records_range_in<F>(
+    /// Appends the records of trials `lo..hi` of `plan` to `records`, run in
+    /// the caller's `workspaces`: a caller of many short ranges (a worker
+    /// process, the search) keeps both lists and pays for cold cores once.
+    pub(crate) fn extend_records<F>(
         &self,
         workspaces: &mut Vec<TrialWorkspace>,
         plan: &TrialPlan,
         builder: &dyn ProtocolBuilder,
         make_adversary: F,
-        lo: u64,
-        hi: u64,
-    ) -> Vec<TrialRecord>
-    where
+        (lo, hi): (u64, u64),
+        records: &mut Vec<TrialRecord>,
+    ) where
         F: Fn(u64) -> BuiltAdversary + Sync,
     {
-        self.run_plan_range(Some(workspaces), plan, builder, make_adversary, lo, hi)
+        let ledger = &mut RangeLedger::span(lo, hi.min(plan.trials));
+        records.reserve(usize::try_from(ledger.len()).unwrap_or(0));
+        let consume = &mut |settled: &[TrialRecord]| records.extend_from_slice(settled);
+        let ran = self.run_ledger(workspaces, plan, builder, make_adversary, ledger, consume);
+        ran.expect("a ledger without a checkpoint has no file to fail");
     }
 
-    fn run_plan_range<F>(
+    /// The campaign loop: runs the trials `ledger` is missing and hands
+    /// every record to `consume`, in trial order, through the ledger.
+    /// Workers claim ranges of `ceil(len / (32 × workers))` trials (at most
+    /// 65 536), each on its own workspace from `workspaces` (grown to the
+    /// worker count, handed back warm). The calling thread is one of the
+    /// workers, and every finished range reaches it: there the ledger
+    /// appends the range to its checkpoint, if any, and holds it until the
+    /// ranges before it are through. With one worker no thread is spawned
+    /// and no range allocates.
+    ///
+    /// # Errors
+    ///
+    /// The first failed checkpoint append ends the run: no range is
+    /// claimed and none settled after it.
+    pub(crate) fn run_ledger<F>(
         &self,
-        kept: Option<&mut Vec<TrialWorkspace>>,
+        workspaces: &mut Vec<TrialWorkspace>,
         plan: &TrialPlan,
         builder: &dyn ProtocolBuilder,
         make_adversary: F,
-        lo: u64,
-        hi: u64,
-    ) -> Vec<TrialRecord>
+        ledger: &mut RangeLedger,
+        consume: &mut dyn FnMut(&[TrialRecord]),
+    ) -> Result<(), OrchestrateError>
     where
         F: Fn(u64) -> BuiltAdversary + Sync,
     {
-        self.run_trials_range(kept, lo, hi.min(plan.trials), |workspace, trial| {
-            // An overflow check here would panic in debug builds and wrap in
-            // release ones (worker processes are release binaries): two
-            // streams from one command.
-            let seed = plan.base_seed.wrapping_add(trial); // base_seed + trial mod 2^64
-            let mut adversary = make_adversary(seed);
-            let outcome = workspace.run_built(
-                plan.cfg,
-                &plan.inputs,
-                builder,
-                &mut adversary,
-                seed,
-                plan.limits,
-            );
-            TrialRecord::from_outcome(trial, seed, &outcome, &plan.inputs)
-        })
+        let workers = self.worker_count(ledger.len());
+        let missing = ledger.missing(ledger.len().div_ceil(32 * workers as u64));
+        workspaces.resize_with(workspaces.len().max(workers), TrialWorkspace::new);
+        let run_range = |workspace: &mut TrialWorkspace, lo: u64, hi: u64, records: &mut Vec<_>| {
+            records.extend((lo..hi).map(|trial| {
+                // An overflow check here would panic in debug builds and wrap
+                // in release ones (worker processes are release binaries):
+                // two streams from one command.
+                let seed = plan.base_seed.wrapping_add(trial); // base_seed + trial mod 2^64
+                let mut adversary = make_adversary(seed);
+                let outcome = workspace.run_built(
+                    plan.cfg,
+                    &plan.inputs,
+                    builder,
+                    &mut adversary,
+                    seed,
+                    plan.limits,
+                );
+                TrialRecord::from_outcome(trial, seed, &outcome, &plan.inputs)
+            }));
+        };
+        let missing = Mutex::new(missing);
+        // A poisoned queue is a worker's panic, which the scope passes on.
+        let claim = || missing.lock().ok()?.next();
+        let (own, others) = workspaces[..workers].split_at_mut(1);
+        // The calling thread is a worker too. It settles each of its own
+        // ranges as it finishes and the others' ranges between its own, so
+        // it sleeps only once nothing is left to claim.
+        let mut records = Vec::new();
+        let mut work = |settled: Option<&Receiver<(u64, u64, Vec<TrialRecord>)>>| {
+            while let Some((lo, hi)) = claim() {
+                run_range(&mut own[0], lo, hi, &mut records);
+                ledger.settle(lo, hi, &mut records, consume)?;
+                for (lo, hi, mut records) in settled.into_iter().flat_map(Receiver::try_iter) {
+                    ledger.settle(lo, hi, &mut records, consume)?;
+                }
+            }
+            for (lo, hi, mut records) in settled.into_iter().flat_map(Receiver::iter) {
+                ledger.settle(lo, hi, &mut records, consume)?;
+            }
+            Ok::<_, OrchestrateError>(())
+        };
+        if others.is_empty() {
+            work(None)?;
+        } else {
+            std::thread::scope(|scope| {
+                let (finished, settled) = mpsc::channel();
+                for workspace in others {
+                    let (finished, claim, run_range) = (finished.clone(), &claim, &run_range);
+                    scope.spawn(move || {
+                        // The workspace is on its worker's stack while it
+                        // runs: side by side in their list, two workers'
+                        // clocks and counters would share cache lines.
+                        let mut own = std::mem::take(workspace);
+                        while let Some((lo, hi)) = claim() {
+                            let mut records = Vec::with_capacity((hi - lo) as usize);
+                            run_range(&mut own, lo, hi, &mut records);
+                            if finished.send((lo, hi, records)).is_err() {
+                                break;
+                            }
+                        }
+                        *workspace = own;
+                    });
+                }
+                drop(finished);
+                // On an error `settled` drops here: each worker's next send fails.
+                work(Some(&settled))
+            })?;
+        }
+        ledger.finish(consume)
     }
 }
 
-/// Aggregated results over a batch of trials.
-///
-/// Since the structured-record redesign this is a *derived view*: it is
-/// computed from a [`TrialRecord`] stream by [`Aggregate::from_records`]
-/// (today also available packaged as a
-/// [`ScenarioReport`](crate::ScenarioReport) with distributions), and kept
-/// in this exact shape so the E1–E10 tables stay byte-identical.
+/// Aggregated results over a batch of trials: a view of its record stream,
+/// kept in this exact shape so the E1–E10 tables stay byte-identical.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Aggregate {
     /// Number of trials run.
@@ -325,44 +308,74 @@ impl Aggregate {
     /// the scheduler's time limit: undecided trials contribute it to the
     /// decision-time summary, exactly as the pre-record implementation did.
     pub fn from_records(records: &[TrialRecord], cap: u64) -> Aggregate {
-        let trials = records.len() as u64;
-        let rate = |pred: &dyn Fn(&TrialRecord) -> bool| {
-            if records.is_empty() {
-                0.0
-            } else {
-                records.iter().filter(|r| pred(r)).count() as f64 / records.len() as f64
-            }
-        };
+        let mut columns = ReportColumns::new(cap, records.len() as u64);
+        records.iter().for_each(|record| columns.push(record));
+        columns.aggregate()
+    }
+}
+
+/// What the aggregate and the report's distributions read of a record
+/// stream, taken in as it passes: the counts behind the four rates, and four
+/// sample columns (32 B a trial) in trial order, so that every sum, and with
+/// it every float, is the one a pass over the records makes.
+#[derive(Debug)]
+pub(crate) struct ReportColumns {
+    cap: u64,
+    /// Trials where agreement, validity, termination held; with violations.
+    counts: [u64; 4],
+    /// Decision time (`cap` when undecided), chain length, messages sent,
+    /// resets.
+    pub(crate) columns: [Vec<f64>; 4],
+}
+
+impl ReportColumns {
+    /// Empty columns for `trials` records under the time cap `cap`, sized up
+    /// front: a column that doubled as it grew would hold up to twice its
+    /// samples, and three times while it moves.
+    pub(crate) fn new(cap: u64, trials: u64) -> Self {
+        let columns = [(); 4].map(|_| Vec::with_capacity(trials as usize));
+        ReportColumns {
+            cap,
+            counts: [0; 4],
+            columns,
+        }
+    }
+
+    /// Takes in the next record of the stream.
+    pub(crate) fn push(&mut self, r: &TrialRecord) {
+        let flags = [r.agreement, r.validity, r.terminated, r.violations > 0];
+        for (count, flag) in self.counts.iter_mut().zip(flags) {
+            *count += u64::from(flag);
+        }
+        let [time, chain, messages, resets] = &mut self.columns;
+        time.push(r.all_decided_at.unwrap_or(self.cap) as f64);
+        chain.push(r.longest_chain as f64);
+        messages.push(r.metrics.messages_sent as f64);
+        resets.push(r.metrics.resets_consumed as f64);
+    }
+
+    /// The aggregate of the records taken in so far.
+    pub(crate) fn aggregate(&self) -> Aggregate {
+        let trials = self.columns[0].len() as u64;
+        let [agreement_rate, validity_rate, termination_rate, violation_rate] =
+            self.counts.map(|count| match trials {
+                0 => 0.0,
+                _ => count as f64 / trials as f64,
+            });
+        let [decision_time, chain_length, messages, resets] = self
+            .columns
+            .each_ref()
+            .map(|column| Summary::from_samples(column));
         Aggregate {
             trials,
-            agreement_rate: rate(&|r| r.agreement),
-            validity_rate: rate(&|r| r.validity),
-            termination_rate: rate(&|r| r.terminated),
-            violation_rate: rate(&|r| r.violations > 0),
-            decision_time: Summary::from_samples(
-                &records
-                    .iter()
-                    .map(|r| r.all_decided_at.unwrap_or(cap) as f64)
-                    .collect::<Vec<_>>(),
-            ),
-            chain_length: Summary::from_samples(
-                &records
-                    .iter()
-                    .map(|r| r.longest_chain as f64)
-                    .collect::<Vec<_>>(),
-            ),
-            resets: Summary::from_samples(
-                &records
-                    .iter()
-                    .map(|r| r.metrics.resets_consumed as f64)
-                    .collect::<Vec<_>>(),
-            ),
-            messages: Summary::from_samples(
-                &records
-                    .iter()
-                    .map(|r| r.metrics.messages_sent as f64)
-                    .collect::<Vec<_>>(),
-            ),
+            agreement_rate,
+            validity_rate,
+            termination_rate,
+            violation_rate,
+            decision_time,
+            chain_length,
+            resets,
+            messages,
         }
     }
 }
@@ -555,15 +568,15 @@ mod tests {
             // Uneven ranges, so a later call finds more, fewer and as many
             // workspaces as it has workers.
             let mut records = Vec::new();
-            for (lo, hi) in [(0, 1), (1, 8), (8, 10), (10, 12)] {
-                records.extend(campaign.run_records_range_in(
+            for range in [(0, 1), (1, 8), (8, 10), (10, 12)] {
+                campaign.extend_records(
                     &mut workspaces,
                     &plan,
                     &builder,
                     split_vote,
-                    lo,
-                    hi,
-                ));
+                    range,
+                    &mut records,
+                );
             }
             assert_eq!(records, expected, "{threads} threads");
             assert_eq!(workspaces.len(), threads.min(7), "one per worker used");

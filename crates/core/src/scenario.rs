@@ -5,8 +5,8 @@
 //! crossed with an adversary, an input pattern, an execution model and a
 //! system size. A [`ScenarioSpec`] captures one such combination as plain
 //! data; a [`ScenarioMatrix`] expands cross-products of them; and both run
-//! through the existing parallel [`Campaign`] with the same bit-identical,
-//! slot-ordered aggregation the experiments use. Adversaries are resolved by
+//! through the [`Campaign`] loop, which streams each spec's records to its
+//! sinks in trial order as they settle. Adversaries are resolved by
 //! name through the [`agreement_adversary::AdversaryFactory`]
 //! table of `agreement-adversary`, protocols through [`ProtocolSpec`], so
 //! new workloads — Ben-Or under the equivocating Byzantine adversary,
@@ -19,7 +19,6 @@
 
 use std::fmt;
 use std::path::Path;
-use std::sync::Mutex;
 
 use agreement_adversary::{find_adversary, AdversaryBuildCtx, AdversaryFactory};
 use agreement_analysis::{Histogram, JsonValue, Summary};
@@ -34,8 +33,8 @@ use agreement_sim::{
 
 use crate::experiments::Scale;
 use crate::orchestrate::{checkpoint::RangeLedger, OrchestrateError};
-use crate::record::{stream_records, ReportSink, ScenarioMeta, TrialRecord};
-use crate::runner::{Aggregate, Campaign, TrialPlan};
+use crate::record::{stream_with, ReportSink, ScenarioMeta, TrialRecord};
+use crate::runner::{Aggregate, Campaign, ReportColumns, TrialPlan};
 
 /// Why a scenario could not be resolved into a runnable execution.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -442,7 +441,8 @@ impl ScenarioSpec {
     }
 
     /// Runs the spec's trials, streaming every [`TrialRecord`] (in trial
-    /// order) through `sinks` before returning the finished report.
+    /// order) through `sinks` as soon as it and every trial before it have
+    /// run, and returns the finished report.
     ///
     /// # Errors
     ///
@@ -452,14 +452,44 @@ impl ScenarioSpec {
         campaign: &Campaign,
         sinks: &mut [&mut dyn ReportSink],
     ) -> Result<ScenarioReport, ScenarioError> {
+        self.run_checkpointed(campaign, None, sinks)
+            .map_err(|err| match err {
+                OrchestrateError::Scenario(err) => err,
+                other => unreachable!("a run without a checkpoint failed: {other}"),
+            })
+    }
+
+    /// [`ScenarioSpec::run_with_sinks`], resuming from the checkpoint at
+    /// `checkpoint`, if any: the ranges it holds for this exact workload
+    /// are restored, and each missing range is appended as one line as
+    /// soon as it has run.
+    ///
+    /// # Errors
+    ///
+    /// [`OrchestrateError::Scenario`] when the spec does not resolve (the
+    /// file is not touched then), [`OrchestrateError::Io`] when the
+    /// checkpoint cannot be read or appended to (the first failed append
+    /// ends the run: no range is claimed or appended after it).
+    pub fn run_checkpointed(
+        &self,
+        campaign: &Campaign,
+        checkpoint: Option<&Path>,
+        sinks: &mut [&mut dyn ReportSink],
+    ) -> Result<ScenarioReport, OrchestrateError> {
         let (cfg, instance, factory) = self.resolved()?;
         let meta = self.meta()?;
+        let mut ledger = RangeLedger::resume(self, checkpoint, |_, _| {})?;
         let plan = self.plan(cfg, self.trials, self.base_seed);
-        let builder = instance.builder.as_ref();
-        let records = campaign.run_records(&plan, builder, |seed| {
-            factory.build(&self.build_ctx(cfg, &instance, seed))
-        });
-        Ok(stream_records(&meta, &records, sinks))
+        stream_with(&meta, sinks, |consume| {
+            campaign.run_ledger(
+                &mut Vec::new(),
+                &plan,
+                instance.builder.as_ref(),
+                |seed| factory.build(&self.build_ctx(cfg, &instance, seed)),
+                &mut ledger,
+                consume,
+            )
+        })
     }
 
     /// Runs only the trials `lo..hi` of this spec and returns their records
@@ -478,21 +508,11 @@ impl ScenarioSpec {
         lo: u64,
         hi: u64,
     ) -> Result<Vec<TrialRecord>, ScenarioError> {
-        let (cfg, instance, factory) = self.resolved()?;
-        let plan = self.plan(cfg, self.trials, self.base_seed);
-        let builder = instance.builder.as_ref();
-        Ok(campaign.run_records_range(
-            &plan,
-            builder,
-            |seed| factory.build(&self.build_ctx(cfg, &instance, seed)),
-            lo,
-            hi,
-        ))
+        self.run_range_records_in(campaign, &mut Vec::new(), lo, hi)
     }
 
     /// [`ScenarioSpec::run_range_records`] inside the caller's
-    /// `workspaces`, one per campaign worker
-    /// ([`Campaign::run_records_range_in`]): an orchestration worker passes
+    /// `workspaces`, one per campaign worker: an orchestration worker passes
     /// the same list for every range it serves, so each range starts on
     /// warm cores.
     ///
@@ -508,61 +528,16 @@ impl ScenarioSpec {
     ) -> Result<Vec<TrialRecord>, ScenarioError> {
         let (cfg, instance, factory) = self.resolved()?;
         let plan = self.plan(cfg, self.trials, self.base_seed);
-        Ok(campaign.run_records_range_in(
+        let mut records = Vec::new();
+        campaign.extend_records(
             workspaces,
             &plan,
             instance.builder.as_ref(),
             |seed| factory.build(&self.build_ctx(cfg, &instance, seed)),
-            lo,
-            hi,
-        ))
-    }
-
-    /// Runs the spec's trials on `campaign` as
-    /// [`ScenarioSpec::run_range_records`] over `0..trials` would, resuming
-    /// from the checkpoint at `path`: the ranges it holds for this exact
-    /// workload are restored, and each missing range is appended as soon as
-    /// it has run. Ranges are `ceil(trials / (32 × threads))` trials (at most
-    /// 65 536), and each thread claims the next one on its own warm
-    /// workspace, so no thread waits for another's range.
-    ///
-    /// # Errors
-    ///
-    /// [`OrchestrateError::Scenario`] when the spec does not resolve (the
-    /// file is not touched then), [`OrchestrateError::Io`] when the
-    /// checkpoint cannot be read or appended to (no range is claimed after
-    /// a failed append).
-    pub fn run_checkpointed(
-        &self,
-        campaign: &Campaign,
-        path: &Path,
-    ) -> Result<Vec<TrialRecord>, OrchestrateError> {
-        self.feasibility()?;
-        let ledger = RangeLedger::resume(self, Some(path), |_, _| {})?;
-        let threads = campaign.worker_count(self.trials);
-        let missing = Mutex::new(ledger.missing(self.trials.div_ceil(32 * threads as u64)));
-        let ledger = Mutex::new(ledger);
-        let claim = || missing.lock().expect("range queue poisoned").pop_front();
-        let work = || -> Result<(), OrchestrateError> {
-            let mut workspaces = Vec::new();
-            while let Some((lo, hi)) = claim() {
-                let records =
-                    self.run_range_records_in(&Campaign::serial(), &mut workspaces, lo, hi)?;
-                ledger
-                    .lock()
-                    .expect("ledger poisoned")
-                    .settle(lo, hi, records)
-                    .inspect_err(|_| missing.lock().expect("range queue poisoned").clear())?;
-            }
-            Ok(())
-        };
-        std::thread::scope(|scope| {
-            let workers: Vec<_> = (0..threads).map(|_| scope.spawn(work)).collect();
-            workers
-                .into_iter()
-                .try_for_each(|worker| worker.join().expect("range worker panicked"))
-        })?;
-        ledger.into_inner().expect("ledger poisoned").merge()
+            (lo, hi),
+            &mut records,
+        );
+        Ok(records)
     }
 
     /// Runs a single execution with an explicit seed and returns its raw
@@ -595,6 +570,7 @@ impl ScenarioSpec {
             instance: self.protocol.instantiate(&cfg)?,
             plan: self.plan(cfg, 0, 0),
             workspaces: Vec::new(),
+            records: Vec::new(),
         })
     }
 
@@ -623,14 +599,15 @@ impl ScenarioSpec {
 /// trials with **caller-supplied adversaries** (the registered adversary
 /// name is overridden): what [`ScenarioSpec::batch_runner`] returns. It owns
 /// everything a batch needs besides its adversaries — the protocol instance,
-/// the plan with its materialized inputs, and one
-/// [`TrialWorkspace`] per campaign worker, warm from the first batch on — so
-/// a batch pays for its trials and nothing else.
+/// the plan with its materialized inputs, one [`TrialWorkspace`] per
+/// campaign worker, warm from the first batch on, and the batch's record
+/// list — so a batch pays for its trials and nothing else.
 pub struct BatchRunner {
     campaign: Campaign,
     instance: ProtocolInstance,
     plan: TrialPlan,
     workspaces: Vec<TrialWorkspace>,
+    records: Vec<TrialRecord>,
 }
 
 impl BatchRunner {
@@ -640,21 +617,23 @@ impl BatchRunner {
     /// unique seed. Records come back slot-ordered and bit-identical across
     /// campaign thread counts and across however the trials are cut into
     /// batches, which is what makes the search itself reproducible under
-    /// `--threads`.
-    pub fn run<F>(&mut self, trials: u64, base_seed: u64, make_adversary: F) -> Vec<TrialRecord>
+    /// `--threads`. The records live until the next batch.
+    pub fn run<F>(&mut self, trials: u64, base_seed: u64, make_adversary: F) -> &[TrialRecord]
     where
         F: Fn(u64) -> BuiltAdversary + Sync,
     {
         self.plan.trials = trials;
         self.plan.base_seed = base_seed;
-        self.campaign.run_records_range_in(
+        self.records.clear();
+        self.campaign.extend_records(
             &mut self.workspaces,
             &self.plan,
             self.instance.builder.as_ref(),
             make_adversary,
-            0,
-            trials,
-        )
+            (0, trials),
+            &mut self.records,
+        );
+        &self.records
     }
 }
 
@@ -679,19 +658,18 @@ pub struct ScenarioReport {
 }
 
 impl ScenarioReport {
-    /// Builds the report from a scenario's full record stream.
-    pub fn from_records(meta: ScenarioMeta, records: &[TrialRecord]) -> Self {
-        let cap = meta.time_cap;
-        let samples =
-            |f: &dyn Fn(&TrialRecord) -> f64| -> Vec<f64> { records.iter().map(f).collect() };
+    /// Builds the report from the columns of a scenario's record stream;
+    /// each distribution sorts its column in place.
+    pub(crate) fn from_columns(meta: ScenarioMeta, columns: ReportColumns) -> Self {
+        let aggregate = columns.aggregate();
+        let [decision_times, chain_lengths, message_counts, reset_counts] =
+            columns.columns.map(Histogram::from_samples);
         ScenarioReport {
-            aggregate: Aggregate::from_records(records, cap),
-            decision_times: Histogram::from_samples(&samples(&|r| {
-                r.all_decided_at.unwrap_or(cap) as f64
-            })),
-            chain_lengths: Histogram::from_samples(&samples(&|r| r.longest_chain as f64)),
-            message_counts: Histogram::from_samples(&samples(&|r| r.metrics.messages_sent as f64)),
-            reset_counts: Histogram::from_samples(&samples(&|r| r.metrics.resets_consumed as f64)),
+            aggregate,
+            decision_times,
+            chain_lengths,
+            message_counts,
+            reset_counts,
             meta,
         }
     }

@@ -214,7 +214,7 @@ pub fn run_search(
         // Phase 3: fold into the corpus in trial order. The generation is
         // dead after this, so each genome moves into its entry: the corpus
         // keeps about one in a hundred, and the rest were never worth a clone.
-        for (genome, record) in genomes.into_iter().zip(&records) {
+        for (genome, record) in genomes.into_iter().zip(records) {
             corpus.consider(CorpusEntry {
                 signature: novelty_signature(record),
                 fitness: fitness(record, time_cap),

@@ -94,12 +94,10 @@ fn campaign_workspace_trial_equals_fresh_core_replay() {
     // seed and demand field-for-field equality.
     for entry in outcome.corpus.iter().take(16) {
         let seed = entry.record.seed;
-        let pooled = spec
-            .batch_runner(&campaign)
-            .expect("spec resolves")
-            .run(1, seed, |_| {
-                build_from_genome(&entry.genome, &cfg).expect("genome rebuilds")
-            });
+        let mut runner = spec.batch_runner(&campaign).expect("spec resolves");
+        let pooled = runner.run(1, seed, |_| {
+            build_from_genome(&entry.genome, &cfg).expect("genome rebuilds")
+        });
         let mut adversary = build_from_genome(&entry.genome, &cfg).expect("genome rebuilds");
         let replayed = spec
             .run_single_with(seed, &mut adversary)

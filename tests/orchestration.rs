@@ -18,7 +18,7 @@ use agreement::core::orchestrate::{
 };
 use agreement::core::{
     scenario_registry, stream_records, Campaign, JsonReportSink, JsonlSink, ReportSink,
-    ScenarioSpec, TrialRecord,
+    ScenarioMeta, ScenarioSpec, TrialRecord,
 };
 
 fn worker_command() -> Vec<String> {
@@ -232,6 +232,16 @@ enum Executor {
     Workers,
 }
 
+/// Keeps every record streamed to it.
+#[derive(Default)]
+struct KeptRecords(Vec<TrialRecord>);
+
+impl ReportSink for KeptRecords {
+    fn record_trial(&mut self, _meta: &ScenarioMeta, record: &TrialRecord) {
+        self.0.push(*record);
+    }
+}
+
 /// What a resumed run returned, and for a session the ranges it reported
 /// restored and assigned (threads report none).
 struct Resumed {
@@ -245,9 +255,12 @@ impl Executor {
     fn run(self, spec: &ScenarioSpec, path: &Path) -> Resumed {
         let (mut restored, mut assigned) = (Vec::new(), Vec::new());
         let records = match self {
-            Executor::Threads => spec
-                .run_checkpointed(&Campaign::with_threads(2), path)
-                .expect("threaded resumed run"),
+            Executor::Threads => {
+                let mut kept = KeptRecords::default();
+                spec.run_checkpointed(&Campaign::with_threads(2), Some(path), &mut [&mut kept])
+                    .expect("threaded resumed run");
+                kept.0
+            }
             Executor::Workers => {
                 let mut session = Orchestrator::new(Scale::Quick, worker_command())
                     .workers(2)
